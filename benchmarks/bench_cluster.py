@@ -1,16 +1,18 @@
 """Cluster scaling: the sharded scatter-gather tier vs one process.
 
-The cluster claim: sharding the catalog over N worker *processes*
-behind the asyncio router buys the multi-core scaling a single
-GIL-bound process cannot, at the price of one pipe hop per request.
+The cluster claim: sharding the catalog over N worker *processes* buys
+the multi-core scaling a single GIL-bound process cannot, at the price
+of one pipe hop per request.
 This benchmark measures both sides of that trade end to end — real
 HTTP, persistent keep-alive connections, closed-loop clients — against
 the same multi-document catalog:
 
-* ``single``      — the ``--workers 0`` path: one process, one
-  :class:`~repro.server.QueryService` thread pool, ``ThreadingHTTPServer``;
+* ``single``      — what ``--workers 0`` serves: one process, one
+  :class:`~repro.server.QueryService` thread pool;
 * ``cluster @ N`` — :class:`~repro.server.ClusterService` with N
-  shard-scoped worker processes behind the asyncio router.
+  shard-scoped worker processes;
+
+both behind the same asyncio HTTP front end (``RouterServer``).
 
 The catalog is D small XMark instances under distinct URIs, so the
 shard map spreads documents across workers and every query names its
@@ -40,7 +42,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from benchmarks.bench_serve import run_client
 from repro.api.database import Database
-from repro.server import ClusterService, QueryService, RouterServer, make_server
+from repro.server import ClusterService, QueryService, RouterServer
 from repro.xmark import XMARK_QUERIES, generate_document
 
 #: same serving mix as bench_serve, each rewritten to name its document
@@ -98,38 +100,11 @@ def _drive(port: int, clients: int, seconds: float, queries: list[str]) -> dict:
     }
 
 
-def bench_single(
-    docs: dict[str, str], threads: int, clients: int, seconds: float,
+def bench_service(
+    service, docs: dict[str, str], clients: int, seconds: float,
     queries: list[str],
 ) -> dict:
-    """The ``--workers 0`` baseline: one process, a thread pool."""
-    database = Database()
-    for uri, text in docs.items():
-        database.load_document(uri, text)
-    service = QueryService(database, workers=threads, deadline_seconds=120.0)
-    server = make_server(service, port=0)
-    port = server.server_address[1]
-    server_thread = threading.Thread(target=server.serve_forever, daemon=True)
-    server_thread.start()
-    try:
-        _drive(port, clients, min(seconds, 1.0), queries)  # warm plan caches
-        row = _drive(port, clients, seconds, queries)
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.shutdown()
-        server_thread.join(timeout=10)
-    return {"mode": "single", "workers": 0, **row}
-
-
-def bench_cluster(
-    docs: dict[str, str], workers: int, threads: int, clients: int,
-    seconds: float, queries: list[str],
-) -> dict:
-    """One cluster point: N worker processes behind the asyncio router."""
-    service = ClusterService(
-        workers, threads=threads, deadline_seconds=120.0
-    )
+    """One point: ``service`` behind the HTTP front end; shuts it down."""
     router = None
     try:
         for uri, text in docs.items():
@@ -137,13 +112,12 @@ def bench_cluster(
         router = RouterServer(service)
         _, port = router.start()
         _drive(port, clients, min(seconds, 1.0), queries)  # warm plan caches
-        row = _drive(port, clients, seconds, queries)
+        return _drive(port, clients, seconds, queries)
     finally:
         if router is not None:
             router.stop(shutdown_service=True)
         else:
             service.shutdown(wait=True)
-    return {"mode": "cluster", "workers": workers, **row}
 
 
 def run_cluster_bench(
@@ -158,11 +132,26 @@ def run_cluster_bench(
     docs = {f"auction{i}.xml": text for i in range(documents)}
     queries = doc_queries(sorted(docs))
     clients = 2 * max(worker_counts)
-    rows = [bench_single(docs, threads, clients, seconds, queries)]
+    single = QueryService(Database(), workers=threads, deadline_seconds=120.0)
+    rows = [
+        {
+            "mode": "single",
+            "workers": 0,
+            **bench_service(single, docs, clients, seconds, queries),
+        }
+    ]
     base_rps = rows[0]["throughput_rps"]
     for workers in worker_counts:
-        row = bench_cluster(docs, workers, threads, clients, seconds, queries)
-        rows.append(row)
+        cluster = ClusterService(
+            workers, threads=threads, deadline_seconds=120.0
+        )
+        rows.append(
+            {
+                "mode": "cluster",
+                "workers": workers,
+                **bench_service(cluster, docs, clients, seconds, queries),
+            }
+        )
     for row in rows:
         row["speedup_vs_single"] = row["throughput_rps"] / base_rps
     return {

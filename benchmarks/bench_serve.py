@@ -2,8 +2,8 @@
 
 The serving claim of the tentpole: the thread-safe Database plus the
 ``repro.server`` worker pool turn the single-threaded library into a
-concurrent service.  This benchmark measures it end to end — a real
-``ThreadingHTTPServer`` on a real socket, driven by N closed-loop client
+concurrent service.  This benchmark measures it end to end — the
+asyncio HTTP front end on a real socket, driven by N closed-loop client
 threads (each waits for its response before sending the next request),
 with N matched to the server's worker count so the offered concurrency
 equals the service capacity.
@@ -13,8 +13,8 @@ mode* — persistent keep-alive (one connection per client, reused for
 every request) vs per-request close (a fresh TCP connect each time):
 aggregate throughput (requests/second) and the p50/p99 response-time
 percentiles.  The mode split isolates the connection-setup tax from
-query execution; the keep-alive numbers are what the cluster router's
-persistent-connection front end is designed to preserve.  The plan
+query execution; the keep-alive numbers are what the front end's
+persistent connections are designed to preserve.  The plan
 cache is warmed before measuring, so the numbers are execution-bound —
 what scales is the overlap of socket I/O, serialization and the numpy
 kernels that release the GIL.
@@ -35,7 +35,7 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from repro.api.database import Database
-from repro.server import QueryService, make_server
+from repro.server import QueryService, RouterServer
 from repro.xmark import XMARK_QUERIES, generate_document
 
 #: the serving mix: a cheap path count, a selective filter and a
@@ -107,10 +107,8 @@ def bench_workers(
 ) -> dict:
     """Throughput + latency percentiles for one worker-pool size."""
     service = QueryService(database, workers=workers, deadline_seconds=120.0)
-    server = make_server(service, port=0)
-    port = server.server_address[1]
-    server_thread = threading.Thread(target=server.serve_forever, daemon=True)
-    server_thread.start()
+    server = RouterServer(service)
+    _, port = server.start()
     try:
         # warm the plan cache so the sweep measures execution, not compiles
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
@@ -136,10 +134,7 @@ def bench_workers(
             c.join()
         wall = time.perf_counter() - t0
     finally:
-        server.shutdown()
-        server.server_close()
-        service.shutdown()
-        server_thread.join(timeout=10)
+        server.stop(shutdown_service=True)
     if errors:
         raise RuntimeError(
             f"{len(errors)} client(s) failed at {workers} workers"

@@ -8,15 +8,14 @@ package is the reproduction's operational surface.  It stacks:
   thread-safe :class:`~repro.api.Database`, with wall-clock deadlines
   (the baseline interpreter's budget idea applied to serving) and
   operational counters;
-* :mod:`repro.server.http` — a dependency-free ``http.server`` front
-  end exposing ``POST /query``, ``GET /explain``, ``GET /stats`` and
-  hot document management under ``/documents``, with graceful
-  shutdown;
 * :class:`~repro.server.cluster.ClusterService` — the same service
   surface scaled out: N worker processes, each a shard-scoped
-  QueryService over its partition of the mmap store, scatter-gather
-  query routing, and an asyncio keep-alive router front end
-  (:mod:`repro.server.router`).
+  QueryService over its partition of the mmap store, with
+  scatter-gather query routing;
+* :mod:`repro.server.router` — the one HTTP front end, a
+  dependency-free asyncio keep-alive server over either service:
+  ``POST /query``, ``GET /explain``, ``GET /stats`` and hot document
+  management under ``/documents``, with graceful shutdown.
 
 Start it from the shell (``python -m repro serve --xmark 0.002``, add
 ``--workers 4`` for the cluster) or in process::
@@ -29,10 +28,8 @@ The operations guide lives in ``docs/serving.md``.
 """
 
 from repro.server.cluster import ClusterService
-from repro.server.http import make_server, serve
 from repro.server.protocol import RemoteError, WorkerUnavailable
-from repro.server.router import RouterServer
-from repro.server.router import serve as serve_cluster
+from repro.server.router import RouterServer, serve
 from repro.server.service import DeadlineExceeded, QueryService
 
 __all__ = [
@@ -42,7 +39,5 @@ __all__ = [
     "RemoteError",
     "WorkerUnavailable",
     "RouterServer",
-    "make_server",
     "serve",
-    "serve_cluster",
 ]

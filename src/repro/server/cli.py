@@ -1,17 +1,17 @@
 """``python -m repro serve`` — the serving subcommand.
 
-Loads documents (files and/or a generated XMark instance) into one
-shared Database, builds a :class:`~repro.server.service.QueryService`
-and blocks in :func:`repro.server.http.serve` until SIGINT/SIGTERM::
+Builds the service ``--workers`` selects — ``0`` (the default): one
+:class:`~repro.server.service.QueryService` in this process; ``N``: a
+:class:`~repro.server.cluster.ClusterService` over N shard-scoped
+worker *processes* — loads ``--xmark``/``--doc`` documents through its
+``put_document``, and blocks in :func:`repro.server.router.serve`, the
+one HTTP front end, until SIGINT/SIGTERM::
 
     python -m repro serve --xmark 0.002 --port 8080 --threads 4
     python -m repro serve --doc catalog.xml=path/to.xml --deadline 5
     python -m repro serve --store ./cat --workers 4   # sharded cluster
 
-Tuning knobs (see docs/serving.md): ``--workers N`` (N > 0) serves the
-catalog from N shard-scoped worker *processes* behind the asyncio
-scatter-gather router (``--workers 0``, the default, keeps the
-single-process thread-pool server), ``--threads`` bounds concurrent
+Tuning knobs (see docs/serving.md): ``--threads`` bounds concurrent
 query execution per process, ``--deadline`` is the default per-request
 wall-clock budget, ``--plan-cache`` sizes the shared compile-once LRU,
 and ``--backend sqlhost`` runs worker sessions on the SQLite host
@@ -50,8 +50,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="shard the catalog over N worker processes behind the "
-        "scatter-gather router (0 = single-process server)",
+        help="shard the catalog over N worker processes with scatter-"
+        "gather routing (0 = execute queries in this process)",
     )
     parser.add_argument(
         "--threads", type=int, default=4, help="query threads per process"
@@ -117,111 +117,85 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _serve_cluster(args, out) -> int:
-    """The ``--workers N`` path: ClusterService behind the asyncio router."""
-    from repro.server.cluster import ClusterService
-    from repro.server.router import serve as serve_cluster
+def _build_service(args):
+    """The service ``--workers`` selects, over the ``--store`` catalog."""
+    session_options = {
+        "backend": args.backend,
+        "use_optimizer": not args.no_optimizer,
+        "optimizer_mode": args.optimizer_mode,
+    }
+    if args.workers:
+        from repro.server.cluster import ClusterService
 
-    service = ClusterService(
-        args.workers,
-        store=args.store,
-        threads=args.threads,
-        deadline_seconds=args.deadline,
+        return ClusterService(
+            args.workers,
+            store=args.store,
+            threads=args.threads,
+            deadline_seconds=args.deadline,
+            plan_cache_size=args.plan_cache,
+            page_budget_bytes=args.page_budget,
+            session_options=session_options,
+        )
+    from repro.server.service import QueryService
+
+    database = Database(
         plan_cache_size=args.plan_cache,
+        store=args.store,
         page_budget_bytes=args.page_budget,
-        session_options={
-            "backend": args.backend,
-            "use_optimizer": not args.no_optimizer,
-            "optimizer_mode": args.optimizer_mode,
-        },
     )
-    try:
-        recovered = [d["uri"] for d in service.list_documents()]
-        if args.store is not None and recovered:
-            print(f"recovered from {args.store}: {', '.join(recovered)}", file=out)
-        if args.xmark is not None:
-            from repro.xmark import generate_document
-
-            service.put_document("auction.xml", generate_document(args.xmark))
-            print(f"loaded auction.xml (XMark scale {args.xmark})", file=out)
-        for spec in args.doc:
-            uri, _, path = spec.partition("=")
-            if not path:
-                print(f"bad --doc {spec!r}, expected URI=PATH", file=sys.stderr)
-                service.shutdown(wait=True)
-                return 2
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = service.put_document(uri, handle.read())
-            print(
-                f"loaded {uri} ({payload['nodes']} nodes, "
-                f"shard {payload['shard']})",
-                file=out,
-            )
-    except PathfinderError as exc:
-        service.shutdown(wait=True)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    serve_cluster(service, host=args.host, port=args.port, out=out)
-    return 0
+    return QueryService(
+        database,
+        workers=args.threads,
+        deadline_seconds=args.deadline,
+        session_options=session_options,
+    )
 
 
 def serve_main(argv: list[str] | None = None, out=None) -> int:
     """Entry point for ``python -m repro serve``."""
-    from repro.server.http import serve
-    from repro.server.service import QueryService
+    from repro.server.router import serve
 
     out = out or sys.stdout
     args = build_serve_parser().parse_args(argv)
     if args.workers < 0:
         print("error: --workers must be >= 0", file=sys.stderr)
         return 2
-    if args.workers > 0:
-        try:
-            return _serve_cluster(args, out)
-        except PathfinderError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    docs = [spec.partition("=") for spec in args.doc]
+    for uri, sep, path in docs:
+        if not path:
+            print(f"bad --doc {uri + sep!r}, expected URI=PATH", file=sys.stderr)
+            return 2
     try:
-        database = Database(
-            plan_cache_size=args.plan_cache,
-            store=args.store,
-            page_budget_bytes=args.page_budget,
-        )
-        if args.store is not None and database.documents:
-            recovered = ", ".join(sorted(database.documents))
-            print(f"recovered from {args.store}: {recovered}", file=out)
-        if args.page_budget is not None:
-            print(f"paging: budget {args.page_budget} bytes", file=out)
-        # with a store attached a --doc/--xmark URI may already exist from
-        # recovery; replace semantics make the restart idempotent
-        replace = args.store is not None
-        if args.xmark is not None:
-            from repro.xmark import generate_document
-
-            database.load_document(
-                "auction.xml", generate_document(args.xmark), replace=replace
-            )
-            print(f"loaded auction.xml (XMark scale {args.xmark})", file=out)
-        for spec in args.doc:
-            uri, _, path = spec.partition("=")
-            if not path:
-                print(f"bad --doc {spec!r}, expected URI=PATH", file=sys.stderr)
-                return 2
-            with open(path, "r", encoding="utf-8") as handle:
-                nodes = database.load_document(uri, handle.read(), replace=replace)
-            print(f"loaded {uri} ({nodes} nodes)", file=out)
-        service = QueryService(
-            database,
-            workers=args.threads,
-            deadline_seconds=args.deadline,
-            session_options={
-                "backend": args.backend,
-                "use_optimizer": not args.no_optimizer,
-                "optimizer_mode": args.optimizer_mode,
-            },
-        )
+        service = _build_service(args)
     except PathfinderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        recovered = [d["uri"] for d in service.list_documents()]
+        if args.store is not None and recovered:
+            print(f"recovered from {args.store}: {', '.join(recovered)}", file=out)
+        if args.page_budget is not None:
+            print(f"paging: budget {args.page_budget} bytes", file=out)
+        # put_document replaces: a --doc/--xmark URI that recovery already
+        # brought back is swapped, so a restart on a store is idempotent
+        if args.xmark is not None:
+            from repro.xmark import generate_document
+
+            service.put_document("auction.xml", generate_document(args.xmark))
+            print(f"loaded auction.xml (XMark scale {args.xmark})", file=out)
+        for uri, _, path in docs:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = service.put_document(uri, handle.read())
+            print(f"loaded {uri} ({payload['nodes']} nodes)", file=out)
+    except (PathfinderError, OSError) as exc:
+        service.shutdown(wait=True)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    where = (
+        f"each of {args.workers} worker processes"
+        if args.workers
+        else "this process"
+    )
+    print(f"query execution: {args.threads} threads in {where}", file=out)
     serve(service, host=args.host, port=args.port, out=out)
     return 0

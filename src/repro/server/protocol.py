@@ -38,8 +38,8 @@ class RemoteError(PathfinderError):
     """A worker-side failure reconstructed on the router.
 
     Carries the original exception class name and the HTTP status the
-    worker computed, so the router's error mapping is byte-identical to
-    the single-process server's.
+    worker computed, so an error answered across the process hop is
+    byte-identical to the same error raised in process.
     """
 
     def __init__(self, message: str, kind: str, status: int):
@@ -49,7 +49,9 @@ class RemoteError(PathfinderError):
 
 
 def status_for(exc: BaseException) -> int:
-    """The HTTP status an exception maps to (mirrors ``server.http``)."""
+    """The HTTP status an exception maps to — the one such mapping,
+    used by the router for its responses and by workers for the
+    ``status`` of their error frames."""
     if isinstance(exc, DeadlineExceeded):
         return 504
     if isinstance(exc, WorkerUnavailable):

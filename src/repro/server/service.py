@@ -1,7 +1,7 @@
 """The query service: worker pool, deadlines and operational counters.
 
 :class:`QueryService` is the protocol-independent core of the serving
-subsystem — the HTTP layer (:mod:`repro.server.http`) is a thin JSON
+subsystem — the HTTP layer (:mod:`repro.server.router`) is a thin JSON
 codec in front of it, and tests can drive it directly.
 
 Execution model:
@@ -215,9 +215,10 @@ class QueryService:
         serialized text pieces (:meth:`QueryResult.iter_serialized`).
         Compile + execute run on the worker pool under the usual
         deadline/shedding discipline; the chunk iteration happens on the
-        caller's thread (for HTTP: the connection thread), which is safe
-        without a lock — the result table is immutable and arena rows are
-        append-only, so a concurrent hot replace cannot tear the scan.
+        caller's thread (for HTTP: one of the router's service-call
+        threads), which is safe without a lock — the result table is
+        immutable and arena rows are append-only, so a concurrent hot
+        replace cannot tear the scan.
 
         The request's wall-clock budget covers the stream too: when it
         expires between chunks the iterator raises

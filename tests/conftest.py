@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro import PathfinderEngine
@@ -9,6 +11,7 @@ from repro.baseline import Interpreter
 from repro.encoding.arena import NodeArena
 from repro.encoding.shred import shred_text
 from repro.relational.items import StringPool
+from repro.server import RouterServer
 from repro.xquery.core import desugar_module
 from repro.xquery.parser import parse_query
 
@@ -64,3 +67,15 @@ def run_baseline(engine: PathfinderEngine, query: str, **kw) -> str:
         engine.arena, engine.documents, engine.default_document, **kw
     )
     return interp.serialize(interp.execute(module))
+
+
+@contextmanager
+def live_server(service, shutdown_service: bool = True):
+    """``service`` behind the HTTP front end on an ephemeral port;
+    yields ``host:port``."""
+    server = RouterServer(service)
+    host, port = server.start()
+    try:
+        yield f"{host}:{port}"
+    finally:
+        server.stop(shutdown_service=shutdown_service)

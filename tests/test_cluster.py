@@ -1,13 +1,14 @@
 """Differential tests of the sharded scatter-gather serving tier.
 
 The cluster's contract is *indistinguishability*: a catalog served by N
-shard-scoped worker processes behind the asyncio router must answer
-byte-for-byte what the single-process ``--workers 0`` path answers —
-results, error classes, HTTP statuses, deadline and shedding semantics.
-Every test here holds some slice of that contract against a live
-reference :class:`~repro.server.QueryService`, plus the failure modes
-only a cluster has: a worker crashing mid-flight, respawn recovery from
-the shared store, and graceful drain.
+shard-scoped worker processes must answer byte-for-byte what the
+in-process ``--workers 0`` service answers — results, error classes,
+HTTP statuses, deadline and shedding semantics.  Both sit behind the
+same HTTP front end (``RouterServer``), so every difference these tests
+could find is a difference between :class:`~repro.server.QueryService`
+and :class:`~repro.server.ClusterService`.  On top come the failure
+modes only a cluster has: a worker crashing mid-flight, respawn
+recovery from the shared store, and graceful drain.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from repro.server import (
     QueryService,
     RouterServer,
     WorkerUnavailable,
-    make_server,
 )
 from repro.server.service import DeadlineExceeded
 from repro.encoding.store import shard_of
 from repro.xmark import XMARK_QUERIES, generate_document
+from tests.conftest import live_server
 
 XMARK_SCALE = 0.0005
 WORKERS = 4
@@ -93,10 +94,17 @@ def cluster(catalog):
 @pytest.fixture(scope="module")
 def router(cluster):
     """The asyncio HTTP front end over the module's cluster."""
-    server = RouterServer(cluster)
-    host, port = server.start()
-    yield f"{host}:{port}"
-    server.stop(shutdown_service=False)  # the cluster fixture owns shutdown
+    # the cluster fixture owns shutdown
+    with live_server(cluster, shutdown_service=False) as netloc:
+        yield netloc
+
+
+@pytest.fixture(scope="module")
+def reference(single):
+    """The same front end over the ``--workers 0`` reference service."""
+    # the `single` fixture owns shutdown
+    with live_server(single, shutdown_service=False) as netloc:
+        yield netloc
 
 
 def http_request(netloc, method, path, body=None, headers=None):
@@ -120,14 +128,19 @@ def normalized(payload_bytes):
 
 
 class TestXMarkDifferential:
-    """All 20 XMark queries: cluster output == single-process output."""
+    """All 20 XMark queries over HTTP: cluster body == in-process body."""
 
     @pytest.mark.parametrize("name", sorted(XMARK_QUERIES))
-    def test_query_byte_identical(self, name, single, cluster):
-        expected = single.execute(XMARK_QUERIES[name])
-        actual = cluster.execute(XMARK_QUERIES[name])
-        assert actual["result"] == expected["result"]
-        assert actual["items"] == expected["items"]
+    def test_query_byte_identical(self, name, reference, router):
+        body = json.dumps({"query": XMARK_QUERIES[name]}).encode()
+        ref_status, ref_body = http_request(reference, "POST", "/query", body)
+        clu_status, clu_body = http_request(router, "POST", "/query", body)
+        assert ref_status == clu_status == 200
+        expected, actual = normalized(ref_body), normalized(clu_body)
+        # a plan is cached per worker process, so which request first
+        # compiles it differs between the tiers
+        expected.pop("from_cache"), actual.pop("from_cache")
+        assert actual == expected
 
 
 class TestScatterGather:
@@ -188,17 +201,7 @@ class TestScatterGather:
 
 
 class TestHTTPDifferential:
-    """The router's HTTP surface vs the single-process server's."""
-
-    @pytest.fixture(scope="class")
-    def reference(self, single):
-        httpd = make_server(single, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        yield f"127.0.0.1:{httpd.server_address[1]}"
-        httpd.shutdown()
-        httpd.server_close()
-        thread.join(timeout=10)
+    """One HTTP surface: the cluster behind it vs the in-process service."""
 
     @pytest.mark.parametrize(
         "query",
@@ -233,13 +236,14 @@ class TestHTTPDifferential:
         assert ref_status == clu_status == status
         assert json.loads(ref_body)["kind"] == json.loads(clu_body)["kind"]
 
-    def test_deadline_expiry_is_504_across_the_hop(self, router):
+    def test_deadline_expiry_is_504_across_the_hop(self, reference, router):
         body = json.dumps(
             {"query": "count(//*[count(//*) > 0])", "deadline": 1e-6}
         ).encode()
-        status, payload = http_request(router, "POST", "/query", body)
-        assert status == 504
-        assert json.loads(payload)["kind"] == "DeadlineExceeded"
+        for netloc in (reference, router):
+            status, payload = http_request(netloc, "POST", "/query", body)
+            assert status == 504
+            assert json.loads(payload)["kind"] == "DeadlineExceeded"
 
     def test_keep_alive_connection_serves_many_requests(self, router):
         host, port = router.split(":")

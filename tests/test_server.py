@@ -1,23 +1,28 @@
 """End-to-end tests of the HTTP serving subsystem over a real socket.
 
-A ``ThreadingHTTPServer`` is bound to an ephemeral port per test class;
-requests go through ``urllib`` like any external client's would, so the
-whole stack — routing, JSON codec, worker pool, deadlines, catalog
-endpoints, stats — is exercised exactly as deployed.
+The asyncio router is bound to an ephemeral port per test class over an
+in-process ``QueryService`` (what ``--workers 0`` serves); requests go
+through ``urllib`` like any external client's would, so the whole stack
+— routing, JSON codec, worker pool, deadlines, catalog endpoints, stats
+— is exercised exactly as deployed.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
 from repro import Database
-from repro.server import QueryService, make_server
+from repro.server import QueryService, RouterServer
 from repro.server.service import DeadlineExceeded
+from tests.conftest import live_server
 
 DOC = "<r><v>1</v><v>2</v><v>3</v></r>"
 PARAM_QUERY = (
@@ -36,15 +41,8 @@ def server():
     database = Database()
     database.load_document("r.xml", DOC)
     service = QueryService(database, workers=2, deadline_seconds=10.0)
-    httpd = make_server(service, port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{httpd.server_address[1]}"
-    yield base, service
-    httpd.shutdown()
-    httpd.server_close()
-    service.shutdown()
-    thread.join(timeout=10)
+    with live_server(service) as netloc:
+        yield f"http://{netloc}", service
 
 
 def request(base: str, path: str, method: str = "GET", body: bytes | None = None):
@@ -61,6 +59,28 @@ def post_query(base: str, payload: dict):
     return request(
         base, "/query", "POST", json.dumps(payload).encode("utf-8")
     )
+
+
+@contextmanager
+def raw_connection(base: str):
+    """A plain TCP socket to the server at ``base``."""
+    host, port = base.removeprefix("http://").split(":")
+    sock = socket.create_connection((host, int(port)), timeout=5)
+    try:
+        yield sock
+    finally:
+        sock.close()
+
+
+def read_until_closed(sock) -> bytes:
+    """Everything the server sends before it closes the connection
+    (``socket.timeout`` if it never does)."""
+    received = []
+    while True:
+        data = sock.recv(65536)
+        if not data:
+            return b"".join(received)
+        received.append(data)
 
 
 class TestQueryEndpoint:
@@ -157,7 +177,9 @@ class TestDocumentEndpoints:
 class TestOperationalEndpoints:
     def test_healthz(self, server):
         base, _ = server
-        assert request(base, "/healthz") == (200, {"ok": True})
+        status, body = request(base, "/healthz")
+        assert status == 200 and body["ok"] is True
+        assert {"in_flight", "documents", "uptime_seconds"} <= set(body)
 
     def test_explain(self, server):
         base, _ = server
@@ -270,6 +292,145 @@ class TestKeepAliveIntegrity:
             resp.read()
         finally:
             conn.close()
+
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            b"Content-Length: abc\r\n\r\n",
+            b"Content-Length: -5\r\n\r\n",
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b'10\r\n{"query": "1+1"}\r\n0\r\n\r\n',
+        ],
+        ids=["non-numeric-length", "negative-length", "chunked-request"],
+    )
+    def test_unfollowable_framing_is_answered_then_closed(self, server, framing):
+        """Where the request ends is unknown: one 400, then a close —
+        never a bare close, never body bytes parsed as a request line."""
+        base, _ = server
+        with raw_connection(base) as sock:
+            sock.sendall(b"POST /query HTTP/1.1\r\nHost: t\r\n" + framing)
+            answer = read_until_closed(sock)
+        assert answer.count(b"HTTP/1.1 ") == 1
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"connection: close" in head.lower()
+        assert set(json.loads(body)) == {"error", "kind"}
+
+    def test_expect_100_continue_is_answered(self, server):
+        """curl sends ``Expect: 100-continue`` with any body over 1 KiB
+        and holds the body back (about a second) until it is answered."""
+        base, _ = server
+        body = b"<e>" + b"<x/>" * 400 + b"</e>"
+        with raw_connection(base) as sock:
+            sock.sendall(
+                b"PUT /documents/expect.xml HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: %d\r\nExpect: 100-continue\r\n"
+                b"Connection: close\r\n\r\n" % len(body)
+            )
+            sock.settimeout(2.0)
+            assert sock.recv(4096) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            answer = read_until_closed(sock)
+        assert answer.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(answer.partition(b"\r\n\r\n")[2])["nodes"] == 402
+
+
+class TestGracefulStop:
+    """Stopping closes connections that are between requests at once and
+    waits only for responses in flight."""
+
+    @pytest.fixture()
+    def stoppable(self):
+        database = Database()
+        database.load_document("r.xml", DOC)
+        service = QueryService(database, workers=2, deadline_seconds=10.0)
+        server = RouterServer(service)
+        host, port = server.start()
+        try:
+            yield server, service, f"http://{host}:{port}"
+        finally:
+            server.stop(shutdown_service=True)
+
+    def test_idle_keep_alive_client_does_not_delay_stop(self, stoppable):
+        server, _, base = stoppable
+        with raw_connection(base) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert sock.recv(4096).startswith(b"HTTP/1.1 200 ")
+            started = time.monotonic()
+            server.stop(shutdown_service=False)
+            assert time.monotonic() - started < 2.0
+            read_until_closed(sock)  # times out unless the server hung up
+
+    def test_response_in_flight_completes(self, stoppable):
+        server, service, base = stoppable
+        execute_stream = service.execute_stream
+        entered, release = threading.Event(), threading.Event()
+
+        def held_execute_stream(*args, **kwargs):
+            entered.set()
+            release.wait(30)
+            return execute_stream(*args, **kwargs)
+
+        service.execute_stream = held_execute_stream
+        answers = []
+        client = threading.Thread(
+            target=lambda: answers.append(
+                post_query(base, {"query": 'doc("r.xml")'})
+            )
+        )
+        client.start()
+        assert entered.wait(10)
+        stopper = threading.Thread(
+            target=server.stop, kwargs={"shutdown_service": False}
+        )
+        stopper.start()
+        stopper.join(timeout=0.3)
+        assert stopper.is_alive(), "stop returned with a response in flight"
+        release.set()
+        client.join(timeout=10)
+        stopper.join(timeout=10)
+        assert not client.is_alive() and not stopper.is_alive()
+        [(status, body)] = answers
+        assert status == 200 and body["result"] == DOC
+
+
+def test_waiting_requests_do_not_block_health_probes():
+    """Requests queue inside the service, where their deadlines shed
+    them — not in front of it, where a health probe would queue too."""
+    database = Database()
+    database.load_document("r.xml", DOC)
+    service = QueryService(database, workers=1, deadline_seconds=10.0)
+    gate = threading.Event()
+    blocker = threading.Thread(
+        target=lambda: service._submit(lambda session: gate.wait(30), deadline=30)
+    )
+    answers = []
+    with live_server(service) as netloc:
+        base = f"http://{netloc}"
+        clients = [
+            threading.Thread(
+                target=lambda: answers.append(
+                    post_query(base, {"query": "1+1", "deadline": 1.0})
+                )
+            )
+            for _ in range(40)
+        ]
+        blocker.start()
+        try:
+            for client in clients:
+                client.start()
+            time.sleep(0.3)
+            started = time.monotonic()
+            status, health = request(base, "/healthz")
+            assert time.monotonic() - started < 0.5
+            assert status == 200 and health["in_flight"] == 1
+            for client in clients:
+                client.join(timeout=10)
+            assert [status for status, _ in answers] == [504] * 40
+            assert service.stats()["shed"] == 40
+        finally:
+            gate.set()
+            blocker.join(timeout=10)
 
 
 def test_stats_counts_every_failed_request():
@@ -411,6 +572,20 @@ class TestChunkedQueryResponses:
         assert payload["result"] == DOC
         assert body.decode("utf-8") == json.dumps(payload)
 
+    def test_result_larger_than_one_write_batch(self, server):
+        """Results are written in ~64 KiB batches; the seams between
+        them must not show in the reassembled body."""
+        base, _ = server
+        big = "<big>" + "".join(f'<e n="{i}">é"\\</e>' for i in range(20000)) + "</big>"
+        status, _ = request(base, "/documents/big.xml", "PUT", big.encode("utf-8"))
+        assert status == 200
+        resp, body = self._raw_query(base, {"query": 'doc("big.xml")'})
+        assert resp.status == 200
+        payload = json.loads(body)
+        assert len(body) > 4 * 64 * 1024
+        assert payload["result"] == big
+        assert body.decode("utf-8") == json.dumps(payload)
+
     def test_errors_still_buffered_json(self, server):
         base, _ = server
         status, body = post_query(base, {"query": "for $x in"})
@@ -458,15 +633,8 @@ class TestStoreEndpoints:
         database = Database(store=str(tmp_path / "db.pfstore"))
         database.load_document("r.xml", DOC)
         service = QueryService(database, workers=1, deadline_seconds=10.0)
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{httpd.server_address[1]}"
-        yield base, service
-        httpd.shutdown()
-        httpd.server_close()
-        service.shutdown()
-        thread.join(timeout=10)
+        with live_server(service) as netloc:
+            yield f"http://{netloc}", service
 
     def test_stats_has_store_section(self, store_server):
         base, _ = store_server
@@ -527,15 +695,8 @@ class TestPagedServer:
         # request pages its document in and evicts the other
         database = Database.open(str(tmp_path / "db.pfstore"), page_budget_bytes=64)
         service = QueryService(database, workers=1, deadline_seconds=10.0)
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{httpd.server_address[1]}"
-        yield base, service
-        httpd.shutdown()
-        httpd.server_close()
-        service.shutdown()
-        thread.join(timeout=10)
+        with live_server(service) as netloc:
+            yield f"http://{netloc}", service
 
     def test_stats_has_paging_section(self, paged_server):
         base, _ = paged_server

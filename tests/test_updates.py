@@ -367,20 +367,14 @@ class TestConcurrentReaders:
 @pytest.fixture()
 def server():
     from repro import Database
-    from repro.server import QueryService, make_server
+    from repro.server import QueryService
+    from tests.conftest import live_server
 
     database = Database()
     database.load_document("d.xml", DOC)
     service = QueryService(database, workers=2, deadline_seconds=10.0)
-    httpd = make_server(service, port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{httpd.server_address[1]}"
-    yield base, service
-    httpd.shutdown()
-    httpd.server_close()
-    service.shutdown()
-    thread.join(timeout=10)
+    with live_server(service) as netloc:
+        yield f"http://{netloc}", service
 
 
 def post(base: str, path: str, payload: dict):
