@@ -13,17 +13,6 @@ Two small, dependency-free building blocks:
   (the *leader*) compiles while the others wait on its result instead of
   compiling the same plan N times.  Errors propagate to every waiter and
   are never cached.
-* :class:`PageScopeRegistry` — thread-local pin scopes mediating between
-  the :class:`~repro.encoding.paging.FragmentPager`'s evictions and
-  RWLock readers.  The catalog lock says *which* catalog a query sees;
-  it says nothing about residency, and a streamed result outlives the
-  shared hold entirely.  So every reader opens a page scope
-  (``Database.read_locked`` / the chunked serializers): fragments
-  touched inside are pinned against eviction until the scope closes,
-  at which point the pager trims back to budget.  Scopes nest per
-  thread (innermost wins) and the pin bookkeeping itself runs under
-  the pager's lock — the registry only answers "which scope is current
-  on this thread", which thread-local storage answers without locking.
 
 Both are classic shapes (Go's ``sync.RWMutex``/``singleflight``); the
 implementations here are deliberately simple condition-variable code
@@ -110,49 +99,6 @@ class RWLock:
         with self._cond:
             self._writer = False
             self._cond.notify_all()
-
-
-class PageScopeRegistry:
-    """Per-thread stacks of page-pin scopes (see the module docstring).
-
-    ``push``/``pop`` bracket one reader (a query execution, a streaming
-    serialization); ``current`` returns the innermost open scope of the
-    calling thread, which is where the pager records its pins.  A scope
-    is popped from the stack it was pushed onto, so a generator driven
-    on the thread that created it cleans up correctly even when other
-    scopes opened and closed in between (removal is by identity, not
-    stack order).
-    """
-
-    def __init__(self):
-        self._local = threading.local()
-
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
-    def push(self):
-        """Open a new innermost scope on the calling thread."""
-        from repro.encoding.paging import PageScope
-
-        scope = PageScope()
-        self._stack().append(scope)
-        return scope
-
-    def pop(self, scope) -> None:
-        """Close ``scope`` (by identity; tolerates out-of-order exits)."""
-        try:
-            self._stack().remove(scope)
-        except ValueError:  # pragma: no cover - exit on a foreign thread
-            pass
-
-    def current(self):
-        """The calling thread's innermost open scope, or ``None``."""
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
 
 
 class _Flight:

@@ -10,10 +10,12 @@ Document catalog semantics:
 * ``load_document(uri, xml)`` shreds and registers a document.  Loading
   an already-registered URI raises unless ``replace=True``, which swaps
   the catalog entry for a freshly shredded tree and invalidates every
-  cached plan that reads that document.  (The old tree's rows stay in
-  the arena — the XPath Accelerator encoding is append-only — so
-  ``replace``/``unload`` reclaim no storage, they only update the
-  catalog.)
+  cached plan that reads that document.  (The arena is a stack of
+  fragments: a replaced, unloaded or updated tree on top of it is
+  popped — and the new copy settles in its place — as soon as no
+  result still holds a lease; a dead tree *below* a live document
+  waits until everything above it is superseded too.  See
+  :meth:`Database.arena_report`.)
 * **The first loaded document implicitly becomes the default** used by
   absolute paths (``/site/...``) unless/until ``default=True`` or
   :meth:`set_default_document` says otherwise.  This implicit behaviour
@@ -201,6 +203,7 @@ class Database:
                     self.arena, self.documents[uri], part["delta"]
                 )
                 old_root = self.documents[uri]
+                fresh = self.arena.mark()
                 self.documents[uri] = self.arena.rebuild_with_delta(
                     old_root, delta
                 )
@@ -208,6 +211,7 @@ class Database:
                 # catalog; untrack it so the pager never re-faults a
                 # backing the next checkpoint garbage-collects
                 self.arena.retire_fragment(old_root)
+                self._reclaim_locked(fresh, (uri,))
                 self.doc_epochs[uri] = part["new_epoch"]
                 store.dirty.add(uri)
                 store.replayed += 1
@@ -236,9 +240,10 @@ class Database:
         Execution paths (``PreparedQuery.execute``, ``Session.explain``)
         use this so no catalog mutation lands mid-query; reentrant per
         thread, so nested API calls are safe.  A page scope opens with
-        the shared hold: every paged fragment the reader touches stays
-        pinned against eviction until the scope closes (eviction-vs-
-        readers, see :mod:`repro.api.concurrency`).
+        the shared hold: it is the reader's lease on the arena (no row
+        is popped under it) and every paged fragment the reader touches
+        stays pinned against eviction until the scope closes
+        (eviction-vs-readers, see :mod:`repro.encoding.paging`).
         """
         with self._rwlock.read_locked():
             with self.arena.page_scope():
@@ -321,8 +326,9 @@ class Database:
                     "(pass replace=True to swap it)"
                 )
             self.plan_cache.invalidate_document(uri)
-        before = self.arena.num_nodes
+        fresh = self.arena.mark()
         root = shred_text(self.arena, xml_text)
+        nodes = self.arena.num_nodes - fresh.nodes
         epoch = next(self._epoch_counter)
         xml_bytes = len(xml_text.encode("utf-8"))
         if default:
@@ -340,8 +346,8 @@ class Database:
             if old_root is not None:
                 self.arena.retire_fragment(old_root)
             # persist before publishing: a failed write leaves the
-            # catalog unchanged (the shredded rows are harmless orphans
-            # in the append-only arena)
+            # catalog unchanged (the shredded rows are unreferenced
+            # orphans until the next reclaim pops them)
             self.store.persist_document(
                 uri,
                 epoch,
@@ -350,19 +356,32 @@ class Database:
                 xml_bytes=xml_bytes,
                 default_document=new_default,
             )
-            if self.arena.pager is not None:
-                # the freshly persisted fragment files can now back the
-                # in-arena rows: track them so the span is evictable
-                self.arena.register_paged_backing(
-                    root, self.store.open_paged(self.arena.pool, uri)
-                )
         self.documents[uri] = root
         self.doc_epochs[uri] = epoch
         self._estimator = None
         self._xml_bytes += xml_bytes
         self._default_document = new_default
         self._default_explicit = explicit
-        return self.arena.num_nodes - before
+        self._reclaim_locked(fresh, (uri,))
+        if self.arena.pager is not None:
+            # the freshly persisted fragment files can now back the
+            # in-arena rows: track them so the span is evictable
+            self.arena.register_paged_backing(
+                self.documents[uri], self.store.open_paged(self.arena.pool, uri)
+            )
+        return nodes
+
+    def _reclaim_locked(self, fresh, fresh_uris=()) -> None:
+        """Pop what the catalog no longer reaches off the top of the
+        arena (see :meth:`NodeArena.reclaim
+        <repro.encoding.arena.NodeArena.reclaim>`); the documents
+        ``fresh_uris``, built from arena mark ``fresh`` up, settle in
+        the freed place.  Caller holds the catalog lock exclusive."""
+        shift = self.arena.reclaim(
+            [r for u, r in self.documents.items() if u not in fresh_uris], fresh
+        )
+        for uri in fresh_uris:
+            self.documents[uri] -= shift
 
     def apply_update(
         self,
@@ -378,7 +397,9 @@ class Database:
         finish against the old tree first, and every query starting after
         this returns sees the new epoch.  This is the same write path a
         hot document replace takes, but the rebuild works from the
-        existing pre/size/level rows (an append-only delta), not from
+        existing pre/size/level rows (the old copy is read, a new one
+        appended, and — once no result holds a lease — the old one is
+        popped and the new one settles in its place), not from
         re-shredding XML text.
 
         With a persistent store attached this is the WAL write path:
@@ -395,53 +416,57 @@ class Database:
         """
         from repro.compiler.updates import collect_update_deltas
 
-        with self._rwlock.write_locked(), self.arena.page_scope():
+        with self._rwlock.write_locked():
             t0 = time.perf_counter()
-            # delta collection and serialization read arena rows through
-            # many paths; pin everything resident for the duration (the
-            # scope exit trims back to budget)
-            self.arena.ensure_all()
-            deltas, applied = collect_update_deltas(
-                core_module,
-                self.arena,
-                self.documents,
-                self._default_document,
-                bindings=bindings,
-                deadline=deadline,
-            )
-            new_epochs = {uri: next(self._epoch_counter) for uri in deltas}
-            if self.store is not None and deltas:
-                # one record per update: multi-document updates recover
-                # atomically (all documents replay or none do)
-                self.store.append_wal(
-                    {
-                        "docs": [
-                            {
-                                "uri": uri,
-                                "base_epoch": self.doc_epochs[uri],
-                                "new_epoch": new_epochs[uri],
-                                "delta": serialize_delta(
-                                    self.arena, self.documents[uri], delta
-                                ),
-                            }
-                            for uri, delta in deltas.items()
-                        ]
-                    }
+            # the scope is the update's own lease: target and source
+            # evaluation may construct nodes, which the deltas copy from
+            with self.arena.page_scope():
+                # delta collection and serialization read arena rows
+                # through many paths; pin everything resident for the
+                # duration (the scope exit trims back to budget)
+                self.arena.ensure_all()
+                deltas, applied = collect_update_deltas(
+                    core_module,
+                    self.arena,
+                    self.documents,
+                    self._default_document,
+                    bindings=bindings,
+                    deadline=deadline,
                 )
-            old_roots = {uri: self.documents[uri] for uri in deltas}
-            new_roots = {
-                uri: self.arena.rebuild_with_delta(self.documents[uri], delta)
-                for uri, delta in deltas.items()
-            }
-            for uri, new_root in new_roots.items():
-                self.documents[uri] = new_root
-                self.doc_epochs[uri] = new_epochs[uri]
-                self.plan_cache.invalidate_document(uri)
-                # the superseded fragment is unreachable; untrack it so
-                # the next checkpoint's GC cannot strand a cold span
-                self.arena.retire_fragment(old_roots[uri])
-            if new_roots:
+                new_epochs = {uri: next(self._epoch_counter) for uri in deltas}
+                if self.store is not None and deltas:
+                    # one record per update: multi-document updates
+                    # recover atomically (all documents replay or none do)
+                    self.store.append_wal(
+                        {
+                            "docs": [
+                                {
+                                    "uri": uri,
+                                    "base_epoch": self.doc_epochs[uri],
+                                    "new_epoch": new_epochs[uri],
+                                    "delta": serialize_delta(
+                                        self.arena, self.documents[uri], delta
+                                    ),
+                                }
+                                for uri, delta in deltas.items()
+                            ]
+                        }
+                    )
+                fresh = self.arena.mark()
+                new_roots = {
+                    uri: self.arena.rebuild_with_delta(self.documents[uri], delta)
+                    for uri, delta in deltas.items()
+                }
+                for uri, new_root in new_roots.items():
+                    # the superseded fragment is unreachable; untrack it
+                    # so the next checkpoint's GC cannot strand a cold span
+                    self.arena.retire_fragment(self.documents[uri])
+                    self.documents[uri] = new_root
+                    self.doc_epochs[uri] = new_epochs[uri]
+                    self.plan_cache.invalidate_document(uri)
+            if deltas:
                 self._estimator = None
+                self._reclaim_locked(fresh, tuple(deltas))
             if (
                 self.store is not None
                 and self.checkpoint_wal_bytes is not None
@@ -452,10 +477,10 @@ class Database:
                 "applied": applied,
                 "documents": {
                     uri: {
-                        "nodes": int(self.arena.size[root]) + 1,
+                        "nodes": int(self.arena.size[self.documents[uri]]) + 1,
                         "epoch": self.doc_epochs[uri],
                     }
-                    for uri, root in new_roots.items()
+                    for uri in deltas
                 },
                 "seconds": time.perf_counter() - t0,
             }
@@ -476,6 +501,14 @@ class Database:
 
     def _checkpoint_locked(self) -> dict:
         dirty = {u for u in self.store.dirty if u in self.documents}
+        # a dirty document on top of the arena is about to be rewritten
+        # and re-tracked anyway: let it first settle over dead rows that
+        # a result held across its update stranded beneath it
+        top = max(dirty, key=self.documents.get, default=None)
+        if top is not None:
+            root = self.documents[top]
+            if root + self.arena.subtree_nodes(root) == self.arena.num_nodes:
+                self._reclaim_locked(self.arena.mark(root), (top,))
         result = self.store.checkpoint(
             self.arena, self.documents, self.doc_epochs, self._default_document
         )
@@ -500,11 +533,26 @@ class Database:
         pager = self.arena.pager
         return None if pager is None else pager.status()
 
+    def arena_report(self) -> dict:
+        """The arena's lifetime counters (the ``/stats`` ``"arena"``
+        section): rows by region, live leases, pops, and the persistent
+        rows no catalogued document reaches (``dead_persistent_rows`` —
+        superseded copies waiting under a live document or a held
+        result)."""
+        with self._rwlock.read_locked():
+            report = self.arena.lifetime_report()
+            report["dead_persistent_rows"] = report["persistent_rows"] - sum(
+                self.arena.subtree_nodes(root) for root in self.documents.values()
+            )
+            return report
+
     def unload_document(self, uri: str) -> None:
         """Remove a document from the catalog and invalidate its plans.
 
-        The shredded rows remain in the arena (append-only encoding);
-        the document merely stops being addressable by queries.
+        The document stops being addressable by queries at once; its
+        rows are popped off the arena when they are on top of it and no
+        result holds a lease, and otherwise wait as dead rows for a
+        later reclaim (:meth:`arena_report`).
         """
         with self._rwlock.write_locked():
             if uri not in self.documents:
@@ -521,6 +569,7 @@ class Database:
                 # them first (materializes the span if it was cold)
                 self.arena.retire_fragment(root)
                 self.store.remove_document(uri, self._default_document)
+            self._reclaim_locked(None)
 
     def storage_report(self) -> StorageReport:
         """Byte-level storage accounting (Section 3.1 experiment)."""

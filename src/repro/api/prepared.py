@@ -19,8 +19,9 @@ from repro.compiler.serialize import (
     iter_result_values,
     iter_serialized_chunks,
 )
-from repro.errors import NotSupportedError
+from repro.errors import NotSupportedError, ResultClosedError
 from repro.relational.evaluate import EvalContext, evaluate
+from repro.relational.items import K_ATTR, K_NODE
 
 
 class QueryResult:
@@ -29,6 +30,17 @@ class QueryResult:
     Serialisation is lazy (and cached): iterating or ``len()`` never
     builds the XML text, and ``serialize()`` runs the post-processor at
     most once.
+
+    The result owns ``lease``, the hold on the arena
+    (:meth:`~repro.encoding.arena.NodeArena.page_scope`) that keeps the
+    nodes it references — document rows and the fragments this execution
+    constructed — from being popped.  The lease is shared with every
+    :class:`~repro.compiler.serialize.NodeHandle` the result hands out
+    and released by :meth:`close`, by leaving a ``with`` block, or when
+    the last of them is garbage (CPython refcounting; a result that has
+    no node item needs none and drops it at once).  After an explicit
+    close, serializing (unless the text is already cached) or iterating
+    raises :class:`~repro.errors.ResultClosedError`.
     """
 
     def __init__(
@@ -40,6 +52,7 @@ class QueryResult:
         execute_seconds: float,
         from_cache: bool = False,
         trace: dict | None = None,
+        lease=None,
     ):
         self.table = table
         self.arena = arena
@@ -49,6 +62,30 @@ class QueryResult:
         self.from_cache = from_cache
         self.trace = trace
         self._serialized: str | None = None
+        #: whether :meth:`close` ran (explicitly or by a ``with`` exit)
+        self.closed = False
+        if lease is not None:
+            kinds = table.item("item").kinds
+            if not ((kinds == K_NODE) | (kinds == K_ATTR)).any():
+                lease.close()  # only atomic values: nothing to keep alive
+                lease = None
+        self.lease = lease
+
+    def close(self) -> None:
+        """Release the result's lease on the arena; idempotent."""
+        self.closed = True
+        if self.lease is not None:
+            self.lease.close()
+
+    def __enter__(self) -> "QueryResult":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _check_open(self) -> None:
+        if self.closed:
+            raise ResultClosedError("this QueryResult was closed")
 
     def serialize(self) -> str:
         """Result sequence as XML/text (the paper's post-processor)."""
@@ -69,6 +106,7 @@ class QueryResult:
             if self._serialized:
                 yield self._serialized
             return
+        self._check_open()
         yield from iter_serialized_chunks(
             self.table, self.arena, chunk_chars=chunk_chars
         )
@@ -87,7 +125,8 @@ class QueryResult:
 
     def __iter__(self):
         """Stream the result sequence value by value in sequence order."""
-        return iter_result_values(self.table, self.arena)
+        self._check_open()
+        return iter_result_values(self.table, self.arena, self.lease)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -168,6 +207,11 @@ class PreparedQuery:
         mid-query.  On a ``backend="sqlhost"`` session the plan runs on
         SQLite when its dialect allows, falling back to the numpy
         evaluator (and counting ``stats.sqlhost_fallbacks``) when not.
+
+        The read lock's page scope is the execution's lease on the
+        arena; the returned result takes its own before that one closes,
+        so the nodes this execution constructs live exactly as long as
+        the result (and the handles it hands out) can reach them.
         """
         session = self.session
         database = session.database
@@ -208,4 +252,5 @@ class PreparedQuery:
                 execute_seconds=elapsed,
                 from_cache=self.from_cache,
                 trace=trace_map,
+                lease=database.arena.page_scope(),
             )

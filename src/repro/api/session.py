@@ -94,7 +94,7 @@ class Session:
         self.stats = SessionStats()
         # lazily-built SQLite export + the doc epochs it snapshot
         self._sqlhost = None
-        self._sqlhost_epochs: dict[str, int] | None = None
+        self._sqlhost_epochs: tuple | None = None
 
     # ------------------------------------------------------------ bindings
     def set_variable(self, name: str, value) -> None:
@@ -218,12 +218,13 @@ class Session:
     # ------------------------------------------------------------ internals
     def _sqlhost_backend(self):
         """The session-private SQLite export, rebuilt when any document
-        epoch moved since it was taken (caller holds the catalog lock
-        shared, so the snapshot is consistent)."""
+        epoch — or root row: a checkpoint may settle a document lower in
+        the arena — moved since it was taken (caller holds the catalog
+        lock shared, so the snapshot is consistent)."""
         from repro.sqlhost.backend import SQLHostBackend
 
         database = self.database
-        epochs = dict(database.doc_epochs)
+        epochs = (dict(database.doc_epochs), dict(database.documents))
         if self._sqlhost is None or self._sqlhost_epochs != epochs:
             if self._sqlhost is not None:
                 self._sqlhost.close()

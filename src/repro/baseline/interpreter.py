@@ -116,6 +116,8 @@ class Interpreter:
         self._functions: dict[tuple[str, int], ast.FunctionDecl] = {}
         self._value_indexes: dict[str, dict[str, list[int]]] = {}
         self._ticks = 0
+        #: the last execution's hold on the arena (see :meth:`execute`)
+        self._lease = None
 
     # -------------------------------------------------------------- control
     def set_deadline(self, seconds: float | None) -> None:
@@ -144,7 +146,15 @@ class Interpreter:
 
     # ------------------------------------------------------------ execution
     def execute(self, module: ast.Module) -> list:
-        """Evaluate a desugared module; returns the result item list."""
+        """Evaluate a desugared module; returns the result item list.
+
+        The interpreter holds a lease on the arena
+        (:meth:`~repro.encoding.arena.NodeArena.page_scope`) from here
+        until its next ``execute`` or its own end, so the nodes this
+        execution constructs stay readable for :meth:`serialize`.
+        """
+        self._lease = None  # the previous execution's nodes may go
+        self._lease = self.arena.page_scope()
         self._functions = {
             (f.name, len(f.params)): f for f in module.functions
         }

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.encoding.arena import NodeArena
+from repro.errors import ResultClosedError
 from repro.relational import items as it
 from repro.relational.items import ItemColumn, K_ATTR, K_NODE
 from repro.relational.table import Table
@@ -30,23 +31,41 @@ DEFAULT_CHUNK_CHARS = 64 * 1024
 
 
 class NodeHandle:
-    """A reference to an arena node in a Python-facing result list."""
+    """A reference to an arena node in a Python-facing result list.
 
-    __slots__ = ("arena", "node", "is_attribute")
+    A handle from a ``QueryResult`` shares the result's lease
+    (:meth:`NodeArena.page_scope`), so it stays readable after the
+    result itself went out of scope; once that lease is explicitly
+    closed, dereferencing raises :class:`ResultClosedError`.  A handle
+    built without a lease is valid until the arena's next pop.
+    """
 
-    def __init__(self, arena: NodeArena, node: int, is_attribute: bool = False):
+    __slots__ = ("arena", "node", "is_attribute", "lease")
+
+    def __init__(
+        self, arena: NodeArena, node: int, is_attribute: bool = False, lease=None
+    ):
         self.arena = arena
         self.node = node
         self.is_attribute = is_attribute
+        self.lease = lease
+
+    def _check_open(self) -> None:
+        if self.lease is not None and self.lease.closed:
+            raise ResultClosedError(
+                "this node's QueryResult was closed; its rows are gone"
+            )
 
     def serialize(self) -> str:
         """The node as XML markup (``name="value"`` for attributes)."""
+        self._check_open()
         if self.is_attribute:
             return serialize_attribute(self.arena, self.node)
         return serialize_node(self.arena, self.node)
 
     def string_value(self) -> str:
         """The node's XPath string-value (concatenated text content)."""
+        self._check_open()
         if self.is_attribute:
             self.arena.ensure_attrs((self.node,))
             return self.arena.pool.value(int(self.arena.attr_value[self.node]))
@@ -70,9 +89,9 @@ def ordered_items(table: Table) -> ItemColumn:
 _VALUE_BLOCK = 1024
 
 
-def iter_result_values(table: Table, arena: NodeArena):
+def iter_result_values(table: Table, arena: NodeArena, lease=None):
     """Yield the result as Python values in sequence order (nodes become
-    NodeHandles) — the streaming core behind ``result_values`` and the
+    NodeHandles sharing ``lease``) — the streaming core behind the
     ``QueryResult`` iterator protocol.  Pooled strings are decoded with
     blockwise ``StringPool.values`` batches instead of per-item
     ``pool.value`` calls, so iteration stays lazy (a consumer that stops
@@ -80,7 +99,8 @@ def iter_result_values(table: Table, arena: NodeArena):
     items = ordered_items(table)
     pool = arena.pool
     # a result consumed after the catalog lock dropped must stay readable:
-    # the page scope pins every fragment touched until iteration finishes
+    # the page scope keeps its rows in the arena and pins every fragment
+    # touched until iteration finishes
     with arena.page_scope():
         for lo in range(0, len(items), _VALUE_BLOCK):
             kinds = items.kinds[lo : lo + _VALUE_BLOCK]
@@ -88,18 +108,13 @@ def iter_result_values(table: Table, arena: NodeArena):
             pooled, strings = it.pooled_strings(kinds, data, pool)
             for kind, payload, is_pooled in zip(kinds.tolist(), data.tolist(), pooled):
                 if kind == K_NODE:
-                    yield NodeHandle(arena, payload)
+                    yield NodeHandle(arena, payload, lease=lease)
                 elif kind == K_ATTR:
-                    yield NodeHandle(arena, payload, is_attribute=True)
+                    yield NodeHandle(arena, payload, True, lease)
                 elif is_pooled:
                     yield next(strings)
                 else:
                     yield it.decode_item(kind, payload, pool)
-
-
-def result_values(table: Table, arena: NodeArena) -> list:
-    """Decode the result to Python values (nodes become NodeHandles)."""
-    return list(iter_result_values(table, arena))
 
 
 def iter_serialized_chunks(
@@ -120,8 +135,9 @@ def iter_serialized_chunks(
     buf: list[str] = []
     buf_len = 0
     prev_atomic = False
-    # chunked serialization outlives the catalog lock (chunked HTTP): pin
-    # every fragment read until the stream is drained or abandoned
+    # chunked serialization outlives the catalog lock (chunked HTTP): keep
+    # the rows and pin every fragment read until the stream is drained or
+    # abandoned
     with arena.page_scope():
         for kind, payload, is_pooled in zip(
             items.kinds.tolist(), items.data.tolist(), pooled

@@ -18,7 +18,10 @@ desugar), then take this separate back end instead of loop-lifting:
    (:meth:`~repro.encoding.arena.NodeArena.rebuild_with_delta`).  The
    caller (``Database.apply_update``) swaps the catalog roots and bumps
    the document epochs under its exclusive lock, so concurrent readers
-   see the old tree or the new one, never a torn state.
+   see the old tree or the new one, never a torn state — and then pops
+   the superseded copy off the arena
+   (:meth:`~repro.encoding.arena.NodeArena.reclaim`) unless a result
+   still holds it.
 
 Update queries are expected to be small and rare relative to reads, so
 the item-at-a-time interpreter is the honest evaluator here — the
@@ -28,9 +31,8 @@ trade-off the paper's updatability argument (Section 5) makes as well.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.baseline.interpreter import BAttr, BNode, Interpreter, _lexical
 from repro.encoding.arena import (
@@ -71,16 +73,6 @@ class UpdatePrimitive:
     target: int
     content: tuple = ()
     value: int = -1
-
-
-@dataclass
-class UpdateOutcome:
-    """What one applied update did: per-primitive counts, the new root of
-    every rebuilt document, and how long collection+application took."""
-
-    applied: dict = field(default_factory=dict)
-    new_roots: dict = field(default_factory=dict)
-    seconds: float = 0.0
 
 
 class PendingUpdateCompiler:
@@ -519,33 +511,3 @@ def collect_update_deltas(
         _delta_for(deltas.setdefault(uri, TreeDelta()), p)
         applied[_PRIMITIVE_LABELS[p.kind]] += 1
     return deltas, dict(sorted(applied.items()))
-
-
-def apply_update_module(
-    module: ast.Module,
-    arena: NodeArena,
-    documents: dict[str, int],
-    default_document: str | None,
-    bindings: dict | None = None,
-    deadline: float | None = None,
-) -> UpdateOutcome:
-    """Collect, check and apply one updating module.
-
-    The caller must hold the catalog exclusively (the Database layer
-    does): collection reads the current trees, application appends the
-    rebuilt fragments, and the returned ``new_roots`` map tells the
-    caller which catalog entries to swap.
-    """
-    t0 = time.perf_counter()
-    deltas, applied = collect_update_deltas(
-        module, arena, documents, default_document, bindings, deadline
-    )
-    new_roots = {
-        uri: arena.rebuild_with_delta(documents[uri], delta)
-        for uri, delta in deltas.items()
-    }
-    return UpdateOutcome(
-        applied=applied,
-        new_roots=new_roots,
-        seconds=time.perf_counter() - t0,
-    )

@@ -19,16 +19,27 @@ id space (attribute items carry ``K_ATTR`` kind).  Names and textual values
 are surrogates into a shared :class:`~repro.relational.items.StringPool` —
 the paper's unique-value property BATs ("surrogate sharing ... avoids
 expensive string comparisons and reduces space consumption").
+
+**Lifetime.**  The arena is a *stack of sealed fragments*: documents
+(persistent) at the bottom, the fragments queries construct (transient,
+the paper's "transient fragments that live as long as the result") on
+top.  :meth:`NodeArena.mark` / :meth:`NodeArena.truncate_to` push and pop
+that stack; readers hold a :class:`~repro.encoding.paging.PageScope`
+lease, and when the last live lease closes the transient run is popped.
+The navigation indices follow the stack incrementally (sorted base +
+stable-sorted appended tail, one ``searchsorted`` to pop) — the delta-BAT
+shape of MonetDB, never a global re-sort.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.encoding.paging import PageScope
 from repro.errors import DynamicError
 from repro.relational.items import StringPool
 
@@ -45,6 +56,14 @@ NODE_KIND_NAMES = {
     NK_COMMENT: "comment",
     NK_PI: "processing-instruction",
 }
+
+
+class ArenaMark(NamedTuple):
+    """A position in the fragment stack (always a fragment boundary)."""
+
+    nodes: int
+    attrs: int
+    frags: int
 
 
 class _Buf:
@@ -78,12 +97,17 @@ class _Buf:
     def grow(self, extra: int) -> None:
         """Extend the length by ``extra`` rows without writing them.
 
-        The reserved tail reads as zeros until filled — this is how a
-        paged fragment's span exists before its first fault-in (calloc
-        pages cost no RSS until touched).
+        The reserved tail holds nothing meaningful until filled — this
+        is how a paged fragment's span exists before its first fault-in
+        (fresh calloc pages cost no RSS until touched; rows reused after
+        a pop keep their stale values).
         """
         self._reserve(extra)
         self._len += extra
+
+    def truncate(self, length: int) -> None:
+        """Pop back to ``length`` rows; the capacity is kept."""
+        self._len = length
 
     def append(self, value: int) -> int:
         self._reserve(1)
@@ -102,6 +126,58 @@ class _Buf:
 
     def __setitem__(self, idx, value):
         self.view()[idx] = value
+
+
+class _KeyIndex:
+    """Rows of one table grouped by an owner key (``parent`` for the child
+    index, ``attr_owner`` for the attribute index): ``order`` lists the
+    row ids sorted by key (ties in row order), ``keys`` the key of each.
+
+    Fragments are contiguous and every key points into the row's own
+    fragment, so all keys of a later fragment exceed all keys of an
+    earlier one.  Pushing therefore never merges: the rows appended since
+    the last extension are stable-sorted *among themselves* and appended;
+    popping is one binary search.  Rows with key ``-1`` (fragment roots,
+    parentless attributes) are left out.
+    """
+
+    __slots__ = ("order", "keys", "indexed")
+
+    def __init__(self):
+        self.order = _Buf(256)
+        self.keys = _Buf(256)
+        #: rows ``[0, indexed)`` of the table are covered
+        self.indexed = 0
+
+    def extend(self, tail: np.ndarray) -> int:
+        """Index the rows ``indexed ..`` whose keys are ``tail``; returns
+        how many elements were sorted."""
+        rows = np.nonzero(tail >= 0)[0]
+        keys = tail[rows]
+        if len(keys):
+            if len(self.keys) and int(keys.min()) <= int(self.keys[-1]):
+                raise AssertionError(
+                    "arena index: a fragment was indexed before it was "
+                    "sealed (owner keys must grow fragment by fragment)"
+                )
+            by_key = np.argsort(keys, kind="stable")
+            self.order.extend(rows[by_key] + self.indexed)
+            self.keys.extend(keys[by_key])
+        self.indexed += len(tail)
+        return len(keys)
+
+    def truncate(self, key_floor: int, rows: int) -> None:
+        """Forget every entry owned by a row ``>= key_floor``."""
+        cut = int(np.searchsorted(self.keys.view(), key_floor, side="left"))
+        self.order.truncate(cut)
+        self.keys.truncate(cut)
+        self.indexed = min(self.indexed, rows)
+
+    def ranges(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        keys = self.keys.view()
+        lo = np.searchsorted(keys, nodes, side="left")
+        hi = np.searchsorted(keys, nodes, side="right")
+        return self.order.view(), lo, hi
 
 
 @dataclass
@@ -147,15 +223,36 @@ class TreeDelta:
 class NodeArena:
     """Container for every tree the engine knows (documents + fragments).
 
-    Concurrency contract: rows are append-only and never change once
-    appended, so readers may scan without locking — a reader simply does
-    not see fragments appended after it started.  All *mutation* goes
-    through ``mutation_lock`` (a reentrant mutex): interleaved appends
-    from two threads would violate the fragment-contiguity invariant the
-    whole encoding rests on ("the global row id doubles as the pre
-    rank"), so constructors hold the lock for their entire fragment.
-    The lazy navigation indices are rebuilt under the same lock and
-    handed to readers as an immutable snapshot.
+    The arena is a stack of sealed fragments.  Fragments appended through
+    :meth:`begin_fragment` (shredded, adopted and rebuilt documents) are
+    *persistent*; the constructors (:meth:`new_element`,
+    :meth:`new_text_node`, :meth:`new_attribute`) append *transient*
+    fragments, and the first of them after a pop records the watermark
+    the stack returns to.
+
+    Concurrency contract:
+
+    * All *mutation* — appends, pops, index extension — goes through
+      ``mutation_lock`` (a reentrant mutex).  Interleaved appends from
+      two threads would violate the fragment-contiguity invariant the
+      whole encoding rests on ("the global row id doubles as the pre
+      rank"), so constructors hold the lock for their entire fragment and
+      never read a navigation index between ``begin_fragment`` and their
+      last append: an index only ever covers sealed fragments.
+    * Rows never change once appended, and entries of the navigation
+      indices never move, so readers scan without locking — a reader
+      simply does not see fragments appended after it started.
+    * Rows *disappear* only by a pop.  Transient rows are popped when the
+      last live lease (:meth:`page_scope`) closes, so whoever holds a
+      lease — an executing query, its ``QueryResult``, the
+      ``NodeHandle`` objects and serializer generators it handed out — may
+      read every row that existed when it looked.  Dead persistent rows
+      (superseded document copies) are popped by :meth:`reclaim` only
+      under the Database's exclusive catalog lock with no lease live.
+    * Without a lease, rows of catalogued documents may be read under
+      the shared catalog lock (they only go away under the exclusive
+      one); constructed rows read without a lease stay valid until the
+      next pop.
     """
 
     def __init__(self, pool: StringPool | None = None):
@@ -170,21 +267,38 @@ class NodeArena:
         self._attr_owner = _Buf(256)
         self._attr_name = _Buf(256)
         self._attr_value = _Buf(256)
-        self.frag_base: list[int] = []
+        self._node_bufs = (
+            self._kind, self._size, self._level, self._frag,
+            self._parent, self._name, self._value,
+        )
+        self._attr_bufs = (self._attr_owner, self._attr_name, self._attr_value)
+        #: first node row / first attribute id of every fragment
+        self._frag_base = _Buf(256)
+        self._frag_abase = _Buf(256)
         #: serialises every arena mutation (see the class docstring);
         #: reentrant so composite constructors can call the low-level
         #: appenders they are built from
         self.mutation_lock = threading.RLock()
-        self._version = 0
-        #: (version, child_order, child_parents, attr_order,
-        #: attr_owners_sorted, text_rows) — replaced atomically as a unit
-        #: so concurrent readers never mix index generations
-        self._indices: tuple | None = None
+        # the three navigation indices, each extended lazily on its own
+        self._children = _KeyIndex()
+        self._attrs = _KeyIndex()
+        self._text_rows = _Buf(256)
+        self._text_indexed = 0
+        #: string-value surrogates of multi-text *persistent* rows
         self._strvalue_cache: dict[int, int] = {}
         #: demand pager for mmap-backed fragments (None = fully eager);
         #: see :meth:`enable_paging` and :mod:`repro.encoding.paging`
         self.pager = None
-        self._frag_bases_cache: np.ndarray | None = None
+        #: open leases (:meth:`page_scope`); no pop while one is live
+        self._leases = 0
+        #: where the transient run on top of the stack starts (None =
+        #: everything is persistent)
+        self._transient: ArenaMark | None = None
+        self.pops = 0
+        self.reclaimed_rows = 0
+        self.index_extensions = 0
+        #: elements handed to a sort by index extensions, ever
+        self.index_sorted = 0
 
     # -------------------------------------------------------------- paging
     def enable_paging(self, budget_bytes: int | None) -> None:
@@ -203,21 +317,8 @@ class NodeArena:
                 self.pager.budget_bytes = budget_bytes
                 return
             self.pager = FragmentPager(self, budget_bytes)
-            for buf in (
-                self._kind, self._size, self._level, self._frag,
-                self._parent, self._name, self._value,
-                self._attr_owner, self._attr_name, self._attr_value,
-            ):
+            for buf in self._node_bufs + self._attr_bufs:
                 buf.on_grow = self.pager.note_buffer_growth
-
-    def _frag_bases(self) -> np.ndarray:
-        """``frag_base`` as a cached array (for row→fragment searches
-        that must not read the possibly-cold ``frag`` column)."""
-        bases = self._frag_bases_cache
-        if bases is None or len(bases) != len(self.frag_base):
-            bases = np.asarray(self.frag_base, dtype=np.int64)
-            self._frag_bases_cache = bases
-        return bases
 
     def adopt_fragment(self, source, paged: bool = False) -> int:
         """Adopt a persisted fragment (``PagedFragment``); returns its
@@ -233,15 +334,11 @@ class NodeArena:
 
         with self.mutation_lock:
             fid = self.begin_fragment()
-            base = self.num_nodes
-            n, m = source.nodes, source.attrs
-            for buf in (self._kind, self._size, self._level, self._frag,
-                        self._parent, self._name, self._value):
-                buf.grow(n)
-            for buf in (self._attr_owner, self._attr_name, self._attr_value):
-                buf.grow(m)
-            abase = self.num_attrs - m
-            self._version += 1
+            base, abase = self.num_nodes, self.num_attrs
+            for buf in self._node_bufs:
+                buf.grow(source.nodes)
+            for buf in self._attr_bufs:
+                buf.grow(source.attrs)
             if self.pager is not None:
                 self.pager.register(fid, base, abase, source, hot=False)
                 if not paged:
@@ -264,7 +361,7 @@ class NodeArena:
         if pager is None:
             return False
         with self.mutation_lock:
-            bases = self._frag_bases()
+            bases = self.frag_base
             fid = int(np.searchsorted(bases, int(root), side="right") - 1)
             if fid < 0 or int(bases[fid]) != int(root):
                 return False
@@ -289,10 +386,10 @@ class NodeArena:
     def retire_fragment(self, row: int) -> None:
         """Untrack (and materialise) the paged fragment owning ``row``.
 
-        Must run before the fragment's backing files are deleted — the
-        span keeps serving stale-but-valid rows to old readers and
-        whole-arena scans forever after.  No-op without a pager or for
-        untracked rows.
+        Must run before the fragment's backing files are deleted — until
+        :meth:`reclaim` pops the span it keeps serving valid rows to
+        whole-arena scans and to results that still reference it.  No-op
+        without a pager or for untracked rows.
         """
         if self.pager is not None:
             self.pager.retire_rows(row)
@@ -318,17 +415,6 @@ class NodeArena:
         if pager is not None:
             pager.ensure_all()
 
-    def page_scope(self):
-        """Context manager pinning every fragment touched inside it (one
-        per query execution / streamed serialization); a no-op context
-        for eager arenas."""
-        pager = self.pager
-        if pager is not None:
-            return pager.scope()
-        from contextlib import nullcontext
-
-        return nullcontext()
-
     def subtree_nodes(self, root: int) -> int:
         """Node count of the fragment rooted at ``root`` without
         faulting it in (catalog listings must not page anything)."""
@@ -339,14 +425,158 @@ class NodeArena:
                 return rec.source.nodes
         return int(self.size[root]) + 1
 
-    def logical_column(self, name: str) -> np.ndarray:
-        """One node/attribute column with cold paged spans patched in
-        from their mmap sources — residency-independent reads for the
-        optimizer statistics and the navigation indices."""
+    def logical_column(self, name: str, start: int = 0) -> np.ndarray:
+        """One node/attribute column from row ``start`` on, with cold
+        paged spans patched in from their mmap sources —
+        residency-independent reads for the optimizer statistics and the
+        navigation indices."""
+        tail = getattr(self, name)[start:]
         pager = self.pager
-        if pager is None:
-            return getattr(self, name)
-        return pager.patched_column(name)
+        return tail if pager is None else pager.patched_tail(name, start, tail)
+
+    # ------------------------------------------------------------ lifetime
+    def page_scope(self) -> PageScope:
+        """Open a lease on the arena: no row is popped while it is live,
+        and (paged arenas) every fragment touched while it is the
+        thread's current scope stays pinned against eviction.
+
+        Use it as a context manager around one execution or streamed
+        serialization, or hold it — a ``QueryResult`` does — and
+        ``close()`` it; an unreferenced lease closes itself.  When the
+        last live lease closes the transient run is popped.
+        """
+        return PageScope(self)
+
+    def _lease_opened(self) -> None:
+        with self.mutation_lock:
+            self._leases += 1
+
+    def _lease_closed(self, scope: PageScope) -> None:
+        with self.mutation_lock:
+            if self.pager is not None:
+                self.pager.unpin_scope(scope)
+            self._leases -= 1
+            if self._leases == 0 and self._transient is not None:
+                self.truncate_to(self._transient)
+
+    def mark(self, row: int | None = None) -> ArenaMark:
+        """The top of the fragment stack — or, given the first ``row``
+        of a fragment, the stack position where that fragment starts."""
+        fid = len(self._frag_base)
+        if row is not None:
+            fid = int(np.searchsorted(self.frag_base, row))
+        if fid == len(self._frag_base):
+            return ArenaMark(self.num_nodes, self.num_attrs, fid)
+        return ArenaMark(
+            int(self._frag_base[fid]), int(self._frag_abase[fid]), fid
+        )
+
+    def truncate_to(self, mark: ArenaMark) -> None:
+        """Pop every fragment (and loose attribute) above ``mark``.
+
+        Buffers keep their capacity; the navigation indices, the
+        string-value cache and the pager forget exactly the popped rows.
+        The caller guarantees nobody can still read them (see the class
+        docstring).
+        """
+        with self.mutation_lock:
+            top = self.mark()
+            if any(m > t for m, t in zip(mark, top)):
+                raise ValueError(f"cannot truncate {top} up to {mark}")
+            transient = self._transient
+            if self._strvalue_cache and (
+                transient is None or mark.nodes < transient.nodes
+            ):
+                for row in [r for r in self._strvalue_cache if r >= mark.nodes]:
+                    del self._strvalue_cache[row]
+            if transient is not None and mark.nodes <= transient.nodes:
+                self._transient = None
+            for buf in self._node_bufs:
+                buf.truncate(mark.nodes)
+            for buf in self._attr_bufs:
+                buf.truncate(mark.attrs)
+            self._frag_base.truncate(mark.frags)
+            self._frag_abase.truncate(mark.frags)
+            self._children.truncate(mark.nodes, mark.nodes)
+            self._attrs.truncate(mark.nodes, mark.attrs)
+            self._text_rows.truncate(
+                int(np.searchsorted(self._text_rows.view(), mark.nodes))
+            )
+            self._text_indexed = min(self._text_indexed, mark.nodes)
+            if self.pager is not None:
+                self.pager.forget_from(mark.nodes)
+            self.pops += 1
+            self.reclaimed_rows += top.nodes - mark.nodes
+
+    def reclaim(self, live_roots, fresh: ArenaMark | None = None) -> int:
+        """Pop the dead top of the persistent stack.
+
+        The caller holds the catalog exclusively.  ``live_roots`` are the
+        roots of every catalogued document below ``fresh``; the fragments
+        from ``fresh`` up (default: none) were just built and are kept.
+        Everything between the highest live document and ``fresh`` —
+        superseded document copies, stranded constructed rows — is
+        popped and the fresh fragments are re-appended in its place.
+        Returns how many rows they moved down (subtract it from their
+        roots).  Does nothing while a lease is live: a held result may
+        still read the old rows, which then wait for a later reclaim.
+        """
+        with self.mutation_lock:
+            if self._leases:
+                return 0
+            top = self.mark()
+            if fresh is None:
+                fresh = top
+            dst = self.mark(
+                max(
+                    (
+                        int(root) + self.subtree_nodes(root)
+                        for root in live_roots
+                        if root < fresh.nodes
+                    ),
+                    default=0,
+                )
+            )
+            if dst.nodes >= fresh.nodes:
+                return 0
+            nodes = [buf.view()[fresh.nodes :].copy() for buf in self._node_bufs]
+            attrs = [buf.view()[fresh.attrs :].copy() for buf in self._attr_bufs]
+            bases = self._frag_base.view()[fresh.frags :].copy()
+            abases = self._frag_abase.view()[fresh.frags :].copy()
+            self.truncate_to(dst)
+            shift = fresh.nodes - dst.nodes
+            frag, parent, owner = nodes[3], nodes[4], attrs[0]
+            frag -= fresh.frags - dst.frags
+            parent[parent >= 0] -= shift
+            owner[owner >= 0] -= shift
+            for buf, col in zip(self._node_bufs, nodes):
+                buf.extend(col)
+            for buf, col in zip(self._attr_bufs, attrs):
+                buf.extend(col)
+            self._frag_base.extend(bases - shift)
+            self._frag_abase.extend(abases - (fresh.attrs - dst.attrs))
+            self.reclaimed_rows -= top.nodes - fresh.nodes
+            return shift
+
+    @property
+    def persistent_rows(self) -> int:
+        """Rows below the transient watermark."""
+        transient = self._transient
+        return self.num_nodes if transient is None else transient.nodes
+
+    def lifetime_report(self) -> dict:
+        """Counters for the ``/stats`` ``"arena"`` section."""
+        with self.mutation_lock:
+            rows, persistent = self.num_nodes, self.persistent_rows
+            return {
+                "rows": rows,
+                "persistent_rows": persistent,
+                "transient_rows": rows - persistent,
+                "live_leases": self._leases,
+                "pops": self.pops,
+                "reclaimed_rows": self.reclaimed_rows,
+                "index_extensions": self.index_extensions,
+            }
 
     # ------------------------------------------------------------- columns
     @property
@@ -400,6 +630,11 @@ class NodeArena:
         return self._attr_value.view()
 
     @property
+    def frag_base(self) -> np.ndarray:
+        """First row of every fragment, ascending (index = fragment id)."""
+        return self._frag_base.view()
+
+    @property
     def num_nodes(self) -> int:
         """Total node rows across every fragment."""
         return len(self._kind)
@@ -410,9 +645,13 @@ class NodeArena:
         return len(self._attr_owner)
 
     # ------------------------------------------------------------- building
-    def begin_fragment(self) -> int:
+    def begin_fragment(self, transient: bool = False) -> int:
         """Start a new fragment; returns its id.  The next appended node is
         the fragment root and must carry the total subtree ``size``.
+
+        Fragments are persistent unless ``transient`` (the constructors
+        below): a persistent fragment on top of constructed rows strands
+        them until :meth:`reclaim`.
 
         Callers appending a multi-row fragment must hold
         ``mutation_lock`` across the whole begin/append sequence so the
@@ -421,9 +660,17 @@ class NodeArena:
         Database's exclusive catalog lock).
         """
         with self.mutation_lock:
-            self.frag_base.append(self.num_nodes)
-            self._version += 1
-            return len(self.frag_base) - 1
+            if transient:
+                self._enter_transient()
+            else:
+                self._transient = None
+            self._frag_base.append(self.num_nodes)
+            self._frag_abase.append(self.num_attrs)
+            return len(self._frag_base) - 1
+
+    def _enter_transient(self) -> None:
+        if self._transient is None:
+            self._transient = self.mark()
 
     def append_node(
         self, kind: int, size: int, level: int, parent: int, name: int, value: int
@@ -433,11 +680,10 @@ class NodeArena:
             self._kind.append(kind)
             self._size.append(size)
             self._level.append(level)
-            self._frag.append(len(self.frag_base) - 1)
+            self._frag.append(len(self._frag_base) - 1)
             self._parent.append(parent)
             self._name.append(name)
             self._value.append(value)
-            self._version += 1
             return self.num_nodes - 1
 
     def append_nodes(
@@ -456,12 +702,11 @@ class NodeArena:
             self._size.extend(sizes)
             self._level.extend(levels)
             self._frag.extend(
-                np.full(len(kinds), len(self.frag_base) - 1, dtype=np.int64)
+                np.full(len(kinds), len(self._frag_base) - 1, dtype=np.int64)
             )
             self._parent.extend(parents)
             self._name.extend(names)
             self._value.extend(values)
-            self._version += 1
             return base
 
     def append_attr(self, owner: int, name: int, value: int) -> int:
@@ -470,7 +715,6 @@ class NodeArena:
             self._attr_owner.append(owner)
             self._attr_name.append(name)
             self._attr_value.append(value)
-            self._version += 1
             return self.num_attrs - 1
 
     def append_attrs(
@@ -481,54 +725,31 @@ class NodeArena:
     ) -> int:
         """Bulk append attributes; returns the first appended attribute id.
 
-        The vectorised twin of :meth:`append_attr`, used when adopting a
-        whole persisted fragment (:mod:`repro.encoding.store`) — one
-        array extend instead of a Python loop per attribute.
+        The vectorised twin of :meth:`append_attr` — one array extend
+        instead of a Python loop per attribute.
         """
         with self.mutation_lock:
             base = self.num_attrs
             self._attr_owner.extend(owners)
             self._attr_name.extend(names)
             self._attr_value.extend(values)
-            self._version += 1
             return base
 
     # -------------------------------------------------------------- indices
-    def _refresh_indices(self) -> tuple:
-        """Return the navigation-index snapshot for the current version.
+    def _extended(self, index: _KeyIndex, column: str) -> _KeyIndex:
+        """``index`` brought up to date with ``column``, its key column.
 
-        The snapshot tuple is built under ``mutation_lock`` and replaced
-        atomically, so a reader always works with one consistent
-        generation even while other threads construct nodes.
+        Only the rows appended since the last call are sorted (see
+        :class:`_KeyIndex`); the length is read again under the lock so
+        two racing readers extend once.
         """
-        snap = self._indices
-        if snap is not None and snap[0] == self._version:
-            return snap
-        with self.mutation_lock:
-            snap = self._indices
-            if snap is not None and snap[0] == self._version:
-                return snap
-            # logical columns: cold paged spans are patched in from
-            # their mmap sources, so the indices are correct regardless
-            # of residency — and fault-in/eviction never invalidate them
-            # (they write/clear exactly the values patched here)
-            parent = self.logical_column("parent")
-            child_order = np.argsort(parent, kind="stable")
-            child_parents = parent[child_order]
-            owner = self.logical_column("attr_owner")
-            attr_order = np.argsort(owner, kind="stable")
-            attr_owners_sorted = owner[attr_order]
-            text_rows = np.nonzero(self.logical_column("kind") == NK_TEXT)[0]
-            snap = (
-                self._version,
-                child_order,
-                child_parents,
-                attr_order,
-                attr_owners_sorted,
-                text_rows,
-            )
-            self._indices = snap
-            return snap
+        if index.indexed < len(getattr(self, column)):
+            with self.mutation_lock:
+                tail = self.logical_column(column, index.indexed)
+                if len(tail):
+                    self.index_sorted += index.extend(tail)
+                    self.index_extensions += 1
+        return index
 
     def children_ranges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For each node: the slice of the child index holding its children.
@@ -536,17 +757,11 @@ class NodeArena:
         Returns ``(order, lo, hi)`` — children of ``nodes[i]`` are
         ``order[lo[i]:hi[i]]``, already sorted in document order.
         """
-        _, child_order, child_parents, _, _, _ = self._refresh_indices()
-        lo = np.searchsorted(child_parents, nodes, side="left")
-        hi = np.searchsorted(child_parents, nodes, side="right")
-        return child_order, lo, hi
+        return self._extended(self._children, "parent").ranges(nodes)
 
     def attr_ranges(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Like :meth:`children_ranges` but over the attribute table."""
-        _, _, _, attr_order, attr_owners_sorted, _ = self._refresh_indices()
-        lo = np.searchsorted(attr_owners_sorted, nodes, side="left")
-        hi = np.searchsorted(attr_owners_sorted, nodes, side="right")
-        return attr_order, lo, hi
+        return self._extended(self._attrs, "attr_owner").ranges(nodes)
 
     def attrs_in_span(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """All attributes owned by rows ``start .. stop-1``, batched.
@@ -559,18 +774,24 @@ class NodeArena:
         scan serializer's replacement for a per-node :meth:`attr_ranges`
         call.
         """
-        _, _, _, attr_order, attr_owners_sorted, _ = self._refresh_indices()
-        lo = int(np.searchsorted(attr_owners_sorted, start, side="left"))
-        hi = int(np.searchsorted(attr_owners_sorted, stop, side="left"))
-        ids = attr_order[lo:hi]
-        counts = np.bincount(
-            attr_owners_sorted[lo:hi] - start, minlength=stop - start
+        index = self._extended(self._attrs, "attr_owner")
+        owners = index.keys.view()
+        lo, hi = np.searchsorted(owners, (start, stop))
+        return index.order.view()[lo:hi], np.bincount(
+            owners[lo:hi] - start, minlength=stop - start
         )
-        return ids, counts
 
     def text_rows(self) -> np.ndarray:
         """All text-node rows, ascending (== document order)."""
-        return self._refresh_indices()[5]
+        if self._text_indexed < self.num_nodes:
+            with self.mutation_lock:
+                lo = self._text_indexed
+                if lo < self.num_nodes:
+                    kinds = self.logical_column("kind", lo)
+                    self._text_rows.extend(np.nonzero(kinds == NK_TEXT)[0] + lo)
+                    self._text_indexed = lo + len(kinds)
+                    self.index_extensions += 1
+        return self._text_rows.view()
 
     # ------------------------------------------------------------ structure
     def frag_end(self, rows: np.ndarray) -> np.ndarray:
@@ -585,48 +806,58 @@ class NodeArena:
         ``frag`` column, so it works for rows of cold paged fragments
         too (their ``frag`` entries are unwritten until fault-in).
         """
-        bases = self._frag_bases()
+        bases = self.frag_base
         return bases[np.searchsorted(bases, rows, side="right") - 1]
 
     # --------------------------------------------------------- string value
     def string_value_id(self, node: int) -> int:
-        """Pool surrogate of the node's string-value (cached per node)."""
-        cached = self._strvalue_cache.get(node)
-        if cached is not None:
-            return cached
-        self.ensure_rows((node,))
-        kind = int(self.kind[node])
-        if kind in (NK_TEXT, NK_COMMENT, NK_PI):
-            sid = int(self.value[node])
-        else:
-            texts = self.text_rows()
-            lo = np.searchsorted(texts, node + 1)
-            hi = np.searchsorted(texts, node + int(self.size[node]), side="right")
-            rows = texts[lo:hi]
-            if len(rows) == 1:
-                sid = int(self.value[rows[0]])
-            elif len(rows) == 0:
-                sid = self.pool.intern("")
-            else:
-                sid = self.pool.intern(
-                    "".join(self.pool.value(int(v)) for v in self.value[rows])
-                )
-        self._strvalue_cache[node] = sid
-        return sid
+        """Pool surrogate of the node's string-value."""
+        return int(self.string_value_ids(np.asarray((node,), dtype=np.int64))[0])
 
     def string_value_ids(self, nodes: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`string_value_id` over a batch of node rows."""
-        out = np.empty(len(nodes), dtype=np.int64)
-        sv = self.string_value_id
-        for i, n in enumerate(nodes):
-            out[i] = sv(int(n))
+        """Pool surrogates of the string-values of a batch of node rows.
+
+        Text, comment and PI rows carry theirs in ``value``; an element
+        or document with exactly one text descendant shares that text's
+        surrogate, found by two binary searches on the text-row index.
+        Only nodes spanning several texts pay a per-node join.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        self.ensure_rows(nodes)
+        out = self.value[nodes]
+        kinds = self.kind[nodes]
+        inner = np.nonzero((kinds == NK_ELEM) | (kinds == NK_DOC))[0]
+        if len(inner):
+            rows = nodes[inner]
+            texts = self.text_rows()
+            lo = np.searchsorted(texts, rows, side="right")
+            hi = np.searchsorted(texts, rows + self.size[rows], side="right")
+            sids = np.full(len(rows), self.pool.intern(""), dtype=np.int64)
+            single = hi - lo == 1
+            sids[single] = self.value[texts[lo[single]]]
+            for i in np.nonzero(hi - lo > 1)[0]:
+                sids[i] = self._joined_text_id(int(rows[i]), texts[lo[i] : hi[i]])
+            out[inner] = sids
         return out
+
+    def _joined_text_id(self, node: int, text_rows: np.ndarray) -> int:
+        """Surrogate of the concatenated ``text_rows`` values.  Cached
+        for persistent rows only, and :meth:`truncate_to` drops the
+        entries of popped rows — a cached entry never outlives its row."""
+        sid = self._strvalue_cache.get(node)
+        if sid is None:
+            sid = self.pool.intern(
+                "".join(self.pool.values(self.value[text_rows]))
+            )
+            if node < self.persistent_rows:
+                self._strvalue_cache[node] = sid
+        return sid
 
     # --------------------------------------------------------- construction
     def new_text_node(self, value_id: int) -> int:
         """Construct a parentless text node (``text { ... }``)."""
         with self.mutation_lock:
-            self.begin_fragment()
+            self.begin_fragment(transient=True)
             return self.append_node(NK_TEXT, 0, 0, -1, -1, value_id)
 
     def new_attribute(self, name_id: int, value_id: int) -> int:
@@ -634,7 +865,9 @@ class NodeArena:
 
         The owner is ``-1`` until an element constructor copies it.
         """
-        return self.append_attr(-1, name_id, value_id)
+        with self.mutation_lock:
+            self._enter_transient()
+            return self.append_attr(-1, name_id, value_id)
 
     def new_element(
         self,
@@ -656,16 +889,22 @@ class NodeArena:
         if attr_ids:
             self.ensure_attrs(attr_ids)
         with self.mutation_lock:
-            self.begin_fragment()
-            total = 1
-            for tag, payload in content:
-                if tag == "copy":
-                    total += int(self.size[payload]) + 1
-                elif tag == "text":
-                    total += 1
+            # everything read from the attribute index is resolved before
+            # the fragment begins: an unsealed fragment is never indexed
+            copied_attrs = [
+                self.attrs_in_span(row, row + int(self.size[row]) + 1)
+                for row in copy_rows
+            ]
+            total = (
+                1
+                + sum(len(counts) for _, counts in copied_attrs)
+                + sum(tag == "text" for tag, _ in content)
+            )
+            self.begin_fragment(transient=True)
             root = self.append_node(NK_ELEM, total - 1, 0, -1, name_id, -1)
             for name, value in attrs:
                 self.append_attr(root, name, value)
+            copies = iter(copied_attrs)
             for tag, payload in content:
                 if tag == "attr":
                     self.append_attr(
@@ -676,7 +915,7 @@ class NodeArena:
                 elif tag == "text":
                     self.append_node(NK_TEXT, 0, 1, root, -1, payload)
                 elif tag == "copy":
-                    self._copy_subtree(payload, root)
+                    self._copy_subtree(payload, root, *next(copies))
                 else:  # pragma: no cover - compiler always passes valid tags
                     raise DynamicError(f"bad constructor content tag {tag!r}")
             return root
@@ -685,51 +924,53 @@ class NodeArena:
         """Reserved for document-node constructors (not in the dialect)."""
         raise DynamicError("document {} constructors are not supported")
 
-    def _copy_subtree(self, src: int, new_parent: int) -> int:
-        """Deep-copy rows ``src..src+size`` under ``new_parent`` (caller
-        holds ``mutation_lock`` for the whole enclosing fragment)."""
-        count = int(self.size[src]) + 1
+    def _copy_subtree(
+        self, src: int, new_parent: int, attr_ids: np.ndarray, attr_counts: np.ndarray
+    ) -> int:
+        """Deep-copy rows ``src..src+size`` under ``new_parent``;
+        ``attr_ids``/``attr_counts`` are the source span's attributes
+        (:meth:`attrs_in_span`).  The caller holds ``mutation_lock`` for
+        the whole enclosing fragment."""
+        count = len(attr_counts)
         dest = self.num_nodes
         rows = slice(src, src + count)
-        kinds = self.kind[rows].copy()
-        sizes = self.size[rows].copy()
-        levels = self.level[rows] - int(self.level[src]) + int(self.level[new_parent]) + 1
-        parents = self.parent[rows] - src + dest
-        parents = np.asarray(parents, dtype=np.int64).copy()
+        levels = self.level[rows] + (int(self.level[new_parent]) + 1 - int(self.level[src]))
+        parents = self.parent[rows] + (dest - src)
         parents[0] = new_parent
-        names = self.name[rows].copy()
-        values = self.value[rows].copy()
-        # attribute copies: owners in [src, src+count) — use the index
-        order, lo, hi = self.attr_ranges(np.arange(src, src + count, dtype=np.int64))
-        self.append_nodes(kinds, sizes, levels, parents, names, values)
-        for i in range(count):
-            for j in order[lo[i] : hi[i]]:
-                self.append_attr(
-                    dest + i, int(self.attr_name[j]), int(self.attr_value[j])
-                )
+        self.append_nodes(
+            self.kind[rows], self.size[rows], levels, parents,
+            self.name[rows], self.value[rows],
+        )
+        if len(attr_ids):
+            self.append_attrs(
+                np.repeat(np.arange(dest, dest + count), attr_counts),
+                self.attr_name[attr_ids],
+                self.attr_value[attr_ids],
+            )
         return dest
 
     # ------------------------------------------------------------ updates
     def _child_rows_of(self, row: int) -> list[int]:
         """Child rows of ``row`` in document order (helper for rebuilds)."""
         order, lo, hi = self.children_ranges(np.asarray([row], dtype=np.int64))
-        return sorted(int(r) for r in order[int(lo[0]) : int(hi[0])])
+        return order[int(lo[0]) : int(hi[0])].tolist()
 
     def _attr_ids_of(self, row: int) -> list[int]:
         """Attribute ids owned by ``row`` (helper for rebuilds)."""
         order, lo, hi = self.attr_ranges(np.asarray([row], dtype=np.int64))
-        return [int(j) for j in order[int(lo[0]) : int(hi[0])]]
+        return order[int(lo[0]) : int(hi[0])].tolist()
 
     def rebuild_with_delta(self, root: int, delta: TreeDelta) -> int:
         """Re-emit the fragment rooted at ``root`` with ``delta`` applied.
 
         This is the structural-update primitive behind the XQuery Update
-        Facility: the encoding is append-only, so instead of shifting
-        ``pre`` ranks in place the whole affected document is rebuilt as
-        a **new fragment** (one pre-order pass over the old rows, exactly
-        like shredding) and the caller swaps the catalog entry to the
-        returned root — an epoch bump, not a re-shred of XML text.  Old
-        rows stay valid for readers that started before the swap.
+        Facility: rows never change in place, so instead of shifting
+        ``pre`` ranks the whole affected document is rebuilt as a **new
+        fragment** on top of the stack (one pre-order pass over the old
+        rows, exactly like shredding) and the caller swaps the catalog
+        entry to the returned root — an epoch bump, not a re-shred of XML
+        text.  The old rows stay valid for results that still hold them;
+        :meth:`reclaim` pops them once nobody can.
         """
         # the whole old document is read during the re-emit; fault it in
         # up front (updates materialise their targets by design — the
@@ -792,18 +1033,14 @@ class NodeArena:
             parents[base_off] = parent
             names.extend(self.name[src].tolist())
             values.extend(self.value[src].tolist())
-            _, _, _, attr_order, attr_owners_sorted, _ = self._refresh_indices()
-            a_lo = np.searchsorted(attr_owners_sorted, row, side="left")
-            a_hi = np.searchsorted(attr_owners_sorted, row + count, side="left")
-            for j in attr_order[a_lo:a_hi]:
-                j = int(j)
-                attrs.append(
-                    (
-                        base_off + int(self.attr_owner[j]) - row,
-                        int(self.attr_name[j]),
-                        int(self.attr_value[j]),
-                    )
+            ids, _ = self.attrs_in_span(row, row + count)
+            attrs.extend(
+                zip(
+                    (self.attr_owner[ids] + (base_off - row)).tolist(),
+                    self.attr_name[ids].tolist(),
+                    self.attr_value[ids].tolist(),
                 )
+            )
             return count
 
         def copy_fresh(row: int, level: int, parent: int) -> int:
@@ -884,8 +1121,13 @@ class NodeArena:
             first_row = self.num_nodes
             rebased = [p + first_row if p >= 0 else -1 for p in parents]
             base = self.append_nodes(kinds, sizes, levels, rebased, names, values)
-            for owner_offset, name_id, value_id in attrs:
-                self.append_attr(base + owner_offset, name_id, value_id)
+            if attrs:
+                owners, attr_names, attr_values = zip(*attrs)
+                self.append_attrs(
+                    np.asarray(owners, dtype=np.int64) + base,
+                    attr_names,
+                    attr_values,
+                )
             return base
 
     # ------------------------------------------------------------ node info

@@ -24,17 +24,21 @@ fragments exceed ``budget_bytes``:
   shrink).  Only *clean* fragments are tracked: anything rebuilt by a
   :class:`~repro.encoding.arena.TreeDelta` is untracked (pinned in
   memory) until a checkpoint re-registers its freshly written backing.
-* **pinning** protects readers from eviction: every touch inside a
-  :meth:`scope` (one per executing query / streaming serialization,
-  see ``Database.read_locked``) pins the fragment until the scope
-  exits, so a result can stream long after the catalog lock dropped.
-  While scopes are live the budget may transiently overshoot; the
-  scope exit trims back down.
+* **pinning** protects readers from eviction: every touch while a
+  :class:`PageScope` is the thread's current scope (one per executing
+  query / streaming serialization, see ``Database.read_locked``) pins
+  the fragment until the scope closes, so a result can stream long
+  after the catalog lock dropped.  While scopes are live the budget may
+  transiently overshoot; closing the scope trims back down.  The same
+  scope object is the reader's *lease* on the arena's transient region
+  (``NodeArena.page_scope``): one life cycle covers "my fragments stay
+  resident" and "my rows stay there".
 
 Locking: the pager deliberately shares the arena's ``mutation_lock``
 (one reentrant lock) instead of introducing a second one — faults and
-evictions write/release arena spans, index rebuilds read them, and a
-single lock means there is no ordering to get wrong between them.
+evictions write/release arena spans, index extensions and pops read and
+drop them, and a single lock means there is no ordering to get wrong
+between them.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import ctypes
 import mmap as _mmap_mod
 import sys
-from contextlib import contextmanager
+import threading
 
 import numpy as np
 
@@ -135,13 +139,52 @@ def fill_adopted_span(arena, base: int, abase: int, source, fid: int) -> None:
 
 
 class PageScope:
-    """One reader's pin set: fragments touched while the scope is open
-    stay resident until it closes (see ``PageScopeRegistry``)."""
+    """One reader's hold on an arena: a lease and a pin set in one.
 
-    __slots__ = ("pinned",)
+    While the scope is open the arena pops no row (transient fragments
+    live as long as the readers that may reference them); when the last
+    open scope of an arena closes, its transient run is popped.  Used as
+    a context manager the scope is also the calling thread's *current*
+    scope (scopes nest per thread, innermost wins): paged fragments
+    touched meanwhile are pinned against eviction until it closes.  A
+    scope that is merely held — a ``QueryResult`` owns one, shared with
+    the ``NodeHandle`` objects it hands out — collects no pins.
+    ``close()`` is idempotent and also runs when the last reference goes
+    (CPython refcounting: keep scopes out of reference cycles).
+    """
 
-    def __init__(self):
+    __slots__ = ("arena", "pinned", "closed", "_stack")
+
+    def __init__(self, arena):
+        self.arena = arena
         self.pinned: set[int] = set()
+        self.closed = False
+        #: the per-thread scope stack this scope was entered on
+        self._stack: list | None = None
+        arena._lease_opened()
+
+    def __enter__(self) -> "PageScope":
+        pager = self.arena.pager
+        if pager is not None:
+            self._stack = pager.scope_stack()
+            self._stack.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Drop the pins, leave the thread's stack (from whichever thread
+        closes a streamed result) and release the lease."""
+        if self.closed:
+            return
+        self.closed = True
+        if self._stack is not None:
+            self._stack.remove(self)
+        self.arena._lease_closed(self)
+
+    def __del__(self):
+        self.close()
 
 
 class _FragmentRecord:
@@ -175,19 +218,22 @@ class FragmentPager:
     ``mutation_lock`` (see the module docstring for why it is shared).
     """
 
-    def __init__(self, arena, budget_bytes: int | None, scopes=None):
-        from repro.api.concurrency import PageScopeRegistry
-
+    def __init__(self, arena, budget_bytes: int | None):
         self.arena = arena
         self.budget_bytes = budget_bytes
         self._lock = arena.mutation_lock
         self._records: dict[int, _FragmentRecord] = {}
-        self._scopes = scopes if scopes is not None else PageScopeRegistry()
+        #: per-thread stacks of entered scopes; the innermost collects
+        #: the thread's pins (thread-local, so asking needs no lock)
+        self._thread = threading.local()
         self.resident_bytes = 0
         self.faults = 0
         self.evictions = 0
         self.touches = 0
         self._clock = 0
+        #: one past the highest tracked node row / attribute id — tails
+        #: and pops above them concern no record
+        self._tracked_end = (0, 0)
         #: set (lock-free) when a flat buffer reallocated: the copy made
         #: cold spans resident again, so they need re-releasing
         self._needs_release = False
@@ -201,6 +247,10 @@ class FragmentPager:
         with self._lock:
             rec = _FragmentRecord(int(fid), int(base), int(abase), source)
             self._records[rec.fid] = rec
+            self._tracked_end = (
+                max(self._tracked_end[0], rec.base + source.nodes),
+                max(self._tracked_end[1], rec.abase + source.attrs),
+            )
             if hot:
                 rec.hot = True
                 self.resident_bytes += rec.bytes
@@ -220,9 +270,10 @@ class FragmentPager:
         it first.
 
         Used when a fragment's backing files are about to be garbage
-        collected (document replaced / unloaded / updated): the span
-        must hold valid data forever after, since whole-arena scanners
-        (``export_arena``, the navigation indices) still read it.
+        collected (document replaced / unloaded / updated): until the
+        arena pops the span it must hold valid data, since whole-arena
+        scanners (``export_arena``, the navigation indices) and results
+        still holding its rows read it.
         """
         with self._lock:
             rec = self._records.get(self._fid_of_row(int(row)))
@@ -232,6 +283,24 @@ class FragmentPager:
                 self._fault_locked(rec)
             self.resident_bytes -= rec.bytes
             del self._records[rec.fid]
+
+    def forget_from(self, row: int) -> None:
+        """Drop the records of fragments starting at ``row`` or above:
+        the arena popped them (nothing is materialised — the rows are
+        gone)."""
+        if row >= self._tracked_end[0]:
+            return
+        with self._lock:
+            for rec in [r for r in self._records.values() if r.base >= row]:
+                if rec.hot:
+                    self.resident_bytes -= rec.bytes
+                del self._records[rec.fid]
+            self._tracked_end = (
+                max((r.base + r.source.nodes for r in self._records.values()),
+                    default=0),
+                max((r.abase + r.source.attrs for r in self._records.values()),
+                    default=0),
+            )
 
     # -------------------------------------------------------------- ensure
     def ensure_rows(self, rows) -> None:
@@ -243,7 +312,7 @@ class FragmentPager:
         if rows.size == 0:
             return
         with self._lock:
-            bases = self.arena._frag_bases()
+            bases = self.arena.frag_base
             fids = np.unique(np.searchsorted(bases, rows, side="right") - 1)
             self._ensure_fids_locked(fids)
 
@@ -294,9 +363,9 @@ class FragmentPager:
         rec.last_touch = self._clock
         rec.touches += 1
         self.touches += 1
-        scope = self._scopes.current()
-        if scope is not None and rec.fid not in scope.pinned:
-            scope.pinned.add(rec.fid)
+        stack = self.scope_stack()
+        if stack and rec.fid not in stack[-1].pinned:
+            stack[-1].pinned.add(rec.fid)
             rec.pins += 1
 
     # --------------------------------------------------------- fault/evict
@@ -364,59 +433,71 @@ class FragmentPager:
             return len(victims)
 
     # -------------------------------------------------------------- scopes
-    @contextmanager
-    def scope(self):
-        """Pin-scope for one reader: fragments touched inside stay
-        resident until exit, when pins drop and the budget is enforced."""
-        scope = self._scopes.push()
-        try:
-            yield scope
-        finally:
-            self._scopes.pop(scope)
-            with self._lock:
-                for fid in scope.pinned:
-                    rec = self._records.get(fid)
-                    if rec is not None and rec.pins > 0:
-                        rec.pins -= 1
-                scope.pinned.clear()
-                self._evict_locked()
+    def scope_stack(self) -> list:
+        """The calling thread's stack of entered scopes.  A scope keeps
+        the list it was pushed on, so it can leave it from whichever
+        thread closes it — a streamed result starts on one service
+        thread and may finish on another."""
+        stack = getattr(self._thread, "scopes", None)
+        if stack is None:
+            stack = self._thread.scopes = []
+        return stack
+
+    def unpin_scope(self, scope: PageScope) -> None:
+        """Drop a closing scope's pins and enforce the budget again."""
+        if not scope.pinned:
+            return
+        with self._lock:
+            for fid in scope.pinned:
+                rec = self._records.get(fid)
+                if rec is not None and rec.pins > 0:
+                    rec.pins -= 1
+            scope.pinned.clear()
+            self._evict_locked()
 
     # ------------------------------------------------------------- columns
-    def patched_column(self, name: str) -> np.ndarray:
-        """A *logical* copy of one arena column: cold tracked spans are
-        filled from their memmapped sources (rebased/translated exactly
-        as a fault would), so navigation indices and statistics can be
-        built without materialising anything."""
+    def patched_tail(self, name: str, start: int, tail: np.ndarray) -> np.ndarray:
+        """``tail`` — arena column ``name`` from row (attribute id, for
+        ``attr_owner``) ``start`` on — with cold tracked spans filled
+        from their memmapped sources (rebased/translated exactly as a
+        fault would), so navigation indices and statistics are built
+        without materialising anything.  Only the spans inside the tail
+        are read; a copy is made only when there is one."""
+        is_attr = name == "attr_owner"
+        if start >= self._tracked_end[is_attr]:
+            return tail
         with self._lock:
-            arena = self.arena
-            view = getattr(arena, name)
-            cold = [r for r in self._records.values() if not r.hot]
+            cold = [
+                r for r in self._records.values()
+                if not r.hot and (r.abase if is_attr else r.base) >= start
+            ]
             if not cold:
-                return view
-            out = view.copy()
+                return tail
+            out = tail.copy()
             for rec in cold:
                 src = rec.source
                 n, base = src.nodes, rec.base
+                lo = base - start
                 if name in ("kind", "size", "level"):
-                    out[base : base + n] = src.cols[name]
+                    out[lo : lo + n] = src.cols[name]
                 elif name == "frag":
-                    out[base : base + n] = rec.fid
+                    out[lo : lo + n] = rec.fid
                 elif name == "parent":
                     seg = src.cols["parent"].astype(np.int64)
                     mask = seg >= 0
                     seg[mask] += base
                     seg[~mask] = -1
-                    out[base : base + n] = seg
+                    out[lo : lo + n] = seg
                 elif name in ("name", "value"):
                     local = src.cols[name]
                     seg = np.full(n, -1, dtype=np.int64)
                     mask = local >= 0
                     seg[mask] = src.gsids[local[mask]]
-                    out[base : base + n] = seg
-                elif name == "attr_owner":
-                    m = src.attrs
+                    out[lo : lo + n] = seg
+                elif is_attr:
+                    m, lo = src.attrs, rec.abase - start
                     if m:
-                        out[rec.abase : rec.abase + m] = (
+                        out[lo : lo + m] = (
                             src.acols["attr_owner"].astype(np.int64) + base
                         )
                 else:  # pragma: no cover - callers pass known columns
@@ -425,7 +506,7 @@ class FragmentPager:
 
     # --------------------------------------------------------------- misc
     def _fid_of_row(self, row: int) -> int:
-        bases = self.arena._frag_bases()
+        bases = self.arena.frag_base
         return int(np.searchsorted(bases, row, side="right") - 1)
 
     def note_buffer_growth(self) -> None:

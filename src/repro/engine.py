@@ -49,6 +49,10 @@ class QueryResult:
     compile_seconds: float
     execute_seconds: float
     trace: dict | None = None
+    #: the layered result's hold on the arena: the nodes in ``table``
+    #: stay readable as long as this result (or a handle from
+    #: :meth:`values`) is referenced
+    lease: object = None
 
     def serialize(self) -> str:
         """Result sequence as XML/text (the paper's post-processor)."""
@@ -58,9 +62,9 @@ class QueryResult:
 
     def values(self) -> list:
         """Result sequence as Python values (nodes become NodeHandles)."""
-        from repro.compiler.serialize import result_values
+        from repro.compiler.serialize import iter_result_values
 
-        return result_values(self.table, self.engine.arena)
+        return list(iter_result_values(self.table, self.engine.arena, self.lease))
 
 
 @dataclass
@@ -212,6 +216,7 @@ class PathfinderEngine:
             compile_seconds=t1 - t0,
             execute_seconds=result.execute_seconds,
             trace=result.trace,
+            lease=result.lease,
         )
 
     def execute_update(self, query: str) -> dict:

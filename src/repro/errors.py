@@ -64,3 +64,9 @@ class AlgebraError(PathfinderError):
 
 class NotSupportedError(PathfinderError):
     """The construct is valid XQuery but outside the supported dialect."""
+
+
+class ResultClosedError(PathfinderError):
+    """A ``QueryResult`` (or a ``NodeHandle`` it handed out) was used
+    after it was explicitly closed: its lease on the arena is gone, so
+    the rows it referenced may have been popped."""

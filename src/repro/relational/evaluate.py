@@ -53,6 +53,16 @@ class EvalContext:
     (prepared-query parameters): name → Python scalar or sequence.  The
     compiled plan references them through ``ParamTable`` leaves, so the
     same plan DAG can be evaluated many times with different bindings.
+
+    Lifetime rule: node constructors append *transient* fragments to
+    ``arena``.  ``PreparedQuery.execute`` wraps the evaluation in a lease
+    (:meth:`~repro.encoding.arena.NodeArena.page_scope`) that the
+    ``QueryResult`` then owns, so those rows live as long as the result.
+    A bare ``evaluate()`` takes no lease: the rows it constructs (and the
+    table that references them) stay valid until the arena's next pop —
+    i.e. until some lease on the same arena closes as the last live one,
+    or a catalog mutation reclaims — so serialize the table before
+    running anything else on that arena, or open a scope around both.
     """
 
     arena: NodeArena

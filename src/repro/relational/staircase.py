@@ -222,7 +222,7 @@ def _step_sorted(
 
     if axis is Axis.PRECEDING:
         frags = arena.frag[nodes]
-        bases = np.asarray(arena.frag_base, dtype=np.int64)[frags]
+        bases = arena.frag_base[frags]
         boundary = group_starts(iters) | np.concatenate(
             ([True], frags[1:] != frags[:-1])
         ) if len(iters) else np.empty(0, dtype=bool)
@@ -391,7 +391,7 @@ def naive_step(
     arena.ensure_rows(nodes)
     out_i: list[np.ndarray] = []
     out_r: list[np.ndarray] = []
-    bases = np.asarray(arena.frag_base, dtype=np.int64)
+    bases = arena.frag_base
     size = arena.size
     parent = arena.parent
     for it, v in zip(iters, nodes):

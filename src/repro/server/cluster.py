@@ -832,7 +832,7 @@ class ClusterService:
                 for i, s in enumerate(shard_stats)
             ],
         }
-        for section in ("store", "paging"):
+        for section in ("store", "paging", "arena"):
             parts = [s[section] for s in live if s.get(section)]
             if parts:
                 agg: dict = {}

@@ -217,8 +217,9 @@ class QueryService:
         deadline/shedding discipline; the chunk iteration happens on the
         caller's thread (for HTTP: one of the router's service-call
         threads), which is safe without a lock — the result table is
-        immutable and arena rows are append-only, so a concurrent hot
-        replace cannot tear the scan.
+        immutable and the result's lease keeps every arena row it
+        references in place, so a concurrent hot replace cannot tear
+        the scan.
 
         The request's wall-clock budget covers the stream too: when it
         expires between chunks the iterator raises
@@ -265,6 +266,9 @@ class QueryService:
         budget = self.deadline_seconds if deadline is None else float(deadline)
 
         def stream():
+            # the result's lease on the arena ends with the stream —
+            # drained, failed or abandoned (a generator's close() runs
+            # the finally) — so its constructed nodes can be popped
             try:
                 for chunk in result.iter_serialized():
                     if time.monotonic() - started > budget:
@@ -281,6 +285,8 @@ class QueryService:
                 with self._stats_lock:
                     self._errors += 1
                 raise
+            finally:
+                result.close()
 
         return meta, stream()
 
@@ -439,6 +445,7 @@ class QueryService:
         paging = self.database.paging_status()
         if paging is not None:
             payload["paging"] = paging
+        payload["arena"] = self.database.arena_report()
         return payload
 
     # ------------------------------------------------------------ shutdown

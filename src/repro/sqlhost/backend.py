@@ -41,8 +41,9 @@ class SQLHostBackend:
     def __init__(self, arena: NodeArena, documents: dict[str, int]):
         self.arena = arena
         self.documents = dict(documents)
-        # export only the live document subtrees: superseded versions in
-        # the append-only arena never participate in SQL evaluation
+        # export only the live document subtrees: superseded versions
+        # still waiting in the arena (a held result, a live document
+        # above them) never participate in SQL evaluation
         self.connection: sqlite3.Connection = export_arena(
             arena, roots=self.documents.values()
         )

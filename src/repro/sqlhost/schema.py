@@ -149,8 +149,9 @@ def export_arena(arena: NodeArena, roots=None) -> sqlite3.Connection:
     catalog's values) restricts the export to those subtrees.  Row ids
     are stored explicitly, so region predicates over the exported subset
     behave exactly as over a full export — but superseded document
-    versions, which the append-only arena never reclaims, stop being
-    copied into every new SQL host.  ``roots=None`` exports everything.
+    versions the arena has not popped yet, and other queries'
+    constructed nodes, stop being copied into every new SQL host.
+    ``roots=None`` exports everything.
     """
     con = sqlite3.connect(":memory:")
     con.executescript(DDL)

@@ -354,6 +354,10 @@ class TestStatsAggregation:
         assert cache["capacity"] == sum(
             s["plan_cache"]["capacity"] for s in stats["shards"]
         )
+        # so is the arena section: every shard reports its own
+        arena = stats["arena"]
+        assert arena["rows"] == sum(s["arena"]["rows"] for s in stats["shards"])
+        assert arena["transient_rows"] == 0 and arena["live_leases"] == 0
 
     def test_documents_listing_is_merged_and_sorted(self, cluster):
         docs = cluster.list_documents()

@@ -213,6 +213,28 @@ class TestOperationalEndpoints:
         assert "cse" in body["optimizer_pass_totals"]
         assert body["queries_by_mode"].get("cost", 0) >= 1
 
+    def test_stats_arena_section_returns_to_the_watermark(self, server):
+        """A constructing query's nodes live as long as its stream: once
+        the response is fully read, /stats shows the arena popped back."""
+        base, service = server
+        status, body = post_query(
+            base, {"query": "for $v in /r/v return <w>{$v}</w>"}
+        )
+        assert status == 200
+        assert body["result"] == "<w><v>1</v></w><w><v>2</v></w><w><v>3</v></w>"
+        _, stats = request(base, "/stats")
+        arena = stats["arena"]
+        for key in (
+            "rows", "persistent_rows", "transient_rows", "live_leases",
+            "pops", "reclaimed_rows", "index_extensions",
+            "dead_persistent_rows",
+        ):
+            assert key in arena, key
+        assert arena["transient_rows"] == 0
+        assert arena["live_leases"] == 0
+        assert arena["pops"] >= 1 and arena["reclaimed_rows"] >= 6
+        assert arena == service.database.arena_report()
+
     def test_unknown_route_is_404(self, server):
         base, _ = server
         status, _ = request(base, "/nope")

@@ -153,7 +153,10 @@ def test_export_skips_superseded_document_versions():
 
     db = Database()
     db.load_document("r.xml", "<r><v>1</v><v>2</v><v>3</v></r>")
+    # a result still holding the old version keeps it from being popped
+    held = db.connect().execute("/r/v")
     db.load_document("r.xml", "<r><v>9</v></r>", replace=True)
+    assert len(held) == 3
     backend = SQLHostBackend(db.arena, db.documents)
     try:
         (count,) = backend.connection.execute(
