@@ -8,11 +8,41 @@ The compilation scheme follows Grust/Sakr/Teubner, "XQuery on SQL Hosts"
 * the scope itself is a ``loop`` relation — one column ``iter`` listing
   the live iterations;
 * ``for $v in e1 return e2`` row-numbers the tuples of ``e1`` to mint the
-  iterations of the inner scope, binds ``$v`` per new iteration, *lifts*
-  every free variable through the ``map(outer, inner)`` relation, compiles
-  ``e2`` in the inner scope and back-maps its result (paper Figure 3);
+  iterations of the inner scope, binds ``$v`` per new iteration, compiles
+  ``e2`` in the inner scope and back-maps its result through the
+  ``map(outer, inner)`` relation (paper Figure 3);
 * conditionals split the loop relation; axis steps are staircase joins;
   aggregates group by ``iter``.
+
+**Dependency-scoped loop-lifting.**  Every ``for`` clause creates a
+:class:`Scope` that records its parent scopes together with their
+``map(outer, inner)`` relations.  A sub-expression is compiled in the
+*outermost scope that binds all of its free variables* (context
+pseudo-variables included) and its result is lifted down through the
+composed map only where it is consumed: in XMark Q11, ``$p/profile/@income``
+runs once per person and ``5000 * $i/text()`` once per auction, not once
+per (person, auction) pair.  A ``for`` range that does not depend on the
+enclosing scope gets an *independent* scope under the outermost scope it
+does depend on; the FLWOR's tuple stream is then the product of both
+scopes, with one map to each.  When the ``where`` clause's leading
+conjunct compares the two sides, the product is built directly as a
+join of their value tables (the paper's join recognition): an equi-join
+for a string equality, a θ-join for any other general comparison; ``let``
+clauses after that ``for`` then run for the joined tuples only.  Three
+rules keep hoisting exact:
+
+* **no crossing** — nothing is hoisted out of a conditional or typeswitch
+  branch, a predicate or filter-step context, a constructor or a
+  user-defined function body, and an expression containing a constructor
+  or a user-defined function call is never hoisted (each iteration must
+  build its own nodes);
+* **consumer restriction** — a hoisted expression is compiled in its
+  target scope *restricted to the iterations the consuming map reaches*,
+  so it raises no error the nested-loop semantics would not raise
+  (``for $x in () return 1 div 0`` is ``()``);
+* **immutable scopes** — environments are never mutated; a ``let`` whose
+  expression was hoisted binds its variable in the target scope, where
+  later expressions that depend on it can be hoisted too.
 
 The invariant maintained throughout: every emitted plan has dense ``pos``
 1..n per ``iter`` and contains only iterations of its scope's loop.
@@ -37,13 +67,101 @@ from repro.relational.items import (
 )
 from repro.encoding.arena import NK_COMMENT, NK_DOC, NK_ELEM, NK_PI, NK_TEXT
 from repro.xquery import ast
+from repro.xquery.core import CTX_ITEM, CTX_LAST, CTX_POSITION, free_vars, sub_expressions
 
 _MAX_INLINE_DEPTH = 32
 
-#: context bindings that are not user variables
-CTX_ITEM = "fs:ctx"
-CTX_POSITION = "fs:position"
-CTX_LAST = "fs:last"
+#: expressions that are as cheap to replicate as to lift: never hoisted
+_LEAVES = (ast.Literal, ast.EmptySeq, ast.VarRef, ast.ContextItem)
+
+#: expressions that build new nodes per iteration: never hoisted
+_CONSTRUCTORS = (
+    ast.CompElement, ast.CompAttribute, ast.CompText, ast.DirectElement,
+) + ast.UPDATE_NODES
+
+
+class Scope:
+    """An iteration scope: a ``loop`` relation (column ``iter``) and the
+    scopes it is nested in.
+
+    ``parents`` pairs each parent scope with its ``map(outer, inner)``
+    relation (``outer`` a parent iteration, ``inner`` one of ours); a
+    product scope has two.  A *restriction* keeps a subset of ``base``'s
+    iterations under the same ids (a ``where``-filtered tuple stream, or a
+    hoisting target cut down to what its consumer reaches) and shares
+    ``base``'s parents.  A scope without parents is a hoisting barrier.
+    ``unit`` marks a loop known to hold at most one iteration.
+    """
+
+    __slots__ = ("loop", "parents", "base", "unit", "ancestors", "maps", "moved", "hoists")
+
+    def __init__(self, loop: alg.Op, parents: tuple = (), base: "Scope | None" = None,
+                 unit: bool = False):
+        self.loop = loop
+        self.parents = parents
+        self.base = base
+        self.unit = unit
+        ancestors = {self}
+        for parent, _ in parents:
+            ancestors |= parent.ancestors
+        if base is not None:
+            ancestors |= base.ancestors
+        #: this scope and every scope its iterations map back to
+        self.ancestors = frozenset(ancestors)
+        #: ancestor → composed map(outer = ancestor iteration, inner = ours)
+        self.maps: dict = {}
+        #: (binder, id(plan)) → (plan, the plan moved into this scope)
+        self.moved: dict = {}
+        #: hoisting target → the target restricted to what reaches us
+        self.hoists: dict = {}
+
+    def restrict(self, loop: alg.Op) -> "Scope":
+        """The subset ``loop`` of our iterations, as a scope of its own."""
+        return Scope(loop, self.parents, base=self, unit=self.unit)
+
+
+class Env:
+    """The variables visible at one point of the query (immutable).
+
+    ``vars`` maps a name to ``(binder, plan)``: the scope whose iterations
+    key the plan.  :meth:`get` moves the plan into this env's scope through
+    the composed map (memoized per scope).  ``outer`` resolves names from
+    beyond a hoisting barrier on first use.
+    """
+
+    __slots__ = ("comp", "scope", "vars", "outer")
+
+    def __init__(self, comp: "Compiler", scope: Scope, vars: dict, outer=None):
+        self.comp = comp
+        self.scope = scope
+        self.vars = vars
+        self.outer = outer
+
+    @property
+    def loop(self) -> alg.Op:
+        """The loop relation of this env's scope."""
+        return self.scope.loop
+
+    def binding(self, name: str):
+        """``(binder scope, plan)`` for ``name``, or None if unbound."""
+        hit = self.vars.get(name)
+        if hit is None and self.outer is not None:
+            hit = self.outer(name)
+        return hit
+
+    def get(self, name: str) -> alg.Op | None:
+        """``name``'s (iter, pos, item) plan in this env's scope."""
+        hit = self.binding(name)
+        return None if hit is None else self.comp._move(hit[1], hit[0], self.scope)
+
+    def bind(self, bindings: dict) -> "Env":
+        """This env plus ``bindings`` (name → (binder, plan))."""
+        return Env(self.comp, self.scope, {**self.vars, **bindings}, self.outer)
+
+    def enter(self, scope: Scope, bindings: dict | None = None) -> "Env":
+        """The same variables (plus ``bindings``) seen from ``scope``, a
+        descendant or restriction of ours."""
+        return Env(self.comp, scope, {**self.vars, **(bindings or {})}, self.outer)
 
 
 class CompiledQuery:
@@ -74,6 +192,9 @@ class Compiler:
         # variables statically known to hold xs:untypedAtomic/xs:string
         # sequences (feeds the join-recognition soundness gate)
         self._untyped_vars: set[str] = set()
+        # per-Core-node analyses, keyed by node identity
+        self._fv_memo: dict = {}
+        self._movable_memo: dict = {}
 
     # ----------------------------------------------------------------- API
     def compile_module(self, module: ast.Module) -> alg.Op:
@@ -85,13 +206,13 @@ class Compiler:
         for them, so one compiled plan serves every parameter binding.
         """
         self._functions = {}
+        self._movable_memo = {}
         for f in module.functions:
             key = (f.name, len(f.params))
             if key in self._functions:
                 raise StaticError(f"duplicate function {f.name}/{len(f.params)}")
             self._functions[key] = f
-        loop = alg.Lit(("iter",), ((1,),))
-        env: dict[str, alg.Op] = {}
+        root = Scope(alg.Lit(("iter",), ((1,),)), unit=True)
         self._external_vars = tuple(module.external_vars)
         for var in module.external_vars:
             if var.type_name is not None and var.type_name not in PARAM_TYPE_KINDS:
@@ -99,8 +220,15 @@ class Compiler:
                     f"external variable ${var.name}: type {var.type_name} is "
                     f"not bindable (supported: {', '.join(sorted(PARAM_TYPE_KINDS))})"
                 )
-            env[var.name] = self._param_seq(var, loop)
-        return self.compile(module.body, loop, env)
+        env = Env(self, root, self._param_vars(root))
+        return self.compile(module.body, root.loop, env)
+
+    def _param_vars(self, scope: Scope) -> dict:
+        """The external variables, bound in ``scope``."""
+        return {
+            var.name: (scope, self._param_seq(var, scope.loop))
+            for var in self._external_vars
+        }
 
     def _param_seq(self, var: ast.ExternalVar, loop: alg.Op) -> alg.Op:
         """An external variable's sequence plan in an arbitrary scope.
@@ -168,14 +296,129 @@ class Compiler:
             joined, (("iter", "inner"), ("pos", "pos"), ("item", "item"))
         )
 
-    def _lift_env(self, env: dict, map_rel: alg.Op) -> dict:
-        return {name: self._lift(plan, map_rel) for name, plan in env.items()}
+    # -------------------------------------------------------------- scopes
+    def _compose(self, upper: alg.Op, step: alg.Op) -> alg.Op:
+        """map(a, b) ∘ map(b, c) → map(a, c)."""
+        o2 = self.fresh("o")
+        step_renamed = alg.Project(step, ((o2, "outer"), ("inner", "inner")))
+        prev = alg.Project(upper, (("outer", "outer"), ("mid", "inner")))
+        return alg.Project(
+            alg.Join(step_renamed, prev, ((o2, "mid"),)),
+            (("outer", "outer"), ("inner", "inner")),
+        )
 
-    def _restrict_env(self, env: dict, loop: alg.Op) -> dict:
-        return {
-            name: alg.SemiJoin(plan, loop, (("iter", "iter"),))
-            for name, plan in env.items()
-        }
+    def _map_to(self, scope: Scope, anc: Scope) -> alg.Op | None:
+        """map(outer = ``anc`` iteration, inner = ``scope`` iteration) for
+        an ancestor ``anc``; None when ``anc`` is ``scope`` itself."""
+        if anc is scope:
+            return None
+        m = scope.maps.get(anc)
+        if m is None:
+            if scope.base is not None:
+                up = self._map_to(scope.base, anc)
+                m = (
+                    alg.Project(scope.loop, (("outer", "iter"), ("inner", "iter")))
+                    if up is None
+                    else alg.SemiJoin(up, scope.loop, (("inner", "iter"),))
+                )
+            else:
+                parent, step = next(
+                    (p, s) for p, s in scope.parents if anc in p.ancestors
+                )
+                up = self._map_to(parent, anc)
+                m = step if up is None else self._compose(up, step)
+            scope.maps[anc] = m
+        return m
+
+    def _move(self, plan: alg.Op, binder: Scope, scope: Scope) -> alg.Op:
+        """A plan keyed by ``binder``'s iterations, moved into ``scope``."""
+        if binder is scope:
+            return plan
+        key = (binder, id(plan))
+        hit = scope.moved.get(key)
+        if hit is None:
+            if scope.base is not None:
+                moved = alg.SemiJoin(
+                    self._move(plan, binder, scope.base), scope.loop, (("iter", "iter"),)
+                )
+            else:
+                moved = self._lift(plan, self._map_to(scope, binder))
+            hit = scope.moved[key] = (plan, moved)
+        return hit[1]
+
+    def _barrier(self, env: Env, loop: alg.Op, move, unit: bool = False) -> Env:
+        """A scope over ``loop`` that nothing is hoisted out of.  Outer
+        variables are brought in through ``move`` on first use and count
+        as bound here."""
+        scope = Scope(loop, unit=unit)
+        memo: dict = {}
+
+        def outer(name):
+            if name not in memo:
+                plan = env.get(name)
+                memo[name] = None if plan is None else (scope, move(plan))
+            return memo[name]
+
+        return Env(self, scope, {}, outer)
+
+    def _restricted(self, env: Env, loop: alg.Op) -> Env:
+        """A barrier over the subset ``loop`` of ``env``'s iterations."""
+        return self._barrier(
+            env, loop, lambda p: alg.SemiJoin(p, loop, (("iter", "iter"),)), env.scope.unit
+        )
+
+    def _sealed(self, env: Env) -> Env:
+        """The same iterations behind a barrier (constructor content)."""
+        return self._barrier(env, env.loop, lambda p: p, env.scope.unit)
+
+    def _movable(self, e: ast.Expr) -> bool:
+        """May ``e`` be evaluated in another scope?  Not when it builds
+        nodes: each iteration must construct its own."""
+        hit = self._movable_memo.get(id(e))
+        if hit is None:
+            ok = not isinstance(e, _CONSTRUCTORS) and not (
+                isinstance(e, ast.FunctionCall)
+                and (e.name, len(e.args)) in self._functions
+            )
+            ok = ok and all(self._movable(c) for c in sub_expressions(e))
+            hit = self._movable_memo[id(e)] = (e, ok)
+        return hit[1]
+
+    def _placement(self, e: ast.Expr, env: Env) -> Scope | None:
+        """The outermost scope above ``env``'s that binds every free
+        variable of ``e`` by the same binding, or None to compile ``e``
+        where it stands."""
+        scope = env.scope
+        if not scope.parents or isinstance(e, _LEAVES):
+            return None
+        binders = set()
+        for name in free_vars(e, self._fv_memo):
+            hit = env.binding(name)
+            if hit is None:
+                return None  # compiling in place reports the unbound name
+            binders.add(hit[0])
+        target = scope
+        while True:
+            parent = next(
+                (p for p, _ in target.parents if binders <= p.ancestors), None
+            )
+            if parent is None:
+                break
+            target = parent
+        return None if target is scope or not self._movable(e) else target
+
+    def _hoisted_env(self, e: ast.Expr, env: Env, target: Scope) -> Env:
+        """``e``'s free variables in ``target``, restricted to the target
+        iterations that reach ``env``'s scope (the consumer restriction)."""
+        scope = env.scope
+        at = scope.hoists.get(target)
+        if at is None:
+            reach = alg.SemiJoin(
+                target.loop, self._map_to(scope, target), (("iter", "outer"),)
+            )
+            at = scope.hoists[target] = target.restrict(reach)
+        names = free_vars(e, self._fv_memo)
+        return Env(self, at, {name: env.binding(name) for name in names})
 
     def _ebv(self, q: alg.Op, loop: alg.Op) -> alg.Op:
         """Effective boolean value per iteration → (iter, item) plan with
@@ -187,7 +430,7 @@ class Compiler:
         f_lit = alg.Lit(("item",), ((False,),), frozenset({"item"}))
         return alg.Union((present, alg.Project(alg.Cross(missing, f_lit), (("iter", "iter"), ("item", "item")))))
 
-    def _true_iters(self, cond: ast.Expr, loop: alg.Op, env: dict) -> alg.Op:
+    def _true_iters(self, cond: ast.Expr, loop: alg.Op, env: Env) -> alg.Op:
         """Iterations of ``loop`` where ``cond``'s EBV is true."""
         q = self.compile(cond, loop, env)
         eb = self._ebv(q, loop)
@@ -195,9 +438,27 @@ class Compiler:
         return alg.Project(sel, (("iter", "iter"),))
 
     # ------------------------------------------------------------ dispatch
-    def compile(self, e: ast.Expr, loop: alg.Op, env: dict) -> alg.Op:
-        """Compile expression ``e`` in scope ``loop`` with variable
-        environment ``env``; returns an (iter, pos, item) plan."""
+    def compile(self, e: ast.Expr, loop: alg.Op, env: Env) -> alg.Op:
+        """Compile expression ``e`` in scope ``loop`` (``env.loop``) with
+        variable environment ``env``; returns an (iter, pos, item) plan.
+
+        ``e`` is evaluated in the outermost scope that binds all of its
+        free variables, and its result lifted into ``loop``."""
+        owner, q = self._placed(e, env)
+        if owner is env.scope:
+            return q
+        return self._lift(q, self._map_to(env.scope, owner))
+
+    def _placed(self, e: ast.Expr, env: Env) -> tuple[Scope, alg.Op]:
+        """``e`` compiled where it belongs: ``(owner, plan)``, the plan
+        keyed by ``owner``'s iterations (only those reaching ``env``)."""
+        target = self._placement(e, env)
+        if target is None:
+            return env.scope, self._dispatch(e, env.loop, env)
+        inner = self._hoisted_env(e, env, target)
+        return target, self._dispatch(e, inner.loop, inner)
+
+    def _dispatch(self, e: ast.Expr, loop: alg.Op, env: Env) -> alg.Op:
         if isinstance(e, ast.UPDATE_NODES):
             raise StaticError(
                 "updating expressions cannot be compiled as queries — "
@@ -261,58 +522,26 @@ class Compiler:
         return plan
 
     # --------------------------------------------------------------- FLWOR
-    def _c_FLWOR(self, e: ast.FLWOR, loop, env):
-        # tuple-stream state: current loop, composed map (outer = FLWOR
-        # entry iteration, inner = current tuple iteration), environment
-        cur_loop = loop
-        cur_map = alg.Project(loop, (("outer", "iter"), ("inner", "iter")))
-        cur_env = dict(env)
-        where = e.where
+    def _c_FLWOR(self, e: ast.FLWOR, loop, env: Env):
+        # the tuple stream lives in env.scope, a descendant of ``entry``;
+        # ``conds`` are the where conjuncts still to be applied
+        entry = env.scope
+        conds = [] if e.where is None else [e.where]
         for idx, clause in enumerate(e.clauses):
             self._track_untyped(clause)
             if isinstance(clause, ast.LetClause):
-                cur_env[clause.var] = self.compile(clause.expr, cur_loop, cur_env)
-                continue
-            recognized = self._join_recognition(
-                e, idx, clause, cur_loop, cur_map, cur_env
-            )
-            if recognized is not None:
-                cur_loop, cur_map, cur_env = recognized
-                where = None  # the where clause became the join predicate
-                continue
-            q1 = self.compile(clause.expr, cur_loop, cur_env)
-            numbered = alg.RowNum(q1, "inner", (("iter", False), ("pos", False)), None)
-            new_loop = alg.Project(numbered, (("iter", "inner"),))
-            step_map = alg.Project(numbered, (("outer", "iter"), ("inner", "inner")))
-            cur_env = self._lift_env(cur_env, step_map)
-            var_plan = self._with_pos1(
-                alg.Project(numbered, (("iter", "inner"), ("item", "item")))
-            )
-            cur_env[clause.var] = var_plan
-            if clause.pos_var is not None:
-                pos_item = alg.Map(numbered, "cast_int", "pitem", (col("pos"),))
-                cur_env[clause.pos_var] = self._with_pos1(
-                    alg.Project(pos_item, (("iter", "inner"), ("item", "pitem")))
-                )
-            # compose the scope map: outer ∘ step
-            o2 = self.fresh("o")
-            step_renamed = alg.Project(step_map, ((o2, "outer"), ("inner", "inner")))
-            prev = alg.Project(cur_map, (("outer", "outer"), ("mid", "inner")))
-            cur_map = alg.Project(
-                alg.Join(step_renamed, prev, ((o2, "mid"),)),
-                (("outer", "outer"), ("inner", "inner")),
-            )
-            cur_loop = new_loop
-        if where is not None:
-            keep = self._true_iters(where, cur_loop, cur_env)
-            cur_loop = keep
-            cur_env = self._restrict_env(cur_env, cur_loop)
-            cur_map = alg.SemiJoin(cur_map, cur_loop, (("inner", "iter"),))
+                env = self._let_clause(clause, env)
+            else:
+                env, conds = self._for_clause(e, idx, clause, env, conds)
+        for cond in conds:
+            keep = self._true_iters(cond, env.loop, env)
+            env = env.enter(env.scope.restrict(keep))
+        cur_loop = env.loop
         # order-by keys: one atomic (or missing) per tuple iteration
         key_cols: list[tuple[str, bool]] = []
         key_plans: list[alg.Op] = []
         for spec in e.order:
-            kq = self._first(self._atomize(self.compile(spec.expr, cur_loop, cur_env)))
+            kq = self._first(self._atomize(self.compile(spec.expr, cur_loop, env)))
             kname = self.fresh("k")
             present = alg.Project(kq, (("iter", "iter"), (kname, "item")))
             missing = self._missing(kq, cur_loop)
@@ -323,8 +552,11 @@ class Compiler:
             )
             key_plans.append(filled)
             key_cols.append((kname, spec.descending))
-        ret = self.compile(e.ret, cur_loop, cur_env)
+        ret = self.compile(e.ret, cur_loop, env)
         # back-map to the entry scope, ordering tuples by (keys, inner)
+        cur_map = self._map_to(env.scope, entry)
+        if cur_map is None:
+            cur_map = alg.Project(cur_loop, (("outer", "iter"), ("inner", "iter")))
         inner_col = self.fresh("inner")
         renamed = alg.Project(
             ret, ((inner_col, "iter"), ("pos", "pos"), ("item", "item"))
@@ -340,47 +572,164 @@ class Compiler:
             renum, (("iter", "outer"), ("pos", "pos1"), ("item", "item"))
         )
 
+    def _let_clause(self, clause: ast.LetClause, env: Env) -> Env:
+        """Bind a let variable in the scope its expression is compiled in
+        (its plan covers every iteration a consumer of the variable can
+        reach)."""
+        return env.bind({clause.var: self._placed(clause.expr, env)})
+
+    def _for_clause(self, e: ast.FLWOR, idx: int, clause: ast.ForClause, env: Env, conds):
+        """Extend the tuple stream by a for clause; returns the new env and
+        the where conjuncts still to be applied."""
+        scope = env.scope
+        owner, q = self._placed(clause.expr, env)
+        numbered = self._numbered(q)
+        down = alg.Project(numbered, (("outer", "iter"), ("inner", "inner")))
+        ind = Scope(alg.Project(numbered, (("iter", "inner"),)), ((owner, down),))
+        bindings = self._for_vars(clause, numbered, ind)
+        if owner is scope:
+            # the range depends on the current tuple: a nested scope
+            return env.enter(ind, bindings), conds
+        # an independent range: the tuple stream is the product of the
+        # range's own scope and the current one
+        pairs = None
+        if conds and self._joinable(e, idx, conds[0]):
+            first, rest = _split_conjunct(conds[0])
+            pairs = self._where_join(clause, first, env, owner, ind, down, bindings)
+            if pairs is not None:
+                conds = ([rest] if rest is not None else []) + conds[1:]
+        if pairs is None:
+            pairs = self._product(scope, owner, ind, down)
+        t = alg.RowNum(pairs, "t", (("s", False), ("i", False)), None)
+        product = Scope(
+            alg.Project(t, (("iter", "t"),)),
+            (
+                (scope, alg.Project(t, (("outer", "s"), ("inner", "t")))),
+                (ind, alg.Project(t, (("outer", "i"), ("inner", "t")))),
+            ),
+        )
+        return env.enter(product, bindings), conds
+
+    def _numbered(self, q: alg.Op) -> alg.Op:
+        """Mint one new iteration (column ``inner``) per tuple of ``q``."""
+        return alg.RowNum(q, "inner", (("iter", False), ("pos", False)), None)
+
+    def _for_vars(self, clause: ast.ForClause, numbered: alg.Op, scope: Scope) -> dict:
+        """The for variable (and positional variable), bound in ``scope``."""
+        out = {
+            clause.var: (scope, self._with_pos1(
+                alg.Project(numbered, (("iter", "inner"), ("item", "item")))
+            ))
+        }
+        if clause.pos_var is not None:
+            pos_item = alg.Map(numbered, "cast_int", "pitem", (col("pos"),))
+            out[clause.pos_var] = (scope, self._with_pos1(
+                alg.Project(pos_item, (("iter", "inner"), ("item", "pitem")))
+            ))
+        return out
+
+    def _product(self, scope: Scope, target: Scope, ind: Scope, down: alg.Op) -> alg.Op:
+        """(s, i): every tuple iteration of ``scope`` with every iteration
+        of ``ind`` under the same ``target`` iteration."""
+        if target.unit:
+            return alg.Cross(
+                alg.Project(scope.loop, (("s", "iter"),)),
+                alg.Project(ind.loop, (("i", "iter"),)),
+            )
+        up = alg.Project(self._map_to(scope, target), (("a", "outer"), ("s", "inner")))
+        across = alg.Project(down, (("a2", "outer"), ("i", "inner")))
+        return alg.Project(alg.Join(up, across, (("a", "a2"),)), (("s", "s"), ("i", "i")))
+
     # ------------------------------------------------ join recognition [3]
-    def _join_recognition(self, e, idx, clause, cur_loop, cur_map, cur_env):
+    def _joinable(self, e: ast.FLWOR, idx: int, cond: ast.Expr) -> bool:
+        """May the where clause be applied while clause ``idx`` builds the
+        tuple stream?  Only when no later for clause multiplies it and no
+        later let rebinds a name the condition reads."""
+        if not self.use_join_recognition:
+            return False
+        names = free_vars(cond, self._fv_memo)
+        return all(
+            isinstance(c, ast.LetClause) and c.var not in names
+            for c in e.clauses[idx + 1:]
+        )
+
+    def _where_join(self, clause, cond, env: Env, target: Scope, ind: Scope,
+                    down: alg.Op, bindings: dict) -> alg.Op | None:
         """The paper's "join recognition logic in our compiler" [3].
 
-        When the *last* for clause binds a loop-invariant sequence and the
-        where clause is a string-typed equality between a path rooted at
-        the new variable and an outer expression, the cross-product of
-        iterations never needs to materialise: the binding is compiled
-        once, both comparison sides are evaluated independently, and an
-        **equi-join on the comparison value** builds the surviving tuple
-        stream directly.  This is what turns XMark Q8/Q9 into join plans.
+        When a where conjunct is a general comparison between an
+        expression of the new, independent for variable (the *i* side)
+        and one of the current tuple (the *s* side), the product of the
+        two scopes never materialises: each side is evaluated once in its
+        own scope and the surviving (s, i) pairs are built from the two
+        value tables directly.  A string equality becomes an **equi-join
+        on the comparison value** (XMark Q8/Q9); any other comparison a
+        θ-join — the comparison kernel over the pairs of values (Q11/Q12).
 
-        Soundness gate: both sides must end in an attribute step or a
-        ``text()`` step, so both atomize to ``xs:untypedAtomic`` and the
-        general comparison is a string equality — exactly what the
-        equi-join on pooled string surrogates computes.
+        Soundness gate of the equi-join: both sides end in an attribute
+        or ``text()`` step, or are statically string-valued, so both
+        atomize to ``xs:untypedAtomic``/``xs:string`` and the general
+        comparison is a string equality — exactly what the equi-join on
+        pooled string surrogates computes.
 
-        Returns ``(new_loop, new_map, new_env)`` or None if not applicable.
+        The s side is evaluated only for tuples that have a partner, as
+        the nested-loop semantics would.
         """
-        from repro.xquery.core import free_vars
+        if not isinstance(cond, ast.GeneralComp):
+            return None
+        own = {clause.var, clause.pos_var} - {None}
+        i_side = s_side = None
+        for operand in (cond.lhs, cond.rhs):
+            names = free_vars(operand, self._fv_memo)
+            if not names & own:
+                s_side = operand
+            elif all(n in own or self._bound_in(env, n, ind) for n in names):
+                i_side = operand
+        if i_side is None or s_side is None:
+            return None
+        scope = env.scope
+        up = self._map_to(scope, target)
+        partnered = alg.SemiJoin(
+            scope.loop, alg.SemiJoin(up, down, (("outer", "outer"),)), (("iter", "inner"),)
+        )
+        i_env = Env(self, ind, {
+            n: bindings[n] if n in own else env.binding(n)
+            for n in free_vars(i_side, self._fv_memo)
+        })
+        equi = cond.op == "eq" and self._untyped_valued(i_side) and self._untyped_valued(s_side)
+        cast = "cast_str" if equi else None
+        iv = self._values(i_side, i_env, "i", "iv", cast)
+        sv = self._values(s_side, env.enter(scope.restrict(partnered)), "s", "sv", cast)
+        keys: tuple = ()
+        if not target.unit:
+            # pairs must also agree on their target iteration
+            sv = alg.Join(sv, alg.Project(up, (("sa", "outer"), ("s2", "inner"))), (("s", "s2"),))
+            iv = alg.Join(iv, alg.Project(down, (("ia", "outer"), ("i2", "inner"))), (("i", "i2"),))
+            keys = (("sa", "ia"),)
+        if equi:
+            pairs = alg.Join(sv, iv, (("sv", "iv"),) + keys)
+        else:
+            pairs = alg.Join(sv, iv, keys) if keys else alg.Cross(sv, iv)
+            args = (col("iv"), col("sv")) if i_side is cond.lhs else (col("sv"), col("iv"))
+            cmp = alg.Map(pairs, cond.op, "cmp", args)
+            pairs = alg.Select(cmp, "eq", col("cmp"), const(True))
+        return alg.Distinct(alg.Project(pairs, (("s", "s"), ("i", "i"))), ("s", "i"))
 
-        if not self.use_join_recognition:
-            return None
-        if clause.pos_var is not None:
-            return None
-        if idx != len(e.clauses) - 1 or e.where is None:
-            return None
-        cond = e.where
-        if not isinstance(cond, ast.GeneralComp) or cond.op != "eq":
-            return None
-        if free_vars(clause.expr):
-            return None  # binding depends on the loop: not invariant
-        for f_side, g_side in ((cond.lhs, cond.rhs), (cond.rhs, cond.lhs)):
-            if not _untyped_path_from(f_side, clause.var):
-                continue
-            if clause.var in free_vars(g_side):
-                continue
-            if not self._untyped_valued(g_side):
-                continue
-            return self._build_join(clause, f_side, g_side, cur_loop, cur_map, cur_env)
-        return None
+    @staticmethod
+    def _bound_in(env: Env, name: str, scope: Scope) -> bool:
+        """Is ``name`` bound in ``scope`` or one of its ancestors?"""
+        hit = env.binding(name)
+        return hit is not None and hit[0] in scope.ancestors
+
+    def _values(self, e: ast.Expr, env: Env, iter_col: str, value_col: str,
+                cast: str | None) -> alg.Op:
+        """(iter_col, value_col): every atomized item of ``e``, optionally
+        cast."""
+        q = self._atomize(self.compile(e, env.loop, env))
+        src = "item"
+        if cast is not None:
+            q, src = alg.Map(q, cast, value_col, (col("item"),)), value_col
+        return alg.Project(q, ((iter_col, "iter"), (value_col, src)))
 
     def _track_untyped(self, clause) -> None:
         """Maintain the set of variables that are statically known to bind
@@ -423,63 +772,12 @@ class Compiler:
             return e.name in self._untyped_vars
         return _untyped_valued(e) or self._statically_untyped(e)
 
-    def _build_join(self, clause, f_side, g_side, cur_loop, cur_map, cur_env):
-        # 1. the invariant binding, compiled once in the unit loop
-        unit = alg.Lit(("iter",), ((1,),))
-        qB = self.compile(clause.expr, unit, {})
-        bnum = alg.RowNum(qB, "bid", (("iter", False), ("pos", False)), None)
-        b_table = alg.Project(bnum, (("bid", "bid"), ("bitem", "item")))
-        # 2. the f values (path from the bound variable) per binding row
-        loop_b = alg.Project(b_table, (("iter", "bid"),))
-        env_b = {
-            clause.var: self._with_pos1(
-                alg.Project(b_table, (("iter", "bid"), ("item", "bitem")))
-            )
-        }
-        qf = self._atomize(self.compile(f_side, loop_b, env_b))
-        fv = alg.Map(qf, "cast_str", "fv", (col("item"),))
-        f_vals = alg.Project(fv, (("fbid", "iter"), ("fv", "fv")))
-        # 3. the g values per current-loop iteration
-        qg = self._atomize(self.compile(g_side, cur_loop, cur_env))
-        gv = alg.Map(qg, "cast_str", "gv", (col("item"),))
-        g_vals = alg.Project(gv, (("giter", "iter"), ("gv", "gv")))
-        # 4. the equi-join IS the where clause
-        pairs = alg.Join(g_vals, f_vals, (("gv", "fv"),))
-        pairs = alg.Distinct(
-            alg.Project(pairs, (("giter", "giter"), ("fbid", "fbid"))),
-            ("giter", "fbid"),
-        )
-        numbered = alg.RowNum(
-            pairs, "inner", (("giter", False), ("fbid", False)), None
-        )
-        new_loop = alg.Project(numbered, (("iter", "inner"),))
-        step_map = alg.Project(numbered, (("outer", "giter"), ("inner", "inner")))
-        new_env = self._lift_env(cur_env, step_map)
-        # bind the for variable: join the tuple stream back to the binding
-        withb = alg.Join(
-            alg.Project(numbered, (("inner", "inner"), ("fbid2", "fbid"))),
-            b_table,
-            (("fbid2", "bid"),),
-        )
-        new_env[clause.var] = self._with_pos1(
-            alg.Project(withb, (("iter", "inner"), ("item", "bitem")))
-        )
-        # compose the scope map
-        o2 = self.fresh("o")
-        step_renamed = alg.Project(step_map, ((o2, "outer"), ("inner", "inner")))
-        prev = alg.Project(cur_map, (("outer", "outer"), ("mid", "inner")))
-        new_map = alg.Project(
-            alg.Join(step_renamed, prev, ((o2, "mid"),)),
-            (("outer", "outer"), ("inner", "inner")),
-        )
-        return new_loop, new_map, new_env
-
     # -------------------------------------------------------- conditionals
     def _c_IfExpr(self, e: ast.IfExpr, loop, env):
         trues = self._true_iters(e.cond, loop, env)
         falses = alg.Difference(loop, trues, ("iter",))
-        q_then = self.compile(e.then, trues, self._restrict_env(env, trues))
-        q_else = self.compile(e.els, falses, self._restrict_env(env, falses))
+        q_then = self.compile(e.then, trues, self._restricted(env, trues))
+        q_else = self.compile(e.els, falses, self._restricted(env, falses))
         return alg.Union((self._q3(q_then), self._q3(q_else)))
 
     def _c_Typeswitch(self, e: ast.Typeswitch, loop, env):
@@ -490,21 +788,21 @@ class Compiler:
             match = self._type_match_iters(operand, case.test, loop)
             case_loop = alg.SemiJoin(remaining, match, (("iter", "iter"),))
             remaining = alg.Difference(remaining, match, ("iter",))
-            case_env = self._restrict_env(env, case_loop)
-            if case.var is not None:
-                case_env[case.var] = alg.SemiJoin(
-                    operand, case_loop, (("iter", "iter"),)
-                )
             branches.append(
-                self._q3(self.compile(case.expr, case_loop, case_env))
+                self._q3(self._typeswitch_branch(case.expr, case.var, operand, case_loop, env))
             )
-        default_env = self._restrict_env(env, remaining)
-        if e.default_var is not None:
-            default_env[e.default_var] = alg.SemiJoin(
-                operand, remaining, (("iter", "iter"),)
-            )
-        branches.append(self._q3(self.compile(e.default, remaining, default_env)))
+        branches.append(self._q3(
+            self._typeswitch_branch(e.default, e.default_var, operand, remaining, env)
+        ))
         return alg.Union(tuple(branches))
+
+    def _typeswitch_branch(self, expr, var, operand, branch_loop, env):
+        branch_env = self._restricted(env, branch_loop)
+        if var is not None:
+            branch_env = branch_env.bind({var: (
+                branch_env.scope, alg.SemiJoin(operand, branch_loop, (("iter", "iter"),))
+            )})
+        return self.compile(expr, branch_loop, branch_env)
 
     def _type_match_iters(self, operand: alg.Op, test: ast.SeqTypeTest, loop) -> alg.Op:
         """Iterations whose operand value matches a sequence type (judged,
@@ -663,23 +961,8 @@ class Compiler:
         concatenate the results in context order."""
         ctxs = alg.Project(q, (("iter", "iter"), ("pos", "pos"), ("item", "item")))
         rn = alg.RowNum(ctxs, "citer", (("iter", False), ("pos", False)), None)
-        rmap = alg.Project(rn, (("outer", "iter"), ("inner", "citer")))
-        inner_loop = alg.Project(rn, (("iter", "citer"),))
-        env2 = self._lift_env(env, rmap)
-        env2[CTX_ITEM] = self._with_pos1(
-            alg.Project(rn, (("iter", "citer"), ("item", "item")))
-        )
-        pos_item = alg.Map(rn, "cast_int", "pitem", (col("pos"),))
-        env2[CTX_POSITION] = self._with_pos1(
-            alg.Project(pos_item, (("iter", "citer"), ("item", "pitem")))
-        )
-        counts = alg.Aggr(ctxs, "count", "n", None, "iter")
-        counts_item = alg.Map(counts, "cast_int", "citem", (col("n"),))
-        last_per_outer = self._with_pos1(
-            alg.Project(counts_item, (("iter", "iter"), ("item", "citem")))
-        )
-        env2[CTX_LAST] = self._lift(last_per_outer, rmap)
-        r = self.compile(step.expr, inner_loop, env2)
+        env2, rmap = self._context_env(env, ctxs, rn, "citer")
+        r = self.compile(step.expr, env2.loop, env2)
         r = self._apply_predicates(r, step.predicates, env2)
         ci = self.fresh("ci")
         joined = alg.Join(
@@ -691,6 +974,31 @@ class Compiler:
         return alg.Project(
             renum, (("iter", "outer"), ("pos", "pos1"), ("item", "item"))
         )
+
+    def _context_env(self, env: Env, seq: alg.Op, rn: alg.Op, citer: str):
+        """A barrier scope with one iteration per item of ``seq`` (numbered
+        ``citer`` by ``rn``) binding ``.``, fn:position() and fn:last();
+        returns it with its map(outer, inner) from ``env``'s scope."""
+        rmap = alg.Project(rn, (("outer", "iter"), ("inner", citer)))
+        inner = self._barrier(
+            env, alg.Project(rn, (("iter", citer),)), lambda p: self._lift(p, rmap)
+        )
+        pos_item = alg.Map(rn, "cast_int", "pitem", (col("pos"),))
+        counts = alg.Aggr(seq, "count", "n", None, "iter")
+        counts_item = alg.Map(counts, "cast_int", "citem", (col("n"),))
+        last_per_outer = self._with_pos1(
+            alg.Project(counts_item, (("iter", "iter"), ("item", "citem")))
+        )
+        scope = inner.scope
+        return inner.bind({
+            CTX_ITEM: (scope, self._with_pos1(
+                alg.Project(rn, (("iter", citer), ("item", "item")))
+            )),
+            CTX_POSITION: (scope, self._with_pos1(
+                alg.Project(pos_item, (("iter", citer), ("item", "pitem")))
+            )),
+            CTX_LAST: (scope, self._lift(last_per_outer, rmap)),
+        }), rmap
 
     def _c_Filter(self, e: ast.Filter, loop, env):
         base = self.compile(e.base, loop, env)
@@ -708,7 +1016,9 @@ class Compiler:
         per_ctx = alg.Project(cn, (("iter", "citer"), ("item", "item")))
         s = alg.StepJoin(per_ctx, step.axis, step.test)
         cur = self._q3(alg.RowNum(s, "pos", (("item", False),), "iter"))
-        env_in_ctx = self._lift_env(env, cmap)
+        env_in_ctx = self._barrier(
+            env, alg.Project(cn, (("iter", "citer"),)), lambda p: self._lift(p, cmap)
+        )
         for pred in step.predicates:
             cur = self._one_predicate(cur, pred, env_in_ctx)
         # back-map kept nodes to the original iterations; ddo per iteration
@@ -738,23 +1048,8 @@ class Compiler:
         context item, fn:position() and fn:last() bound.
         """
         rn = alg.RowNum(cur, "riter", (("iter", False), ("pos", False)), None)
-        rmap = alg.Project(rn, (("outer", "iter"), ("inner", "riter")))
-        pred_loop = alg.Project(rn, (("iter", "riter"),))
-        env_pred = self._lift_env(env, rmap)
-        env_pred[CTX_ITEM] = self._with_pos1(
-            alg.Project(rn, (("iter", "riter"), ("item", "item")))
-        )
-        pos_item = alg.Map(rn, "cast_int", "pitem", (col("pos"),))
-        env_pred[CTX_POSITION] = self._with_pos1(
-            alg.Project(pos_item, (("iter", "riter"), ("item", "pitem")))
-        )
-        counts = alg.Aggr(cur, "count", "n", None, "iter")
-        counts_item = alg.Map(counts, "cast_int", "citem", (col("n"),))
-        last_per_outer = self._with_pos1(
-            alg.Project(counts_item, (("iter", "iter"), ("item", "citem")))
-        )
-        env_pred[CTX_LAST] = self._lift(last_per_outer, rmap)
-
+        env_pred, _ = self._context_env(env, cur, rn, "riter")
+        pred_loop = env_pred.loop
         p = self.compile(pred, pred_loop, env_pred)
         pf = self._first(p)
         isnum = alg.Map(pf, "is_numeric", "isn", (col("item"),))
@@ -805,19 +1100,24 @@ class Compiler:
         )
         return filled  # (iter, item)
 
+    # constructor content is compiled behind a barrier (_sealed): nothing
+    # is hoisted across a constructor
     def _c_CompElement(self, e: ast.CompElement, loop, env):
+        env = self._sealed(env)
         names = self._string_per_iter(e.name, loop, env)
         content = self._q3(self.compile(e.content, loop, env))
         constructed = alg.ElemConstr(names, content)
         return self._with_pos1(constructed)
 
     def _c_CompAttribute(self, e: ast.CompAttribute, loop, env):
+        env = self._sealed(env)
         names = self._string_per_iter(e.name, loop, env)
         values = self._string_per_iter(e.value, loop, env)
         constructed = alg.AttrConstr(names, values)
         return self._with_pos1(constructed)
 
     def _c_CompText(self, e: ast.CompText, loop, env):
+        env = self._sealed(env)
         content = self._string_per_iter(e.content, loop, env)
         constructed = alg.TextConstr(content)
         return self._with_pos1(constructed)
@@ -837,33 +1137,28 @@ class Compiler:
                 f"recursion in {f.name} exceeds the compiler's inline depth "
                 f"({_MAX_INLINE_DEPTH}); use the baseline interpreter"
             )
-        # global (external) variables are statically visible in function
-        # bodies; being loop-invariant leaves they rebind in any scope.
-        # Function parameters shadow globals of the same name.
-        call_env = {
-            var.name: self._param_seq(var, loop) for var in self._external_vars
-        }
-        call_env.update(
-            (param, self.compile(arg, loop, env))
+        # the body is a hoisting barrier that sees only its parameters and
+        # the global (external) variables — loop-invariant leaves that
+        # rebind in any scope.  Parameters shadow globals of the same name.
+        scope = Scope(loop, unit=env.scope.unit)
+        call_vars = self._param_vars(scope)
+        call_vars.update(
+            (param, (scope, self.compile(arg, loop, env)))
             for param, arg in zip(f.params, args)
         )
         self._inline_depth += 1
         try:
-            return self.compile(f.body, loop, call_env)
+            return self.compile(f.body, loop, Env(self, scope, call_vars))
         finally:
             self._inline_depth -= 1
 
 
-def _untyped_path_from(e: ast.Expr, var: str) -> bool:
-    """Is ``e`` a pure axis path rooted at ``$var`` ending in an attribute
-    or text() step (guaranteeing xs:untypedAtomic atomization)?"""
-    if not isinstance(e, ast.PathExpr) or e.absolute or not e.steps:
-        return False
-    if not isinstance(e.start, ast.VarRef) or e.start.name != var:
-        return False
-    if not all(isinstance(s, ast.Step) for s in e.steps):
-        return False
-    return _last_step_untyped(e.steps[-1])
+def _split_conjunct(e: ast.Expr):
+    """``a and b and c`` → (``a``, ``b and c``); anything else → (e, None)."""
+    if not (isinstance(e, ast.BoolOp) and e.op == "and"):
+        return e, None
+    first, rest = _split_conjunct(e.lhs)
+    return first, e.rhs if rest is None else ast.BoolOp("and", rest, e.rhs)
 
 
 def _untyped_valued(e: ast.Expr) -> bool:

@@ -18,6 +18,8 @@ the interesting work happens in the compiler.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.errors import StaticError
 from repro.xquery import ast
 
@@ -74,94 +76,170 @@ _BUILTIN_ALIASES = {
 }
 
 
-def free_vars(expr: ast.Expr) -> set[str]:
-    """The free variables of an expression (used by join recognition to
-    detect loop-invariant for-clause bindings)."""
-    out: set[str] = set()
-    _free_vars(expr, set(), out)
+#: the context pseudo-variables: the context item, fn:position(), fn:last()
+CTX_ITEM = "fs:ctx"
+CTX_POSITION = "fs:position"
+CTX_LAST = "fs:last"
+CONTEXT_VARS = frozenset({CTX_ITEM, CTX_POSITION, CTX_LAST})
+
+#: zero-argument built-ins that read the context
+_CONTEXT_FUNCTIONS = {
+    "position": CTX_POSITION,
+    "last": CTX_LAST,
+    "string": CTX_ITEM,
+    "number": CTX_ITEM,
+    "string-length": CTX_ITEM,
+}
+
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def free_vars(expr: ast.Expr, memo: dict | None = None) -> frozenset[str]:
+    """The free variables of an expression, context dependence included.
+
+    Besides ``$name`` references, the result names the context
+    pseudo-variables (:data:`CONTEXT_VARS`) the expression reads from its
+    surroundings: ``.``, a relative path with no start, zero-argument
+    ``position()``/``last()``/``string()``/``number()``/
+    ``string-length()``.  Predicates and filter steps bind all three, so
+    their reads stay inside.
+
+    ``memo`` (keyed by node identity) makes repeated queries over one tree
+    linear: every node is analysed once, bottom-up.
+    """
+    return _fv(expr, {} if memo is None else memo)
+
+
+def _fv(e, memo: dict) -> frozenset[str]:
+    if e is None:
+        return _NO_VARS
+    hit = memo.get(id(e))
+    if hit is None:
+        # the node is kept alive next to its entry so its id cannot be reused
+        hit = memo[id(e)] = (e, _fv_node(e, memo))
+    return hit[1]
+
+
+def _fv_node(e, memo: dict) -> frozenset[str]:
+    if isinstance(e, ast.VarRef):
+        return frozenset({e.name})
+    if isinstance(e, ast.ContextItem):
+        return frozenset({CTX_ITEM})
+    if isinstance(e, ast.FLWOR):
+        out = set(_fv(e.ret, memo) | _fv(e.where, memo))
+        for spec in e.order:
+            out |= _fv(spec.expr, memo)
+        for c in reversed(e.clauses):
+            out -= {c.var, getattr(c, "pos_var", None)}
+            out |= _fv(c.expr, memo)
+        return frozenset(out)
+    if isinstance(e, ast.Quantified):
+        out = set(_fv(e.satisfies, memo))
+        for var, b in reversed(e.bindings):
+            out.discard(var)
+            out |= _fv(b, memo)
+        return frozenset(out)
+    if isinstance(e, ast.Typeswitch):
+        out = _fv(e.operand, memo) | (_fv(e.default, memo) - {e.default_var})
+        for case in e.cases:
+            out |= _fv(case.expr, memo) - {case.var}
+        return out
+    if isinstance(e, ast.PathExpr):
+        return _fv_path(e, memo)
+    if isinstance(e, ast.Filter):
+        return _fv(e.base, memo) | _fv_in_context(e.predicates, memo)
+    out = frozenset().union(*(_fv(c, memo) for c in sub_expressions(e)))
+    if isinstance(e, ast.FunctionCall) and not e.args and e.name in _CONTEXT_FUNCTIONS:
+        out |= {_CONTEXT_FUNCTIONS[e.name]}
     return out
 
 
-def _free_vars(e, bound: set[str], out: set[str]) -> None:
-    if e is None or isinstance(e, (ast.Literal, ast.EmptySeq, ast.ContextItem)):
-        return
-    if isinstance(e, ast.VarRef):
-        if e.name not in bound:
-            out.add(e.name)
-        return
+def _fv_path(e: ast.PathExpr, memo: dict) -> frozenset[str]:
+    steps = e.steps
+    if e.start is not None:
+        out = _fv(e.start, memo)
+    elif e.absolute:
+        out = _NO_VARS
+    elif steps and isinstance(steps[0], ast.FilterStep):
+        # before desugaring, a leading primary is the path's start
+        out = _fv(steps[0].expr, memo) | _fv_in_context(steps[0].predicates, memo)
+        steps = steps[1:]
+    else:
+        out = frozenset({CTX_ITEM})
+    for s in steps:
+        exprs = [s.expr, *s.predicates] if isinstance(s, ast.FilterStep) else s.predicates
+        out |= _fv_in_context(exprs, memo)
+    return out
+
+
+def _fv_in_context(exprs, memo: dict) -> frozenset[str]:
+    """Expressions evaluated per context item (predicates, filter steps):
+    the context they read is bound there, not free."""
+    return frozenset().union(*(_fv(x, memo) for x in exprs)) - CONTEXT_VARS
+
+
+def sub_expressions(e: ast.Expr) -> Iterator[ast.Expr]:
+    """The direct sub-expressions of ``e``, in source order."""
     if isinstance(e, ast.FLWOR):
-        inner = set(bound)
         for c in e.clauses:
-            if isinstance(c, ast.ForClause):
-                _free_vars(c.expr, inner, out)
-                inner.add(c.var)
-                if c.pos_var:
-                    inner.add(c.pos_var)
-            else:
-                _free_vars(c.expr, inner, out)
-                inner.add(c.var)
+            yield c.expr
         if e.where is not None:
-            _free_vars(e.where, inner, out)
+            yield e.where
         for spec in e.order:
-            _free_vars(spec.expr, inner, out)
-        _free_vars(e.ret, inner, out)
-        return
-    if isinstance(e, ast.Quantified):
-        inner = set(bound)
-        for var, b in e.bindings:
-            _free_vars(b, inner, out)
-            inner.add(var)
-        _free_vars(e.satisfies, inner, out)
-        return
-    if isinstance(e, ast.Typeswitch):
-        _free_vars(e.operand, bound, out)
+            yield spec.expr
+        yield e.ret
+    elif isinstance(e, ast.Quantified):
+        for _, b in e.bindings:
+            yield b
+        yield e.satisfies
+    elif isinstance(e, ast.Typeswitch):
+        yield e.operand
         for case in e.cases:
-            inner = set(bound)
-            if case.var:
-                inner.add(case.var)
-            _free_vars(case.expr, inner, out)
-        inner = set(bound)
-        if e.default_var:
-            inner.add(e.default_var)
-        _free_vars(e.default, inner, out)
-        return
-    if isinstance(e, ast.PathExpr):
-        _free_vars(e.start, bound, out)
+            yield case.expr
+        yield e.default
+    elif isinstance(e, ast.PathExpr):
+        if e.start is not None:
+            yield e.start
         for s in e.steps:
             if isinstance(s, ast.FilterStep):
-                _free_vars(s.expr, bound, out)
-            for p in s.predicates:
-                _free_vars(p, bound, out)
-        return
-    if isinstance(e, ast.Filter):
-        _free_vars(e.base, bound, out)
-        for p in e.predicates:
-            _free_vars(p, bound, out)
-        return
-    if isinstance(e, ast.Sequence):
-        for item in e.items:
-            _free_vars(item, bound, out)
-        return
-    if isinstance(e, ast.FunctionCall):
-        for a in e.args:
-            _free_vars(a, bound, out)
-        return
-    if isinstance(e, ast.DirectElement):
+                yield s.expr
+            yield from s.predicates
+    elif isinstance(e, ast.Filter):
+        yield e.base
+        yield from e.predicates
+    elif isinstance(e, ast.Sequence):
+        yield from e.items
+    elif isinstance(e, ast.FunctionCall):
+        yield from e.args
+    elif isinstance(e, ast.DirectElement):
         for _, parts in e.attributes:
-            for part in parts:
-                if not isinstance(part, str):
-                    _free_vars(part, bound, out)
-        for part in e.content:
-            if not isinstance(part, str):
-                _free_vars(part, bound, out)
-        return
-    # generic fallback: walk the known child attributes
-    for attr in ("lo", "hi", "cond", "then", "els", "lhs", "rhs", "operand",
-                 "name", "content", "value", "ret", "expr", "base",
-                 "source", "target"):
-        child = getattr(e, attr, None)
-        if isinstance(child, ast.Expr):
-            _free_vars(child, bound, out)
+            yield from (p for p in parts if not isinstance(p, str))
+        yield from (p for p in e.content if not isinstance(p, str))
+    else:
+        for attr in _CHILD_FIELDS.get(type(e), ()):
+            yield getattr(e, attr)
+
+
+#: the sub-expression fields of the node types with a fixed shape
+_CHILD_FIELDS = {
+    ast.RangeExpr: ("lo", "hi"),
+    ast.IfExpr: ("cond", "then", "els"),
+    ast.Neg: ("operand",),
+    ast.CastExpr: ("operand",),
+    ast.InstanceOf: ("operand",),
+    ast.CompElement: ("name", "content"),
+    ast.CompAttribute: ("name", "value"),
+    ast.CompText: ("content",),
+    ast.InsertExpr: ("source", "target"),
+    ast.DeleteExpr: ("target",),
+    ast.ReplaceExpr: ("target", "source"),
+    ast.ReplaceValueExpr: ("target", "value"),
+    ast.RenameExpr: ("target", "name"),
+    **{t: ("lhs", "rhs") for t in (
+        ast.NodeUnion, ast.NodeSetOp, ast.Arith, ast.ValueComp,
+        ast.GeneralComp, ast.NodeComp, ast.BoolOp,
+    )},
+}
 
 
 def is_updating(expr: ast.Expr) -> bool:
