@@ -6,7 +6,7 @@ quantifiers and typeswitch on a small hand-written document.
 Run:  python examples/bibliography.py
 """
 
-from repro import PathfinderEngine
+import repro
 
 BIB = """
 <bib>
@@ -75,11 +75,11 @@ QUERIES = {
 
 
 def main() -> None:
-    engine = PathfinderEngine()
-    engine.load_document("bib.xml", BIB)
+    session = repro.connect()
+    session.database.load_document("bib.xml", BIB)
     for label, query in QUERIES.items():
         try:
-            out = engine.execute(query).serialize()
+            out = session.execute(query).serialize()
         except Exception as exc:
             out = f"<error: {exc}>"
         print(f"== {label} ==")

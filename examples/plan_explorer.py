@@ -13,7 +13,7 @@ Run:  python examples/plan_explorer.py ["your query"]
 import sys
 from collections import Counter
 
-from repro import PathfinderEngine
+import repro
 from repro.relational import algebra as alg
 from repro.relational.optimizer import CardinalityEstimator, optimize
 
@@ -21,12 +21,12 @@ FIGURE5 = "for $v in (10,20) return $v + 100"
 FIGURE3 = "for $v in (10,20), $w in (100,200) return $v + $w"
 
 
-def print_pass_diffs(engine: PathfinderEngine, plan: alg.Op) -> None:
+def print_pass_diffs(database: repro.Database, plan: alg.Op) -> None:
     """Re-optimize ``plan`` with tracing on and print, for every pass
     application that changed the plan, the node-count delta and which
     operators (by label) appeared or disappeared."""
     estimator = CardinalityEstimator.from_database(
-        engine.arena, engine.documents
+        database.arena, database.documents
     )
     trace: list = []
     optimize(plan, estimator=estimator, trace=trace)
@@ -48,10 +48,11 @@ def print_pass_diffs(engine: PathfinderEngine, plan: alg.Op) -> None:
 
 def main() -> None:
     query = sys.argv[1] if len(sys.argv) > 1 else FIGURE5
-    engine = PathfinderEngine()
-    engine.load_document("doc.xml", "<site><a>1</a><a>2</a></site>")
+    session = repro.connect()
+    database = session.database
+    database.load_document("doc.xml", "<site><a>1</a><a>2</a></site>")
 
-    report = engine.explain(query)
+    report = session.explain(query)
     print("query:")
     print("   ", query)
     print(
@@ -63,7 +64,7 @@ def main() -> None:
     print(report.pass_table)
 
     print("\n-- per-pass plan diffs (what each rewrite pass did) --")
-    print_pass_diffs(engine, report.plan)
+    print_pass_diffs(database, report.plan)
 
     print("\n-- optimized plan (shared subplans shown once as @N) --")
     print(report.plan_ascii)
@@ -77,12 +78,12 @@ def main() -> None:
     print(f"... ({len(mil.splitlines())} lines total)")
 
     # trace: the intermediate table of every operator (Figure 3 style)
-    result = engine.execute(FIGURE3, trace=True)
+    result = session.execute(FIGURE3, trace=True)
     print(f"\n-- intermediate results of: {FIGURE3} --")
     interesting = []
     for table in result.trace.values():
         if set(table.schema) == {"iter", "pos", "item"} and 0 < table.num_rows <= 4:
-            rows = table.to_rows(engine.arena.pool)
+            rows = table.to_rows(database.arena.pool)
             if rows not in interesting:
                 interesting.append(rows)
     for rows in interesting[:8]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 import time
 
-from repro import PathfinderEngine
+import repro
 from repro.baseline.interpreter import Interpreter
 from repro.errors import PathfinderError
 from repro.xmark import generate_document
@@ -28,8 +28,9 @@ from repro.xquery.parser import parse_query
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.002
     print(f"loading XMark instance at scale {scale} ...")
-    engine = PathfinderEngine()
-    nodes = engine.load_document("auction.xml", generate_document(scale))
+    session = repro.connect()
+    database = session.database
+    nodes = database.load_document("auction.xml", generate_document(scale))
     print(f"{nodes} nodes loaded; default document: auction.xml")
     print('try:  for $p in /site/people/person[position() <= 3] return $p/name')
     print("commands: \\plan \\mil \\base \\quit\n")
@@ -59,7 +60,7 @@ def main() -> None:
             continue
         try:
             t0 = time.perf_counter()
-            result = engine.execute(line)
+            result = session.execute(line)
             elapsed = time.perf_counter() - t0
             out = result.serialize()
             print(out if len(out) < 2000 else out[:2000] + " ...")
@@ -67,14 +68,14 @@ def main() -> None:
                   f"(compile {result.compile_seconds * 1000:.1f}, "
                   f"execute {result.execute_seconds * 1000:.1f})")
             if show_plan:
-                report = engine.explain(line)
+                report = session.explain(line)
                 print(report.plan_ascii)
             if show_mil:
-                print(engine.explain(line).mil)
+                print(session.explain(line).mil)
             if cross_check:
                 module = desugar_module(parse_query(line))
                 interp = Interpreter(
-                    engine.arena, engine.documents, engine.default_document
+                    database.arena, database.documents, database.default_document
                 )
                 interp.set_deadline(30)
                 agree = interp.serialize(interp.execute(module)) == out

@@ -6,7 +6,7 @@ XPath Accelerator encoding, XQuery is loop-lifted into a DAG of plain
 relational operators, axis steps run as staircase joins, and the plan is
 evaluated column-at-a-time on numpy.
 
-Public entry points (layered API)::
+The one entry point is :func:`repro.connect`::
 
     import repro
 
@@ -17,13 +17,13 @@ Public entry points (layered API)::
     )
     result = prepared.execute({"n": 1})        # compile once, bind many
 
-* :func:`repro.connect` / :class:`repro.api.Database` — documents,
-  arena and the shared compile-once plan cache.
-* :class:`repro.api.Session` — per-client settings, variable bindings
-  and statistics; ``prepare()`` returns a
-  :class:`repro.api.PreparedQuery`.
-* :class:`repro.engine.PathfinderEngine` — the legacy monolithic API,
-  kept as a thin shim over the layers above.
+* :func:`repro.connect` / :class:`repro.Database` — documents, arena
+  and the shared compile-once plan cache.
+* :class:`repro.Session` — per-client settings, variable bindings and
+  statistics; ``prepare()`` returns a :class:`repro.PreparedQuery`,
+  ``execute()`` a lazily serialising :class:`repro.QueryResult` and
+  ``explain()`` an :class:`repro.ExplainReport` of every compilation
+  stage.
 * :mod:`repro.server` — the HTTP serving subsystem (``python -m repro
   serve``): worker pool, deadlines, hot document management.
 * :class:`repro.baseline.interpreter.Interpreter` — the conventional
@@ -35,10 +35,17 @@ shared by many sessions on many threads (see
 :mod:`repro.api.concurrency` and ``docs/serving.md``).
 """
 
-from repro.api import Database, PlanCache, PreparedQuery, Session, connect
-from repro.engine import ExplainReport, PathfinderEngine, QueryResult
+from repro.api import (
+    Database,
+    ExplainReport,
+    PlanCache,
+    PreparedQuery,
+    QueryResult,
+    Session,
+    connect,
+)
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "connect",
@@ -46,7 +53,6 @@ __all__ = [
     "Session",
     "PreparedQuery",
     "PlanCache",
-    "PathfinderEngine",
     "QueryResult",
     "ExplainReport",
     "__version__",

@@ -5,7 +5,9 @@
   LRU plan cache keyed by query text + document epochs;
 * :class:`~repro.api.session.Session` (``Database.connect()`` /
   ``repro.connect()``) is one client's execution context: settings,
-  session-level variable bindings and statistics;
+  session-level variable bindings and statistics; ``explain()`` returns
+  an :class:`~repro.api.session.ExplainReport` of every compilation
+  stage;
 * :class:`~repro.api.prepared.PreparedQuery` is a compiled, cacheable
   plan supporting external-variable binding, so one compilation serves
   many parameterized executions;
@@ -17,21 +19,19 @@ catalog with a readers/writer lock (:mod:`repro.api.concurrency`), the
 plan cache is an internally-locked LRU with single-flight compilation,
 and sessions share nothing mutable with each other — one session per
 thread needs no extra locking.
-
-The legacy :class:`repro.engine.PathfinderEngine` is a thin shim over
-these layers.
 """
 
 from repro.api.concurrency import RWLock, SingleFlight
 from repro.api.database import Database, connect
 from repro.api.plan_cache import CachedPlan, PlanCache, PlanCacheStats
 from repro.api.prepared import PreparedQuery, QueryResult
-from repro.api.session import Session, SessionStats
+from repro.api.session import ExplainReport, Session, SessionStats
 
 __all__ = [
     "Database",
     "Session",
     "SessionStats",
+    "ExplainReport",
     "PreparedQuery",
     "QueryResult",
     "PlanCache",

@@ -30,10 +30,59 @@ from dataclasses import dataclass
 
 from repro.api.prepared import PreparedQuery
 from repro.errors import PathfinderError
-from repro.relational.optimizer import OPTIMIZER_MODES
+from repro.relational import algebra as alg
+from repro.relational.dot import to_ascii, to_dot
+from repro.relational.optimizer import OPTIMIZER_MODES, OptimizerStats
 
 #: back-ends a session can evaluate plans on
 BACKENDS = ("numpy", "sqlhost")
+
+
+@dataclass
+class ExplainReport:
+    """Every stage of the compilation of one query."""
+
+    query: str
+    module: object
+    core: object
+    plan: alg.Op
+    optimized: alg.Op
+    stats: OptimizerStats
+    #: planning strategy the optimized plan was compiled under
+    optimizer_mode: str = "cost"
+
+    @property
+    def pass_table(self) -> str:
+        """Per-pass optimizer statistics as an aligned text table."""
+        return self.stats.pass_table()
+
+    @property
+    def plan_ascii(self) -> str:
+        """The optimized plan as indented text."""
+        return to_ascii(self.optimized)
+
+    @property
+    def plan_dot(self) -> str:
+        """The optimized plan as Graphviz dot."""
+        return to_dot(self.optimized, title="optimized plan")
+
+    @property
+    def unoptimized_ascii(self) -> str:
+        """The loop-lifted plan, before any rewrite, as indented text."""
+        return to_ascii(self.plan)
+
+    @property
+    def unoptimized_dot(self) -> str:
+        """The loop-lifted plan, before any rewrite, as Graphviz dot."""
+        return to_dot(self.plan, title="loop-lifted plan")
+
+    @property
+    def mil(self) -> str:
+        """The optimized plan as a MIL program (the paper's demo artifact:
+        'translated into ... a MIL program' shipped to MonetDB)."""
+        from repro.compiler.milgen import to_mil
+
+        return to_mil(self.optimized, self.query)
 
 
 @dataclass
@@ -186,7 +235,7 @@ class Session:
         self.stats.updates_executed += 1
         return result
 
-    def explain(self, query: str):
+    def explain(self, query: str) -> ExplainReport:
         """Expose every compilation stage of a query (demo hooks).
 
         The optimized plan and its stats come from the (cache-backed,
@@ -195,7 +244,6 @@ class Session:
         recompiled.
         """
         from repro.compiler.loop_lifting import Compiler
-        from repro.engine import ExplainReport
 
         with self.database.read_locked():
             entry = self.prepare(query)._entry

@@ -115,8 +115,8 @@ def serialize_node_recursive(arena: NodeArena, node: int) -> str:
 
     The original node-at-a-time post-processor (one ``children_ranges`` /
     ``attr_ranges`` call per node).  Kept as the oracle the scan
-    serializer is differentially tested against — and as the baseline
-    ``benchmarks/bench_serialize.py`` measures the speedup over.
+    serializer is differentially tested against
+    (``tests/test_serialize_roundtrip.py``).
     """
     out: list[str] = []
     _serialize_into(arena, node, out)

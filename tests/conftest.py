@@ -1,4 +1,4 @@
-"""Shared fixtures: arenas, documents and engines."""
+"""Shared fixtures: arenas, documents and sessions."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro import PathfinderEngine
+from repro import Session, connect
 from repro.baseline import Interpreter
 from repro.encoding.arena import NodeArena
 from repro.encoding.shred import shred_text
@@ -38,35 +38,44 @@ def small_arena():
     return a, doc
 
 
-@pytest.fixture
-def engine():
-    e = PathfinderEngine()
-    e.load_document("doc.xml", SMALL_XML)
-    return e
+def open_session(uri: str, xml: str, **settings) -> Session:
+    """A session (``settings`` as for :func:`repro.connect`) over a fresh
+    database holding one document."""
+    session = connect(**settings)
+    session.database.load_document(uri, xml)
+    return session
 
 
 @pytest.fixture
-def xmark_engine():
+def session():
+    return open_session("doc.xml", SMALL_XML)
+
+
+@pytest.fixture
+def xmark_session():
     from repro.xmark import generate_document
 
-    e = PathfinderEngine()
-    e.load_document("auction.xml", generate_document(0.001, seed=11))
-    return e
+    return open_session("auction.xml", generate_document(0.001, seed=11))
 
 
-def run_pf(engine: PathfinderEngine, query: str) -> str:
+def run_pf(session: Session, query: str) -> str:
     """Execute on Pathfinder, returning serialised output."""
-    return engine.execute(query).serialize()
+    return session.execute(query).serialize()
 
 
-def run_baseline(engine: PathfinderEngine, query: str, **kw) -> str:
+def baseline_for(session: Session, **kw) -> Interpreter:
+    """The nested-loop baseline interpreter over ``session``'s documents."""
+    database = session.database
+    return Interpreter(
+        database.arena, database.documents, database.default_document, **kw
+    )
+
+
+def run_baseline(session: Session, query: str, **kw) -> str:
     """Execute the same query on the nested-loop baseline over the same
     documents; returns serialised output."""
-    module = desugar_module(parse_query(query))
-    interp = Interpreter(
-        engine.arena, engine.documents, engine.default_document, **kw
-    )
-    return interp.serialize(interp.execute(module))
+    interp = baseline_for(session, **kw)
+    return interp.serialize(interp.execute(desugar_module(parse_query(query))))
 
 
 @contextmanager

@@ -4,9 +4,8 @@ plan cache / external-variable binding."""
 import pytest
 
 import repro
-from repro import Database, PathfinderEngine, connect
+from repro import Database, connect
 from repro.errors import DynamicError, PathfinderError, StaticError
-from tests.conftest import SMALL_XML
 
 DOC = "<r><v>1</v><v>2</v><v>3</v></r>"
 PARAM_QUERY = (
@@ -362,32 +361,14 @@ class TestQueryResult:
         assert result.trace and len(result.trace) > 3
 
 
-class TestEngineShim:
-    def test_import_path_still_works(self):
-        assert repro.PathfinderEngine is PathfinderEngine
+class TestPublicNames:
+    def test_query_result_is_what_execute_returns(self):
+        assert isinstance(connect().execute("1"), repro.QueryResult)
+        assert repro.QueryResult is repro.api.prepared.QueryResult
 
-    def test_engine_delegates_to_database(self):
-        engine = PathfinderEngine()
-        engine.load_document("d.xml", SMALL_XML)
-        assert engine.database.documents == engine.documents
-        assert engine.arena is engine.database.arena
-        assert engine.default_document == "d.xml"
-
-    def test_engine_execute_uses_the_plan_cache(self):
-        engine = PathfinderEngine()
-        engine.load_document("d.xml", SMALL_XML)
-        engine.execute("count(//a)")
-        engine.execute("count(//a)")
-        assert engine.database.plan_cache.stats.hits == 1
-
-    def test_engine_on_shared_database(self, db):
-        engine = PathfinderEngine(database=db)
-        assert engine.execute("count(/r/v)").serialize() == "3"
-
-    def test_explain_matches_legacy_shape(self):
-        engine = PathfinderEngine()
-        engine.load_document("d.xml", SMALL_XML)
-        report = engine.explain("for $v in (10,20) return $v + 100")
+    def test_explain_returns_the_report(self, session):
+        report = session.explain("for $v in (10,20) return $v + 100")
+        assert isinstance(report, repro.ExplainReport)
         assert report.stats.ops_before >= report.stats.ops_after
         assert "ϱ" in report.unoptimized_ascii
 

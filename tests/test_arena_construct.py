@@ -7,6 +7,8 @@ from repro.encoding.arena import NK_TEXT, NodeArena
 from repro.encoding.shred import shred_text
 from repro.xml.serializer import serialize_node
 
+from tests.conftest import open_session
+
 
 @pytest.fixture
 def arena():
@@ -109,19 +111,13 @@ class TestElementConstruction:
 
 class TestConstructionThroughQueries:
     def test_nested_constructors(self):
-        from repro import PathfinderEngine
-
-        e = PathfinderEngine()
-        e.load_document("d", "<r><v>1</v></r>")
-        out = e.execute("<a>{<b>{/r/v}</b>}</a>").serialize()
+        session = open_session("d", "<r><v>1</v></r>")
+        out = session.execute("<a>{<b>{/r/v}</b>}</a>").serialize()
         assert out == "<a><b><v>1</v></b></a>"
 
     def test_construction_does_not_disturb_documents(self):
-        from repro import PathfinderEngine
-
-        e = PathfinderEngine()
-        e.load_document("d", "<r><v>1</v></r>")
-        before = e.execute("count(//v)").serialize()
-        e.execute("<x>{/r/v}</x>")
+        session = open_session("d", "<r><v>1</v></r>")
+        before = session.execute("count(//v)").serialize()
+        session.execute("<x>{/r/v}</x>")
         # constructed copies live in new fragments, not under doc roots
-        assert e.execute("count(//v)").serialize() == before
+        assert session.execute("count(//v)").serialize() == before

@@ -31,39 +31,39 @@ CASES = [
 
 
 @pytest.mark.parametrize("query,expected", CASES, ids=[c[0][:35] for c in CASES])
-def test_builtin_on_pathfinder(engine, query, expected):
-    assert run_pf(engine, query) == expected
+def test_builtin_on_pathfinder(session, query, expected):
+    assert run_pf(session, query) == expected
 
 
 @pytest.mark.parametrize("query,expected", CASES, ids=[c[0][:35] for c in CASES])
-def test_builtin_on_baseline(engine, query, expected):
-    assert run_baseline(engine, query) == expected
+def test_builtin_on_baseline(session, query, expected):
+    assert run_baseline(session, query) == expected
 
 
 class TestOrderingRegressions:
-    def test_str_join_respects_sequence_order(self, engine):
+    def test_str_join_respects_sequence_order(self, session):
         """Regression: string-join over a union-built sequence must join
         in pos order, not physical row order."""
         query = (
             "string-join(for $s in (for $v in /site/a return (0, $v)) "
             "return string($s), '|')"
         )
-        assert run_pf(engine, query) == run_baseline(engine, query) == "0|1|0|2"
+        assert run_pf(session, query) == run_baseline(session, query) == "0|1|0|2"
 
-    def test_constructor_content_order(self, engine):
+    def test_constructor_content_order(self, session):
         query = "<t>{ for $v in /site/a return (0, $v/text()) }</t>"
-        assert run_pf(engine, query) == run_baseline(engine, query)
+        assert run_pf(session, query) == run_baseline(session, query)
 
-    def test_distinct_values_keeps_first_in_sequence_order(self, engine):
+    def test_distinct_values_keeps_first_in_sequence_order(self, session):
         query = (
             'string-join(distinct-values(for $v in (1,2) return ("b", "a")), "-")'
         )
-        assert run_pf(engine, query) == run_baseline(engine, query) == "b-a"
+        assert run_pf(session, query) == run_baseline(session, query) == "b-a"
 
-    def test_avt_multi_item_order(self, engine):
+    def test_avt_multi_item_order(self, session):
         query = "<x v=\"{ for $v in /site/a return (9, $v/text()) }\"/>"
-        assert run_pf(engine, query) == run_baseline(engine, query)
+        assert run_pf(session, query) == run_baseline(session, query)
 
-    def test_union_is_document_ordered(self, engine):
+    def test_union_is_document_ordered(self, session):
         query = "for $n in (/site/b | /site/a) return name($n)"
-        assert run_pf(engine, query) == run_baseline(engine, query) == "a a b"
+        assert run_pf(session, query) == run_baseline(session, query) == "a a b"

@@ -72,5 +72,5 @@ EDGE_CASES = [
 @pytest.mark.parametrize(
     "query", EDGE_CASES, ids=[f"edge{i}" for i in range(len(EDGE_CASES))]
 )
-def test_edge_case_agreement(engine, query):
-    assert run_pf(engine, query) == run_baseline(engine, query)
+def test_edge_case_agreement(session, query):
+    assert run_pf(session, query) == run_baseline(session, query)

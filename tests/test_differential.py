@@ -10,7 +10,7 @@ reproduction has.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tests.conftest import run_baseline, run_pf
+from tests.conftest import SMALL_XML, open_session, run_baseline, run_pf
 
 BATTERY = [
     "1 + 2 * 3 - 4 idiv 2",
@@ -59,8 +59,8 @@ BATTERY = [
 
 
 @pytest.mark.parametrize("query", BATTERY, ids=[f"q{i}" for i in range(len(BATTERY))])
-def test_battery_agreement(engine, query):
-    assert run_pf(engine, query) == run_baseline(engine, query)
+def test_battery_agreement(session, query):
+    assert run_pf(session, query) == run_baseline(session, query)
 
 
 # --------------------------------------------------------------------------
@@ -142,34 +142,25 @@ def _deep_expr(draw):
 @given(_deep_expr())
 def test_deep_random_query_agreement(query):
     try:
-        pf = run_pf(_ENGINE, query)
+        pf = run_pf(_SESSION, query)
     except Exception as exc:
         with pytest.raises(type(exc)):
-            run_baseline(_ENGINE, query)
+            run_baseline(_SESSION, query)
         return
-    assert pf == run_baseline(_ENGINE, query), query
+    assert pf == run_baseline(_SESSION, query), query
 
 
-# hypothesis and function-scoped fixtures don't mix; use a module engine
-def _make_engine():
-    from repro import PathfinderEngine
-    from tests.conftest import SMALL_XML
-
-    e = PathfinderEngine()
-    e.load_document("doc.xml", SMALL_XML)
-    return e
-
-
-_ENGINE = _make_engine()
+# hypothesis and function-scoped fixtures don't mix; use a module session
+_SESSION = open_session("doc.xml", SMALL_XML)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_expr())
 def test_random_query_agreement(query):
     try:
-        pf = run_pf(_ENGINE, query)
+        pf = run_pf(_SESSION, query)
     except Exception as exc:  # both engines must fail alike
         with pytest.raises(type(exc)):
-            run_baseline(_ENGINE, query)
+            run_baseline(_SESSION, query)
         return
-    assert pf == run_baseline(_ENGINE, query), query
+    assert pf == run_baseline(_SESSION, query), query

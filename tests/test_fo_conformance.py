@@ -1,7 +1,7 @@
 """F&O conformance edge cases, run differentially against the baseline.
 
 Each case in :data:`AGREE_CASES` must produce identical serialized output
-on the loop-lifting/numpy engine and the nested-loop interpreter; the
+on the loop-lifting/numpy session and the nested-loop interpreter; the
 error classes assert the W3C error *codes* on both engines.  The suite
 pins the four conformance fixes of the update-facility PR — substring
 over NaN/±INF, exact-numeric division by zero, string min/max + sum type
@@ -13,31 +13,26 @@ from __future__ import annotations
 
 import pytest
 
-from repro import PathfinderEngine
 from repro.errors import DynamicError
 from repro.xquery.core import desugar_module
 from repro.xquery.parser import parse_query
 
-from tests.conftest import run_baseline, run_pf
+from tests.conftest import baseline_for, open_session, run_baseline, run_pf
 
 
 @pytest.fixture
-def engine():
-    e = PathfinderEngine()
-    e.load_document(
+def session():
+    return open_session(
         "doc.xml", "<r><n>1</n><n>2.5</n><s>beta</s><s>alpha</s></r>"
     )
-    return e
 
 
-def both_raise(engine, query, code):
+def both_raise(session, query, code):
     """Both engines must raise a DynamicError carrying ``code``."""
     with pytest.raises(DynamicError) as exc:
-        engine.execute(query)
+        session.execute(query)
     assert exc.value.code == code
-    from repro.baseline.interpreter import Interpreter
-
-    interp = Interpreter(engine.arena, engine.documents, engine.default_document)
+    interp = baseline_for(session)
     module = desugar_module(parse_query(query))
     with pytest.raises(DynamicError) as exc:
         interp.execute(module)
@@ -123,92 +118,92 @@ AGREE_CASES = [
 @pytest.mark.parametrize(
     "query", AGREE_CASES, ids=[f"fo{i}" for i in range(len(AGREE_CASES))]
 )
-def test_engines_agree(engine, query):
-    assert run_pf(engine, query) == run_baseline(engine, query)
+def test_engines_agree(session, query):
+    assert run_pf(session, query) == run_baseline(session, query)
 
 
 # ------------------------------------------------------------ fixed values
 class TestSubstring:
-    def test_nan_start_is_empty(self, engine):
-        assert run_pf(engine, 'substring("hello", 0 div 0e0)') == ""
+    def test_nan_start_is_empty(self, session):
+        assert run_pf(session, 'substring("hello", 0 div 0e0)') == ""
 
-    def test_nan_length_is_empty(self, engine):
-        assert run_pf(engine, 'substring("hello", 1, 0 div 0e0)') == ""
+    def test_nan_length_is_empty(self, session):
+        assert run_pf(session, 'substring("hello", 1, 0 div 0e0)') == ""
 
-    def test_negative_start_clamps(self, engine):
-        assert run_pf(engine, 'substring("hello", -42)') == "hello"
+    def test_negative_start_clamps(self, session):
+        assert run_pf(session, 'substring("hello", -42)') == "hello"
 
-    def test_negative_length_is_empty(self, engine):
-        assert run_pf(engine, 'substring("hello", 2, -1)') == ""
+    def test_negative_length_is_empty(self, session):
+        assert run_pf(session, 'substring("hello", 2, -1)') == ""
 
-    def test_spec_examples(self, engine):
+    def test_spec_examples(self, session):
         # the F&O 7.4.3 examples
-        assert run_pf(engine, 'substring("motor car", 6)') == " car"
-        assert run_pf(engine, 'substring("metadata", 4, 3)') == "ada"
-        assert run_pf(engine, 'substring("12345", 1.5, 2.6)') == "234"
-        assert run_pf(engine, 'substring("12345", 0, 3)') == "12"
-        assert run_pf(engine, 'substring("12345", -3, 5)') == "1"
+        assert run_pf(session, 'substring("motor car", 6)') == " car"
+        assert run_pf(session, 'substring("metadata", 4, 3)') == "ada"
+        assert run_pf(session, 'substring("12345", 1.5, 2.6)') == "234"
+        assert run_pf(session, 'substring("12345", 0, 3)') == "12"
+        assert run_pf(session, 'substring("12345", -3, 5)') == "1"
 
 
 class TestDivisionByZero:
-    def test_integer_div_raises(self, engine):
-        both_raise(engine, "1 div 0", "err:FOAR0001")
+    def test_integer_div_raises(self, session):
+        both_raise(session, "1 div 0", "err:FOAR0001")
 
-    def test_decimal_div_raises(self, engine):
-        both_raise(engine, "1.0 div 0.0", "err:FOAR0001")
+    def test_decimal_div_raises(self, session):
+        both_raise(session, "1.0 div 0.0", "err:FOAR0001")
 
-    def test_mixed_exact_div_raises(self, engine):
-        both_raise(engine, "1.0 div 0", "err:FOAR0001")
+    def test_mixed_exact_div_raises(self, session):
+        both_raise(session, "1.0 div 0", "err:FOAR0001")
 
-    def test_nested_decimal_result_raises(self, engine):
-        both_raise(engine, "(1 div 2) div 0", "err:FOAR0001")
+    def test_nested_decimal_result_raises(self, session):
+        both_raise(session, "(1 div 2) div 0", "err:FOAR0001")
 
-    def test_integer_mod_zero_raises(self, engine):
-        both_raise(engine, "1 mod 0", "err:FOAR0001")
+    def test_integer_mod_zero_raises(self, session):
+        both_raise(session, "1 mod 0", "err:FOAR0001")
 
-    def test_double_div_is_inf(self, engine):
-        assert run_pf(engine, "1e0 div 0e0") == "INF"
-        assert run_pf(engine, "0e0 div 0e0") == "NaN"
+    def test_double_div_is_inf(self, session):
+        assert run_pf(session, "1e0 div 0e0") == "INF"
+        assert run_pf(session, "0e0 div 0e0") == "NaN"
 
-    def test_untyped_divides_as_double(self, engine):
+    def test_untyped_divides_as_double(self, session):
         # untypedAtomic casts to xs:double, so INF is allowed
-        assert run_pf(engine, "/r/n[1] div 0") == "INF"
+        assert run_pf(session, "/r/n[1] div 0") == "INF"
 
 
 class TestAggregates:
-    def test_min_strings(self, engine):
-        assert run_pf(engine, 'min(("b", "a"))') == "a"
+    def test_min_strings(self, session):
+        assert run_pf(session, 'min(("b", "a"))') == "a"
 
-    def test_max_strings(self, engine):
-        assert run_pf(engine, 'max(("b", "a"))') == "b"
+    def test_max_strings(self, session):
+        assert run_pf(session, 'max(("b", "a"))') == "b"
 
-    def test_min_mixed_raises(self, engine):
-        both_raise(engine, 'min((2, "a"))', "err:FORG0006")
+    def test_min_mixed_raises(self, session):
+        both_raise(session, 'min((2, "a"))', "err:FORG0006")
 
-    def test_sum_strings_raises(self, engine):
-        both_raise(engine, 'sum(("a", "b"))', "err:FORG0006")
+    def test_sum_strings_raises(self, session):
+        both_raise(session, 'sum(("a", "b"))', "err:FORG0006")
 
-    def test_avg_strings_raises(self, engine):
-        both_raise(engine, 'avg(("a", "b"))', "err:FORG0006")
+    def test_avg_strings_raises(self, session):
+        both_raise(session, 'avg(("a", "b"))', "err:FORG0006")
 
-    def test_sum_empty_still_zero(self, engine):
-        assert run_pf(engine, "sum(())") == "0"
+    def test_sum_empty_still_zero(self, session):
+        assert run_pf(session, "sum(())") == "0"
 
-    def test_min_grouped_strings(self, engine):
+    def test_min_grouped_strings(self, session):
         # the loop-lifted (grouped) aggregate path, not just the global one
         out = run_pf(
-            engine, 'for $i in (1, 2) return min(("b", "a", string($i)))'
+            session, 'for $i in (1, 2) return min(("b", "a", string($i)))'
         )
         assert out == run_baseline(
-            engine, 'for $i in (1, 2) return min(("b", "a", string($i)))'
+            session, 'for $i in (1, 2) return min(("b", "a", string($i)))'
         )
 
-    def test_min_string_and_numeric_groups_coexist(self, engine):
+    def test_min_string_and_numeric_groups_coexist(self, session):
         # the type check is per group: one all-string group must not
         # poison a numeric group of the same lifted aggregate
         q = 'for $i in (1, 2) return min(if ($i = 1) then ("b", "a") else (3, 2))'
-        assert run_pf(engine, q) == "a 2"
-        assert run_baseline(engine, q) == "a 2"
+        assert run_pf(session, q) == "a 2"
+        assert run_baseline(session, q) == "a 2"
 
 
 class TestSQLHost:
@@ -216,10 +211,8 @@ class TestSQLHost:
     back) — never silently return a different answer."""
 
     @pytest.fixture
-    def sqlhost(self, engine):
-        import repro
-
-        return repro.connect(database=engine.database, backend="sqlhost")
+    def sqlhost(self, session):
+        return session.database.connect(backend="sqlhost")
 
     def test_string_min_max(self, sqlhost):
         assert sqlhost.execute('min(("b", "a"))').serialize() == "a"
@@ -244,14 +237,14 @@ class TestSQLHost:
 
 
 class TestDistinctValues:
-    def test_numeric_promotion(self, engine):
-        assert run_pf(engine, 'count(distinct-values((1, 1.0, "1")))') == "2"
+    def test_numeric_promotion(self, session):
+        assert run_pf(session, 'count(distinct-values((1, 1.0, "1")))') == "2"
 
-    def test_first_occurrence_wins(self, engine):
-        assert run_pf(engine, "distinct-values((1, 1.0, 2))") == "1 2"
+    def test_first_occurrence_wins(self, session):
+        assert run_pf(session, "distinct-values((1, 1.0, 2))") == "1 2"
 
-    def test_nan_equals_nan(self, engine):
-        assert run_pf(engine, "count(distinct-values((0e0 div 0e0, 0 div 0e0)))") == "1"
+    def test_nan_equals_nan(self, session):
+        assert run_pf(session, "count(distinct-values((0e0 div 0e0, 0 div 0e0)))") == "1"
 
-    def test_boolean_not_numeric(self, engine):
-        assert run_pf(engine, "count(distinct-values((true(), 1)))") == "2"
+    def test_boolean_not_numeric(self, session):
+        assert run_pf(session, "count(distinct-values((true(), 1)))") == "2"

@@ -37,20 +37,20 @@ CASES = [
 
 
 @pytest.mark.parametrize("query,expected", CASES, ids=[c[0][:40] for c in CASES])
-def test_sequence_function(engine, query, expected):
-    pf = run_pf(engine, query)
-    base = run_baseline(engine, query)
+def test_sequence_function(session, query, expected):
+    pf = run_pf(session, query)
+    base = run_baseline(session, query)
     assert pf == base
     if expected is not None:
         assert pf == expected
 
 
-def test_per_iteration_semantics(engine):
+def test_per_iteration_semantics(session):
     """Sequence functions operate per loop-lifted iteration."""
     query = "for $n in (2, 3) return string-join(for $x in reverse(1 to $n) return string($x), '')"
-    assert run_pf(engine, query) == run_baseline(engine, query) == "21 321"
+    assert run_pf(session, query) == run_baseline(session, query) == "21 321"
 
 
-def test_subsequence_dynamic_positions(engine):
+def test_subsequence_dynamic_positions(session):
     query = "for $n in (1, 2) return sum(subsequence((10, 20, 30), $n, 2))"
-    assert run_pf(engine, query) == run_baseline(engine, query) == "30 50"
+    assert run_pf(session, query) == run_baseline(session, query) == "30 50"

@@ -19,7 +19,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro import PathfinderEngine
 from repro.encoding.arena import NodeArena
 from repro.encoding.shred import shred_text, shred_tree
 from repro.errors import XMLSyntaxError
@@ -32,6 +31,7 @@ from repro.xml.serializer import (
 )
 from repro.xmark import generate_document
 
+from tests.conftest import open_session
 from tests.test_xml import _tree
 
 #: hand-written documents covering every node kind and markup edge the
@@ -96,9 +96,8 @@ class TestScanMatchesRecursive:
         assert serialize_node(arena, doc) == serialize_node_recursive(arena, doc)
 
     def test_constructed_fragment(self):
-        engine = PathfinderEngine()
-        engine.load_document("d", "<r><a k='v'>t</a></r>")
-        result = engine.execute('<out x="1">{ /r/a }tail</out>')
+        session = open_session("d", "<r><a k='v'>t</a></r>")
+        result = session.execute('<out x="1">{ /r/a }tail</out>')
         (handle,) = result.values()
         assert serialize_node(handle.arena, handle.node) == (
             serialize_node_recursive(handle.arena, handle.node)
@@ -176,23 +175,20 @@ class TestCharacterReferenceErrors:
 
 class TestChunkedResultStream:
     def test_chunks_join_to_serialize(self):
-        engine = PathfinderEngine()
-        engine.load_document("d", "<r>" + "<v a='x'>t</v>" * 50 + "</r>")
-        result = engine.session.execute("(/r/v, 1, 2, 'three')")
+        session = open_session("d", "<r>" + "<v a='x'>t</v>" * 50 + "</r>")
+        result = session.execute("(/r/v, 1, 2, 'three')")
         chunks = list(result.iter_serialized(chunk_chars=64))
         assert len(chunks) > 1
         assert "".join(chunks) == result.serialize()
 
     def test_cached_serialization_streams_whole(self):
-        engine = PathfinderEngine()
-        engine.load_document("d", "<r><v>1</v></r>")
-        result = engine.session.execute("/r/v")
+        session = open_session("d", "<r><v>1</v></r>")
+        result = session.execute("/r/v")
         text = result.serialize()  # caches
         assert list(result.iter_serialized(chunk_chars=1)) == [text]
 
     def test_empty_result_yields_no_chunks(self):
-        engine = PathfinderEngine()
-        engine.load_document("d", "<r/>")
-        result = engine.session.execute("()")
+        session = open_session("d", "<r/>")
+        result = session.execute("()")
         assert list(result.iter_serialized()) == []
         assert result.serialize() == ""

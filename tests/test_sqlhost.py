@@ -7,28 +7,27 @@ column-store evaluator.
 
 import pytest
 
-from repro import PathfinderEngine
 from repro.compiler.serialize import serialize_result
 from repro.errors import NotSupportedError
 from repro.sqlhost import SQLHostBackend
 
-from tests.conftest import SMALL_XML
+from tests.conftest import SMALL_XML, open_session
 
 
 @pytest.fixture(scope="module")
 def setup():
-    engine = PathfinderEngine()
-    engine.load_document("doc.xml", SMALL_XML)
-    backend = SQLHostBackend(engine.arena, engine.documents)
-    yield engine, backend
+    session = open_session("doc.xml", SMALL_XML)
+    backend = SQLHostBackend(session.database.arena, session.database.documents)
+    yield session, backend
     backend.close()
 
 
 def both(setup, query):
-    engine, backend = setup
-    table = backend.execute_query(query, engine.default_document)
-    sql_out = serialize_result(table, engine.arena)
-    pf_out = engine.execute(query).serialize()
+    session, backend = setup
+    database = session.database
+    table = backend.execute_query(query, database.default_document)
+    sql_out = serialize_result(table, database.arena)
+    pf_out = session.execute(query).serialize()
     return sql_out, pf_out
 
 
@@ -102,21 +101,23 @@ def test_sql_host_matches_columnstore(setup, query):
 
 class TestRestrictions:
     def test_constructors_rejected(self, setup):
-        engine, backend = setup
+        session, backend = setup
         with pytest.raises(NotSupportedError):
-            backend.execute_query("<a/>", engine.default_document)
+            backend.execute_query("<a/>", session.database.default_document)
 
     def test_sql_text_inspectable(self, setup):
-        engine, backend = setup
-        plan, _ = engine.compile("count(//a)")
+        session, backend = setup
+        plan = session.database.compile_query("count(//a)", use_optimizer=True).plan
         sql = backend.sql_for(plan)
         assert sql.startswith("WITH RECURSIVE")
         assert "ROW_NUMBER() OVER" in sql or "COUNT(*)" in sql
 
     def test_plan_ctes_shared(self, setup):
         """DAG-shared subplans appear as one CTE, not duplicated SQL."""
-        engine, backend = setup
-        plan, _ = engine.compile("count(//a) + count(//a)")
+        session, backend = setup
+        plan = session.database.compile_query(
+            "count(//a) + count(//a)", use_optimizer=True
+        ).plan
         sql = backend.sql_for(plan)
         # the shared count subplan occurs once as a CTE definition
         assert sql.count("descendant-or-self") <= sql.count("WITH") + 2
@@ -129,20 +130,20 @@ class TestXMarkOnSQLHost:
     def xmark_setup(self):
         from repro.xmark import generate_document
 
-        engine = PathfinderEngine()
-        engine.load_document("auction.xml", generate_document(0.001, seed=11))
-        backend = SQLHostBackend(engine.arena, engine.documents)
-        yield engine, backend
+        session = open_session("auction.xml", generate_document(0.001, seed=11))
+        backend = SQLHostBackend(session.database.arena, session.database.documents)
+        yield session, backend
         backend.close()
 
     @pytest.mark.parametrize("name", ["Q1", "Q5", "Q6", "Q7", "Q18"])
     def test_xmark_query(self, xmark_setup, name):
         from repro.xmark import XMARK_QUERIES
 
-        engine, backend = xmark_setup
+        session, backend = xmark_setup
+        database = session.database
         query = XMARK_QUERIES[name]
-        table = backend.execute_query(query, engine.default_document)
-        assert serialize_result(table, engine.arena) == engine.execute(query).serialize()
+        table = backend.execute_query(query, database.default_document)
+        assert serialize_result(table, database.arena) == session.execute(query).serialize()
 
 
 def test_export_skips_superseded_document_versions():

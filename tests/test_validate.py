@@ -62,7 +62,7 @@ class TestValidAcceptance:
 
 class TestCompiledPlansValidate:
     @pytest.mark.parametrize("optimized", [False, True], ids=["raw", "optimized"])
-    def test_all_xmark_plans_validate(self, xmark_engine, optimized):
+    def test_all_xmark_plans_validate(self, xmark_session, optimized):
         from repro.compiler.loop_lifting import Compiler
         from repro.relational.optimizer import optimize
         from repro.xmark import XMARK_QUERIES
@@ -71,17 +71,16 @@ class TestCompiledPlansValidate:
 
         for name, query in XMARK_QUERIES.items():
             module = desugar_module(parse_query(query))
-            compiler = Compiler(
-                xmark_engine.documents, xmark_engine.default_document
-            )
+            database = xmark_session.database
+            compiler = Compiler(database.documents, database.default_document)
             plan = compiler.compile_module(module)
             if optimized:
                 plan = optimize(plan)
             assert validate(plan) > 0, name
 
-    def test_battery_plans_validate(self, engine):
+    def test_battery_plans_validate(self, session):
         from tests.test_differential import BATTERY
 
         for query in BATTERY:
-            plan, _ = engine.compile(query)
+            plan = session.database.compile_query(query, use_optimizer=True).plan
             assert validate(plan) > 0, query

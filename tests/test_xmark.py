@@ -6,11 +6,10 @@ small instance so the whole file stays fast.
 
 import pytest
 
-from repro import PathfinderEngine
 from repro.xmark import XMARK_QUERIES, document_stats, generate_document, xmark_query
 from repro.xml.parser import parse_document
 
-from tests.conftest import run_baseline
+from tests.conftest import open_session, run_baseline
 
 
 @pytest.fixture(scope="module")
@@ -19,10 +18,8 @@ def doc_text():
 
 
 @pytest.fixture(scope="module")
-def engine(doc_text):
-    e = PathfinderEngine()
-    e.load_document("auction.xml", doc_text)
-    return e
+def session(doc_text):
+    return open_session("auction.xml", doc_text)
 
 
 class TestGenerator:
@@ -42,9 +39,9 @@ class TestGenerator:
         root = parse_document(doc_text)
         assert root.name == "site"
 
-    def test_structure(self, engine):
+    def test_structure(self, session):
         def run(q):
-            return engine.execute(q).serialize()
+            return session.execute(q).serialize()
         stats = document_stats(0.001)
         assert run("count(/site/people/person)") == str(stats.people)
         assert run("count(//open_auction)") == str(stats.open_auctions)
@@ -52,27 +49,27 @@ class TestGenerator:
         assert run("count(//item)") == str(stats.items)
         assert run("count(/site/regions/*)") == "6"
 
-    def test_person0_exists(self, engine):
-        out = engine.execute('/site/people/person[@id = "person0"]/name/text()')
+    def test_person0_exists(self, session):
+        out = session.execute('/site/people/person[@id = "person0"]/name/text()')
         assert out.serialize()
 
-    def test_q15_deep_chain_exists(self, engine):
-        out = engine.execute(
+    def test_q15_deep_chain_exists(self, session):
+        out = session.execute(
             "count(/site/closed_auctions/closed_auction/annotation/description/"
             "parlist/listitem/parlist/listitem/text/emph/keyword)"
         )
         assert int(out.serialize()) > 0
 
-    def test_incomes_partition(self, engine):
+    def test_incomes_partition(self, session):
         """Q20 needs all four partitions to be non-trivial-ish."""
-        total = int(engine.execute("count(/site/people/person)").serialize())
+        total = int(session.execute("count(/site/people/person)").serialize())
         with_income = int(
-            engine.execute("count(/site/people/person/profile/@income)").serialize()
+            session.execute("count(/site/people/person/profile/@income)").serialize()
         )
         assert 0 < with_income < total
 
-    def test_bidders_present(self, engine):
-        assert int(engine.execute("count(//bidder)").serialize()) > 0
+    def test_bidders_present(self, session):
+        assert int(session.execute("count(//bidder)").serialize()) > 0
 
     def test_generated_document_round_trips(self, doc_text):
         """Parse → shred → serialize reproduces the generated text."""
@@ -86,14 +83,10 @@ class TestGenerator:
 
     def test_other_seed_also_consistent(self):
         """Both engines agree on a second generated instance too."""
-        from repro import PathfinderEngine
-        from repro.xmark import XMARK_QUERIES
-
-        e = PathfinderEngine()
-        e.load_document("auction.xml", generate_document(0.0008, seed=99))
+        session = open_session("auction.xml", generate_document(0.0008, seed=99))
         for name in ("Q1", "Q6", "Q8", "Q19", "Q20"):
             query = XMARK_QUERIES[name]
-            assert e.execute(query).serialize() == run_baseline(e, query), name
+            assert session.execute(query).serialize() == run_baseline(session, query), name
 
 
 class TestQueries:
@@ -102,27 +95,27 @@ class TestQueries:
         assert len(XMARK_QUERIES) == 20
 
     @pytest.mark.parametrize("name", list(XMARK_QUERIES))
-    def test_pathfinder_equals_baseline(self, engine, name):
+    def test_pathfinder_equals_baseline(self, session, name):
         query = XMARK_QUERIES[name]
-        assert engine.execute(query).serialize() == run_baseline(engine, query)
+        assert session.execute(query).serialize() == run_baseline(session, query)
 
-    def test_q1_returns_person0_name(self, engine):
-        out = engine.execute(XMARK_QUERIES["Q1"]).serialize()
-        direct = engine.execute(
+    def test_q1_returns_person0_name(self, session):
+        out = session.execute(XMARK_QUERIES["Q1"]).serialize()
+        direct = session.execute(
             '/site/people/person[@id = "person0"]/name/text()'
         ).serialize()
         assert out == direct
 
-    def test_q5_counts_expensive_closed_auctions(self, engine):
-        out = int(engine.execute(XMARK_QUERIES["Q5"]).serialize())
+    def test_q5_counts_expensive_closed_auctions(self, session):
+        out = int(session.execute(XMARK_QUERIES["Q5"]).serialize())
         assert 0 <= out <= document_stats(0.001).closed_auctions
 
-    def test_q6_one_count_per_region_root(self, engine):
-        out = engine.execute(XMARK_QUERIES["Q6"]).serialize()
+    def test_q6_one_count_per_region_root(self, session):
+        out = session.execute(XMARK_QUERIES["Q6"]).serialize()
         assert out == str(document_stats(0.001).items)
 
-    def test_q20_partitions_sum_to_people(self, engine):
-        out = engine.execute(XMARK_QUERIES["Q20"]).serialize()
+    def test_q20_partitions_sum_to_people(self, session):
+        out = session.execute(XMARK_QUERIES["Q20"]).serialize()
         import re
 
         nums = [int(x) for x in re.findall(r">(\d+)<", out)]
