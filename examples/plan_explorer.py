@@ -22,22 +22,23 @@ FIGURE3 = "for $v in (10,20), $w in (100,200) return $v + $w"
 
 
 def print_pass_diffs(database: repro.Database, plan: alg.Op) -> None:
-    """Re-optimize ``plan`` with tracing on and print, for every pass
-    application that changed the plan, the node-count delta and which
-    operators (by label) appeared or disappeared."""
+    """Re-optimize ``plan`` with tracing on and print, for every step that
+    changed the plan — a global pass, or a normalizer traversal labelled
+    with the local rules that fired in it (``cse+fold``) — the node-count
+    delta and which operators (by label) appeared or disappeared."""
     estimator = CardinalityEstimator.from_database(
         database.arena, database.documents
     )
     trace: list = []
     optimize(plan, estimator=estimator, trace=trace)
     previous = plan
-    for pass_name, snapshot in trace:
+    for label, snapshot in trace:
         before = Counter(op.label() for op in alg.walk(previous))
         after = Counter(op.label() for op in alg.walk(snapshot))
         delta = alg.op_count(snapshot) - alg.op_count(previous)
         gone = before - after
         added = after - before
-        parts = [f"{pass_name:<16} {delta:+4d} ops"]
+        parts = [f"{delta:+4d} ops  {label}"]
         if gone:
             parts.append("-[" + ", ".join(sorted(gone.elements())[:4]) + "]")
         if added:
@@ -63,7 +64,7 @@ def main() -> None:
     print("-- per-pass statistics (Session.explain → report.pass_table) --")
     print(report.pass_table)
 
-    print("\n-- per-pass plan diffs (what each rewrite pass did) --")
+    print("\n-- per-pass plan diffs (each global pass / normalizer traversal) --")
     print_pass_diffs(database, report.plan)
 
     print("\n-- optimized plan (shared subplans shown once as @N) --")

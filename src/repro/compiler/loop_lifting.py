@@ -93,7 +93,7 @@ class Scope:
     ``unit`` marks a loop known to hold at most one iteration.
     """
 
-    __slots__ = ("loop", "parents", "base", "unit", "ancestors", "maps", "moved", "hoists")
+    __slots__ = ("loop", "parents", "base", "unit", "above", "maps", "moved", "hoists")
 
     def __init__(self, loop: alg.Op, parents: tuple = (), base: "Scope | None" = None,
                  unit: bool = False):
@@ -101,19 +101,26 @@ class Scope:
         self.parents = parents
         self.base = base
         self.unit = unit
-        ancestors = {self}
-        for parent, _ in parents:
-            ancestors |= parent.ancestors
+        ups = [parent for parent, _ in parents]
         if base is not None:
-            ancestors |= base.ancestors
-        #: this scope and every scope its iterations map back to
-        self.ancestors = frozenset(ancestors)
+            ups.append(base)
+        above = set(ups)
+        for up in ups:
+            above |= up.above
+        #: every other scope our iterations map back to (a scope listing
+        #: itself would be a reference cycle, holding everything it
+        #: compiled until the cyclic garbage collector runs)
+        self.above = frozenset(above)
         #: ancestor → composed map(outer = ancestor iteration, inner = ours)
         self.maps: dict = {}
         #: (binder, id(plan)) → (plan, the plan moved into this scope)
         self.moved: dict = {}
         #: hoisting target → the target restricted to what reaches us
         self.hoists: dict = {}
+
+    def under(self, scope: "Scope") -> bool:
+        """Is ``scope`` this scope or one its iterations map back to?"""
+        return scope is self or scope in self.above
 
     def restrict(self, loop: alg.Op) -> "Scope":
         """The subset ``loop`` of our iterations, as a scope of its own."""
@@ -323,7 +330,7 @@ class Compiler:
                 )
             else:
                 parent, step = next(
-                    (p, s) for p, s in scope.parents if anc in p.ancestors
+                    (p, s) for p, s in scope.parents if p.under(anc)
                 )
                 up = self._map_to(parent, anc)
                 m = step if up is None else self._compose(up, step)
@@ -400,7 +407,7 @@ class Compiler:
         target = scope
         while True:
             parent = next(
-                (p for p, _ in target.parents if binders <= p.ancestors), None
+                (p for p, _ in target.parents if all(map(p.under, binders))), None
             )
             if parent is None:
                 break
@@ -719,7 +726,7 @@ class Compiler:
     def _bound_in(env: Env, name: str, scope: Scope) -> bool:
         """Is ``name`` bound in ``scope`` or one of its ancestors?"""
         hit = env.binding(name)
-        return hit is not None and hit[0] in scope.ancestors
+        return hit is not None and scope.under(hit[0])
 
     def _values(self, e: ast.Expr, env: Env, iter_col: str, value_col: str,
                 cast: str | None) -> alg.Op:

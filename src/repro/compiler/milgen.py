@@ -19,7 +19,6 @@ demonstrator's "look under the hood" pane.
 from __future__ import annotations
 
 from repro.relational import algebra as alg
-from repro.relational.optimizer import schema_of
 
 
 def to_mil(plan: alg.Op, query: str | None = None) -> str:
@@ -32,8 +31,6 @@ class _MilGen:
     def __init__(self):
         self.lines: list[str] = []
         self.names: dict[int, str] = {}
-        self.schema_memo: dict = {}
-        self.items_memo: dict = {}
 
     def var(self, node: alg.Op, col: str) -> str:
         return f"{self.names[id(node)]}_{col}".replace("%", "_")
@@ -48,9 +45,7 @@ class _MilGen:
             self.names[id(node)] = f"t{i:03d}"
             self._emit(node)
         final = self.names[id(plan)]
-        cols = ", ".join(
-            self.var(plan, c) for c in schema_of(plan, self.schema_memo)
-        )
+        cols = ", ".join(self.var(plan, c) for c in plan.columns)
         self.lines.append("")
         self.lines.append(f"# serialize the result encoding ({final})")
         self.lines.append(f"serialize({cols});")
@@ -69,7 +64,7 @@ class _MilGen:
         self.lines.append("")
 
     def _cols(self, node: alg.Op) -> tuple[str, ...]:
-        return schema_of(node, self.schema_memo)
+        return node.columns
 
     # ---------------------------------------------------------- operators
     def _m_Lit(self, node: alg.Lit) -> None:
@@ -139,14 +134,14 @@ class _MilGen:
             f"{self.var(node.left, lk)}.reverse().join("
             f"{self.var(node.right, rk)}.reverse().reverse());"
         )
-        for col in schema_of(node.left, self.schema_memo):
+        for col in node.left.columns:
             self._decl(
                 node,
                 col,
                 f"{self.names[id(node)]}_matches.mark(0@0).reverse()"
                 f".leftfetchjoin({self.var(node.left, col)})",
             )
-        for col in schema_of(node.right, self.schema_memo):
+        for col in node.right.columns:
             self._decl(
                 node,
                 col,
@@ -170,8 +165,8 @@ class _MilGen:
     def _m_Cross(self, node: alg.Cross) -> None:
         self.lines.append(
             f"var {self.names[id(node)]}_pairs := "
-            f"{self.var(node.left, schema_of(node.left, self.schema_memo)[0])}"
-            f".cross({self.var(node.right, schema_of(node.right, self.schema_memo)[0])});"
+            f"{self.var(node.left, node.left.columns[0])}"
+            f".cross({self.var(node.right, node.right.columns[0])});"
         )
         for col in self._cols(node):
             self._decl(node, col, f"{self.names[id(node)]}_pairs.project({col})")

@@ -1115,7 +1115,12 @@ class NodeArena:
             return total
 
         with self.mutation_lock:
-            if emit(root, 0, -1) == 0:  # pragma: no cover - guarded upstream
+            emitted = emit(root, 0, -1)
+            # ``emit`` recurses through its own closure cell: unbinding it
+            # breaks that reference cycle, so the row lists above die with
+            # this call instead of waiting for the cyclic garbage collector
+            del emit
+            if emitted == 0:  # pragma: no cover - guarded upstream
                 raise DynamicError("an update may not delete the document root")
             self.begin_fragment()
             first_row = self.num_nodes

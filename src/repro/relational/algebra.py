@@ -15,6 +15,11 @@ paper exploits:
 * the staircase join (``StepJoin``), node constructors (``ElemConstr``,
   ``TextConstr``, ``AttrConstr``) and atomization (``Atomize``) are the
   "short-hands for efficient implementations" of Table 1.
+
+Every node also carries three static analyses — its output ``columns``,
+which of them are polymorphic ``item_columns``, and the column sets its
+rows are ``unique_sets`` on — each computed on first use and then stored
+on the node.  Nodes are immutable, so a cached analysis never goes stale.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.encoding.axes import Axis, NodeTest
+from repro.errors import AlgebraError
 
 #: A scalar operand of Select/Map: a column reference or a constant.
 Operand = tuple  # ("col", name) | ("const", python value)
@@ -38,6 +44,30 @@ def const(value) -> Operand:
     return ("const", value)
 
 
+class _analysis:
+    """A per-node analysis, computed on first access and stored on the
+    node — ``functools.cached_property`` without the class-wide lock it
+    takes before Python 3.12 (analyses recurse into children, and
+    concurrent compiles must not serialise on one lock), and set as an
+    attribute rather than through ``__dict__``, which would give every
+    node a dictionary object of its own (more for the garbage collector
+    to scan, slower attribute reads for the evaluator)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        value = self.fn(node)
+        object.__setattr__(node, self.name, value)  # nodes are frozen
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class Op:
     """Base class of all algebra operators."""
@@ -47,6 +77,31 @@ class Op:
         """The operator's input plans."""
         return ()
 
+    @_analysis
+    def columns(self) -> tuple[str, ...]:
+        """The output schema: column names, in order."""
+        return _columns(self)
+
+    @_analysis
+    def item_columns(self) -> frozenset:
+        """Which output columns are polymorphic item columns (best effort)."""
+        return _item_columns(self)
+
+    @_analysis
+    def unique_sets(self) -> frozenset:
+        """Column sets on which the output rows are provably unique.
+
+        The empty set means the relation has at most one row (then every
+        key set is trivially unique).  Best-effort and capped: a missing
+        fact is always safe, it only lets the optimizer prove less.
+        """
+        facts = _unique(self)
+        if len(facts) <= _MAX_UNIQUE_SETS:
+            return facts
+        # deterministic truncation: prefer the most general (smallest) facts
+        ordered = sorted(facts, key=lambda s: (len(s), sorted(s)))
+        return frozenset(ordered[:_MAX_UNIQUE_SETS])
+
     def label(self) -> str:
         """Short human-readable label (dot / ASCII plan rendering)."""
         return type(self).__name__
@@ -55,7 +110,16 @@ class Op:
         """Structural identity key given dedup ids of the children (CSE)."""
         return (type(self).__name__,) + self._params() + (child_ids,)
 
+    def with_children(self, children: tuple["Op", ...]) -> "Op":
+        """This operator over new inputs (itself when they are the same)."""
+        if children == self.children:
+            return self
+        return type(self)(*children, *self._params())
+
     def _params(self) -> tuple:
+        # every field that is not an input, in declaration order (inputs
+        # come first): what ``struct_key`` and ``with_children`` rebuild
+        # from — leaves, never rebuilt, may encode theirs differently
         return ()
 
 
@@ -141,6 +205,10 @@ class Union(Op):
     def label(self) -> str:
         """Rendered operator label (plan printing)."""
         return "∪"
+
+    def with_children(self, children: tuple[Op, ...]) -> Op:
+        """This union over new inputs (itself when they are the same)."""
+        return self if children == self.inputs else Union(children)
 
 
 @dataclass(frozen=True, eq=False)
@@ -552,23 +620,151 @@ def _fmt(operand: Operand) -> str:
 
 
 # --------------------------------------------------------------------------
+# static analyses (cached on the node by ``Op.columns`` & co.)
+# --------------------------------------------------------------------------
+def _columns(op: Op) -> tuple[str, ...]:
+    if isinstance(op, Lit):
+        return op.schema
+    if isinstance(op, Project):
+        return tuple(new for new, _ in op.cols)
+    if isinstance(op, (Select, Distinct)):
+        return op.child.columns
+    if isinstance(op, Union):
+        return op.inputs[0].columns
+    if isinstance(op, (Difference, SemiJoin)):
+        return op.left.columns
+    if isinstance(op, (Join, Cross)):
+        return op.left.columns + op.right.columns
+    if isinstance(op, (RowNum, Map, Atomize)):
+        base = op.child.columns
+        return base if op.target in base else base + (op.target,)
+    if isinstance(op, Aggr):
+        return (op.group, op.target) if op.group else (op.target,)
+    if isinstance(op, (StepJoin, StructuralTwigJoin)):
+        return (op.iter_col, op.item_col)
+    if isinstance(op, (ElemConstr, TextConstr, AttrConstr)):
+        return ("iter", "item")
+    if isinstance(op, (DocRoot, GenRange)):
+        return ("iter", "pos", "item")
+    if isinstance(op, ParamTable):
+        return ("pos", "item")
+    raise AlgebraError(f"cannot infer schema of {type(op).__name__}")
+
+
+def _item_columns(op: Op) -> frozenset:
+    if isinstance(op, Lit):
+        return op.item_cols
+    if isinstance(op, Project):
+        child = op.child.item_columns
+        return frozenset(new for new, old in op.cols if old in child)
+    if isinstance(op, (Select, Distinct, RowNum)):
+        return op.child.item_columns
+    if isinstance(op, Union):
+        return op.inputs[0].item_columns
+    if isinstance(op, (Difference, SemiJoin)):
+        return op.left.item_columns
+    if isinstance(op, (Join, Cross)):
+        return op.left.item_columns | op.right.item_columns
+    if isinstance(op, Map):
+        base = op.child.item_columns
+        if op.fn in ("kind_code", "atom_cls", "atom_key"):
+            return base - {op.target}
+        return base | {op.target}
+    if isinstance(op, Atomize):
+        return op.child.item_columns | {op.target}
+    if isinstance(op, Aggr):
+        if op.kind == "count":
+            return frozenset()
+        return frozenset({op.target})
+    if isinstance(op, (StepJoin, StructuralTwigJoin)):
+        return frozenset({op.item_col})
+    if isinstance(op, (ElemConstr, TextConstr, AttrConstr)):
+        return frozenset({"item"})
+    if isinstance(op, (DocRoot, GenRange, ParamTable)):
+        return frozenset({"item"})
+    return frozenset()
+
+
+_MAX_UNIQUE_SETS = 8
+
+
+def _unique(op: Op) -> frozenset:
+    if isinstance(op, Lit):
+        return frozenset({frozenset()}) if len(op.rows) <= 1 else frozenset()
+    if isinstance(op, DocRoot):
+        return frozenset({frozenset()})
+    if isinstance(op, ParamTable):
+        return frozenset({frozenset({"pos"})})
+    if isinstance(op, (StepJoin, StructuralTwigJoin)):
+        return frozenset({frozenset({op.iter_col, op.item_col})})
+    if isinstance(op, GenRange):
+        # each iteration's range has distinct values and dense pos — but
+        # only if no iteration occurs twice in the input
+        if any(u <= frozenset({"iter"}) for u in op.child.unique_sets):
+            return frozenset(
+                {frozenset({"iter", "pos"}), frozenset({"iter", "item"})}
+            )
+        return frozenset()
+    if isinstance(op, Distinct):
+        return op.child.unique_sets | frozenset({frozenset(op.keys)})
+    if isinstance(op, (Select, SemiJoin, Difference)):
+        return op.children[0].unique_sets
+    if isinstance(op, (Map, Atomize)):
+        # the target may overwrite a column: facts mentioning it go stale
+        return frozenset(s for s in op.child.unique_sets if op.target not in s)
+    if isinstance(op, RowNum):
+        base = frozenset(s for s in op.child.unique_sets if op.target not in s)
+        mine = frozenset({op.target}) if op.group is None else frozenset(
+            {op.group, op.target}
+        )
+        return base | frozenset({mine})
+    if isinstance(op, Project):
+        out = set()
+        by_old: dict[str, str] = {}
+        for new, old in op.cols:
+            by_old.setdefault(old, new)
+        for s in op.child.unique_sets:
+            if all(c in by_old for c in s):
+                out.add(frozenset(by_old[c] for c in s))
+        return frozenset(out)
+    if isinstance(op, Aggr):
+        if op.group is None:
+            return frozenset({frozenset()})
+        return frozenset({frozenset({op.group})})
+    if isinstance(op, (Join, Cross)):
+        lsets = op.left.unique_sets
+        rsets = op.right.unique_sets
+        out = {ls | rs for ls in lsets for rs in rsets}
+        if isinstance(op, Join):
+            # right unique on the join keys ⇒ each left row matches ≤ 1
+            rkeys = frozenset(r for _, r in op.keys)
+            if any(rs <= rkeys for rs in rsets):
+                out |= set(lsets)
+            lkeys = frozenset(l for l, _ in op.keys)
+            if any(ls <= lkeys for ls in lsets):
+                out |= set(rsets)
+        return frozenset(out)
+    return frozenset()
+
+
+# --------------------------------------------------------------------------
 # DAG utilities
 # --------------------------------------------------------------------------
 def walk(root: Op) -> Iterator[Op]:
     """Yield every distinct operator of the DAG, children before parents."""
-    seen: set[int] = set()
+    seen: set[Op] = set()  # operators hash by identity
     stack: list[tuple[Op, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
         if expanded:
-            seen.add(id(node))
+            seen.add(node)
             yield node
         else:
             stack.append((node, True))
             for child in node.children:
-                if id(child) not in seen:
+                if child not in seen:
                     stack.append((child, False))
 
 

@@ -346,6 +346,12 @@ def _eval_aggr(node: alg.Aggr, inputs, ctx) -> Table:
                 agg_col = ItemColumn.from_ints(reduced.astype(np.int64))
             else:
                 agg_col = ItemColumn.from_doubles(reduced)
+                if node.kind != "avg" and len(vals):
+                    # each group is its own sequence: an all-integer group
+                    # stays an integer whatever the other groups hold
+                    ints = np.logical_and.reduceat(col.kinds == K_INT, starts)
+                    agg_col.kinds[ints] = K_INT
+                    agg_col.data[ints] = reduced[ints].astype(np.int64)
     elif node.kind == "str_join":
         col = table.item(node.arg).take(order_idx)
         sids = it.to_string_ids(col, ctx.pool)

@@ -3,38 +3,57 @@
 Loop-lifted plans are large and mechanical — the paper reports ~120
 operators for XMark Q8 before optimization and cites peephole-style
 rewriting [Grust, "Purely Relational FLWORs", XIME-P 2005] as the remedy.
-This module organises that rewriting as an ordered pipeline of **named
-rewrite passes** over the algebra DAG, run to a fixpoint by
-:func:`optimize`.  Each pass is a pure ``plan → plan`` transform that
-reports how many rewrites fired; per-pass statistics (operator counts,
-rewrites, estimated root cardinality) surface through
-:class:`OptimizerStats` into ``Session.explain`` and the CLI.
+This module organises that rewriting as nine **named rewrite passes**
+over the algebra DAG, driven by :func:`optimize`; per-pass statistics
+(runs, rewrites, operator counts, estimated root cardinality, seconds)
+surface through :class:`OptimizerStats` into ``Session.explain`` and the
+CLI.
 
-The default pipeline, in order (see ``docs/ARCHITECTURE.md`` for a worked
-example):
+Six passes are **local rules** — node-local rewrites that only look at a
+node and the static analyses cached on its inputs:
 
 * **cse** — hash-consing: structurally identical subplans are shared
   (loop-lifting emits the same ``loop`` relation many times);
 * **fold** — compile-time evaluation: σ/π over literal tables, unions of
   literals, and empty-input propagation;
 * **fuse_select** — ``σ (t = true) ∘ ⊛ t:cmp(a,b)`` becomes a direct
-  ``σ a cmp b``, exposing the comparison to the passes below;
-* **pushdown** — selections (σ) and semijoin restrictions (⋉) move below
-  π, ⋈, ×, ⊛, ∪, ϱ, δ, aggregates and staircase joins whenever they only
-  constrain one input, so downstream operators see fewer rows;
+  ``σ a cmp b``, exposing the comparison to the other passes;
 * **join_recognition** — ``σ (a = b)`` over a cross product (or over an
   equi-join, as an extra key) becomes an equi-join when both columns are
   plain numeric columns;
 * **distinct_elim** — δ over provably duplicate-free input is dropped
   (e.g. directly above a staircase join, whose output is already
   sorted-distinct per iteration);
+* **merge_projects** — π ∘ π collapses, identity π disappears.
+
+The other three are **global passes**, each needing a whole-DAG analysis:
+
+* **pushdown** — selections (σ) and semijoin restrictions (⋉) move below
+  π, ⋈, ×, ⊛, ∪, ϱ, δ, aggregates and staircase joins whenever they only
+  constrain one input, so downstream operators see fewer rows (needs
+  every node's consumer count);
 * **prune** — required-column (*icols*) analysis: only columns an
   ancestor consumes are kept; dead ``Map``/``RowNum``/``Atomize``
-  targets are dropped entirely;
-* **merge_projects** — π ∘ π collapses, identity π disappears;
+  targets are dropped entirely (needs every node's consumers' needs);
 * **join_order** — join inputs are swapped (under a schema-restoring π)
   so the side the sort-merge kernel sorts is the one estimated smaller,
-  using :class:`CardinalityEstimator` seeded from literal/document leaves.
+  using :class:`CardinalityEstimator` seeded from literal/document leaves
+  (needs to know which joins sit below order-sensitive consumers).
+
+**The driver** does each piece of work once.  The local rules run as one
+children-first traversal, the normalizer (:class:`_Normalizer`): every
+node is hash-consed and offered the rules registered for its type, to a
+local fixpoint.  Nodes are immutable, so a node it has settled never
+needs another look; only nodes a global pass created since are visited.
+Then rounds of ``pushdown``, ``prune``, ``join_order`` run, each followed
+by the normalizer when it changed the plan, until a round in which no
+global pass changes anything.  Every pass returns the very same object
+for an unchanged subtree, so "changed" is an identity test, and a pass
+is skipped on a plan it already left unchanged.  The global passes share
+one children-first walk per distinct plan, which also yields the
+operator counts of the statistics; output schemas, item columns and
+uniqueness facts are cached on the nodes themselves
+(:attr:`~repro.relational.algebra.Op.columns` & co.).
 
 All rewrites except ``join_order`` are row-order-exact; ``join_order``
 preserves the multiset of rows and refuses to reorder joins beneath any
@@ -44,13 +63,12 @@ without an order column, ϱ with ambiguous ties — see
 of it end to end.
 
 :func:`optimize` additionally selects between three planning strategies
-(:data:`OPTIMIZER_MODES`): ``cost`` runs the default pipeline above to a
-fixpoint; ``greedy`` runs one round of the three highest-impact passes
-plus a statistics-free syntax-ranked join ordering (no fixpoint, no
-fingerprints, no cardinality estimation — a fraction of the planning
-cost); ``wcoj`` appends a ``twig_collapse`` pass fusing chains of
-staircase steps into one multi-way
-:class:`~repro.relational.algebra.StructuralTwigJoin`.
+(:data:`OPTIMIZER_MODES`): ``cost`` runs the rounds above until nothing
+changes; ``greedy`` runs one round with ``cse`` as the only local rule
+and a statistics-free syntax-ranked join ordering (no cardinality
+estimation — a fraction of the planning cost); ``wcoj`` appends a
+``twig_collapse`` pass fusing chains of staircase steps into one
+multi-way :class:`~repro.relational.algebra.StructuralTwigJoin`.
 """
 
 from __future__ import annotations
@@ -62,101 +80,6 @@ from typing import Callable
 from repro.encoding.axes import Axis
 from repro.errors import AlgebraError
 from repro.relational import algebra as alg
-
-
-# --------------------------------------------------------------------------
-# static schema inference
-# --------------------------------------------------------------------------
-def schema_of(op: alg.Op, memo: dict[int, tuple[str, ...]] | None = None) -> tuple[str, ...]:
-    """Infer the output schema of a plan node (column names)."""
-    if memo is None:
-        memo = {}
-    cached = memo.get(id(op))
-    if cached is not None:
-        return cached
-    result = _schema(op, memo)
-    memo[id(op)] = result
-    return result
-
-
-def _schema(op: alg.Op, memo) -> tuple[str, ...]:
-    if isinstance(op, alg.Lit):
-        return op.schema
-    if isinstance(op, alg.Project):
-        return tuple(new for new, _ in op.cols)
-    if isinstance(op, (alg.Select,)):
-        return schema_of(op.child, memo)
-    if isinstance(op, alg.Union):
-        return schema_of(op.inputs[0], memo)
-    if isinstance(op, (alg.Difference, alg.SemiJoin)):
-        return schema_of(op.left, memo)
-    if isinstance(op, alg.Distinct):
-        return schema_of(op.child, memo)
-    if isinstance(op, (alg.Join, alg.Cross)):
-        return schema_of(op.left, memo) + schema_of(op.right, memo)
-    if isinstance(op, (alg.RowNum, alg.Map)):
-        base = schema_of(op.child, memo)
-        return base if op.target in base else base + (op.target,)
-    if isinstance(op, alg.Atomize):
-        base = schema_of(op.child, memo)
-        return base if op.target in base else base + (op.target,)
-    if isinstance(op, alg.Aggr):
-        return (op.group, op.target) if op.group else (op.target,)
-    if isinstance(op, (alg.StepJoin, alg.StructuralTwigJoin)):
-        return (op.iter_col, op.item_col)
-    if isinstance(op, (alg.ElemConstr, alg.TextConstr, alg.AttrConstr)):
-        return ("iter", "item")
-    if isinstance(op, (alg.DocRoot, alg.GenRange)):
-        return ("iter", "pos", "item")
-    if isinstance(op, alg.ParamTable):
-        return ("pos", "item")
-    raise AlgebraError(f"cannot infer schema of {type(op).__name__}")
-
-
-def _item_cols_of(op: alg.Op, memo: dict[int, frozenset]) -> frozenset:
-    """Which output columns are polymorphic item columns (best effort)."""
-    cached = memo.get(id(op))
-    if cached is not None:
-        return cached
-    result = _item_cols(op, memo)
-    memo[id(op)] = result
-    return result
-
-
-def _item_cols(op: alg.Op, memo) -> frozenset:
-    if isinstance(op, alg.Lit):
-        return op.item_cols
-    if isinstance(op, alg.Project):
-        child = _item_cols_of(op.child, memo)
-        return frozenset(new for new, old in op.cols if old in child)
-    if isinstance(op, (alg.Select, alg.Distinct)):
-        return _item_cols_of(op.child, memo)
-    if isinstance(op, alg.Union):
-        return _item_cols_of(op.inputs[0], memo)
-    if isinstance(op, (alg.Difference, alg.SemiJoin)):
-        return _item_cols_of(op.left, memo)
-    if isinstance(op, (alg.Join, alg.Cross)):
-        return _item_cols_of(op.left, memo) | _item_cols_of(op.right, memo)
-    if isinstance(op, alg.RowNum):
-        return _item_cols_of(op.child, memo)
-    if isinstance(op, alg.Map):
-        base = _item_cols_of(op.child, memo)
-        if op.fn in ("kind_code", "atom_cls", "atom_key"):
-            return base - {op.target}
-        return base | {op.target}
-    if isinstance(op, alg.Atomize):
-        return _item_cols_of(op.child, memo) | {op.target}
-    if isinstance(op, alg.Aggr):
-        if op.kind == "count":
-            return frozenset()
-        return frozenset({op.target})
-    if isinstance(op, (alg.StepJoin, alg.StructuralTwigJoin)):
-        return frozenset({op.item_col})
-    if isinstance(op, (alg.ElemConstr, alg.TextConstr, alg.AttrConstr)):
-        return frozenset({"item"})
-    if isinstance(op, (alg.DocRoot, alg.GenRange, alg.ParamTable)):
-        return frozenset({"item"})
-    return frozenset()
 
 
 # --------------------------------------------------------------------------
@@ -311,101 +234,16 @@ class CardinalityEstimator:
 
 
 # --------------------------------------------------------------------------
-# uniqueness analysis (feeds the distinct_elim pass)
-# --------------------------------------------------------------------------
-_MAX_UNIQUE_SETS = 8
-
-
-def _unique_sets(op: alg.Op, memo: dict[int, frozenset]) -> frozenset:
-    """Column sets on which ``op``'s output rows are provably unique.
-
-    The empty set means the relation has at most one row (then every key
-    set is trivially unique).  Best-effort and capped: missing facts are
-    always safe, they only make ``distinct_elim`` fire less.
-    """
-    cached = memo.get(id(op))
-    if cached is not None:
-        return cached
-    # deterministic truncation: prefer the most general (smallest) facts
-    ordered = sorted(_unique(op, memo), key=lambda s: (len(s), sorted(s)))
-    result = frozenset(ordered[:_MAX_UNIQUE_SETS])
-    memo[id(op)] = result
-    return result
-
-
-def _unique(op: alg.Op, memo) -> frozenset:
-    if isinstance(op, alg.Lit):
-        return frozenset({frozenset()}) if len(op.rows) <= 1 else frozenset()
-    if isinstance(op, (alg.DocRoot,)):
-        return frozenset({frozenset()})
-    if isinstance(op, alg.ParamTable):
-        return frozenset({frozenset({"pos"})})
-    if isinstance(op, (alg.StepJoin, alg.StructuralTwigJoin)):
-        return frozenset({frozenset({op.iter_col, op.item_col})})
-    if isinstance(op, alg.GenRange):
-        # each iteration's range has distinct values and dense pos — but
-        # only if no iteration occurs twice in the input
-        if any(u <= frozenset({"iter"}) for u in _unique_sets(op.child, memo)):
-            return frozenset(
-                {frozenset({"iter", "pos"}), frozenset({"iter", "item"})}
-            )
-        return frozenset()
-    if isinstance(op, alg.Distinct):
-        return _unique_sets(op.child, memo) | frozenset({frozenset(op.keys)})
-    if isinstance(op, (alg.Select, alg.SemiJoin, alg.Difference)):
-        return _unique_sets(op.children[0], memo)
-    if isinstance(op, (alg.Map, alg.Atomize)):
-        # the target may overwrite a column: facts mentioning it go stale
-        return frozenset(
-            s for s in _unique_sets(op.child, memo) if op.target not in s
-        )
-    if isinstance(op, alg.RowNum):
-        base = frozenset(
-            s for s in _unique_sets(op.child, memo) if op.target not in s
-        )
-        mine = frozenset({op.target}) if op.group is None else frozenset(
-            {op.group, op.target}
-        )
-        return base | frozenset({mine})
-    if isinstance(op, alg.Project):
-        out = set()
-        by_old: dict[str, str] = {}
-        for new, old in op.cols:
-            by_old.setdefault(old, new)
-        for s in _unique_sets(op.child, memo):
-            if all(c in by_old for c in s):
-                out.add(frozenset(by_old[c] for c in s))
-        return frozenset(out)
-    if isinstance(op, alg.Aggr):
-        if op.group is None:
-            return frozenset({frozenset()})
-        return frozenset({frozenset({op.group})})
-    if isinstance(op, (alg.Join, alg.Cross)):
-        lsets = _unique_sets(op.left, memo)
-        rsets = _unique_sets(op.right, memo)
-        out = {ls | rs for ls in lsets for rs in rsets}
-        if isinstance(op, alg.Join):
-            # right unique on the join keys ⇒ each left row matches ≤ 1
-            rkeys = frozenset(r for _, r in op.keys)
-            if any(rs <= rkeys for rs in rsets):
-                out |= set(lsets)
-            lkeys = frozenset(l for l, _ in op.keys)
-            if any(ls <= lkeys for ls in lsets):
-                out |= set(rsets)
-        return frozenset(out)
-    return frozenset()
-
-
-# --------------------------------------------------------------------------
 # optimizer statistics
 # --------------------------------------------------------------------------
 @dataclass
 class PassStats:
-    """Aggregated statistics of one named rewrite pass across all rounds."""
+    """Aggregated statistics of one named rewrite pass across a run."""
 
     #: registry name of the pass (see :data:`PASS_NAMES`)
     name: str
-    #: how many fixpoint rounds ran this pass
+    #: how many times the pass ran: a global pass's applications, or the
+    #: normalizer traversals a local rule took part in
     runs: int = 0
     #: total rewrites the pass fired
     rewrites: int = 0
@@ -415,7 +253,7 @@ class PassStats:
     ops_after: int = 0
     #: estimated root cardinality after the pass most recently ran
     est_rows: float | None = None
-    #: total wall-clock seconds spent inside the pass across all rounds
+    #: total wall-clock seconds spent inside the pass across all runs
     seconds: float = 0.0
 
 
@@ -427,7 +265,7 @@ class OptimizerStats:
     ops_before: int = 0
     #: operator count of the returned plan
     ops_after: int = 0
-    #: fixpoint rounds executed
+    #: rounds of the global passes executed
     passes: int = 0
     #: per-pass statistics, in pipeline order
     pass_stats: list[PassStats] = field(default_factory=list)
@@ -462,14 +300,24 @@ class OptimizerStats:
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class RewritePass:
-    """A named, stats-reporting transform over the algebra DAG."""
+    """A named, stats-reporting rewrite: a local rule or a global pass."""
 
     #: registry name (what ``disabled=`` and the CLI refer to)
     name: str
     #: one-line description (docs, ``--explain`` output)
     description: str
-    #: the transform: ``(root, estimator) → (new_root, rewrites_fired)``
-    fn: Callable[[alg.Op, "CardinalityEstimator"], tuple[alg.Op, int]]
+    #: a global pass: ``(topo, estimate) → (new_root, rewrites)``, where
+    #: ``topo`` lists the plan's operators children-first (root last)
+    fn: Callable | None = None
+    #: a local rule (``fn`` is None): operator type → ``node →
+    #: replacement | None``, for the normalizer to dispatch on — empty for
+    #: ``cse``, which is the normalizer's own hash-consing
+    rules: dict = field(default_factory=dict)
+
+    @property
+    def local(self) -> bool:
+        """Is this a local rule, applied by the normalizer?"""
+        return self.fn is None
 
 
 _MAX_ROUNDS = 10
@@ -478,7 +326,7 @@ _MAX_ROUNDS = 10
 OPTIMIZER_MODES: tuple[str, ...] = ("cost", "greedy", "wcoj")
 
 
-#: the passes ``greedy`` keeps from the default pipeline (one round each):
+#: the passes ``greedy`` keeps from the default pipeline (one round):
 #: cse dedups the shared-subtree DAG, pushdown moves selections below the
 #: joins, prune drops dead columns — the three with the largest measured
 #: execution impact; everything else is planning cost greedy does without
@@ -487,20 +335,22 @@ _GREEDY_PASS_NAMES: tuple[str, ...] = ("cse", "pushdown", "prune")
 
 def _pipeline_for_mode(
     mode: str,
-) -> tuple[tuple[RewritePass, ...], tuple[RewritePass, ...]]:
-    """(fixpoint passes, post-fixpoint passes) for an optimizer mode.
+) -> tuple[tuple[RewritePass, ...], tuple[RewritePass, ...], tuple[RewritePass, ...]]:
+    """(local rules, global passes, post passes) of an optimizer mode.
 
     ``twig_collapse`` is a *post* pass: it must only fire once the
-    pipeline has converged, because a collapsed twig hides its pairwise
-    steps from pushdown and join ordering — collapsing mid-fixpoint
+    rounds have converged, because a collapsed twig hides its pairwise
+    steps from pushdown and join ordering — collapsing between rounds
     measurably regressed plans whose steps still had selections to push.
     """
+    local = tuple(p for p in PASSES if p.local)
+    passes = tuple(p for p in PASSES if not p.local)
     if mode == "greedy":
-        loop = tuple(p for p in PASSES if p.name in _GREEDY_PASS_NAMES)
-        return loop + (_GREEDY_PASS,), ()
+        keep = lambda ps: tuple(p for p in ps if p.name in _GREEDY_PASS_NAMES)  # noqa: E731
+        return keep(local), keep(passes) + (_GREEDY_PASS,), ()
     if mode == "wcoj":
-        return PASSES, (_TWIG_PASS,)
-    return PASSES, ()
+        return local, passes, (_TWIG_PASS,)
+    return local, passes, ()
 
 
 def pass_names_for_mode(mode: str) -> tuple[str, ...]:
@@ -509,8 +359,8 @@ def pass_names_for_mode(mode: str) -> tuple[str, ...]:
     own passes (``greedy_order``, ``twig_collapse``) — what the CLI
     validates ``--disable-pass`` against."""
     names = list(PASS_NAMES)
-    loop, post = _pipeline_for_mode(mode)
-    names.extend(p.name for p in loop + post if p.name not in names)
+    for group in _pipeline_for_mode(mode):
+        names.extend(p.name for p in group if p.name not in names)
     return tuple(names)
 
 
@@ -523,18 +373,19 @@ def optimize(
     trace: list | None = None,
     mode: str = "cost",
 ) -> alg.Op:
-    """Run the rewrite-pass pipeline to a (bounded) fixpoint.
+    """Normalize the plan, then run rounds of the global passes until
+    none changes it (bounded).
 
     ``mode`` selects the planning strategy (:data:`OPTIMIZER_MODES`):
 
     * ``cost`` — the default pipeline; ``join_order`` decides with the
       cardinality estimator and per-pass statistics include estimates;
-    * ``greedy`` — no statistics anywhere: a single round of the three
-      highest-impact passes (:data:`_GREEDY_PASS_NAMES`) plus the
-      syntax-ranked ``greedy_order`` pass, with no fixpoint iteration,
-      no structural fingerprints and no cardinality estimates —
-      planning cost drops sharply, plan quality may too (execution-time
-      early termination on empty intermediates limits the downside);
+    * ``greedy`` — no statistics anywhere: ``cse`` is the only local
+      rule, and a single round of ``pushdown``, ``prune`` and the
+      syntax-ranked ``greedy_order`` runs, with no fixpoint iteration and
+      no cardinality estimates — planning cost drops sharply, plan
+      quality may too (execution-time early termination on empty
+      intermediates limits the downside);
     * ``wcoj`` — the ``cost`` pipeline plus a final ``twig_collapse``
       pass that fuses chains of pairwise staircase steps into one
       multi-way :class:`~repro.relational.algebra.StructuralTwigJoin`.
@@ -543,276 +394,337 @@ def optimize(
     :data:`PASS_NAMES` or of the selected mode's pipeline); ``estimator``
     seeds cardinality estimation (a default, statistics-free estimator is
     used when omitted); ``trace``, when a list, receives one
-    ``(pass_name, plan)`` snapshot after every pass application that
-    changed the plan — the hook behind ``examples/plan_explorer.py``'s
-    per-pass diffs.
+    ``(label, plan)`` snapshot after every step that changed the plan —
+    a global pass's name, or the local rules that fired in a normalizer
+    traversal joined by ``+`` (``"cse+fold"``) — the hook behind
+    ``examples/plan_explorer.py``'s per-pass diffs.
     """
     if mode not in OPTIMIZER_MODES:
         raise AlgebraError(
             f"unknown optimizer mode {mode!r}; "
             f"available: {', '.join(OPTIMIZER_MODES)}"
         )
-    pipeline, post = _pipeline_for_mode(mode)
-    allowed = set(PASS_NAMES) | {p.name for p in pipeline + post}
-    unknown = set(disabled) - allowed
+    disabled = frozenset(disabled)
+    unknown = disabled - set(pass_names_for_mode(mode))
     if unknown:
         raise AlgebraError(
             f"unknown optimizer pass(es) {sorted(unknown)}; "
             f"available: {', '.join(PASS_NAMES)}"
         )
+    local, passes, post = (
+        [p for p in group if p.name not in disabled]
+        for group in _pipeline_for_mode(mode)
+    )
     collect = stats is not None
     estimates = mode != "greedy"
     est = estimator if estimator is not None else CardinalityEstimator()
-    active = [p for p in pipeline if p.name not in set(disabled)]
-    post_active = [p for p in post if p.name not in set(disabled)]
-    per = {p.name: PassStats(p.name) for p in (*active, *post_active)}
-    # one object-keyed estimate memo for the whole run: shared subtrees
-    # surviving a pass keep their cached estimates
+    # one object-keyed estimate memo for the whole run: join_order and the
+    # statistics share it, and nodes surviving a pass keep their estimates
     est_memo: dict = {}
-    cur_ops = alg.op_count(root) if collect else 0
-    if collect:
-        stats.ops_before = cur_ops
 
-    def _apply(p: RewritePass) -> None:
-        nonlocal root, cur_ops
-        if collect:
-            ps = per[p.name]
+    def estimate(op: alg.Op) -> float:
+        return est.estimate(op, est_memo)
+
+    normalizer = _Normalizer(local, timed=collect)
+    per = {p.name: PassStats(p.name) for p in (*local, *passes, *post)}
+    # A pass's ops_after and est_rows describe the next plan counted: the
+    # walk a global pass needs anyway counts the plan, so the steps since
+    # the last count wait for it.  ``after`` keeps the plan each pass's
+    # numbers describe; their estimates are taken once, at the end.
+    ops = None  # operator count of the current plan, None while unknown
+    waiting: list[PassStats] = []
+    after: dict[str, alg.Op] = {}
+    topo: list[alg.Op] = []  # the children-first walk of the current plan
+
+    def counted(n: int) -> None:
+        nonlocal ops
+        ops = n
+        for ps in waiting:
+            ps.ops_after = n
+            after[ps.name] = root
+        waiting.clear()
+
+    if collect:
+        counted(alg.op_count(root))
+        stats.ops_before = ops
+
+    def note(runs: list[tuple[PassStats, int, float]], changed: bool) -> None:
+        nonlocal ops
+        for ps, fired, seconds in runs:
             if ps.runs == 0:
-                ps.ops_before = cur_ops
-        t0 = time.perf_counter()
-        new_root, fired = p.fn(root, est)
-        elapsed = time.perf_counter() - t0
-        if collect:
+                ps.ops_before = ops
             ps.runs += 1
             ps.rewrites += fired
-            ps.seconds += elapsed
-            if fired:
-                cur_ops = alg.op_count(new_root)
-            ps.ops_after = cur_ops
-            if estimates:
-                ps.est_rows = est.estimate(new_root, est_memo)
-        if trace is not None and fired and new_root is not root:
-            trace.append((p.name, new_root))
-        root = new_root
+            ps.seconds += seconds
+        waiting.extend(ps for ps, _, _ in runs)
+        if changed:
+            ops = None
+        elif ops is not None:
+            counted(ops)
 
+    def normalize() -> None:
+        nonlocal root
+        fired0 = dict(normalizer.fired)
+        seconds0 = dict(normalizer.seconds)
+        new_root = normalizer(root)
+        changed = new_root is not root
+        root = new_root
+        if collect:
+            note(
+                [
+                    (per[p.name], normalizer.fired[p.name] - fired0[p.name],
+                     normalizer.seconds[p.name] - seconds0[p.name])
+                    for p in local
+                ],
+                changed,
+            )
+        if trace is not None and changed:
+            label = "+".join(
+                p.name for p in local if normalizer.fired[p.name] > fired0[p.name]
+            )
+            trace.append((label, root))
+
+    def apply(p: RewritePass) -> bool:
+        nonlocal root, topo
+        if not topo or topo[-1] is not root:
+            # one walk per distinct plan, shared by the passes that see it
+            topo = list(alg.walk(root))
+            counted(len(topo))
+        t0 = time.perf_counter()
+        new_root, fired = p.fn(topo, estimate)
+        elapsed = time.perf_counter() - t0
+        changed = new_root is not root
+        root = new_root
+        if collect:
+            note([(per[p.name], fired, elapsed)], changed)
+        if trace is not None and changed:
+            trace.append((p.name, root))
+        return changed
+
+    normalize()
+    # global pass name → the plan it last ran on and left unchanged:
+    # passes are pure, so running it on that plan again is wasted work
+    settled: dict[str, alg.Op] = {}
     rounds = 0
-    fingerprint = _fingerprint(root) if estimates else None
-    for i in range(_MAX_ROUNDS):
-        rounds = i + 1
-        for p in active:
-            _apply(p)
-        if not estimates:
-            # greedy: one round, no fixpoint iteration — each pass gets
-            # one shot and execution-time early termination on empty
-            # intermediates covers what a second round would have won
+    while rounds < _MAX_ROUNDS:
+        rounds += 1
+        changed = False
+        for p in passes:
+            if settled.get(p.name) is root:
+                continue
+            if apply(p):
+                normalize()
+                changed = True
+            else:
+                settled[p.name] = root
+        if not changed or mode == "greedy":
+            # greedy: one round, no fixpoint iteration — execution-time
+            # early termination on empty intermediates covers what a
+            # second round would have won
             break
-        next_fingerprint = _fingerprint(root)
-        if next_fingerprint == fingerprint:
-            break
-        fingerprint = next_fingerprint
-    for p in post_active:
+    for p in post:
         # post passes fire exactly once, on the converged plan (wcoj's
-        # twig_collapse: fused twigs must not hide steps from the loop)
-        _apply(p)
+        # twig_collapse: fused twigs must not hide steps from the rounds)
+        apply(p)
     if collect:
+        if ops is None:
+            counted(alg.op_count(root))
         stats.passes = rounds
-        stats.ops_after = alg.op_count(root)
-        stats.pass_stats = list(per.values())
+        stats.ops_after = ops
+        stats.pass_stats = [
+            per[name] for name in pass_names_for_mode(mode) if name in per
+        ]
         if estimates:
-            stats.estimated_rows = est.estimate(root, est_memo)
+            for name, plan in after.items():
+                per[name].est_rows = estimate(plan)
+            stats.estimated_rows = estimate(root)
     return root
 
 
-def _fingerprint(root: alg.Op) -> tuple:
-    """A structural fingerprint of the DAG (fixpoint detection).
+class _Normalizer:
+    """The local rules as one children-first traversal, to a local
+    fixpoint at every node.
 
-    Exact, not a hash: two fingerprints compare equal iff the canonical
-    key sets (and the root's canonical id) are identical.
+    A node's inputs are normalized first; then ``cse`` looks the node up
+    among the structurally identical nodes already settled, and the rules
+    registered for its type are offered it in registry order.  A rule's
+    replacement may contain new nodes, so it is normalized in turn.  The
+    tables persist across calls within one :func:`optimize` run: nodes
+    are immutable, so a settled node is never re-examined, and a later
+    call only does work for the nodes a global pass created since.
     """
-    canon: dict[tuple, int] = {}
-    ids: dict[int, int] = {}
-    for node in alg.walk(root):
-        key = node.struct_key(tuple(ids[id(c)] for c in node.children))
-        ids[id(node)] = canon.setdefault(key, len(canon))
-    return (ids[id(root)], frozenset(canon))
 
+    def __init__(self, rules: list[RewritePass], timed: bool):
+        self.cse = any(r.name == "cse" for r in rules)
+        self.dispatch: dict[type, list] = {}
+        for r in rules:
+            for t, rule in r.rules.items():
+                self.dispatch.setdefault(t, []).append((r.name, rule))
+        self.fired = {r.name: 0 for r in rules}
+        self.seconds = {r.name: 0.0 for r in rules}
+        self.timed = timed
+        #: every node seen → its normal form (normal forms map to themselves)
+        self.done: dict[alg.Op, alg.Op] = {}
+        #: structural key over normal children → normal form (hash-consing)
+        self.canon: dict[tuple, alg.Op] = {}
 
-def _rewrite_bottom_up(root: alg.Op, rewrite_one) -> tuple[alg.Op, int]:
-    """Shared pass skeleton: rebuild the DAG children-first, offering
-    every node to ``rewrite_one(node) -> Op | None``; counts the nodes it
-    rewrote.  New passes usually only need a ``rewrite_one``."""
-    rebuilt: dict[int, alg.Op] = {}
-    fired = 0
-    for node in alg.walk(root):
-        children = tuple(rebuilt[id(c)] for c in node.children)
-        new = _with_children(node, children)
-        replacement = rewrite_one(new)
-        if replacement is not None and replacement is not new:
-            new = replacement
-            fired += 1
-        rebuilt[id(node)] = new
-    return rebuilt[id(root)], fired
+    def __call__(self, root: alg.Op) -> alg.Op:
+        return self._visit(root)
 
+    def _visit(self, node: alg.Op) -> alg.Op:
+        out = self.done.get(node)
+        if out is None:
+            kids = node.children
+            if kids:
+                normal = []
+                for c in kids:
+                    normal.append(self._visit(c))
+                out = self._settle(node.with_children(tuple(normal)))
+            else:
+                out = self._settle(node)
+            self.done[node] = out
+        return out
 
-# --------------------------------------------------------------------------
-# pass: common subexpression elimination (hash consing)
-# --------------------------------------------------------------------------
-def _cse(root: alg.Op, est) -> tuple[alg.Op, int]:
-    canon: dict[tuple, alg.Op] = {}
-    rebuilt: dict[int, alg.Op] = {}
-    fired = 0
-    for node in alg.walk(root):
-        child_ids = tuple(id(rebuilt[id(c)]) for c in node.children)
-        new_children = tuple(rebuilt[id(c)] for c in node.children)
-        candidate = _with_children(node, new_children)
-        key = candidate.struct_key(child_ids)
-        existing = canon.get(key)
-        if existing is None:
-            canon[key] = candidate
-            rebuilt[id(node)] = candidate
+    def _settle(self, node: alg.Op) -> alg.Op:
+        """The normal form of ``node``, whose inputs are normal already."""
+        timed = self.timed
+        t0 = time.perf_counter() if timed else 0.0
+        key = None
+        if self.cse:
+            key = node.struct_key(tuple(map(id, node.children)))
+            existing = self.canon.get(key)
+            if timed:
+                t1 = time.perf_counter()
+                self.seconds["cse"] += t1 - t0
+                t0 = t1
+            if existing is not None:
+                if existing is not node:
+                    self.fired["cse"] += 1
+                return existing
+        out = node
+        for name, rule in self.dispatch.get(type(node), ()):
+            replacement = rule(node)
+            if timed:
+                t1 = time.perf_counter()
+                self.seconds[name] += t1 - t0
+                t0 = t1
+            if replacement is not None and replacement is not node:
+                self.fired[name] += 1
+                out = self._visit(replacement)
+                break
         else:
-            rebuilt[id(node)] = existing
-            fired += 1
-    return rebuilt[id(root)], fired
-
-
-def _with_children(node: alg.Op, children: tuple[alg.Op, ...]) -> alg.Op:
-    """Clone ``node`` with new children (no-op when nothing changed)."""
-    if tuple(node.children) == children:
-        return node
-    if isinstance(node, alg.Project):
-        return alg.Project(children[0], node.cols)
-    if isinstance(node, alg.Select):
-        return alg.Select(children[0], node.op, node.lhs, node.rhs)
-    if isinstance(node, alg.Union):
-        return alg.Union(children)
-    if isinstance(node, alg.Difference):
-        return alg.Difference(children[0], children[1], node.keys)
-    if isinstance(node, alg.Distinct):
-        return alg.Distinct(children[0], node.keys, node.order_col)
-    if isinstance(node, alg.Join):
-        return alg.Join(children[0], children[1], node.keys)
-    if isinstance(node, alg.SemiJoin):
-        return alg.SemiJoin(children[0], children[1], node.keys)
-    if isinstance(node, alg.Cross):
-        return alg.Cross(children[0], children[1])
-    if isinstance(node, alg.RowNum):
-        return alg.RowNum(children[0], node.target, node.order, node.group)
-    if isinstance(node, alg.Map):
-        return alg.Map(children[0], node.fn, node.target, node.args)
-    if isinstance(node, alg.Aggr):
-        return alg.Aggr(
-            children[0], node.kind, node.target, node.arg, node.group,
-            node.sep, node.order_col,
-        )
-    if isinstance(node, alg.StepJoin):
-        return alg.StepJoin(children[0], node.axis, node.test, node.iter_col, node.item_col)
-    if isinstance(node, alg.StructuralTwigJoin):
-        return alg.StructuralTwigJoin(
-            children[0], node.steps, node.iter_col, node.item_col
-        )
-    if isinstance(node, alg.Atomize):
-        return alg.Atomize(children[0], node.target, node.arg)
-    if isinstance(node, alg.ElemConstr):
-        return alg.ElemConstr(children[0], children[1])
-    if isinstance(node, alg.TextConstr):
-        return alg.TextConstr(children[0])
-    if isinstance(node, alg.AttrConstr):
-        return alg.AttrConstr(children[0], children[1])
-    if isinstance(node, alg.GenRange):
-        return alg.GenRange(children[0], node.lo_col, node.hi_col)
-    if isinstance(node, (alg.Lit, alg.DocRoot, alg.ParamTable)):
-        return node
-    raise AlgebraError(f"cannot clone {type(node).__name__}")
+            self.done[node] = node
+        if key is not None:
+            self.canon[key] = out
+        return out
 
 
 # --------------------------------------------------------------------------
-# pass: literal folding and empty propagation
+# local rule: literal folding and empty propagation
 # --------------------------------------------------------------------------
 def _is_empty_lit(op: alg.Op) -> bool:
     return isinstance(op, alg.Lit) and not op.rows
 
 
 def _empty_like(op: alg.Op) -> alg.Lit:
-    memo: dict[int, tuple[str, ...]] = {}
-    imemo: dict[int, frozenset] = {}
-    return alg.Lit(schema_of(op, memo), (), _item_cols_of(op, imemo))
+    return alg.Lit(op.columns, (), op.item_columns)
 
 
-def _fold(root: alg.Op, est) -> tuple[alg.Op, int]:
-    return _rewrite_bottom_up(root, _fold_one)
+def _fold_select(node: alg.Select) -> alg.Op | None:
+    child = node.child
+    if _is_empty_lit(child):
+        return child
+    if isinstance(child, alg.Lit) and _foldable_pred(node, child):
+        return _fold_select_lit(node, child)
+    return None
 
 
-def _fold_one(node: alg.Op) -> alg.Op:
-    # constructors have side effects; never fold them away
-    if isinstance(node, (alg.ElemConstr, alg.TextConstr, alg.AttrConstr)):
-        return node
-    if isinstance(node, alg.Select):
-        child = node.child
-        if _is_empty_lit(child):
-            return child
-        if isinstance(child, alg.Lit) and _foldable_pred(node, child):
-            return _fold_select_lit(node, child)
-    if isinstance(node, alg.Project):
-        child = node.child
-        if isinstance(child, alg.Lit):
-            idx = {name: i for i, name in enumerate(child.schema)}
-            if all(old in idx for _, old in node.cols):
-                rows = tuple(
-                    tuple(row[idx[old]] for _, old in node.cols) for row in child.rows
-                )
-                new_items = frozenset(
-                    new for new, old in node.cols if old in child.item_cols
-                )
-                return alg.Lit(tuple(n for n, _ in node.cols), rows, new_items)
-    if isinstance(node, alg.Union):
-        inputs = [i for i in node.inputs if not _is_empty_lit(i)]
-        if not inputs:
-            return node.inputs[0]
-        if len(inputs) == 1:
-            return inputs[0]
-        if len(inputs) != len(node.inputs):
-            return alg.Union(tuple(inputs))
-        if all(isinstance(i, alg.Lit) for i in inputs):
-            first = inputs[0]
-            if all(i.schema == first.schema and i.item_cols == first.item_cols for i in inputs):
-                rows = tuple(r for i in inputs for r in i.rows)
-                return alg.Lit(first.schema, rows, first.item_cols)
-    if isinstance(node, (alg.Map, alg.RowNum, alg.Distinct, alg.Atomize)):
-        if _is_empty_lit(node.child):
-            return _empty_like(node)
-    if isinstance(node, alg.Map):
-        child = node.child
-        if isinstance(child, alg.Lit):
-            folded = _fold_map_lit(node, child)
-            if folded is not None:
-                return folded
-    if isinstance(node, alg.Atomize):
-        child = node.child
-        if isinstance(child, alg.Lit) and node.arg in child.item_cols:
-            # literal rows hold Python scalars, never nodes: fn:data is the
-            # identity, so the target column is a copy of the argument
-            idx = child.schema.index(node.arg)
-            return _lit_with_column(
-                child, node.target, [row[idx] for row in child.rows]
-            )
-    if isinstance(node, (alg.StepJoin, alg.StructuralTwigJoin)):
-        if _is_empty_lit(node.child):
-            return alg.Lit(
-                (node.iter_col, node.item_col), (), frozenset({node.item_col})
-            )
-    if isinstance(node, (alg.Join, alg.Cross)):
-        if _is_empty_lit(node.left) or _is_empty_lit(node.right):
-            return _empty_like(node)
-    if isinstance(node, alg.SemiJoin):
-        if _is_empty_lit(node.left) or _is_empty_lit(node.right):
-            return _empty_like(node)
-    if isinstance(node, alg.Difference):
-        if _is_empty_lit(node.left):
-            return node.left
-        if _is_empty_lit(node.right):
-            return node.left
-    return node
+def _fold_project(node: alg.Project) -> alg.Op | None:
+    child = node.child
+    if not isinstance(child, alg.Lit):
+        return None
+    idx = {name: i for i, name in enumerate(child.schema)}
+    if not all(old in idx for _, old in node.cols):
+        return None
+    rows = tuple(tuple(row[idx[old]] for _, old in node.cols) for row in child.rows)
+    new_items = frozenset(new for new, old in node.cols if old in child.item_cols)
+    return alg.Lit(tuple(n for n, _ in node.cols), rows, new_items)
+
+
+def _fold_union(node: alg.Union) -> alg.Op | None:
+    inputs = [i for i in node.inputs if not _is_empty_lit(i)]
+    if not inputs:
+        return node.inputs[0]
+    if len(inputs) == 1:
+        return inputs[0]
+    if len(inputs) != len(node.inputs):
+        return alg.Union(tuple(inputs))
+    if all(isinstance(i, alg.Lit) for i in inputs):
+        first = inputs[0]
+        if all(i.schema == first.schema and i.item_cols == first.item_cols for i in inputs):
+            rows = tuple(r for i in inputs for r in i.rows)
+            return alg.Lit(first.schema, rows, first.item_cols)
+    return None
+
+
+def _fold_empty_input(node: alg.Op) -> alg.Op | None:
+    """ϱ, δ and staircase joins over an empty literal are empty."""
+    return _empty_like(node) if _is_empty_lit(node.child) else None
+
+
+def _fold_empty_side(node: alg.Op) -> alg.Op | None:
+    """⋈, × and ⋉ with an empty input are empty."""
+    if _is_empty_lit(node.left) or _is_empty_lit(node.right):
+        return _empty_like(node)
+    return None
+
+
+def _fold_map(node: alg.Map) -> alg.Op | None:
+    child = node.child
+    if not isinstance(child, alg.Lit):
+        return None
+    if not child.rows:
+        return _empty_like(node)
+    return _fold_map_lit(node, child)
+
+
+def _fold_atomize(node: alg.Atomize) -> alg.Op | None:
+    child = node.child
+    if not isinstance(child, alg.Lit):
+        return None
+    if not child.rows:
+        return _empty_like(node)
+    if node.arg not in child.item_cols:
+        return None
+    # literal rows hold Python scalars, never nodes: fn:data is the
+    # identity, so the target column is a copy of the argument
+    idx = child.schema.index(node.arg)
+    return _lit_with_column(child, node.target, [row[idx] for row in child.rows])
+
+
+def _fold_difference(node: alg.Difference) -> alg.Op | None:
+    if _is_empty_lit(node.left) or _is_empty_lit(node.right):
+        return node.left
+    return None
+
+
+#: the ``fold`` rule per operator type — node constructors have side
+#: effects and are never folded away
+_FOLD_RULES = {
+    alg.Select: _fold_select,
+    alg.Project: _fold_project,
+    alg.Union: _fold_union,
+    alg.Map: _fold_map,
+    alg.Atomize: _fold_atomize,
+    alg.RowNum: _fold_empty_input,
+    alg.Distinct: _fold_empty_input,
+    alg.StepJoin: _fold_empty_input,
+    alg.StructuralTwigJoin: _fold_empty_input,
+    alg.Join: _fold_empty_side,
+    alg.Cross: _fold_empty_side,
+    alg.SemiJoin: _fold_empty_side,
+    alg.Difference: _fold_difference,
+}
 
 
 #: ⊛ functions foldable over literal int/bool operands: exactly those whose
@@ -916,13 +828,13 @@ def _fold_select_lit(node: alg.Select, child: alg.Lit) -> alg.Lit:
 
 
 # --------------------------------------------------------------------------
-# pass: select/map comparison fusion
+# local rule: select/map comparison fusion
 # --------------------------------------------------------------------------
 _CMP_FNS = frozenset({"eq", "ne", "lt", "le", "gt", "ge"})
 _CMP_NEGATED = {"eq": "ne", "ne": "eq"}
 
 
-def _fuse_select(root: alg.Op, est) -> tuple[alg.Op, int]:
+def _fuse_one(node: alg.Select) -> alg.Op | None:
     """Rewrite ``σ (t = true) ∘ ⊛ t:cmp(a, b)`` into ``⊛ t ∘ σ a cmp b``.
 
     Loop-lifting funnels every comparison through a ⊛ that materialises a
@@ -933,11 +845,7 @@ def _fuse_select(root: alg.Op, est) -> tuple[alg.Op, int]:
     pushdown and join recognition.  Both paths evaluate comparisons with
     the same general-comparison kernel, so the rewrite is exact.
     """
-    return _rewrite_bottom_up(root, _fuse_one)
-
-
-def _fuse_one(node: alg.Op) -> alg.Op | None:
-    if not isinstance(node, alg.Select) or node.op not in ("eq", "ne"):
+    if node.op not in ("eq", "ne"):
         return None
     m = node.child
     if not isinstance(m, alg.Map) or m.fn not in _CMP_FNS or len(m.args) != 2:
@@ -959,17 +867,88 @@ def _fuse_one(node: alg.Op) -> alg.Op | None:
 
 
 # --------------------------------------------------------------------------
-# pass: selection / semijoin pushdown
+# local rule: join recognition (σ= over × / ⋈ becomes an equi-join key)
 # --------------------------------------------------------------------------
-def _parent_counts(root: alg.Op) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for node in alg.walk(root):
+def _join_rec_one(node: alg.Select) -> alg.Op | None:
+    """Turn ``σ (a = b)`` over × into ⋈, or add a key to an existing ⋈.
+
+    Sound only for plain numeric columns: equality of item columns
+    follows general-comparison rules (untypedAtomic coerces, ``10`` =
+    ``10.0``) which the surrogate-equality join kernel does not
+    implement, so item operands are left alone.  Exact including row
+    order: the sort-merge join emits matches left-major with ties in
+    right order, which is precisely the filtered cross product.
+    """
+    if node.op != "eq":
+        return None
+    child = node.child
+    if not isinstance(child, (alg.Cross, alg.Join)):
+        return None
+    if node.lhs[0] != "col" or node.rhs[0] != "col":
+        return None
+    a, b = node.lhs[1], node.rhs[1]
+    items = child.item_columns
+    if a in items or b in items:
+        return None
+    lschema = child.left.columns
+    rschema = child.right.columns
+    if a in lschema and b in rschema:
+        key = (a, b)
+    elif b in lschema and a in rschema:
+        key = (b, a)
+    else:
+        return None
+    keys = (child.keys if isinstance(child, alg.Join) else ()) + (key,)
+    return alg.Join(child.left, child.right, keys)
+
+
+# --------------------------------------------------------------------------
+# local rule: redundant distinct elimination
+# --------------------------------------------------------------------------
+def _distinct_elim_one(node: alg.Distinct) -> alg.Op | None:
+    """Drop δ whose input is provably duplicate-free on its keys.
+
+    The staircase join's post-condition — output duplicate-free and
+    document-ordered per iteration — is the flagship case; the
+    uniqueness facts of :attr:`~repro.relational.algebra.Op.unique_sets`
+    generalise it through π renames, filters, row numbering and key
+    joins.
+    """
+    keys = frozenset(node.keys)
+    if any(u <= keys for u in node.child.unique_sets):
+        return node.child
+    return None
+
+
+# --------------------------------------------------------------------------
+# local rule: projection merging / identity removal
+# --------------------------------------------------------------------------
+def _merge_one(node: alg.Project) -> alg.Op:
+    """Collapse a π ∘ π chain and remove an identity projection."""
+    child = node.child
+    if isinstance(child, alg.Project):
+        inner = dict(child.cols)
+        node = alg.Project(child.child, tuple((n, inner[o]) for n, o in node.cols))
+        child = node.child
+    if tuple(n for n, _ in node.cols) == child.columns and all(
+        n == o for n, o in node.cols
+    ):
+        return child
+    return node
+
+
+# --------------------------------------------------------------------------
+# global pass: selection / semijoin pushdown
+# --------------------------------------------------------------------------
+def _parent_counts(topo: list[alg.Op]) -> dict[alg.Op, int]:
+    counts: dict[alg.Op, int] = {}
+    for node in topo:
         for child in node.children:
-            counts[id(child)] = counts.get(id(child), 0) + 1
+            counts[child] = counts.get(child, 0) + 1
     return counts
 
 
-def _pushdown(root: alg.Op, est) -> tuple[alg.Op, int]:
+def _pushdown(topo: list[alg.Op], estimate) -> tuple[alg.Op, int]:
     """Move σ and ⋉ filters below operators they don't depend on.
 
     A filter constrains a set of columns; whenever its immediate child
@@ -984,36 +963,27 @@ def _pushdown(root: alg.Op, est) -> tuple[alg.Op, int]:
     evaluated for its other parents) except through π/σ, which cost
     nothing to duplicate.
     """
-    counts = _parent_counts(root)
-    schema_memo: dict[int, tuple[str, ...]] = {}
-    rebuilt: dict[int, alg.Op] = {}
+    counts = _parent_counts(topo)
+    rebuilt: dict[alg.Op, alg.Op] = {}
     fired = 0
-    for node in alg.walk(root):
-        children = tuple(rebuilt[id(c)] for c in node.children)
-        new = _with_children(node, children)
+    for node in topo:
+        new = node.with_children(tuple(rebuilt[c] for c in node.children))
+        sunk = None
         if isinstance(new, alg.Select):
-            filt = ("select", new.op, new.lhs, new.rhs)
-            sunk = _sink(filt, new.child, counts, schema_memo)
-            if sunk is not None:
-                new = sunk
-                fired += 1
+            sunk = _sink(("select", new.op, new.lhs, new.rhs), new.child, counts)
         elif isinstance(new, alg.SemiJoin):
-            filt = ("semi", new.right, new.keys)
-            sunk = _sink(filt, new.left, counts, schema_memo)
-            if sunk is not None:
-                new = sunk
-                fired += 1
+            sunk = _sink(("semi", new.right, new.keys), new.left, counts)
         elif isinstance(new, (alg.Map, alg.Atomize)):
-            sunk = _sink_map(new, counts, schema_memo)
-            if sunk is not None:
-                new = sunk
-                fired += 1
-        if id(new) not in counts:
+            sunk = _sink_map(new, counts)
+        if sunk is not None:
+            new = sunk
+            fired += 1
+        if new not in counts:
             # the rewritten node inherits the original's parent count, so
             # later filters see sunk subtrees shared by several parents
-            counts[id(new)] = counts.get(id(node), 1)
-        rebuilt[id(node)] = new
-    return rebuilt[id(root)], fired
+            counts[new] = counts.get(node, 1)
+        rebuilt[node] = new
+    return rebuilt[topo[-1]], fired
 
 
 def _filter_cols(filt) -> frozenset:
@@ -1047,12 +1017,12 @@ def _attach(filt, node: alg.Op) -> alg.Op:
     return alg.SemiJoin(node, right, keys)
 
 
-def _sink_or_attach(filt, node, counts, memo, shared: bool) -> alg.Op:
-    sunk = _sink(filt, node, counts, memo, shared)
+def _sink_or_attach(filt, node, counts, shared: bool) -> alg.Op:
+    sunk = _sink(filt, node, counts, shared)
     return sunk if sunk is not None else _attach(filt, node)
 
 
-def _sink(filt, x: alg.Op, counts, memo, shared: bool = False) -> alg.Op | None:
+def _sink(filt, x: alg.Op, counts, shared: bool = False) -> alg.Op | None:
     """Push ``filt`` below ``x``; returns the new subtree or None.
 
     ``shared`` is True once the descent has passed through any node with
@@ -1064,7 +1034,7 @@ def _sink(filt, x: alg.Op, counts, memo, shared: bool = False) -> alg.Op | None:
     cols = _filter_cols(filt)
     if not cols:
         return None
-    shared = shared or counts.get(id(x), 1) > 1
+    shared = shared or counts.get(x, 1) > 1
     if shared and not isinstance(x, (alg.Project, alg.Select)):
         return None  # don't duplicate shared, non-trivial subplans
     if isinstance(x, alg.Project):
@@ -1072,89 +1042,61 @@ def _sink(filt, x: alg.Op, counts, memo, shared: bool = False) -> alg.Op | None:
         if not all(c in mapping for c in cols):
             return None
         inner = _filter_rename(filt, mapping)
-        return alg.Project(
-            _sink_or_attach(inner, x.child, counts, memo, shared), x.cols
-        )
-    if isinstance(x, alg.Select):
-        # only worthwhile when the filter makes it below the inner σ too
-        # (a bare σ/σ swap would oscillate between rounds)
-        body = _sink(filt, x.child, counts, memo, shared)
+        return alg.Project(_sink_or_attach(inner, x.child, counts, shared), x.cols)
+    if isinstance(x, alg.Select) or (isinstance(x, alg.SemiJoin) and filt[0] == "semi"):
+        # only worthwhile when the filter makes it below the inner σ (or
+        # the inner ⋉) too: a bare σ/σ or ⋉/⋉ swap would oscillate
+        body = _sink(filt, x.children[0], counts, shared)
         if body is None:
             return None
-        return alg.Select(body, x.op, x.lhs, x.rhs)
+        return x.with_children((body, *x.children[1:]))
     if isinstance(x, alg.Union):
         return alg.Union(
-            tuple(_sink_or_attach(filt, b, counts, memo, shared) for b in x.inputs)
+            tuple(_sink_or_attach(filt, b, counts, shared) for b in x.inputs)
         )
     if isinstance(x, (alg.Join, alg.Cross)):
-        lschema = frozenset(schema_of(x.left, memo))
-        rschema = frozenset(schema_of(x.right, memo))
-        if cols <= lschema:
-            left = _sink_or_attach(filt, x.left, counts, memo, shared)
-            if isinstance(x, alg.Join):
-                return alg.Join(left, x.right, x.keys)
-            return alg.Cross(left, x.right)
-        if cols <= rschema:
-            right = _sink_or_attach(filt, x.right, counts, memo, shared)
-            if isinstance(x, alg.Join):
-                return alg.Join(x.left, right, x.keys)
-            return alg.Cross(x.left, right)
+        if cols <= frozenset(x.left.columns):
+            left = _sink_or_attach(filt, x.left, counts, shared)
+            return x.with_children((left, x.right))
+        if cols <= frozenset(x.right.columns):
+            right = _sink_or_attach(filt, x.right, counts, shared)
+            return x.with_children((x.left, right))
         return None
-    if isinstance(x, alg.SemiJoin):
-        left = _sink_or_attach(filt, x.left, counts, memo, shared)
-        return alg.SemiJoin(left, x.right, x.keys)
-    if isinstance(x, alg.Difference):
-        left = _sink_or_attach(filt, x.left, counts, memo, shared)
-        return alg.Difference(left, x.right, x.keys)
+    if isinstance(x, (alg.SemiJoin, alg.Difference)):
+        left = _sink_or_attach(filt, x.left, counts, shared)
+        return x.with_children((left, x.right))
     if isinstance(x, (alg.Map, alg.Atomize)):
         if x.target in cols:
             return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
-        return _with_children(x, (child,))
-    if isinstance(x, alg.RowNum):
+    elif isinstance(x, alg.RowNum):
         # whole iterations (= ϱ groups) may be filtered without renumbering
         if x.group is None or not cols <= {x.group} or x.target in cols:
             return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
-        return alg.RowNum(child, x.target, x.order, x.group)
-    if isinstance(x, alg.Aggr):
+    elif isinstance(x, alg.Aggr):
         if x.group is None or not cols <= {x.group}:
             return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
-        return alg.Aggr(
-            child, x.kind, x.target, x.arg, x.group, x.sep, x.order_col
-        )
-    if isinstance(x, alg.Distinct):
+    elif isinstance(x, alg.Distinct):
         if not cols <= set(x.keys):
             return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
-        return alg.Distinct(child, x.keys, x.order_col)
-    if isinstance(x, alg.StepJoin):
+    elif isinstance(x, (alg.StepJoin, alg.StructuralTwigJoin)):
         if not cols <= {x.iter_col}:
             return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
-        return alg.StepJoin(child, x.axis, x.test, x.iter_col, x.item_col)
-    if isinstance(x, alg.StructuralTwigJoin):
-        if not cols <= {x.iter_col}:
-            return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
-        return alg.StructuralTwigJoin(child, x.steps, x.iter_col, x.item_col)
-    if isinstance(x, alg.GenRange):
+    elif isinstance(x, alg.GenRange):
         if not cols <= {"iter"}:
             return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
-        return alg.GenRange(child, x.lo_col, x.hi_col)
-    return None
+    else:
+        return None
+    return x.with_children((_sink_or_attach(filt, x.child, counts, shared),))
 
 
-def _sink_map(m, counts, memo) -> alg.Op | None:
+def _sink_map(m, counts) -> alg.Op | None:
     """Push a ⊛/atomize below ∪ (per branch) or × (onto the side that
     holds its operands), where it runs over fewer rows and may reach a
     literal table that ``fold`` can evaluate at compile time."""
     x = m.child
-    if counts.get(id(x), 1) > 1:
+    if counts.get(x, 1) > 1:
         return None
-    if m.target in schema_of(x, memo):
+    if m.target in x.columns:
         return None  # overwrite semantics: leave in place
     args = (
         frozenset({m.arg})
@@ -1164,126 +1106,50 @@ def _sink_map(m, counts, memo) -> alg.Op | None:
     if isinstance(x, alg.Union):
         branches = []
         for b in x.inputs:
-            mb = _with_children(m, (b,))
-            sunk = _sink_map(mb, counts, memo)
+            mb = m.with_children((b,))
+            sunk = _sink_map(mb, counts)
             branches.append(sunk if sunk is not None else mb)
         return alg.Union(tuple(branches))
     if isinstance(x, alg.Cross):
-        lschema = frozenset(schema_of(x.left, memo))
-        rschema = frozenset(schema_of(x.right, memo))
-        if args <= lschema:
-            ml = _with_children(m, (x.left,))
-            sunk = _sink_map(ml, counts, memo)
+        if args <= frozenset(x.left.columns):
+            ml = m.with_children((x.left,))
+            sunk = _sink_map(ml, counts)
             return alg.Cross(sunk if sunk is not None else ml, x.right)
-        if args <= rschema:
-            mr = _with_children(m, (x.right,))
-            sunk = _sink_map(mr, counts, memo)
+        if args <= frozenset(x.right.columns):
+            mr = m.with_children((x.right,))
+            sunk = _sink_map(mr, counts)
             return alg.Cross(x.left, sunk if sunk is not None else mr)
     return None
 
 
 # --------------------------------------------------------------------------
-# pass: join recognition (σ= over × / ⋈ becomes an equi-join key)
+# global pass: projection pruning (icols)
 # --------------------------------------------------------------------------
-def _join_recognition(root: alg.Op, est) -> tuple[alg.Op, int]:
-    """Turn ``σ (a = b)`` over × into ⋈, or add a key to an existing ⋈.
-
-    Sound only for plain numeric columns: equality of item columns
-    follows general-comparison rules (untypedAtomic coerces, ``10`` =
-    ``10.0``) which the surrogate-equality join kernel does not
-    implement, so item operands are left alone.  Exact including row
-    order: the sort-merge join emits matches left-major with ties in
-    right order, which is precisely the filtered cross product.
-    """
-    schema_memo: dict[int, tuple[str, ...]] = {}
-    item_memo: dict[int, frozenset] = {}
-    return _rewrite_bottom_up(
-        root, lambda new: _join_rec_one(new, schema_memo, item_memo)
-    )
-
-
-def _join_rec_one(node: alg.Op, schema_memo, item_memo) -> alg.Op | None:
-    if not isinstance(node, alg.Select) or node.op != "eq":
-        return None
-    child = node.child
-    if not isinstance(child, (alg.Cross, alg.Join)):
-        return None
-    if node.lhs[0] != "col" or node.rhs[0] != "col":
-        return None
-    a, b = node.lhs[1], node.rhs[1]
-    items = _item_cols_of(child, item_memo)
-    if a in items or b in items:
-        return None
-    lschema = frozenset(schema_of(child.left, schema_memo))
-    rschema = frozenset(schema_of(child.right, schema_memo))
-    if a in lschema and b in rschema:
-        key = (a, b)
-    elif b in lschema and a in rschema:
-        key = (b, a)
-    else:
-        return None
-    keys = (child.keys if isinstance(child, alg.Join) else ()) + (key,)
-    return alg.Join(child.left, child.right, keys)
-
-
-# --------------------------------------------------------------------------
-# pass: redundant distinct elimination
-# --------------------------------------------------------------------------
-def _distinct_elim(root: alg.Op, est) -> tuple[alg.Op, int]:
-    """Drop δ whose input is provably duplicate-free on its keys.
-
-    The staircase join's post-condition — output duplicate-free and
-    document-ordered per iteration — is the flagship case; the
-    uniqueness facts of :func:`_unique_sets` generalise it through π
-    renames, filters, row numbering and key joins.
-    """
-    unique_memo: dict[int, frozenset] = {}
-
-    def elim(new: alg.Op) -> alg.Op | None:
-        if not isinstance(new, alg.Distinct):
-            return None
-        keys = frozenset(new.keys)
-        if any(u <= keys for u in _unique_sets(new.child, unique_memo)):
-            return new.child
-        return None
-
-    return _rewrite_bottom_up(root, elim)
-
-
-# --------------------------------------------------------------------------
-# pass: projection pruning (icols)
-# --------------------------------------------------------------------------
-def _prune(root: alg.Op, est) -> tuple[alg.Op, int]:
+def _prune(topo: list[alg.Op], estimate) -> tuple[alg.Op, int]:
     """Required-column (icols) pruning in two passes.
 
     Pass 1 walks parents-before-children accumulating, per node, the union
     of the columns its parents need.  Pass 2 rebuilds each node exactly
     once against its accumulated requirement — shared subplans stay shared
-    (pruning per parent would duplicate them).
+    (pruning per parent would duplicate them), and a node nothing about
+    which changed is kept as the very same object.
     """
-    schema_memo: dict[int, tuple[str, ...]] = {}
-    required = frozenset(schema_of(root, schema_memo))
-    # pass 1: accumulate requirements top-down in reverse topological order
-    topo = list(alg.walk(root))  # children before parents
-    req: dict[int, frozenset] = {id(root): required}
+    root = topo[-1]
+    required = frozenset(root.columns)
+    req: dict[alg.Op, frozenset] = {root: required}
     for node in reversed(topo):
-        node_req = req.get(id(node), frozenset())
-        node_req &= frozenset(schema_of(node, schema_memo))
-        req[id(node)] = node_req
-        for child, child_req in _child_requirements(node, node_req, schema_memo):
-            req[id(child)] = req.get(id(child), frozenset()) | child_req
-    # pass 2: rebuild bottom-up
+        # (a parent only ever asks a child for columns the child has)
+        for child, child_req in _child_requirements(node, req[node]):
+            req[child] = req.get(child, frozenset()) | child_req
     fired = [0]
-    rebuilt: dict[int, alg.Op] = {}
+    rebuilt: dict[alg.Op, alg.Op] = {}
     for node in topo:
-        rebuilt[id(node)] = _prune_rewrite(
-            node, req[id(node)], rebuilt, schema_memo, fired
-        )
+        rebuilt[node] = _prune_rewrite(node, req[node], rebuilt, fired)
     # the root must deliver exactly its original schema
-    return _restrict(rebuilt[id(root)], required, schema_memo), fired[0]
+    return _restrict(rebuilt[root], required, fired), fired[0]
 
 
-def _child_requirements(op, required, schema_memo):
+def _child_requirements(op, required):
     """Which columns each child must deliver for ``op`` to produce
     ``required`` (mirrors the construction rules of ``_prune_rewrite``)."""
     if isinstance(op, alg.Lit):
@@ -1304,20 +1170,19 @@ def _child_requirements(op, required, schema_memo):
     if isinstance(op, (alg.Join, alg.SemiJoin)):
         lkeys = frozenset(l for l, _ in op.keys)
         rkeys = frozenset(r for _, r in op.keys)
-        lschema = frozenset(schema_of(op.left, schema_memo))
-        out = [(op.left, (required & lschema) | lkeys)]
+        out = [(op.left, (required & frozenset(op.left.columns)) | lkeys)]
         if isinstance(op, alg.SemiJoin):
             out.append((op.right, rkeys))
         else:
-            rschema = frozenset(schema_of(op.right, schema_memo))
-            out.append((op.right, (required & rschema) | rkeys))
+            out.append((op.right, (required & frozenset(op.right.columns)) | rkeys))
         return out
     if isinstance(op, alg.Cross):
-        lschema = frozenset(schema_of(op.left, schema_memo))
-        rschema = frozenset(schema_of(op.right, schema_memo))
-        lreq = (required & lschema) or frozenset(list(lschema)[:1])
-        rreq = (required & rschema) or frozenset(list(rschema)[:1])
-        return [(op.left, lreq), (op.right, rreq)]
+        # a side nothing is needed from still keeps one column — the
+        # first in schema order, so plans never depend on set order
+        return [
+            (side, (required & frozenset(side.columns)) or frozenset(side.columns[:1]))
+            for side in (op.left, op.right)
+        ]
     if isinstance(op, alg.RowNum):
         if op.target not in required:
             return [(op.child, required)]
@@ -1336,24 +1201,23 @@ def _child_requirements(op, required, schema_memo):
     if isinstance(op, alg.Aggr):
         child_req = frozenset(filter(None, (op.arg, op.group, op.order_col)))
         if not child_req:
-            child_req = frozenset(schema_of(op.child, schema_memo)[:1])
+            child_req = frozenset(op.child.columns[:1])
         return [(op.child, child_req)]
     if isinstance(op, (alg.StepJoin, alg.StructuralTwigJoin)):
         return [(op.child, frozenset({op.iter_col, op.item_col}))]
     if isinstance(op, alg.GenRange):
         return [(op.child, frozenset({"iter", op.lo_col, op.hi_col}))]
     # constructors / DocRoot: children keep their full schemas
-    return [
-        (c, frozenset(schema_of(c, schema_memo))) for c in op.children
-    ]
+    return [(c, frozenset(c.columns)) for c in op.children]
 
 
-def _restrict(op: alg.Op, required: frozenset, schema_memo) -> alg.Op:
+def _restrict(op: alg.Op, required: frozenset, fired: list[int]) -> alg.Op:
     """Wrap ``op`` in a projection keeping only ``required`` columns."""
-    schema = schema_of(op, schema_memo)
+    schema = op.columns
     keep = tuple(c for c in schema if c in required)
     if keep == schema:
         return op
+    fired[0] += 1
     return alg.Project(op, tuple((c, c) for c in keep))
 
 
@@ -1361,11 +1225,8 @@ def _operand_cols(*operands) -> frozenset:
     return frozenset(v for tag, v in operands if tag == "col")
 
 
-def _prune_rewrite(op, required, rebuilt, schema_memo, fired):
-    # children were already pruned against their accumulated requirements
-    def rec(child, req):
-        return rebuilt[id(child)]
-
+def _prune_rewrite(op, required, rebuilt, fired):
+    """``op`` over its already-pruned children, cut down to ``required``."""
     if isinstance(op, alg.Lit):
         keep = tuple(c for c in op.schema if c in required) or op.schema[:1]
         if keep == op.schema:
@@ -1374,163 +1235,43 @@ def _prune_rewrite(op, required, rebuilt, schema_memo, fired):
         idx = {name: i for i, name in enumerate(op.schema)}
         rows = tuple(tuple(row[idx[c]] for c in keep) for row in op.rows)
         return alg.Lit(keep, rows, op.item_cols & frozenset(keep))
-
+    if isinstance(op, (alg.RowNum, alg.Map, alg.Atomize)) and op.target not in required:
+        fired[0] += 1
+        return rebuilt[op.child]
     if isinstance(op, alg.Project):
         cols = tuple((new, old) for new, old in op.cols if new in required)
-        if not cols:
-            cols = op.cols[:1]
+        cols = cols or op.cols[:1]
         if cols != op.cols:
             fired[0] += 1
-        child_req = frozenset(old for _, old in cols)
-        child = rec(op.child, child_req)
-        return alg.Project(child, cols)
-
-    # NB: downstream of here, operators are allowed to deliver *more*
-    # columns than required — extra columns are cut at the next enclosing
-    # projection.  Only Union branches and Difference/SemiJoin right sides
-    # need exact schemas, and they get explicit restrictions.
-    if isinstance(op, alg.Select):
-        child_req = required | _operand_cols(op.lhs, op.rhs)
-        child = rec(op.child, child_req)
-        return alg.Select(child, op.op, op.lhs, op.rhs)
-
+            return alg.Project(rebuilt[op.child], cols)
+    children = [rebuilt[c] for c in op.children]
+    # NB: operators may deliver *more* columns than required — extra
+    # columns are cut at the next enclosing projection.  Only the inputs
+    # that need exact schemas get explicit restrictions: ∪ branches, the
+    # right sides of \ and ⋉, and staircase-join contexts.
     if isinstance(op, alg.Union):
-        inputs = tuple(
-            _restrict(rec(i, required), required, schema_memo) for i in op.inputs
-        )
-        return alg.Union(inputs)
-
-    if isinstance(op, alg.Difference):
-        keys = frozenset(op.keys)
-        left = rec(op.left, required | keys)
-        right = _restrict(rec(op.right, keys), keys, schema_memo)
-        return alg.Difference(left, right, op.keys)
-
-    if isinstance(op, alg.Distinct):
-        keys = frozenset(op.keys)
-        extra = frozenset([op.order_col]) if op.order_col else frozenset()
-        child = rec(op.child, required | keys | extra)
-        return alg.Distinct(child, op.keys, op.order_col)
-
-    if isinstance(op, (alg.Join, alg.SemiJoin)):
-        lkeys = frozenset(l for l, _ in op.keys)
+        children = [_restrict(c, required, fired) for c in children]
+    elif isinstance(op, alg.Difference):
+        children[1] = _restrict(children[1], frozenset(op.keys), fired)
+    elif isinstance(op, alg.SemiJoin):
         rkeys = frozenset(r for _, r in op.keys)
-        lschema = frozenset(schema_of(op.left, schema_memo))
-        left = rec(op.left, (required & lschema) | lkeys)
-        if isinstance(op, alg.SemiJoin):
-            right = _restrict(rec(op.right, rkeys), rkeys, schema_memo)
-            return alg.SemiJoin(left, right, op.keys)
-        rschema = frozenset(schema_of(op.right, schema_memo))
-        right = rec(op.right, (required & rschema) | rkeys)
-        return alg.Join(left, right, op.keys)
-
-    if isinstance(op, alg.Cross):
-        lschema = frozenset(schema_of(op.left, schema_memo))
-        rschema = frozenset(schema_of(op.right, schema_memo))
-        lreq = required & lschema
-        rreq = required & rschema
-        left = rec(op.left, lreq or frozenset(list(lschema)[:1]))
-        right = rec(op.right, rreq or frozenset(list(rschema)[:1]))
-        return alg.Cross(left, right)
-
-    if isinstance(op, alg.RowNum):
-        if op.target not in required:
-            fired[0] += 1
-            return rec(op.child, required)
-        child_req = (required - {op.target}) | frozenset(c for c, _ in op.order)
-        if op.group:
-            child_req |= {op.group}
-        child = rec(op.child, child_req)
-        return alg.RowNum(child, op.target, op.order, op.group)
-
-    if isinstance(op, alg.Map):
-        if op.target not in required:
-            fired[0] += 1
-            return rec(op.child, required)
-        child_req = (required - {op.target}) | _operand_cols(*op.args)
-        child = rec(op.child, child_req)
-        return alg.Map(child, op.fn, op.target, op.args)
-
-    if isinstance(op, alg.Atomize):
-        if op.target not in required:
-            fired[0] += 1
-            return rec(op.child, required)
-        child_req = (required - {op.target}) | {op.arg}
-        child = rec(op.child, child_req)
-        return alg.Atomize(child, op.target, op.arg)
-
-    if isinstance(op, alg.Aggr):
-        child_req = frozenset(filter(None, (op.arg, op.group, op.order_col)))
-        child = rec(op.child, child_req or frozenset(schema_of(op.child, schema_memo)[:1]))
-        return alg.Aggr(
-            child, op.kind, op.target, op.arg, op.group, op.sep, op.order_col
-        )
-
-    if isinstance(op, alg.StepJoin):
-        child = rec(op.child, frozenset({op.iter_col, op.item_col}))
-        child = _restrict(child, frozenset({op.iter_col, op.item_col}), schema_memo)
-        return alg.StepJoin(child, op.axis, op.test, op.iter_col, op.item_col)
-
-    if isinstance(op, alg.StructuralTwigJoin):
-        child = rec(op.child, frozenset({op.iter_col, op.item_col}))
-        child = _restrict(child, frozenset({op.iter_col, op.item_col}), schema_memo)
-        return alg.StructuralTwigJoin(child, op.steps, op.iter_col, op.item_col)
-
-    if isinstance(op, alg.GenRange):
-        need = frozenset({"iter", op.lo_col, op.hi_col})
-        child = rec(op.child, need)
-        return alg.GenRange(child, op.lo_col, op.hi_col)
-
-    if isinstance(
-        op,
-        (alg.ElemConstr, alg.TextConstr, alg.AttrConstr, alg.DocRoot, alg.ParamTable),
-    ):
-        # children have fixed small schemas; just recurse with them
-        children = tuple(
-            rec(c, frozenset(schema_of(c, schema_memo))) for c in op.children
-        )
-        return _with_children(op, children)
-
-    raise AlgebraError(f"prune: unhandled op {type(op).__name__}")
+        children[1] = _restrict(children[1], rkeys, fired)
+    elif isinstance(op, (alg.StepJoin, alg.StructuralTwigJoin)):
+        context = frozenset({op.iter_col, op.item_col})
+        children[0] = _restrict(children[0], context, fired)
+    return op.with_children(tuple(children))
 
 
 # --------------------------------------------------------------------------
-# pass: projection merging / identity removal
-# --------------------------------------------------------------------------
-def _merge_projects(root: alg.Op, est) -> tuple[alg.Op, int]:
-    """Collapse π ∘ π chains and remove identity projections."""
-    schema_memo: dict[int, tuple[str, ...]] = {}
-
-    def merge(new: alg.Op) -> alg.Op | None:
-        if not isinstance(new, alg.Project):
-            return None
-        child = new.child
-        if isinstance(child, alg.Project):
-            inner = dict((n, o) for n, o in child.cols)
-            new = alg.Project(
-                child.child, tuple((n, inner[o]) for n, o in new.cols)
-            )
-            child = new.child
-        child_schema = schema_of(child, schema_memo)
-        if tuple(n for n, _ in new.cols) == child_schema and all(
-            n == o for n, o in new.cols
-        ):
-            return child
-        return new
-
-    return _rewrite_bottom_up(root, merge)
-
-
-# --------------------------------------------------------------------------
-# pass: cost-based join input ordering
+# global pass: join input ordering (cost-based, or greedy by syntax)
 # --------------------------------------------------------------------------
 #: only swap when one side is estimated this much larger — estimates are
 #: crude, and each swap costs a schema-restoring projection
 _SWAP_RATIO = 4.0
 
 
-def _order_sensitive(root: alg.Op) -> set[int]:
-    """Ids of nodes whose *physical* row order can influence results.
+def _order_sensitive(topo: list[alg.Op]) -> set[alg.Op]:
+    """The nodes whose *physical* row order can influence results.
 
     Most consumers are insensitive to physical order (filters preserve
     it, ϱ orders by named columns), but three are not: δ without an
@@ -1540,37 +1281,31 @@ def _order_sensitive(root: alg.Op) -> set[int]:
     group don't provably determine a unique rank (ties break by physical
     order).  Everything beneath such a consumer must keep its row order.
     """
-    schema_memo: dict[int, tuple[str, ...]] = {}
-    unique_memo: dict[int, frozenset] = {}
-    sensitive_roots: list[alg.Op] = []
-    for node in alg.walk(root):
+    stack: list[alg.Op] = []
+    for node in topo:
         if isinstance(node, alg.Distinct) and node.order_col is None:
-            if set(node.keys) < set(schema_of(node.child, schema_memo)):
-                sensitive_roots.append(node.child)
+            if set(node.keys) < set(node.child.columns):
+                stack.append(node.child)
         elif isinstance(node, alg.Aggr):
             if node.kind == "str_join" and node.order_col is None:
-                sensitive_roots.append(node.child)
+                stack.append(node.child)
         elif isinstance(node, alg.RowNum):
             determined = frozenset(c for c, _ in node.order)
             if node.group:
                 determined |= {node.group}
-            if not any(
-                u <= determined for u in _unique_sets(node.child, unique_memo)
-            ):
-                sensitive_roots.append(node.child)
-    marked: set[int] = set()
-    stack = sensitive_roots
+            if not any(u <= determined for u in node.child.unique_sets):
+                stack.append(node.child)
+    marked: set[alg.Op] = set()
     while stack:
         n = stack.pop()
-        if id(n) in marked:
-            continue
-        marked.add(id(n))
-        stack.extend(n.children)
+        if n not in marked:
+            marked.add(n)
+            stack.extend(n.children)
     return marked
 
 
-def _join_order(root: alg.Op, est: CardinalityEstimator) -> tuple[alg.Op, int]:
-    """Put the estimated-smaller join input on the right-hand side.
+def _swap_joins(topo: list[alg.Op], size: Callable[[alg.Op], float]) -> tuple[alg.Op, int]:
+    """Put the ``size``-smaller join input on the right-hand side.
 
     The sort-merge join kernel sorts its *right* input and probes it with
     the left, so sorting the smaller side is cheaper.  A swapped join is
@@ -1578,40 +1313,28 @@ def _join_order(root: alg.Op, est: CardinalityEstimator) -> tuple[alg.Op, int]:
     order within the join changes, so joins beneath a physical-order-
     sensitive consumer (see :func:`_order_sensitive`) are left alone.
     """
-    est_memo: dict = {}
-    schema_memo: dict[int, tuple[str, ...]] = {}
-    sensitive = _order_sensitive(root)
-
-    def reorder(new: alg.Op) -> alg.Op | None:
-        if not isinstance(new, alg.Join):
-            return None
-        left_rows = est.estimate(new.left, est_memo)
-        right_rows = est.estimate(new.right, est_memo)
-        if right_rows <= _SWAP_RATIO * max(left_rows, 1.0):
-            return None
-        original = schema_of(new, schema_memo)
-        swapped = alg.Join(new.right, new.left, tuple((r, l) for l, r in new.keys))
-        return alg.Project(swapped, tuple((c, c) for c in original))
-
-    # sensitivity is keyed by the ids of the *original* nodes, so this
-    # pass keeps its own loop instead of using _rewrite_bottom_up
-    rebuilt: dict[int, alg.Op] = {}
+    sensitive = _order_sensitive(topo)
+    rebuilt: dict[alg.Op, alg.Op] = {}
     fired = 0
-    for node in alg.walk(root):
-        children = tuple(rebuilt[id(c)] for c in node.children)
-        new = _with_children(node, children)
-        if id(node) not in sensitive:
-            replacement = reorder(new)
-            if replacement is not None:
-                new = replacement
-                fired += 1
-        rebuilt[id(node)] = new
-    return rebuilt[id(root)], fired
+    for node in topo:
+        new = node.with_children(tuple(rebuilt[c] for c in node.children))
+        if (
+            isinstance(new, alg.Join)
+            and node not in sensitive
+            and size(new.right) > _SWAP_RATIO * max(size(new.left), 1.0)
+        ):
+            swapped = alg.Join(new.right, new.left, tuple((r, l) for l, r in new.keys))
+            new = alg.Project(swapped, tuple((c, c) for c in new.columns))
+            fired += 1
+        rebuilt[node] = new
+    return rebuilt[topo[-1]], fired
 
 
-# --------------------------------------------------------------------------
-# pass: greedy (statistics-free) join input ordering
-# --------------------------------------------------------------------------
+def _join_order(topo: list[alg.Op], estimate) -> tuple[alg.Op, int]:
+    """Cost-based join input ordering, sized by the cardinality estimator."""
+    return _swap_joins(topo, estimate)
+
+
 #: syntax-visible relative size factors: a named test keeps a step
 #: selective, a wildcard does not, and descendant-flavoured axes fan out
 #: far more than child steps — the ranking only needs relative magnitudes
@@ -1691,46 +1414,19 @@ def _syntax_score_of(op: alg.Op, memo) -> float:
     return rec(op.children[0])
 
 
-def _greedy_order(root: alg.Op, est) -> tuple[alg.Op, int]:
+def _greedy_order(topo: list[alg.Op], estimate) -> tuple[alg.Op, int]:
     """Statistics-free join input ordering (the ``greedy`` mode).
 
-    Same contract and safety discipline as :func:`_join_order` — swap
-    under a schema-restoring π, never beneath an order-sensitive
-    consumer — but ranks the two inputs with :func:`_syntax_score`
-    instead of the cardinality estimator, so planning needs no document
-    statistics at all.
+    Same contract and safety discipline as :func:`_join_order`, but ranks
+    the two inputs with :func:`_syntax_score` instead of the cardinality
+    estimator, so planning needs no document statistics at all.
     """
-    score_memo: dict = {}
-    schema_memo: dict[int, tuple[str, ...]] = {}
-    sensitive = _order_sensitive(root)
-
-    def reorder(new: alg.Op) -> alg.Op | None:
-        if not isinstance(new, alg.Join):
-            return None
-        left_score = _syntax_score(new.left, score_memo)
-        right_score = _syntax_score(new.right, score_memo)
-        if right_score <= _SWAP_RATIO * max(left_score, 1.0):
-            return None
-        original = schema_of(new, schema_memo)
-        swapped = alg.Join(new.right, new.left, tuple((r, l) for l, r in new.keys))
-        return alg.Project(swapped, tuple((c, c) for c in original))
-
-    rebuilt: dict[int, alg.Op] = {}
-    fired = 0
-    for node in alg.walk(root):
-        children = tuple(rebuilt[id(c)] for c in node.children)
-        new = _with_children(node, children)
-        if id(node) not in sensitive:
-            replacement = reorder(new)
-            if replacement is not None:
-                new = replacement
-                fired += 1
-        rebuilt[id(node)] = new
-    return rebuilt[id(root)], fired
+    memo: dict = {}
+    return _swap_joins(topo, lambda op: _syntax_score(op, memo))
 
 
 # --------------------------------------------------------------------------
-# pass: twig collapse (the wcoj mode's multi-way join recognition)
+# post pass: twig collapse (the wcoj mode's multi-way join recognition)
 # --------------------------------------------------------------------------
 #: axes the twig join's merged scan handles (forward, subtree-shaped)
 _TWIG_AXES = frozenset({Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF})
@@ -1740,7 +1436,7 @@ _TWIG_AXES = frozenset({Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF})
 _TWIG_MIN_STEPS = 3
 
 
-def _twig_collapse(root: alg.Op, est) -> tuple[alg.Op, int]:
+def _twig_collapse(topo: list[alg.Op], estimate) -> tuple[alg.Op, int]:
     """Fuse chains of pairwise staircase steps into one twig join.
 
     A run of ``StepJoin`` operators where each feeds exactly the next
@@ -1752,11 +1448,11 @@ def _twig_collapse(root: alg.Op, est) -> tuple[alg.Op, int]:
     only at the *top* of a maximal chain, so bottom-up rewriting never
     collapses a partial suffix.
     """
-    counts = _parent_counts(root)
-    # ids of steps continued by (the sole input of) a chain-compatible
-    # step above them — they fold into the collapse fired at the top
-    continued: set[int] = set()
-    for node in alg.walk(root):
+    counts = _parent_counts(topo)
+    # steps continued by (the sole input of) a chain-compatible step
+    # above them — they fold into the collapse fired at the top
+    continued: set[alg.Op] = set()
+    for node in topo:
         if isinstance(node, alg.StepJoin) and node.axis in _TWIG_AXES:
             c = node.child
             if (
@@ -1764,50 +1460,65 @@ def _twig_collapse(root: alg.Op, est) -> tuple[alg.Op, int]:
                 and c.axis in _TWIG_AXES
                 and c.iter_col == node.iter_col
                 and c.item_col == node.item_col
-                and counts.get(id(c), 1) == 1
+                and counts.get(c, 1) == 1
             ):
-                continued.add(id(c))
-    # chain membership is keyed by the ids of the *original* nodes, so
-    # this pass keeps its own loop instead of using _rewrite_bottom_up
-    rebuilt: dict[int, alg.Op] = {}
+                continued.add(c)
+    rebuilt: dict[alg.Op, alg.Op] = {}
     fired = 0
-    for node in alg.walk(root):
-        children = tuple(rebuilt[id(c)] for c in node.children)
-        new = _with_children(node, children)
+    for node in topo:
+        new = node.with_children(tuple(rebuilt[c] for c in node.children))
         if (
             isinstance(node, alg.StepJoin)
             and node.axis in _TWIG_AXES
-            and id(node) not in continued
-            and id(node.child) in continued
+            and node not in continued
+            and node.child in continued
         ):
             steps = [(node.axis, node.test)]
             base = node.child
-            while id(base) in continued:
+            while base in continued:
                 steps.append((base.axis, base.test))
                 base = base.child
             if len(steps) >= _TWIG_MIN_STEPS:
                 steps.reverse()
                 new = alg.StructuralTwigJoin(
-                    rebuilt[id(base)], tuple(steps), node.iter_col, node.item_col
+                    rebuilt[base], tuple(steps), node.iter_col, node.item_col
                 )
                 fired += 1
-        rebuilt[id(node)] = new
-    return rebuilt[id(root)], fired
+        rebuilt[node] = new
+    return rebuilt[topo[-1]], fired
 
 
 # --------------------------------------------------------------------------
 # the registry
 # --------------------------------------------------------------------------
-#: the default pipeline, in application order
+#: the default pipeline, in registry order (the normalizer offers a node
+#: the local rules in this order; the rounds run the global passes in it)
 PASSES: tuple[RewritePass, ...] = (
-    RewritePass("cse", "share structurally identical subplans", _cse),
-    RewritePass("fold", "evaluate σ/π/∪ over literals, propagate empty inputs", _fold),
-    RewritePass("fuse_select", "fuse σ(t=true) with the ⊛ comparison feeding it", _fuse_select),
-    RewritePass("pushdown", "push σ/⋉ below π, ⋈, ×, ⊛, ∪, ϱ, δ, aggregates, steps", _pushdown),
-    RewritePass("join_recognition", "turn σ= over × into an equi-join", _join_recognition),
-    RewritePass("distinct_elim", "drop δ over provably duplicate-free input", _distinct_elim),
+    RewritePass("cse", "share structurally identical subplans"),
+    RewritePass(
+        "fold", "evaluate σ/π/∪ over literals, propagate empty inputs",
+        rules=_FOLD_RULES,
+    ),
+    RewritePass(
+        "fuse_select", "fuse σ(t=true) with the ⊛ comparison feeding it",
+        rules={alg.Select: _fuse_one},
+    ),
+    RewritePass(
+        "pushdown", "push σ/⋉ below π, ⋈, ×, ⊛, ∪, ϱ, δ, aggregates, steps", _pushdown,
+    ),
+    RewritePass(
+        "join_recognition", "turn σ= over × into an equi-join",
+        rules={alg.Select: _join_rec_one},
+    ),
+    RewritePass(
+        "distinct_elim", "drop δ over provably duplicate-free input",
+        rules={alg.Distinct: _distinct_elim_one},
+    ),
     RewritePass("prune", "keep only columns an ancestor consumes (icols)", _prune),
-    RewritePass("merge_projects", "collapse π∘π, remove identity π", _merge_projects),
+    RewritePass(
+        "merge_projects", "collapse π∘π, remove identity π",
+        rules={alg.Project: _merge_one},
+    ),
     RewritePass("join_order", "sort the estimated-smaller join input", _join_order),
 )
 

@@ -14,18 +14,16 @@ from __future__ import annotations
 
 from repro.errors import AlgebraError
 from repro.relational import algebra as alg
-from repro.relational.optimizer import schema_of
 
 
 def validate(plan: alg.Op) -> int:
     """Validate a plan DAG; returns the operator count, raises
     :class:`AlgebraError` with the offending operator's label otherwise."""
-    memo: dict = {}
     count = 0
     for node in alg.walk(plan):
         count += 1
         try:
-            _check(node, memo)
+            _check(node)
         except AlgebraError as exc:
             raise AlgebraError(f"{node.label()}: {exc}") from None
     return count
@@ -43,8 +41,8 @@ def _operand_check(schema, operand):
         _require(schema, v)
 
 
-def _check(node: alg.Op, memo) -> None:
-    child_schemas = [schema_of(c, memo) for c in node.children]
+def _check(node: alg.Op) -> None:
+    child_schemas = [c.columns for c in node.children]
 
     if isinstance(node, alg.Lit):
         if len(set(node.schema)) != len(node.schema):

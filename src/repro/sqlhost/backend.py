@@ -27,7 +27,6 @@ from repro.relational.items import (
     K_STR,
     K_UNTYPED,
 )
-from repro.relational.optimizer import _item_cols_of, schema_of
 from repro.relational.table import Column, Table
 from repro.sqlhost.schema import export_arena
 from repro.sqlhost.sqlgen import SQLGenerator
@@ -82,8 +81,8 @@ class SQLHostBackend:
 
     # -------------------------------------------------------------- decode
     def _decode(self, plan: alg.Op, rows: list[tuple]) -> Table:
-        schema = schema_of(plan, {})
-        item_cols = _item_cols_of(plan, {})
+        schema = plan.columns
+        item_cols = plan.item_columns
         pool = self.arena.pool
         columns: dict[str, Column] = {}
         idx = 0

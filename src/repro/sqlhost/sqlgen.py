@@ -36,7 +36,6 @@ from repro.relational.items import (
     K_UNTYPED,
 )
 from repro.relational.items import XSDecimal
-from repro.relational.optimizer import _item_cols_of, schema_of
 
 _NUMERICISH = f"({K_INT}, {K_DBL}, {K_DEC}, {K_BOOL})"
 _POOLEDISH = f"({K_STR}, {K_UNTYPED})"
@@ -210,17 +209,15 @@ class SQLGenerator:
         self.documents = documents
         self.ctes: list[tuple[str, str]] = []
         self.names: dict[int, str] = {}
-        self.schema_memo: dict = {}
-        self.items_memo: dict = {}
 
     # ------------------------------------------------------------- helpers
     def schema(self, op: alg.Op) -> tuple[str, ...]:
-        """Logical column names of an op's output (memoised)."""
-        return schema_of(op, self.schema_memo)
+        """Logical column names of an op's output."""
+        return op.columns
 
     def item_cols(self, op: alg.Op) -> frozenset:
         """The subset of an op's columns that are polymorphic items."""
-        return _item_cols_of(op, self.items_memo)
+        return op.item_columns
 
     def phys_cols(self, op: alg.Op) -> list[str]:
         """Physical SQL column names of an op's output."""

@@ -161,6 +161,17 @@ class TestAggregates:
         a = alg.Aggr(LIT, "sum", "s", "item", "iter")
         assert rows(a)[1] == [(1, 30), (2, 30)]
 
+    def test_each_group_is_typed_on_its_own(self):
+        """A double in one group must not turn another group's integer
+        sum into a double (selecting a group before or after aggregating
+        — what pushdown does — must agree)."""
+        t = alg.Lit(("iter", "item"), ((1, 0.5), (2, 1), (2, 2)), frozenset({"item"}))
+        for kind, want in (("sum", 3), ("min", 1), ("max", 2)):
+            context = ctx()
+            out = evaluate(alg.Aggr(t, kind, "s", "item", "iter"), context)
+            assert out.item("s").to_values(context.pool)[1] == want
+            assert type(out.item("s").to_values(context.pool)[1]) is int, kind
+
     def test_min_max_avg(self):
         assert rows(alg.Aggr(LIT, "min", "m", "item", "iter"))[1] == [(1, 10), (2, 30)]
         assert rows(alg.Aggr(LIT, "max", "m", "item", "iter"))[1] == [(1, 20), (2, 30)]
@@ -248,3 +259,53 @@ class TestDagUtilities:
         p = alg.Project(LIT, (("iter", "iter"),))
         u = alg.Union((p, p))
         assert alg.op_count(u) == 3
+
+
+class TestRebuild:
+    """``Op.with_children`` rebuilds any operator from its inputs and its
+    ``_params()`` — which therefore must list every other field, in
+    declaration order."""
+
+    def test_every_operator_rebuilds_over_new_inputs(self):
+        import dataclasses
+
+        other = alg.Lit(("iter", "pos", "item"), ((9, 9, 9),), frozenset({"item"}))
+        samples = [
+            alg.Project(LIT, (("a", "item"),)),
+            alg.Select(LIT, "eq", col("pos"), const(1)),
+            alg.Union((LIT, LIT)),
+            alg.Difference(LIT, LIT, ("iter",)),
+            alg.Distinct(LIT, ("iter",), "pos"),
+            alg.Join(LIT, LIT, (("iter", "iter"),)),
+            alg.SemiJoin(LIT, LIT, (("iter", "iter"),)),
+            alg.Cross(LIT, LIT),
+            alg.RowNum(LIT, "n", (("pos", True),), "iter"),
+            alg.Map(LIT, "add", "r", (col("item"), const(1))),
+            alg.Aggr(LIT, "str_join", "s", "item", "iter", ",", "pos"),
+            alg.StepJoin(LIT, Axis.CHILD, element("a"), "iter", "item"),
+            alg.StructuralTwigJoin(LIT, ((Axis.CHILD, element("a")),), "iter", "item"),
+            alg.Atomize(LIT, "v", "item"),
+            alg.ElemConstr(LIT, LIT),
+            alg.TextConstr(LIT),
+            alg.AttrConstr(LIT, LIT),
+            alg.GenRange(LIT, "pos", "item"),
+        ]
+        covered = {type(op) for op in samples}
+        assert covered == {
+            cls for cls in vars(alg).values()
+            if isinstance(cls, type) and issubclass(cls, alg.Op)
+            and cls is not alg.Op and alg.Op.children is not cls.children
+        }
+        for op in samples:
+            assert op.with_children(op.children) is op
+            inputs = tuple(other for _ in op.children)
+            new = op.with_children(inputs)
+            assert type(new) is type(op) and new.children == inputs
+            for f in dataclasses.fields(op):
+                if f.name not in ("child", "left", "right", "inputs", "names",
+                                  "content", "values"):
+                    assert getattr(new, f.name) == getattr(op, f.name), f.name
+
+    def test_leaves_are_never_rebuilt(self):
+        for leaf in (LIT, alg.DocRoot("d.xml"), alg.ParamTable("x")):
+            assert leaf.with_children(()) is leaf

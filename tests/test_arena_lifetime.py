@@ -12,15 +12,18 @@ tests pin down the contract from the outside:
   and paged — keep every live document byte-identical to an in-memory
   oracle and to a fresh rebuild of its own text;
 * a long-lived session does not grow: every XMark query ten times over,
-  twenty updates on one document;
+  twenty updates on one document, and none of it builds reference
+  cycles that only the cyclic garbage collector would free;
 * leases: concurrent constructors, a result held open, a ``NodeHandle``
   outliving its result, typed errors after ``close()``;
 * index maintenance is O(rows appended), counted in sorted elements.
 """
 
+import gc
 import os
 import tempfile
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -382,6 +385,42 @@ def test_twenty_updates_in_memory_stay_under_two_copies():
     assert database.arena.num_nodes <= 2 * _live_nodes(database)
     assert database.arena_report()["dead_persistent_rows"] == 0
     assert_indices_match_oracle(database.arena)
+
+
+def test_queries_and_updates_build_no_reference_cycles():
+    """Compiling (loop-lifting scopes), executing and updating (the
+    arena's re-emit) free what they allocate when it is dropped, not when
+    the cyclic garbage collector next happens to run — which is later the
+    less the rest of the program allocates."""
+    text = generate_document(0.0005, seed=5)
+
+    def work():
+        database = Database()
+        database.load_document("auction.xml", text)
+        session = database.connect()
+        for name in sorted(XMARK_QUERIES):
+            session.execute(XMARK_QUERIES[name]).serialize()
+        _twenty_updates(database)
+
+    def ours(obj) -> bool:
+        module = obj.__module__ if isinstance(obj, types.FunctionType) else (
+            type(obj).__module__
+        )
+        return (module or "").startswith("repro")
+
+    work()  # libraries may build cyclic state once, on first use
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if ours(obj)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not leaked
 
 
 @pytest.mark.parametrize("budget", [None, TINY_BUDGET])

@@ -15,7 +15,6 @@ from repro.relational.optimizer import (
     CardinalityEstimator,
     OptimizerStats,
     optimize,
-    schema_of,
 )
 
 LIT = alg.Lit(
@@ -53,21 +52,21 @@ def _dec(table, name, ctx):
 
 class TestSchemaInference:
     def test_basic_ops(self):
-        assert schema_of(LIT) == ("iter", "pos", "item")
+        assert LIT.columns == ("iter", "pos", "item")
         p = alg.Project(LIT, (("a", "item"),))
-        assert schema_of(p) == ("a",)
-        assert schema_of(alg.Select(LIT, "eq", col("pos"), const(1))) == LIT.schema
+        assert p.columns == ("a",)
+        assert alg.Select(LIT, "eq", col("pos"), const(1)).columns == LIT.schema
         m = alg.Map(LIT, "add", "r", (col("item"), const(1)))
-        assert schema_of(m) == ("iter", "pos", "item", "r")
+        assert m.columns == ("iter", "pos", "item", "r")
         r = alg.RowNum(LIT, "n", (("pos", False),), "iter")
-        assert schema_of(r) == ("iter", "pos", "item", "n")
+        assert r.columns == ("iter", "pos", "item", "n")
         a = alg.Aggr(LIT, "count", "n", None, "iter")
-        assert schema_of(a) == ("iter", "n")
+        assert a.columns == ("iter", "n")
 
     def test_join_concatenates(self):
         other = alg.Lit(("x", "y"), ((1, 2),))
         j = alg.Join(LIT, other, (("iter", "x"),))
-        assert schema_of(j) == ("iter", "pos", "item", "x", "y")
+        assert j.columns == ("iter", "pos", "item", "x", "y")
 
 
 class TestRewrites:
@@ -382,7 +381,7 @@ class TestJoinOrder:
         out = optimize(j, disabled={"fold"})
         joins = [op for op in alg.walk(out) if isinstance(op, alg.Join)]
         assert joins and joins[0].keys == (("b", "a"),)
-        assert schema_of(out) == ("a", "b", "w")
+        assert out.columns == ("a", "b", "w")
         same_result(j)
 
     def test_balanced_join_untouched(self):
@@ -467,8 +466,14 @@ class TestPassFramework:
         for _ in range(3):
             plan = alg.Project(plan, (("iter", "iter"), ("pos", "pos"), ("item", "item")))
         trace: list = []
-        optimize(plan, trace=trace)
-        assert trace and all(name in PASS_NAMES for name, _ in trace)
+        out = optimize(plan, trace=trace)
+        # a global pass is labelled by its name, a normalizer traversal by
+        # the local rules that fired in it, joined by "+"
+        assert trace and all(
+            set(label.split("+")) <= set(PASS_NAMES) for label, _ in trace
+        )
+        assert trace[0][0] == "cse+fold"  # π over the literal folds into LIT
+        assert trace[-1][1] is out
 
 
 class TestStats:
@@ -563,3 +568,134 @@ class TestOptimizerModes:
         optimize(alg.Select(LIT, "eq", col("pos"), const(1)), stats)
         assert all(p.seconds >= 0.0 for p in stats.pass_stats)
         assert any(p.runs > 0 for p in stats.pass_stats)
+
+
+#: compiles every XMark query in every mode and prints one digest of the
+#: optimized plans' structure (run in a subprocess per hash seed)
+_DIGEST_CHILD = """
+import hashlib
+from repro.api.database import Database
+from repro.relational import algebra as alg
+from repro.relational.optimizer import OPTIMIZER_MODES
+from repro.xmark import XMARK_QUERIES, generate_document
+
+db = Database()
+db.load_document("auction.xml", generate_document(0.0005, seed=42))
+digest = hashlib.sha256()
+for mode in OPTIMIZER_MODES:
+    for name in sorted(XMARK_QUERIES):
+        plan = db.compile_query(
+            XMARK_QUERIES[name], use_optimizer=True, optimizer_mode=mode
+        ).plan
+        ids = {}
+        for node in alg.walk(plan):
+            ids[node] = len(ids)
+            key = node.struct_key(tuple(ids[c] for c in node.children))
+            digest.update(repr(key).encode())
+print(digest.hexdigest())
+"""
+
+
+@pytest.fixture(scope="module")
+def xmark_plans():
+    """(estimator, {query name: loop-lifted plan}) over a small XMark
+    instance."""
+    from repro.api.database import Database
+    from repro.xmark import XMARK_QUERIES, generate_document
+
+    db = Database()
+    db.load_document("auction.xml", generate_document(0.0005, seed=42))
+    estimator = CardinalityEstimator.from_database(db.arena, db.documents)
+    plans = {
+        name: db.compile_query(query, use_optimizer=False).plan
+        for name, query in sorted(XMARK_QUERIES.items())
+    }
+    return estimator, plans
+
+
+class TestDriver:
+    """The driver: one normalizer for the local rules, rounds of the
+    global passes only while they change something, and plans that do
+    not depend on the interpreter's hash seed."""
+
+    def test_plans_do_not_depend_on_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", _DIGEST_CHILD],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for seed in ("0", "1", "2")
+        ]
+        digests = set()
+        for child in children:
+            out, _ = child.communicate(timeout=300)
+            assert child.returncode == 0
+            digests.add(out.strip())
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("mode", ["cost", "wcoj"])
+    def test_xmark_plans_are_a_fixpoint(self, xmark_plans, mode):
+        estimator, plans = xmark_plans
+        for name, plan in plans.items():
+            once = optimize(plan, estimator=estimator, mode=mode)
+            stats = OptimizerStats()
+            twice = optimize(once, stats, estimator=estimator, mode=mode)
+            assert twice is once, name
+            assert sum(p.rewrites for p in stats.pass_stats) == 0, name
+
+    def test_xmark_converges_in_three_rounds(self, xmark_plans):
+        estimator, plans = xmark_plans
+        for name, plan in plans.items():
+            stats = OptimizerStats()
+            optimize(plan, stats, estimator=estimator)
+            assert stats.passes <= 3, name
+
+    @pytest.mark.parametrize(
+        "rule",
+        ["cse", "fold", "fuse_select", "join_recognition", "distinct_elim",
+         "merge_projects"],
+    )
+    def test_disabled_local_rule_never_fires(self, xmark_plans, rule):
+        estimator, plans = xmark_plans
+        for plan in plans.values():
+            trace: list = []
+            stats = OptimizerStats()
+            optimize(plan, stats, disabled={rule}, estimator=estimator, trace=trace)
+            assert rule not in {p.name for p in stats.pass_stats}
+            assert all(rule not in label.split("+") for label, _ in trace)
+
+    def test_disabled_merge_projects_keeps_project_chain(self):
+        inner = alg.Project(alg.DocRoot("d.xml"), (("iter", "iter"), ("item", "item")))
+        outer = alg.Project(inner, (("i", "iter"), ("item", "item")))
+        kept = optimize(outer, disabled={"merge_projects"})
+        assert isinstance(kept, alg.Project) and isinstance(kept.child, alg.Project)
+        merged = optimize(outer)
+        assert isinstance(merged, alg.Project)
+        assert isinstance(merged.child, alg.DocRoot)
+
+    def test_disabled_cse_keeps_identical_subplans_apart(self):
+        m1 = alg.Map(LIT, "add", "r", (col("item"), const(1)))
+        m2 = alg.Map(LIT, "add", "r", (col("item"), const(1)))
+        out = optimize(alg.Union((m1, m2)), disabled={"cse"})
+        union = next(op for op in alg.walk(out) if isinstance(op, alg.Union))
+        assert union.inputs[0] is not union.inputs[1]
+
+    def test_unchanged_plan_is_returned_as_is(self):
+        """Every pass keeps unchanged subtrees as the very same objects,
+        so a plan nothing applies to comes back untouched."""
+        plan = alg.StepJoin(
+            alg.Project(alg.DocRoot("d.xml"), (("iter", "iter"), ("item", "item"))),
+            Axis.CHILD, ANY_ELEMENT,
+        )
+        stats = OptimizerStats()
+        assert optimize(plan, stats) is plan
+        assert stats.passes == 1
+        assert sum(p.rewrites for p in stats.pass_stats) == 0

@@ -13,7 +13,7 @@ from repro.relational import algebra as alg
 from repro.relational.algebra import col, const
 from repro.relational.evaluate import EvalContext, evaluate
 from repro.relational.items import ItemColumn
-from repro.relational.optimizer import OPTIMIZER_MODES, optimize, schema_of
+from repro.relational.optimizer import OPTIMIZER_MODES, OptimizerStats, optimize
 
 _value = st.one_of(
     st.integers(-5, 5),
@@ -131,6 +131,17 @@ def test_optimizer_modes_agree(plan):
         assert after_rows == before_rows, f"rows differ under {mode}"
 
 
+@settings(max_examples=120, deadline=None)
+@given(_plan(), st.sampled_from(["cost", "wcoj"]))
+def test_optimize_reaches_a_fixpoint(plan, mode):
+    """Optimizing an optimized plan changes nothing and fires nothing:
+    the driver stops only once no pass has anything left to do."""
+    once = optimize(plan, mode=mode)
+    stats = OptimizerStats()
+    assert optimize(once, stats, mode=mode) is once
+    assert sum(p.rewrites for p in stats.pass_stats) == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(_plan())
 def test_schema_inference_matches_evaluation(plan):
@@ -139,4 +150,4 @@ def test_schema_inference_matches_evaluation(plan):
         table = evaluate(plan, ctx)
     except Exception:
         return
-    assert set(schema_of(plan)) == set(table.schema)
+    assert set(plan.columns) == set(table.schema)
