@@ -8,7 +8,8 @@ rule).
 
 The text form is produced **streaming**: :func:`iter_serialized_chunks`
 yields bounded-size chunks (node markup comes from the scan serializer's
-part list, pooled atomics are batch-decoded with ``StringPool.values``),
+part list, one batched scan per block of consecutive result nodes;
+pooled atomics are batch-decoded with ``StringPool.values``),
 so a multi-megabyte result never has to exist as one Python string —
 :func:`serialize_result` is simply the join of the chunks, and the HTTP
 layer forwards them as chunked transfer encoding.
@@ -117,6 +118,56 @@ def iter_result_values(table: Table, arena: NodeArena, lease=None):
                     yield it.decode_item(kind, payload, pool)
 
 
+#: rows scanned per :func:`~repro.xml.serializer.scan_parts` call by
+#: :func:`iter_serialized_chunks` — one call per block of consecutive
+#: node items, so its per-row lists stay small next to the result (a
+#: single larger subtree is its own block); the per-call overhead is
+#: ≈ 20 numpy calls, noise beside scanning this many rows in Python
+_SCAN_ROWS = 1 << 10
+
+
+def _node_blocks(arena: NodeArena, nodes: np.ndarray):
+    """Split a run of node items into blocks of about :data:`_SCAN_ROWS`
+    subtree rows each, in order."""
+    arena.ensure_rows(nodes)
+    widths = arena.size[nodes] + 1
+    # a block starts at each node whose first row enters a new stretch
+    # of _SCAN_ROWS rows
+    stretch = (np.cumsum(widths) - widths) // _SCAN_ROWS
+    cuts = (np.flatnonzero(np.diff(stretch)) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(nodes)]):
+        yield nodes[lo:hi]
+
+
+def _item_parts(items: ItemColumn, arena: NodeArena):
+    """The serialized items as lists of string parts: one list per
+    block of consecutive node items (one batched scan each), one per
+    attribute or atomic item."""
+    if not len(items):
+        return
+    pool = arena.pool
+    pooled, strings = it.pooled_strings(items.kinds, items.data, pool)
+    is_node = items.kinds == K_NODE
+    edges = (np.flatnonzero(is_node[1:] != is_node[:-1]) + 1).tolist()
+    kinds = items.kinds.tolist()
+    data = items.data.tolist()
+    prev_atomic = False
+    for lo, hi in zip([0, *edges], [*edges, len(kinds)]):
+        if kinds[lo] == K_NODE:
+            for block in _node_blocks(arena, items.data[lo:hi]):
+                yield scan_parts(arena, block)
+            prev_atomic = False
+            continue
+        for kind, payload, is_pooled in zip(kinds[lo:hi], data[lo:hi], pooled[lo:hi]):
+            if kind == K_ATTR:
+                yield [serialize_attribute(arena, payload)]
+                prev_atomic = False
+            else:
+                text = next(strings) if is_pooled else it.lexical(kind, payload, pool)
+                yield [" ", escape_text(text)] if prev_atomic else [escape_text(text)]
+                prev_atomic = True
+
+
 def iter_serialized_chunks(
     table: Table, arena: NodeArena, chunk_chars: int = DEFAULT_CHUNK_CHARS
 ):
@@ -126,34 +177,18 @@ def iter_serialized_chunks(
     :func:`serialize_result`'s output; each is at least ``chunk_chars``
     characters except the last, so downstream writers (chunked HTTP)
     get usefully-sized writes without the full text ever being
-    assembled.  Node items stream through the scan serializer's part
-    list; pooled atomics are batch-decoded once.
+    assembled.  Each run of consecutive node items is scanned in
+    row-bounded blocks, one :func:`~repro.xml.serializer.scan_parts`
+    call per block; pooled atomics are batch-decoded once.
     """
     items = ordered_items(table)
-    pool = arena.pool
-    pooled, strings = it.pooled_strings(items.kinds, items.data, pool)
     buf: list[str] = []
     buf_len = 0
-    prev_atomic = False
     # chunked serialization outlives the catalog lock (chunked HTTP): keep
     # the rows and pin every fragment read until the stream is drained or
     # abandoned
     with arena.page_scope():
-        for kind, payload, is_pooled in zip(
-            items.kinds.tolist(), items.data.tolist(), pooled
-        ):
-            if kind == K_NODE:
-                parts = scan_parts(arena, payload)
-                prev_atomic = False
-            elif kind == K_ATTR:
-                parts = [serialize_attribute(arena, payload)]
-                prev_atomic = False
-            else:
-                text = next(strings) if is_pooled else it.lexical(kind, payload, pool)
-                parts = [escape_text(text)]
-                if prev_atomic:
-                    parts.insert(0, " ")
-                prev_atomic = True
+        for parts in _item_parts(items, arena):
             for part in parts:
                 buf.append(part)
                 buf_len += len(part)

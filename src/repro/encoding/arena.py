@@ -40,8 +40,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.encoding.paging import PageScope
-from repro.errors import DynamicError
+from repro.errors import DynamicError, TypeError_
 from repro.relational.items import StringPool
+from repro.relational.kernels import multi_arange
 
 NK_DOC = 0
 NK_ELEM = 1
@@ -56,6 +57,17 @@ NODE_KIND_NAMES = {
     NK_COMMENT: "comment",
     NK_PI: "processing-instruction",
 }
+
+#: content entry tags of :meth:`NodeArena.new_elements`: a new text child
+#: (payload: value surrogate), a deep copy of a node (payload: its row),
+#: an attribute copied onto the element (payload: attribute id)
+C_TEXT = 0
+C_COPY = 1
+C_ATTR = 2
+CONTENT_TAGS = {"text": C_TEXT, "copy": C_COPY, "attr": C_ATTR}
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_ZERO = np.zeros(1, dtype=np.int64)
 
 
 class ArenaMark(NamedTuple):
@@ -105,6 +117,16 @@ class _Buf:
         self._reserve(extra)
         self._len += extra
 
+    def reserve_tail(self, extra: int) -> np.ndarray:
+        """A writable view of the ``extra`` slots past the end.
+
+        They are not part of the buffer until :meth:`grow` publishes
+        them, so a bulk writer fills them column by column without a
+        temporary and without any reader seeing a half-written row.
+        """
+        self._reserve(extra)
+        return self._data[self._len : self._len + extra]
+
     def truncate(self, length: int) -> None:
         """Pop back to ``length`` rows; the capacity is kept."""
         self._len = length
@@ -117,9 +139,11 @@ class _Buf:
 
     def extend(self, values) -> None:
         values = np.asarray(values, dtype=np.int64)
-        self._reserve(len(values))
-        self._data[self._len : self._len + len(values)] = values
-        self._len += len(values)
+        end = self._len + len(values)
+        if end > len(self._data):
+            self._reserve(len(values))
+        self._data[self._len : end] = values
+        self._len = end
 
     def __getitem__(self, idx):
         return self.view()[idx]
@@ -225,10 +249,10 @@ class NodeArena:
 
     The arena is a stack of sealed fragments.  Fragments appended through
     :meth:`begin_fragment` (shredded, adopted and rebuilt documents) are
-    *persistent*; the constructors (:meth:`new_element`,
-    :meth:`new_text_node`, :meth:`new_attribute`) append *transient*
-    fragments, and the first of them after a pop records the watermark
-    the stack returns to.
+    *persistent*; the bulk constructors (:meth:`new_elements`,
+    :meth:`new_text_nodes`, :meth:`new_attributes`) append *transient*
+    fragments — one per constructed node — and the first of them after a
+    pop records the watermark the stack returns to.
 
     Concurrency contract:
 
@@ -236,9 +260,9 @@ class NodeArena:
       ``mutation_lock`` (a reentrant mutex).  Interleaved appends from
       two threads would violate the fragment-contiguity invariant the
       whole encoding rests on ("the global row id doubles as the pre
-      rank"), so constructors hold the lock for their entire fragment and
-      never read a navigation index between ``begin_fragment`` and their
-      last append: an index only ever covers sealed fragments.
+      rank"), so a constructor holds the lock across all the fragments
+      it builds and reads every navigation index it needs before its
+      first append: an index only ever covers sealed fragments.
     * Rows never change once appended, and entries of the navigation
       indices never move, so readers scan without locking — a reader
       simply does not see fragments appended after it started.
@@ -645,25 +669,20 @@ class NodeArena:
         return len(self._attr_owner)
 
     # ------------------------------------------------------------- building
-    def begin_fragment(self, transient: bool = False) -> int:
-        """Start a new fragment; returns its id.  The next appended node is
-        the fragment root and must carry the total subtree ``size``.
+    def begin_fragment(self) -> int:
+        """Start a new persistent fragment; returns its id.  The next
+        appended node is the fragment root and must carry the total
+        subtree ``size``.
 
-        Fragments are persistent unless ``transient`` (the constructors
-        below): a persistent fragment on top of constructed rows strands
-        them until :meth:`reclaim`.
-
-        Callers appending a multi-row fragment must hold
-        ``mutation_lock`` across the whole begin/append sequence so the
-        fragment's rows stay contiguous (the composite constructors
-        below do; :func:`~repro.encoding.shred.shred_text` runs under the
+        A persistent fragment on top of constructed rows strands them
+        until :meth:`reclaim`.  Callers appending a multi-row fragment
+        must hold ``mutation_lock`` across the whole begin/append
+        sequence so the fragment's rows stay contiguous
+        (:func:`~repro.encoding.shred.shred_text` runs under the
         Database's exclusive catalog lock).
         """
         with self.mutation_lock:
-            if transient:
-                self._enter_transient()
-            else:
-                self._transient = None
+            self._transient = None
             self._frag_base.append(self.num_nodes)
             self._frag_abase.append(self.num_attrs)
             return len(self._frag_base) - 1
@@ -672,19 +691,24 @@ class NodeArena:
         if self._transient is None:
             self._transient = self.mark()
 
-    def append_node(
-        self, kind: int, size: int, level: int, parent: int, name: int, value: int
-    ) -> int:
-        """Append one node row (pre-order position), returning its row id."""
-        with self.mutation_lock:
-            self._kind.append(kind)
-            self._size.append(size)
-            self._level.append(level)
-            self._frag.append(len(self._frag_base) - 1)
-            self._parent.append(parent)
-            self._name.append(name)
-            self._value.append(value)
-            return self.num_nodes - 1
+    def _node_tails(self, rows: int) -> list[np.ndarray]:
+        """Writable tails of ``rows`` slots of the seven node columns
+        (``kind, size, level, frag, parent, name, value``), reserved for
+        :meth:`_publish_transient`.  The caller holds ``mutation_lock``
+        from here until it publishes."""
+        return [buf.reserve_tail(rows) for buf in self._node_bufs]
+
+    def _publish_transient(
+        self, roots: np.ndarray, abases: np.ndarray, rows: int
+    ) -> None:
+        """Publish the ``rows`` rows written into :meth:`_node_tails` as
+        one transient fragment per entry of ``roots``: fragment ``i``
+        starts at row ``roots[i]`` and attribute id ``abases[i]``."""
+        self._enter_transient()
+        self._frag_base.extend(roots)
+        self._frag_abase.extend(abases)
+        for buf in self._node_bufs:
+            buf.grow(rows)
 
     def append_nodes(
         self,
@@ -763,6 +787,23 @@ class NodeArena:
         """Like :meth:`children_ranges` but over the attribute table."""
         return self._extended(self._attrs, "attr_owner").ranges(nodes)
 
+    def _attr_index(self, stop: int) -> _KeyIndex:
+        """The attribute index, extended at least over the attributes of
+        every fragment that starts below row ``stop`` — a reader of older
+        rows does not pay for indexing the newest."""
+        index = self._attrs
+        if index.indexed < len(self._attr_owner):
+            bases = self._frag_base
+            after = int(bases.view().searchsorted(stop))
+            needed = (
+                int(self._frag_abase[after])
+                if after < len(bases)
+                else len(self._attr_owner)
+            )
+            if index.indexed < needed:
+                self._extended(index, "attr_owner")
+        return index
+
     def attrs_in_span(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """All attributes owned by rows ``start .. stop-1``, batched.
 
@@ -770,16 +811,35 @@ class NodeArena:
         owner in ascending row order (within one owner, append == document
         order) and ``counts[i]`` is how many of them row ``start+i`` owns.
         Because pre-order subtrees are contiguous row ranges, this fetches
-        the attributes of a whole subtree with two binary searches — the
-        scan serializer's replacement for a per-node :meth:`attr_ranges`
-        call.
+        the attributes of a whole subtree with two binary searches.
         """
-        index = self._extended(self._attrs, "attr_owner")
+        index = self._attr_index(stop)
         owners = index.keys.view()
-        lo, hi = np.searchsorted(owners, (start, stop))
+        lo, hi = owners.searchsorted((start, stop))
         return index.order.view()[lo:hi], np.bincount(
             owners[lo:hi] - start, minlength=stop - start
         )
+
+    def attrs_in_spans(
+        self, starts, stops
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All attributes owned by the rows of several spans, batched.
+
+        Returns ``(ids, owners, counts)``: the attribute ids of the rows
+        ``starts[i] .. stops[i]-1``, span after span, each span's grouped
+        by owner in ascending row order; ``owners`` their owning rows and
+        ``counts[i]`` how many span ``i`` holds.  Spans may overlap (a
+        node and its own descendant): each is reported in full — the
+        scan serializer's and the bulk element constructor's replacement
+        for a per-node :meth:`attr_ranges` call.
+        """
+        stops = np.asarray(stops, dtype=np.int64)
+        index = self._attr_index(int(stops.max()) if len(stops) else 0)
+        keys = index.keys.view()
+        lo = keys.searchsorted(starts)
+        hi = keys.searchsorted(stops)
+        picks = multi_arange(lo, hi)
+        return index.order.view()[picks], keys[picks], hi - lo
 
     def text_rows(self) -> np.ndarray:
         """All text-node rows, ascending (== document order)."""
@@ -854,20 +914,50 @@ class NodeArena:
         return sid
 
     # --------------------------------------------------------- construction
-    def new_text_node(self, value_id: int) -> int:
-        """Construct a parentless text node (``text { ... }``)."""
+    def new_text_nodes(self, value_ids) -> np.ndarray:
+        """Construct parentless text nodes (``text { ... }``), one
+        transient fragment each, with one write per column; returns
+        their rows."""
+        values = np.asarray(value_ids, dtype=np.int64)
+        n = len(values)
+        if n == 0:
+            return _EMPTY
         with self.mutation_lock:
-            self.begin_fragment(transient=True)
-            return self.append_node(NK_TEXT, 0, 0, -1, -1, value_id)
+            rows = np.arange(self.num_nodes, self.num_nodes + n, dtype=np.int64)
+            kind, size, level, frag, parent, name, value = self._node_tails(n)
+            kind[:] = NK_TEXT
+            size[:] = level[:] = 0
+            fid = len(self._frag_base)
+            frag[:] = np.arange(fid, fid + n)
+            parent[:] = name[:] = -1
+            value[:] = values
+            self._publish_transient(rows, np.full(n, self.num_attrs, dtype=np.int64), n)
+            return rows
 
-    def new_attribute(self, name_id: int, value_id: int) -> int:
-        """Construct a parentless attribute (computed attribute constructor).
+    def new_attributes(self, name_ids, value_ids) -> np.ndarray:
+        """Construct parentless attributes (computed attribute
+        constructor) with one append; returns their ids.
 
-        The owner is ``-1`` until an element constructor copies it.
+        The owner is ``-1`` until an element constructor copies them.
         """
+        names = np.asarray(name_ids, dtype=np.int64)
+        n = len(names)
+        if n == 0:
+            return _EMPTY
         with self.mutation_lock:
             self._enter_transient()
-            return self.append_attr(-1, name_id, value_id)
+            first = self.append_attrs(
+                np.full(n, -1, dtype=np.int64), names, value_ids
+            )
+            return np.arange(first, first + n, dtype=np.int64)
+
+    def new_text_node(self, value_id: int) -> int:
+        """Construct one parentless text node (:meth:`new_text_nodes`)."""
+        return int(self.new_text_nodes((value_id,))[0])
+
+    def new_attribute(self, name_id: int, value_id: int) -> int:
+        """Construct one parentless attribute (:meth:`new_attributes`)."""
+        return int(self.new_attributes((name_id,), (value_id,))[0])
 
     def new_element(
         self,
@@ -875,79 +965,232 @@ class NodeArena:
         attrs: Sequence[tuple[int, int]],
         content: Sequence[tuple[str, int]],
     ) -> int:
-        """Construct a new element tree (``element {..} {..}`` / direct).
+        """Construct one element tree (``element {..} {..}`` / direct).
 
         ``content`` entries are ``('copy', node_row)`` — a deep copy of an
         existing subtree (XQuery constructor copy semantics), ``('text',
         value_id)`` — a new text child, or ``('attr', attr_id)`` — an
-        attribute to copy onto the new element.  Returns the new root row.
+        attribute to copy onto the new element; ``attrs`` are ``(name,
+        value)`` surrogate pairs that precede them.  A one-element call
+        of :meth:`new_elements`; returns the new root row.
         """
-        copy_rows = [payload for tag, payload in content if tag == "copy"]
-        if copy_rows:
-            self.ensure_rows(copy_rows)
-        attr_ids = [payload for tag, payload in content if tag == "attr"]
-        if attr_ids:
-            self.ensure_attrs(attr_ids)
+        try:
+            tags = [CONTENT_TAGS[tag] for tag, _ in content]
+        except KeyError as exc:
+            raise DynamicError(f"bad constructor content tag {exc.args[0]!r}") from None
+        payloads = [payload for _, payload in content]
+        if attrs:
+            ids = self.new_attributes(*zip(*attrs)).tolist()
+            tags = [C_ATTR] * len(ids) + tags
+            payloads = ids + payloads
+        owner = np.zeros(len(tags), dtype=np.int64)
+        return int(self.new_elements((name_id,), owner, tags, payloads)[0])
+
+    def new_elements(self, name_ids, owner, tags, payloads) -> np.ndarray:
+        """Construct one element per entry of ``name_ids`` — all of one
+        ``ElemConstr`` operator's elements — and return their root rows.
+
+        The content comes as flat entry arrays sorted by ``owner`` (the
+        position in ``name_ids`` of the element an entry belongs to),
+        then by content order: ``tags`` (:data:`C_TEXT`, :data:`C_COPY`,
+        :data:`C_ATTR`) and ``payloads`` (text surrogate, node row,
+        attribute id).  The element content rules of XQuery 1.0
+        §3.7.1.3 apply: a copied document node contributes its children,
+        adjacent text nodes merge and zero-length ones are dropped; an
+        attribute after other content raises ``err:XQTY0024``, two
+        attributes of one name on one element ``err:XQDY0025``.
+
+        Every element is its own transient fragment.  They are built
+        under one hold of ``mutation_lock``, written straight into the
+        reserved tail of each column and published at once: copied rows
+        are gathered with one ``multi_arange`` (row counts from
+        ``size``, ``level`` and ``parent`` rebased per copy) and their
+        attributes fetched with one :meth:`attrs_in_spans` call.
+        """
+        names = np.asarray(name_ids, dtype=np.int64)
+        if len(names) == 0:
+            return _EMPTY
+        owner = np.asarray(owner, dtype=np.int64)
+        tags = np.asarray(tags, dtype=np.int64)
+        payloads = np.asarray(payloads, dtype=np.int64)
+        attrs = None
         with self.mutation_lock:
-            # everything read from the attribute index is resolved before
-            # the fragment begins: an unsealed fragment is never indexed
-            copied_attrs = [
-                self.attrs_in_span(row, row + int(self.size[row]) + 1)
-                for row in copy_rows
+            # every index and column is read before the first append: an
+            # unsealed fragment is never indexed
+            present = np.bincount(tags, minlength=3)
+            if present[C_ATTR]:
+                # read before the copy sources fault in: without a lease a
+                # fault may evict the fragment these attributes live in
+                ids = payloads[tags == C_ATTR]
+                self.ensure_attrs(ids)
+                attrs = (self.attr_name[ids], self.attr_value[ids])
+            if present[C_COPY]:
+                rows = payloads[tags == C_COPY]
+                self.ensure_rows(rows)
+                kinds = np.bincount(self.kind[rows], minlength=NK_TEXT + 1)
+                if kinds[NK_DOC] or kinds[NK_TEXT]:
+                    owner, tags, payloads = self._resolve_copies(owner, tags, payloads)
+                    present = np.bincount(tags, minlength=3)
+            if present[C_TEXT]:
+                owner, tags, payloads = self._merge_texts(owner, tags, payloads)
+            if attrs is not None:
+                self._check_attributes(owner, tags, attrs[0])
+            return self._append_elements(names, owner, tags, payloads, attrs)
+
+    def _resolve_copies(self, owner, tags, payloads):
+        """Copied document nodes become copies of their children and
+        copied text nodes new text entries.  Returns new entry arrays
+        (the caller's are never written)."""
+        at = (tags == C_COPY).nonzero()[0]
+        kinds = self.kind[payloads[at]]
+        docs = kinds == NK_DOC
+        if docs.any():
+            order, lo, hi = self.children_ranges(payloads[at[docs]])
+            widths = np.ones(len(tags), dtype=np.int64)
+            widths[at[docs]] = hi - lo
+            firsts = (widths.cumsum() - widths)[at[docs]]
+            owner, tags, payloads = (
+                column.repeat(widths) for column in (owner, tags, payloads)
+            )
+            payloads[multi_arange(firsts, firsts + hi - lo)] = order[
+                multi_arange(lo, hi)
             ]
-            total = (
-                1
-                + sum(len(counts) for _, counts in copied_attrs)
-                + sum(tag == "text" for tag, _ in content)
-            )
-            self.begin_fragment(transient=True)
-            root = self.append_node(NK_ELEM, total - 1, 0, -1, name_id, -1)
-            for name, value in attrs:
-                self.append_attr(root, name, value)
-            copies = iter(copied_attrs)
-            for tag, payload in content:
-                if tag == "attr":
-                    self.append_attr(
-                        root,
-                        int(self.attr_name[payload]),
-                        int(self.attr_value[payload]),
-                    )
-                elif tag == "text":
-                    self.append_node(NK_TEXT, 0, 1, root, -1, payload)
-                elif tag == "copy":
-                    self._copy_subtree(payload, root, *next(copies))
-                else:  # pragma: no cover - compiler always passes valid tags
-                    raise DynamicError(f"bad constructor content tag {tag!r}")
-            return root
+            at = (tags == C_COPY).nonzero()[0]
+            kinds = self.kind[payloads[at]]
+        at = at[kinds == NK_TEXT]
+        tags, payloads = tags.copy(), payloads.copy()
+        tags[at] = C_TEXT
+        payloads[at] = self.value[payloads[at]]
+        return owner, tags, payloads
 
-    def new_document_fragment(self) -> int:
-        """Reserved for document-node constructors (not in the dialect)."""
-        raise DynamicError("document {} constructors are not supported")
+    def _merge_texts(self, owner, tags, payloads):
+        """Adjacent text entries of one element merge into one, and
+        zero-length ones are dropped.  Only runs of more than one text
+        join strings in Python."""
+        pool = self.pool
+        is_text = tags == C_TEXT
+        drop = np.zeros(len(tags), dtype=bool)
+        # entry i + 1 continues the text run entry i is in
+        drop[1:] = is_text[1:] & is_text[:-1] & (owner[1:] == owner[:-1])
+        if drop.any():
+            payloads = payloads.copy()
+            heads = np.flatnonzero(~drop)
+            ends = np.append(heads[1:], len(tags))
+            runs = ends - heads > 1
+            for lo, hi in zip(heads[runs].tolist(), ends[runs].tolist()):
+                payloads[lo] = pool.intern("".join(pool.values(payloads[lo:hi])))
+        empty = pool.lookup("")
+        if empty >= 0:
+            drop |= is_text & (payloads == empty)
+        if not drop.any():
+            return owner, tags, payloads
+        keep = ~drop
+        return owner[keep], tags[keep], payloads[keep]
 
-    def _copy_subtree(
-        self, src: int, new_parent: int, attr_ids: np.ndarray, attr_counts: np.ndarray
-    ) -> int:
-        """Deep-copy rows ``src..src+size`` under ``new_parent``;
-        ``attr_ids``/``attr_counts`` are the source span's attributes
-        (:meth:`attrs_in_span`).  The caller holds ``mutation_lock`` for
-        the whole enclosing fragment."""
-        count = len(attr_counts)
-        dest = self.num_nodes
-        rows = slice(src, src + count)
-        levels = self.level[rows] + (int(self.level[new_parent]) + 1 - int(self.level[src]))
-        parents = self.parent[rows] + (dest - src)
-        parents[0] = new_parent
-        self.append_nodes(
-            self.kind[rows], self.size[rows], levels, parents,
-            self.name[rows], self.value[rows],
-        )
-        if len(attr_ids):
-            self.append_attrs(
-                np.repeat(np.arange(dest, dest + count), attr_counts),
-                self.attr_name[attr_ids],
-                self.attr_value[attr_ids],
+    def _check_attributes(self, owner, tags, names) -> None:
+        """Raise the constructor errors that would make the element
+        ill-formed; ``names`` are the attribute entries' names."""
+        is_attr = tags == C_ATTR
+        if np.any(is_attr[1:] & ~is_attr[:-1] & (owner[1:] == owner[:-1])):
+            raise TypeError_(
+                "an attribute follows non-attribute content in an element "
+                "constructor",
+                code="err:XQTY0024",
             )
-        return dest
+        owners = owner[is_attr]
+        if len(owners) > 1 and np.any(owners[1:] == owners[:-1]):
+            span = int(names.max()) + 1
+            keys = np.sort(owners * span + names)
+            dup = keys[1:][keys[1:] == keys[:-1]]
+            if len(dup):
+                raise DynamicError(
+                    f"duplicate attribute {self.pool.value(int(dup[0] % span))!r} "
+                    "in an element constructor",
+                    code="err:XQDY0025",
+                )
+
+    def _append_elements(self, names, owner, tags, payloads, attrs) -> np.ndarray:
+        """Lay out and append the elements of :meth:`new_elements` once
+        their entries are resolved: each element's root row is followed
+        by its entries' rows (one per text, ``size + 1`` per copy), and
+        its attributes by its entries' attributes, in entry order."""
+        n = len(names)
+        base = self.num_nodes
+        text_at = (tags == C_TEXT).nonzero()[0]
+        copy_at = (tags == C_COPY).nonzero()[0]
+        src = payloads[copy_at]
+        spans = self.size[src] + 1
+        widths = np.zeros(len(tags), dtype=np.int64)
+        widths[text_at] = 1
+        widths[copy_at] = spans
+        # entry i follows the roots of elements 0..owner[i] and the rows
+        # of every earlier entry
+        before = np.concatenate((_ZERO, widths.cumsum()))
+        firsts = owner.searchsorted(np.arange(n + 1))
+        bounds = before[firsts]
+        roots = np.arange(n, dtype=np.int64) + bounds[:-1]
+        frag_widths = bounds[1:] - bounds[:-1] + 1
+        total = n + int(before[-1])
+        dest = owner + 1 + before[:-1]
+        parents = roots + base
+
+        # written straight into the reserved tails of the node columns
+        kind, size, level, frag, parent, name, value = self._node_tails(total)
+        fid = len(self._frag_base)
+        frag[:] = np.arange(fid, fid + n).repeat(frag_widths)
+        kind[roots] = NK_ELEM
+        size[roots] = frag_widths - 1
+        level[roots] = 0
+        parent[roots] = -1
+        name[roots] = names
+        value[roots] = -1
+        if len(text_at):
+            at = dest[text_at]
+            kind[at] = NK_TEXT
+            size[at] = 0
+            level[at] = 1
+            parent[at] = parents[owner[text_at]]
+            name[at] = -1
+            value[at] = payloads[text_at]
+        if len(src):
+            rows = multi_arange(src, src + spans)
+            # copy c's rows move by shift[c] (plus the base once published)
+            shift = dest[copy_at] - src
+            to = rows + shift.repeat(spans)
+            kind[to] = self.kind[rows]
+            size[to] = self.size[rows]
+            level[to] = self.level[rows] + (1 - self.level[src]).repeat(spans)
+            parent[to] = self.parent[rows] + (to - rows + base)
+            parent[dest[copy_at]] = parents[owner[copy_at]]
+            name[to] = self.name[rows]
+            value[to] = self.value[rows]
+
+        # attributes — owner, name, value — in entry order: an element's
+        # attribute entries come first, then its copies' attributes
+        ids = owners = counts = _EMPTY
+        if len(src):
+            ids, owners, counts = self.attrs_in_spans(src, src + spans)
+            owners = owners + (shift + base).repeat(counts)
+        a_widths = np.zeros(len(tags), dtype=np.int64)
+        a_widths[copy_at] = counts
+        if attrs is not None:
+            attr_at = (tags == C_ATTR).nonzero()[0]
+            a_widths[attr_at] = 1
+        a_before = np.concatenate((_ZERO, a_widths.cumsum()))
+        abases = self.num_attrs + a_before[firsts][:-1]
+        attr_rows = (owners, self.attr_name[ids], self.attr_value[ids])
+        if attrs is not None:
+            # interleave the attribute entries with the copied attributes
+            copied = attr_rows
+            attr_rows = np.empty((3, int(a_before[-1])), dtype=np.int64)
+            attr_rows[:, a_before[attr_at]] = (parents[owner[attr_at]], *attrs)
+            at = a_before[copy_at]
+            attr_rows[:, multi_arange(at, at + counts)] = copied
+
+        self._publish_transient(parents, abases, total)
+        if len(attr_rows[0]):
+            self.append_attrs(*attr_rows)
+        return parents
 
     # ------------------------------------------------------------ updates
     def _child_rows_of(self, row: int) -> list[int]:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.encoding.arena import NodeArena
+from repro.encoding.arena import C_ATTR, C_COPY, C_TEXT, NodeArena
 from repro.errors import AlgebraError, DynamicError, TypeError_
 from repro.relational import algebra as alg
 from repro.relational import items as it
@@ -39,6 +39,7 @@ from repro.relational.kernels import (
     combine_keys,
     in_set,
     join_indices,
+    multi_arange,
     row_number_per_group,
 )
 from repro.relational.staircase import naive_step, staircase_step, twig_match
@@ -495,80 +496,77 @@ def _eval_atomize(node: alg.Atomize, inputs, ctx) -> Table:
     return table.with_column(node.target, ItemColumn(kinds, data))
 
 
-def _content_spec(arena, pool, kinds, data) -> list[tuple[str, int]]:
-    """Turn one iteration's content items into arena constructor entries,
-    merging runs of adjacent atomic items into single text entries."""
-    spec: list[tuple[str, int]] = []
-    atom_run: list[str] = []
-
-    def flush():
-        if atom_run:
-            spec.append(("text", pool.intern(" ".join(atom_run))))
-            atom_run.clear()
-
-    for kind, payload in zip(kinds, data):
-        kind = int(kind)
-        payload = int(payload)
-        if kind == K_NODE:
-            flush()
-            spec.append(("copy", payload))
-        elif kind == K_ATTR:
-            flush()
-            spec.append(("attr", payload))
-        else:
-            atom_run.append(it.lexical(kind, payload, pool))
-    flush()
-    return spec
-
-
 def _eval_elem(node: alg.ElemConstr, inputs, ctx) -> Table:
     names, content = inputs
-    arena, pool = ctx.arena, ctx.pool
+    pool = ctx.pool
     n_iter = names.num("iter")
-    n_item = names.item("item")
     c_iter = content.num("iter")
-    c_kinds = content.item("item").kinds
-    c_data = content.item("item").data
     if "pos" in content.columns:
         order = np.lexsort((content.num("pos"), c_iter))
     else:
         order = np.argsort(c_iter, kind="stable")
-    c_iter, c_kinds, c_data = c_iter[order], c_kinds[order], c_data[order]
-    out_nodes = np.empty(len(n_iter), dtype=np.int64)
-    lo = np.searchsorted(c_iter, n_iter, side="left")
-    hi = np.searchsorted(c_iter, n_iter, side="right")
-    name_sids = it.to_string_ids(n_item, pool)
-    for i in range(len(n_iter)):
-        spec = _content_spec(arena, pool, c_kinds[lo[i]:hi[i]], c_data[lo[i]:hi[i]])
-        out_nodes[i] = arena.new_element(int(name_sids[i]), [], spec)
-    return Table({"iter": n_iter, "item": ItemColumn.from_nodes(out_nodes)})
+    by_iter = c_iter[order]
+    lo = by_iter.searchsorted(n_iter, side="left")
+    hi = by_iter.searchsorted(n_iter, side="right")
+    # content entries of element i are rows lo[i]:hi[i] of the sorted
+    # content, in content order
+    picks = order[multi_arange(lo, hi)]
+    owner = np.repeat(np.arange(len(n_iter), dtype=np.int64), hi - lo)
+    kinds = content.item("item").kinds[picks]
+    payloads = content.item("item").data[picks]
+    tags = np.full(len(picks), C_TEXT, dtype=np.int64)
+    tags[kinds == K_NODE] = C_COPY
+    tags[kinds == K_ATTR] = C_ATTR
+    atomic = tags == C_TEXT
+    if atomic.any():
+        # a run of adjacent atomic items of one element becomes one text
+        # entry: their lexical forms joined by single spaces
+        joins = np.zeros(len(tags), dtype=bool)
+        joins[1:] = atomic[1:] & atomic[:-1] & (owner[1:] == owner[:-1])
+        heads = np.flatnonzero(~joins)
+        ends = np.append(heads[1:], len(tags))
+        runs = atomic[heads] & (ends - heads > 1)
+        single = heads[atomic[heads] & ~runs]
+        payloads[single] = it.to_string_ids(ItemColumn(kinds[single], payloads[single]), pool)
+        for start, stop in zip(heads[runs].tolist(), ends[runs].tolist()):
+            payloads[start] = pool.intern(
+                " ".join(
+                    it.lexical(kind, payload, pool)
+                    for kind, payload in zip(
+                        kinds[start:stop].tolist(), payloads[start:stop].tolist()
+                    )
+                )
+            )
+        owner, tags, payloads = owner[heads], tags[heads], payloads[heads]
+    roots = ctx.arena.new_elements(
+        it.to_string_ids(names.item("item"), pool), owner, tags, payloads
+    )
+    return Table({"iter": n_iter, "item": ItemColumn.from_nodes(roots)})
 
 
 def _eval_text(node: alg.TextConstr, inputs, ctx) -> Table:
     content = inputs[0]
-    arena, pool = ctx.arena, ctx.pool
-    iters = content.num("iter")
-    sids = it.to_string_ids(content.item("item"), pool)
-    out = np.empty(len(iters), dtype=np.int64)
-    for i, sid in enumerate(sids):
-        out[i] = arena.new_text_node(int(sid))
-    return Table({"iter": iters, "item": ItemColumn.from_nodes(out)})
+    sids = it.to_string_ids(content.item("item"), ctx.pool)
+    rows = ctx.arena.new_text_nodes(sids)
+    return Table({"iter": content.num("iter"), "item": ItemColumn.from_nodes(rows)})
 
 
 def _eval_attr(node: alg.AttrConstr, inputs, ctx) -> Table:
     names, values = inputs
-    arena, pool = ctx.arena, ctx.pool
+    pool = ctx.pool
     n_iter = names.num("iter")
-    name_sids = it.to_string_ids(names.item("item"), pool)
     v_iter = values.num("iter")
-    value_sids = it.to_string_ids(values.item("item"), pool)
-    by_iter = {int(i): int(s) for i, s in zip(v_iter, value_sids)}
-    empty = pool.intern("")
-    out = np.empty(len(n_iter), dtype=np.int64)
-    for i in range(len(n_iter)):
-        sid = by_iter.get(int(n_iter[i]), empty)
-        out[i] = arena.new_attribute(int(name_sids[i]), sid)
-    return Table({"iter": n_iter, "item": ItemColumn.of_kind(K_ATTR, out)})
+    order = np.argsort(v_iter, kind="stable")
+    by_iter = v_iter[order]
+    # each name's iteration takes the last value of that iteration, ""
+    # when it has none
+    at = by_iter.searchsorted(n_iter, side="right") - 1
+    found = at >= 0
+    found[found] = by_iter[at[found]] == n_iter[found]
+    sids = np.full(len(n_iter), pool.intern(""), dtype=np.int64)
+    sids[found] = it.to_string_ids(values.item("item"), pool)[order][at[found]]
+    ids = ctx.arena.new_attributes(it.to_string_ids(names.item("item"), pool), sids)
+    return Table({"iter": n_iter, "item": ItemColumn.of_kind(K_ATTR, ids)})
 
 
 def _eval_genrange(node: alg.GenRange, inputs, ctx) -> Table:
@@ -578,8 +576,6 @@ def _eval_genrange(node: alg.GenRange, inputs, ctx) -> Table:
     hi_col = table.col(node.hi_col)
     lo = lo_col.data if isinstance(lo_col, ItemColumn) else lo_col
     hi = hi_col.data if isinstance(hi_col, ItemColumn) else hi_col
-    from repro.relational.kernels import multi_arange
-
     counts = np.maximum(hi + 1 - lo, 0)
     values = multi_arange(lo, hi + 1)
     out_iter = np.repeat(iters, counts)

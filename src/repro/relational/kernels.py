@@ -24,6 +24,8 @@ def multi_arange(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """
     starts = np.asarray(starts, dtype=np.int64)
     stops = np.asarray(stops, dtype=np.int64)
+    if len(starts) == 1:  # one range: the O(k) bookkeeping below is moot
+        return np.arange(starts[0], stops[0], dtype=np.int64)
     lengths = np.maximum(stops - starts, 0)
     total = int(lengths.sum())
     if total == 0:

@@ -76,6 +76,7 @@ class _Cursor:
         self._nl_scan = 0
 
     def line_col(self) -> tuple[int, int]:
+        """Line/column of the cursor."""
         return self.line_col_at(self.pos)
 
     def line_col_at(self, pos: int) -> tuple[int, int]:
@@ -91,22 +92,28 @@ class _Cursor:
         return line, col
 
     def error(self, message: str) -> XMLSyntaxError:
+        """An :class:`XMLSyntaxError` at the cursor (for the caller to raise)."""
         line, col = self.line_col()
         return XMLSyntaxError(message, line, col)
 
     def eof(self) -> bool:
+        """Whether the whole input was consumed."""
         return self.pos >= len(self.text)
 
     def peek(self, n: int = 1) -> str:
+        """The next ``n`` characters, without consuming them."""
         return self.text[self.pos : self.pos + n]
 
     def startswith(self, s: str) -> bool:
+        """Whether the input continues with ``s``."""
         return self.text.startswith(s, self.pos)
 
     def advance(self, n: int = 1) -> None:
+        """Consume ``n`` characters."""
         self.pos += n
 
     def skip_ws(self) -> None:
+        """Consume any XML whitespace."""
         text, n = self.text, len(self.text)
         p = self.pos
         while p < n and text[p] in " \t\r\n":
@@ -114,6 +121,9 @@ class _Cursor:
         self.pos = p
 
     def read_until(self, delim: str, what: str) -> str:
+        """Consume and return everything before ``delim``, then ``delim``
+        itself; ``what`` names the construct in the error if it is
+        missing."""
         end = self.text.find(delim, self.pos)
         if end < 0:
             raise self.error(f"unterminated {what}")
@@ -122,6 +132,7 @@ class _Cursor:
         return out
 
     def read_name(self) -> str:
+        """Consume and return an XML name."""
         text = self.text
         start = self.pos
         if start >= len(text) or text[start] not in _NAME_START:
@@ -134,6 +145,7 @@ class _Cursor:
         return text[start:p]
 
     def expect(self, s: str) -> None:
+        """Consume ``s`` or raise."""
         if not self.startswith(s):
             raise self.error(f"expected {s!r}")
         self.advance(len(s))
@@ -214,6 +226,7 @@ class _TreeBuilder(XMLEventHandler):
         self._stack: list[XMLElement] = []
 
     def start_element(self, name: str, attributes: list[tuple[str, str]]) -> None:
+        """Open an element under the current one (or as the root)."""
         elem = XMLElement(name, attributes)
         if self._stack:
             self._stack[-1].children.append(elem)
@@ -222,19 +235,25 @@ class _TreeBuilder(XMLEventHandler):
         self._stack.append(elem)
 
     def end_element(self, name: str) -> None:
+        """Close the current element."""
         self._stack.pop()
 
     def text(self, data: str) -> None:
+        """Append a text child."""
         self._stack[-1].children.append(XMLText(data))
 
     def comment(self, data: str) -> None:
+        """Append a comment child."""
         self._stack[-1].children.append(XMLComment(data))
 
     def pi(self, target: str, data: str) -> None:
+        """Append a processing-instruction child."""
         self._stack[-1].children.append(XMLPi(target, data))
 
 
 def _skip_prolog(cur: _Cursor) -> None:
+    """Consume the XML declaration, comments, PIs, a DOCTYPE and
+    whitespace before the root element."""
     while True:
         cur.skip_ws()
         if cur.startswith("<?xml"):

@@ -7,9 +7,10 @@ half lives in :mod:`repro.compiler.serialize`.
 
 The arena serializer is a **scan**, not a tree walk: the pre/size
 property says the subtree of row ``p`` is exactly rows ``p .. p+size[p]``,
-so it slices ``kind/level/name/value`` over that range once, batch-decodes
-every pool surrogate the slice needs, fetches all attributes with one
-:meth:`~repro.encoding.arena.NodeArena.attrs_in_span` call, and emits
+so it gathers ``kind/size/name/value`` over those rows once — for a whole
+batch of result nodes at a time — batch-decodes every pool surrogate they
+need, fetches all their attributes with one
+:meth:`~repro.encoding.arena.NodeArena.attrs_in_spans` call, and emits
 markup in row order — open tags as rows arrive, close tags when the scan
 passes a subtree's end row (``p + size[p]``, the region encoding of the
 level-delta).  No recursion, no per-node ``children_ranges`` calls.
@@ -20,13 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.encoding.arena import NK_COMMENT, NK_DOC, NK_ELEM, NK_PI, NK_TEXT, NodeArena
+from repro.relational.kernels import multi_arange
 from repro.xml.escape import escape_attr, escape_text
 from repro.xml.parser import XMLComment, XMLElement, XMLPi, XMLText
 
 
 def serialize_node(arena: NodeArena, node: int) -> str:
     """Serialise the subtree rooted at arena row ``node`` to XML text."""
-    return "".join(scan_parts(arena, node))
+    return "".join(scan_parts(arena, (node,)))
 
 
 def serialize_attribute(arena: NodeArena, attr_id: int) -> str:
@@ -37,32 +39,52 @@ def serialize_attribute(arena: NodeArena, attr_id: int) -> str:
     return f'{name}="{escape_attr(value)}"'
 
 
-def scan_parts(arena: NodeArena, node: int) -> list[str]:
-    """The markup of row ``node``'s subtree as a list of string parts.
+def scan_parts(arena: NodeArena, nodes) -> list[str]:
+    """The markup of the subtrees of rows ``nodes``, one after the
+    other, as one list of string parts.
 
     This is the vectorised core behind :func:`serialize_node` and the
     chunked result streaming in :mod:`repro.compiler.serialize`: callers
     either join the parts into one string or flush them downstream in
-    bounded chunks without ever assembling the full text.
+    bounded chunks without ever assembling the full text.  The rows of
+    all subtrees are gathered with one ``multi_arange`` (a single
+    subtree is sliced) and scanned as one; a subtree ends exactly where
+    the next begins, so the close-tag stack is empty at every node
+    boundary.
     """
-    start = int(node)
-    arena.ensure_rows((start,))
-    stop = start + int(arena.size[start]) + 1
-    kinds = arena.kind[start:stop].tolist()
-    sizes = arena.size[start:stop].tolist()
+    starts = np.asarray(nodes, dtype=np.int64)
+    arena.ensure_rows(starts)
+    widths = arena.size[starts] + 1
+    stops = starts + widths
+    if len(starts) == 1:
+        # one subtree is one row range: sliced (views), not gathered, and
+        # its attributes are one slice of the attribute index
+        start, stop = int(starts[0]), int(stops[0])
+        rows = slice(start, stop)
+        attr_ids, attr_counts = arena.attrs_in_span(start, stop)
+    else:
+        rows = multi_arange(starts, stops)
+        attr_ids, owners, per_node = arena.attrs_in_spans(starts, stops)
+        # an attribute's position in ``rows``: its owner's offset in its
+        # subtree plus where that subtree starts in ``rows``
+        offsets = np.cumsum(widths) - widths - starts
+        attr_counts = np.bincount(
+            owners + np.repeat(offsets, per_node), minlength=len(rows)
+        )
+    attr_counts = attr_counts.tolist()
+    kinds = arena.kind[rows].tolist()
+    sizes = arena.size[rows].tolist()
     pool = arena.pool
-    # one batched decode for every surrogate the slice can reference;
+    # one batched decode for every surrogate the rows can reference;
     # nameless/valueless rows carry -1, clipped to 0 and never read
     decode = pool.values
     if len(pool):
-        names = decode(np.maximum(arena.name[start:stop], 0).tolist())
-        values = decode(np.maximum(arena.value[start:stop], 0).tolist())
+        names = decode(np.maximum(arena.name[rows], 0).tolist())
+        values = decode(np.maximum(arena.value[rows], 0).tolist())
     else:  # an arena with no interned strings holds no named/valued rows
-        names = values = [""] * (stop - start)
-    # all attributes of the whole slice in two binary searches, rendered
-    # to ready-to-concatenate ` name="value"` parts in one pass
-    attr_ids, attr_counts_arr = arena.attrs_in_span(start, stop)
-    attr_counts = attr_counts_arr.tolist()
+        names = values = [""] * len(kinds)
+    # all attributes rendered to ready-to-concatenate ` name="value"`
+    # parts in one pass
     attr_strs = [
         f' {n}="{escape_attr(v)}"'
         for n, v in zip(

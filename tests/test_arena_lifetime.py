@@ -91,13 +91,17 @@ DOCS = {
 }
 
 #: constructing queries: element (copying a subtree with attributes),
-#: text and attribute constructors
+#: text and attribute constructors — each operator builds all of its
+#: iterations in one batch, with documents, text runs and empty text in
+#: the content
 _CONSTRUCT = (
     '<w a="1">{doc("a.xml")/r/*}</w>',
     'for $x in doc("b.xml")/r/* return <c n="{count($x/*)}">{$x}</c>',
     'text {"loose"}',
     'attribute k {"v"}',
     '<e>{attribute z {"9"}, doc("a.xml")/r/@*, "t"}</e>',
+    'for $x in (doc("a.xml"), doc("a.xml")//*) return element c { $x/@*, $x, "t" }',
+    'for $u in doc("b.xml")//text() return <m>{$u, "x", text {""}, $u}</m>',
 )
 
 _UPDATES = (

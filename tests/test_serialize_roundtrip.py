@@ -11,20 +11,31 @@ document fast path; this suite pins them to the tree-walking oracles:
   of those fragments (every node kind, elements with and without
   attributes/children);
 * the streaming shredder builds the same arena as the DOM path and never
-  constructs an :class:`~repro.xml.parser.XMLElement`.
+  constructs an :class:`~repro.xml.parser.XMLElement`;
+* the batched result scan (``iter_serialized_chunks``: one scan per
+  block of consecutive node items) equals the recursive oracle item by
+  item, joined by the atomic-separator rule.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.compiler import serialize as result_serializer
+from repro.compiler.serialize import iter_serialized_chunks
 from repro.encoding.arena import NodeArena
 from repro.encoding.shred import shred_text, shred_tree
 from repro.errors import XMLSyntaxError
-from repro.xml.escape import resolve_entities
+from repro.relational import items as it
+from repro.relational.items import K_ATTR, K_INT, K_NODE, K_STR, ItemColumn
+from repro.relational.table import Table
+from repro.xml.escape import escape_text, resolve_entities
 from repro.xml.parser import XMLElement, parse_document
 from repro.xml.serializer import (
+    serialize_attribute,
     serialize_node,
     serialize_node_recursive,
     serialize_tree,
@@ -192,3 +203,107 @@ class TestChunkedResultStream:
         result = session.execute("()")
         assert list(result.iter_serialized()) == []
         assert result.serialize() == ""
+
+
+# --------------------------------------------------------------------------
+# the batched result scan against the recursive oracle
+# --------------------------------------------------------------------------
+def _result(items) -> Table:
+    """A top-level result table holding ``items`` (kind, payload) in order."""
+    kinds = np.asarray([k for k, _ in items], dtype=np.uint8)
+    data = np.asarray([p for _, p in items], dtype=np.int64)
+    return Table(
+        {
+            "iter": np.ones(len(items), dtype=np.int64),
+            "pos": np.arange(1, len(items) + 1, dtype=np.int64),
+            "item": ItemColumn(kinds, data),
+        }
+    )
+
+
+def _oracle(arena, items) -> str:
+    """Item by item: nodes by recursive walk, one space between adjacent
+    atomics."""
+    out, prev_atomic = [], False
+    for kind, payload in items:
+        if kind == K_NODE:
+            out.append(serialize_node_recursive(arena, payload))
+        elif kind == K_ATTR:
+            out.append(serialize_attribute(arena, payload))
+        else:
+            text = escape_text(it.lexical(kind, payload, arena.pool))
+            out.append(" " + text if prev_atomic else text)
+        prev_atomic = kind not in (K_NODE, K_ATTR)
+    return "".join(out)
+
+
+def _chunks(arena, items, chunk_chars):
+    chunks = list(iter_serialized_chunks(_result(items), arena, chunk_chars))
+    assert all(len(c) >= chunk_chars for c in chunks[:-1])
+    return "".join(chunks)
+
+
+_PICK = st.tuples(st.sampled_from(["node", "node", "attr", "int", "str"]), st.integers(0, 10**6))
+
+
+class TestBatchedResultScan:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        tree=_tree(),
+        picks=st.lists(_PICK, max_size=12),
+        block_rows=st.sampled_from([1, 3, 1 << 10]),
+        chunk_chars=st.sampled_from([1, 7, 64 * 1024]),
+    )
+    def test_random_results(self, monkeypatch, tree, picks, block_rows, chunk_chars):
+        """Any mix of nodes (document node, ancestors beside their own
+        descendants, repeats), attributes and atomics, scanned in blocks
+        of any size and cut into chunks of any size."""
+        monkeypatch.setattr(result_serializer, "_SCAN_ROWS", block_rows)
+        arena = NodeArena()
+        doc = shred_tree(arena, tree)
+        items = []
+        for what, n in picks:
+            if what == "node":
+                items.append((K_NODE, doc + n % (int(arena.size[doc]) + 1)))
+            elif what == "attr" and arena.num_attrs:
+                items.append((K_ATTR, n % arena.num_attrs))
+            elif what == "int":
+                items.append((K_INT, n))
+            elif what == "str":
+                items.append((K_STR, arena.pool.intern(f"<{n}&>")))
+        assert _chunks(arena, items, chunk_chars) == _oracle(arena, items)
+
+    def test_node_with_its_own_descendant(self):
+        arena, doc = _shred('<r><a k="v">x<b/></a><c>y</c></r>')
+        a, b = doc + 2, doc + 4
+        items = [(K_NODE, a), (K_NODE, b), (K_NODE, doc), (K_NODE, a + 1)]
+        assert _chunks(arena, items, 64) == _oracle(arena, items)
+
+    @pytest.mark.parametrize("chunk_chars", [1, 5, 64 * 1024])
+    def test_runs_longer_than_a_block(self, monkeypatch, chunk_chars):
+        monkeypatch.setattr(result_serializer, "_SCAN_ROWS", 4)
+        arena, doc = _shred("<r>" + "<v a='1'>t<w/></v>" * 40 + "</r>")
+        nodes = [(K_NODE, int(r)) for r in range(doc, doc + int(arena.size[doc]) + 1)]
+        items = nodes + [(K_INT, 1), (K_INT, 2), (K_ATTR, 0)] + nodes[::-1]
+        assert _chunks(arena, items, chunk_chars) == _oracle(arena, items)
+
+    def test_one_scan_per_run_of_nodes(self, monkeypatch):
+        """Consecutive node items share one scan; an atomic between two
+        nodes splits the run."""
+        arena, doc = _shred("<r>" + "<v>t</v>" * 30 + "</r>")
+        calls = []
+        real = result_serializer.scan_parts
+
+        def spy(arena_, nodes):
+            calls.append(len(nodes))
+            return real(arena_, nodes)
+
+        monkeypatch.setattr(result_serializer, "scan_parts", spy)
+        vs = [(K_NODE, doc + 2 + 2 * i) for i in range(30)]
+        items = vs[:20] + [(K_INT, 7)] + vs[20:]
+        assert _chunks(arena, items, 64) == _oracle(arena, items)
+        assert calls == [20, 10]

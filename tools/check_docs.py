@@ -8,8 +8,8 @@ suite (``tests/test_docs.py``):
   bare ``http(s)`` links are not fetched.
 * **docstring check** — every public module, class, top-level function
   and public method under the packages in :data:`DOCSTRING_ROOTS`
-  (the relational, api, encoding, sqlhost, server, compiler and xquery
-  layers) must carry a docstring.  This mirrors ruff's pydocstyle
+  (the relational, api, encoding, sqlhost, server, compiler, xquery and
+  xml layers) must carry a docstring.  This mirrors ruff's pydocstyle
   D100–D103 presence rules, which the CI docs job also runs over the
   same directories.
 
@@ -46,6 +46,7 @@ DOCSTRING_ROOTS = (
     "src/repro/server",
     "src/repro/compiler",
     "src/repro/xquery",
+    "src/repro/xml",
 )
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
