@@ -9,8 +9,7 @@ Document catalog semantics:
 
 * ``load_document(uri, xml)`` shreds and registers a document.  Loading
   an already-registered URI raises unless ``replace=True``, which swaps
-  the catalog entry for a freshly shredded tree and invalidates every
-  cached plan that reads that document.  (The arena is a stack of
+  the catalog entry for a freshly shredded tree.  (The arena is a stack of
   fragments: a replaced, unloaded or updated tree on top of it is
   popped — and the new copy settles in its place — as soon as no
   result still holds a lease; a dead tree *below* a live document
@@ -22,9 +21,13 @@ Document catalog semantics:
   is kept for convenience and backward compatibility; call
   :meth:`set_default_document` to be explicit, and check
   :attr:`default_is_implicit` to know which case you are in.
-* every load/replace bumps the document's *epoch*; the plan cache
-  revalidates entries against these epochs, so only plans reading a
-  changed document recompile.
+* every load/replace/update bumps the document's *epoch*, which
+  versions its content (WAL, manifest, SQL-host export, ``/documents``).
+  Cached plans do not follow epochs: a plan stays valid while every
+  document it reads is loaded and in the same *size class*
+  (:func:`~repro.api.plan_cache.size_class`), since plans resolve their
+  documents at run time — an update or a same-class replace keeps the
+  plans hot, and only a class change or an unload recompiles them.
 
 Concurrency model (the serving contract):
 
@@ -37,8 +40,8 @@ Concurrency model (the serving contract):
   torn catalog.
 * plan compilation is *single-flight*: N sessions racing on the same
   cache key compile the plan once (the others wait and adopt the
-  result), so a cache-invalidating replace does not trigger a
-  compilation stampede.
+  result), so a replace that moves a document out of its size class
+  does not trigger a compilation stampede.
 * sessions share nothing mutable with each other — settings, variable
   bindings and statistics are per-:class:`~repro.api.session.Session` —
   so each server worker (or client thread) owning its own session needs
@@ -53,7 +56,7 @@ import time
 from contextlib import contextmanager
 
 from repro.api.concurrency import RWLock, SingleFlight
-from repro.api.plan_cache import CachedPlan, PlanCache, plan_documents
+from repro.api.plan_cache import CachedPlan, PlanCache, plan_documents, size_class
 from repro.compiler.loop_lifting import Compiler
 from repro.encoding.arena import NodeArena
 from repro.encoding.shred import shred_text
@@ -104,6 +107,8 @@ class Database:
             self.arena.enable_paging(page_budget_bytes)
         self.documents: dict[str, int] = {}
         self.doc_epochs: dict[str, int] = {}
+        # uri -> (epoch, size class): see document_class
+        self._doc_classes: dict[str, tuple[int, int]] = {}
         self.plan_cache = PlanCache(plan_cache_size)
         self._default_document: str | None = None
         self._default_explicit = False
@@ -114,8 +119,8 @@ class Database:
         # duplicate suppression for concurrent same-key compilations
         self._flight = SingleFlight()
         self._estimator_lock = threading.Lock()
-        # arena statistics for the optimizer, rebuilt when the catalog
-        # changes (same invalidation points as the plan cache)
+        # arena statistics for the optimizer, rebuilt by the first
+        # compile after a catalog change
         self._estimator: CardinalityEstimator | None = None
         #: the attached persistent store (None = pure in-memory catalog)
         self.store: DocumentStore | None = None
@@ -287,10 +292,12 @@ class Database:
         """Parse, shred and register a document; returns its node count.
 
         ``replace=True`` allows re-loading an existing URI: the catalog
-        entry is swapped and cached plans reading it are invalidated.
-        The swap is atomic for concurrent readers — it runs under the
-        exclusive catalog lock, so every query sees either the old or
-        the new tree, never a partially shredded one.
+        entry is swapped.  Cached plans reading it stay valid — and read
+        the new tree — while the new document is in the old one's size
+        class; otherwise their next lookup recompiles them.  The swap is
+        atomic for concurrent readers — it runs under the exclusive
+        catalog lock, so every query sees either the old or the new
+        tree, never a partially shredded one.
         """
         with self._rwlock.write_locked():
             return self._load_document_locked(uri, xml_text, default, replace)
@@ -319,13 +326,10 @@ class Database:
                 f"document {uri!r} belongs to shard "
                 f"{shard_of(uri, count)}, not this worker's shard {index}"
             )
-        if uri in self.documents:
-            if not replace:
-                raise PathfinderError(
-                    f"document {uri!r} already loaded "
-                    "(pass replace=True to swap it)"
-                )
-            self.plan_cache.invalidate_document(uri)
+        if uri in self.documents and not replace:
+            raise PathfinderError(
+                f"document {uri!r} already loaded (pass replace=True to swap it)"
+            )
         fresh = self.arena.mark()
         root = shred_text(self.arena, xml_text)
         nodes = self.arena.num_nodes - fresh.nodes
@@ -392,10 +396,13 @@ class Database:
         """Apply one updating module (XQuery Update Facility) atomically.
 
         The whole update — pending-update-list collection, structural
-        rebuild, catalog swap, epoch bump and plan-cache invalidation —
-        runs under the **exclusive** catalog lock: in-flight queries
-        finish against the old tree first, and every query starting after
-        this returns sees the new epoch.  This is the same write path a
+        rebuild, catalog swap and epoch bump — runs under the
+        **exclusive** catalog lock: in-flight queries finish against the
+        old tree first, and every query starting after this returns sees
+        the new tree.  Cached plans are not touched: they resolve their
+        documents at run time, so they stay valid unless the update moves
+        a document out of its size class (see
+        :mod:`repro.api.plan_cache`).  This is the same write path a
         hot document replace takes, but the rebuild works from the
         existing pre/size/level rows (the old copy is read, a new one
         appended, and — once no result holds a lease — the old one is
@@ -463,7 +470,6 @@ class Database:
                     self.arena.retire_fragment(self.documents[uri])
                     self.documents[uri] = new_root
                     self.doc_epochs[uri] = new_epochs[uri]
-                    self.plan_cache.invalidate_document(uri)
             if deltas:
                 self._estimator = None
                 self._reclaim_locked(fresh, tuple(deltas))
@@ -547,9 +553,11 @@ class Database:
             return report
 
     def unload_document(self, uri: str) -> None:
-        """Remove a document from the catalog and invalidate its plans.
+        """Remove a document from the catalog.
 
-        The document stops being addressable by queries at once; its
+        The document stops being addressable by queries at once (a
+        cached plan reading it fails its next validity check and
+        recompiles, which raises ``err:FODC0002``); its
         rows are popped off the arena when they are on top of it and no
         result holds a lease, and otherwise wait as dead rows for a
         later reclaim (:meth:`arena_report`).
@@ -559,8 +567,8 @@ class Database:
                 raise PathfinderError(f"document {uri!r} is not loaded")
             root = self.documents.pop(uri)
             del self.doc_epochs[uri]
+            self._doc_classes.pop(uri, None)
             self._estimator = None
-            self.plan_cache.invalidate_document(uri)
             if self._default_document == uri:
                 self._default_document = None
                 self._default_explicit = False
@@ -574,6 +582,23 @@ class Database:
     def storage_report(self) -> StorageReport:
         """Byte-level storage accounting (Section 3.1 experiment)."""
         return measure_storage(self.arena, self._xml_bytes)
+
+    def document_class(self, uri: str) -> int | None:
+        """The size class of document ``uri`` (None when not loaded) —
+        what cached plans are checked against; callers hold the catalog
+        lock.  The class is derived once per document epoch (every
+        content change bumps the epoch), so a plan-cache hit pays two
+        dict lookups, not a node count; deriving it never faults a cold
+        fragment in."""
+        epoch = self.doc_epochs.get(uri)
+        if epoch is None:
+            return None
+        known = self._doc_classes.get(uri)
+        if known is None or known[0] != epoch:
+            # racing readers store equal values: the write is idempotent
+            nodes = self.arena.subtree_nodes(self.documents[uri])
+            known = self._doc_classes[uri] = (epoch, size_class(nodes))
+        return known[1]
 
     def catalog_snapshot(self) -> list[dict]:
         """One consistent view of the catalog (the ``/documents`` endpoint):
@@ -694,7 +719,7 @@ class Database:
                 external_vars=tuple(core.external_vars),
                 module=module,
                 core=core,
-                doc_epochs={uri: self.doc_epochs[uri] for uri in doc_deps},
+                doc_classes={uri: self.document_class(uri) for uri in doc_deps},
                 compile_seconds=time.perf_counter() - t0,
                 default_document=self._default_document,
             )
@@ -738,7 +763,7 @@ class Database:
                 disabled_passes,
                 optimizer_mode,
             )
-            entry = self.plan_cache.get(key, self.doc_epochs)
+            entry = self.plan_cache.get(key, self.document_class)
             if entry is not None:
                 return entry, True
 
@@ -754,8 +779,8 @@ class Database:
                 return fresh
 
             # every flight participant holds the catalog lock shared, so
-            # no epoch can change between the leader's compile and a
-            # waiter's adoption of the entry
+            # the catalog cannot change between the leader's compile and
+            # a waiter's adoption of the entry
             entry, leader = self._flight.do(key, _compile_and_cache)
             return entry, not leader
 

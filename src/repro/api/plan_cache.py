@@ -4,12 +4,22 @@ Pathfinder's whole front-end (parse → desugar → loop-lift → optimize) is
 deterministic given the query text, the compiler settings and the
 document catalog, and the emitted plan is an immutable DAG — so compiled
 plans are perfect cache entries.  The cache is a plain LRU keyed by
-``(query text, settings, default document)``; validity against catalog
-changes is checked per *document*: each entry records the documents its
-plan actually reads (the ``DocRoot`` leaves) together with their load
-epochs, and a lookup revalidates those epochs against the catalog.  A
-``load_document(..., replace=True)`` or ``unload_document()`` bumps only
-the affected document's epoch, so plans over other documents stay hot.
+``(query text, settings, default document)``.
+
+A plan touches the data only through its ``DocRoot`` leaves, which the
+evaluator resolves against the catalog at run time; name tests and
+string literals are resolved at run time too.  So a plan is *correct*
+against any catalog in which the documents it reads are loaded, and the
+catalog's statistics only decide how good its join order is.  Each
+entry therefore records the documents its plan reads together with
+their **size class** (:func:`size_class`, ≈ 19 % wide buckets of the
+node count), and one rule — :meth:`CachedPlan.is_current` — decides
+validity: every such document is still loaded and still in its class.
+Updates and same-class replaces keep the plans hot (they read the new
+tree); a document that grows or shrinks out of its class, or is
+unloaded, costs its plans one recompile on their next lookup.  Nothing
+is dropped eagerly: stale entries are revalidated lazily and age out
+through the LRU.
 
 The cache is thread-safe: every operation runs under one internal mutex,
 so N sessions (or N server workers) can share it without external
@@ -20,6 +30,7 @@ cache so a miss raced by many threads compiles once.
 
 from __future__ import annotations
 
+import math
 import threading
 
 from collections import OrderedDict
@@ -28,6 +39,16 @@ from dataclasses import dataclass
 from repro.relational import algebra as alg
 from repro.relational.optimizer import OptimizerStats
 from repro.xquery import ast
+
+#: size classes per doubling of a document's node count: one class spans
+#: a factor of 2 ** (1/4) ≈ 1.19, so a document that grows or shrinks by
+#: about a fifth has its plans planned again with fresh statistics
+CLASSES_PER_DOUBLING = 4
+
+
+def size_class(nodes: int) -> int:
+    """The size class of a document of ``nodes`` nodes (see module docs)."""
+    return round(CLASSES_PER_DOUBLING * math.log2(nodes))
 
 
 def plan_documents(plan: alg.Op) -> tuple[str, ...]:
@@ -48,11 +69,21 @@ class CachedPlan:
     external_vars: tuple[ast.ExternalVar, ...]
     module: ast.Module
     core: ast.Module
-    doc_epochs: dict[str, int]
+    #: the size class of every document the plan reads, at compile time
+    doc_classes: dict[str, int]
     compile_seconds: float
     #: the catalog default at compile time — absolute paths were resolved
     #: against it, so a held PreparedQuery must recompile when it changes
     default_document: str | None = None
+
+    def is_current(self, document_class) -> bool:
+        """The validity rule: every document the plan reads is still
+        loaded and still in its compile-time size class.
+        ``document_class(uri)`` answers the class now, None when the
+        document is not loaded; callers hold the catalog lock shared."""
+        return all(
+            document_class(uri) == cls for uri, cls in self.doc_classes.items()
+        )
 
 
 @dataclass
@@ -87,20 +118,20 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: tuple, doc_epochs: dict[str, int]) -> CachedPlan | None:
-        """Look up a plan; a hit requires every document the plan reads to
-        still be loaded at the epoch recorded when the plan was compiled."""
+    def get(self, key: tuple, document_class) -> CachedPlan | None:
+        """Look up a plan; a hit requires the entry to be current
+        (:meth:`CachedPlan.is_current` against ``document_class``) — a
+        stale entry is dropped and counted as an invalidation."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.stats.misses += 1
                 return None
-            for uri, epoch in entry.doc_epochs.items():
-                if doc_epochs.get(uri) != epoch:
-                    del self._entries[key]
-                    self.stats.invalidations += 1
-                    self.stats.misses += 1
-                    return None
+            if not entry.is_current(document_class):
+                del self._entries[key]
+                self.stats.invalidations += 1
+                self.stats.misses += 1
+                return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
             return entry
@@ -113,19 +144,6 @@ class PlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-
-    def invalidate_document(self, uri: str) -> int:
-        """Drop every entry whose plan reads ``uri``; returns the count."""
-        with self._lock:
-            stale = [
-                key
-                for key, entry in self._entries.items()
-                if uri in entry.doc_epochs
-            ]
-            for key in stale:
-                del self._entries[key]
-            self.stats.invalidations += len(stale)
-            return len(stale)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""

@@ -179,15 +179,15 @@ class PreparedQuery:
 
     def _revalidate(self) -> None:
         """Recompile (through the cache) when a document this plan reads
-        was replaced or unloaded, or the default document changed, since
-        preparation — a held PreparedQuery never silently runs against a
-        stale catalog."""
+        was unloaded or left its size class, or the default document
+        changed, since preparation — the plan cache's validity rule
+        (:meth:`~repro.api.plan_cache.CachedPlan.is_current`) plus the
+        default-document check; updates that keep the class keep the
+        plan, which reads the new tree."""
         database = self.session.database
-        stale = database.default_document != self._entry.default_document or any(
-            database.doc_epochs.get(uri) != epoch
-            for uri, epoch in self._entry.doc_epochs.items()
-        )
-        if not stale:
+        if database.default_document == self._entry.default_document and (
+            self._entry.is_current(database.document_class)
+        ):
             return
         fresh = self.session.prepare(self._entry.query)
         self._entry = fresh._entry

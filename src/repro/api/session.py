@@ -200,9 +200,11 @@ class Session:
         ``rename node`` expressions — standalone or inside FLWOR,
         conditionals and sequences — are collected into a pending update
         list and applied atomically under the database's exclusive
-        catalog lock; affected documents get a new epoch and their cached
-        plans are invalidated, so other sessions (and this one) observe
-        either the pre-update or the post-update tree, never a mix.
+        catalog lock, so other sessions (and this one) observe either
+        the pre-update or the post-update tree, never a mix.  Affected
+        documents get a new epoch; their cached plans stay valid (and
+        read the new tree) unless a document leaves its size class — see
+        :mod:`repro.api.plan_cache`.
 
         ``bindings`` supplies values for ``declare variable $x external``
         declarations (session variables apply too, per-call wins);

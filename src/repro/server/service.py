@@ -18,11 +18,13 @@ Execution model:
   executing, and a caller stops waiting once the budget is spent (the
   worker's result is discarded).  Expiry surfaces as
   :class:`DeadlineExceeded`.
-* document load/replace/unload go straight to the Database's exclusive
-  catalog lock and ride its epoch invalidation — a replace waits for
-  in-flight queries, then atomically swaps the tree, drops exactly the
-  cached plans that read it, and the next queries recompile (once,
-  thanks to single-flight).
+* document load/replace/unload and updates go straight to the
+  Database's exclusive catalog lock — a replace waits for in-flight
+  queries, then atomically swaps the tree.  Cached plans stay valid
+  while the documents they read keep their size class
+  (:mod:`repro.api.plan_cache`), so the next queries are cache hits
+  that read the new tree; a class change or an unload makes the next
+  lookup recompile (once, thanks to single-flight).
 * :meth:`QueryService.stats` aggregates the operational surface:
   request/timeout/error counters, in-flight gauge, plan-cache hit
   rates, single-flight waits, and per-pass optimizer totals summed over

@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro import Database, connect
+from repro.api.plan_cache import size_class
 from repro.errors import DynamicError, PathfinderError, StaticError
 
 DOC = "<r><v>1</v><v>2</v><v>3</v></r>"
@@ -103,25 +104,59 @@ class TestPlanCache:
         assert p1.plan is p2.plan
 
     def test_replace_invalidates_affected_plans(self, db, session):
+        """Only a replace that moves the document out of its size class
+        drops its plans — on the next lookup, counted once."""
         session.prepare("count(/r/v)")
-        db.load_document("r.xml", DOC, replace=True)
-        assert not session.prepare("count(/r/v)").from_cache
-        assert db.plan_cache.stats.invalidations >= 1
+        bigger = "<r>" + "<v>1</v>" * 12 + "</r>"
+        assert size_class(25) != size_class(7)  # 1 + 2*12 nodes vs 7
+        db.load_document("r.xml", bigger, replace=True)
+        prepared = session.prepare("count(/r/v)")
+        assert not prepared.from_cache
+        assert prepared.execute().serialize() == "12"
+        assert db.plan_cache.stats.invalidations == 1
+        assert session.prepare("count(/r/v)").from_cache
+
+    def test_same_class_replace_keeps_plan_and_reads_new_tree(self, db, session):
+        assert session.execute("/r/v/text()").serialize() == "123"
+        db.load_document("r.xml", "<r><v>7</v><v>8</v><v>9</v></r>", replace=True)
+        result = session.execute("/r/v/text()")
+        assert result.from_cache
+        assert result.serialize() == "789"
+        assert db.plan_cache.stats.invalidations == 0
 
     def test_unrelated_change_keeps_plans_hot(self, db, session):
         session.prepare("count(/r/v)")
         db.load_document("other.xml", "<z/>", replace=False)
         session.prepare('count(doc("other.xml")/z)')
-        db.load_document("other.xml", "<z><y/></z>", replace=True)
-        # the plan over r.xml survives; the plan over other.xml does not
+        db.load_document("other.xml", "<z><y/><y/><y/></z>", replace=True)
+        # the plan over r.xml never looks at other.xml; the plan over
+        # other.xml sees it grow from 2 to 5 nodes, out of its class
         assert session.prepare("count(/r/v)").from_cache
         assert not session.prepare('count(doc("other.xml")/z)').from_cache
+        assert db.plan_cache.stats.invalidations == 1
 
     def test_unload_invalidates(self, db, session):
-        session.prepare("count(/r/v)")
-        db.unload_document("r.xml")
-        db.load_document("r.xml", DOC)
-        assert not session.prepare("count(/r/v)").from_cache
+        query = 'count(doc("o.xml")/o)'
+        db.load_document("o.xml", "<o/>")
+        session.prepare(query)
+        db.unload_document("o.xml")
+        # the next lookup finds the plan's document gone: the entry is
+        # dropped (lazily, not by the unload) and the recompile fails
+        with pytest.raises(StaticError) as exc:
+            session.prepare(query)
+        assert exc.value.code == "err:FODC0002"
+        assert db.plan_cache.stats.invalidations == 1
+        db.load_document("o.xml", "<o/>")
+        assert not session.prepare(query).from_cache
+
+    def test_unload_fails_held_prepared_query(self, db, session):
+        db.load_document("other.xml", "<o><k/></o>")
+        prepared = session.prepare('count(doc("other.xml")//k)')
+        assert prepared.execute().serialize() == "1"
+        db.unload_document("other.xml")
+        with pytest.raises(PathfinderError) as exc:
+            prepared.execute()
+        assert exc.value.code == "err:FODC0002"
 
     def test_optimizer_setting_is_part_of_the_key(self, db):
         db.connect(use_optimizer=True).prepare("count(/r/v)")

@@ -318,6 +318,26 @@ class TestHotReplace:
         )
         cluster.put_document(uri, _catalog()[uri])
 
+    def test_query_after_update_is_a_cache_hit(self, cluster, router):
+        """POST /update keeps the owning shard's cached plans (the
+        document stays in its size class): the next POST /query of a
+        known text is a hit that answers from the updated tree."""
+        uri = SHARD_DOCS[1]
+        query = json.dumps({"query": f'sum(doc("{uri}")/r/v)'}).encode()
+        status, payload = http_request(router, "POST", "/query", query)
+        assert status == 200 and json.loads(payload)["result"] == "3"
+        update = f'replace value of node doc("{uri}")/r/v[1] with "40"'
+        status, payload = http_request(
+            router, "POST", "/update", json.dumps({"query": update}).encode()
+        )
+        assert status == 200
+        assert json.loads(payload)["applied"] == {"replace_value": 1}
+        status, payload = http_request(router, "POST", "/query", query)
+        assert status == 200
+        body = json.loads(payload)
+        assert body["result"] == "42" and body["from_cache"] is True
+        cluster.put_document(uri, _catalog()[uri])
+
     def test_delete_then_404(self, cluster, router):
         cluster.put_document("victim.xml", "<v/>")
         status, _ = http_request(router, "DELETE", "/documents/victim.xml")
@@ -358,6 +378,20 @@ class TestStatsAggregation:
         arena = stats["arena"]
         assert arena["rows"] == sum(s["arena"]["rows"] for s in stats["shards"])
         assert arena["transient_rows"] == 0 and arena["live_leases"] == 0
+
+    def test_top_level_keys_match_the_single_process_payload(
+        self, single, cluster
+    ):
+        single.execute("1 + 1")
+        cluster.execute("1 + 1")
+        reference, merged = single.stats(), cluster.stats()
+        assert set(reference) <= set(merged)
+        assert set(reference["plan_cache"]) <= set(merged["plan_cache"])
+        assert merged["queries_by_mode"]["cost"] == merged["queries_executed"]
+        assert merged["queries_by_mode"] == {
+            mode: sum(s["queries_by_mode"].get(mode, 0) for s in merged["shards"])
+            for mode in merged["queries_by_mode"]
+        }
 
     def test_documents_listing_is_merged_and_sorted(self, cluster):
         docs = cluster.list_documents()

@@ -195,16 +195,28 @@ class TestConcurrentDatabase:
         assert not writer.is_alive() and not any(t.is_alive() for t in readers)
         assert bad == []
 
-    def test_epoch_invalidation_after_replace(self):
-        """The first execution after a replace must see the new tree, via
-        a recompile (epoch mismatch), not a stale cached plan."""
+    def test_class_invalidation_after_replace(self):
+        """The first execution after a replace must see the new tree: a
+        replace within the document's size class keeps the cached plan
+        (it resolves the document at run time), one that leaves the
+        class recompiles it exactly once."""
         db = Database()
         db.load_document("r.xml", DOC_VERSIONS[3])
         session = db.connect()
         assert session.execute("count(/r/v)").serialize() == "3"
+        # 7 → 11 nodes: out of the class
         db.load_document("r.xml", DOC_VERSIONS[5], replace=True)
-        assert session.execute("count(/r/v)").serialize() == "5"
-        assert db.plan_cache.stats.invalidations >= 1
+        result = session.execute("count(/r/v)")
+        assert result.serialize() == "5" and not result.from_cache
+        assert db.plan_cache.stats.invalidations == 1
+        # same node count, different content: in the class
+        db.load_document("r.xml", DOC_VERSIONS[5].replace("5", "6"), replace=True)
+        result = session.execute("sum(/r/v)")
+        assert not result.from_cache  # first time this text is seen
+        db.load_document("r.xml", DOC_VERSIONS[5], replace=True)
+        result = session.execute("sum(/r/v)")
+        assert result.serialize() == "15" and result.from_cache
+        assert db.plan_cache.stats.invalidations == 1
 
     def test_single_flight_compilation(self, monkeypatch):
         """N sessions racing on one cold query text compile it once."""

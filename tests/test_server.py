@@ -160,6 +160,28 @@ class TestDocumentEndpoints:
         status, q2 = post_query(base, {"query": 'count(doc("hot.xml")//x)'})
         assert q2["result"] == "2"
 
+    def test_query_after_update_is_a_cache_hit(self, server):
+        """An update keeps the cached plans of the document (it stays in
+        its size class): the next /query of a known text is a hit that
+        answers from the updated tree."""
+        base, _ = server
+        xml = "<u>" + "<i>1</i>" * 20 + "</u>"
+        assert request(base, "/documents/upd.xml", "PUT", xml.encode())[0] == 200
+        query = {"query": 'sum(doc("upd.xml")/u/i)'}
+        assert post_query(base, query)[1]["result"] == "20"
+        status, body = request(
+            base,
+            "/update",
+            "POST",
+            json.dumps(
+                {"query": 'replace value of node doc("upd.xml")/u/i[1] with "5"'}
+            ).encode(),
+        )
+        assert status == 200 and body["applied"] == {"replace_value": 1}
+        status, body = post_query(base, query)
+        assert status == 200
+        assert body["result"] == "24" and body["from_cache"] is True
+
     def test_delete_then_404(self, server):
         base, _ = server
         request(base, "/documents/gone.xml", "PUT", b"<g/>")

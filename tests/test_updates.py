@@ -283,16 +283,44 @@ class TestErrors:
 
 # ----------------------------------------------- epochs, caches, sessions
 class TestEpochsAndCaches:
-    def test_epoch_bumps_and_plans_invalidate(self, session):
+    def test_epoch_bumps_and_plans_stay_hot(self, session):
         db = session.database
         prepared = session.prepare("count(//a)")
         assert prepared.execute().serialize() == "2"
         epoch = db.doc_epochs["d.xml"]
+        compiles = session.stats.plan_cache_misses
 
-        session.execute_update("insert node <a id='3'>z</a> into /site")
+        session.execute_update("replace value of node /site/b/c with 'new'")
         assert db.doc_epochs["d.xml"] > epoch
-        # the held PreparedQuery revalidates and sees the new tree
-        assert prepared.execute().serialize() == "3"
+        # the epoch versions content only: the plan is still valid and
+        # the held PreparedQuery, like a cache lookup, reads the new tree
+        assert session.execute("/site/b/c/text()").serialize() == "new"
+        assert prepared.execute().serialize() == "2"
+        assert session.prepare("count(//a)").from_cache
+        assert session.stats.plan_cache_misses == compiles + 1  # c/text()
+        assert db.plan_cache.stats.invalidations == 0
+
+    def test_growing_past_the_class_recompiles_once(self):
+        # 100 nodes (document, site, b, 97 x): inserts stay in the class
+        # until the 118th node
+        session = repro.connect()
+        db = session.database
+        db.load_document("g.xml", "<site><b>" + "<x/>" * 97 + "</b></site>")
+        query = "count(//w)"
+        session.prepare(query)
+        start = db.document_class("g.xml")
+        inserted, hits = 0, 0
+        while db.document_class("g.xml") == start:
+            session.execute_update("insert node <w/> into /site/b")
+            inserted += 1
+            result = session.execute(query)
+            assert result.serialize() == str(inserted)
+            hits += result.from_cache
+        assert (inserted, hits) == (18, 17)  # the 118th node left the class
+        assert not result.from_cache
+        assert db.plan_cache.stats.invalidations == 1
+        session.execute_update("insert node <w/> into /site/b")
+        assert session.execute(query).from_cache
 
     def test_other_documents_stay_hot(self, session):
         db = session.database
