@@ -30,7 +30,7 @@ from repro.encoding.arena import (
     NK_TEXT,
     NodeArena,
 )
-from repro.encoding.axes import Axis
+from repro.encoding.axes import REVERSE_AXES, Axis
 from repro.errors import DynamicError, NotSupportedError, StaticError
 from repro.relational.items import (
     XSDecimal,
@@ -137,11 +137,18 @@ class Interpreter:
         arena = self.arena
         pool = arena.pool
         name_id = pool.lookup(attr_name)
+        # one snapshot of the columns: an earlier result's lease may close
+        # (and pop its constructed rows) at any allocation, and only the
+        # loaded documents' attributes belong in the index
+        owners, names, values = arena.attr_owner, arena.attr_name, arena.attr_value
+        n = min(len(owners), len(names), len(values))
+        hits = np.flatnonzero(
+            (names[:n] == name_id) & (owners[:n] < arena.persistent_rows)
+        )
         index: dict[str, list[int]] = {}
-        for aid in range(arena.num_attrs):
-            if arena.attr_name[aid] == name_id:
-                value = pool.value(int(arena.attr_value[aid]))
-                index.setdefault(value, []).append(int(arena.attr_owner[aid]))
+        for aid in hits.tolist():
+            value = pool.value(int(values[aid]))
+            index.setdefault(value, []).append(int(owners[aid]))
         self._value_indexes[attr_name] = index
 
     # ------------------------------------------------------------ execution
@@ -562,25 +569,30 @@ class Interpreter:
         return self._filter(self.eval(e.base, env), e.predicates, env)
 
     def _axis_step(self, ctx: list, step: ast.Step, env) -> list:
-        results: list = []
-        seen: set = set()
+        """The step from every context node, its predicates applied to
+        each context node's hits on their own, merged in document order
+        without duplicates."""
+        wrap = (lambda h: BAttr(h[1])) if step.axis is Axis.ATTRIBUTE else BNode
+        reverse = step.axis in REVERSE_AXES
+        results: set = set()
         for item in ctx:
             self._tick()
             if not isinstance(item, BNode):
                 raise DynamicError(
                     "path step applied to a non-node item", code="err:XPTY0019"
                 )
-            for hit in self._one_node_axis(item.row, step.axis):
-                if hit not in seen and self._node_test(hit, step.test):
-                    seen.add(hit)
-                    results.append(hit)
-        if step.axis is Axis.ATTRIBUTE:
-            out: list = [BAttr(h[1]) for h in sorted(results)]
-        else:
-            out = [BNode(h) for h in sorted(results)]
-        if step.predicates:
-            out = self._filter(out, step.predicates, env, per_step=True, ctx=ctx, step=step)
-        return out
+            hits = sorted(
+                {h for h in self._one_node_axis(item.row, step.axis)
+                 if self._node_test(h, step.test)},
+                reverse=reverse,
+            )
+            if step.predicates:
+                # a reverse axis counts positions from the context node out
+                by_item = {wrap(h): h for h in hits}
+                kept = self._filter(list(by_item), step.predicates, env)
+                hits = [by_item[k] for k in kept]
+            results.update(hits)
+        return [wrap(h) for h in sorted(results)]
 
     def _one_node_axis(self, row: int, axis: Axis):
         """Yield raw hits for one context node (attribute hits are
@@ -665,7 +677,7 @@ class Interpreter:
             return arena.name[hit] == arena.pool.lookup(test.name)
         return True
 
-    def _filter(self, seq: list, predicates: list, env, per_step=False, ctx=None, step=None) -> list:
+    def _filter(self, seq: list, predicates: list, env) -> list:
         cur = seq
         for pred in predicates:
             kept = []
@@ -962,7 +974,7 @@ class Interpreter:
                 raise StaticError("fn:last() outside a predicate")
             return env["fs:last"]
         if name == "name":
-            seq = self.eval(args[0], env)
+            seq = self.eval(args[0], env) if args else self._e_ContextItem(None, env)
             if not seq:
                 return [""]
             item = seq[0]

@@ -69,7 +69,7 @@ def _fn_root(comp, args, loop, env):
 
 
 def _fn_name(comp, args, loop, env):
-    q = comp.compile(args[0], loop, env)
+    q = comp.compile(args[0], loop, env) if args else comp._c_ContextItem(None, loop, env)
     f = comp._first(q)
     m = alg.Map(f, "node_name", "s", (col("item"),))
     present = alg.Project(m, (("iter", "iter"), ("item", "s")))
@@ -463,6 +463,7 @@ def _fn_last(comp, args, loop, env):
 _BUILTINS = {
     ("doc", 1): _fn_doc,
     ("root", 1): _fn_root,
+    ("name", 0): _fn_name,
     ("name", 1): _fn_name,
     ("fs:ddo", 1): _fn_ddo,
     ("data", 1): _fn_data,

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 
-from repro.encoding.axes import Axis
+from repro.encoding.axes import REVERSE_AXES, Axis, NodeTest
 from repro.errors import NotSupportedError, StaticError
 from repro.relational import algebra as alg
 from repro.relational.algebra import col, const
@@ -78,6 +78,15 @@ _LEAVES = (ast.Literal, ast.EmptySeq, ast.VarRef, ast.ContextItem)
 _CONSTRUCTORS = (
     ast.CompElement, ast.CompAttribute, ast.CompText, ast.DirectElement,
 ) + ast.UPDATE_NODES
+
+#: the node test of the ``//`` abbreviation's ``descendant-or-self::node()``
+_ANY_NODE = NodeTest("node")
+
+#: built-ins whose result is a boolean, never a number
+_BOOLEAN_FUNCTIONS = frozenset({
+    "not", "boolean", "true", "false", "empty", "exists", "contains",
+    "starts-with", "ends-with", "deep-equal",
+})
 
 
 class Scope:
@@ -671,7 +680,8 @@ class Compiler:
         own scope and the surviving (s, i) pairs are built from the two
         value tables directly.  A string equality becomes an **equi-join
         on the comparison value** (XMark Q8/Q9); any other comparison a
-        θ-join — the comparison kernel over the pairs of values (Q11/Q12).
+        θ-join, ``alg.ThetaJoin`` (Q11/Q12), whose sort-based kernel
+        builds only the pairs that satisfy it.
 
         Soundness gate of the equi-join: both sides end in an attribute
         or ``text()`` step, or are statically string-valued, so both
@@ -716,10 +726,8 @@ class Compiler:
         if equi:
             pairs = alg.Join(sv, iv, (("sv", "iv"),) + keys)
         else:
-            pairs = alg.Join(sv, iv, keys) if keys else alg.Cross(sv, iv)
-            args = (col("iv"), col("sv")) if i_side is cond.lhs else (col("sv"), col("iv"))
-            cmp = alg.Map(pairs, cond.op, "cmp", args)
-            pairs = alg.Select(cmp, "eq", col("cmp"), const(True))
+            lhs, rhs = ("iv", "sv") if i_side is cond.lhs else ("sv", "iv")
+            pairs = alg.ThetaJoin(sv, iv, keys, cond.op, lhs, rhs)
         return alg.Distinct(alg.Project(pairs, (("s", "s"), ("i", "i"))), ("s", "i"))
 
     @staticmethod
@@ -955,12 +963,62 @@ class Compiler:
             q = self._doc_plan(self.default_document, loop)
         else:
             q = self._c_ContextItem(None, loop, env)
-        for step in e.steps:
+        for step in self._fused_steps(e.steps):
             if isinstance(step, ast.Step):
                 q = self._compile_axis_step(q, step, loop, env)
             else:
                 q = self._compile_filter_step(q, step, env)
         return q
+
+    def _fused_steps(self, steps: list) -> list:
+        """``//T``: ``descendant-or-self::node()/child::T[p]`` as the one
+        staircase step ``descendant::T[p]``.
+
+        The two paths select the same nodes, but a predicate's position
+        counts among a parent's children in the first and among all
+        descendants in the second, so the steps fuse only when no
+        predicate can observe position (:meth:`_position_blind`).  Core
+        keeps the literal two-step form, which the baseline interpreter
+        evaluates.
+        """
+        out: list = []
+        for step in steps:
+            prev = out[-1] if out else None
+            if (
+                isinstance(step, ast.Step)
+                and step.axis is Axis.CHILD
+                and isinstance(prev, ast.Step)
+                and prev.axis is Axis.DESCENDANT_OR_SELF
+                and prev.test == _ANY_NODE
+                and not prev.predicates
+                and all(map(self._position_blind, step.predicates))
+            ):
+                out[-1] = ast.Step(Axis.DESCENDANT, step.test, step.predicates)
+            else:
+                out.append(step)
+        return out
+
+    def _position_blind(self, pred: ast.Expr) -> bool:
+        """Does the predicate keep the same nodes whatever their position?
+        It must neither read ``position()``/``last()`` nor possibly be a
+        number (which XPath compares with the position): it is a
+        comparison, a boolean operator or function, or a path ending in an
+        axis step."""
+        if free_vars(pred, self._fv_memo) & {CTX_POSITION, CTX_LAST}:
+            return False
+        if isinstance(pred, (ast.GeneralComp, ast.ValueComp, ast.NodeComp, ast.BoolOp,
+                             ast.InstanceOf)):
+            return True
+        if isinstance(pred, ast.FunctionCall):
+            return (
+                pred.name in _BOOLEAN_FUNCTIONS
+                and (pred.name, len(pred.args)) not in self._functions
+            )
+        return (
+            isinstance(pred, ast.PathExpr)
+            and bool(pred.steps)
+            and isinstance(pred.steps[-1], ast.Step)
+        )
 
     def _compile_filter_step(self, q, step: ast.FilterStep, env):
         """A non-axis step inside a path: evaluate the primary expression
@@ -1022,7 +1080,9 @@ class Compiler:
         cmap = alg.Project(cn, (("outer", "iter"), ("inner", "citer")))
         per_ctx = alg.Project(cn, (("iter", "citer"), ("item", "item")))
         s = alg.StepJoin(per_ctx, step.axis, step.test)
-        cur = self._q3(alg.RowNum(s, "pos", (("item", False),), "iter"))
+        # a reverse axis numbers its nodes from the context node outwards
+        reverse = step.axis in REVERSE_AXES
+        cur = self._q3(alg.RowNum(s, "pos", (("item", reverse),), "iter"))
         env_in_ctx = self._barrier(
             env, alg.Project(cn, (("iter", "citer"),)), lambda p: self._lift(p, cmap)
         )

@@ -19,6 +19,7 @@ demonstrator's "look under the hood" pane.
 from __future__ import annotations
 
 from repro.relational import algebra as alg
+from repro.relational.kernels import FLIPPED
 
 
 def to_mil(plan: alg.Op, query: str | None = None) -> str:
@@ -148,6 +149,27 @@ class _MilGen:
                 f"{self.names[id(node)]}_matches.reverse().mark(0@0).reverse()"
                 f".leftfetchjoin({self.var(node.right, col)})",
             )
+
+    def _m_ThetaJoin(self, node: alg.ThetaJoin) -> None:
+        lhs, rhs, op = node.lhs, node.rhs, node.op
+        if lhs not in node.left.columns:
+            lhs, rhs, op = rhs, lhs, FLIPPED[op]
+        keys = "".join(
+            f", {self.var(node.left, l)}, {self.var(node.right, r)}" for l, r in node.keys
+        )
+        self.lines.append(
+            f"var {self.names[id(node)]}_matches := thetajoin("
+            f"{self.var(node.left, lhs)}, {self.var(node.right, rhs)}, "
+            f'"{_MIL_CMP[op]}"{keys});'
+        )
+        for side, head in ((node.left, ""), (node.right, ".reverse()")):
+            for col in side.columns:
+                self._decl(
+                    node,
+                    col,
+                    f"{self.names[id(node)]}_matches{head}.mark(0@0).reverse()"
+                    f".leftfetchjoin({self.var(side, col)})",
+                )
 
     def _m_SemiJoin(self, node: alg.SemiJoin) -> None:
         lk, rk = node.keys[0]

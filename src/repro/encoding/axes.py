@@ -31,8 +31,10 @@ class Axis(enum.Enum):
     ATTRIBUTE = "attribute"
 
 
-#: axes whose result is naturally reverse document order (XQuery still
-#: requires the delivered result in document order, which our kernels do).
+#: axes whose result is naturally reverse document order: a step
+#: predicate numbers their nodes from the context node outwards
+#: (``ancestor::a[1]`` is the nearest), though the delivered result is in
+#: document order, as XQuery requires and our kernels produce.
 REVERSE_AXES = frozenset(
     {Axis.PARENT, Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF, Axis.PRECEDING,
      Axis.PRECEDING_SIBLING}

@@ -5,8 +5,10 @@ shared subplans are evaluated once by the memoising evaluator).  The
 algebra is deliberately "assembly-style", mirroring the restrictions the
 paper exploits:
 
-* all joins are equi-joins (``Join``), theta predicates are a ``Select``
-  over a join/cross product;
+* value joins are equi-joins (``Join``); the one θ-join, ``ThetaJoin``,
+  is the where-clause join a general comparison compiles to — it
+  filters its product while building it, so it never materialises the
+  pairs a ``Select`` over ``Cross`` would discard;
 * π (``Project``) renames/duplicates columns and never eliminates
   duplicate rows;
 * ∪ (``Union``) is disjoint union — plain concatenation;
@@ -318,6 +320,39 @@ class Cross(Op):
     def label(self) -> str:
         """Rendered operator label (plan printing)."""
         return "×"
+
+
+@dataclass(frozen=True, eq=False)
+class ThetaJoin(Op):
+    """⋈θ — band join: the rows of ``left ⋈ right`` on ``keys`` (of
+    ``left × right`` when ``keys`` is empty) whose item columns satisfy
+    the general comparison ``lhs op rhs``.
+
+    ``lhs`` and ``rhs`` name one column of each side, in either order.
+    Rows come in the filtered product's order — left-major, right rows
+    ascending — as σ over ⋈/× would deliver them, but the pairs that fail
+    the comparison are never built.
+    """
+
+    left: Op
+    right: Op
+    keys: tuple[tuple[str, str], ...]
+    op: str  # eq ne lt le gt ge
+    lhs: str
+    rhs: str
+
+    @property
+    def children(self):
+        """The operator's input plans."""
+        return (self.left, self.right)
+
+    def label(self) -> str:
+        """Rendered operator label (plan printing)."""
+        keys = "".join(f",{l}={r}" for l, r in self.keys)
+        return f"⋈θ {self.lhs} {self.op} {self.rhs}{keys}"
+
+    def _params(self):
+        return (self.keys, self.op, self.lhs, self.rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -633,7 +668,7 @@ def _columns(op: Op) -> tuple[str, ...]:
         return op.inputs[0].columns
     if isinstance(op, (Difference, SemiJoin)):
         return op.left.columns
-    if isinstance(op, (Join, Cross)):
+    if isinstance(op, (Join, ThetaJoin, Cross)):
         return op.left.columns + op.right.columns
     if isinstance(op, (RowNum, Map, Atomize)):
         base = op.child.columns
@@ -663,7 +698,7 @@ def _item_columns(op: Op) -> frozenset:
         return op.inputs[0].item_columns
     if isinstance(op, (Difference, SemiJoin)):
         return op.left.item_columns
-    if isinstance(op, (Join, Cross)):
+    if isinstance(op, (Join, ThetaJoin, Cross)):
         return op.left.item_columns | op.right.item_columns
     if isinstance(op, Map):
         base = op.child.item_columns
@@ -731,12 +766,13 @@ def _unique(op: Op) -> frozenset:
         if op.group is None:
             return frozenset({frozenset()})
         return frozenset({frozenset({op.group})})
-    if isinstance(op, (Join, Cross)):
+    if isinstance(op, (Join, ThetaJoin, Cross)):
         lsets = op.left.unique_sets
         rsets = op.right.unique_sets
         out = {ls | rs for ls in lsets for rs in rsets}
-        if isinstance(op, Join):
+        if not isinstance(op, Cross):
             # right unique on the join keys ⇒ each left row matches ≤ 1
+            # (⋈θ keeps a subset of the key join's rows)
             rkeys = frozenset(r for _, r in op.keys)
             if any(rs <= rkeys for rs in rsets):
                 out |= set(lsets)

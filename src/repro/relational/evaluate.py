@@ -36,11 +36,13 @@ from repro.relational.items import (
     K_UNTYPED,
 )
 from repro.relational.kernels import (
+    FLIPPED,
     combine_keys,
     in_set,
     join_indices,
     multi_arange,
     row_number_per_group,
+    theta_join_indices,
 )
 from repro.relational.staircase import naive_step, staircase_step, twig_match
 from repro.relational.table import Column, Table
@@ -234,6 +236,22 @@ def _eval_join(node: alg.Join, inputs, ctx) -> Table:
     rkeys = tuple(r for _, r in node.keys)
     lk, rk = _combined_two_sided(left, right, lkeys, rkeys)
     li, ri = join_indices(lk, rk)
+    return _merged_table(left, right, li, ri)
+
+
+def _eval_theta_join(node: alg.ThetaJoin, inputs, ctx) -> Table:
+    left, right = inputs
+    lk = rk = None
+    if node.keys and left.num_rows and right.num_rows:
+        lk, rk = _combined_two_sided(
+            left, right, tuple(l for l, _ in node.keys), tuple(r for _, r in node.keys)
+        )
+    lhs, rhs, op = node.lhs, node.rhs, node.op
+    if lhs not in left.columns:
+        lhs, rhs, op = rhs, lhs, FLIPPED[op]
+    li, ri = theta_join_indices(
+        op, _as_item(left.col(lhs)), _as_item(right.col(rhs)), ctx.pool, lk, rk
+    )
     return _merged_table(left, right, li, ri)
 
 
@@ -636,6 +654,7 @@ _HANDLERS: dict[type, Callable] = {
     alg.Difference: _eval_difference,
     alg.Distinct: _eval_distinct,
     alg.Join: _eval_join,
+    alg.ThetaJoin: _eval_theta_join,
     alg.SemiJoin: _eval_semijoin,
     alg.Cross: _eval_cross,
     alg.RowNum: _eval_rownum,

@@ -2,8 +2,8 @@
 
 These are the little building blocks a column store is made of: batched
 range materialisation, segmented running maxima (the heart of the staircase
-join's pruning step), dense group numbering and multi-column factorisation
-for hash-free equi-joins.
+join's pruning step), dense group numbering, multi-column factorisation
+for hash-free equi-joins and the sort-based band join behind ⋈θ.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+
+from repro.relational import items as it
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -148,6 +150,120 @@ def join_indices(
     left_idx = repeat_index(counts)
     right_idx = order[multi_arange(lo, hi)]
     return left_idx, right_idx
+
+
+#: the comparison ``b op a`` means, as ``a flipped[op] b``
+FLIPPED = {"eq": "eq", "ne": "ne", "lt": "gt", "le": "ge", "gt": "lt", "ge": "le"}
+
+_NUMERIC_KINDS = np.array((it.K_INT, it.K_DBL, it.K_DEC, it.K_BOOL), dtype=np.uint8)
+
+
+def theta_join_indices(
+    op: str,
+    left: "it.ItemColumn",
+    right: "it.ItemColumn",
+    pool: "it.StringPool",
+    left_key: np.ndarray | None = None,
+    right_key: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-index pairs ``(i, j)`` with ``left[i] op right[j]`` under the
+    general-comparison rules of :func:`~repro.relational.items.compare`,
+    restricted to equal keys when ``left_key``/``right_key`` are given.
+
+    Output order is the filtered product: left-major, right rows
+    ascending.  Two homogeneous cases run as a sort-based band join in
+    O((n+m) log m + output): every pair compares numerically when one
+    side is entirely numeric (both sides cast to double), and as strings
+    when neither side holds a numeric item (both sides ranked together).
+    Sides that mix kinds compare pair by pair.
+    """
+    n, m = len(left), len(right)
+    keyed = left_key is not None
+    if n == 0 or m == 0:
+        return _EMPTY, _EMPTY
+    num_l = np.isin(left.kinds, _NUMERIC_KINDS)
+    num_r = np.isin(right.kinds, _NUMERIC_KINDS)
+    if num_l.all() or num_r.all():
+        lv, rv = it.to_double(left, pool), it.to_double(right, pool)
+    elif not num_l.any() and not num_r.any():
+        ranks = pool.sort_ranks(
+            np.concatenate([it.to_string_ids(left, pool), it.to_string_ids(right, pool)])
+        )
+        lv, rv = ranks[:n], ranks[n:]
+    else:
+        if keyed:
+            li, ri = join_indices(left_key, right_key)
+        else:
+            li = np.repeat(np.arange(n, dtype=np.int64), m)
+            ri = np.tile(np.arange(m, dtype=np.int64), n)
+        keep = it.compare(op, left.take(li), right.take(ri), pool)
+        return li[keep], ri[keep]
+    if not keyed:
+        left_key = np.zeros(n, dtype=np.int64)
+        right_key = np.zeros(m, dtype=np.int64)
+    return band_join(op, left_key, lv, right_key, rv)
+
+
+def band_join(
+    op: str,
+    left_key: np.ndarray,
+    left_val: np.ndarray,
+    right_key: np.ndarray,
+    right_val: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(i, j)`` with equal keys and ``left_val[i] op right_val[j]``,
+    left-major with right rows ascending.
+
+    The right side is sorted once by (key, value); every left value finds
+    its key group and its place in that group by binary search, and each
+    left row's matches are one or two contiguous runs of the sorted right
+    side.  NaN matches nothing under ``eq/lt/le/gt/ge`` and everything
+    under ``ne`` (IEEE semantics, as :func:`~repro.relational.items.compare`).
+    """
+    n, m = len(left_val), len(right_val)
+    # one code per (key, value): values ranked jointly, NaN ranked last
+    _, keys = np.unique(
+        np.concatenate([left_key, right_key]).astype(np.int64), return_inverse=True
+    )
+    values = np.concatenate([left_val, right_val])
+    nan = np.isnan(values) if values.dtype.kind == "f" else np.zeros(len(values), bool)
+    distinct, inverse = np.unique(values[~nan], return_inverse=True)
+    nan_rank = len(distinct)
+    ranks = np.full(len(values), nan_rank, dtype=np.int64)
+    ranks[~nan] = inverse.reshape(-1)
+    stride = nan_rank + 1
+    codes = keys.reshape(-1).astype(np.int64) * stride + ranks
+    order = np.argsort(codes[n:], kind="stable")
+    sorted_right = codes[n:][order]
+    group = codes[:n] - ranks[:n]
+    probe = codes[:n]
+    g_lo = np.searchsorted(sorted_right, group, side="left")
+    g_hi = np.searchsorted(sorted_right, group + stride, side="left")
+    lo = np.searchsorted(sorted_right, probe, side="left")
+    hi = np.searchsorted(sorted_right, probe, side="right")
+    valued = g_hi if not nan.any() else np.searchsorted(
+        sorted_right, group + nan_rank, side="left"
+    )  # end of the group's non-NaN values
+    if op == "ne":
+        lo = np.where(ranks[:n] == nan_rank, g_lo, lo)
+        hi = np.where(ranks[:n] == nan_rank, g_lo, hi)
+        starts = np.stack([g_lo, hi], axis=1).reshape(-1)
+        stops = np.stack([lo, g_hi], axis=1).reshape(-1)
+        owner = np.repeat(np.arange(n, dtype=np.int64), 2)
+    else:
+        starts, stops = {
+            "eq": (lo, hi), "lt": (hi, valued), "le": (lo, valued),
+            "gt": (g_lo, lo), "ge": (g_lo, hi),
+        }[op]
+        stops = np.where(ranks[:n] == nan_rank, starts, stops)
+        owner = np.arange(n, dtype=np.int64)
+    counts = np.maximum(stops - starts, 0)
+    right_idx = order[multi_arange(starts, stops)]
+    left_idx = np.repeat(owner, counts)
+    # restore the product order: right rows ascending within each left row
+    pair = left_idx * m + right_idx
+    pair.sort()
+    return pair // m, pair % m
 
 
 def coalesce_ranges(

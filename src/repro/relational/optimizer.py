@@ -29,7 +29,7 @@ node and the static analyses cached on its inputs:
 The other three are **global passes**, each needing a whole-DAG analysis:
 
 * **pushdown** — selections (σ) and semijoin restrictions (⋉) move below
-  π, ⋈, ×, ⊛, ∪, ϱ, δ, aggregates and staircase joins whenever they only
+  π, ⋈, ⋈θ, ×, ⊛, ∪, ϱ, δ, aggregates and staircase joins whenever they only
   constrain one input, so downstream operators see fewer rows (needs
   every node's consumer count);
 * **prune** — required-column (*icols*) analysis: only columns an
@@ -184,6 +184,10 @@ class CardinalityEstimator:
             return max(est(op.left), est(op.right))
         if isinstance(op, alg.Cross):
             return est(op.left) * est(op.right)
+        if isinstance(op, alg.ThetaJoin):
+            # the σ over ⋈/× it stands for
+            pairs = max(est(op.left), est(op.right)) if op.keys else est(op.left) * est(op.right)
+            return pairs * _SEL_COL_COL
         if isinstance(op, alg.Aggr):
             if op.group is None:
                 return 1.0
@@ -673,7 +677,7 @@ def _fold_empty_input(node: alg.Op) -> alg.Op | None:
 
 
 def _fold_empty_side(node: alg.Op) -> alg.Op | None:
-    """⋈, × and ⋉ with an empty input are empty."""
+    """⋈, ⋈θ, × and ⋉ with an empty input are empty."""
     if _is_empty_lit(node.left) or _is_empty_lit(node.right):
         return _empty_like(node)
     return None
@@ -722,6 +726,7 @@ _FOLD_RULES = {
     alg.StructuralTwigJoin: _fold_empty_input,
     alg.Join: _fold_empty_side,
     alg.Cross: _fold_empty_side,
+    alg.ThetaJoin: _fold_empty_side,
     alg.SemiJoin: _fold_empty_side,
     alg.Difference: _fold_difference,
 }
@@ -953,7 +958,7 @@ def _pushdown(topo: list[alg.Op], estimate) -> tuple[alg.Op, int]:
 
     A filter constrains a set of columns; whenever its immediate child
     produces those columns unchanged from one of *its* inputs (a π
-    rename, one side of a ⋈/×, a ⊛ that writes a different column, every
+    rename, one side of a ⋈/⋈θ/×, a ⊛ that writes a different column, every
     branch of a ∪, whole iterations of a ϱ/staircase join/aggregate …)
     the filter sinks below it, so the bypassed operator — and everything
     between the filter and wherever it lands — processes fewer rows.
@@ -1054,7 +1059,7 @@ def _sink(filt, x: alg.Op, counts, shared: bool = False) -> alg.Op | None:
         return alg.Union(
             tuple(_sink_or_attach(filt, b, counts, shared) for b in x.inputs)
         )
-    if isinstance(x, (alg.Join, alg.Cross)):
+    if isinstance(x, (alg.Join, alg.ThetaJoin, alg.Cross)):
         if cols <= frozenset(x.left.columns):
             left = _sink_or_attach(filt, x.left, counts, shared)
             return x.with_children((left, x.right))
@@ -1176,6 +1181,14 @@ def _child_requirements(op, required):
         else:
             out.append((op.right, (required & frozenset(op.right.columns)) | rkeys))
         return out
+    if isinstance(op, alg.ThetaJoin):
+        lkeys = frozenset(l for l, _ in op.keys)
+        rkeys = frozenset(r for _, r in op.keys)
+        operands = frozenset({op.lhs, op.rhs})
+        return [
+            (side, (required | operands | keys) & frozenset(side.columns))
+            for side, keys in ((op.left, lkeys), (op.right, rkeys))
+        ]
     if isinstance(op, alg.Cross):
         # a side nothing is needed from still keeps one column — the
         # first in schema order, so plans never depend on set order
@@ -1403,6 +1416,9 @@ def _syntax_score_of(op: alg.Op, memo) -> float:
         return max(rec(op.left), rec(op.right))
     if isinstance(op, alg.Cross):
         return rec(op.left) * rec(op.right)
+    if isinstance(op, alg.ThetaJoin):
+        pairs = max(rec(op.left), rec(op.right)) if op.keys else rec(op.left) * rec(op.right)
+        return pairs * _SEL_COL_COL
     if isinstance(op, alg.Aggr):
         if op.group is None:
             return 1.0

@@ -29,6 +29,9 @@ def validate(plan: alg.Op) -> int:
     return count
 
 
+_CMP_OPS = frozenset({"eq", "ne", "lt", "le", "gt", "ge"})
+
+
 def _require(schema: tuple[str, ...], *cols: str) -> None:
     for c in cols:
         if c is not None and c not in schema:
@@ -93,14 +96,20 @@ def _check(node: alg.Op) -> None:
             _require(schema, node.order_col)
         return
 
-    if isinstance(node, (alg.Join, alg.SemiJoin)):
+    if isinstance(node, (alg.Join, alg.ThetaJoin, alg.SemiJoin)):
         left, right = child_schemas
         _require(left, *[l for l, _ in node.keys])
         _require(right, *[r for _, r in node.keys])
-        if isinstance(node, alg.Join):
+        if not isinstance(node, alg.SemiJoin):
             overlap = set(left) & set(right)
             if overlap:
                 raise AlgebraError(f"output schema collision: {sorted(overlap)}")
+        if isinstance(node, alg.ThetaJoin):
+            if node.op not in _CMP_OPS:
+                raise AlgebraError(f"unknown comparison {node.op!r}")
+            _require(left + right, node.lhs, node.rhs)
+            if (node.lhs in left) == (node.rhs in left):
+                raise AlgebraError("θ operands must come one from each side")
         return
 
     if isinstance(node, alg.Cross):

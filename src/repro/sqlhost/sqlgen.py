@@ -269,7 +269,7 @@ class SQLGenerator:
             if handler is None:
                 raise NotSupportedError(
                     f"the SQL host cannot evaluate {type(node).__name__} "
-                    "(node construction happens outside SQL)"
+                    "(node construction and the band θ-join happen outside SQL)"
                 )
             handler(node)
         final = self.names[id(plan)]

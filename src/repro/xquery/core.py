@@ -71,6 +71,7 @@ _BUILTIN_ALIASES = {
     "fn:one-or-more": "one-or-more",
     "fn:name": "name",
     "fn:local-name": "name",
+    "local-name": "name",
     "fs:distinct-doc-order": "fs:ddo",
     "fn:distinct-doc-order": "fs:ddo",
 }
@@ -89,6 +90,7 @@ _CONTEXT_FUNCTIONS = {
     "string": CTX_ITEM,
     "number": CTX_ITEM,
     "string-length": CTX_ITEM,
+    "name": CTX_ITEM,
 }
 
 _NO_VARS: frozenset[str] = frozenset()
@@ -101,8 +103,8 @@ def free_vars(expr: ast.Expr, memo: dict | None = None) -> frozenset[str]:
     pseudo-variables (:data:`CONTEXT_VARS`) the expression reads from its
     surroundings: ``.``, a relative path with no start, zero-argument
     ``position()``/``last()``/``string()``/``number()``/
-    ``string-length()``.  Predicates and filter steps bind all three, so
-    their reads stay inside.
+    ``string-length()``/``name()``.  Predicates and filter steps bind all
+    three, so their reads stay inside.
 
     ``memo`` (keyed by node identity) makes repeated queries over one tree
     linear: every node is analysed once, bottom-up.

@@ -277,6 +277,7 @@ class TestRebuild:
             alg.Difference(LIT, LIT, ("iter",)),
             alg.Distinct(LIT, ("iter",), "pos"),
             alg.Join(LIT, LIT, (("iter", "iter"),)),
+            alg.ThetaJoin(LIT, LIT, (("iter", "iter"),), "lt", "pos", "item"),
             alg.SemiJoin(LIT, LIT, (("iter", "iter"),)),
             alg.Cross(LIT, LIT),
             alg.RowNum(LIT, "n", (("pos", True),), "iter"),

@@ -12,8 +12,10 @@ hold that mechanism against the nested-loop baseline interpreter:
   loop-invariant ones;
 * generated nested FLWORs whose parts ignore, half-use or fully use the
   outer variable agree in every optimizer mode;
-* a timing-free complexity check: XMark Q11's path steps see one context
-  row per person or per auction, never one per (person, auction) pair.
+* timing-free complexity checks: XMark Q11's path steps see one context
+  row per person or per auction, never one per (person, auction) pair;
+  the θ-join of Q11/Q12 outputs its matches, not the product; and no
+  ``//`` of the corpus is a ``descendant-or-self`` step.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.database import Database
 from repro.baseline import Interpreter
+from repro.encoding.axes import Axis
 from repro.errors import PathfinderError
+from repro.relational import algebra as alg
 from repro.relational import evaluate as ev
 from repro.relational.optimizer import OPTIMIZER_MODES
 from repro.xmark import XMARK_QUERIES, generate_document
@@ -35,10 +39,12 @@ DOC = (
     '<b m="2"><c k="2">z</c></b></a>'
 )
 
-#: numeric texts, for generated queries that compute with them
+#: numeric texts, for generated queries that compute with them — plus a
+#: non-numeric ``@n`` and a ``NaN`` text, which compare false except by ``!=``
 NUM_DOC = (
     '<a><b m="1" n="20"><c k="1">10</c><c k="2">20</c></b>'
-    '<b m="2" n="15"><c k="2">30</c></b><b m="3" n="5"/></a>'
+    '<b m="2" n="15"><c k="2">30</c></b><b m="3" n="5"/>'
+    '<b m="4" n="x"><c k="3">NaN</c><c k="1">20</c></b></a>'
 )
 
 #: session options of every configuration a query must agree in
@@ -179,6 +185,7 @@ def test_context_dependent_loops(db, query, expected):
 #: use the outer variable $a ($b is the inner variable, $pb its position)
 _RANGES = [
     'doc("d.xml")//c',
+    'doc("d.xml")//b',
     'doc("d.xml")/a/zz',
     'doc("d.xml")//c[@k = $a/@m]',
     "($a/c, doc(\"d.xml\")/a/b[1]/c)",
@@ -198,6 +205,19 @@ _WHERES = [
     "$a/@m = $b/@k and $b/text() != '20'",
     "$b/text() > $a/@n",
     "$a/@n > 2 * $b/text()",
+    # θ-joins: every ordering comparison, and != between values
+    "$b/text() < $a/@n",
+    "$b/text() <= $a/@n",
+    "$a/@n >= $b/text()",
+    "$b/text() != $a/@n",
+    "$b/@k < $a/@m",
+    # string-valued on both sides
+    "string($b/@k) >= string($a/@m)",
+    "concat($b/text(), 'x') < $a/@n",
+    # multi-valued sides
+    "$b/c/text() > $a/@n",
+    "$a/c/text() <= $b/text()",
+    "$b/c/@k != $a/c/@k",
     "$a/@m != '2'",
     "$pb > 1",
 ]
@@ -254,10 +274,10 @@ def test_nested_flwor_differential(query):
 # --------------------------------------------------------------------------
 # complexity: no intermediate as large as the product
 # --------------------------------------------------------------------------
-def test_q11_steps_see_no_product(monkeypatch):
-    """XMark Q11 at scale 0.02: the inner range and ``$i/text()`` are
-    stepped once per auction and ``$p/profile/@income`` once per person —
-    no staircase join ever receives |person| × |initial| context rows."""
+@pytest.fixture(scope="module")
+def auction():
+    """A database over the seed-42 XMark instance at scale 0.02, with its
+    person and open-auction ``initial`` counts."""
     db = Database()
     db.load_document("auction.xml", generate_document(0.02, seed=42))
     session = db.connect()
@@ -265,15 +285,67 @@ def test_q11_steps_see_no_product(monkeypatch):
     initials = int(
         session.execute("count(/site/open_auctions/open_auction/initial)").serialize()
     )
-    widest = []
+    return db, persons, initials
+
+
+def _outputs(monkeypatch, session, query: str) -> list:
+    """(operator, input tables, output rows) of every operator the
+    evaluator runs for ``query``."""
+    seen = []
     dispatch = ev._dispatch
 
     def counting(node, inputs, ctx):
-        if type(node).__name__ == "StepJoin":
-            widest.append(inputs[0].num_rows)
-        return dispatch(node, inputs, ctx)
+        out = dispatch(node, inputs, ctx)
+        seen.append((node, inputs, out.num_rows))
+        return out
 
     monkeypatch.setattr(ev, "_dispatch", counting)
-    session.execute(XMARK_QUERIES["Q11"]).serialize()
+    session.execute(query).serialize()
+    monkeypatch.undo()
+    return seen
+
+
+def test_q11_steps_see_no_product(monkeypatch, auction):
+    """XMark Q11 at scale 0.02: the inner range and ``$i/text()`` are
+    stepped once per auction and ``$p/profile/@income`` once per person —
+    no staircase join ever receives |person| × |initial| context rows."""
+    db, persons, initials = auction
+    seen = _outputs(monkeypatch, db.connect(), XMARK_QUERIES["Q11"])
+    widest = [inputs[0].num_rows for node, inputs, _ in seen if isinstance(node, alg.StepJoin)]
     assert widest and max(widest) <= max(persons, initials)
     assert persons * initials > 100 * max(persons, initials)
+
+
+@pytest.mark.parametrize("name", ["Q11", "Q12"])
+def test_theta_join_builds_no_product(monkeypatch, auction, name):
+    """The where-clause θ-join of Q11/Q12 builds only the pairs that
+    satisfy it: no operator of the plan outputs more rows than
+    max(|person|, |initial|, matches), where × then σ emitted all
+    |person| × |initial| pairs."""
+    db, persons, initials = auction
+    seen = _outputs(monkeypatch, db.connect(), XMARK_QUERIES[name])
+    matches = [rows for node, _, rows in seen if isinstance(node, alg.ThetaJoin)]
+    assert len(matches) == 1
+    bound = max(persons, initials, matches[0])
+    assert max(rows for _, _, rows in seen) <= bound
+    assert persons * initials > 10 * bound
+
+
+def test_corpus_has_no_descendant_or_self_step():
+    """Every ``//`` of the XMark corpus compiles to one ``descendant``
+    step in every optimizer mode: none of its predicates observes
+    position, so no ``descendant-or-self::node()`` step materialises the
+    whole document.  (A positional predicate keeps the two steps —
+    ``tests/test_paths.py``.)"""
+    db = _db("<site/>")
+    for mode in OPTIMIZER_MODES:
+        for name, query in XMARK_QUERIES.items():
+            plan = db.compile_query(query, use_optimizer=True, optimizer_mode=mode).plan
+            axes = [op.axis for op in alg.walk(plan) if isinstance(op, alg.StepJoin)]
+            axes += [
+                axis for op in alg.walk(plan) if isinstance(op, alg.StructuralTwigJoin)
+                for axis, _ in op.steps
+            ]
+            assert Axis.DESCENDANT_OR_SELF not in axes, (name, mode)
+            if "//" in query:
+                assert Axis.DESCENDANT in axes, (name, mode)

@@ -1,8 +1,9 @@
 """Unit and property tests for the vectorised array kernels."""
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.relational import items as it
 from repro.relational import kernels as k
 
 
@@ -151,3 +152,93 @@ class TestCombineKeys:
         for i in range(len(rows)):
             for j in range(len(rows)):
                 assert (combined[i] == combined[j]) == (rows[i] == rows[j])
+
+
+# --------------------------------------------------------------------------
+# the band θ-join kernel against pairwise general comparison
+# --------------------------------------------------------------------------
+#: atomic values of every kind a general comparison meets: integers,
+#: decimals, doubles (NaN and infinities included), untyped text that is
+#: numeric, non-numeric or "NaN", strings and booleans
+_ATOMS = st.one_of(
+    st.tuples(st.just("int"), st.integers(-3, 3)),
+    st.tuples(st.just("dec"), st.sampled_from([-1.5, 0.0, 2.0, 2.5])),
+    st.tuples(st.just("dbl"), st.sampled_from(
+        [-1.0, -0.0, 0.5, 2.0, float("nan"), float("inf"), float("-inf")]
+    )),
+    st.tuples(st.just("untyped"), st.sampled_from(["1", "2.0", " 3 ", "NaN", "x", "", "-INF"])),
+    st.tuples(st.just("str"), st.sampled_from(["1", "2", "a", "b", "ab", ""])),
+    st.tuples(st.just("bool"), st.booleans()),
+)
+
+
+def _item_column(atoms, pool):
+    values = [
+        it.XSDecimal(v) if kind == "dec" else float(v) if kind == "dbl" else v
+        for kind, v in atoms
+    ]
+    column = it.ItemColumn.from_values(values, pool)
+    for i, (kind, _) in enumerate(atoms):
+        if kind == "untyped":
+            column.kinds[i] = it.K_UNTYPED
+    return column
+
+
+#: one side drawn from a single family, so every kernel case is reached:
+#: all numeric, all string-like, or mixed
+_SIDE = st.sampled_from(["numeric", "strings", "mixed"]).flatmap(
+    lambda family: st.lists(
+        _ATOMS.filter(
+            lambda a: family == "mixed"
+            or (family == "numeric") == (a[0] in ("int", "dec", "dbl", "bool"))
+        ),
+        max_size=7,
+    )
+)
+
+
+class TestThetaJoin:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["eq", "ne", "lt", "le", "gt", "ge"]),
+        _SIDE,
+        _SIDE,
+        st.one_of(st.none(), st.lists(st.integers(0, 2), min_size=14, max_size=14)),
+    )
+    def test_matches_pairwise_compare(self, op, left, right, keys):
+        pool = it.StringPool()
+        lc, rc = _item_column(left, pool), _item_column(right, pool)
+        lk = rk = None
+        if keys is not None:
+            lk = np.asarray(keys[: len(left)], dtype=np.int64)
+            rk = np.asarray(keys[7 : 7 + len(right)], dtype=np.int64)
+        li, ri = k.theta_join_indices(op, lc, rc, pool, lk, rk)
+        # the filtered product, in its order: left-major, right ascending
+        want = [
+            (i, j)
+            for i in range(len(left))
+            for j in range(len(right))
+            if (keys is None or lk[i] == rk[j])
+            and it.compare(op, lc.take([i]), rc.take([j]), pool)[0]
+        ]
+        assert list(zip(li.tolist(), ri.tolist())) == want
+
+    def test_duplicates_and_nan(self):
+        pool = it.StringPool()
+        left = it.ItemColumn.from_doubles([2.0, float("nan"), 2.0])
+        right = it.ItemColumn.from_ints([3, 2, 2, 1])
+        li, ri = k.theta_join_indices("ge", left, right, pool)
+        assert list(zip(li.tolist(), ri.tolist())) == [
+            (0, 1), (0, 2), (0, 3), (2, 1), (2, 2), (2, 3)
+        ]
+        li, ri = k.theta_join_indices("ne", left, right, pool)
+        assert list(zip(li.tolist(), ri.tolist())) == [
+            (0, 0), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 3)
+        ]
+
+    def test_empty_side(self):
+        pool = it.StringPool()
+        li, ri = k.theta_join_indices(
+            "lt", it.ItemColumn.from_ints([1]), it.ItemColumn.empty(), pool
+        )
+        assert li.tolist() == [] and ri.tolist() == []

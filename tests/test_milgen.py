@@ -23,9 +23,21 @@ class TestMilGeneration:
         assert "serialize(" in mil
 
     def test_staircase_join_call_emitted(self, session):
+        # //a is one descendant step; a positional predicate keeps the
+        # literal descendant-or-self::node()/child::a form
         mil = session.explain("count(//a)").mil
         assert "staircasejoin(" in mil
-        assert '"descendant-or-self"' in mil
+        assert '"descendant"' in mil
+        assert '"descendant-or-self"' not in mil
+        mil = session.explain("count(//a[1])").mil
+        assert '"descendant-or-self"' in mil and '"child"' in mil
+
+    def test_theta_join_emitted(self, session):
+        mil = session.explain(
+            "for $x in /r/a, $y in (1, 2) where $x/@n < $y return $y"
+        ).mil
+        assert "thetajoin(" in mil
+        assert '"<"' in mil or '">"' in mil
 
     def test_query_text_embedded_as_comment(self, session):
         mil = session.explain("1 + 1").mil

@@ -29,6 +29,17 @@ class TestValidRejections:
         with pytest.raises(AlgebraError):
             validate(alg.Join(LIT, LIT, (("iter", "iter"),)))
 
+    @pytest.mark.parametrize("op, lhs, rhs", [
+        ("lt", "pos", "item"),   # both operands on the left
+        ("lt", "pos", "ghost"),  # unknown operand
+        ("like", "pos", "r"),    # unknown comparison
+    ])
+    def test_theta_join_operands(self, op, lhs, rhs):
+        right = alg.Lit(("r",), ((1,),))
+        assert validate(alg.ThetaJoin(LIT, right, (), "lt", "r", "pos")) == 3
+        with pytest.raises(AlgebraError):
+            validate(alg.ThetaJoin(LIT, right, (), op, lhs, rhs))
+
     def test_rownum_target_collision(self):
         with pytest.raises(AlgebraError):
             validate(alg.RowNum(LIT, "pos", (("iter", False),), None))
