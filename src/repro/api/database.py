@@ -22,7 +22,7 @@ Document catalog semantics:
   :meth:`set_default_document` to be explicit, and check
   :attr:`default_is_implicit` to know which case you are in.
 * every load/replace/update bumps the document's *epoch*, which
-  versions its content (WAL, manifest, SQL-host export, ``/documents``).
+  versions its content (WAL, manifest, ``/documents``).
   Cached plans do not follow epochs: a plan stays valid while every
   document it reads is loaded and in the same *size class*
   (:func:`~repro.api.plan_cache.size_class`), since plans resolve their
@@ -624,14 +624,10 @@ class Database:
         use_optimizer: bool = True,
         use_join_recognition: bool = True,
         disabled_passes: frozenset[str] | tuple = frozenset(),
-        backend: str = "numpy",
         optimizer_mode: str = "cost",
     ) -> "Session":
         """Open a new session (per-client execution context) over this
-        database.  ``backend`` picks the evaluator ("numpy" or
-        "sqlhost"; the SQL host falls back to numpy per query when a
-        plan is outside its dialect); ``optimizer_mode`` picks the
-        planning strategy (see
+        database.  ``optimizer_mode`` picks the planning strategy (see
         :data:`repro.relational.optimizer.OPTIMIZER_MODES`)."""
         from repro.api.session import Session
 
@@ -641,7 +637,6 @@ class Database:
             use_optimizer=use_optimizer,
             use_join_recognition=use_join_recognition,
             disabled_passes=disabled_passes,
-            backend=backend,
             optimizer_mode=optimizer_mode,
         )
 
@@ -797,7 +792,6 @@ def connect(
     use_optimizer: bool = True,
     use_join_recognition: bool = True,
     disabled_passes: frozenset[str] | tuple = frozenset(),
-    backend: str = "numpy",
     store: "DocumentStore | str | None" = None,
     page_budget_bytes: int | None = None,
     optimizer_mode: str = "cost",
@@ -814,8 +808,7 @@ def connect(
     bytes: fragments page in lazily from the store's mmaps and are
     evicted LRU past the budget.  ``disabled_passes`` names optimizer
     rewrite passes this session should skip; ``optimizer_mode`` picks the
-    planning strategy ("cost", "greedy" or "wcoj"); ``backend`` picks the
-    evaluator ("numpy" or "sqlhost").
+    planning strategy ("cost", "greedy" or "wcoj").
     """
     if database is None:
         database = Database(store=store, page_budget_bytes=page_budget_bytes)
@@ -829,6 +822,5 @@ def connect(
         use_optimizer=use_optimizer,
         use_join_recognition=use_join_recognition,
         disabled_passes=disabled_passes,
-        backend=backend,
         optimizer_mode=optimizer_mode,
     )

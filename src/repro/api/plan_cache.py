@@ -36,6 +36,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.errors import PathfinderError
 from repro.relational import algebra as alg
 from repro.relational.optimizer import OptimizerStats
 from repro.xquery import ast
@@ -108,7 +109,7 @@ class PlanCache:
 
     def __init__(self, capacity: int = 128):
         if capacity < 1:
-            raise ValueError("plan cache capacity must be >= 1")
+            raise PathfinderError("plan cache capacity must be >= 1")
         self.capacity = capacity
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
         self._lock = threading.Lock()

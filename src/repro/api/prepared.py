@@ -19,7 +19,7 @@ from repro.compiler.serialize import (
     iter_result_values,
     iter_serialized_chunks,
 )
-from repro.errors import NotSupportedError, ResultClosedError
+from repro.errors import ResultClosedError
 from repro.relational.evaluate import EvalContext, evaluate
 from repro.relational.items import K_ATTR, K_NODE
 
@@ -204,9 +204,7 @@ class PreparedQuery:
 
         The whole execution holds the Database's catalog lock shared, so
         a concurrent hot replace waits rather than swapping a document
-        mid-query.  On a ``backend="sqlhost"`` session the plan runs on
-        SQLite when its dialect allows, falling back to the numpy
-        evaluator (and counting ``stats.sqlhost_fallbacks``) when not.
+        mid-query.
 
         The read lock's page scope is the execution's lease on the
         arena; the returned result takes its own before that one closes,
@@ -222,25 +220,14 @@ class PreparedQuery:
             )
             trace_map: dict | None = {} if trace else None
             t0 = time.perf_counter()
-            table = None
-            # tracing is a numpy-evaluator feature: a traced execution
-            # bypasses the SQL host so the caller gets populated traces
-            # instead of a silently empty dict
-            if session.backend == "sqlhost" and not trace:
-                try:
-                    table = session._sqlhost_backend().execute(self._entry.plan)
-                    session.stats.sqlhost_queries += 1
-                except NotSupportedError:
-                    session.stats.sqlhost_fallbacks += 1
-            if table is None:
-                ctx = EvalContext(
-                    database.arena,
-                    documents=database.documents,
-                    trace=trace_map,
-                    use_staircase=session.use_staircase,
-                    params=merged,
-                )
-                table = evaluate(self._entry.plan, ctx)
+            ctx = EvalContext(
+                database.arena,
+                documents=database.documents,
+                trace=trace_map,
+                use_staircase=session.use_staircase,
+                params=merged,
+            )
+            table = evaluate(self._entry.plan, ctx)
             elapsed = time.perf_counter() - t0
             session.stats.queries_executed += 1
             session.stats.execute_seconds += elapsed

@@ -2,7 +2,7 @@
 
 A session carries everything that is *per client* rather than per
 database: evaluation settings (``use_staircase``, ``use_optimizer``,
-which back-end runs the plans), session-level external-variable bindings
+the planning strategy), session-level external-variable bindings
 (defaults for prepared-query parameters) and execution statistics.
 Several sessions can share one :class:`~repro.api.database.Database` —
 they see the same documents and the same plan cache, but their settings,
@@ -10,18 +10,15 @@ bindings and stats are independent.
 
 That independence is the concurrency contract of the serving layer:
 **sessions share nothing mutable with each other.**  Everything a
-session mutates (``variables``, ``stats``, its lazily-built SQL host
-back-end) hangs off the session itself; everything shared (catalog,
-arena, plan cache) lives in the Database behind its own locks.  One
-session per thread therefore needs no further synchronisation — this is
-how the HTTP server's worker pool uses the API.
+session mutates (``variables``, ``stats``) hangs off the session
+itself; everything shared (catalog, arena, plan cache) lives in the
+Database behind its own locks.  One session per thread therefore needs
+no further synchronisation — this is how the HTTP server's worker pool
+uses the API.
 
-Back-ends: ``backend="numpy"`` (default) evaluates plans with the
-column-at-a-time numpy evaluator; ``backend="sqlhost"`` translates them
-to SQL and runs them on SQLite, transparently falling back to the numpy
-evaluator for plans the SQL host cannot express (node constructors,
-external variables) — the fallback is counted in
-:attr:`SessionStats.sqlhost_fallbacks`, never surfaced as an error.
+Every plan runs on the column-at-a-time numpy evaluator
+(:mod:`repro.relational.evaluate`); :attr:`ExplainReport.mil` renders
+the same plan as a MIL program for MonetDB, the paper's relational host.
 """
 
 from __future__ import annotations
@@ -33,10 +30,6 @@ from repro.errors import PathfinderError
 from repro.relational import algebra as alg
 from repro.relational.dot import to_ascii, to_dot
 from repro.relational.optimizer import OPTIMIZER_MODES, OptimizerStats
-
-#: back-ends a session can evaluate plans on
-BACKENDS = ("numpy", "sqlhost")
-
 
 @dataclass
 class ExplainReport:
@@ -96,11 +89,6 @@ class SessionStats:
     plan_cache_misses: int = 0
     compile_seconds: float = 0.0
     execute_seconds: float = 0.0
-    #: plans executed on the SQLite host back-end
-    sqlhost_queries: int = 0
-    #: sqlhost plans that fell back to the numpy evaluator
-    #: (:class:`~repro.errors.NotSupportedError` from the translator)
-    sqlhost_fallbacks: int = 0
 
 
 class Session:
@@ -114,13 +102,8 @@ class Session:
         use_optimizer: bool = True,
         use_join_recognition: bool = True,
         disabled_passes: frozenset[str] | tuple = frozenset(),
-        backend: str = "numpy",
         optimizer_mode: str = "cost",
     ):
-        if backend not in BACKENDS:
-            raise PathfinderError(
-                f"unknown backend {backend!r} (available: {', '.join(BACKENDS)})"
-            )
         if optimizer_mode not in OPTIMIZER_MODES:
             raise PathfinderError(
                 f"unknown optimizer mode {optimizer_mode!r} "
@@ -137,13 +120,8 @@ class Session:
         #: optimizer rewrite passes this session skips (names from
         #: :data:`repro.relational.optimizer.PASS_NAMES`)
         self.disabled_passes = frozenset(disabled_passes)
-        #: which back-end executes plans ("numpy" or "sqlhost")
-        self.backend = backend
         self.variables: dict[str, object] = {}
         self.stats = SessionStats()
-        # lazily-built SQLite export + the doc epochs it snapshot
-        self._sqlhost = None
-        self._sqlhost_epochs: tuple | None = None
 
     # ------------------------------------------------------------ bindings
     def set_variable(self, name: str, value) -> None:
@@ -266,22 +244,6 @@ class Session:
             )
 
     # ------------------------------------------------------------ internals
-    def _sqlhost_backend(self):
-        """The session-private SQLite export, rebuilt when any document
-        epoch — or root row: a checkpoint may settle a document lower in
-        the arena — moved since it was taken (caller holds the catalog
-        lock shared, so the snapshot is consistent)."""
-        from repro.sqlhost.backend import SQLHostBackend
-
-        database = self.database
-        epochs = (dict(database.doc_epochs), dict(database.documents))
-        if self._sqlhost is None or self._sqlhost_epochs != epochs:
-            if self._sqlhost is not None:
-                self._sqlhost.close()
-            self._sqlhost = SQLHostBackend(database.arena, database.documents)
-            self._sqlhost_epochs = epochs
-        return self._sqlhost
-
     def _merged_bindings(
         self, entry, bindings: dict | None
     ) -> dict[str, object]:

@@ -433,8 +433,8 @@ class NodeArena:
             pager.ensure_attrs(attr_ids)
 
     def ensure_all(self) -> None:
-        """Fault in every paged fragment (whole-arena scans such as the
-        SQL-host export)."""
+        """Fault in every paged fragment (whole-arena readers such as
+        update delta collection)."""
         pager = self.pager
         if pager is not None:
             pager.ensure_all()

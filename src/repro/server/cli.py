@@ -14,8 +14,7 @@ one HTTP front end, until SIGINT/SIGTERM::
 Tuning knobs (see docs/serving.md): ``--threads`` bounds concurrent
 query execution per process, ``--deadline`` is the default per-request
 wall-clock budget, ``--plan-cache`` sizes the shared compile-once LRU,
-and ``--backend sqlhost`` runs worker sessions on the SQLite host
-(with automatic numpy fallback).
+and ``--optimizer-mode`` picks the planning strategy of worker sessions.
 
 ``--store DIR`` attaches a persistent document store (docs/storage.md):
 documents already persisted under DIR are recovered (mmap + WAL replay)
@@ -32,7 +31,6 @@ import argparse
 import sys
 
 from repro.api.database import Database
-from repro.api.session import BACKENDS
 from repro.errors import PathfinderError
 from repro.relational.optimizer import OPTIMIZER_MODES
 
@@ -98,12 +96,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "docs/storage.md)",
     )
     parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="numpy",
-        help="evaluator for worker sessions (sqlhost falls back to numpy)",
-    )
-    parser.add_argument(
         "--no-optimizer",
         action="store_true",
         help="serve unoptimized plans (debugging aid)",
@@ -120,7 +112,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def _build_service(args):
     """The service ``--workers`` selects, over the ``--store`` catalog."""
     session_options = {
-        "backend": args.backend,
         "use_optimizer": not args.no_optimizer,
         "optimizer_mode": args.optimizer_mode,
     }

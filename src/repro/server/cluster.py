@@ -423,6 +423,12 @@ class ClusterService:
             raise PathfinderError("a cluster needs at least 1 worker process")
         if deadline_seconds <= 0:
             raise PathfinderError("deadline_seconds must be positive")
+        # the workers' QueryService and PlanCache reject these too, but
+        # only after a spawn; checking here fails before any process starts
+        if threads < 1:
+            raise PathfinderError("the worker pool needs at least 1 worker")
+        if plan_cache_size < 1:
+            raise PathfinderError("plan cache capacity must be >= 1")
         self.workers = workers
         self.threads = threads
         self.deadline_seconds = deadline_seconds
@@ -462,13 +468,17 @@ class ClusterService:
             handle.start()
         deadline = time.monotonic() + READY_TIMEOUT
         for handle in self._handles:
-            remaining = max(0.1, deadline - time.monotonic())
-            if not handle.ready.wait(remaining):
-                self.shutdown(wait=False)
-                raise PathfinderError(
-                    f"shard {handle.index} failed to start within "
-                    f"{READY_TIMEOUT:.0f}s"
-                )
+            # poll, so a worker that keeps dying on startup (a config it
+            # rejects) fails the cluster once its restarts run out
+            while not handle.ready.wait(0.05):
+                if handle.dead or time.monotonic() > deadline:
+                    self.shutdown(wait=False)
+                    reason = (
+                        "kept dying on startup"
+                        if handle.dead
+                        else f"failed to start within {READY_TIMEOUT:.0f}s"
+                    )
+                    raise PathfinderError(f"shard {handle.index} {reason}")
         if store is not None:
             self._adopt_manifest_default()
 
@@ -814,7 +824,6 @@ class ClusterService:
             "queries_executed": total("queries_executed"),
             "queries_by_mode": dict(sorted(by_mode.items())),
             "updates_executed": total("updates_executed"),
-            "sqlhost_fallbacks": total("sqlhost_fallbacks"),
             "documents": total("documents"),
             "optimizer_pass_totals": dict(sorted(pass_totals.items())),
             "plan_cache": {

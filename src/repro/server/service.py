@@ -65,6 +65,9 @@ class QueryService:
         self.deadline_seconds = deadline_seconds
         #: keyword arguments for every worker's ``Database.connect()``
         self.session_options = dict(session_options or {})
+        # a throwaway session runs the Session constructor's checks now,
+        # so bad options fail here instead of on every request
+        self.database.connect(**self.session_options)
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-query"
         )
@@ -416,7 +419,6 @@ class QueryService:
             }
         executed = sum(s.stats.queries_executed for s in sessions)
         updates = sum(s.stats.updates_executed for s in sessions)
-        fallbacks = sum(s.stats.sqlhost_fallbacks for s in sessions)
         by_mode: dict[str, int] = {}
         for s in sessions:
             by_mode[s.optimizer_mode] = (
@@ -427,7 +429,6 @@ class QueryService:
                 "queries_executed": executed,
                 "queries_by_mode": dict(sorted(by_mode.items())),
                 "updates_executed": updates,
-                "sqlhost_fallbacks": fallbacks,
                 "plan_cache": {
                     "size": len(cache),
                     "capacity": cache.capacity,

@@ -174,7 +174,7 @@ class TestPlanCache:
         assert session.prepare("3+3").from_cache
 
     def test_cache_capacity_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PathfinderError, match="plan cache capacity"):
             Database(plan_cache_size=0)
 
     def test_stale_prepared_query_revalidates(self, db, session):
@@ -476,50 +476,6 @@ class TestCLIPreparedMode:
         assert code == 2
 
 
-class TestSqlhostBackendSession:
-    """backend="sqlhost" sessions: SQLite execution with numpy fallback."""
-
-    def test_supported_query_runs_on_sqlhost(self, db):
-        session = db.connect(backend="sqlhost")
-        assert session.execute("count(/r/v)").serialize() == "3"
-        assert session.stats.sqlhost_queries == 1
-        assert session.stats.sqlhost_fallbacks == 0
-
-    def test_constructor_falls_back_to_numpy(self, db):
-        """Node constructors are outside the SQL dialect: the session must
-        answer (via the numpy evaluator), not surface NotSupportedError."""
-        session = db.connect(backend="sqlhost")
-        result = session.execute("<out>{ count(/r/v) }</out>")
-        assert result.serialize() == "<out>3</out>"
-        assert session.stats.sqlhost_fallbacks == 1
-        assert session.stats.queries_executed == 1
-
-    def test_external_variables_fall_back(self, db):
-        session = db.connect(backend="sqlhost")
-        result = session.prepare(PARAM_QUERY).execute({"n": 2})
-        assert result.serialize() == "12"
-        assert session.stats.sqlhost_fallbacks == 1
-
-    def test_results_match_numpy_backend(self, db):
-        numpy_session = db.connect()
-        sql_session = db.connect(backend="sqlhost")
-        for query in ("count(/r/v)", "/r/v/text()", "sum(/r/v)"):
-            assert (
-                sql_session.execute(query).serialize()
-                == numpy_session.execute(query).serialize()
-            )
-
-    def test_backend_rebuilt_after_replace(self, db):
-        session = db.connect(backend="sqlhost")
-        assert session.execute("count(/r/v)").serialize() == "3"
-        db.load_document("r.xml", "<r><v>9</v></r>", replace=True)
-        assert session.execute("count(/r/v)").serialize() == "1"
-
-    def test_unknown_backend_rejected(self, db):
-        with pytest.raises(PathfinderError):
-            db.connect(backend="mil")
-
-
 class TestReplaceDocumentAtomic:
     def test_replace_document_reports_swap_atomically(self, db):
         info = db.replace_document("r.xml", "<r><v>9</v></r>")
@@ -531,13 +487,3 @@ class TestReplaceDocumentAtomic:
         info = db.replace_document("new.xml", "<n/>")
         assert info["replaced"] is False
         assert "new.xml" in db.documents
-
-
-def test_sqlhost_session_trace_uses_numpy_evaluator(db):
-    """trace=True must yield populated traces, not a silently empty dict
-    from the SQL host (which cannot trace)."""
-    session = db.connect(backend="sqlhost")
-    result = session.execute("count(/r/v)", trace=True)
-    assert result.serialize() == "3"
-    assert result.trace  # per-operator tables recorded
-    assert session.stats.sqlhost_queries == 0

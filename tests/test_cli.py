@@ -89,3 +89,9 @@ class TestCLI:
             ["-q", "count(//a)", "--doc", f"d.xml={doc_file}", "--no-optimizer"]
         )
         assert code == 0 and out.strip() == "2"
+
+    def test_serve_zero_plan_cache_is_an_error_not_a_traceback(self, capsys):
+        code, _ = run_cli(["serve", "--plan-cache", "0", "--port", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: plan cache capacity must be >= 1\n"

@@ -30,6 +30,7 @@ from repro.server import (
     RouterServer,
     WorkerUnavailable,
 )
+from repro.server.cluster import READY_TIMEOUT
 from repro.server.service import DeadlineExceeded
 from repro.encoding.store import shard_of
 from repro.xmark import XMARK_QUERIES, generate_document
@@ -448,6 +449,31 @@ class TestDeadlinesAndShedding:
         assert len(results) == 4
         assert "shed" in results
         assert tiny_cluster.stats()["shed"] > shed_before
+
+
+class TestStartupValidation:
+    """A config every worker would reject fails the constructor quickly,
+    instead of respawning workers until the ready timeout runs out."""
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"threads": 0}, "at least 1 worker"),
+            ({"plan_cache_size": 0}, "plan cache capacity must be >= 1"),
+        ],
+        ids=["threads", "plan_cache_size"],
+    )
+    def test_bad_config_rejected_before_spawning(self, options, message):
+        t0 = time.monotonic()
+        with pytest.raises(PathfinderError, match=message):
+            ClusterService(1, **options)
+        assert time.monotonic() - t0 < 5.0
+
+    def test_worker_startup_failure_stops_the_ready_wait(self):
+        t0 = time.monotonic()
+        with pytest.raises(PathfinderError, match="kept dying on startup"):
+            ClusterService(1, session_options={"optimizer_mode": "nope"})
+        assert time.monotonic() - t0 < READY_TIMEOUT / 2
 
 
 class TestCrashRecovery:

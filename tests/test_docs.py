@@ -1,6 +1,6 @@
 """The docs job's checks, enforced by tier-1 too: markdown links in
-README/docs must resolve and the relational, api, encoding, sqlhost and
-server layers must be fully docstringed (mirrors the CI ruff pydocstyle
+README/docs must resolve and the relational, api, encoding and server
+layers must be fully docstringed (mirrors the CI ruff pydocstyle
 job over the same directories)."""
 
 import sys

@@ -112,6 +112,7 @@ AGREE_CASES = [
     "(1 div 2) instance of xs:decimal",
     "1.5 cast as xs:decimal instance of xs:decimal",
     "1.5 cast as xs:double instance of xs:double",
+    "(1.0 div 2) instance of xs:decimal",
 ]
 
 
@@ -161,6 +162,9 @@ class TestDivisionByZero:
     def test_integer_mod_zero_raises(self, session):
         both_raise(session, "1 mod 0", "err:FOAR0001")
 
+    def test_integer_idiv_zero_raises(self, session):
+        both_raise(session, "1 idiv 0", "err:FOAR0001")
+
     def test_double_div_is_inf(self, session):
         assert run_pf(session, "1e0 div 0e0") == "INF"
         assert run_pf(session, "0e0 div 0e0") == "NaN"
@@ -204,36 +208,6 @@ class TestAggregates:
         q = 'for $i in (1, 2) return min(if ($i = 1) then ("b", "a") else (3, 2))'
         assert run_pf(session, q) == "a 2"
         assert run_baseline(session, q) == "a 2"
-
-
-class TestSQLHost:
-    """The SQLite back-end must share the conformance semantics (or fall
-    back) — never silently return a different answer."""
-
-    @pytest.fixture
-    def sqlhost(self, session):
-        return session.database.connect(backend="sqlhost")
-
-    def test_string_min_max(self, sqlhost):
-        assert sqlhost.execute('min(("b", "a"))').serialize() == "a"
-        assert sqlhost.execute('max(("b", "a"))').serialize() == "b"
-
-    def test_sum_strings_raises(self, sqlhost):
-        with pytest.raises(DynamicError) as exc:
-            sqlhost.execute('sum(("a", "b"))').serialize()
-        assert exc.value.code == "err:FORG0006"
-
-    def test_exact_div_by_zero_raises(self, sqlhost):
-        for query in ("1 div 0", "1.0 div 0.0", "1 idiv 0", "1 mod 0"):
-            with pytest.raises(DynamicError) as exc:
-                sqlhost.execute(query).serialize()
-            assert exc.value.code == "err:FOAR0001"
-
-    def test_decimal_typing(self, sqlhost):
-        assert sqlhost.execute("(1.0 div 2) instance of xs:decimal").serialize() == "true"
-
-    def test_substring_nan(self, sqlhost):
-        assert sqlhost.execute('substring("hello", 0 div 0e0)').serialize() == ""
 
 
 class TestDistinctValues:

@@ -295,6 +295,14 @@ class TestServiceDirect:
         finally:
             service.shutdown(wait=True)
 
+    def test_bad_session_options_fail_at_construction(self):
+        from repro.errors import PathfinderError
+
+        t0 = time.monotonic()
+        with pytest.raises(PathfinderError, match="unknown optimizer mode"):
+            QueryService(session_options={"optimizer_mode": "nope"})
+        assert time.monotonic() - t0 < 5.0
+
     def test_shutdown_rejects_new_work(self):
         service = QueryService(Database(), workers=1)
         service.shutdown()

@@ -8,8 +8,8 @@ suite (``tests/test_docs.py``):
   bare ``http(s)`` links are not fetched.
 * **docstring check** — every public module, class, top-level function
   and public method under the packages in :data:`DOCSTRING_ROOTS`
-  (the relational, api, encoding, sqlhost, server, compiler, xquery and
-  xml layers) must carry a docstring.  This mirrors ruff's pydocstyle
+  (the relational, api, encoding, server, compiler, xquery and xml
+  layers) must carry a docstring.  This mirrors ruff's pydocstyle
   D100–D103 presence rules, which the CI docs job also runs over the
   same directories.
 
@@ -42,7 +42,6 @@ DOCSTRING_ROOTS = (
     "src/repro/relational",
     "src/repro/api",
     "src/repro/encoding",
-    "src/repro/sqlhost",
     "src/repro/server",
     "src/repro/compiler",
     "src/repro/xquery",
