@@ -87,14 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-optimizer", action="store_true", help="skip plan optimization"
     )
     parser.add_argument(
-        "--optimizer-mode",
-        choices=("cost", "greedy", "wcoj"),
-        default="cost",
-        help="planning strategy: cost (estimator-driven join ordering), "
-        "greedy (statistics-free syntax-ranked ordering), wcoj "
-        "(cost + multi-way twig join collapse)",
-    )
-    parser.add_argument(
         "--disable-pass",
         action="append",
         default=[],
@@ -185,17 +177,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
         print("--repeat must be >= 1", file=sys.stderr)
         return 2
 
-    from repro.relational.optimizer import pass_names_for_mode
+    from repro.relational.optimizer import check_disabled_passes
 
-    pass_names = pass_names_for_mode(args.optimizer_mode)
-    disabled = frozenset(args.disable_pass)
-    unknown = disabled - set(pass_names)
-    if unknown:
-        print(
-            f"unknown optimizer pass(es): {', '.join(sorted(unknown))} "
-            f"(available: {', '.join(pass_names)})",
-            file=sys.stderr,
-        )
+    try:
+        disabled = check_disabled_passes(args.disable_pass)
+    except PathfinderError as exc:
+        print(exc, file=sys.stderr)
         return 2
 
     try:
@@ -203,7 +190,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
             use_optimizer=not args.no_optimizer,
             disabled_passes=disabled,
             store=args.store,
-            optimizer_mode=args.optimizer_mode,
         )
         database = session.database
         raw_bindings = dict(parse_binding(spec) for spec in args.bind)
@@ -265,8 +251,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             if args.explain:
                 print(
                     f"# plan: {report.stats.ops_before} operators, "
-                    f"{report.stats.ops_after} after optimization "
-                    f"(mode: {report.optimizer_mode})",
+                    f"{report.stats.ops_after} after optimization",
                     file=out,
                 )
                 if report.stats.pass_stats:

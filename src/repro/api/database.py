@@ -624,11 +624,9 @@ class Database:
         use_optimizer: bool = True,
         use_join_recognition: bool = True,
         disabled_passes: frozenset[str] | tuple = frozenset(),
-        optimizer_mode: str = "cost",
     ) -> "Session":
         """Open a new session (per-client execution context) over this
-        database.  ``optimizer_mode`` picks the planning strategy (see
-        :data:`repro.relational.optimizer.OPTIMIZER_MODES`)."""
+        database."""
         from repro.api.session import Session
 
         return Session(
@@ -637,7 +635,6 @@ class Database:
             use_optimizer=use_optimizer,
             use_join_recognition=use_join_recognition,
             disabled_passes=disabled_passes,
-            optimizer_mode=optimizer_mode,
         )
 
     # ------------------------------------------------------------- compiler
@@ -647,7 +644,6 @@ class Database:
         use_optimizer: bool,
         use_join_recognition: bool = True,
         disabled_passes: frozenset[str] = frozenset(),
-        optimizer_mode: str = "cost",
     ) -> tuple:
         """The plan-cache key: query text + compiler settings + the
         default document absolute paths were resolved against."""
@@ -655,7 +651,6 @@ class Database:
             query,
             use_optimizer,
             use_join_recognition,
-            optimizer_mode,
             tuple(sorted(disabled_passes)),
             self._default_document,
         )
@@ -666,17 +661,13 @@ class Database:
         use_optimizer: bool,
         use_join_recognition: bool = True,
         disabled_passes: frozenset[str] = frozenset(),
-        optimizer_mode: str = "cost",
     ) -> CachedPlan:
         """One full front-end run (parse → desugar → loop-lift →
         optimize), bypassing the plan cache.
 
         ``disabled_passes`` names optimizer rewrite passes to skip (see
-        :data:`repro.relational.optimizer.PASS_NAMES`);
-        ``optimizer_mode`` picks the planning strategy.  Cardinality
-        estimates are seeded from this database's arena statistics —
-        except in ``greedy`` mode, which plans without ever building
-        (or waiting on) the statistics.
+        :data:`repro.relational.optimizer.PASS_NAMES`).  Cardinality
+        estimates are seeded from this database's arena statistics.
         """
         with self._rwlock.read_locked():
             t0 = time.perf_counter()
@@ -698,12 +689,7 @@ class Database:
                     plan,
                     stats,
                     disabled=disabled_passes,
-                    estimator=(
-                        None
-                        if optimizer_mode == "greedy"
-                        else self._get_estimator()
-                    ),
-                    mode=optimizer_mode,
+                    estimator=self._get_estimator(),
                 )
             else:
                 stats.ops_before = stats.ops_after = alg.op_count(plan)
@@ -739,7 +725,6 @@ class Database:
         use_optimizer: bool,
         use_join_recognition: bool = True,
         disabled_passes: frozenset[str] = frozenset(),
-        optimizer_mode: str = "cost",
     ) -> tuple[CachedPlan, bool]:
         """Compile ``query`` through the plan cache.
 
@@ -752,11 +737,7 @@ class Database:
         """
         with self._rwlock.read_locked():
             key = self.cache_key(
-                query,
-                use_optimizer,
-                use_join_recognition,
-                disabled_passes,
-                optimizer_mode,
+                query, use_optimizer, use_join_recognition, disabled_passes
             )
             entry = self.plan_cache.get(key, self.document_class)
             if entry is not None:
@@ -764,11 +745,7 @@ class Database:
 
             def _compile_and_cache() -> CachedPlan:
                 fresh = self.compile_query(
-                    query,
-                    use_optimizer,
-                    use_join_recognition,
-                    disabled_passes,
-                    optimizer_mode,
+                    query, use_optimizer, use_join_recognition, disabled_passes
                 )
                 self.plan_cache.put(key, fresh)
                 return fresh
@@ -794,7 +771,6 @@ def connect(
     disabled_passes: frozenset[str] | tuple = frozenset(),
     store: "DocumentStore | str | None" = None,
     page_budget_bytes: int | None = None,
-    optimizer_mode: str = "cost",
 ) -> "Session":
     """Open a session — the front door of the API.
 
@@ -807,8 +783,7 @@ def connect(
     ``page_budget_bytes`` (requires ``store``) caps resident column
     bytes: fragments page in lazily from the store's mmaps and are
     evicted LRU past the budget.  ``disabled_passes`` names optimizer
-    rewrite passes this session should skip; ``optimizer_mode`` picks the
-    planning strategy ("cost", "greedy" or "wcoj").
+    rewrite passes this session should skip.
     """
     if database is None:
         database = Database(store=store, page_budget_bytes=page_budget_bytes)
@@ -822,5 +797,4 @@ def connect(
         use_optimizer=use_optimizer,
         use_join_recognition=use_join_recognition,
         disabled_passes=disabled_passes,
-        optimizer_mode=optimizer_mode,
     )

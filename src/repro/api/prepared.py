@@ -167,12 +167,6 @@ class PreparedQuery:
         return self._entry.external_vars
 
     @property
-    def optimizer_mode(self) -> str:
-        """The planning strategy this plan was compiled under (the
-        session's ``optimizer_mode`` at preparation time)."""
-        return self.session.optimizer_mode
-
-    @property
     def compile_seconds(self) -> float:
         """Time the (possibly cached) compilation took originally."""
         return self._entry.compile_seconds

@@ -2,7 +2,7 @@
 
 A session carries everything that is *per client* rather than per
 database: evaluation settings (``use_staircase``, ``use_optimizer``,
-the planning strategy), session-level external-variable bindings
+the disabled rewrite passes), session-level external-variable bindings
 (defaults for prepared-query parameters) and execution statistics.
 Several sessions can share one :class:`~repro.api.database.Database` —
 they see the same documents and the same plan cache, but their settings,
@@ -29,7 +29,7 @@ from repro.api.prepared import PreparedQuery
 from repro.errors import PathfinderError
 from repro.relational import algebra as alg
 from repro.relational.dot import to_ascii, to_dot
-from repro.relational.optimizer import OPTIMIZER_MODES, OptimizerStats
+from repro.relational.optimizer import OptimizerStats, check_disabled_passes
 
 @dataclass
 class ExplainReport:
@@ -41,8 +41,6 @@ class ExplainReport:
     plan: alg.Op
     optimized: alg.Op
     stats: OptimizerStats
-    #: planning strategy the optimized plan was compiled under
-    optimizer_mode: str = "cost"
 
     @property
     def pass_table(self) -> str:
@@ -102,24 +100,15 @@ class Session:
         use_optimizer: bool = True,
         use_join_recognition: bool = True,
         disabled_passes: frozenset[str] | tuple = frozenset(),
-        optimizer_mode: str = "cost",
     ):
-        if optimizer_mode not in OPTIMIZER_MODES:
-            raise PathfinderError(
-                f"unknown optimizer mode {optimizer_mode!r} "
-                f"(available: {', '.join(OPTIMIZER_MODES)})"
-            )
         self.database = database
         self.use_staircase = use_staircase
         self.use_optimizer = use_optimizer
         self.use_join_recognition = use_join_recognition
-        #: planning strategy this session compiles with ("cost",
-        #: "greedy" or "wcoj" — see
-        #: :data:`repro.relational.optimizer.OPTIMIZER_MODES`)
-        self.optimizer_mode = optimizer_mode
         #: optimizer rewrite passes this session skips (names from
-        #: :data:`repro.relational.optimizer.PASS_NAMES`)
-        self.disabled_passes = frozenset(disabled_passes)
+        #: :data:`repro.relational.optimizer.PASS_NAMES`, checked here so
+        #: a bad name fails when the session is built, not at first compile)
+        self.disabled_passes = check_disabled_passes(disabled_passes)
         self.variables: dict[str, object] = {}
         self.stats = SessionStats()
 
@@ -147,7 +136,6 @@ class Session:
             self.use_optimizer,
             self.use_join_recognition,
             self.disabled_passes,
-            self.optimizer_mode,
         )
         if hit:
             self.stats.plan_cache_hits += 1
@@ -240,7 +228,6 @@ class Session:
                 plan=unoptimized,
                 optimized=entry.plan,
                 stats=entry.stats,
-                optimizer_mode=self.optimizer_mode,
             )
 
     # ------------------------------------------------------------ internals

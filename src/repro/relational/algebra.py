@@ -469,40 +469,6 @@ class StepJoin(Op):
 
 
 @dataclass(frozen=True, eq=False)
-class StructuralTwigJoin(Op):
-    """Multi-way structural join: a chain of axis steps matched as one twig.
-
-    ``steps`` is the ordered chain ``((axis, test), ...)`` that a run of
-    pairwise :class:`StepJoin` operators would have evaluated one at a
-    time; the ``wcoj`` optimizer mode collapses such runs into this single
-    operator.  The evaluator matches the whole chain in one pass over the
-    sorted pre/size ranges (worst-case-optimal in the spirit of leapfrog
-    triejoin: no intermediate result is ever materialised beyond the
-    frontier of context nodes).  Output has the same post-condition as the
-    final ``StepJoin`` it replaces: ``(iter_col, item_col)``, duplicate-
-    free and document-ordered per ``iter``.
-    """
-
-    child: Op
-    steps: tuple[tuple[Axis, NodeTest], ...]
-    iter_col: str = "iter"
-    item_col: str = "item"
-
-    @property
-    def children(self):
-        """The operator's input plans."""
-        return (self.child,)
-
-    def label(self) -> str:
-        """Rendered operator label (plan printing)."""
-        path = "/".join(f"{a.value}::{t}" for a, t in self.steps)
-        return f"⋈⤲ {path}"
-
-    def _params(self):
-        return (self.steps, self.iter_col, self.item_col)
-
-
-@dataclass(frozen=True, eq=False)
 class Atomize(Op):
     """fn:data — typed-value extraction: nodes become ``xs:untypedAtomic``
     string values, atomic items pass through."""
@@ -675,7 +641,7 @@ def _columns(op: Op) -> tuple[str, ...]:
         return base if op.target in base else base + (op.target,)
     if isinstance(op, Aggr):
         return (op.group, op.target) if op.group else (op.target,)
-    if isinstance(op, (StepJoin, StructuralTwigJoin)):
+    if isinstance(op, StepJoin):
         return (op.iter_col, op.item_col)
     if isinstance(op, (ElemConstr, TextConstr, AttrConstr)):
         return ("iter", "item")
@@ -711,7 +677,7 @@ def _item_columns(op: Op) -> frozenset:
         if op.kind == "count":
             return frozenset()
         return frozenset({op.target})
-    if isinstance(op, (StepJoin, StructuralTwigJoin)):
+    if isinstance(op, StepJoin):
         return frozenset({op.item_col})
     if isinstance(op, (ElemConstr, TextConstr, AttrConstr)):
         return frozenset({"item"})
@@ -730,7 +696,7 @@ def _unique(op: Op) -> frozenset:
         return frozenset({frozenset()})
     if isinstance(op, ParamTable):
         return frozenset({frozenset({"pos"})})
-    if isinstance(op, (StepJoin, StructuralTwigJoin)):
+    if isinstance(op, StepJoin):
         return frozenset({frozenset({op.iter_col, op.item_col})})
     if isinstance(op, GenRange):
         # each iteration's range has distinct values and dense pos — but

@@ -44,7 +44,7 @@ from repro.relational.kernels import (
     row_number_per_group,
     theta_join_indices,
 )
-from repro.relational.staircase import naive_step, staircase_step, twig_match
+from repro.relational.staircase import naive_step, staircase_step
 from repro.relational.table import Column, Table
 
 
@@ -445,9 +445,8 @@ def _eval_step(node: alg.StepJoin, inputs, ctx) -> Table:
     kind = K_ATTR if node.axis.value == "attribute" else K_NODE
     if len(nodes) == 0:
         # empty-intermediate early termination: no context nodes means
-        # no result — skip the axis kernel (this is greedy mode's
-        # runtime safety net for mis-ordered plans, and a free win for
-        # every mode)
+        # no result — skip the axis kernel (a selection or join upstream
+        # often leaves a step nothing to do)
         return Table(
             {node.iter_col: iters, node.item_col: ItemColumn.of_kind(kind, nodes)}
         )
@@ -472,29 +471,6 @@ def _ctx_nodes(item: Column) -> np.ndarray:
             )
         return item.data
     return item
-
-
-def _eval_twig(node: alg.StructuralTwigJoin, inputs, ctx) -> Table:
-    table = inputs[0]
-    iters = table.num(node.iter_col)
-    nodes = _ctx_nodes(table.col(node.item_col))
-    if len(nodes) == 0:
-        # empty-intermediate early termination, as in _eval_step
-        return Table(
-            {node.iter_col: iters, node.item_col: ItemColumn.of_kind(K_NODE, nodes)}
-        )
-    ctx.step_counter[0] += 1
-    if ctx.use_staircase:
-        out_iter, rows = twig_match(ctx.arena, iters, nodes, node.steps)
-    else:
-        # tree-unaware mode chains the naive baseline pairwise, so the
-        # staircase/naive differential keeps covering the twig operator
-        out_iter, rows = iters, nodes
-        for axis, test in node.steps:
-            out_iter, rows = naive_step(ctx.arena, out_iter, rows, axis, test)
-    return Table(
-        {node.iter_col: out_iter, node.item_col: ItemColumn.of_kind(K_NODE, rows)}
-    )
 
 
 def _eval_atomize(node: alg.Atomize, inputs, ctx) -> Table:
@@ -661,7 +637,6 @@ _HANDLERS: dict[type, Callable] = {
     alg.Map: _eval_map,
     alg.Aggr: _eval_aggr,
     alg.StepJoin: _eval_step,
-    alg.StructuralTwigJoin: _eval_twig,
     alg.Atomize: _eval_atomize,
     alg.ElemConstr: _eval_elem,
     alg.TextConstr: _eval_text,

@@ -61,14 +61,6 @@ consumer whose result could depend on physical row order (δ/str_join
 without an order column, ϱ with ambiguous ties — see
 :func:`_order_sensitive`).  The plan-equivalence test corpus guards all
 of it end to end.
-
-:func:`optimize` additionally selects between three planning strategies
-(:data:`OPTIMIZER_MODES`): ``cost`` runs the rounds above until nothing
-changes; ``greedy`` runs one round with ``cse`` as the only local rule
-and a statistics-free syntax-ranked join ordering (no cardinality
-estimation — a fraction of the planning cost); ``wcoj`` appends a
-``twig_collapse`` pass fusing chains of staircase steps into one
-multi-way :class:`~repro.relational.algebra.StructuralTwigJoin`.
 """
 
 from __future__ import annotations
@@ -204,16 +196,6 @@ class CardinalityEstimator:
             else:
                 fanout = self.child_fanout
             return est(op.child) * fanout
-        if isinstance(op, alg.StructuralTwigJoin):
-            rows = est(op.child)
-            for axis, _ in op.steps:
-                if axis in _UNIT_AXES:
-                    rows *= 1.0
-                elif axis in _DEEP_AXES:
-                    rows *= self.descendant_fanout
-                else:
-                    rows *= self.child_fanout
-            return rows
         if isinstance(op, alg.GenRange):
             return est(op.child) * 8.0
         if isinstance(op, (alg.ElemConstr, alg.AttrConstr)):
@@ -326,46 +308,20 @@ class RewritePass:
 
 _MAX_ROUNDS = 10
 
-#: the selectable planning strategies (see :func:`optimize`)
-OPTIMIZER_MODES: tuple[str, ...] = ("cost", "greedy", "wcoj")
 
-
-#: the passes ``greedy`` keeps from the default pipeline (one round):
-#: cse dedups the shared-subtree DAG, pushdown moves selections below the
-#: joins, prune drops dead columns — the three with the largest measured
-#: execution impact; everything else is planning cost greedy does without
-_GREEDY_PASS_NAMES: tuple[str, ...] = ("cse", "pushdown", "prune")
-
-
-def _pipeline_for_mode(
-    mode: str,
-) -> tuple[tuple[RewritePass, ...], tuple[RewritePass, ...], tuple[RewritePass, ...]]:
-    """(local rules, global passes, post passes) of an optimizer mode.
-
-    ``twig_collapse`` is a *post* pass: it must only fire once the
-    rounds have converged, because a collapsed twig hides its pairwise
-    steps from pushdown and join ordering — collapsing between rounds
-    measurably regressed plans whose steps still had selections to push.
-    """
-    local = tuple(p for p in PASSES if p.local)
-    passes = tuple(p for p in PASSES if not p.local)
-    if mode == "greedy":
-        keep = lambda ps: tuple(p for p in ps if p.name in _GREEDY_PASS_NAMES)  # noqa: E731
-        return keep(local), keep(passes) + (_GREEDY_PASS,), ()
-    if mode == "wcoj":
-        return local, passes, (_TWIG_PASS,)
-    return local, passes, ()
-
-
-def pass_names_for_mode(mode: str) -> tuple[str, ...]:
-    """Every pass name :func:`optimize` accepts in ``disabled`` under
-    ``mode``: the default registry (:data:`PASS_NAMES`) plus the mode's
-    own passes (``greedy_order``, ``twig_collapse``) — what the CLI
-    validates ``--disable-pass`` against."""
-    names = list(PASS_NAMES)
-    for group in _pipeline_for_mode(mode):
-        names.extend(p.name for p in group if p.name not in names)
-    return tuple(names)
+def check_disabled_passes(names) -> frozenset[str]:
+    """``names`` as a frozenset, once every one is a member of
+    :data:`PASS_NAMES`; otherwise :class:`~repro.errors.AlgebraError`
+    naming the unknown ones.  One check shared by :func:`optimize`, the
+    session options and the CLI's ``--disable-pass``."""
+    names = frozenset(names)
+    unknown = names - set(PASS_NAMES)
+    if unknown:
+        raise AlgebraError(
+            f"unknown optimizer pass(es): {', '.join(sorted(unknown))} "
+            f"(available: {', '.join(PASS_NAMES)})"
+        )
+    return names
 
 
 def optimize(
@@ -375,52 +331,23 @@ def optimize(
     disabled: frozenset[str] | set[str] | tuple = frozenset(),
     estimator: CardinalityEstimator | None = None,
     trace: list | None = None,
-    mode: str = "cost",
 ) -> alg.Op:
     """Normalize the plan, then run rounds of the global passes until
     none changes it (bounded).
 
-    ``mode`` selects the planning strategy (:data:`OPTIMIZER_MODES`):
-
-    * ``cost`` — the default pipeline; ``join_order`` decides with the
-      cardinality estimator and per-pass statistics include estimates;
-    * ``greedy`` — no statistics anywhere: ``cse`` is the only local
-      rule, and a single round of ``pushdown``, ``prune`` and the
-      syntax-ranked ``greedy_order`` runs, with no fixpoint iteration and
-      no cardinality estimates — planning cost drops sharply, plan
-      quality may too (execution-time early termination on empty
-      intermediates limits the downside);
-    * ``wcoj`` — the ``cost`` pipeline plus a final ``twig_collapse``
-      pass that fuses chains of pairwise staircase steps into one
-      multi-way :class:`~repro.relational.algebra.StructuralTwigJoin`.
-
-    ``disabled`` names passes to skip (must be members of
-    :data:`PASS_NAMES` or of the selected mode's pipeline); ``estimator``
-    seeds cardinality estimation (a default, statistics-free estimator is
-    used when omitted); ``trace``, when a list, receives one
+    ``disabled`` names passes to skip (members of :data:`PASS_NAMES`,
+    see :func:`check_disabled_passes`); ``estimator`` seeds cardinality
+    estimation (a default, statistics-free estimator is used when
+    omitted); ``trace``, when a list, receives one
     ``(label, plan)`` snapshot after every step that changed the plan —
     a global pass's name, or the local rules that fired in a normalizer
     traversal joined by ``+`` (``"cse+fold"``) — the hook behind
     ``examples/plan_explorer.py``'s per-pass diffs.
     """
-    if mode not in OPTIMIZER_MODES:
-        raise AlgebraError(
-            f"unknown optimizer mode {mode!r}; "
-            f"available: {', '.join(OPTIMIZER_MODES)}"
-        )
-    disabled = frozenset(disabled)
-    unknown = disabled - set(pass_names_for_mode(mode))
-    if unknown:
-        raise AlgebraError(
-            f"unknown optimizer pass(es) {sorted(unknown)}; "
-            f"available: {', '.join(PASS_NAMES)}"
-        )
-    local, passes, post = (
-        [p for p in group if p.name not in disabled]
-        for group in _pipeline_for_mode(mode)
-    )
+    disabled = check_disabled_passes(disabled)
+    local = [p for p in PASSES if p.local and p.name not in disabled]
+    passes = [p for p in PASSES if not p.local and p.name not in disabled]
     collect = stats is not None
-    estimates = mode != "greedy"
     est = estimator if estimator is not None else CardinalityEstimator()
     # one object-keyed estimate memo for the whole run: join_order and the
     # statistics share it, and nodes surviving a pass keep their estimates
@@ -430,7 +357,7 @@ def optimize(
         return est.estimate(op, est_memo)
 
     normalizer = _Normalizer(local, timed=collect)
-    per = {p.name: PassStats(p.name) for p in (*local, *passes, *post)}
+    per = {p.name: PassStats(p.name) for p in PASSES if p.name not in disabled}
     # A pass's ops_after and est_rows describe the next plan counted: the
     # walk a global pass needs anyway counts the plan, so the steps since
     # the last count wait for it.  ``after`` keeps the plan each pass's
@@ -521,27 +448,17 @@ def optimize(
                 changed = True
             else:
                 settled[p.name] = root
-        if not changed or mode == "greedy":
-            # greedy: one round, no fixpoint iteration — execution-time
-            # early termination on empty intermediates covers what a
-            # second round would have won
+        if not changed:
             break
-    for p in post:
-        # post passes fire exactly once, on the converged plan (wcoj's
-        # twig_collapse: fused twigs must not hide steps from the rounds)
-        apply(p)
     if collect:
         if ops is None:
             counted(alg.op_count(root))
         stats.passes = rounds
         stats.ops_after = ops
-        stats.pass_stats = [
-            per[name] for name in pass_names_for_mode(mode) if name in per
-        ]
-        if estimates:
-            for name, plan in after.items():
-                per[name].est_rows = estimate(plan)
-            stats.estimated_rows = estimate(root)
+        stats.pass_stats = list(per.values())
+        for name, plan in after.items():
+            per[name].est_rows = estimate(plan)
+        stats.estimated_rows = estimate(root)
     return root
 
 
@@ -723,7 +640,6 @@ _FOLD_RULES = {
     alg.RowNum: _fold_empty_input,
     alg.Distinct: _fold_empty_input,
     alg.StepJoin: _fold_empty_input,
-    alg.StructuralTwigJoin: _fold_empty_input,
     alg.Join: _fold_empty_side,
     alg.Cross: _fold_empty_side,
     alg.ThetaJoin: _fold_empty_side,
@@ -1083,7 +999,7 @@ def _sink(filt, x: alg.Op, counts, shared: bool = False) -> alg.Op | None:
     elif isinstance(x, alg.Distinct):
         if not cols <= set(x.keys):
             return None
-    elif isinstance(x, (alg.StepJoin, alg.StructuralTwigJoin)):
+    elif isinstance(x, alg.StepJoin):
         if not cols <= {x.iter_col}:
             return None
     elif isinstance(x, alg.GenRange):
@@ -1216,7 +1132,7 @@ def _child_requirements(op, required):
         if not child_req:
             child_req = frozenset(op.child.columns[:1])
         return [(op.child, child_req)]
-    if isinstance(op, (alg.StepJoin, alg.StructuralTwigJoin)):
+    if isinstance(op, alg.StepJoin):
         return [(op.child, frozenset({op.iter_col, op.item_col}))]
     if isinstance(op, alg.GenRange):
         return [(op.child, frozenset({"iter", op.lo_col, op.hi_col}))]
@@ -1269,14 +1185,14 @@ def _prune_rewrite(op, required, rebuilt, fired):
     elif isinstance(op, alg.SemiJoin):
         rkeys = frozenset(r for _, r in op.keys)
         children[1] = _restrict(children[1], rkeys, fired)
-    elif isinstance(op, (alg.StepJoin, alg.StructuralTwigJoin)):
+    elif isinstance(op, alg.StepJoin):
         context = frozenset({op.iter_col, op.item_col})
         children[0] = _restrict(children[0], context, fired)
     return op.with_children(tuple(children))
 
 
 # --------------------------------------------------------------------------
-# global pass: join input ordering (cost-based, or greedy by syntax)
+# global pass: join input ordering (cost-based)
 # --------------------------------------------------------------------------
 #: only swap when one side is estimated this much larger — estimates are
 #: crude, and each swap costs a schema-restoring projection
@@ -1317,8 +1233,8 @@ def _order_sensitive(topo: list[alg.Op]) -> set[alg.Op]:
     return marked
 
 
-def _swap_joins(topo: list[alg.Op], size: Callable[[alg.Op], float]) -> tuple[alg.Op, int]:
-    """Put the ``size``-smaller join input on the right-hand side.
+def _join_order(topo: list[alg.Op], estimate) -> tuple[alg.Op, int]:
+    """Put the estimated-smaller join input on the right-hand side.
 
     The sort-merge join kernel sorts its *right* input and probes it with
     the left, so sorting the smaller side is cheaper.  A swapped join is
@@ -1334,172 +1250,11 @@ def _swap_joins(topo: list[alg.Op], size: Callable[[alg.Op], float]) -> tuple[al
         if (
             isinstance(new, alg.Join)
             and node not in sensitive
-            and size(new.right) > _SWAP_RATIO * max(size(new.left), 1.0)
+            and estimate(new.right) > _SWAP_RATIO * max(estimate(new.left), 1.0)
         ):
             swapped = alg.Join(new.right, new.left, tuple((r, l) for l, r in new.keys))
             new = alg.Project(swapped, tuple((c, c) for c in new.columns))
             fired += 1
-        rebuilt[node] = new
-    return rebuilt[topo[-1]], fired
-
-
-def _join_order(topo: list[alg.Op], estimate) -> tuple[alg.Op, int]:
-    """Cost-based join input ordering, sized by the cardinality estimator."""
-    return _swap_joins(topo, estimate)
-
-
-#: syntax-visible relative size factors: a named test keeps a step
-#: selective, a wildcard does not, and descendant-flavoured axes fan out
-#: far more than child steps — the ranking only needs relative magnitudes
-_GREEDY_CHILD_NAMED = 2.0
-_GREEDY_CHILD_WILD = 8.0
-_GREEDY_DEEP_NAMED = 8.0
-_GREEDY_DEEP_WILD = 32.0
-
-
-def _step_factor(axis: Axis, test) -> float:
-    """Syntax-only growth factor of one axis step (greedy mode)."""
-    if axis in _UNIT_AXES:
-        return 1.0
-    named = getattr(test, "name", None) is not None
-    if axis in _DEEP_AXES:
-        return _GREEDY_DEEP_NAMED if named else _GREEDY_DEEP_WILD
-    return _GREEDY_CHILD_NAMED if named else _GREEDY_CHILD_WILD
-
-
-def _syntax_score(op: alg.Op, memo: dict) -> float:
-    """Relative subtree size ranked purely by plan syntax.
-
-    The greedy mode's stand-in for cardinality estimation: no document
-    statistics are consulted.  Steps are ranked by axis kind and by
-    name-test vs wildcard, attached σ predicates shrink their input by
-    the textbook selectivities, and the combinators compose
-    multiplicatively — exactly enough signal to answer "which join input
-    is likely larger" without ever touching the arena.
-    """
-    cached = memo.get(op)
-    if cached is not None:
-        return cached
-    memo[op] = 1.0  # cycle-safe default; plans are DAGs anyway
-    score = _syntax_score_of(op, memo)
-    memo[op] = score
-    return score
-
-
-def _syntax_score_of(op: alg.Op, memo) -> float:
-    rec = lambda c: _syntax_score(c, memo)  # noqa: E731
-    if isinstance(op, alg.Lit):
-        return float(len(op.rows))
-    if isinstance(op, alg.DocRoot):
-        return 1.0
-    if isinstance(op, alg.ParamTable):
-        return 4.0
-    if isinstance(op, alg.StepJoin):
-        return rec(op.child) * _step_factor(op.axis, op.test)
-    if isinstance(op, alg.StructuralTwigJoin):
-        score = rec(op.child)
-        for axis, test in op.steps:
-            score *= _step_factor(axis, test)
-        return score
-    if isinstance(op, alg.Select):
-        consts = sum(1 for tag, _ in (op.lhs, op.rhs) if tag == "const")
-        if consts:
-            sel = _SEL_EQ_CONST if op.op == "eq" else _SEL_CMP_CONST
-        else:
-            sel = _SEL_COL_COL
-        return rec(op.child) * sel
-    if isinstance(op, alg.Union):
-        return sum(rec(i) for i in op.inputs)
-    if isinstance(op, (alg.Difference, alg.SemiJoin, alg.Distinct)):
-        return rec(op.children[0]) * 0.6
-    if isinstance(op, alg.Join):
-        return max(rec(op.left), rec(op.right))
-    if isinstance(op, alg.Cross):
-        return rec(op.left) * rec(op.right)
-    if isinstance(op, alg.ThetaJoin):
-        pairs = max(rec(op.left), rec(op.right)) if op.keys else rec(op.left) * rec(op.right)
-        return pairs * _SEL_COL_COL
-    if isinstance(op, alg.Aggr):
-        if op.group is None:
-            return 1.0
-        return max(rec(op.child) * 0.2, 1.0)
-    if isinstance(op, alg.GenRange):
-        return rec(op.child) * 8.0
-    if not op.children:
-        return 1.0
-    return rec(op.children[0])
-
-
-def _greedy_order(topo: list[alg.Op], estimate) -> tuple[alg.Op, int]:
-    """Statistics-free join input ordering (the ``greedy`` mode).
-
-    Same contract and safety discipline as :func:`_join_order`, but ranks
-    the two inputs with :func:`_syntax_score` instead of the cardinality
-    estimator, so planning needs no document statistics at all.
-    """
-    memo: dict = {}
-    return _swap_joins(topo, lambda op: _syntax_score(op, memo))
-
-
-# --------------------------------------------------------------------------
-# post pass: twig collapse (the wcoj mode's multi-way join recognition)
-# --------------------------------------------------------------------------
-#: axes the twig join's merged scan handles (forward, subtree-shaped)
-_TWIG_AXES = frozenset({Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF})
-
-#: minimum chain length worth collapsing — a two-step chain gains nothing
-#: over two staircase steps, the twig's advantage grows with chain depth
-_TWIG_MIN_STEPS = 3
-
-
-def _twig_collapse(topo: list[alg.Op], estimate) -> tuple[alg.Op, int]:
-    """Fuse chains of pairwise staircase steps into one twig join.
-
-    A run of ``StepJoin`` operators where each feeds exactly the next
-    (sole consumer, matching iter/item columns, subtree-shaped axes)
-    evaluates as k separate staircase joins, each materialising its full
-    intermediate frontier.  Collapsing the run into one
-    :class:`~repro.relational.algebra.StructuralTwigJoin` lets the
-    evaluator match the whole chain with a single merged scan.  Fires
-    only at the *top* of a maximal chain, so bottom-up rewriting never
-    collapses a partial suffix.
-    """
-    counts = _parent_counts(topo)
-    # steps continued by (the sole input of) a chain-compatible step
-    # above them — they fold into the collapse fired at the top
-    continued: set[alg.Op] = set()
-    for node in topo:
-        if isinstance(node, alg.StepJoin) and node.axis in _TWIG_AXES:
-            c = node.child
-            if (
-                isinstance(c, alg.StepJoin)
-                and c.axis in _TWIG_AXES
-                and c.iter_col == node.iter_col
-                and c.item_col == node.item_col
-                and counts.get(c, 1) == 1
-            ):
-                continued.add(c)
-    rebuilt: dict[alg.Op, alg.Op] = {}
-    fired = 0
-    for node in topo:
-        new = node.with_children(tuple(rebuilt[c] for c in node.children))
-        if (
-            isinstance(node, alg.StepJoin)
-            and node.axis in _TWIG_AXES
-            and node not in continued
-            and node.child in continued
-        ):
-            steps = [(node.axis, node.test)]
-            base = node.child
-            while base in continued:
-                steps.append((base.axis, base.test))
-                base = base.child
-            if len(steps) >= _TWIG_MIN_STEPS:
-                steps.reverse()
-                new = alg.StructuralTwigJoin(
-                    rebuilt[base], tuple(steps), node.iter_col, node.item_col
-                )
-                fired += 1
         rebuilt[node] = new
     return rebuilt[topo[-1]], fired
 
@@ -1540,15 +1295,3 @@ PASSES: tuple[RewritePass, ...] = (
 
 #: names of all registered passes, in pipeline order
 PASS_NAMES: tuple[str, ...] = tuple(p.name for p in PASSES)
-
-#: ``greedy`` mode's drop-in replacement for ``join_order``
-_GREEDY_PASS = RewritePass(
-    "greedy_order", "sort the syntax-ranked-smaller join input (no statistics)",
-    _greedy_order,
-)
-
-#: ``wcoj`` mode's extra pass, appended after the default pipeline
-_TWIG_PASS = RewritePass(
-    "twig_collapse", "fuse chains of staircase steps into one twig join",
-    _twig_collapse,
-)

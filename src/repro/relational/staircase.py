@@ -258,7 +258,7 @@ def _step_sorted(
     raise DynamicError(f"unsupported axis {axis}")
 
 
-#: axes a StructuralTwigJoin chain may contain (node-kind, downward)
+#: axes a :func:`twig_match` chain may contain (node-kind, downward)
 TWIG_AXES = (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF)
 
 
@@ -268,7 +268,7 @@ def twig_match(
     nodes: np.ndarray,
     steps: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Match a whole chain of axis steps in one pass (the ``wcoj`` twig).
+    """Match a whole chain of axis steps in one pass (a twig join).
 
     ``steps`` is ``((axis, test), ...)`` with axes from :data:`TWIG_AXES`.
     Semantically identical to folding :func:`staircase_step` over the
@@ -287,6 +287,9 @@ def twig_match(
       step's output already satisfies the sorted-distinct post-condition,
       so the per-step context re-sort of the pairwise pipeline is
       skipped, and an empty frontier terminates the whole match early.
+
+    No plan operator calls it — plans keep pairwise staircase steps; the
+    benchmark's layer probe (``perf/layers.py``) times it beside them.
     """
     iters = np.asarray(iters, dtype=np.int64)
     nodes = np.asarray(nodes, dtype=np.int64)

@@ -148,13 +148,6 @@ def _check(node: alg.Op) -> None:
         _require(schema, node.iter_col, node.item_col)
         return
 
-    if isinstance(node, alg.StructuralTwigJoin):
-        (schema,) = child_schemas
-        _require(schema, node.iter_col, node.item_col)
-        if not node.steps:
-            raise AlgebraError("twig join with zero steps")
-        return
-
     if isinstance(node, alg.Atomize):
         (schema,) = child_schemas
         _require(schema, node.arg)

@@ -13,8 +13,8 @@ one HTTP front end, until SIGINT/SIGTERM::
 
 Tuning knobs (see docs/serving.md): ``--threads`` bounds concurrent
 query execution per process, ``--deadline`` is the default per-request
-wall-clock budget, ``--plan-cache`` sizes the shared compile-once LRU,
-and ``--optimizer-mode`` picks the planning strategy of worker sessions.
+wall-clock budget, and ``--plan-cache`` sizes the shared compile-once
+LRU.
 
 ``--store DIR`` attaches a persistent document store (docs/storage.md):
 documents already persisted under DIR are recovered (mmap + WAL replay)
@@ -32,7 +32,6 @@ import sys
 
 from repro.api.database import Database
 from repro.errors import PathfinderError
-from repro.relational.optimizer import OPTIMIZER_MODES
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -100,21 +99,12 @@ def build_serve_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="serve unoptimized plans (debugging aid)",
     )
-    parser.add_argument(
-        "--optimizer-mode",
-        choices=OPTIMIZER_MODES,
-        default="cost",
-        help="planning strategy for worker sessions (cost, greedy or wcoj)",
-    )
     return parser
 
 
 def _build_service(args):
     """The service ``--workers`` selects, over the ``--store`` catalog."""
-    session_options = {
-        "use_optimizer": not args.no_optimizer,
-        "optimizer_mode": args.optimizer_mode,
-    }
+    session_options = {"use_optimizer": not args.no_optimizer}
     if args.workers:
         from repro.server.cluster import ClusterService
 

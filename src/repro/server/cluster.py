@@ -791,10 +791,6 @@ class ClusterService:
         cache_hits = sum(s["plan_cache"]["hits"] for s in live)
         cache_misses = sum(s["plan_cache"]["misses"] for s in live)
         lookups = cache_hits + cache_misses
-        by_mode: dict[str, int] = {}
-        for s in live:
-            for mode, count in s.get("queries_by_mode", {}).items():
-                by_mode[mode] = by_mode.get(mode, 0) + count
         pass_totals: dict[str, dict[str, int]] = {}
         for s in live:
             for name, slot in s.get("optimizer_pass_totals", {}).items():
@@ -822,7 +818,6 @@ class ClusterService:
             "shed": total("shed"),
             "errors": total("errors"),
             "queries_executed": total("queries_executed"),
-            "queries_by_mode": dict(sorted(by_mode.items())),
             "updates_executed": total("updates_executed"),
             "documents": total("documents"),
             "optimizer_pass_totals": dict(sorted(pass_totals.items())),

@@ -341,7 +341,6 @@ class QueryService:
                 "ops_before": stats.ops_before,
                 "ops_after": stats.ops_after,
                 "reduction_pct": stats.reduction_pct,
-                "optimizer_mode": report.optimizer_mode,
                 "passes": [
                     {
                         "name": ps.name,
@@ -419,15 +418,9 @@ class QueryService:
             }
         executed = sum(s.stats.queries_executed for s in sessions)
         updates = sum(s.stats.updates_executed for s in sessions)
-        by_mode: dict[str, int] = {}
-        for s in sessions:
-            by_mode[s.optimizer_mode] = (
-                by_mode.get(s.optimizer_mode, 0) + s.stats.queries_executed
-            )
         payload.update(
             {
                 "queries_executed": executed,
-                "queries_by_mode": dict(sorted(by_mode.items())),
                 "updates_executed": updates,
                 "plan_cache": {
                     "size": len(cache),

@@ -284,7 +284,6 @@ class TestRebuild:
             alg.Map(LIT, "add", "r", (col("item"), const(1))),
             alg.Aggr(LIT, "str_join", "s", "item", "iter", ",", "pos"),
             alg.StepJoin(LIT, Axis.CHILD, element("a"), "iter", "item"),
-            alg.StructuralTwigJoin(LIT, ((Axis.CHILD, element("a")),), "iter", "item"),
             alg.Atomize(LIT, "v", "item"),
             alg.ElemConstr(LIT, LIT),
             alg.TextConstr(LIT),

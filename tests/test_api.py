@@ -40,6 +40,16 @@ class TestConnect:
         assert not session.use_staircase and not session.use_optimizer
         assert session.execute("count(/r/v)").serialize() == "3"
 
+    def test_unknown_disabled_pass_fails_at_connect(self, db):
+        """A bad pass name fails when the session is built, before any
+        compile, with the same message ``optimize()`` gives."""
+        for bad in ({"nope"}, ("pushdown", "no_such_pass")):
+            with pytest.raises(PathfinderError, match="unknown optimizer pass"):
+                connect(disabled_passes=bad)
+            with pytest.raises(PathfinderError, match="unknown optimizer pass"):
+                db.connect(disabled_passes=bad)
+        assert db.connect(disabled_passes=["pushdown"]).disabled_passes == {"pushdown"}
+
 
 class TestDocumentCatalog:
     def test_duplicate_load_rejected(self, db):

@@ -388,11 +388,9 @@ class TestStatsAggregation:
         reference, merged = single.stats(), cluster.stats()
         assert set(reference) <= set(merged)
         assert set(reference["plan_cache"]) <= set(merged["plan_cache"])
-        assert merged["queries_by_mode"]["cost"] == merged["queries_executed"]
-        assert merged["queries_by_mode"] == {
-            mode: sum(s["queries_by_mode"].get(mode, 0) for s in merged["shards"])
-            for mode in merged["queries_by_mode"]
-        }
+        assert merged["queries_executed"] == sum(
+            s["queries_executed"] for s in merged["shards"]
+        )
 
     def test_documents_listing_is_merged_and_sorted(self, cluster):
         docs = cluster.list_documents()
@@ -472,7 +470,7 @@ class TestStartupValidation:
     def test_worker_startup_failure_stops_the_ready_wait(self):
         t0 = time.monotonic()
         with pytest.raises(PathfinderError, match="kept dying on startup"):
-            ClusterService(1, session_options={"optimizer_mode": "nope"})
+            ClusterService(1, session_options={"disabled_passes": ["nope"]})
         assert time.monotonic() - t0 < READY_TIMEOUT / 2
 
 

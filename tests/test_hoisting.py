@@ -29,7 +29,6 @@ from repro.encoding.axes import Axis
 from repro.errors import PathfinderError
 from repro.relational import algebra as alg
 from repro.relational import evaluate as ev
-from repro.relational.optimizer import OPTIMIZER_MODES
 from repro.xmark import XMARK_QUERIES, generate_document
 from repro.xquery.core import desugar_module
 from repro.xquery.parser import parse_query
@@ -48,10 +47,7 @@ NUM_DOC = (
 )
 
 #: session options of every configuration a query must agree in
-CONFIGS = [{"optimizer_mode": mode} for mode in OPTIMIZER_MODES] + [
-    {"use_optimizer": False},
-    {"use_join_recognition": False},
-]
+CONFIGS = [{}, {"use_optimizer": False}, {"use_join_recognition": False}]
 
 
 def _db(xml: str) -> Database:
@@ -333,19 +329,13 @@ def test_theta_join_builds_no_product(monkeypatch, auction, name):
 
 def test_corpus_has_no_descendant_or_self_step():
     """Every ``//`` of the XMark corpus compiles to one ``descendant``
-    step in every optimizer mode: none of its predicates observes
-    position, so no ``descendant-or-self::node()`` step materialises the
-    whole document.  (A positional predicate keeps the two steps —
-    ``tests/test_paths.py``.)"""
+    step: none of its predicates observes position, so no
+    ``descendant-or-self::node()`` step materialises the whole document.
+    (A positional predicate keeps the two steps — ``tests/test_paths.py``.)"""
     db = _db("<site/>")
-    for mode in OPTIMIZER_MODES:
-        for name, query in XMARK_QUERIES.items():
-            plan = db.compile_query(query, use_optimizer=True, optimizer_mode=mode).plan
-            axes = [op.axis for op in alg.walk(plan) if isinstance(op, alg.StepJoin)]
-            axes += [
-                axis for op in alg.walk(plan) if isinstance(op, alg.StructuralTwigJoin)
-                for axis, _ in op.steps
-            ]
-            assert Axis.DESCENDANT_OR_SELF not in axes, (name, mode)
-            if "//" in query:
-                assert Axis.DESCENDANT in axes, (name, mode)
+    for name, query in XMARK_QUERIES.items():
+        plan = db.compile_query(query, use_optimizer=True).plan
+        axes = [op.axis for op in alg.walk(plan) if isinstance(op, alg.StepJoin)]
+        assert Axis.DESCENDANT_OR_SELF not in axes, name
+        if "//" in query:
+            assert Axis.DESCENDANT in axes, name

@@ -461,6 +461,12 @@ class TestPassFramework:
         optimize(plan, stats, disabled={"pushdown"})
         assert "pushdown" not in {p.name for p in stats.pass_stats}
 
+    def test_pass_timings_recorded(self):
+        stats = OptimizerStats()
+        optimize(alg.Select(LIT, "eq", col("pos"), const(1)), stats)
+        assert all(p.seconds >= 0.0 for p in stats.pass_stats)
+        assert any(p.runs > 0 for p in stats.pass_stats)
+
     def test_trace_receives_snapshots(self):
         plan = LIT
         for _ in range(3):
@@ -502,96 +508,24 @@ class TestStats:
         assert stats.ops_after < stats.ops_before
 
 
-class TestOptimizerModes:
-    """The mode dispatch: greedy's trimmed single round, wcoj's twig
-    collapse, and the shared validation surface."""
-
-    def _chain(self, depth=3):
-        base = alg.Lit(("iter", "item"), ((1, 0),))
-        plan = base
-        for _ in range(depth):
-            plan = alg.StepJoin(plan, Axis.CHILD, ANY_ELEMENT, "iter", "item")
-        return plan
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(AlgebraError):
-            optimize(LIT, mode="magic")
-
-    def test_pass_names_for_mode(self):
-        from repro.relational.optimizer import pass_names_for_mode
-
-        assert pass_names_for_mode("cost") == PASS_NAMES
-        assert "greedy_order" in pass_names_for_mode("greedy")
-        assert "twig_collapse" in pass_names_for_mode("wcoj")
-
-    def test_greedy_runs_one_round_without_estimates(self):
-        class _Boom(CardinalityEstimator):
-            def estimate(self, *args, **kwargs):
-                raise AssertionError("greedy must never estimate")
-
-        plan = alg.Select(LIT, "eq", col("pos"), const(1))
-        stats = OptimizerStats()
-        optimize(plan, stats, estimator=_Boom(), mode="greedy")
-        assert stats.passes == 1
-        names = {p.name for p in stats.pass_stats}
-        assert names <= {"cse", "pushdown", "prune", "greedy_order"}
-        assert all(p.est_rows is None for p in stats.pass_stats)
-
-    def test_wcoj_collapses_step_chains(self):
-        out = optimize(self._chain(3), mode="wcoj")
-        twigs = [
-            op for op in alg.walk(out)
-            if isinstance(op, alg.StructuralTwigJoin)
-        ]
-        assert len(twigs) == 1 and len(twigs[0].steps) == 3
-
-    def test_short_chains_stay_pairwise(self):
-        out = optimize(self._chain(2), mode="wcoj")
-        assert not any(
-            isinstance(op, alg.StructuralTwigJoin) for op in alg.walk(out)
-        )
-
-    def test_cost_mode_never_builds_twigs(self):
-        out = optimize(self._chain(5), mode="cost")
-        assert not any(
-            isinstance(op, alg.StructuralTwigJoin) for op in alg.walk(out)
-        )
-
-    def test_twig_collapse_can_be_disabled(self):
-        out = optimize(self._chain(3), mode="wcoj", disabled={"twig_collapse"})
-        assert not any(
-            isinstance(op, alg.StructuralTwigJoin) for op in alg.walk(out)
-        )
-
-    def test_pass_timings_recorded(self):
-        stats = OptimizerStats()
-        optimize(alg.Select(LIT, "eq", col("pos"), const(1)), stats)
-        assert all(p.seconds >= 0.0 for p in stats.pass_stats)
-        assert any(p.runs > 0 for p in stats.pass_stats)
-
-
-#: compiles every XMark query in every mode and prints one digest of the
-#: optimized plans' structure (run in a subprocess per hash seed)
+#: compiles every XMark query and prints one digest of the optimized
+#: plans' structure (run in a subprocess per hash seed)
 _DIGEST_CHILD = """
 import hashlib
 from repro.api.database import Database
 from repro.relational import algebra as alg
-from repro.relational.optimizer import OPTIMIZER_MODES
 from repro.xmark import XMARK_QUERIES, generate_document
 
 db = Database()
 db.load_document("auction.xml", generate_document(0.0005, seed=42))
 digest = hashlib.sha256()
-for mode in OPTIMIZER_MODES:
-    for name in sorted(XMARK_QUERIES):
-        plan = db.compile_query(
-            XMARK_QUERIES[name], use_optimizer=True, optimizer_mode=mode
-        ).plan
-        ids = {}
-        for node in alg.walk(plan):
-            ids[node] = len(ids)
-            key = node.struct_key(tuple(ids[c] for c in node.children))
-            digest.update(repr(key).encode())
+for name in sorted(XMARK_QUERIES):
+    plan = db.compile_query(XMARK_QUERIES[name], use_optimizer=True).plan
+    ids = {}
+    for node in alg.walk(plan):
+        ids[node] = len(ids)
+        key = node.struct_key(tuple(ids[c] for c in node.children))
+        digest.update(repr(key).encode())
 print(digest.hexdigest())
 """
 
@@ -641,13 +575,12 @@ class TestDriver:
             digests.add(out.strip())
         assert len(digests) == 1
 
-    @pytest.mark.parametrize("mode", ["cost", "wcoj"])
-    def test_xmark_plans_are_a_fixpoint(self, xmark_plans, mode):
+    def test_xmark_plans_are_a_fixpoint(self, xmark_plans):
         estimator, plans = xmark_plans
         for name, plan in plans.items():
-            once = optimize(plan, estimator=estimator, mode=mode)
+            once = optimize(plan, estimator=estimator)
             stats = OptimizerStats()
-            twice = optimize(once, stats, estimator=estimator, mode=mode)
+            twice = optimize(once, stats, estimator=estimator)
             assert twice is once, name
             assert sum(p.rewrites for p in stats.pass_stats) == 0, name
 

@@ -13,7 +13,7 @@ from repro.relational import algebra as alg
 from repro.relational.algebra import col, const
 from repro.relational.evaluate import EvalContext, evaluate
 from repro.relational.items import ItemColumn
-from repro.relational.optimizer import OPTIMIZER_MODES, OptimizerStats, optimize
+from repro.relational.optimizer import PASS_NAMES, OptimizerStats, optimize
 
 _value = st.one_of(
     st.integers(-5, 5),
@@ -118,27 +118,27 @@ def test_optimize_preserves_semantics(plan):
 
 @settings(max_examples=60, deadline=None)
 @given(_plan())
-def test_optimizer_modes_agree(plan):
-    """Mode differential: cost, greedy and wcoj may pick different plans
-    for the same input but must compute the same relation."""
+def test_pass_knockouts_agree(plan):
+    """Knock-out differential: with any one pass disabled the optimizer
+    may pick a different plan but must compute the same relation."""
     try:
         before_names, before_rows = _normalised(plan)
     except Exception:
         return
-    for mode in OPTIMIZER_MODES:
-        after_names, after_rows = _normalised(optimize(plan, mode=mode))
-        assert after_names == before_names, f"schema differs under {mode}"
-        assert after_rows == before_rows, f"rows differ under {mode}"
+    for name in PASS_NAMES:
+        after_names, after_rows = _normalised(optimize(plan, disabled={name}))
+        assert after_names == before_names, f"schema differs without {name}"
+        assert after_rows == before_rows, f"rows differ without {name}"
 
 
 @settings(max_examples=120, deadline=None)
-@given(_plan(), st.sampled_from(["cost", "wcoj"]))
-def test_optimize_reaches_a_fixpoint(plan, mode):
+@given(_plan())
+def test_optimize_reaches_a_fixpoint(plan):
     """Optimizing an optimized plan changes nothing and fires nothing:
     the driver stops only once no pass has anything left to do."""
-    once = optimize(plan, mode=mode)
+    once = optimize(plan)
     stats = OptimizerStats()
-    assert optimize(once, stats, mode=mode) is once
+    assert optimize(once, stats) is once
     assert sum(p.rewrites for p in stats.pass_stats) == 0
 
 

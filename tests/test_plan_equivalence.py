@@ -7,9 +7,11 @@ rail for every new rewrite: a pass that changes any query's output at
 any configuration fails here, including order-sensitive differences
 (serialization fixes the sequence order).
 
-The same corpus also runs under every planning strategy
-(``optimizer_mode``: cost, greedy, wcoj) — the three modes may pick
-different plans but must never pick different answers.
+The same corpus also runs, fully optimized, under the other session
+modes: without the compiler's loop-lifting join recognition (a different
+plan shape for every equi-join ``where``) and with the tree-unaware
+naive axis steps instead of the staircase kernels (the same plan on a
+different evaluator path).  Neither may change an answer.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api.database import Database
-from repro.relational.optimizer import OPTIMIZER_MODES, PASS_NAMES
+from repro.relational.optimizer import PASS_NAMES
 from repro.xmark import XMARK_QUERIES, generate_document
 
 #: regression queries exercising plan shapes the XMark set misses
@@ -50,10 +52,10 @@ CONFIGS = [("all", frozenset())] + [
     (f"no-{name}", frozenset({name})) for name in PASS_NAMES
 ]
 
-#: every planning strategy, plus each mode-specific pass knocked out
-MODE_CONFIGS = [(mode, frozenset()) for mode in OPTIMIZER_MODES] + [
-    ("wcoj", frozenset({"twig_collapse"})),
-    ("greedy", frozenset({"greedy_order"})),
+#: the session modes besides the pass list, each with the full optimizer
+MODE_CONFIGS = [
+    ("no-join-recognition", {"use_join_recognition": False}),
+    ("naive-steps", {"use_staircase": False}),
 ]
 
 
@@ -76,11 +78,9 @@ def _run(
     query: str,
     disabled: frozenset,
     optimizer: bool = True,
-    mode: str = "cost",
+    **options,
 ) -> str:
-    session = db.connect(
-        use_optimizer=optimizer, disabled_passes=disabled, optimizer_mode=mode
-    )
+    session = db.connect(use_optimizer=optimizer, disabled_passes=disabled, **options)
     return session.execute(query).serialize()
 
 
@@ -108,10 +108,9 @@ def test_regression_equivalence(small_db, query):
 def test_xmark_mode_equivalence(xmark_db, query):
     text = XMARK_QUERIES[query]
     reference = _run(xmark_db, text, frozenset(), optimizer=False)
-    for mode, disabled in MODE_CONFIGS:
-        assert _run(xmark_db, text, disabled, mode=mode) == reference, (
-            f"{query} differs under optimizer mode {mode} "
-            f"(disabled: {sorted(disabled) or 'none'})"
+    for label, options in MODE_CONFIGS:
+        assert _run(xmark_db, text, frozenset(), **options) == reference, (
+            f"{query} differs in session mode {label}"
         )
 
 
@@ -119,8 +118,7 @@ def test_xmark_mode_equivalence(xmark_db, query):
 def test_regression_mode_equivalence(small_db, query):
     text = REGRESSION_QUERIES[query]
     reference = _run(small_db, text, frozenset(), optimizer=False)
-    for mode, disabled in MODE_CONFIGS:
-        assert _run(small_db, text, disabled, mode=mode) == reference, (
-            f"{query} differs under optimizer mode {mode} "
-            f"(disabled: {sorted(disabled) or 'none'})"
+    for label, options in MODE_CONFIGS:
+        assert _run(small_db, text, frozenset(), **options) == reference, (
+            f"{query} differs in session mode {label}"
         )

@@ -210,11 +210,10 @@ class TestOperationalEndpoints:
         assert body["ops_after"] <= body["ops_before"]
         assert {p["name"] for p in body["passes"]} >= {"cse", "prune"}
 
-    def test_explain_reports_optimizer_mode_and_pass_timings(self, server):
+    def test_explain_reports_pass_timings(self, server):
         base, _ = server
         status, body = request(base, "/explain?q=count(/r/v)")
         assert status == 200
-        assert body["optimizer_mode"] == "cost"
         for entry in body["passes"]:
             assert entry["seconds"] >= 0.0
 
@@ -233,7 +232,6 @@ class TestOperationalEndpoints:
         assert body["in_flight"] == 0
         assert 0.0 <= body["plan_cache"]["hit_rate"] <= 1.0
         assert "cse" in body["optimizer_pass_totals"]
-        assert body["queries_by_mode"].get("cost", 0) >= 1
 
     def test_stats_arena_section_returns_to_the_watermark(self, server):
         """A constructing query's nodes live as long as its stream: once
@@ -299,8 +297,8 @@ class TestServiceDirect:
         from repro.errors import PathfinderError
 
         t0 = time.monotonic()
-        with pytest.raises(PathfinderError, match="unknown optimizer mode"):
-            QueryService(session_options={"optimizer_mode": "nope"})
+        with pytest.raises(PathfinderError, match="unknown optimizer pass"):
+            QueryService(session_options={"disabled_passes": ["nope"]})
         assert time.monotonic() - t0 < 5.0
 
     def test_shutdown_rejects_new_work(self):
@@ -500,21 +498,21 @@ def test_stats_counts_every_failed_request():
         service.shutdown(wait=True)
 
 
-def test_service_honors_optimizer_mode_session_option():
-    """A service serving under ``optimizer_mode: greedy`` reports it in
-    /explain payloads and counts its queries under that mode in /stats."""
+def test_service_honors_disabled_passes_session_option():
+    """Session options reach every worker session: a service serving with
+    ``disabled_passes`` plans without those passes, so neither /explain
+    nor the /stats pass totals list them."""
     database = Database()
     database.load_document("r.xml", DOC)
     service = QueryService(
-        database, workers=1, session_options={"optimizer_mode": "greedy"}
+        database, workers=1, session_options={"disabled_passes": ["pushdown"]}
     )
     try:
-        report = service.explain("count(/r/v)")
-        assert report["optimizer_mode"] == "greedy"
         service.execute("count(/r/v)")
-        by_mode = service.stats()["queries_by_mode"]
-        assert by_mode.get("greedy", 0) >= 1
-        assert "cost" not in by_mode
+        totals = service.stats()["optimizer_pass_totals"]
+        assert "cse" in totals and "pushdown" not in totals
+        report = service.explain("count(/r/v)")
+        assert "pushdown" not in {p["name"] for p in report["passes"]}
     finally:
         service.shutdown(wait=True)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.encoding.arena import NodeArena
 from repro.encoding.axes import Axis, NodeTest, axis_region_holds, element, text
 from repro.encoding.shred import shred_text, shred_tree
-from repro.relational.staircase import naive_step, staircase_step
+from repro.relational.staircase import naive_step, staircase_step, twig_match
 
 from tests.test_xml import _tree
 
@@ -179,3 +179,87 @@ class TestStaircaseProperties:
             want = naive_step(arena, iters, nodes, axis, NODE)
             assert got[0].tolist() == want[0].tolist(), axis
             assert got[1].tolist() == want[1].tolist(), axis
+
+
+class TestTwigMatch:
+    """``twig_match`` — one pass over a chain of downward steps — against
+    folding ``staircase_step`` and ``naive_step`` over the same chain, on
+    an XMark document.  No plan operator calls it, so this differential
+    is its only check beyond the benchmark's layer probe."""
+
+    CHAINS = {
+        # items have names in every region: only the first step's test
+        # keeps the other regions' out
+        "child3": (
+            (Axis.CHILD, element("europe")),
+            (Axis.CHILD, element("item")),
+            (Axis.CHILD, element("name")),
+        ),
+        "descendant-child": (
+            (Axis.DESCENDANT, element("person")),
+            (Axis.CHILD, element("name")),
+        ),
+        "dos-child-child": (
+            (Axis.DESCENDANT_OR_SELF, NODE),
+            (Axis.CHILD, element("open_auction")),
+            (Axis.CHILD, element("bidder")),
+        ),
+        "wildcard": (
+            (Axis.DESCENDANT, element("item")),
+            (Axis.CHILD, element()),
+            (Axis.CHILD, text()),
+        ),
+        "empty-midway": (
+            (Axis.DESCENDANT, element("person")),
+            (Axis.CHILD, element("no_such_element")),
+            (Axis.CHILD, element("name")),
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def xmark(self):
+        from repro.xmark import generate_document
+
+        arena = NodeArena()
+        doc = shred_text(arena, generate_document(0.0005, seed=42))
+        one = np.asarray([1], dtype=np.int64)
+        root = np.asarray([doc], dtype=np.int64)
+        _, regions = naive_step(arena, one, root, Axis.DESCENDANT, element("regions"))
+        _, auctions = naive_step(arena, one, root, Axis.DESCENDANT, element("open_auction"))
+        _, people = naive_step(arena, one, root, Axis.DESCENDANT, element("people"))
+        assert len(regions) and len(auctions) > 3 and len(people)
+        # iteration 1: the document alone; 2: nested contexts (the root
+        # and subtrees below it) listed twice, out of document order;
+        # 3: a few auctions, one repeated; 4: people again — contexts
+        # recur within an iteration and across iterations
+        contexts = [(1, doc)]
+        contexts += [(2, n) for n in (*people, doc, regions[0], doc, *people)]
+        contexts += [(3, n) for n in (*auctions[:3], auctions[1], auctions[-1])]
+        contexts += [(4, people[0])]
+        iters = np.asarray([i for i, _ in contexts], dtype=np.int64)
+        nodes = np.asarray([n for _, n in contexts], dtype=np.int64)
+        return arena, iters, nodes
+
+    @staticmethod
+    def _fold(step, arena, iters, nodes, chain):
+        for axis, test in chain:
+            iters, nodes = step(arena, iters, nodes, axis, test)
+        return iters, nodes
+
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_twig_equals_folded_steps(self, xmark, name):
+        arena, iters, nodes = xmark
+        chain = self.CHAINS[name]
+        got_i, got_n = twig_match(arena, iters, nodes, chain)
+        for step in (staircase_step, naive_step):
+            want_i, want_n = self._fold(step, arena, iters, nodes, chain)
+            assert got_i.tolist() == want_i.tolist(), (name, step.__name__)
+            assert got_n.tolist() == want_n.tolist(), (name, step.__name__)
+        assert (len(got_n) == 0) == (name == "empty-midway")
+
+    @pytest.mark.parametrize("name", ["child3", "descendant-child"])
+    def test_empty_context(self, xmark, name):
+        arena, _, _ = xmark
+        e = np.asarray([], dtype=np.int64)
+        got_i, got_n = twig_match(arena, e, e, self.CHAINS[name])
+        assert len(got_i) == 0 and len(got_n) == 0

@@ -1,6 +1,7 @@
-"""Documentation checks: markdown links + per-package docstring presence.
+"""Documentation checks: markdown links, per-package docstring presence,
+and the algebra reference against the code.
 
-Two checks, both runnable standalone (CI docs job) and from the test
+Three checks, all runnable standalone (CI docs job) and from the test
 suite (``tests/test_docs.py``):
 
 * **link check** — every relative markdown link in ``README.md`` and
@@ -12,6 +13,12 @@ suite (``tests/test_docs.py``):
   layers) must carry a docstring.  This mirrors ruff's pydocstyle
   D100–D103 presence rules, which the CI docs job also runs over the
   same directories.
+* **algebra table check** — the operator table of ``docs/algebra.md``
+  names exactly the ``Op`` subclasses of ``relational/algebra.py``, and
+  every snake_case word in its "passes" column is a registered optimizer
+  pass (``PASSES`` in ``relational/optimizer.py``).  Both sides are read
+  with :mod:`ast`, so the check needs neither ``src`` on the path nor
+  numpy.
 
 Usage::
 
@@ -49,6 +56,14 @@ DOCSTRING_ROOTS = (
 )
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+ALGEBRA_DOC = "docs/algebra.md"
+ALGEBRA_SRC = "src/repro/relational/algebra.py"
+OPTIMIZER_SRC = "src/repro/relational/optimizer.py"
+
+#: a row of the operator table: "| `Name` | symbol | schema | passes |"
+_OP_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|(?:[^|]*\|){2}([^|]*)\|\s*$")
+_SNAKE = re.compile(r"\b[a-z]+(?:_[a-z]+)+\b")
 
 
 def check_links() -> list[str]:
@@ -101,6 +116,54 @@ def _missing_docstrings(tree: ast.Module, rel: str) -> list[str]:
     return errors
 
 
+def _op_classes() -> set[str]:
+    """Names of the classes in the algebra module deriving from ``Op``."""
+    tree = ast.parse((REPO / ALGEBRA_SRC).read_text())
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "Op" for b in node.bases)
+    }
+
+
+def _pass_names() -> set[str]:
+    """The names registered in the optimizer's ``PASSES`` tuple."""
+    tree = ast.parse((REPO / OPTIMIZER_SRC).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "PASSES":
+            return {
+                call.args[0].value
+                for call in ast.walk(node.value)
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", "") == "RewritePass"
+            }
+    return set()
+
+
+def check_algebra_table() -> list[str]:
+    """Return one error string per drift between the operator table of
+    ``docs/algebra.md`` and the code (operators, pass names)."""
+    rows: dict[str, tuple[int, str]] = {}
+    for lineno, line in enumerate((REPO / ALGEBRA_DOC).read_text().splitlines(), 1):
+        m = _OP_ROW.match(line)
+        if m:
+            rows[m.group(1)] = (lineno, m.group(2))
+    ops = _op_classes()
+    errors = [
+        f"{ALGEBRA_DOC}: no table row for operator {name}"
+        for name in sorted(ops - set(rows))
+    ]
+    passes = _pass_names()
+    for name, (lineno, cell) in sorted(rows.items(), key=lambda r: r[1][0]):
+        if name not in ops:
+            errors.append(f"{ALGEBRA_DOC}:{lineno}: {name} is not an operator")
+        for word in _SNAKE.findall(cell):
+            if word not in passes:
+                errors.append(f"{ALGEBRA_DOC}:{lineno}: {word} is not an optimizer pass")
+    return errors
+
+
 def check_docstrings() -> list[str]:
     """Return one error string per missing public docstring."""
     errors = []
@@ -112,15 +175,16 @@ def check_docstrings() -> list[str]:
 
 
 def main() -> int:
-    """Run both checks; print failures and return a process exit code."""
-    errors = check_links() + check_docstrings()
+    """Run every check; print failures and return a process exit code."""
+    errors = check_links() + check_docstrings() + check_algebra_table()
     for err in errors:
         print(err, file=sys.stderr)
     if errors:
         print(f"{len(errors)} documentation problem(s)", file=sys.stderr)
         return 1
     print(
-        "docs OK: links resolve; fully docstringed: "
+        "docs OK: links resolve; algebra table matches the code; "
+        "fully docstringed: "
         + ", ".join(r.rsplit("/", 1)[-1] for r in DOCSTRING_ROOTS)
     )
     return 0
