@@ -98,6 +98,10 @@ class BAttr:
 _NUMERIC = (int, float)
 
 
+#: the arities the aggregate functions accept (``fn:sum`` takes a $zero)
+_AGGREGATE_ARITIES = {"count": (1,), "sum": (1, 2), "avg": (1,), "min": (1,), "max": (1,)}
+
+
 class Interpreter:
     """Evaluate desugared XQuery modules item-at-a-time."""
 
@@ -780,10 +784,16 @@ class Interpreter:
             seq = self.eval(args[0], env) if args else self._e_ContextItem(None, env)
             v = self._first_atom(seq)
             return [float(_to_number(v)) if v is not None else float("nan")]
+        if name in _AGGREGATE_ARITIES and len(args) not in _AGGREGATE_ARITIES[name]:
+            raise StaticError(f"unknown function {name}/{len(args)}", code="err:XPST0017")
         if name == "count":
             return [len(self.eval(args[0], env))]
         if name in ("sum", "avg", "min", "max"):
             items = self._atomize_seq(self.eval(args[0], env))
+            if len(args) == 2:  # fn:sum($arg, $zero)
+                zero = self._atomize_seq(self.eval(args[1], env))[:1]
+                if not items:
+                    return zero
             if not items:
                 return [0] if name == "sum" else []
             strings = sum(

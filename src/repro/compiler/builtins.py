@@ -232,7 +232,20 @@ def _aggregate(comp, args, loop, env, kind, fill=None):
 
 
 def _fn_sum(comp, args, loop, env):
-    return _aggregate(comp, args, loop, env, "sum", fill=0)
+    if len(args) == 1:
+        return _aggregate(comp, args, loop, env, "sum", fill=0)
+    # fn:sum($arg, $zero): an iteration whose $arg is empty yields its own
+    # $zero, which may itself be empty
+    q = comp._atomize(comp.compile(args[0], loop, env))
+    agg = alg.Aggr(q, "sum", "v", "item", "iter")
+    present = alg.Project(agg, (("iter", "iter"), ("item", "v")))
+    zero = comp._first(comp._atomize(comp.compile(args[1], loop, env)))
+    zeros = alg.SemiJoin(
+        alg.Project(zero, (("iter", "iter"), ("item", "item"))),
+        comp._missing(q, loop),
+        (("iter", "iter"),),
+    )
+    return comp._with_pos1(alg.Union((present, zeros)))
 
 
 def _fn_avg(comp, args, loop, env):
@@ -493,6 +506,7 @@ _BUILTINS = {
     ("fs:item-join", 1): _fn_item_join,
     ("count", 1): _fn_count,
     ("sum", 1): _fn_sum,
+    ("sum", 2): _fn_sum,
     ("avg", 1): _fn_avg,
     ("min", 1): _fn_min,
     ("max", 1): _fn_max,

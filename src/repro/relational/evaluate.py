@@ -10,6 +10,15 @@ staircase joins, atomization and node construction) and the string pool.
 An optional ``trace`` dict collects every operator's result table, which
 powers the demonstrator's "reveal the result computed for any
 subexpression" hook (paper Section 4).
+
+Loop-lifted plans keep ``iter|pos`` in order and the staircase join
+returns sorted, duplicate-free pairs, so most inputs already have the
+order a sort would give them.  Every operator that sorts, uniques or
+gathers asks first (:func:`~repro.relational.kernels.is_sorted`, one
+O(n) pass) and skips the work when the input already complies: ϱ, the
+aggregates, δ, ⋈, ⋉, \\ and the steps; × with a one-row side gathers only
+that side.  A fast path returns exactly the rows, in exactly the order,
+of the slow path it replaces.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from repro.relational.kernels import (
     FLIPPED,
     combine_keys,
     in_set,
+    is_sorted,
     join_indices,
     multi_arange,
     row_number_per_group,
@@ -154,6 +164,11 @@ def _compare_columns(op: str, lhs: Column, rhs: Column, ctx) -> np.ndarray:
 def _eval_select(node: alg.Select, inputs, ctx) -> Table:
     table = inputs[0]
     n = table.num_rows
+    if node.op == "eq" and node.lhs[0] == "col" and isinstance(node.rhs[1], bool):
+        col = table.col(node.lhs[1])
+        if isinstance(col, ItemColumn) and col.is_homogeneous(K_BOOL):
+            # `b = true()` over booleans: a mask on the payload
+            return table.take(col.data == int(node.rhs[1]))
     lhs = _operand_column(table, node.lhs, n, ctx)
     rhs = _operand_column(table, node.rhs, n, ctx)
     mask = _compare_columns(node.op, lhs, rhs, ctx)
@@ -201,6 +216,8 @@ def _eval_distinct(node: alg.Distinct, inputs, ctx) -> Table:
     table = inputs[0]
     keys = node.keys or table.schema
     arrays = _key_arrays(table, tuple(keys))
+    if is_sorted(arrays, strict=True):
+        return table  # strictly ordered keys are already distinct
     combined = combine_keys(arrays)
     if node.order_col is not None and table.num_rows:
         # keep the duplicate with the smallest order value (sequence order)
@@ -213,13 +230,17 @@ def _eval_distinct(node: alg.Distinct, inputs, ctx) -> Table:
     return table.take(first_idx)
 
 
-def _merged_table(left: Table, right: Table, li: np.ndarray, ri: np.ndarray) -> Table:
+def _merged_table(
+    left: Table, right: Table, li: np.ndarray | None, ri: np.ndarray | None
+) -> Table:
+    """The rows ``li`` of ``left`` beside the rows ``ri`` of ``right``
+    (``None``: every row of that side, as it is)."""
     overlap = set(left.schema) & set(right.schema)
     if overlap:
         raise AlgebraError(f"join/cross output schema collision: {sorted(overlap)}")
     cols: dict[str, Column] = {}
-    lt = left.take(li)
-    rt = right.take(ri)
+    lt = left if li is None else left.take(li)
+    rt = right if ri is None else right.take(ri)
     cols.update(lt.columns)
     cols.update(rt.columns)
     return Table(cols)
@@ -266,6 +287,10 @@ def _eval_semijoin(node: alg.SemiJoin, inputs, ctx) -> Table:
 def _eval_cross(node: alg.Cross, inputs, ctx) -> Table:
     left, right = inputs
     nl, nr = left.num_rows, right.num_rows
+    if nr == 1:  # one-row side: gather only that side
+        return _merged_table(left, right, None, np.zeros(nl, dtype=np.int64))
+    if nl == 1:
+        return _merged_table(left, right, np.zeros(nr, dtype=np.int64), None)
     li = np.repeat(np.arange(nl, dtype=np.int64), nr)
     ri = np.tile(np.arange(nr, dtype=np.int64), nl)
     return _merged_table(left, right, li, ri)
@@ -275,7 +300,11 @@ def _order_keys_for(table: Table, order, ctx) -> list[np.ndarray]:
     keys: list[np.ndarray] = []
     for name, descending in order:
         col = table.col(name)
-        if isinstance(col, ItemColumn):
+        if isinstance(col, ItemColumn) and col.is_homogeneous(K_NODE):
+            # document order: the node payload orders exactly as the
+            # (class, value) pair of items.order_columns does
+            keys.append(-col.data if descending else col.data)
+        elif isinstance(col, ItemColumn):
             cls, val = it.order_columns(col, ctx.pool)
             if descending:
                 cls, val = -cls, -val
@@ -290,17 +319,17 @@ def _eval_rownum(node: alg.RowNum, inputs, ctx) -> Table:
     table = inputs[0]
     n = table.num_rows
     keys = _order_keys_for(table, node.order, ctx)
-    if node.group is not None:
-        group = table.num(node.group)
-        lex_keys = keys[::-1] + [group]  # np.lexsort: last key is primary
-        order_idx = np.lexsort(lex_keys) if n else np.empty(0, dtype=np.int64)
-        ranks_sorted = row_number_per_group(group[order_idx])
-    else:
-        if keys:
-            order_idx = np.lexsort(keys[::-1]) if n else np.empty(0, dtype=np.int64)
-        else:
-            order_idx = np.arange(n, dtype=np.int64)
+    group = None if node.group is None else table.num(node.group)
+    sort_keys = keys if group is None else [group] + keys
+    if is_sorted(sort_keys):  # rows already in numbering order
+        if group is None:
+            return table.with_column(node.target, np.arange(1, n + 1, dtype=np.int64))
+        return table.with_column(node.target, row_number_per_group(group))
+    order_idx = np.lexsort(sort_keys[::-1])  # np.lexsort: last key is primary
+    if group is None:
         ranks_sorted = np.arange(1, n + 1, dtype=np.int64)
+    else:
+        ranks_sorted = row_number_per_group(group[order_idx])
     out = np.empty(n, dtype=np.int64)
     out[order_idx] = ranks_sorted
     return table.with_column(node.target, out)
@@ -323,11 +352,15 @@ def _eval_aggr(node: alg.Aggr, inputs, ctx) -> Table:
         groups = np.zeros(n, dtype=np.int64)
     else:
         groups = table.num(node.group)
+    sort_keys = [groups]
     if node.order_col is not None:
-        order_idx = np.lexsort((table.num(node.order_col), groups))
+        sort_keys.append(table.num(node.order_col))
+    if is_sorted(sort_keys):
+        order_idx = None  # groups (and their order) already in place
+        g_sorted = groups
     else:
-        order_idx = np.argsort(groups, kind="stable")
-    g_sorted = groups[order_idx]
+        order_idx = np.lexsort(sort_keys[::-1])
+        g_sorted = groups[order_idx]
     starts = np.nonzero(
         np.concatenate(([True], g_sorted[1:] != g_sorted[:-1]))
     )[0] if n else np.empty(0, dtype=np.int64)
@@ -340,49 +373,24 @@ def _eval_aggr(node: alg.Aggr, inputs, ctx) -> Table:
         col = table.col(node.arg)
         if not isinstance(col, ItemColumn):
             col = ItemColumn.from_ints(col)
-        col = col.take(order_idx)
+        if order_idx is not None:
+            col = col.take(order_idx)
         stringish = np.isin(col.kinds, np.array([K_STR, K_QNAME], dtype=np.uint8))
         if len(col) and stringish.any():
             agg_col = _string_aggregate(node, col, stringish, starts, ctx)
         else:
-            if col.is_homogeneous(K_INT) and node.kind in ("sum", "min", "max"):
-                vals = col.data.astype(np.float64)
-                integral = True
-            else:
-                vals = it.to_double(col, ctx.pool)
-                integral = False
-            if len(vals) == 0:
-                reduced = np.empty(0, dtype=np.float64)
-            elif node.kind == "sum":
-                reduced = np.add.reduceat(vals, starts)
-            elif node.kind == "min":
-                reduced = np.minimum.reduceat(vals, starts)
-            elif node.kind == "max":
-                reduced = np.maximum.reduceat(vals, starts)
-            else:  # avg
-                reduced = np.add.reduceat(vals, starts) / counts
-            if integral:
-                agg_col = ItemColumn.from_ints(reduced.astype(np.int64))
-            else:
-                agg_col = ItemColumn.from_doubles(reduced)
-                if node.kind != "avg" and len(vals):
-                    # each group is its own sequence: an all-integer group
-                    # stays an integer whatever the other groups hold
-                    ints = np.logical_and.reduceat(col.kinds == K_INT, starts)
-                    agg_col.kinds[ints] = K_INT
-                    agg_col.data[ints] = reduced[ints].astype(np.int64)
+            agg_col = _numeric_aggregate(node.kind, col, starts, counts, ctx)
     elif node.kind == "str_join":
-        col = table.item(node.arg).take(order_idx)
-        sids = it.to_string_ids(col, ctx.pool)
+        col = table.item(node.arg)
+        if order_idx is not None:
+            col = col.take(order_idx)
         pool = ctx.pool
-        pieces = [pool.value(int(s)) for s in sids]
-        joined: list[str] = []
-        for i, s in enumerate(starts):
-            e = n if i + 1 == len(starts) else starts[i + 1]
-            joined.append(node.sep.join(pieces[s:e]))
-        agg_col = ItemColumn.from_pooled(
-            K_STR, np.asarray([pool.intern(x) for x in joined], dtype=np.int64)
-        )
+        sids = it.to_string_ids(col, pool)
+        joined = sids[starts]  # a one-item group is its own string
+        for i in np.flatnonzero(counts > 1).tolist():
+            s = starts[i]
+            joined[i] = pool.intern(node.sep.join(pool.values(sids[s : s + counts[i]])))
+        agg_col = ItemColumn.from_pooled(K_STR, joined)
     else:
         raise AlgebraError(f"unknown aggregate {node.kind!r}")
 
@@ -400,6 +408,33 @@ def _eval_aggr(node: alg.Aggr, inputs, ctx) -> Table:
             return Table({node.target: empty})
         return Table({node.target: agg_col})
     return Table({node.group: group_vals, node.target: agg_col})
+
+
+#: the ufunc each numeric aggregate reduces its groups with
+_REDUCE = {"sum": np.add, "avg": np.add, "min": np.minimum, "max": np.maximum}
+
+
+def _numeric_aggregate(kind, col, starts, counts, ctx) -> ItemColumn:
+    """``fn:sum/avg/min/max`` per group of a string-free item column
+    (``starts``: first row of each group).  A group whose items are all
+    integers reduces in int64 and stays an integer, whatever the other
+    groups hold: each group is its own sequence."""
+    reduce = _REDUCE[kind].reduceat
+    if len(col) == 0:
+        return ItemColumn.empty()
+    if kind != "avg" and col.is_homogeneous(K_INT):
+        return ItemColumn.from_ints(reduce(col.data, starts))
+    reduced = reduce(it.to_double(col, ctx.pool), starts)
+    if kind == "avg":
+        return ItemColumn.from_doubles(reduced / counts)
+    out = ItemColumn.from_doubles(reduced)
+    int_rows = col.kinds == K_INT
+    ints = np.logical_and.reduceat(int_rows, starts)
+    if ints.any():
+        exact = reduce(np.where(int_rows, col.data, 0), starts)
+        out.kinds[ints] = K_INT
+        out.data[ints] = exact[ints]
+    return out
 
 
 def _string_aggregate(node, col, stringish, starts, ctx) -> ItemColumn:

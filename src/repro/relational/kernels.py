@@ -4,6 +4,12 @@ These are the little building blocks a column store is made of: batched
 range materialisation, segmented running maxima (the heart of the staircase
 join's pruning step), dense group numbering, multi-column factorisation
 for hash-free equi-joins and the sort-based band join behind ⋈θ.
+
+Loop-lifted plans mostly hand these kernels input that is already in
+the order a sort would produce (``iter|pos`` ascending, staircase output
+sorted and duplicate-free), so the sorting kernels first ask
+:func:`is_sorted` — one O(n) pass — and skip the O(n log n) work when it
+says yes.
 """
 
 from __future__ import annotations
@@ -15,6 +21,27 @@ import numpy as np
 from repro.relational import items as it
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def is_sorted(keys: Sequence[np.ndarray], strict: bool = False) -> bool:
+    """Are the rows of ``keys`` (primary key first) in lexicographic order?
+
+    With ``strict`` no two rows may be equal on every key, i.e. the rows
+    are sorted *and* distinct.  Either way a stable sort of these rows is
+    the identity, which is what the callers rely on.
+    """
+    n = len(keys[0]) if keys else 0
+    if n < 2:
+        return True
+    tied = np.ones(n - 1, dtype=bool)  # adjacent rows equal on every key so far
+    for key in keys:
+        key = np.asarray(key)
+        if (tied & (key[1:] < key[:-1])).any():
+            return False
+        tied &= key[1:] == key[:-1]
+        if not tied.any():
+            return True
+    return not (strict and tied.any())
 
 
 def multi_arange(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -133,23 +160,26 @@ def join_indices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inner equi-join: row-index pairs where keys match.
 
-    Sort-merge on the right side: the right key is sorted once, each left
-    key probes via binary search, and matches are materialised with
-    :func:`multi_arange`.  Output preserves left order (then right-sorted
+    Sort-merge on the right side: the right key is sorted once (unless it
+    already is), each left key probes via binary search, and matches are
+    materialised with :func:`multi_arange`.  Output preserves left order (then right-sorted
     order within a key), which keeps plans deterministic.
     """
     left_key = np.asarray(left_key, dtype=np.int64)
     right_key = np.asarray(right_key, dtype=np.int64)
     if len(left_key) == 0 or len(right_key) == 0:
         return _EMPTY, _EMPTY
-    order = np.argsort(right_key, kind="stable")
-    sorted_right = right_key[order]
+    if is_sorted((right_key,)):
+        order, sorted_right = None, right_key
+    else:
+        order = np.argsort(right_key, kind="stable")
+        sorted_right = right_key[order]
     lo = np.searchsorted(sorted_right, left_key, side="left")
     hi = np.searchsorted(sorted_right, left_key, side="right")
     counts = hi - lo
     left_idx = repeat_index(counts)
-    right_idx = order[multi_arange(lo, hi)]
-    return left_idx, right_idx
+    right_idx = multi_arange(lo, hi)
+    return left_idx, right_idx if order is None else order[right_idx]
 
 
 #: the comparison ``b op a`` means, as ``a flipped[op] b``
@@ -290,7 +320,9 @@ def coalesce_ranges(
 def in_set(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """Membership mask: ``keys[i] in probe`` (semi-join kernel)."""
     keys = np.asarray(keys, dtype=np.int64)
-    probe = np.unique(np.asarray(probe, dtype=np.int64))
+    probe = np.asarray(probe, dtype=np.int64)
+    if not is_sorted((probe,), strict=True):
+        probe = np.unique(probe)
     if len(keys) == 0:
         return np.empty(0, dtype=bool)
     if len(probe) == 0:

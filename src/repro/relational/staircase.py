@@ -37,6 +37,7 @@ from repro.errors import DynamicError
 from repro.relational.kernels import (
     coalesce_ranges,
     group_starts,
+    is_sorted,
     join_indices,
     multi_arange,
     segmented_cummax,
@@ -79,28 +80,20 @@ def attr_test_mask(arena: NodeArena, attr_ids: np.ndarray, test: NodeTest) -> np
     return arena.attr_name[attr_ids] == name_id
 
 
-def _sorted_distinct_contexts(
-    iters: np.ndarray, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((nodes, iters))
-    iters, nodes = iters[order], nodes[order]
-    if len(iters):
-        # a pair repeats only if both iter and node repeat
-        keep = np.concatenate(([True], (iters[1:] != iters[:-1]) | (nodes[1:] != nodes[:-1])))
-        iters, nodes = iters[keep], nodes[keep]
-    return iters, nodes
-
-
-def _dedupe_sorted_pairs(
+def _sorted_distinct_pairs(
     iters: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((rows, iters))
-    iters, rows = iters[order], rows[order]
+    """(iter, row) pairs sorted by (iter, row) and duplicate-free — the
+    axis-step post-condition.  Pairs that are already in order (a chain
+    of steps hands them over that way) skip the sort."""
+    if not is_sorted((iters, rows)):
+        order = np.lexsort((rows, iters))
+        iters, rows = iters[order], rows[order]
     if len(iters):
-        keep = np.concatenate(
-            ([True], (iters[1:] != iters[:-1]) | (rows[1:] != rows[:-1]))
-        )
-        iters, rows = iters[keep], rows[keep]
+        # a pair repeats only if both iter and row repeat
+        keep = np.concatenate(([True], (iters[1:] != iters[:-1]) | (rows[1:] != rows[:-1])))
+        if not keep.all():
+            iters, rows = iters[keep], rows[keep]
     return iters, rows
 
 
@@ -125,7 +118,7 @@ def staircase_step(
     # axes never leave the context nodes' fragments, so faulting those
     # fragments in covers every row (and attribute) this step can read
     arena.ensure_rows(nodes)
-    iters, nodes = _sorted_distinct_contexts(iters, nodes)
+    iters, nodes = _sorted_distinct_pairs(iters, nodes)
     return _step_sorted(arena, iters, nodes, axis, test)
 
 
@@ -146,7 +139,7 @@ def _step_sorted(
         attr_ids = order[multi_arange(lo, hi)]
         mask = attr_test_mask(arena, attr_ids, test)
         out_iter, attr_ids = out_iter[mask], attr_ids[mask]
-        return _dedupe_sorted_pairs(out_iter, attr_ids)
+        return _sorted_distinct_pairs(out_iter, attr_ids)
 
     if axis is Axis.SELF:
         mask = node_test_mask(arena, nodes, test)
@@ -158,7 +151,7 @@ def _step_sorted(
         rows = order[multi_arange(lo, hi)]
         mask = node_test_mask(arena, rows, test)
         out_iter, rows = out_iter[mask], rows[mask]
-        return _dedupe_sorted_pairs(out_iter, rows)
+        return _sorted_distinct_pairs(out_iter, rows)
 
     if axis in (Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
         ends = nodes + arena.size[nodes]
@@ -178,7 +171,7 @@ def _step_sorted(
         valid = parents >= 0
         out_iter, rows = iters[valid], parents[valid]
         mask = node_test_mask(arena, rows, test)
-        return _dedupe_sorted_pairs(out_iter[mask], rows[mask])
+        return _sorted_distinct_pairs(out_iter[mask], rows[mask])
 
     if axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
         acc_i: list[np.ndarray] = []
@@ -194,7 +187,7 @@ def _step_sorted(
             if len(cur_r) == 0:
                 break
             # dedupe as we climb: many contexts converge onto few ancestors
-            cur_i, cur_r = _dedupe_sorted_pairs(cur_i, cur_r)
+            cur_i, cur_r = _sorted_distinct_pairs(cur_i, cur_r)
             acc_i.append(cur_i)
             acc_r.append(cur_r)
         if not acc_i:
@@ -202,7 +195,7 @@ def _step_sorted(
         out_iter = np.concatenate(acc_i)
         rows = np.concatenate(acc_r)
         mask = node_test_mask(arena, rows, test)
-        return _dedupe_sorted_pairs(out_iter[mask], rows[mask])
+        return _sorted_distinct_pairs(out_iter[mask], rows[mask])
 
     if axis is Axis.FOLLOWING:
         starts = nodes + arena.size[nodes] + 1
@@ -253,7 +246,7 @@ def _step_sorted(
             keep = rows < ctx
         out_iter, rows = out_iter[keep], rows[keep]
         mask = node_test_mask(arena, rows, test)
-        return _dedupe_sorted_pairs(out_iter[mask], rows[mask])
+        return _sorted_distinct_pairs(out_iter[mask], rows[mask])
 
     raise DynamicError(f"unsupported axis {axis}")
 
@@ -296,7 +289,7 @@ def twig_match(
     if len(iters) == 0 or not steps:
         return _EMPTY, _EMPTY
     arena.ensure_rows(nodes)
-    iters, nodes = _sorted_distinct_contexts(iters, nodes)
+    iters, nodes = _sorted_distinct_pairs(iters, nodes)
     if all(axis is Axis.CHILD for axis, _ in steps):
         return _twig_child_chain(arena, iters, nodes, [t for _, t in steps])
     cur_i, cur_n = iters, nodes
@@ -434,4 +427,4 @@ def naive_step(
     out_iter = np.concatenate(out_i)
     rows = np.concatenate(out_r)
     mask = node_test_mask(arena, rows, test)
-    return _dedupe_sorted_pairs(out_iter[mask], rows[mask])
+    return _sorted_distinct_pairs(out_iter[mask], rows[mask])

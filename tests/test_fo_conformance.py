@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import DynamicError
+from repro.errors import DynamicError, StaticError
 from repro.xquery.core import desugar_module
 from repro.xquery.parser import parse_query
 
@@ -27,14 +27,14 @@ def session():
     )
 
 
-def both_raise(session, query, code):
-    """Both engines must raise a DynamicError carrying ``code``."""
-    with pytest.raises(DynamicError) as exc:
+def both_raise(session, query, code, error=DynamicError):
+    """Both engines must raise ``error`` carrying ``code``."""
+    with pytest.raises(error) as exc:
         session.execute(query)
     assert exc.value.code == code
     interp = baseline_for(session)
     module = desugar_module(parse_query(query))
-    with pytest.raises(DynamicError) as exc:
+    with pytest.raises(error) as exc:
         interp.execute(module)
     assert exc.value.code == code
 
@@ -113,6 +113,17 @@ AGREE_CASES = [
     "1.5 cast as xs:decimal instance of xs:decimal",
     "1.5 cast as xs:double instance of xs:double",
     "(1.0 div 2) instance of xs:decimal",
+    # integer aggregates stay exact beyond 2^53 (no float64 round trip)
+    "max((9007199254740993, 9007199254740992))",
+    "min((9007199254740993, 9007199254740995))",
+    "for $x in (1,2) return sum((9007199254740993, $x))",
+    # fn:sum($arg, $zero): $zero stands in for an empty $arg, per iteration
+    "sum((), 7)",
+    "sum((1,2), 7)",
+    "sum((), ())",
+    "sum((), 7.5)",
+    "for $x in (0, 1, 2) return sum((1 to $x), $x * 10 - 1)",
+    "for $x in (0, 1) return sum((1 to $x), ())",
 ]
 
 
@@ -192,6 +203,26 @@ class TestAggregates:
 
     def test_sum_empty_still_zero(self, session):
         assert run_pf(session, "sum(())") == "0"
+
+    def test_sum_zero_argument(self, session):
+        assert run_pf(session, "sum((), 7)") == "7"
+        assert run_pf(session, "sum((), ())") == ""
+        assert run_pf(session, "for $x in (0, 1, 2) return sum((1 to $x), -$x)") == "0 1 3"
+
+    @pytest.mark.parametrize(
+        "query", ["count(1, 2)", "avg(1, 2)", "min(1, 2)", "max(1, 2)", "sum(1, 2, 3)"]
+    )
+    def test_aggregate_arity_is_checked(self, session, query):
+        both_raise(session, query, "err:XPST0017", error=StaticError)
+
+    def test_integer_aggregates_are_exact(self, session):
+        big = 9007199254740993  # 2^53 + 1: not a float64
+        assert run_pf(session, f"max(({big}, {big - 1}))") == str(big)
+        assert run_pf(session, f"min(({big}, {big + 2}))") == str(big)
+        # the per-group branch: one group mixes in a double
+        q = f"for $x in (1, 2.5e0) return sum(({big}, $x))"
+        assert run_pf(session, q) == run_baseline(session, q)
+        assert run_pf(session, q).split()[0] == str(big + 1)
 
     def test_min_grouped_strings(self, session):
         # the loop-lifted (grouped) aggregate path, not just the global one

@@ -508,24 +508,41 @@ class TestStats:
         assert stats.ops_after < stats.ops_before
 
 
-#: compiles every XMark query and prints one digest of the optimized
-#: plans' structure (run in a subprocess per hash seed)
+#: compiles every XMark query and every ``tests/test_paths.py`` case and
+#: prints one digest of the optimized plans' structure (run in a
+#: subprocess per hash seed)
 _DIGEST_CHILD = """
 import hashlib
 from repro.api.database import Database
+from repro.errors import PathfinderError
 from repro.relational import algebra as alg
 from repro.xmark import XMARK_QUERIES, generate_document
+from tests.test_paths import CASES, DOC
 
-db = Database()
-db.load_document("auction.xml", generate_document(0.0005, seed=42))
 digest = hashlib.sha256()
-for name in sorted(XMARK_QUERIES):
-    plan = db.compile_query(XMARK_QUERIES[name], use_optimizer=True).plan
+
+
+def add(db, query):
+    try:
+        plan = db.compile_query(query, use_optimizer=True).plan
+    except PathfinderError as exc:
+        digest.update(repr(exc.code).encode())
+        return
     ids = {}
     for node in alg.walk(plan):
         ids[node] = len(ids)
         key = node.struct_key(tuple(ids[c] for c in node.children))
         digest.update(repr(key).encode())
+
+
+db = Database()
+db.load_document("auction.xml", generate_document(0.0005, seed=42))
+for name in sorted(XMARK_QUERIES):
+    add(db, XMARK_QUERIES[name])
+paths = Database()
+paths.load_document("d.xml", DOC)
+for query, _ in CASES:
+    add(paths, query)
 print(digest.hexdigest())
 """
 
@@ -558,11 +575,12 @@ class TestDriver:
         import sys
         from pathlib import Path
 
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join((str(root / "src"), str(root)))
         children = [
             subprocess.Popen(
                 [sys.executable, "-c", _DIGEST_CHILD],
-                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
                 stdout=subprocess.PIPE,
                 text=True,
             )
