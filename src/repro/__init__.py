@@ -25,7 +25,7 @@ The one entry point is :func:`repro.connect`::
   ``explain()`` an :class:`repro.ExplainReport` of every compilation
   stage.
 * :mod:`repro.server` — the HTTP serving subsystem (``python -m repro
-  serve``): worker pool, deadlines, hot document management.
+  serve``): query sessions, deadlines, hot document management.
 * :class:`repro.baseline.interpreter.Interpreter` — the conventional
   nested-loop XQuery interpreter used as the X-Hive-shaped baseline.
 * :mod:`repro.xmark` — the XMark benchmark generator and queries.

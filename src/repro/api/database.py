@@ -417,12 +417,18 @@ class Database:
         truncated) by :meth:`checkpoint`, which also runs automatically
         once the log outgrows ``checkpoint_wal_bytes``.
 
+        ``deadline`` is a budget in seconds from this call; past it
+        target/source evaluation raises :class:`DeadlineExceeded` and
+        nothing is applied.
+
         Returns a JSON-ready summary: primitive counts under
         ``"applied"`` and the new per-document node counts/epochs under
         ``"documents"``.
         """
         from repro.compiler.updates import collect_update_deltas
 
+        # the wait for the write lock spends the budget too
+        expiry = None if deadline is None else time.monotonic() + deadline
         with self._rwlock.write_locked():
             t0 = time.perf_counter()
             # the scope is the update's own lease: target and source
@@ -438,7 +444,7 @@ class Database:
                     self.documents,
                     self._default_document,
                     bindings=bindings,
-                    deadline=deadline,
+                    deadline=None if expiry is None else expiry - time.monotonic(),
                 )
                 new_epochs = {uri: next(self._epoch_counter) for uri in deltas}
                 if self.store is not None and deltas:

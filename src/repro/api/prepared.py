@@ -188,13 +188,19 @@ class PreparedQuery:
         self.from_cache = fresh.from_cache
 
     def execute(
-        self, bindings: dict | None = None, trace: bool = False, **params
+        self, bindings: dict | None = None, trace: bool = False, *,
+        deadline: float | None = None, **params,
     ) -> QueryResult:
         """Evaluate the plan with the given external-variable bindings.
 
         Bindings merge, later wins: session variables, then the
         ``bindings`` dict, then keyword arguments.  Binding a name the
-        query does not declare raises :class:`PathfinderError`.
+        query does not declare raises :class:`PathfinderError`; an
+        external ``$trace`` or ``$deadline`` is bound through the dict.
+
+        ``deadline`` bounds the execution in seconds from this call, as
+        in ``Session.execute_update``: the evaluator checks it between
+        operators and raises :class:`~repro.errors.DeadlineExceeded`.
 
         The whole execution holds the Database's catalog lock shared, so
         a concurrent hot replace waits rather than swapping a document
@@ -205,6 +211,7 @@ class PreparedQuery:
         so the nodes this execution constructs live exactly as long as
         the result (and the handles it hands out) can reach them.
         """
+        expiry = None if deadline is None else time.monotonic() + deadline
         session = self.session
         database = session.database
         with database.read_locked():
@@ -220,6 +227,7 @@ class PreparedQuery:
                 trace=trace_map,
                 use_staircase=session.use_staircase,
                 params=merged,
+                deadline=expiry,
             )
             table = evaluate(self._entry.plan, ctx)
             elapsed = time.perf_counter() - t0

@@ -13,8 +13,8 @@ That independence is the concurrency contract of the serving layer:
 session mutates (``variables``, ``stats``) hangs off the session
 itself; everything shared (catalog, arena, plan cache) lives in the
 Database behind its own locks.  One session per thread therefore needs
-no further synchronisation — this is how the HTTP server's worker pool
-uses the API.
+no further synchronisation — this is how the HTTP server's query
+sessions use the API.
 
 Every plan runs on the column-at-a-time numpy evaluator
 (:mod:`repro.relational.evaluate`); :attr:`ExplainReport.mil` renders
@@ -144,15 +144,19 @@ class Session:
             self.stats.compile_seconds += entry.compile_seconds
         return PreparedQuery(self, entry, from_cache=hit)
 
-    def execute(self, query: str, bindings: dict | None = None, trace: bool = False):
-        """One-shot convenience: prepare (cache-backed) and execute.
+    def execute(
+        self, query: str, bindings: dict | None = None, trace: bool = False,
+        *, deadline: float | None = None,
+    ):
+        """One-shot convenience: prepare (cache-backed) and execute;
+        ``deadline`` bounds the execution, as in ``PreparedQuery.execute``.
 
         The returned :class:`~repro.api.prepared.QueryResult` serialises
         lazily — call ``result.serialize()`` for the buffered text or
         ``result.iter_serialized()`` to stream it in bounded chunks (the
         HTTP server's chunked ``/query`` path).
         """
-        return self.prepare(query).execute(bindings, trace=trace)
+        return self.prepare(query).execute(bindings, trace=trace, deadline=deadline)
 
     def execute_update(
         self,

@@ -31,7 +31,7 @@ from repro.encoding.arena import (
     NodeArena,
 )
 from repro.encoding.axes import REVERSE_AXES, Axis
-from repro.errors import DynamicError, NotSupportedError, StaticError
+from repro.errors import DeadlineExceeded, DynamicError, NotSupportedError, StaticError
 from repro.relational.items import (
     XSDecimal,
     format_double,
@@ -43,8 +43,8 @@ from repro.xquery import ast
 import numpy as np
 
 
-class QueryTimeout(DynamicError):
-    """Raised when evaluation exceeds the configured deadline (a DNF)."""
+#: raised when evaluation exceeds the configured deadline (a DNF)
+QueryTimeout = DeadlineExceeded
 
 
 class UntypedAtomic(str):
@@ -130,7 +130,9 @@ class Interpreter:
 
     def _tick(self) -> None:
         self._ticks += 1
-        if self.deadline is not None and self._ticks % 256 == 0:
+        # the first tick checks too: a budget spent before evaluation
+        # started (on the write lock, for an update) stops it at once
+        if self.deadline is not None and self._ticks % 256 == 1:
             if time.perf_counter() > self.deadline:
                 raise QueryTimeout("query exceeded its time budget (DNF)")
 

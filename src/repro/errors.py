@@ -70,3 +70,9 @@ class ResultClosedError(PathfinderError):
     """A ``QueryResult`` (or a ``NodeHandle`` it handed out) was used
     after it was explicitly closed: its lease on the arena is gone, so
     the rows it referenced may have been popped."""
+
+
+class DeadlineExceeded(DynamicError):
+    """A request (or a budgeted evaluation) ran past its wall-clock
+    deadline: it waited too long for a session, or an operator boundary
+    found the budget spent.  The server answers it with HTTP 504."""

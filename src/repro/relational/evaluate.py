@@ -23,13 +23,14 @@ of the slow path it replaces.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.encoding.arena import C_ATTR, C_COPY, C_TEXT, NodeArena
-from repro.errors import AlgebraError, DynamicError, TypeError_
+from repro.errors import AlgebraError, DeadlineExceeded, DynamicError, TypeError_
 from repro.relational import algebra as alg
 from repro.relational import items as it
 from repro.relational.items import (
@@ -76,6 +77,9 @@ class EvalContext:
     i.e. until some lease on the same arena closes as the last live one,
     or a catalog mutation reclaims — so serialize the table before
     running anything else on that arena, or open a scope around both.
+
+    ``deadline``, an absolute :func:`time.monotonic` expiry, is checked
+    before each operator; an operator that has started runs to its end.
     """
 
     arena: NodeArena
@@ -84,6 +88,7 @@ class EvalContext:
     use_staircase: bool = True
     step_counter: list[int] = field(default_factory=lambda: [0])
     params: dict[str, object] = field(default_factory=dict)
+    deadline: float | None = None
 
     @property
     def pool(self):
@@ -106,6 +111,8 @@ def evaluate(root: alg.Op, ctx: EvalContext) -> Table:
                 if id(child) not in memo:
                     stack.append((child, False))
             continue
+        if ctx.deadline is not None and time.monotonic() > ctx.deadline:
+            raise DeadlineExceeded("query exceeded its deadline (DNF)")
         inputs = [memo[id(c)] for c in node.children]
         result = _dispatch(node, inputs, ctx)
         memo[id(node)] = result

@@ -3,11 +3,11 @@
 MonetDB/XQuery is a *database system*, not a one-shot compiler — this
 package is the reproduction's operational surface.  It stacks:
 
-* :class:`~repro.server.service.QueryService` — a worker pool of
-  per-thread :class:`~repro.api.Session` objects over one shared,
-  thread-safe :class:`~repro.api.Database`, with wall-clock deadlines
-  (the baseline interpreter's budget idea applied to serving) and
-  operational counters;
+* :class:`~repro.server.service.QueryService` — queries run on the
+  caller's thread with one of a fixed set of
+  :class:`~repro.api.Session` objects over one shared, thread-safe
+  :class:`~repro.api.Database`, under wall-clock deadlines that the
+  evaluator checks between operators, with operational counters;
 * :class:`~repro.server.cluster.ClusterService` — the same service
   surface scaled out: N worker processes, each a shard-scoped
   QueryService over its partition of the mmap store, with

@@ -51,7 +51,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "gather routing (0 = execute queries in this process)",
     )
     parser.add_argument(
-        "--threads", type=int, default=4, help="query threads per process"
+        "--threads", type=int, default=4, help="query sessions (queries at once) per process"
     )
     parser.add_argument(
         "--deadline",

@@ -6,7 +6,7 @@
 but executes on a fleet of worker *processes* (:mod:`repro.server.worker`),
 each owning one shard of the document catalog.  The GIL stops being the
 ceiling: every worker is a full interpreter with its own arena, plan
-cache and thread pool, opened shard-scoped over the shared
+cache and query sessions, opened shard-scoped over the shared
 :class:`~repro.encoding.store.DocumentStore` directory (or empty, for an
 in-memory cluster fed over HTTP).
 
@@ -51,7 +51,7 @@ from repro.encoding.store import MANIFEST_NAME, shard_of
 from repro.errors import PathfinderError
 from repro.server import protocol
 from repro.server.protocol import WorkerUnavailable
-from repro.server.service import DeadlineExceeded
+from repro.server.service import DeadlineExceeded, budget_seconds
 from repro.server.worker import worker_main
 from repro.xquery.parser import parse_query
 
@@ -540,19 +540,6 @@ class ClusterService:
         # dependency-free query (e.g. pure arithmetic): spread the load
         return self._handles[next(self._rr) % self.workers]
 
-    def _budget(self, deadline) -> float:
-        if deadline is None:
-            return self.deadline_seconds
-        try:
-            budget = float(deadline)
-        except (TypeError, ValueError):
-            raise PathfinderError(
-                f"deadline must be a number of seconds, got {deadline!r}"
-            ) from None
-        if budget <= 0:
-            raise PathfinderError("deadline must be positive")
-        return budget
-
     # ------------------------------------------------------------- queries
     def execute(self, query, bindings=None, deadline=None) -> dict:
         """Buffered execute — ``execute_stream`` joined (tests, parity)."""
@@ -567,7 +554,7 @@ class ClusterService:
         iterator, and the merged bytes identical to the single-process
         serializer (the edge-atomics separator rule, see module docs).
         """
-        budget = self._budget(deadline)
+        budget = budget_seconds(deadline, self.deadline_seconds)
         bindings = bindings or {}
         targets = self._shards_for(query)
         if len(targets) <= 1:
@@ -656,7 +643,7 @@ class ClusterService:
 
     def execute_update(self, query, bindings=None, deadline=None) -> dict:
         """Route an updating query to the single shard it touches."""
-        budget = self._budget(deadline)
+        budget = budget_seconds(deadline, self.deadline_seconds)
         targets = self._shards_for(query)
         if len(targets) > 1:
             self._routing_error(
@@ -681,7 +668,7 @@ class ClusterService:
 
     def explain(self, query, deadline=None) -> dict:
         """Compile on the owning shard and return its plan stages."""
-        budget = self._budget(deadline)
+        budget = budget_seconds(deadline, self.deadline_seconds)
         targets = self._shards_for(query)
         if len(targets) > 1:
             self._routing_error(

@@ -4,6 +4,8 @@ One event loop owns every socket, so thousands of keep-alive
 connections cost file descriptors, not threads.  Blocking service calls
 (query execution, admin ops) hop onto a thread pool via
 ``run_in_executor`` — the event loop itself never blocks on a query.
+An in-process service runs the query on that very thread; there is no
+second hand-off.
 
 The router serves whatever implements the service surface
 (``execute_stream``, ``execute_update``, ``explain``,
@@ -48,9 +50,9 @@ connection closed, so body bytes are never parsed as a request line.
 
 Graceful shutdown (SIGINT/SIGTERM): stop accepting, close connections
 that are between requests, let responses in flight finish, then
-``service.shutdown`` — which drains the query threads (and, for a
-cluster, every worker process) and checkpoints the store — before
-:func:`serve` returns.
+``service.shutdown`` — which waits for the requests still holding a
+session (and, for a cluster, drains every worker process) and
+checkpoints the store — before :func:`serve` returns.
 """
 
 from __future__ import annotations
@@ -77,10 +79,10 @@ IDLE_TIMEOUT = 10.0
 #: not per serializer chunk
 STREAM_BATCH_BYTES = 64 * 1024
 
-#: threads for blocking service calls.  A request holds one while it
-#: waits on the service, so this bounds the requests that can be queued
-#: *inside* the service — where their deadlines run and shed them —
-#: rather than in front of it, where nothing would
+#: threads for blocking service calls.  A request holds one while the
+#: service runs it or it waits there for a session, so this bounds the
+#: requests that can wait *inside* the service — where their deadlines
+#: shed them — rather than in front of it, where nothing would
 SERVICE_CALL_THREADS = 64
 
 _REASONS = {
@@ -418,8 +420,9 @@ class RouterServer:
     ``start()`` spins up the event loop thread and blocks until the
     socket listens (returning the bound address, for ``port=0``);
     ``stop()`` runs the graceful sequence: stop accepting, drain
-    connections, then (optionally) shut the service — which drains its
-    query threads or worker processes — before returning.
+    connections, then (optionally) shut the service — which waits for
+    its in-flight requests or drains its worker processes — before
+    returning.
     """
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0):
@@ -467,8 +470,8 @@ def serve(
 
     The shutdown order is the graceful contract: close the listening
     socket, finish in-flight responses, then ``service.shutdown`` —
-    which drains the query threads (for a
-    :class:`~repro.server.cluster.ClusterService`: every worker
+    which waits for the requests still holding a session (for a
+    :class:`~repro.server.cluster.ClusterService`: drains every worker
     process) and checkpoints the store — before returning.  ``ready``
     (if given) is set once the socket is listening.
     """

@@ -1,4 +1,4 @@
-"""The query service: worker pool, deadlines and operational counters.
+"""The query service: sessions, deadlines and operational counters.
 
 :class:`QueryService` is the protocol-independent core of the serving
 subsystem — the HTTP layer (:mod:`repro.server.router`) is a thin JSON
@@ -6,18 +6,17 @@ codec in front of it, and tests can drive it directly.
 
 Execution model:
 
-* a fixed pool of worker threads (``workers``) executes queries; each
-  worker lazily opens **its own** :class:`~repro.api.Session` on the
-  shared Database, so workers share the document catalog, arena and
+* a request runs on the **calling thread** with one of ``workers``
+  :class:`~repro.api.Session` objects on the shared Database, checked
+  out for its duration; sessions share the document catalog, arena and
   plan cache (behind the Database's locks) but no mutable session
   state — the isolation contract of the API layer.
 * every request carries a wall-clock **deadline** (default
-  ``deadline_seconds``, per-request override).  The deadline is the
-  baseline interpreter's budget idea applied to serving: a request that
-  has already overstayed its budget while queued is shed without
-  executing, and a caller stops waiting once the budget is spent (the
-  worker's result is discarded).  Expiry surfaces as
-  :class:`DeadlineExceeded`.
+  ``deadline_seconds``, per-request override), one absolute
+  :func:`time.monotonic` expiry.  A request that gets no session in
+  time is shed; an executing query stops at the next operator boundary
+  (the evaluator checks the expiry before each operator), a result
+  stream between chunks.  Expiry surfaces as :class:`DeadlineExceeded`.
 * document load/replace/unload and updates go straight to the
   Database's exclusive catalog lock — a replace waits for in-flight
   queries, then atomically swaps the tree.  Cached plans stay valid
@@ -26,28 +25,41 @@ Execution model:
   that read the new tree; a class change or an unload makes the next
   lookup recompile (once, thanks to single-flight).
 * :meth:`QueryService.stats` aggregates the operational surface:
-  request/timeout/error counters, in-flight gauge, plan-cache hit
+  request/timeout/shed/error counters, in-flight gauge, plan-cache hit
   rates, single-flight waits, and per-pass optimizer totals summed over
   every compilation the service performed.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from repro.api.database import Database
-from repro.errors import DynamicError, PathfinderError
+from repro.errors import DeadlineExceeded, PathfinderError
 
 
-class DeadlineExceeded(DynamicError):
-    """A request exceeded its wall-clock budget (queued or executing)."""
+def budget_seconds(deadline, default: float) -> float:
+    """A request's ``deadline`` field as seconds (``None``: ``default``).
+    Anything but a number in (0, :data:`threading.TIMEOUT_MAX`] — a bool,
+    ``NaN``, ``Infinity`` — raises :class:`PathfinderError` (HTTP 400)."""
+    if deadline is None:
+        return default
+    if (
+        isinstance(deadline, bool)
+        or not isinstance(deadline, (int, float))
+        or not 0 < deadline <= threading.TIMEOUT_MAX  # NaN fails both
+    ):
+        raise PathfinderError(
+            "deadline must be a number of seconds in "
+            f"(0, {threading.TIMEOUT_MAX:g}], got {deadline!r}"
+        )
+    return float(deadline)
 
 
 class QueryService:
-    """Thread-pooled query execution over one shared Database."""
+    """Query execution over one shared Database, ``workers`` at a time."""
 
     def __init__(
         self,
@@ -57,22 +69,22 @@ class QueryService:
         session_options: dict | None = None,
     ):
         if workers < 1:
-            raise PathfinderError("the worker pool needs at least 1 worker")
+            raise PathfinderError("the service needs at least 1 worker")
         if deadline_seconds <= 0:
             raise PathfinderError("deadline_seconds must be positive")
         self.database = database if database is not None else Database()
         self.workers = workers
         self.deadline_seconds = deadline_seconds
-        #: keyword arguments for every worker's ``Database.connect()``
+        #: keyword arguments for every session's ``Database.connect()``
         self.session_options = dict(session_options or {})
-        # a throwaway session runs the Session constructor's checks now,
-        # so bad options fail here instead of on every request
-        self.database.connect(**self.session_options)
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-query"
-        )
-        self._sessions = threading.local()
-        self._all_sessions: list = []
+        # opened here, so bad options fail at construction
+        self._all_sessions = [
+            self.database.connect(**self.session_options)
+            for _ in range(workers)
+        ]
+        self._idle_sessions: queue.LifoQueue = queue.LifoQueue()
+        for session in self._all_sessions:
+            self._idle_sessions.put(session)
         self._stats_lock = threading.Lock()
         self._started = time.monotonic()
         self._in_flight = 0
@@ -84,90 +96,40 @@ class QueryService:
         self._pass_totals: dict[str, dict[str, int]] = {}
         self._closed = False
 
-    # ------------------------------------------------------------- workers
-    def _session(self):
-        """This worker thread's private session (created on first use)."""
-        session = getattr(self._sessions, "session", None)
-        if session is None:
-            session = self.database.connect(**self.session_options)
-            self._sessions.session = session
-            with self._stats_lock:
-                self._all_sessions.append(session)
-        return session
-
+    # ------------------------------------------------------------ requests
     def _submit(self, fn, deadline: float | None):
-        """Run ``fn(session)`` on the pool under a wall-clock budget."""
+        """Run ``fn(session, expiry)`` on the calling thread with a
+        checked-out session; ``expiry`` is the request's absolute
+        :func:`time.monotonic` deadline."""
         with self._stats_lock:
             self._requests += 1
         try:
             if self._closed:
                 raise PathfinderError("the query service is shut down")
-            if deadline is None:
-                budget = self.deadline_seconds
-            else:
-                try:
-                    budget = float(deadline)
-                except (TypeError, ValueError):
-                    raise PathfinderError(
-                        f"deadline must be a number of seconds, got {deadline!r}"
-                    ) from None
-            if budget <= 0:
-                raise PathfinderError("deadline must be positive")
-        except Exception:
+            budget = budget_seconds(deadline, self.deadline_seconds)
+        except PathfinderError:
             # requests rejected at validation still show in /stats
             with self._stats_lock:
                 self._errors += 1
             raise
-        enqueued = time.monotonic()
-
-        def task():
-            # budget spent while queued (and the caller's cancel lost the
-            # race): give up instead of burning a worker on an answer
-            # nobody is waiting for
-            if time.monotonic() - enqueued > budget:
-                exc = DeadlineExceeded(
-                    f"request shed after waiting {budget:.3f}s in the queue"
-                )
-                exc.queue_shed = True
-                raise exc
-            with self._stats_lock:
-                self._in_flight += 1
-            try:
-                return fn(self._session())
-            finally:
-                with self._stats_lock:
-                    self._in_flight -= 1
-
-        future = self._pool.submit(task)
+        expiry = time.monotonic() + budget
         try:
-            return future.result(timeout=budget)
-        except FutureTimeoutError:
-            # shed and timed-out are mutually exclusive per request: a
-            # successful cancel means no worker ever ran it (shed); an
-            # unsuccessful one means it expired while executing (timeout)
-            if future.cancel():
-                with self._stats_lock:
-                    self._shed += 1
-                exc = DeadlineExceeded(
-                    f"request shed after waiting {budget:.3f}s in the queue"
-                )
-                # mark it like the task-side shed, so callers (and the
-                # cluster's wire protocol) see one shedding semantic
-                exc.queue_shed = True
-                raise exc from None
+            session = self._idle_sessions.get(timeout=budget)
+        except queue.Empty:
+            with self._stats_lock:
+                self._shed += 1
+            exc = DeadlineExceeded(
+                f"request shed after waiting {budget:.3f}s for a session"
+            )
+            exc.queue_shed = True
+            raise exc from None
+        with self._stats_lock:
+            self._in_flight += 1
+        try:
+            return fn(session, expiry)
+        except DeadlineExceeded:
             with self._stats_lock:
                 self._timeouts += 1
-            raise DeadlineExceeded(
-                f"query exceeded its {budget:.3f}s budget (DNF)"
-            ) from None
-        except CancelledError:  # pragma: no cover - shutdown race
-            raise DeadlineExceeded("request cancelled at shutdown") from None
-        except DeadlineExceeded as exc:
-            # a queue-shed raised by the task itself (it beat the
-            # caller's own timer to the expiry) still counts as shed
-            if getattr(exc, "queue_shed", False):
-                with self._stats_lock:
-                    self._shed += 1
             raise
         except Exception:
             # client errors and unexpected failures alike: /stats must
@@ -175,6 +137,10 @@ class QueryService:
             with self._stats_lock:
                 self._errors += 1
             raise
+        finally:
+            with self._stats_lock:
+                self._in_flight -= 1
+            self._idle_sessions.put(session)
 
     def _record_pass_stats(self, optimizer_stats) -> None:
         """Fold one compilation's per-pass counters into the totals."""
@@ -196,7 +162,7 @@ class QueryService:
         bindings: dict | None = None,
         deadline: float | None = None,
     ) -> dict:
-        """Compile (cache-backed) and execute one query on the pool.
+        """Compile (cache-backed) and execute one query.
 
         Returns a JSON-ready payload with the serialized result and the
         execution metadata the ``/query`` endpoint exposes.  The HTTP
@@ -218,10 +184,9 @@ class QueryService:
         Returns ``(meta, chunks)``: ``meta`` is the ``/query`` payload
         *without* its ``"result"`` field, ``chunks`` an iterator of
         serialized text pieces (:meth:`QueryResult.iter_serialized`).
-        Compile + execute run on the worker pool under the usual
-        deadline/shedding discipline; the chunk iteration happens on the
-        caller's thread (for HTTP: one of the router's service-call
-        threads), which is safe without a lock — the result table is
+        Compile + execute hold a session under the usual
+        deadline/shedding discipline; the chunks are pulled after it is
+        returned, which is safe without a lock — the result table is
         immutable and the result's lease keeps every arena row it
         references in place, so a concurrent hot replace cannot tear
         the scan.
@@ -230,9 +195,8 @@ class QueryService:
         expires between chunks the iterator raises
         :class:`DeadlineExceeded` (counted as a timeout in ``/stats``;
         an HTTP response already under way can then only be truncated),
-        and any other mid-stream failure is counted as an error, so the
-        '/stats reports every request that did not produce a result'
-        contract survives the move off the worker pool.
+        and any other mid-stream failure is counted as an error, so
+        ``/stats`` reports every request that did not produce a result.
 
         ``edge_meta=True`` adds a ``"_edges"`` field to ``meta`` saying
         whether the sequence's first/last items are atomic values — the
@@ -242,11 +206,13 @@ class QueryService:
         atomics* with a space; nodes get no separator).
         """
 
-        def run(session):
+        def run(session, expiry):
             prepared = session.prepare(query)
             if not prepared.from_cache:
                 self._record_pass_stats(prepared.optimizer_stats)
-            result = prepared.execute(bindings or {})
+            result = prepared.execute(
+                bindings or {}, deadline=expiry - time.monotonic()
+            )
             meta = {
                 "items": len(result),
                 "from_cache": prepared.from_cache,
@@ -264,36 +230,32 @@ class QueryService:
                     "first_atomic": len(kinds) > 0 and atomic(kinds[0]),
                     "last_atomic": len(kinds) > 0 and atomic(kinds[-1]),
                 }
-            return meta, result
+            return meta, self._stream(result, expiry)
 
-        started = time.monotonic()
-        meta, result = self._submit(run, deadline)
-        budget = self.deadline_seconds if deadline is None else float(deadline)
+        return self._submit(run, deadline)
 
-        def stream():
-            # the result's lease on the arena ends with the stream —
-            # drained, failed or abandoned (a generator's close() runs
-            # the finally) — so its constructed nodes can be popped
-            try:
-                for chunk in result.iter_serialized():
-                    if time.monotonic() - started > budget:
-                        with self._stats_lock:
-                            self._timeouts += 1
-                        raise DeadlineExceeded(
-                            f"serialization exceeded the {budget:.3f}s "
-                            "budget (result truncated)"
-                        )
-                    yield chunk
-            except DeadlineExceeded:
-                raise
-            except Exception:
-                with self._stats_lock:
-                    self._errors += 1
-                raise
-            finally:
-                result.close()
-
-        return meta, stream()
+    def _stream(self, result, expiry: float):
+        """``result``'s serialized chunks, cut off at ``expiry``; the
+        result's lease on the arena ends with the stream — drained, failed
+        or abandoned (a generator's close() runs the finally)."""
+        try:
+            for chunk in result.iter_serialized():
+                if time.monotonic() > expiry:
+                    with self._stats_lock:
+                        self._timeouts += 1
+                    raise DeadlineExceeded(
+                        "serialization ran past the request's deadline "
+                        "(result truncated)"
+                    )
+                yield chunk
+        except DeadlineExceeded:
+            raise
+        except Exception:
+            with self._stats_lock:
+                self._errors += 1
+            raise
+        finally:
+            result.close()
 
     def execute_update(
         self,
@@ -301,40 +263,30 @@ class QueryService:
         bindings: dict | None = None,
         deadline: float | None = None,
     ) -> dict:
-        """Apply an updating query on the pool (``POST /update``).
+        """Apply an updating query (``POST /update``).
 
-        Same deadline discipline as :meth:`execute` — overstayed queued
-        requests are shed, and the wall-clock budget also bounds the
-        update's target/source evaluation; the exclusive-lock application
-        itself rides the Database's write path (identical to a hot
-        document replace), so no pool worker can deadlock on it.
+        Same deadline discipline as :meth:`execute`; what is left of the
+        budget bounds the wait for the exclusive lock and the update's
+        target/source evaluation, so an update answered
+        :class:`DeadlineExceeded` has changed nothing.
         """
-        try:
-            budget = self.deadline_seconds if deadline is None else float(deadline)
-        except (TypeError, ValueError):
-            budget = self.deadline_seconds  # _submit rejects the request
 
-        def run(session):
-            from repro.baseline.interpreter import QueryTimeout
-
-            try:
-                payload = session.execute_update(
-                    query, bindings or {}, deadline=budget
-                )
-            except QueryTimeout as exc:
-                raise DeadlineExceeded(str(exc)) from None
-            with self._stats_lock:
-                payload["updates_executed"] = sum(
-                    s.stats.updates_executed for s in self._all_sessions
-                )
+        def run(session, expiry):
+            payload = session.execute_update(
+                query, bindings or {}, deadline=expiry - time.monotonic()
+            )
+            payload["updates_executed"] = sum(
+                s.stats.updates_executed for s in self._all_sessions
+            )
             return payload
 
         return self._submit(run, deadline)
 
     def explain(self, query: str, deadline: float | None = None) -> dict:
-        """Compile a query and return its plan stages (``/explain``)."""
+        """Compile a query and return its plan stages (``/explain``); the
+        deadline bounds only the wait for a session."""
 
-        def run(session):
+        def run(session, expiry):
             report = session.explain(query)
             stats = report.stats
             return {
@@ -366,9 +318,8 @@ class QueryService:
     def put_document(self, uri: str, xml_text: str) -> dict:
         """Load or hot-replace a document (``PUT /documents/<uri>``).
 
-        Runs on the caller's thread, not the pool: it takes the
-        exclusive catalog lock, so routing it through the worker pool
-        would let queued queries and a replace deadlock the pool.
+        Takes no session: it waits for the exclusive catalog lock
+        only, never behind queued queries for a session.
         """
         return self.database.replace_document(uri, xml_text)
 
@@ -380,8 +331,8 @@ class QueryService:
     def checkpoint(self) -> dict:
         """Fold the store's WAL into fragments (``POST /checkpoint``).
 
-        Caller's thread, not the pool, for the same reason as
-        :meth:`put_document`: it takes the exclusive catalog lock.
+        Takes no session, like :meth:`put_document`: it waits for the
+        exclusive catalog lock only.
         Raises :class:`PathfinderError` when no store is attached.
         """
         return self.database.checkpoint()
@@ -401,7 +352,6 @@ class QueryService:
         """The operational counters behind ``GET /stats``."""
         cache = self.database.plan_cache
         with self._stats_lock:
-            sessions = list(self._all_sessions)
             payload = {
                 "uptime_seconds": time.monotonic() - self._started,
                 "workers": self.workers,
@@ -416,8 +366,8 @@ class QueryService:
                     for name, slot in sorted(self._pass_totals.items())
                 },
             }
-        executed = sum(s.stats.queries_executed for s in sessions)
-        updates = sum(s.stats.updates_executed for s in sessions)
+        executed = sum(s.stats.queries_executed for s in self._all_sessions)
+        updates = sum(s.stats.updates_executed for s in self._all_sessions)
         payload.update(
             {
                 "queries_executed": executed,
@@ -446,7 +396,8 @@ class QueryService:
 
     # ------------------------------------------------------------ shutdown
     def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work and (optionally) drain in-flight queries.
+        """Stop accepting work and (optionally) wait for every request
+        that holds a session to return it.
 
         With a persistent store attached, a draining shutdown also
         checkpoints it (best effort): the WAL folds into the fragment
@@ -454,7 +405,10 @@ class QueryService:
         Recovery does not depend on this — a kill -9 merely replays.
         """
         self._closed = True
-        self._pool.shutdown(wait=wait)
+        if wait:
+            drained = [self._idle_sessions.get() for _ in self._all_sessions]
+            for session in drained:
+                self._idle_sessions.put(session)
         if wait and self.database.store is not None:
             try:
                 self.database.checkpoint()

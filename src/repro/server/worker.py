@@ -11,9 +11,10 @@ arrives.
 
 Concurrency inside the worker: the main thread reads frames and hands
 each request to a small handler pool, so a slow query never blocks the
-next frame; the *query* thread pool (and with it the deadline and
-shedding discipline) is the QueryService's own, exactly as in the
-single-process server.  All writes to the connection go through one
+next frame.  The handler thread runs the request itself, with a session
+checked out of the QueryService — the sessions (and with them the
+deadline and shedding discipline) are the QueryService's own, exactly
+as in the single-process server.  All writes to the connection go through one
 lock, so interleaved chunk streams of concurrent queries stay
 frame-atomic.
 """

@@ -246,6 +246,21 @@ class TestHTTPDifferential:
             assert status == 504
             assert json.loads(payload)["kind"] == "DeadlineExceeded"
 
+    @pytest.mark.parametrize(
+        "deadline", ["true", '"5"', "Infinity", "NaN", "1e300", "0", "-1"]
+    )
+    def test_bad_deadline_is_400_on_both_tiers(self, deadline, reference, router):
+        body = ('{"query": "1 + 1", "deadline": %s}' % deadline).encode()
+        for path in ("/query", "/update"):
+            answers = [
+                http_request(netloc, "POST", path, body)
+                for netloc in (reference, router)
+            ]
+            for status, payload in answers:
+                assert status == 400, payload
+                assert "deadline" in json.loads(payload)["error"]
+            assert answers[0][1] == answers[1][1]
+
     def test_keep_alive_connection_serves_many_requests(self, router):
         host, port = router.split(":")
         conn = http.client.HTTPConnection(host, int(port), timeout=60)

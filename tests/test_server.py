@@ -3,7 +3,7 @@
 The asyncio router is bound to an ephemeral port per test class over an
 in-process ``QueryService`` (what ``--workers 0`` serves); requests go
 through ``urllib`` like any external client's would, so the whole stack
-— routing, JSON codec, worker pool, deadlines, catalog endpoints, stats
+— routing, JSON codec, query sessions, deadlines, catalog endpoints, stats
 — is exercised exactly as deployed.
 """
 
@@ -21,7 +21,8 @@ import pytest
 
 from repro import Database
 from repro.server import QueryService, RouterServer
-from repro.server.service import DeadlineExceeded
+from repro.errors import PathfinderError
+from repro.server.service import DeadlineExceeded, budget_seconds
 from tests.conftest import live_server
 
 DOC = "<r><v>1</v><v>2</v><v>3</v></r>"
@@ -32,6 +33,13 @@ PARAM_QUERY = (
 SLOW_QUERY = (
     "count(for $a in /r/v, $b in /r/v, $c in /r/v, $d in /r/v, "
     "$e in /r/v, $f in /r/v, $g in /r/v, $h in /r/v return 1)"
+)
+
+#: one ≈200 k-row string pipeline, about a second of evaluation: long
+#: enough that a 50 ms deadline passes at an operator boundary
+LONG_STRING_QUERY = (
+    'string-length(string-join(for $i in 1 to 200000 return concat("a", '
+    'string($i), "b", upper-case(string($i))), ","))'
 )
 
 
@@ -293,6 +301,109 @@ class TestServiceDirect:
         finally:
             service.shutdown(wait=True)
 
+    def test_timed_out_query_frees_its_session(self):
+        """A query past its deadline stops at the next operator boundary
+        and returns its session at once: the only session is free for
+        the next request."""
+        service = QueryService(Database(), workers=1)
+        try:
+            with pytest.raises(DeadlineExceeded):
+                service.execute(LONG_STRING_QUERY, deadline=0.05)
+            stats = service.stats()
+            assert stats["in_flight"] == 0
+            assert stats["timeouts"] == 1 and stats["shed"] == 0
+            assert service.execute("1+1", deadline=0.2)["result"] == "2"
+        finally:
+            service.shutdown(wait=True)
+
+    def test_update_answered_504_is_never_applied(self):
+        """An update that waited out its budget behind a reader must not
+        land later: 504 leaves the document unchanged, 200 means it was
+        applied."""
+        database = Database()
+        database.load_document("r.xml", "<r><v>1</v></r>")
+        service = QueryService(database, workers=1)
+        held = threading.Event()
+
+        def hold_read_lock():
+            with database.read_locked():
+                held.set()
+                time.sleep(0.6)
+
+        reader = threading.Thread(target=hold_read_lock)
+        reader.start()
+        try:
+            assert held.wait(10)
+            try:
+                service.execute_update("insert node <w/> into /r", deadline=0.2)
+                expected = "<r><v>1</v><w/></r>"
+            except DeadlineExceeded:
+                expected = "<r><v>1</v></r>"
+            reader.join(timeout=10)
+            time.sleep(0.2)
+            assert service.execute("/r")["result"] == expected
+        finally:
+            reader.join(timeout=10)
+            service.shutdown(wait=True)
+
+    def test_session_checkout_stress(self):
+        """More clients than sessions, budgets that shed or time out, a
+        fast thread switch interval: no session ever serves two requests
+        at once, every session comes back, and every request lands in
+        exactly one counter."""
+        import sys
+
+        service = QueryService(Database(), workers=2, deadline_seconds=10.0)
+        lock = threading.Lock()
+        holders: dict[int, int] = {}
+        overlaps, outcomes = [], []
+
+        def hold(session, expiry):
+            with lock:
+                holders[id(session)] = holders.get(id(session), 0) + 1
+                if holders[id(session)] > 1:
+                    overlaps.append(id(session))
+            time.sleep(0.001)
+            with lock:
+                holders[id(session)] -= 1
+            if time.monotonic() > expiry:
+                raise DeadlineExceeded("past the budget at a boundary")
+
+        def client(index):
+            for j in range(40):
+                try:
+                    if j % 4 == 0:
+                        service.execute("count(1 to 1000)", deadline=0.002)
+                    else:
+                        service._submit(hold, deadline=0.002 if j % 2 else 5.0)
+                    outcome = "ok"
+                except DeadlineExceeded as exc:
+                    outcome = "shed" if getattr(exc, "queue_shed", False) else "timeout"
+                with lock:
+                    outcomes.append(outcome)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [
+                threading.Thread(target=client, args=(i,)) for i in range(8)
+            ]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in clients)
+        finally:
+            sys.setswitchinterval(interval)
+            service.shutdown(wait=True)
+        stats = service.stats()
+        assert overlaps == []
+        assert len(outcomes) == stats["requests_total"] == 8 * 40
+        assert stats["in_flight"] == 0 and stats["errors"] == 0
+        assert stats["shed"] == outcomes.count("shed")
+        assert stats["timeouts"] == outcomes.count("timeout")
+        assert service._idle_sessions.qsize() == 2
+
     def test_bad_session_options_fail_at_construction(self):
         from repro.errors import PathfinderError
 
@@ -452,7 +563,9 @@ def test_waiting_requests_do_not_block_health_probes():
     service = QueryService(database, workers=1, deadline_seconds=10.0)
     gate = threading.Event()
     blocker = threading.Thread(
-        target=lambda: service._submit(lambda session: gate.wait(30), deadline=30)
+        target=lambda: service._submit(
+            lambda session, expiry: gate.wait(30), deadline=30
+        )
     )
     answers = []
     with live_server(service) as netloc:
@@ -535,6 +648,32 @@ class TestReviewRegressions:
         assert status == 400
         assert "deadline" in body["error"]
 
+    @pytest.mark.parametrize(
+        "deadline",
+        ["true", "false", '"5"', "Infinity", "-Infinity", "NaN", "1e300",
+         "0", "-1"],
+    )
+    def test_bad_deadline_is_400(self, server, deadline):
+        """Bools, strings, non-finite, huge and non-positive deadlines
+        are the client's error (Python's JSON reader accepts NaN and
+        Infinity), answered before any session is taken."""
+        base, service = server
+        body = '{"query": "1+1", "deadline": %s}' % deadline
+        in_flight = service.stats()["in_flight"]
+        status, payload = request(base, "/query", "POST", body.encode())
+        assert status == 400, payload
+        assert "deadline" in payload["error"]
+        assert service.stats()["in_flight"] == in_flight
+
+    def test_budget_seconds(self):
+        assert budget_seconds(None, 7.5) == 7.5
+        assert budget_seconds(2, 7.5) == 2.0
+        assert budget_seconds(threading.TIMEOUT_MAX, 1.0) == threading.TIMEOUT_MAX
+        for bad in (True, "1", [1], 0, -0.5, float("nan"), float("inf"),
+                    threading.TIMEOUT_MAX * 2, 10**400):
+            with pytest.raises(PathfinderError, match="deadline"):
+                budget_seconds(bad, 1.0)
+
     def test_shed_and_timeout_are_mutually_exclusive(self):
         """A request whose budget expires while queued counts as shed,
         not as a timeout — never both."""
@@ -548,7 +687,7 @@ class TestReviewRegressions:
             # deterministically occupy the only worker until gate.set()
             blocker = _threading.Thread(
                 target=lambda: service._submit(
-                    lambda session: gate.wait(30), deadline=30
+                    lambda session, expiry: gate.wait(30), deadline=30
                 )
             )
             blocker.start()
