@@ -87,14 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-optimizer", action="store_true", help="skip plan optimization"
     )
     parser.add_argument(
-        "--disable-pass",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="disable one optimizer rewrite pass (repeatable; see "
-        "--explain for the pass list)",
-    )
-    parser.add_argument(
         "--time", action="store_true", help="print compile/execute timings"
     )
     return parser
@@ -177,20 +169,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         print("--repeat must be >= 1", file=sys.stderr)
         return 2
 
-    from repro.relational.optimizer import check_disabled_passes
-
     try:
-        disabled = check_disabled_passes(args.disable_pass)
-    except PathfinderError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-    try:
-        session = connect(
-            use_optimizer=not args.no_optimizer,
-            disabled_passes=disabled,
-            store=args.store,
-        )
+        session = connect(use_optimizer=not args.no_optimizer, store=args.store)
         database = session.database
         raw_bindings = dict(parse_binding(spec) for spec in args.bind)
         # with a store, URIs may already exist from recovery — replace

@@ -3,7 +3,7 @@
 A :class:`Database` is the process-wide, shareable state — every
 :class:`~repro.api.session.Session` connected to it sees the same
 documents and benefits from the same compile-once plan cache.  Sessions
-carry the per-client state (settings, variable bindings, statistics).
+carry the per-client state (variable bindings, statistics).
 
 Document catalog semantics:
 
@@ -42,8 +42,8 @@ Concurrency model (the serving contract):
   cache key compile the plan once (the others wait and adopt the
   result), so a replace that moves a document out of its size class
   does not trigger a compilation stampede.
-* sessions share nothing mutable with each other — settings, variable
-  bindings and statistics are per-:class:`~repro.api.session.Session` —
+* sessions share nothing mutable with each other — variable bindings
+  and statistics are per-:class:`~repro.api.session.Session` —
   so each server worker (or client thread) owning its own session needs
   no further locking.
 """
@@ -628,75 +628,39 @@ class Database:
         self,
         use_staircase: bool = True,
         use_optimizer: bool = True,
-        use_join_recognition: bool = True,
-        disabled_passes: frozenset[str] | tuple = frozenset(),
     ) -> "Session":
         """Open a new session (per-client execution context) over this
         database."""
         from repro.api.session import Session
 
         return Session(
-            self,
-            use_staircase=use_staircase,
-            use_optimizer=use_optimizer,
-            use_join_recognition=use_join_recognition,
-            disabled_passes=disabled_passes,
+            self, use_staircase=use_staircase, use_optimizer=use_optimizer
         )
 
     # ------------------------------------------------------------- compiler
-    def cache_key(
-        self,
-        query: str,
-        use_optimizer: bool,
-        use_join_recognition: bool = True,
-        disabled_passes: frozenset[str] = frozenset(),
-    ) -> tuple:
-        """The plan-cache key: query text + compiler settings + the
-        default document absolute paths were resolved against."""
-        return (
-            query,
-            use_optimizer,
-            use_join_recognition,
-            tuple(sorted(disabled_passes)),
-            self._default_document,
-        )
+    def cache_key(self, query: str, use_optimizer: bool) -> tuple:
+        """The plan-cache key: query text, whether the plan is optimized,
+        and the default document absolute paths were resolved against."""
+        return (query, use_optimizer, self._default_document)
 
-    def compile_query(
-        self,
-        query: str,
-        use_optimizer: bool,
-        use_join_recognition: bool = True,
-        disabled_passes: frozenset[str] = frozenset(),
-    ) -> CachedPlan:
+    def compile_query(self, query: str, use_optimizer: bool) -> CachedPlan:
         """One full front-end run (parse → desugar → loop-lift →
-        optimize), bypassing the plan cache.
-
-        ``disabled_passes`` names optimizer rewrite passes to skip (see
-        :data:`repro.relational.optimizer.PASS_NAMES`).  Cardinality
-        estimates are seeded from this database's arena statistics.
-        """
+        optimize), bypassing the plan cache.  Cardinality estimates are
+        seeded from this database's arena statistics."""
         with self._rwlock.read_locked():
             t0 = time.perf_counter()
             module = parse_query(query)
             core = desugar_module(module)
-            compiler = Compiler(
-                self.documents,
-                self._default_document,
-                use_join_recognition=use_join_recognition,
-            )
-            plan = compiler.compile_module(core)
+            plan = Compiler(
+                self.documents, self._default_document
+            ).compile_module(core)
             # record document dependencies from the unoptimized plan:
             # rewrites may drop a DocRoot leaf, but the query still
             # depends on it
             doc_deps = plan_documents(plan)
             stats = OptimizerStats()
             if use_optimizer:
-                plan = optimize(
-                    plan,
-                    stats,
-                    disabled=disabled_passes,
-                    estimator=self._get_estimator(),
-                )
+                plan = optimize(plan, stats, estimator=self._get_estimator())
             else:
                 stats.ops_before = stats.ops_after = alg.op_count(plan)
             return CachedPlan(
@@ -726,11 +690,7 @@ class Database:
         return estimator
 
     def compile_cached(
-        self,
-        query: str,
-        use_optimizer: bool,
-        use_join_recognition: bool = True,
-        disabled_passes: frozenset[str] = frozenset(),
+        self, query: str, use_optimizer: bool
     ) -> tuple[CachedPlan, bool]:
         """Compile ``query`` through the plan cache.
 
@@ -742,17 +702,13 @@ class Database:
         Compilation errors are not cached and propagate to every waiter.
         """
         with self._rwlock.read_locked():
-            key = self.cache_key(
-                query, use_optimizer, use_join_recognition, disabled_passes
-            )
+            key = self.cache_key(query, use_optimizer)
             entry = self.plan_cache.get(key, self.document_class)
             if entry is not None:
                 return entry, True
 
             def _compile_and_cache() -> CachedPlan:
-                fresh = self.compile_query(
-                    query, use_optimizer, use_join_recognition, disabled_passes
-                )
+                fresh = self.compile_query(query, use_optimizer)
                 self.plan_cache.put(key, fresh)
                 return fresh
 
@@ -773,8 +729,6 @@ def connect(
     database: Database | None = None,
     use_staircase: bool = True,
     use_optimizer: bool = True,
-    use_join_recognition: bool = True,
-    disabled_passes: frozenset[str] | tuple = frozenset(),
     store: "DocumentStore | str | None" = None,
     page_budget_bytes: int | None = None,
 ) -> "Session":
@@ -788,8 +742,10 @@ def connect(
     every load/update is crash-safely persisted — see ``docs/storage.md``.
     ``page_budget_bytes`` (requires ``store``) caps resident column
     bytes: fragments page in lazily from the store's mmaps and are
-    evicted LRU past the budget.  ``disabled_passes`` names optimizer
-    rewrite passes this session should skip.
+    evicted LRU past the budget.  ``use_optimizer=False`` and
+    ``use_staircase=False`` are the reference switches: the unoptimized
+    plan, and the tree-unaware axis steps instead of the staircase
+    kernels, answer exactly like the defaults.
     """
     if database is None:
         database = Database(store=store, page_budget_bytes=page_budget_bytes)
@@ -799,8 +755,5 @@ def connect(
             "not to connect() on an existing one"
         )
     return database.connect(
-        use_staircase=use_staircase,
-        use_optimizer=use_optimizer,
-        use_join_recognition=use_join_recognition,
-        disabled_passes=disabled_passes,
+        use_staircase=use_staircase, use_optimizer=use_optimizer
     )

@@ -1,10 +1,11 @@
 """The compile-once plan cache shared by every session of a Database.
 
 Pathfinder's whole front-end (parse → desugar → loop-lift → optimize) is
-deterministic given the query text, the compiler settings and the
-document catalog, and the emitted plan is an immutable DAG — so compiled
-plans are perfect cache entries.  The cache is a plain LRU keyed by
-``(query text, settings, default document)``.
+deterministic given the query text, whether the plan is optimized and
+the document catalog, and the emitted plan is an immutable DAG — so
+compiled plans are perfect cache entries.  The cache is a plain LRU
+keyed by ``(query text, use_optimizer, default document)``
+(:meth:`~repro.api.database.Database.cache_key`).
 
 A plan touches the data only through its ``DocRoot`` leaves, which the
 evaluator resolves against the catalog at run time; name tests and

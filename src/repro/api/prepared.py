@@ -216,8 +216,8 @@ class PreparedQuery:
         database = session.database
         with database.read_locked():
             self._revalidate()
-            merged = session._merged_bindings(
-                self._entry, {**(bindings or {}), **params}
+            merged = session._merge_bindings(
+                self._entry.external_vars, {**(bindings or {}), **params}
             )
             trace_map: dict | None = {} if trace else None
             t0 = time.perf_counter()

@@ -1,12 +1,13 @@
 """The Session layer: one client's execution context over a Database.
 
 A session carries everything that is *per client* rather than per
-database: evaluation settings (``use_staircase``, ``use_optimizer``,
-the disabled rewrite passes), session-level external-variable bindings
-(defaults for prepared-query parameters) and execution statistics.
+database: session-level external-variable bindings (defaults for
+prepared-query parameters), execution statistics, and two reference
+switches, ``use_optimizer`` and ``use_staircase``, that run the same
+query unoptimized or on the tree-unaware axis steps.
 Several sessions can share one :class:`~repro.api.database.Database` —
-they see the same documents and the same plan cache, but their settings,
-bindings and stats are independent.
+they see the same documents and the same plan cache, but their
+bindings, stats and switches are independent.
 
 That independence is the concurrency contract of the serving layer:
 **sessions share nothing mutable with each other.**  Everything a
@@ -29,7 +30,8 @@ from repro.api.prepared import PreparedQuery
 from repro.errors import PathfinderError
 from repro.relational import algebra as alg
 from repro.relational.dot import to_ascii, to_dot
-from repro.relational.optimizer import OptimizerStats, check_disabled_passes
+from repro.relational.optimizer import OptimizerStats
+
 
 @dataclass
 class ExplainReport:
@@ -98,17 +100,10 @@ class Session:
         database,
         use_staircase: bool = True,
         use_optimizer: bool = True,
-        use_join_recognition: bool = True,
-        disabled_passes: frozenset[str] | tuple = frozenset(),
     ):
         self.database = database
         self.use_staircase = use_staircase
         self.use_optimizer = use_optimizer
-        self.use_join_recognition = use_join_recognition
-        #: optimizer rewrite passes this session skips (names from
-        #: :data:`repro.relational.optimizer.PASS_NAMES`, checked here so
-        #: a bad name fails when the session is built, not at first compile)
-        self.disabled_passes = check_disabled_passes(disabled_passes)
         self.variables: dict[str, object] = {}
         self.stats = SessionStats()
 
@@ -131,12 +126,7 @@ class Session:
         """Compile a query (through the shared plan cache) into a
         :class:`PreparedQuery` that can be executed many times with
         different external-variable bindings."""
-        entry, hit = self.database.compile_cached(
-            query,
-            self.use_optimizer,
-            self.use_join_recognition,
-            self.disabled_passes,
-        )
+        entry, hit = self.database.compile_cached(query, self.use_optimizer)
         if hit:
             self.stats.plan_cache_hits += 1
         else:
@@ -186,23 +176,7 @@ class Session:
         from repro.xquery.parser import parse_query
 
         core = desugar_module(parse_query(query))
-        # same binding discipline as the read path (_merged_bindings):
-        # session defaults filtered to declared externals, per-call
-        # bindings checked against the declarations
-        declared = {v.name for v in core.external_vars}
-        merged = {
-            name: value
-            for name, value in self.variables.items()
-            if name in declared
-        }
-        for name, value in (bindings or {}).items():
-            name = name.lstrip("$")
-            if name not in declared:
-                raise PathfinderError(
-                    f"query declares no external variable ${name} "
-                    f"(declared: {sorted(declared) or 'none'})"
-                )
-            merged[name] = value
+        merged = self._merge_bindings(core.external_vars, bindings)
         result = self.database.apply_update(core, merged, deadline=deadline)
         self.stats.updates_executed += 1
         return result
@@ -220,9 +194,7 @@ class Session:
         with self.database.read_locked():
             entry = self.prepare(query)._entry
             compiler = Compiler(
-                self.database.documents,
-                self.database.default_document,
-                use_join_recognition=self.use_join_recognition,
+                self.database.documents, self.database.default_document
             )
             unoptimized = compiler.compile_module(entry.core)
             return ExplainReport(
@@ -235,12 +207,13 @@ class Session:
             )
 
     # ------------------------------------------------------------ internals
-    def _merged_bindings(
-        self, entry, bindings: dict | None
+    def _merge_bindings(
+        self, external_vars, bindings: dict | None
     ) -> dict[str, object]:
-        """Session defaults overlaid with per-execution bindings, checked
-        against the query's declared external variables."""
-        declared = {v.name for v in entry.external_vars}
+        """Session defaults overlaid with per-call ``bindings``, checked
+        against the query's declared ``external_vars`` — the one binding
+        discipline of reads (``PreparedQuery.execute``) and updates."""
+        declared = {v.name for v in external_vars}
         merged = {
             name: value
             for name, value in self.variables.items()

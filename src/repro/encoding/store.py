@@ -216,7 +216,12 @@ class DocumentStore:
             shard = (index, count)
         self.shard = shard
         self._default_override = False
-        os.makedirs(os.path.join(self.path, "docs"), exist_ok=True)
+        try:
+            os.makedirs(os.path.join(self.path, "docs"), exist_ok=True)
+        except OSError as exc:
+            raise StoreError(
+                f"cannot open store directory {self.path!r}: {exc.strerror}"
+            ) from None
         self.manifest: dict = {
             "format": FORMAT_VERSION,
             "last_epoch": 0,
@@ -225,9 +230,17 @@ class DocumentStore:
         }
         manifest_path = os.path.join(self.path, MANIFEST_NAME)
         if os.path.exists(manifest_path):
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                self.manifest = json.load(handle)
-            if self.manifest.get("format") != FORMAT_VERSION:
+            try:
+                with open(manifest_path, "r", encoding="utf-8") as handle:
+                    self.manifest = json.load(handle)
+            except (OSError, ValueError) as exc:
+                raise StoreError(
+                    f"unreadable store manifest {manifest_path!r}: {exc}"
+                ) from None
+            if (
+                not isinstance(self.manifest, dict)
+                or self.manifest.get("format") != FORMAT_VERSION
+            ):
                 raise StoreError(
                     f"unsupported store format in {manifest_path!r}"
                 )

@@ -309,21 +309,6 @@ class RewritePass:
 _MAX_ROUNDS = 10
 
 
-def check_disabled_passes(names) -> frozenset[str]:
-    """``names`` as a frozenset, once every one is a member of
-    :data:`PASS_NAMES`; otherwise :class:`~repro.errors.AlgebraError`
-    naming the unknown ones.  One check shared by :func:`optimize`, the
-    session options and the CLI's ``--disable-pass``."""
-    names = frozenset(names)
-    unknown = names - set(PASS_NAMES)
-    if unknown:
-        raise AlgebraError(
-            f"unknown optimizer pass(es): {', '.join(sorted(unknown))} "
-            f"(available: {', '.join(PASS_NAMES)})"
-        )
-    return names
-
-
 def optimize(
     root: alg.Op,
     stats: OptimizerStats | None = None,
@@ -335,8 +320,9 @@ def optimize(
     """Normalize the plan, then run rounds of the global passes until
     none changes it (bounded).
 
-    ``disabled`` names passes to skip (members of :data:`PASS_NAMES`,
-    see :func:`check_disabled_passes`); ``estimator`` seeds cardinality
+    ``disabled`` names passes to skip (members of :data:`PASS_NAMES`;
+    an unknown name raises :class:`~repro.errors.AlgebraError`), the
+    reference configurations of the tests; ``estimator`` seeds cardinality
     estimation (a default, statistics-free estimator is used when
     omitted); ``trace``, when a list, receives one
     ``(label, plan)`` snapshot after every step that changed the plan —
@@ -344,7 +330,13 @@ def optimize(
     traversal joined by ``+`` (``"cse+fold"``) — the hook behind
     ``examples/plan_explorer.py``'s per-pass diffs.
     """
-    disabled = check_disabled_passes(disabled)
+    disabled = frozenset(disabled)
+    unknown = disabled - set(PASS_NAMES)
+    if unknown:
+        raise AlgebraError(
+            f"unknown optimizer pass(es): {', '.join(sorted(unknown))} "
+            f"(available: {', '.join(PASS_NAMES)})"
+        )
     local = [p for p in PASSES if p.local and p.name not in disabled]
     passes = [p for p in PASSES if not p.local and p.name not in disabled]
     collect = stats is not None

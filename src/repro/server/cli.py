@@ -94,17 +94,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--store; fragments over budget are evicted LRU, see "
         "docs/storage.md)",
     )
-    parser.add_argument(
-        "--no-optimizer",
-        action="store_true",
-        help="serve unoptimized plans (debugging aid)",
-    )
     return parser
 
 
 def _build_service(args):
     """The service ``--workers`` selects, over the ``--store`` catalog."""
-    session_options = {"use_optimizer": not args.no_optimizer}
     if args.workers:
         from repro.server.cluster import ClusterService
 
@@ -115,7 +109,6 @@ def _build_service(args):
             deadline_seconds=args.deadline,
             plan_cache_size=args.plan_cache,
             page_budget_bytes=args.page_budget,
-            session_options=session_options,
         )
     from repro.server.service import QueryService
 
@@ -125,10 +118,7 @@ def _build_service(args):
         page_budget_bytes=args.page_budget,
     )
     return QueryService(
-        database,
-        workers=args.threads,
-        deadline_seconds=args.deadline,
-        session_options=session_options,
+        database, workers=args.threads, deadline_seconds=args.deadline
     )
 
 

@@ -16,9 +16,10 @@ document dependencies are read *statically* from its AST (``fn:doc``
 requires a string literal in this engine, so the analysis is complete;
 absolute paths depend on the cluster default document).  Single-shard
 queries stream straight through.  A query spanning shards is scattered:
-its top-level comma sequence is split textually (conservatively — see
-``_split_toplevel``), the operands execute on their shards in parallel,
-and the streams are concatenated in operand order with the XQuery
+its body's top-level comma sequence is split where the parser found the
+commas (:func:`~repro.xquery.parser.split_body`), each operand runs
+behind the query's whole prolog on its shard, in parallel, and the
+streams are concatenated in operand order with the XQuery
 space-separator rule applied at the seams (adjacent *atomic* edge items
 get one space; nodes get none), which keeps the merged bytes identical
 to the single-process serializer.  A multi-shard query that cannot be
@@ -53,7 +54,7 @@ from repro.server import protocol
 from repro.server.protocol import WorkerUnavailable
 from repro.server.service import DeadlineExceeded, budget_seconds
 from repro.server.worker import worker_main
-from repro.xquery.parser import parse_query
+from repro.xquery.parser import parse_query, split_body
 
 #: extra wall-clock the router allows past a request's budget before
 #: declaring the worker hung (the worker enforces the budget itself)
@@ -111,66 +112,13 @@ def _analyze(query: str) -> tuple[frozenset, bool, bool]:
     return frozenset(uris), flags["default"], flags["dynamic"]
 
 
-def _split_toplevel(text: str) -> list[str] | None:
-    """Split a query at its top-level commas, or None when unsafe.
-
-    Tracks paren/bracket/brace depth, string literals (with XQuery's
-    quote doubling) and nested ``(: :)`` comments.  Bails out on any
-    ``<`` outside strings/comments: it could open a direct constructor,
-    whose content makes tokenization context-dependent — the split must
-    never be *wrong*, only unavailable.
-    """
-    pieces: list[str] = []
-    start = 0
-    depth = 0
-    comment_depth = 0
-    in_string: str | None = None
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if in_string is not None:
-            if ch == in_string:
-                if i + 1 < n and text[i + 1] == in_string:
-                    i += 2  # doubled quote: an escaped quote character
-                    continue
-                in_string = None
-            i += 1
-            continue
-        if comment_depth:
-            if ch == "(" and i + 1 < n and text[i + 1] == ":":
-                comment_depth += 1
-                i += 2
-                continue
-            if ch == ":" and i + 1 < n and text[i + 1] == ")":
-                comment_depth -= 1
-                i += 2
-                continue
-            i += 1
-            continue
-        if ch == "(" and i + 1 < n and text[i + 1] == ":":
-            comment_depth = 1
-            i += 2
-            continue
-        if ch in "'\"":
-            in_string = ch
-        elif ch == "<":
-            return None
-        elif ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-            if depth < 0:
-                return None
-        elif ch == "," and depth == 0:
-            pieces.append(text[start:i])
-            start = i + 1
-        i += 1
-    if in_string is not None or comment_depth or depth != 0:
-        return None
-    pieces.append(text[start:])
-    if len(pieces) < 2 or any(not p.strip() for p in pieces):
-        return None
-    return pieces
+@lru_cache(maxsize=1024)
+def _scatter_legs(query: str) -> tuple[str, ...]:
+    """``query`` as one query per top-level comma operand of its body,
+    each behind the whole prolog, so declared variables and functions
+    stay in scope on every leg."""
+    prolog, operands = split_body(query)
+    return tuple(prolog + operand for operand in operands)
 
 
 # --------------------------------------------------------------------------
@@ -415,7 +363,6 @@ class ClusterService:
         store: str | None = None,
         threads: int = 4,
         deadline_seconds: float = 30.0,
-        session_options: dict | None = None,
         plan_cache_size: int = 128,
         page_budget_bytes: int | None = None,
     ):
@@ -454,7 +401,6 @@ class ClusterService:
             "store": store,
             "threads": threads,
             "deadline_seconds": deadline_seconds,
-            "session_options": dict(session_options or {}),
             "plan_cache_size": plan_cache_size,
             "page_budget_bytes": per_worker_budget,
         }
@@ -566,25 +512,19 @@ class ClusterService:
         """Split, dispatch in parallel, merge in operand order."""
         with self._routing_lock:
             self._scatter_queries += 1
-        pieces = _split_toplevel(query)
-        if pieces is None:
+        pieces = _scatter_legs(query)
+        if len(pieces) < 2:
             self._routing_error(
                 f"query depends on documents across {len(targets)} shards "
-                "and is not a splittable top-level sequence"
+                "and is not a top-level sequence"
             )
         legs = []
         for piece in pieces:
-            try:
-                piece_targets = self._shards_for(piece)
-            except PathfinderError:
-                self._routing_error(
-                    "query spans multiple shards and a split operand does "
-                    "not parse standalone"
-                )
+            piece_targets = self._shards_for(piece)
             if len(piece_targets) > 1:
                 self._routing_error(
-                    "a top-level operand itself depends on documents from "
-                    "multiple shards"
+                    "a top-level operand (with the prolog) depends on "
+                    "documents from multiple shards"
                 )
             legs.append((piece, self._pick(piece_targets)))
         futures = [

@@ -66,7 +66,6 @@ class QueryService:
         database: Database | None = None,
         workers: int = 4,
         deadline_seconds: float = 30.0,
-        session_options: dict | None = None,
     ):
         if workers < 1:
             raise PathfinderError("the service needs at least 1 worker")
@@ -75,13 +74,7 @@ class QueryService:
         self.database = database if database is not None else Database()
         self.workers = workers
         self.deadline_seconds = deadline_seconds
-        #: keyword arguments for every session's ``Database.connect()``
-        self.session_options = dict(session_options or {})
-        # opened here, so bad options fail at construction
-        self._all_sessions = [
-            self.database.connect(**self.session_options)
-            for _ in range(workers)
-        ]
+        self._all_sessions = [self.database.connect() for _ in range(workers)]
         self._idle_sessions: queue.LifoQueue = queue.LifoQueue()
         for session in self._all_sessions:
             self._idle_sessions.put(session)

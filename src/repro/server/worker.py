@@ -46,7 +46,6 @@ def _build_service(config: dict) -> QueryService:
         database,
         workers=config.get("threads", 4),
         deadline_seconds=config.get("deadline_seconds", 30.0),
-        session_options=config.get("session_options"),
     )
 
 

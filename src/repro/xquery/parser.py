@@ -42,9 +42,30 @@ def parse_query(text: str) -> ast.Module:
     return _Parser(text).parse_module()
 
 
+def split_body(text: str) -> tuple[str, list[str]]:
+    """A query's prolog text and the source text of each top-level
+    comma operand of its body (one operand when the body is not a comma
+    sequence).  ``prolog + operand`` is a query of its own for every
+    operand, with the declarations the operand may use — the unit the
+    cluster router scatters over shards.  Raises like :func:`parse_query`.
+    """
+    parser = _Parser(text)
+    parser.parse_module()
+    # operands lie between cuts: the commas, plus one just before the
+    # body and one at the end of the text
+    cuts = [parser.body_start - 1, *parser.body_commas, len(text)]
+    return text[: parser.body_start], [
+        text[start + 1 : end] for start, end in zip(cuts, cuts[1:])
+    ]
+
+
 class _Parser:
     def __init__(self, text: str):
         self.lexer = Lexer(text)
+        #: source positions of the body's first token and of its
+        #: top-level commas, recorded by :meth:`parse_module`
+        self.body_start = 0
+        self.body_commas: list[int] = []
 
     # ------------------------------------------------------------ utilities
     def peek(self, k: int = 0) -> Token:
@@ -126,7 +147,8 @@ class _Parser:
                 self.expect_symbol(";")
             else:
                 raise self.error("unsupported declaration", kind)
-        body = self.parse_expr()
+        self.body_start = self.peek().pos
+        body = self.parse_expr(self.body_commas)
         tok = self.peek()
         if tok.type != "eof":
             raise self.error(f"unexpected trailing input {tok.value!r}", tok)
@@ -157,12 +179,17 @@ class _Parser:
         return ast.FunctionDecl(name, params, body)
 
     # --------------------------------------------------------- expressions
-    def parse_expr(self) -> ast.Expr:
+    def parse_expr(self, commas: list[int] | None = None) -> ast.Expr:
+        """``Expr``: a comma sequence of ``ExprSingle``; the position of
+        each comma is appended to ``commas`` when one is given."""
         first = self.parse_expr_single()
         if not self.peek().is_symbol(","):
             return first
         items = [first]
-        while self.accept_symbol(","):
+        while self.peek().is_symbol(","):
+            comma = self.next()
+            if commas is not None:
+                commas.append(comma.pos)
             items.append(self.parse_expr_single())
         flat: list[ast.Expr] = []
         for item in items:

@@ -8,9 +8,13 @@ import pytest
 
 from repro import Session, connect
 from repro.baseline import Interpreter
+from repro.compiler.loop_lifting import Compiler
+from repro.compiler.serialize import iter_serialized_chunks
 from repro.encoding.arena import NodeArena
 from repro.encoding.shred import shred_text
+from repro.relational.evaluate import EvalContext, evaluate
 from repro.relational.items import StringPool
+from repro.relational.optimizer import CardinalityEstimator, optimize
 from repro.server import RouterServer
 from repro.xquery.core import desugar_module
 from repro.xquery.parser import parse_query
@@ -61,6 +65,41 @@ def xmark_session():
 def run_pf(session: Session, query: str) -> str:
     """Execute on Pathfinder, returning serialised output."""
     return session.execute(query).serialize()
+
+
+def run_plan(
+    database,
+    query: str,
+    *,
+    use_optimizer: bool = True,
+    use_join_recognition: bool = True,
+    disabled: frozenset[str] = frozenset(),
+    use_staircase: bool = True,
+) -> str:
+    """``query``'s serialized answer over ``database`` in one reference
+    configuration, built below the session API:
+    ``Compiler(use_join_recognition=)`` → ``optimize(disabled=)``
+    (skipped without ``use_optimizer``) → ``evaluate`` (on the naive axis
+    steps without ``use_staircase``) → serialize."""
+    with database.read_locked():
+        core = desugar_module(parse_query(query))
+        plan = Compiler(
+            database.documents,
+            database.default_document,
+            use_join_recognition=use_join_recognition,
+        ).compile_module(core)
+        if use_optimizer:
+            estimator = CardinalityEstimator.from_database(
+                database.arena, database.documents
+            )
+            plan = optimize(plan, disabled=disabled, estimator=estimator)
+        ctx = EvalContext(
+            database.arena,
+            documents=database.documents,
+            use_staircase=use_staircase,
+        )
+        table = evaluate(plan, ctx)
+        return "".join(iter_serialized_chunks(table, database.arena))
 
 
 def baseline_for(session: Session, **kw) -> Interpreter:

@@ -40,16 +40,6 @@ class TestConnect:
         assert not session.use_staircase and not session.use_optimizer
         assert session.execute("count(/r/v)").serialize() == "3"
 
-    def test_unknown_disabled_pass_fails_at_connect(self, db):
-        """A bad pass name fails when the session is built, before any
-        compile, with the same message ``optimize()`` gives."""
-        for bad in ({"nope"}, ("pushdown", "no_such_pass")):
-            with pytest.raises(PathfinderError, match="unknown optimizer pass"):
-                connect(disabled_passes=bad)
-            with pytest.raises(PathfinderError, match="unknown optimizer pass"):
-                db.connect(disabled_passes=bad)
-        assert db.connect(disabled_passes=["pushdown"]).disabled_passes == {"pushdown"}
-
 
 class TestDocumentCatalog:
     def test_duplicate_load_rejected(self, db):
@@ -172,6 +162,9 @@ class TestPlanCache:
         db.connect(use_optimizer=True).prepare("count(/r/v)")
         assert not db.connect(use_optimizer=False).prepare("count(/r/v)").from_cache
 
+    def test_key_is_query_optimizer_and_default_document(self, db):
+        assert db.cache_key("count(/r/v)", True) == ("count(/r/v)", True, "r.xml")
+
     def test_lru_eviction(self):
         database = Database(plan_cache_size=2)
         database.load_document("r.xml", DOC)
@@ -201,24 +194,6 @@ class TestPlanCache:
         # what a fresh session.execute of the same text returns
         assert prepared.execute().serialize() == "B"
         assert session.execute("/r/v/text()").serialize() == "B"
-
-    def test_join_recognition_setting_is_part_of_the_key(self, db):
-        q = "count(/r/v)"
-        db.connect(use_join_recognition=True).prepare(q)
-        assert not db.connect(use_join_recognition=False).prepare(q).from_cache
-
-    def test_disabled_passes_are_part_of_the_key(self, db):
-        q = "count(/r/v)"
-        db.connect().prepare(q)
-        off = db.connect(disabled_passes={"pushdown"})
-        assert not off.prepare(q).from_cache
-        assert off.prepare(q).from_cache  # same config hits its own entry
-
-    def test_disabled_pass_absent_from_stats(self, db):
-        session = db.connect(disabled_passes={"pushdown"})
-        entry = session.prepare("count(/r/v)")._entry
-        assert "pushdown" not in {p.name for p in entry.stats.pass_stats}
-        assert "cse" in {p.name for p in entry.stats.pass_stats}
 
     def test_session_stats_track_cache_traffic(self, db):
         session = db.connect()

@@ -41,21 +41,6 @@ class TestCLI:
         assert "# optimizer passes:" in out
         assert "pushdown" in out and "join_order" in out
 
-    def test_disable_pass(self, doc_file):
-        code, out = run_cli(
-            [
-                "-q", "count(//a)", "--doc", f"d.xml={doc_file}",
-                "--disable-pass", "pushdown", "--disable-pass", "join_order",
-            ]
-        )
-        assert code == 0 and out.strip() == "2"
-
-    def test_disable_unknown_pass_rejected(self, doc_file):
-        code, _ = run_cli(
-            ["-q", "1", "--doc", f"d.xml={doc_file}", "--disable-pass", "nope"]
-        )
-        assert code == 2
-
     def test_mil(self, doc_file):
         code, out = run_cli(["-q", "1+1", "--doc", f"d.xml={doc_file}", "--mil"])
         assert code == 0 and "MIL program" in out
@@ -89,6 +74,15 @@ class TestCLI:
             ["-q", "count(//a)", "--doc", f"d.xml={doc_file}", "--no-optimizer"]
         )
         assert code == 0 and out.strip() == "2"
+
+    def test_serve_store_on_a_file_is_an_error_not_a_traceback(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "plain.txt"
+        path.write_text("not a store")
+        code, _ = run_cli(["serve", "--store", str(path), "--port", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_serve_zero_plan_cache_is_an_error_not_a_traceback(self, capsys):
         code, _ = run_cli(["serve", "--plan-cache", "0", "--port", "0"])

@@ -187,6 +187,34 @@ class TestScatterGather:
         actual = cluster.execute(query)
         assert actual["result"] == expected["result"]
 
+    @pytest.mark.parametrize(
+        "query, bindings, expected",
+        [
+            (
+                "declare variable $v external; "
+                'doc("{a}")/r/v[. = $v], doc("{b}")/r/v[. != $v]',
+                {"v": "1"},
+                "<v>1</v><v>2</v>",
+            ),
+            (
+                "declare function local:f($n) {{ $n[. = 1] }}; "
+                'local:f(doc("{a}")/r/v), local:f(doc("{b}")/r/v)',
+                {},
+                "<v>1</v><v>1</v>",
+            ),
+            ('doc("{a}")/r/v[. < 1], doc("{b}")/r/v', {}, "<v>0</v><v>1</v><v>2</v>"),
+        ],
+        ids=["external-variable", "declared-function", "less-than"],
+    )
+    def test_legs_keep_the_prolog(self, single, cluster, query, bindings, expected):
+        """Every leg runs behind the query's prolog, and a ``<`` in an
+        operand does not stop the split."""
+        query = query.format(a=SHARD_DOCS[0], b=SHARD_DOCS[1])
+        reference = single.execute(query, bindings)
+        actual = cluster.execute(query, bindings)
+        assert actual["result"] == reference["result"] == expected
+        assert actual["scattered"] == 2
+
     def test_unsplittable_cross_shard_query_is_routing_error(self, cluster):
         a, b = SHARD_DOCS[0], SHARD_DOCS[1]
         with pytest.raises(PathfinderError, match="shard"):
@@ -482,10 +510,12 @@ class TestStartupValidation:
             ClusterService(1, **options)
         assert time.monotonic() - t0 < 5.0
 
-    def test_worker_startup_failure_stops_the_ready_wait(self):
+    def test_worker_startup_failure_stops_the_ready_wait(self, tmp_path):
+        path = tmp_path / "plain.txt"
+        path.write_text("not a store")  # every worker fails to open it
         t0 = time.monotonic()
         with pytest.raises(PathfinderError, match="kept dying on startup"):
-            ClusterService(1, session_options={"disabled_passes": ["nope"]})
+            ClusterService(1, store=str(path))
         assert time.monotonic() - t0 < READY_TIMEOUT / 2
 
 

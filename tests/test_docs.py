@@ -1,8 +1,9 @@
 """The docs job's checks, enforced by tier-1 too: markdown links in
 README/docs must resolve, the relational, api, encoding and server
 layers must be fully docstringed (mirrors the CI ruff pydocstyle
-job over the same directories), and the operator table of
-docs/algebra.md must match the algebra and the optimizer's passes."""
+job over the same directories), the operator table of
+docs/algebra.md must match the algebra and the optimizer's passes, and
+the option table of docs/serving.md the flags of ``repro serve``."""
 
 import sys
 from pathlib import Path
@@ -10,7 +11,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import check_docs  # noqa: E402
-from check_docs import check_algebra_table, check_docstrings, check_links  # noqa: E402
+from check_docs import (  # noqa: E402
+    check_algebra_table,
+    check_docstrings,
+    check_links,
+    check_serve_options,
+)
 
 
 def test_markdown_links_resolve():
@@ -42,3 +48,21 @@ def test_algebra_table_drift_is_reported(tmp_path, monkeypatch):
     assert any("OldTwigJoin is not an operator" in e for e in errors)
     assert any("old_collapse is not an optimizer pass" in e for e in errors)
     assert all("join_order" not in e for e in errors)
+
+
+def test_serve_option_table_matches_the_parser():
+    assert check_serve_options() == []
+
+
+def test_serve_option_table_drift_is_reported(tmp_path, monkeypatch):
+    """A flag the parser lacks and a parser flag the table lacks are
+    each reported."""
+    text = (check_docs.REPO / check_docs.SERVING_DOC).read_text()
+    text = text.replace("| `--page-budget BYTES` |", "| `--old-knob` |")
+    doc = tmp_path / "serving.md"
+    doc.write_text(text)
+    monkeypatch.setattr(check_docs, "SERVING_DOC", str(doc))
+    errors = check_serve_options()
+    assert any("option table lacks --page-budget" in e for e in errors)
+    assert any("--old-knob is not a serve option" in e for e in errors)
+    assert len(errors) == 2

@@ -32,6 +32,7 @@ from repro.relational import evaluate as ev
 from repro.xmark import XMARK_QUERIES, generate_document
 from repro.xquery.core import desugar_module
 from repro.xquery.parser import parse_query
+from tests.conftest import run_plan
 
 DOC = (
     '<a><b m="1"><c k="1">x</c><c k="2">y</c></b>'
@@ -46,7 +47,8 @@ NUM_DOC = (
     '<b m="4" n="x"><c k="3">NaN</c><c k="1">20</c></b></a>'
 )
 
-#: session options of every configuration a query must agree in
+#: :func:`tests.conftest.run_plan` options of every configuration a query
+#: must agree in
 CONFIGS = [{}, {"use_optimizer": False}, {"use_join_recognition": False}]
 
 
@@ -73,7 +75,7 @@ def _baseline(db: Database, query: str):
 
 
 def _numpy(db: Database, query: str, **options):
-    return _outcome(lambda: db.connect(**options).execute(query).serialize())
+    return _outcome(lambda: run_plan(db, query, **options))
 
 
 @pytest.fixture(scope="module")

@@ -7,11 +7,13 @@ rail for every new rewrite: a pass that changes any query's output at
 any configuration fails here, including order-sensitive differences
 (serialization fixes the sequence order).
 
-The same corpus also runs, fully optimized, under the other session
-modes: without the compiler's loop-lifting join recognition (a different
-plan shape for every equi-join ``where``) and with the tree-unaware
-naive axis steps instead of the staircase kernels (the same plan on a
-different evaluator path).  Neither may change an answer.
+The same corpus also runs, fully optimized, in the other reference
+configurations: without the compiler's loop-lifting join recognition (a
+different plan shape for every equi-join ``where``) and with the
+tree-unaware naive axis steps instead of the staircase kernels (the same
+plan on a different evaluator path).  Neither may change an answer.
+Every configuration is built below the session API, by
+:func:`tests.conftest.run_plan`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import pytest
 from repro.api.database import Database
 from repro.relational.optimizer import PASS_NAMES
 from repro.xmark import XMARK_QUERIES, generate_document
+from tests.conftest import run_plan
 
 #: regression queries exercising plan shapes the XMark set misses
 REGRESSION_QUERIES = {
@@ -52,7 +55,8 @@ CONFIGS = [("all", frozenset())] + [
     (f"no-{name}", frozenset({name})) for name in PASS_NAMES
 ]
 
-#: the session modes besides the pass list, each with the full optimizer
+#: the reference configurations besides the pass list, each with the
+#: full optimizer
 MODE_CONFIGS = [
     ("no-join-recognition", {"use_join_recognition": False}),
     ("naive-steps", {"use_staircase": False}),
@@ -80,8 +84,9 @@ def _run(
     optimizer: bool = True,
     **options,
 ) -> str:
-    session = db.connect(use_optimizer=optimizer, disabled_passes=disabled, **options)
-    return session.execute(query).serialize()
+    return run_plan(
+        db, query, use_optimizer=optimizer, disabled=disabled, **options
+    )
 
 
 @pytest.mark.parametrize("query", sorted(XMARK_QUERIES))
@@ -110,7 +115,7 @@ def test_xmark_mode_equivalence(xmark_db, query):
     reference = _run(xmark_db, text, frozenset(), optimizer=False)
     for label, options in MODE_CONFIGS:
         assert _run(xmark_db, text, frozenset(), **options) == reference, (
-            f"{query} differs in session mode {label}"
+            f"{query} differs in configuration {label}"
         )
 
 
@@ -120,5 +125,5 @@ def test_regression_mode_equivalence(small_db, query):
     reference = _run(small_db, text, frozenset(), optimizer=False)
     for label, options in MODE_CONFIGS:
         assert _run(small_db, text, frozenset(), **options) == reference, (
-            f"{query} differs in session mode {label}"
+            f"{query} differs in configuration {label}"
         )

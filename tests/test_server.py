@@ -404,14 +404,6 @@ class TestServiceDirect:
         assert stats["timeouts"] == outcomes.count("timeout")
         assert service._idle_sessions.qsize() == 2
 
-    def test_bad_session_options_fail_at_construction(self):
-        from repro.errors import PathfinderError
-
-        t0 = time.monotonic()
-        with pytest.raises(PathfinderError, match="unknown optimizer pass"):
-            QueryService(session_options={"disabled_passes": ["nope"]})
-        assert time.monotonic() - t0 < 5.0
-
     def test_shutdown_rejects_new_work(self):
         service = QueryService(Database(), workers=1)
         service.shutdown()
@@ -607,25 +599,6 @@ def test_stats_counts_every_failed_request():
         with pytest.raises(PathfinderError):
             service.execute("for $x in")  # syntax error
         assert service.stats()["errors"] == 1
-    finally:
-        service.shutdown(wait=True)
-
-
-def test_service_honors_disabled_passes_session_option():
-    """Session options reach every worker session: a service serving with
-    ``disabled_passes`` plans without those passes, so neither /explain
-    nor the /stats pass totals list them."""
-    database = Database()
-    database.load_document("r.xml", DOC)
-    service = QueryService(
-        database, workers=1, session_options={"disabled_passes": ["pushdown"]}
-    )
-    try:
-        service.execute("count(/r/v)")
-        totals = service.stats()["optimizer_pass_totals"]
-        assert "cse" in totals and "pushdown" not in totals
-        report = service.explain("count(/r/v)")
-        assert "pushdown" not in {p["name"] for p in report["passes"]}
     finally:
         service.shutdown(wait=True)
 

@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 
 from repro import connect
 from repro.api.database import Database
-from repro.encoding.store import DocumentStore, fragment_snapshot
+from repro.encoding.store import (
+    MANIFEST_NAME,
+    DocumentStore,
+    StoreError,
+    fragment_snapshot,
+)
 from repro.errors import PathfinderError
 from repro.xmark import XMARK_QUERIES, generate_document
 from repro.xml.serializer import serialize_node, serialize_tree
@@ -259,6 +264,32 @@ class TestConnectWiring:
         store = DocumentStore(_store_dir(tmp_path))
         db = Database(store=store)
         assert db.store is store
+
+
+class TestOpenErrors:
+    """A store that cannot be opened raises StoreError, never a raw
+    OSError or JSON error, so callers catching PathfinderError see it."""
+
+    def test_regular_file_is_not_a_store(self, tmp_path):
+        path = tmp_path / "plain.txt"
+        path.write_text("not a store")
+        with pytest.raises(StoreError, match="cannot open store directory"):
+            Database(store=str(path))
+
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            ('{"format": 1,', "unreadable store manifest"),
+            ("[1]", "unsupported store format"),
+        ],
+        ids=["truncated-json", "not-an-object"],
+    )
+    def test_corrupt_manifest(self, tmp_path, manifest, message):
+        store = tmp_path / "db.pfstore"
+        store.mkdir()
+        (store / MANIFEST_NAME).write_text(manifest)
+        with pytest.raises(StoreError, match=message):
+            Database(store=str(store))
 
 
 #: randomized update grammar: every op targets structure /r always has

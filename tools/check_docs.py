@@ -1,7 +1,7 @@
 """Documentation checks: markdown links, per-package docstring presence,
-and the algebra reference against the code.
+the algebra reference and the serving option table against the code.
 
-Three checks, all runnable standalone (CI docs job) and from the test
+Four checks, all runnable standalone (CI docs job) and from the test
 suite (``tests/test_docs.py``):
 
 * **link check** — every relative markdown link in ``README.md`` and
@@ -19,6 +19,9 @@ suite (``tests/test_docs.py``):
   pass (``PASSES`` in ``relational/optimizer.py``).  Both sides are read
   with :mod:`ast`, so the check needs neither ``src`` on the path nor
   numpy.
+* **serve option check** — the option table of ``docs/serving.md``
+  names exactly the flags ``build_serve_parser()`` in
+  ``server/cli.py`` adds, read with :mod:`ast` the same way.
 
 Usage::
 
@@ -61,9 +64,14 @@ ALGEBRA_DOC = "docs/algebra.md"
 ALGEBRA_SRC = "src/repro/relational/algebra.py"
 OPTIMIZER_SRC = "src/repro/relational/optimizer.py"
 
+SERVING_DOC = "docs/serving.md"
+SERVE_CLI_SRC = "src/repro/server/cli.py"
+
 #: a row of the operator table: "| `Name` | symbol | schema | passes |"
 _OP_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|(?:[^|]*\|){2}([^|]*)\|\s*$")
 _SNAKE = re.compile(r"\b[a-z]+(?:_[a-z]+)+\b")
+#: a command-line flag inside a table cell
+_FLAG = re.compile(r"--[a-z][a-z-]*")
 
 
 def check_links() -> list[str]:
@@ -164,6 +172,49 @@ def check_algebra_table() -> list[str]:
     return errors
 
 
+def _serve_flags() -> set[str]:
+    """The ``--flags`` that ``build_serve_parser`` adds to its parser."""
+    tree = ast.parse((REPO / SERVE_CLI_SRC).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "build_serve_parser":
+            return {
+                arg.value
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "attr", "") == "add_argument"
+                for arg in call.args
+                if isinstance(arg, ast.Constant)
+                and str(arg.value).startswith("--")
+            }
+    return set()
+
+
+def check_serve_options() -> list[str]:
+    """Return one error string per drift between the option table of
+    ``docs/serving.md`` (the table headed ``| option |``) and the flags
+    of ``python -m repro serve``."""
+    documented: dict[str, int] = {}
+    in_table = False
+    for lineno, line in enumerate((REPO / SERVING_DOC).read_text().splitlines(), 1):
+        if line.startswith("| option |"):
+            in_table = True
+        elif in_table and line.startswith("|"):
+            for flag in _FLAG.findall(line.split("|")[1]):
+                documented[flag] = lineno
+        else:
+            in_table = False
+    flags = _serve_flags()
+    errors = [
+        f"{SERVING_DOC}: option table lacks {flag}"
+        for flag in sorted(flags - set(documented))
+    ]
+    errors += [
+        f"{SERVING_DOC}:{documented[flag]}: {flag} is not a serve option"
+        for flag in sorted(set(documented) - flags)
+    ]
+    return errors
+
+
 def check_docstrings() -> list[str]:
     """Return one error string per missing public docstring."""
     errors = []
@@ -176,14 +227,20 @@ def check_docstrings() -> list[str]:
 
 def main() -> int:
     """Run every check; print failures and return a process exit code."""
-    errors = check_links() + check_docstrings() + check_algebra_table()
+    errors = (
+        check_links()
+        + check_docstrings()
+        + check_algebra_table()
+        + check_serve_options()
+    )
     for err in errors:
         print(err, file=sys.stderr)
     if errors:
         print(f"{len(errors)} documentation problem(s)", file=sys.stderr)
         return 1
     print(
-        "docs OK: links resolve; algebra table matches the code; "
+        "docs OK: links resolve; algebra table and serve options match "
+        "the code; "
         "fully docstringed: "
         + ", ".join(r.rsplit("/", 1)[-1] for r in DOCSTRING_ROOTS)
     )
