@@ -17,13 +17,14 @@ requires a string literal in this engine, so the analysis is complete;
 absolute paths depend on the cluster default document).  Single-shard
 queries stream straight through.  A query spanning shards is scattered:
 its body's top-level comma sequence is split where the parser found the
-commas (:func:`~repro.xquery.parser.split_body`), each operand runs
-behind the query's whole prolog on its shard, in parallel, and the
-streams are concatenated in operand order with the XQuery
+commas (:func:`~repro.xquery.parser.parse_parts`), each operand runs
+behind the prolog declarations it uses on its shard, in parallel, and
+the streams are concatenated in operand order with the XQuery
 space-separator rule applied at the seams (adjacent *atomic* edge items
 get one space; nodes get none), which keeps the merged bytes identical
 to the single-process serializer.  A multi-shard query that cannot be
-split raises :class:`RoutingError` (HTTP 400) — the documented routing
+split, or one of whose operands with its declarations still spans
+shards, raises :class:`RoutingError` (HTTP 400) — the documented routing
 limitation.
 
 Failure semantics: deadlines and shedding are enforced *inside* each
@@ -46,7 +47,9 @@ import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.encoding.store import MANIFEST_NAME, shard_of
 from repro.errors import PathfinderError
@@ -54,7 +57,8 @@ from repro.server import protocol
 from repro.server.protocol import WorkerUnavailable
 from repro.server.service import DeadlineExceeded, budget_seconds
 from repro.server.worker import worker_main
-from repro.xquery.parser import parse_query, split_body
+from repro.xquery import ast
+from repro.xquery.parser import parse_parts
 
 #: extra wall-clock the router allows past a request's budget before
 #: declaring the worker hung (the worker enforces the budget itself)
@@ -74,51 +78,118 @@ class RoutingError(PathfinderError):
 # --------------------------------------------------------------------------
 # static document-dependency analysis
 # --------------------------------------------------------------------------
-def _walk_deps(node, uris: set, flags: dict) -> None:
-    """Collect ``doc("literal")`` URIs and absolute-path markers."""
-    from dataclasses import fields, is_dataclass
+_Deps = tuple[frozenset, bool, bool]
 
-    from repro.xquery import ast
 
+@dataclass
+class _Refs:
+    """What part of a query reads: ``doc("literal")`` URIs, whether it
+    reads the default document (an absolute path) or a non-literal
+    ``doc()``, and the names it uses (``$name`` for a variable)."""
+
+    uris: set = field(default_factory=set)
+    default: bool = False
+    dynamic: bool = False
+    names: set = field(default_factory=set)
+
+    def add(self, other: _Refs) -> None:
+        self.uris |= other.uris
+        self.default |= other.default
+        self.dynamic |= other.dynamic
+        self.names |= other.names
+
+    def deps(self) -> _Deps:
+        """(doc URIs, depends-on-default, has-dynamic-doc)."""
+        return frozenset(self.uris), self.default, self.dynamic
+
+
+def _walk(node, refs: _Refs) -> _Refs:
+    """Add what ``node`` (an AST node, or a list of them) reads to ``refs``."""
     if isinstance(node, (list, tuple)):
         for item in node:
-            _walk_deps(item, uris, flags)
-        return
+            _walk(item, refs)
+        return refs
     if not is_dataclass(node):
-        return
-    if isinstance(node, ast.FunctionCall) and node.name in ("doc", "fn:doc"):
-        args = node.args
-        if len(args) == 1 and isinstance(args[0], ast.Literal) and isinstance(
-            args[0].value, str
-        ):
-            uris.add(args[0].value)
-        else:
-            # non-literal doc() — the compiler rejects it anyway; route
-            # anywhere and let the worker raise the same error
-            flags["dynamic"] = True
-    if isinstance(node, ast.PathExpr) and node.absolute:
-        flags["default"] = True
-    for field in fields(node):
-        _walk_deps(getattr(node, field.name), uris, flags)
+        return refs
+    if isinstance(node, ast.FunctionCall):
+        refs.names.add(node.name)
+        if node.name in ("doc", "fn:doc"):
+            args = node.args
+            if len(args) == 1 and isinstance(args[0], ast.Literal) and isinstance(
+                args[0].value, str
+            ):
+                refs.uris.add(args[0].value)
+            else:
+                # non-literal doc() — the compiler rejects it anyway; route
+                # anywhere and let the worker raise the same error
+                refs.dynamic = True
+    elif isinstance(node, ast.VarRef):
+        refs.names.add("$" + node.name)
+    elif isinstance(node, ast.PathExpr) and node.absolute:
+        refs.default = True
+    for f in fields(node):
+        _walk(getattr(node, f.name), refs)
+    return refs
+
+
+class _Analysis(NamedTuple):
+    #: what the whole query reads
+    deps: _Deps
+    #: per top-level comma operand of the body: (leg query text, deps)
+    legs: tuple[tuple[str, _Deps], ...]
 
 
 @lru_cache(maxsize=1024)
-def _analyze(query: str) -> tuple[frozenset, bool, bool]:
-    """``query`` → (doc URIs, depends-on-default, has-dynamic-doc)."""
-    module = parse_query(query)
-    uris: set = set()
-    flags = {"default": False, "dynamic": False}
-    _walk_deps(module, uris, flags)
-    return frozenset(uris), flags["default"], flags["dynamic"]
+def _analyze(query: str) -> _Analysis:
+    """``query``, parsed once → its dependencies and its scatter legs.
 
+    A leg is one operand behind the prolog declarations it names,
+    transitively, and every external-variable and namespace declaration.
+    Names are matched globally, so a local variable that shadows a
+    global one only keeps a declaration too many.  Declarations no
+    operand names ride on the first leg, so every declaration still
+    compiles somewhere, as in the whole query.
+    """
+    declarations, operands = parse_parts(query)
+    names = [
+        node.name if isinstance(node, ast.FunctionDecl)
+        else "$" + node.var if isinstance(node, ast.LetClause)
+        else None  # external variable or namespace: on every leg
+        for _, node in declarations
+    ]
+    decl_refs = [_walk(node, _Refs()) for _, node in declarations]
 
-@lru_cache(maxsize=1024)
-def _scatter_legs(query: str) -> tuple[str, ...]:
-    """``query`` as one query per top-level comma operand of its body,
-    each behind the whole prolog, so declared variables and functions
-    stay in scope on every leg."""
-    prolog, operands = split_body(query)
-    return tuple(prolog + operand for operand in operands)
+    def leg(expr, seed=()) -> tuple[set, _Refs]:
+        refs = _walk(expr, _Refs())
+        kept: set = set()
+        wanted = set(seed) | {
+            i for i, name in enumerate(names)
+            if name is None or name in refs.names
+        }
+        while wanted:
+            kept |= wanted
+            for i in wanted:
+                refs.add(decl_refs[i])
+            wanted = {
+                i for i, name in enumerate(names)
+                if i not in kept and name in refs.names
+            }
+        return kept, refs
+
+    legs = [leg(expr) for _, expr in operands]
+    unnamed = set(range(len(declarations))).difference(*(k for k, _ in legs))
+    if unnamed:
+        legs[0] = leg(operands[0][1], unnamed)
+    whole = _Refs()
+    for _, refs in legs:
+        whole.add(refs)
+    return _Analysis(
+        whole.deps(),
+        tuple(
+            ("".join(declarations[i][0] for i in sorted(kept)) + text, refs.deps())
+            for (text, _), (kept, refs) in zip(operands, legs)
+        ),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -468,9 +539,10 @@ class ClusterService:
                 "set_default", uri=default, persist=False
             )
 
-    def _shards_for(self, query: str) -> set[int]:
-        """The set of shards a query's static dependencies live on."""
-        uris, uses_default, dynamic = _analyze(query)
+    def _shards_for(self, deps: _Deps) -> set[int]:
+        """The set of shards static dependencies (see :class:`_Refs`)
+        live on."""
+        uris, uses_default, dynamic = deps
         targets = {shard_of(uri, self.workers) for uri in uris}
         if uses_default or dynamic:
             with self._routing_lock:
@@ -502,29 +574,29 @@ class ClusterService:
         """
         budget = budget_seconds(deadline, self.deadline_seconds)
         bindings = bindings or {}
-        targets = self._shards_for(query)
+        analysis = _analyze(query)
+        targets = self._shards_for(analysis.deps)
         if len(targets) <= 1:
             stream = self._pick(targets).query(query, bindings, deadline, budget)
             return stream.meta, stream.chunks()
-        return self._scatter(query, bindings, deadline, budget, targets)
+        return self._scatter(analysis, bindings, deadline, budget, targets)
 
-    def _scatter(self, query, bindings, deadline, budget, targets):
+    def _scatter(self, analysis, bindings, deadline, budget, targets):
         """Split, dispatch in parallel, merge in operand order."""
         with self._routing_lock:
             self._scatter_queries += 1
-        pieces = _scatter_legs(query)
-        if len(pieces) < 2:
+        if len(analysis.legs) < 2:
             self._routing_error(
                 f"query depends on documents across {len(targets)} shards "
                 "and is not a top-level sequence"
             )
         legs = []
-        for piece in pieces:
-            piece_targets = self._shards_for(piece)
+        for piece, deps in analysis.legs:
+            piece_targets = self._shards_for(deps)
             if len(piece_targets) > 1:
                 self._routing_error(
-                    "a top-level operand (with the prolog) depends on "
-                    "documents from multiple shards"
+                    "a top-level operand, with the declarations it uses, "
+                    "depends on documents from multiple shards"
                 )
             legs.append((piece, self._pick(piece_targets)))
         futures = [
@@ -584,7 +656,7 @@ class ClusterService:
     def execute_update(self, query, bindings=None, deadline=None) -> dict:
         """Route an updating query to the single shard it touches."""
         budget = budget_seconds(deadline, self.deadline_seconds)
-        targets = self._shards_for(query)
+        targets = self._shards_for(_analyze(query).deps)
         if len(targets) > 1:
             self._routing_error(
                 "an updating query must target documents on one shard"
@@ -609,7 +681,7 @@ class ClusterService:
     def explain(self, query, deadline=None) -> dict:
         """Compile on the owning shard and return its plan stages."""
         budget = budget_seconds(deadline, self.deadline_seconds)
-        targets = self._shards_for(query)
+        targets = self._shards_for(_analyze(query).deps)
         if len(targets) > 1:
             self._routing_error(
                 "explain needs the query's documents on one shard"

@@ -42,30 +42,45 @@ def parse_query(text: str) -> ast.Module:
     return _Parser(text).parse_module()
 
 
-def split_body(text: str) -> tuple[str, list[str]]:
-    """A query's prolog text and the source text of each top-level
-    comma operand of its body (one operand when the body is not a comma
-    sequence).  ``prolog + operand`` is a query of its own for every
-    operand, with the declarations the operand may use — the unit the
-    cluster router scatters over shards.  Raises like :func:`parse_query`.
+def parse_parts(
+    text: str,
+) -> tuple[list[tuple[str, object]], list[tuple[str, ast.Expr]]]:
+    """Parse a query and cut its source text into parts: each prolog
+    declaration (with its :class:`ast.FunctionDecl`, :class:`ast.LetClause`
+    or :class:`ast.ExternalVar`; ``None`` for a namespace declaration) and
+    each top-level comma operand of the body (with its expression; one
+    operand when the body is not a comma sequence).  Declarations in
+    source order followed by one operand make a query of their own — the
+    unit the cluster router scatters over shards.  Raises like
+    :func:`parse_query`.
     """
     parser = _Parser(text)
     parser.parse_module()
-    # operands lie between cuts: the commas, plus one just before the
-    # body and one at the end of the text
-    cuts = [parser.body_start - 1, *parser.body_commas, len(text)]
-    return text[: parser.body_start], [
-        text[start + 1 : end] for start, end in zip(cuts, cuts[1:])
+    # a part runs up to the next part's start; an operand stops one
+    # short of it, before the comma that ends the operand
+    decl_ends = [start for start, _ in parser.declarations[1:]]
+    decl_ends.append(parser.operands[0][0])
+    op_ends = [start - 1 for start, _ in parser.operands[1:]]
+    op_ends.append(len(text))
+    declarations = [
+        (text[start:end], node)
+        for (start, node), end in zip(parser.declarations, decl_ends)
     ]
+    operands = [
+        (text[start:end], expr)
+        for (start, expr), end in zip(parser.operands, op_ends)
+    ]
+    return declarations, operands
 
 
 class _Parser:
     def __init__(self, text: str):
         self.lexer = Lexer(text)
-        #: source positions of the body's first token and of its
-        #: top-level commas, recorded by :meth:`parse_module`
-        self.body_start = 0
-        self.body_commas: list[int] = []
+        #: (source position, node) of each prolog declaration and of each
+        #: top-level comma operand of the body, recorded by
+        #: :meth:`parse_module` for :func:`parse_parts`
+        self.declarations: list[tuple[int, object]] = []
+        self.operands: list[tuple[int, ast.Expr]] = []
 
     # ------------------------------------------------------------ utilities
     def peek(self, k: int = 0) -> Token:
@@ -113,9 +128,11 @@ class _Parser:
         global_lets: list[ast.LetClause] = []
         external_vars: list[ast.ExternalVar] = []
         while self.peek().is_name("declare"):
+            start = self.peek().pos
             kind = self.peek(1)
             if kind.is_name("function"):
-                functions.append(self._parse_function_decl())
+                node = self._parse_function_decl()
+                functions.append(node)
             elif kind.is_name("variable"):
                 self.next(), self.next()
                 name = self.var_name()
@@ -131,11 +148,12 @@ class _Parser:
                     seq_type = self._parse_seq_type()
                     type_name = seq_type.kind
                 if self.accept_name("external"):
-                    external_vars.append(ast.ExternalVar(name, type_name))
-                    self.expect_symbol(";")
-                    continue
-                self.expect_symbol(":=")
-                global_lets.append(ast.LetClause(name, self.parse_expr_single()))
+                    node = ast.ExternalVar(name, type_name)
+                    external_vars.append(node)
+                else:
+                    self.expect_symbol(":=")
+                    node = ast.LetClause(name, self.parse_expr_single())
+                    global_lets.append(node)
                 self.expect_symbol(";")
             elif kind.is_name("namespace"):
                 self.next(), self.next()
@@ -145,10 +163,11 @@ class _Parser:
                 if tok.type != "string":
                     raise self.error("expected a namespace URI string", tok)
                 self.expect_symbol(";")
+                node = None
             else:
                 raise self.error("unsupported declaration", kind)
-        self.body_start = self.peek().pos
-        body = self.parse_expr(self.body_commas)
+            self.declarations.append((start, node))
+        body = self.parse_expr(self.operands)
         tok = self.peek()
         if tok.type != "eof":
             raise self.error(f"unexpected trailing input {tok.value!r}", tok)
@@ -179,18 +198,21 @@ class _Parser:
         return ast.FunctionDecl(name, params, body)
 
     # --------------------------------------------------------- expressions
-    def parse_expr(self, commas: list[int] | None = None) -> ast.Expr:
-        """``Expr``: a comma sequence of ``ExprSingle``; the position of
-        each comma is appended to ``commas`` when one is given."""
-        first = self.parse_expr_single()
-        if not self.peek().is_symbol(","):
-            return first
-        items = [first]
+    def parse_expr(self, operands: list | None = None) -> ast.Expr:
+        """``Expr``: a comma sequence of ``ExprSingle``.  When ``operands``
+        is given, each ``ExprSingle`` is appended to it with the source
+        position where it starts (just past its comma, for all but the
+        first)."""
+        start = self.peek().pos
+        items = [self.parse_expr_single()]
+        starts = [start]
         while self.peek().is_symbol(","):
-            comma = self.next()
-            if commas is not None:
-                commas.append(comma.pos)
+            starts.append(self.next().pos + 1)
             items.append(self.parse_expr_single())
+        if operands is not None:
+            operands.extend(zip(starts, items))
+        if len(items) == 1:
+            return items[0]
         flat: list[ast.Expr] = []
         for item in items:
             if isinstance(item, ast.Sequence):

@@ -30,7 +30,7 @@ from repro.server import (
     RouterServer,
     WorkerUnavailable,
 )
-from repro.server.cluster import READY_TIMEOUT
+from repro.server.cluster import READY_TIMEOUT, RoutingError, _analyze
 from repro.server.service import DeadlineExceeded
 from repro.encoding.store import shard_of
 from repro.xmark import XMARK_QUERIES, generate_document
@@ -203,12 +203,39 @@ class TestScatterGather:
                 "<v>1</v><v>1</v>",
             ),
             ('doc("{a}")/r/v[. < 1], doc("{b}")/r/v', {}, "<v>0</v><v>1</v><v>2</v>"),
+            (
+                'declare variable $x := doc("{a}")/r/v; $x, doc("{b}")/r/v',
+                {},
+                "<v>0</v><v>1</v><v>1</v><v>2</v>",
+            ),
+            (
+                'declare function local:f() {{ doc("{a}")/r/v }}; '
+                'local:f(), doc("{b}")/r/v',
+                {},
+                "<v>0</v><v>1</v><v>1</v><v>2</v>",
+            ),
+            (
+                'declare function local:g() {{ doc("{a}")/r/w }}; '
+                "declare function local:f() {{ local:g() }}; "
+                'declare variable $unused := doc("{b}")/r; '
+                'string(doc("{b}")/r/w), string(local:f())',
+                {},
+                "x1 x0",
+            ),
         ],
-        ids=["external-variable", "declared-function", "less-than"],
+        ids=[
+            "external-variable",
+            "declared-function",
+            "less-than",
+            "variable-reads-another-shard",
+            "function-reads-another-shard",
+            "transitive-and-unused",
+        ],
     )
     def test_legs_keep_the_prolog(self, single, cluster, query, bindings, expected):
-        """Every leg runs behind the query's prolog, and a ``<`` in an
-        operand does not stop the split."""
+        """Every leg runs behind the prolog declarations it uses, even
+        when they read another leg's shard, and a ``<`` in an operand
+        does not stop the split."""
         query = query.format(a=SHARD_DOCS[0], b=SHARD_DOCS[1])
         reference = single.execute(query, bindings)
         actual = cluster.execute(query, bindings)
@@ -219,6 +246,46 @@ class TestScatterGather:
         a, b = SHARD_DOCS[0], SHARD_DOCS[1]
         with pytest.raises(PathfinderError, match="shard"):
             cluster.execute(f'count((doc("{a}")/r/v, doc("{b}")/r/v))')
+
+    def test_operand_whose_declaration_spans_shards_is_routing_error(
+        self, cluster
+    ):
+        a, b, c = SHARD_DOCS[0], SHARD_DOCS[1], SHARD_DOCS[2]
+        query = (
+            f'declare variable $x := doc("{a}")/r/v; '
+            f'doc("{b}")/r/v[. = $x], doc("{c}")/r/w'
+        )
+        with pytest.raises(RoutingError, match="declarations it uses"):
+            cluster.execute(query)
+
+    def test_legs_take_only_the_declarations_they_use(self):
+        query = (
+            "declare namespace p = 'urn:p'; "
+            "declare variable $e external; "
+            'declare variable $x := doc("a")/r; '
+            "declare function local:g() { $y }; "
+            'declare variable $y := doc("b")/r; '
+            "declare variable $unused := 1; "
+            '$x, local:g(), count(doc("c")//v[. < $e])'
+        )
+        legs = [text for text, _ in _analyze(query).legs]
+        assert legs == [
+            "declare namespace p = 'urn:p'; declare variable $e external; "
+            'declare variable $x := doc("a")/r; '
+            "declare variable $unused := 1; $x",
+            "declare namespace p = 'urn:p'; declare variable $e external; "
+            "declare function local:g() { $y }; "
+            'declare variable $y := doc("b")/r;  local:g()',
+            "declare namespace p = 'urn:p'; declare variable $e external; "
+            ' count(doc("c")//v[. < $e])',
+        ]
+        deps = [deps for _, deps in _analyze(query).legs]
+        assert deps == [
+            (frozenset({"a"}), False, False),
+            (frozenset({"b"}), False, False),
+            (frozenset({"c"}), False, False),
+        ]
+        assert _analyze(query).deps == (frozenset("abc"), False, False)
 
     def test_cross_shard_update_is_rejected(self, cluster):
         a, b = SHARD_DOCS[0], SHARD_DOCS[1]
