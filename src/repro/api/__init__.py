@@ -2,7 +2,8 @@
 
 * :class:`~repro.api.database.Database` owns the node arena, the named
   document catalog (load/unload/replace, explicit default) and a shared
-  LRU plan cache keyed by query text + document epochs;
+  LRU plan cache keyed by query text, optimizer switch and default
+  document;
 * :class:`~repro.api.session.Session` (``Database.connect()`` /
   ``repro.connect()``) is one client's execution context: settings,
   session-level variable bindings and statistics; ``explain()`` returns
@@ -16,12 +17,12 @@
 
 The layer is thread-safe for concurrent serving: the Database guards its
 catalog with a readers/writer lock (:mod:`repro.api.concurrency`), the
-plan cache is an internally-locked LRU with single-flight compilation,
-and sessions share nothing mutable with each other — one session per
-thread needs no extra locking.
+plan cache is an internally-locked LRU that compiles a key raced by many
+threads once, and sessions share nothing mutable with each other — one
+session per thread needs no extra locking.
 """
 
-from repro.api.concurrency import RWLock, SingleFlight
+from repro.api.concurrency import RWLock
 from repro.api.database import Database, connect
 from repro.api.plan_cache import CachedPlan, PlanCache, PlanCacheStats
 from repro.api.prepared import PreparedQuery, QueryResult
@@ -38,6 +39,5 @@ __all__ = [
     "PlanCacheStats",
     "CachedPlan",
     "RWLock",
-    "SingleFlight",
     "connect",
 ]

@@ -1,23 +1,16 @@
-"""Concurrency primitives for the thread-safe Database layer.
+"""The readers/writer lock that guards a Database's document catalog.
 
-Two small, dependency-free building blocks:
+:class:`RWLock` is a write-preferring readers/writer lock.  Query
+compilation and execution hold the lock *shared* (many concurrent
+readers), catalog mutations (``load_document``/``unload_document``)
+hold it *exclusive*.  Writers are preferred: once a writer is waiting,
+new readers queue behind it, so a stream of queries cannot starve a hot
+document replace.
 
-* :class:`RWLock` — a write-preferring readers/writer lock.  Query
-  compilation and execution hold the lock *shared* (many concurrent
-  readers), catalog mutations (``load_document``/``unload_document``)
-  hold it *exclusive*.  Writers are preferred: once a writer is waiting,
-  new readers queue behind it, so a stream of queries cannot starve a
-  hot document replace.
-* :class:`SingleFlight` — per-key duplicate suppression for plan
-  compilation.  When N sessions race on the same cache key, one thread
-  (the *leader*) compiles while the others wait on its result instead of
-  compiling the same plan N times.  Errors propagate to every waiter and
-  are never cached.
-
-Both are classic shapes (Go's ``sync.RWMutex``/``singleflight``); the
-implementations here are deliberately simple condition-variable code
-because the protected sections — catalog updates and plan compilation —
-run for milliseconds, not nanoseconds.
+It is the classic shape (Go's ``sync.RWMutex``); the implementation is
+deliberately simple condition-variable code because the protected
+sections — catalog updates and query execution — run for milliseconds,
+not nanoseconds.
 """
 
 from __future__ import annotations
@@ -99,60 +92,3 @@ class RWLock:
         with self._cond:
             self._writer = False
             self._cond.notify_all()
-
-
-class _Flight:
-    """One in-progress computation: waiters park on ``done``."""
-
-    __slots__ = ("done", "value", "error")
-
-    def __init__(self):
-        self.done = threading.Event()
-        self.value = None
-        self.error: BaseException | None = None
-
-
-class SingleFlight:
-    """Per-key duplicate suppression for concurrent computations.
-
-    ``do(key, fn)`` runs ``fn`` at most once per key *at a time*: the
-    first caller becomes the leader and computes, concurrent callers
-    with the same key wait and share the leader's result (or exception).
-    Once a flight lands, the key is forgotten — a later call computes
-    afresh (the plan cache in front of this decides whether that is
-    needed).
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._flights: dict[object, _Flight] = {}
-        #: callers that waited on another thread's computation (stats)
-        self.waits = 0
-
-    def do(self, key, fn):
-        """Return ``(value, leader)`` where ``leader`` says whether this
-        call ran ``fn`` itself rather than adopting a concurrent result."""
-        with self._lock:
-            flight = self._flights.get(key)
-            if flight is None:
-                flight = _Flight()
-                self._flights[key] = flight
-                leader = True
-            else:
-                leader = False
-                self.waits += 1
-        if not leader:
-            flight.done.wait()
-            if flight.error is not None:
-                raise flight.error
-            return flight.value, False
-        try:
-            flight.value = fn()
-            return flight.value, True
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            flight.done.set()
-            with self._lock:
-                self._flights.pop(key, None)

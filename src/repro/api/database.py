@@ -24,10 +24,10 @@ Document catalog semantics:
 * every load/replace/update bumps the document's *epoch*, which
   versions its content (WAL, manifest, ``/documents``).
   Cached plans do not follow epochs: a plan stays valid while every
-  document it reads is loaded and in the same *size class*
-  (:func:`~repro.api.plan_cache.size_class`), since plans resolve their
-  documents at run time — an update or a same-class replace keeps the
-  plans hot, and only a class change or an unload recompiles them.
+  document it reads is loaded
+  (:meth:`~repro.api.plan_cache.CachedPlan.is_current`), since plans
+  resolve their documents at run time — updates and replaces keep the
+  plans hot, and only an unload recompiles them.
 
 Concurrency model (the serving contract):
 
@@ -38,10 +38,10 @@ Concurrency model (the serving contract):
   therefore waits for in-flight queries, then swaps the catalog entry
   and bumps the epoch before the next query starts: readers never see a
   torn catalog.
-* plan compilation is *single-flight*: N sessions racing on the same
-  cache key compile the plan once (the others wait and adopt the
-  result), so a replace that moves a document out of its size class
-  does not trigger a compilation stampede.
+* the plan cache compiles each key once at a time: N sessions racing
+  on the same cold key run the front-end once (the others wait and
+  adopt the result), so a burst of one new query text does not trigger
+  a compilation stampede.
 * sessions share nothing mutable with each other — variable bindings
   and statistics are per-:class:`~repro.api.session.Session` —
   so each server worker (or client thread) owning its own session needs
@@ -55,8 +55,8 @@ import threading
 import time
 from contextlib import contextmanager
 
-from repro.api.concurrency import RWLock, SingleFlight
-from repro.api.plan_cache import CachedPlan, PlanCache, plan_documents, size_class
+from repro.api.concurrency import RWLock
+from repro.api.plan_cache import CachedPlan, PlanCache, plan_documents
 from repro.compiler.loop_lifting import Compiler
 from repro.encoding.arena import NodeArena
 from repro.encoding.shred import shred_text
@@ -107,8 +107,6 @@ class Database:
             self.arena.enable_paging(page_budget_bytes)
         self.documents: dict[str, int] = {}
         self.doc_epochs: dict[str, int] = {}
-        # uri -> (epoch, size class): see document_class
-        self._doc_classes: dict[str, tuple[int, int]] = {}
         self.plan_cache = PlanCache(plan_cache_size)
         self._default_document: str | None = None
         self._default_explicit = False
@@ -116,8 +114,6 @@ class Database:
         self._xml_bytes = 0
         # catalog lock: queries shared, load/unload/replace exclusive
         self._rwlock = RWLock()
-        # duplicate suppression for concurrent same-key compilations
-        self._flight = SingleFlight()
         self._estimator_lock = threading.Lock()
         # arena statistics for the optimizer, rebuilt by the first
         # compile after a catalog change
@@ -292,12 +288,10 @@ class Database:
         """Parse, shred and register a document; returns its node count.
 
         ``replace=True`` allows re-loading an existing URI: the catalog
-        entry is swapped.  Cached plans reading it stay valid — and read
-        the new tree — while the new document is in the old one's size
-        class; otherwise their next lookup recompiles them.  The swap is
-        atomic for concurrent readers — it runs under the exclusive
-        catalog lock, so every query sees either the old or the new
-        tree, never a partially shredded one.
+        entry is swapped.  Cached plans reading it stay valid and read
+        the new tree.  The swap is atomic for concurrent readers — it
+        runs under the exclusive catalog lock, so every query sees
+        either the old or the new tree, never a partially shredded one.
         """
         with self._rwlock.write_locked():
             return self._load_document_locked(uri, xml_text, default, replace)
@@ -400,8 +394,7 @@ class Database:
         **exclusive** catalog lock: in-flight queries finish against the
         old tree first, and every query starting after this returns sees
         the new tree.  Cached plans are not touched: they resolve their
-        documents at run time, so they stay valid unless the update moves
-        a document out of its size class (see
+        documents at run time, so they stay valid (see
         :mod:`repro.api.plan_cache`).  This is the same write path a
         hot document replace takes, but the rebuild works from the
         existing pre/size/level rows (the old copy is read, a new one
@@ -573,7 +566,6 @@ class Database:
                 raise PathfinderError(f"document {uri!r} is not loaded")
             root = self.documents.pop(uri)
             del self.doc_epochs[uri]
-            self._doc_classes.pop(uri, None)
             self._estimator = None
             if self._default_document == uri:
                 self._default_document = None
@@ -588,23 +580,6 @@ class Database:
     def storage_report(self) -> StorageReport:
         """Byte-level storage accounting (Section 3.1 experiment)."""
         return measure_storage(self.arena, self._xml_bytes)
-
-    def document_class(self, uri: str) -> int | None:
-        """The size class of document ``uri`` (None when not loaded) —
-        what cached plans are checked against; callers hold the catalog
-        lock.  The class is derived once per document epoch (every
-        content change bumps the epoch), so a plan-cache hit pays two
-        dict lookups, not a node count; deriving it never faults a cold
-        fragment in."""
-        epoch = self.doc_epochs.get(uri)
-        if epoch is None:
-            return None
-        known = self._doc_classes.get(uri)
-        if known is None or known[0] != epoch:
-            # racing readers store equal values: the write is idempotent
-            nodes = self.arena.subtree_nodes(self.documents[uri])
-            known = self._doc_classes[uri] = (epoch, size_class(nodes))
-        return known[1]
 
     def catalog_snapshot(self) -> list[dict]:
         """One consistent view of the catalog (the ``/documents`` endpoint):
@@ -670,7 +645,7 @@ class Database:
                 external_vars=tuple(core.external_vars),
                 module=module,
                 core=core,
-                doc_classes={uri: self.document_class(uri) for uri in doc_deps},
+                documents=doc_deps,
                 compile_seconds=time.perf_counter() - t0,
                 default_document=self._default_document,
             )
@@ -696,33 +671,21 @@ class Database:
 
         Returns ``(entry, hit)`` where ``hit`` says whether the plan came
         from the cache — or from a concurrent compilation of the same
-        key: on a miss the compilation is *single-flight*, so N racing
-        sessions run the front-end once and the waiters adopt the
-        leader's entry (reported as hits; they paid no compilation).
-        Compilation errors are not cached and propagate to every waiter.
+        key: N racing sessions run the front-end once and the waiters
+        adopt the leader's entry (reported as hits; they paid no
+        compilation).  Compilation errors are not cached and propagate
+        to every waiter.
         """
+        # every participant holds the catalog lock shared, so the catalog
+        # cannot change between the leader's compile and a waiter's
+        # adoption of the entry
         with self._rwlock.read_locked():
-            key = self.cache_key(query, use_optimizer)
-            entry = self.plan_cache.get(key, self.document_class)
-            if entry is not None:
-                return entry, True
-
-            def _compile_and_cache() -> CachedPlan:
-                fresh = self.compile_query(query, use_optimizer)
-                self.plan_cache.put(key, fresh)
-                return fresh
-
-            # every flight participant holds the catalog lock shared, so
-            # the catalog cannot change between the leader's compile and
-            # a waiter's adoption of the entry
-            entry, leader = self._flight.do(key, _compile_and_cache)
-            return entry, not leader
-
-    @property
-    def single_flight_waits(self) -> int:
-        """How many compilations were saved by waiting on a concurrent
-        identical one (the single-flight counter, for ``/stats``)."""
-        return self._flight.waits
+            return self.plan_cache.get_or_compile(
+                self.cache_key(query, use_optimizer),
+                self.documents,
+                self._default_document,
+                lambda: self.compile_query(query, use_optimizer),
+            )
 
 
 def connect(

@@ -10,28 +10,24 @@ keyed by ``(query text, use_optimizer, default document)``
 A plan touches the data only through its ``DocRoot`` leaves, which the
 evaluator resolves against the catalog at run time; name tests and
 string literals are resolved at run time too.  So a plan is *correct*
-against any catalog in which the documents it reads are loaded, and the
-catalog's statistics only decide how good its join order is.  Each
-entry therefore records the documents its plan reads together with
-their **size class** (:func:`size_class`, ≈ 19 % wide buckets of the
-node count), and one rule — :meth:`CachedPlan.is_current` — decides
-validity: every such document is still loaded and still in its class.
-Updates and same-class replaces keep the plans hot (they read the new
-tree); a document that grows or shrinks out of its class, or is
-unloaded, costs its plans one recompile on their next lookup.  Nothing
-is dropped eagerly: stale entries are revalidated lazily and age out
-through the LRU.
+against any catalog in which the documents it reads are loaded, however
+large they are.  Each entry records the documents its plan reads, and
+one rule — :meth:`CachedPlan.is_current` — decides validity: the
+catalog default is the one the plan was compiled against and every such
+document is still loaded.  Updates and replaces keep the plans hot
+(they read the new tree); an unload costs the plans reading that
+document one recompile on their next lookup.  Nothing is dropped
+eagerly: stale entries are revalidated lazily and age out through the
+LRU.
 
-The cache is thread-safe: every operation runs under one internal mutex,
-so N sessions (or N server workers) can share it without external
-locking.  Compilation itself is *not* serialised here — the Database
-layers a :class:`~repro.api.concurrency.SingleFlight` in front of the
-cache so a miss raced by many threads compiles once.
+The cache is thread-safe and owns the compilations of its own keys:
+:meth:`PlanCache.get_or_compile` runs under one internal mutex, and a
+miss raced by many threads compiles once — the first caller compiles,
+the others wait for its entry (or its exception).
 """
 
 from __future__ import annotations
 
-import math
 import threading
 
 from collections import OrderedDict
@@ -41,16 +37,6 @@ from repro.errors import PathfinderError
 from repro.relational import algebra as alg
 from repro.relational.optimizer import OptimizerStats
 from repro.xquery import ast
-
-#: size classes per doubling of a document's node count: one class spans
-#: a factor of 2 ** (1/4) ≈ 1.19, so a document that grows or shrinks by
-#: about a fifth has its plans planned again with fresh statistics
-CLASSES_PER_DOUBLING = 4
-
-
-def size_class(nodes: int) -> int:
-    """The size class of a document of ``nodes`` nodes (see module docs)."""
-    return round(CLASSES_PER_DOUBLING * math.log2(nodes))
 
 
 def plan_documents(plan: alg.Op) -> tuple[str, ...]:
@@ -71,20 +57,19 @@ class CachedPlan:
     external_vars: tuple[ast.ExternalVar, ...]
     module: ast.Module
     core: ast.Module
-    #: the size class of every document the plan reads, at compile time
-    doc_classes: dict[str, int]
+    #: every document the plan reads
+    documents: tuple[str, ...]
     compile_seconds: float
     #: the catalog default at compile time — absolute paths were resolved
     #: against it, so a held PreparedQuery must recompile when it changes
     default_document: str | None = None
 
-    def is_current(self, document_class) -> bool:
-        """The validity rule: every document the plan reads is still
-        loaded and still in its compile-time size class.
-        ``document_class(uri)`` answers the class now, None when the
-        document is not loaded; callers hold the catalog lock shared."""
-        return all(
-            document_class(uri) == cls for uri, cls in self.doc_classes.items()
+    def is_current(self, catalog, default_document: str | None) -> bool:
+        """The validity rule: ``default_document`` is the compile-time
+        default and every document the plan reads is a key of
+        ``catalog``; callers hold the catalog lock shared."""
+        return self.default_document == default_document and all(
+            uri in catalog for uri in self.documents
         )
 
 
@@ -93,9 +78,12 @@ class PlanCacheStats:
     """Cumulative cache counters (all sessions of the Database)."""
 
     hits: int = 0
+    #: lookups without a current entry, waiters on a compilation included
     misses: int = 0
     invalidations: int = 0
     evictions: int = 0
+    #: misses that waited for a concurrent compilation of the same key
+    waits: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -104,15 +92,28 @@ class PlanCacheStats:
         return self.hits / total if total else 0.0
 
 
+class _Pending:
+    """One compilation in progress: waiters park on ``done``."""
+
+    __slots__ = ("done", "entry", "error")
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.entry: CachedPlan | None = None
+        self.error: BaseException | None = None
+
+
 class PlanCache:
     """A bounded, thread-safe LRU mapping cache keys to
-    :class:`CachedPlan` entries."""
+    :class:`CachedPlan` entries, with at most one compilation per key
+    in flight."""
 
     def __init__(self, capacity: int = 128):
         if capacity < 1:
             raise PathfinderError("plan cache capacity must be >= 1")
         self.capacity = capacity
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
+        self._pending: dict[tuple, _Pending] = {}
         self._lock = threading.Lock()
         self.stats = PlanCacheStats()
 
@@ -120,34 +121,57 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: tuple, document_class) -> CachedPlan | None:
-        """Look up a plan; a hit requires the entry to be current
-        (:meth:`CachedPlan.is_current` against ``document_class``) — a
-        stale entry is dropped and counted as an invalidation."""
+    def get_or_compile(
+        self, key: tuple, catalog, default_document: str | None, compile_plan
+    ) -> tuple[CachedPlan, bool]:
+        """The entry for ``key``, compiled by ``compile_plan()`` on a miss.
+
+        Returns ``(entry, hit)``.  A cached entry must be current
+        (:meth:`CachedPlan.is_current` against ``catalog`` and
+        ``default_document``) to be a hit; a stale one is dropped and
+        counted as an invalidation.  On a miss the first caller compiles
+        outside the mutex and caches the entry only on success; callers
+        that miss while it runs wait and adopt its entry (``hit`` true:
+        they paid no compilation) or raise its exception.
+        """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return None
-            if not entry.is_current(document_class):
+            if entry is not None:
+                if entry.is_current(catalog, default_document):
+                    self._entries.move_to_end(key)
+                    self.stats.hits += 1
+                    return entry, True
                 del self._entries[key]
                 self.stats.invalidations += 1
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return entry
-
-    def put(self, key: tuple, entry: CachedPlan) -> None:
-        """Insert (or refresh) an entry, evicting LRU entries over capacity."""
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+            self.stats.misses += 1
+            pending = self._pending.get(key)
+            leader = pending is None
+            if leader:
+                pending = self._pending[key] = _Pending()
+            else:
+                self.stats.waits += 1
+        if not leader:
+            pending.done.wait()
+            if pending.error is not None:
+                raise pending.error
+            return pending.entry, True
+        try:
+            pending.entry = compile_plan()
+        except BaseException as exc:
+            pending.error = exc
+            raise
+        finally:
+            with self._lock:
+                del self._pending[key]
+                if pending.error is None:
+                    self._entries[key] = pending.entry
+                    while len(self._entries) > self.capacity:
+                        self._entries.popitem(last=False)
+                        self.stats.evictions += 1
+            pending.done.set()
+        return pending.entry, False
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
+        """Drop every entry (counters and pending compiles are kept)."""
         with self._lock:
             self._entries.clear()

@@ -173,15 +173,12 @@ class PreparedQuery:
 
     def _revalidate(self) -> None:
         """Recompile (through the cache) when a document this plan reads
-        was unloaded or left its size class, or the default document
-        changed, since preparation — the plan cache's validity rule
-        (:meth:`~repro.api.plan_cache.CachedPlan.is_current`) plus the
-        default-document check; updates that keep the class keep the
-        plan, which reads the new tree."""
+        was unloaded, or the default document changed, since preparation
+        — the plan cache's validity rule
+        (:meth:`~repro.api.plan_cache.CachedPlan.is_current`); updates
+        and replaces keep the plan, which reads the new tree."""
         database = self.session.database
-        if database.default_document == self._entry.default_document and (
-            self._entry.is_current(database.document_class)
-        ):
+        if self._entry.is_current(database.documents, database.default_document):
             return
         fresh = self.session.prepare(self._entry.query)
         self._entry = fresh._entry

@@ -162,9 +162,8 @@ class Session:
         list and applied atomically under the database's exclusive
         catalog lock, so other sessions (and this one) observe either
         the pre-update or the post-update tree, never a mix.  Affected
-        documents get a new epoch; their cached plans stay valid (and
-        read the new tree) unless a document leaves its size class — see
-        :mod:`repro.api.plan_cache`.
+        documents get a new epoch; their cached plans stay valid and
+        read the new tree — see :mod:`repro.api.plan_cache`.
 
         ``bindings`` supplies values for ``declare variable $x external``
         declarations (session variables apply too, per-call wins);

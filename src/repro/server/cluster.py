@@ -453,7 +453,8 @@ class ClusterService:
         self.store = store
         self._started = time.monotonic()
         self._closed = False
-        self._routing: dict[str, dict] = {}
+        #: the URIs loaded on some shard (a URI's shard is ``shard_of``)
+        self._routing: set[str] = set()
         self._routing_lock = threading.Lock()
         self._default: str | None = None
         self._rr = itertools.count()
@@ -503,16 +504,10 @@ class ClusterService:
     def _hello(self, handle: WorkerHandle, hello: dict) -> None:
         """(Re)build the shard's routing entries from its hello."""
         with self._routing_lock:
-            for uri in [
-                u for u, e in self._routing.items() if e["shard"] == handle.index
-            ]:
-                del self._routing[uri]
-            for doc in hello.get("documents", ()):
-                self._routing[doc["uri"]] = {
-                    "shard": handle.index,
-                    "epoch": doc["epoch"],
-                    "nodes": doc["nodes"],
-                }
+            self._routing = {
+                u for u in self._routing
+                if shard_of(u, self.workers) != handle.index
+            } | {doc["uri"] for doc in hello.get("documents", ())}
 
     def _adopt_manifest_default(self) -> None:
         """Pick the cluster default from the store manifest at startup.
@@ -669,13 +664,6 @@ class ClusterService:
             bindings=bindings or {},
             deadline=deadline,
         )
-        with self._routing_lock:
-            for uri, info in result.get("documents", {}).items():
-                entry = self._routing.get(uri)
-                if entry is not None:
-                    # the epoch bump propagates into the routing table
-                    entry["epoch"] = info["epoch"]
-                    entry["nodes"] = info["nodes"]
         return result
 
     def explain(self, query, deadline=None) -> dict:
@@ -709,11 +697,7 @@ class ClusterService:
         handle = self._handles[shard]
         result = handle.call("put_document", uri=uri, xml=xml_text)
         with self._routing_lock:
-            self._routing[uri] = {
-                "shard": shard,
-                "epoch": result["epoch"],
-                "nodes": result["nodes"],
-            }
+            self._routing.add(uri)
             became_default = False
             if self._default is None:
                 # the implicit first-load rule, cluster-wide
@@ -736,7 +720,7 @@ class ClusterService:
         handle = self._handles[shard_of(uri, self.workers)]
         result = handle.call("delete_document", uri=uri)
         with self._routing_lock:
-            self._routing.pop(uri, None)
+            self._routing.discard(uri)
             if self._default == uri:
                 self._default = None
         return result

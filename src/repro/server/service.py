@@ -20,13 +20,14 @@ Execution model:
 * document load/replace/unload and updates go straight to the
   Database's exclusive catalog lock — a replace waits for in-flight
   queries, then atomically swaps the tree.  Cached plans stay valid
-  while the documents they read keep their size class
-  (:mod:`repro.api.plan_cache`), so the next queries are cache hits
-  that read the new tree; a class change or an unload makes the next
-  lookup recompile (once, thanks to single-flight).
+  while the documents they read are loaded (:mod:`repro.api.plan_cache`),
+  so the next queries are cache hits that read the new tree; an unload
+  makes the next lookup recompile (once: the plan cache compiles a key
+  raced by many requests one time).
 * :meth:`QueryService.stats` aggregates the operational surface:
   request/timeout/shed/error counters, in-flight gauge, plan-cache hit
-  rates, single-flight waits, and per-pass optimizer totals summed over
+  rates, waits on a concurrent compilation of the same query
+  (``single_flight_waits``), and per-pass optimizer totals summed over
   every compilation the service performed.
 """
 
@@ -373,7 +374,7 @@ class QueryService:
                     "hit_rate": cache.stats.hit_rate,
                     "invalidations": cache.stats.invalidations,
                     "evictions": cache.stats.evictions,
-                    "single_flight_waits": self.database.single_flight_waits,
+                    "single_flight_waits": cache.stats.waits,
                 },
                 "documents": len(self.database.documents),
             }

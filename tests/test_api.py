@@ -5,7 +5,6 @@ import pytest
 
 import repro
 from repro import Database, connect
-from repro.api.plan_cache import size_class
 from repro.errors import DynamicError, PathfinderError, StaticError
 
 DOC = "<r><v>1</v><v>2</v><v>3</v></r>"
@@ -103,18 +102,16 @@ class TestPlanCache:
         p2 = session.prepare("count(/r/v)")
         assert p1.plan is p2.plan
 
-    def test_replace_invalidates_affected_plans(self, db, session):
-        """Only a replace that moves the document out of its size class
-        drops its plans — on the next lookup, counted once."""
+    def test_bigger_replace_is_a_hit_that_reads_the_new_tree(self, db, session):
+        """A plan resolves its documents at run time, so a replace keeps
+        it however much the document grows (7 nodes → 25)."""
         session.prepare("count(/r/v)")
         bigger = "<r>" + "<v>1</v>" * 12 + "</r>"
-        assert size_class(25) != size_class(7)  # 1 + 2*12 nodes vs 7
         db.load_document("r.xml", bigger, replace=True)
         prepared = session.prepare("count(/r/v)")
-        assert not prepared.from_cache
+        assert prepared.from_cache
         assert prepared.execute().serialize() == "12"
-        assert db.plan_cache.stats.invalidations == 1
-        assert session.prepare("count(/r/v)").from_cache
+        assert db.plan_cache.stats.invalidations == 0
 
     def test_same_class_replace_keeps_plan_and_reads_new_tree(self, db, session):
         assert session.execute("/r/v/text()").serialize() == "123"
@@ -127,13 +124,14 @@ class TestPlanCache:
     def test_unrelated_change_keeps_plans_hot(self, db, session):
         session.prepare("count(/r/v)")
         db.load_document("other.xml", "<z/>", replace=False)
-        session.prepare('count(doc("other.xml")/z)')
-        db.load_document("other.xml", "<z><y/><y/><y/></z>", replace=True)
+        session.prepare('count(doc("other.xml")/z/y)')
+        db.load_document("other.xml", "<z>" + "<y/>" * 9 + "</z>", replace=True)
         # the plan over r.xml never looks at other.xml; the plan over
-        # other.xml sees it grow from 2 to 5 nodes, out of its class
+        # other.xml sees it grow from 2 to 11 nodes and reads the new tree
         assert session.prepare("count(/r/v)").from_cache
-        assert not session.prepare('count(doc("other.xml")/z)').from_cache
-        assert db.plan_cache.stats.invalidations == 1
+        result = session.execute('count(doc("other.xml")/z/y)')
+        assert result.from_cache and result.serialize() == "9"
+        assert db.plan_cache.stats.invalidations == 0
 
     def test_unload_invalidates(self, db, session):
         query = 'count(doc("o.xml")/o)'

@@ -431,8 +431,8 @@ class TestHotReplace:
 
     def test_query_after_update_is_a_cache_hit(self, cluster, router):
         """POST /update keeps the owning shard's cached plans (the
-        document stays in its size class): the next POST /query of a
-        known text is a hit that answers from the updated tree."""
+        document stays loaded): the next POST /query of a known text is
+        a hit that answers from the updated tree."""
         uri = SHARD_DOCS[1]
         query = json.dumps({"query": f'sum(doc("{uri}")/r/v)'}).encode()
         status, payload = http_request(router, "POST", "/query", query)

@@ -3,19 +3,21 @@
 The serving contract under test: many sessions on many threads share one
 Database while documents are hot-replaced — queries must never see a
 torn catalog (a result must always correspond to *some* complete
-document version), epoch bumps must invalidate exactly the affected
-plans, and racing compilations of one query text must collapse into a
-single front-end run (single-flight).
+document version), replaces must keep the cached plans (which read the
+new tree), and racing compilations of one query text must collapse into
+a single front-end run (single-flight, owned by the plan cache).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro import Database, connect
-from repro.api.concurrency import RWLock, SingleFlight
+from repro.api.concurrency import RWLock
+from repro.api.plan_cache import PlanCache
 
 #: the document versions the replacer thread alternates between —
 #: count(/r/v) must always be one of these, never anything in between
@@ -105,46 +107,55 @@ class TestRWLock:
         assert got_read.is_set()
 
 
+def _entry(query: str = "1+1"):
+    """A compiled plan reading no document: current in every catalog."""
+    return Database().compile_query(query, use_optimizer=True)
+
+
 class TestSingleFlight:
+    """:meth:`PlanCache.get_or_compile` compiles a key once at a time."""
+
     def test_waiters_adopt_leader_result(self):
-        flight = SingleFlight()
+        cache = PlanCache()
+        entry = _entry()
         barrier = threading.Barrier(8, timeout=5)
         calls = []
         results = []
 
-        def compute():
+        def compile_plan():
             calls.append(1)
-            threading.Event().wait(0.05)  # hold the flight open
-            return "plan"
+            threading.Event().wait(0.05)  # hold the compilation open
+            return entry
 
         def racer():
             barrier.wait()
-            value, leader = flight.do("key", compute)
-            results.append((value, leader))
+            results.append(cache.get_or_compile("key", {}, None, compile_plan))
 
         threads = [threading.Thread(target=racer) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=5)
+        assert not any(t.is_alive() for t in threads)
         assert len(calls) == 1
-        assert all(value == "plan" for value, _ in results)
-        assert sum(leader for _, leader in results) == 1
-        assert flight.waits == 7
+        assert all(got is entry for got, _ in results)
+        assert sum(not hit for _, hit in results) == 1  # one leader
+        assert cache.stats.waits == 7
+        assert len(cache) == 1
 
     def test_errors_propagate_to_waiters(self):
-        flight = SingleFlight()
+        cache = PlanCache()
         barrier = threading.Barrier(4, timeout=5)
         failures = []
 
-        def compute():
+        def compile_plan():
             threading.Event().wait(0.05)
             raise ValueError("boom")
 
         def racer():
             barrier.wait()
             try:
-                flight.do("key", compute)
+                cache.get_or_compile("key", {}, None, compile_plan)
             except ValueError as exc:
                 failures.append(str(exc))
 
@@ -153,12 +164,68 @@ class TestSingleFlight:
             t.start()
         for t in threads:
             t.join(timeout=5)
+        assert not any(t.is_alive() for t in threads)
         assert failures == ["boom"] * 4
+        assert len(cache) == 0  # the error is not cached
+        entry = _entry()
+        assert cache.get_or_compile("key", {}, None, lambda: entry) == (
+            entry,
+            False,
+        )
 
     def test_next_call_after_landing_recomputes(self):
-        flight = SingleFlight()
-        assert flight.do("k", lambda: 1) == (1, True)
-        assert flight.do("k", lambda: 2) == (2, True)
+        cache = PlanCache()
+        first, second = _entry("1"), _entry("2")
+        assert cache.get_or_compile("k", {}, None, lambda: first) == (first, False)
+        assert cache.get_or_compile("k", {}, None, lambda: second) == (first, True)
+        cache.clear()
+        assert cache.get_or_compile("k", {}, None, lambda: second) == (
+            second,
+            False,
+        )
+
+    def test_stress_every_key_compiles_once(self):
+        """More threads than cores and a short switch interval: a miss
+        raced against the leader's insert must still adopt its entry,
+        never compile the key a second time."""
+        cache = PlanCache()
+        entries = [_entry(str(k)) for k in range(4)]
+        compiles = {k: 0 for k in range(4)}
+        compiles_lock = threading.Lock()
+        lookups = 200
+
+        def compile_for(k):
+            def compile_plan():
+                with compiles_lock:
+                    compiles[k] += 1
+                return entries[k]
+            return compile_plan
+
+        wrong = []
+
+        def racer(offset):
+            for i in range(lookups):
+                k = (i + offset) % 4
+                got, _ = cache.get_or_compile(k, {}, None, compile_for(k))
+                if got is not entries[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=racer, args=(n,)) for n in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert compiles == {k: 1 for k in range(4)}
+        stats = cache.stats
+        assert stats.hits + stats.misses == 16 * lookups
+        assert stats.misses - stats.waits == 4  # one leader per key
 
 
 class TestConcurrentDatabase:
@@ -195,28 +262,47 @@ class TestConcurrentDatabase:
         assert not writer.is_alive() and not any(t.is_alive() for t in readers)
         assert bad == []
 
-    def test_class_invalidation_after_replace(self):
-        """The first execution after a replace must see the new tree: a
-        replace within the document's size class keeps the cached plan
-        (it resolves the document at run time), one that leaves the
-        class recompiles it exactly once."""
+    def test_plans_stay_hot_across_concurrent_replaces(self):
+        """A replace keeps the cached plan however far the document
+        grows or shrinks: readers racing a writer that swaps a 7-node
+        and a 161-node version are all served from the cache, and each
+        read sees one complete version."""
+        versions = {3: DOC_VERSIONS[3], 80: "<r>" + "<v>1</v>" * 80 + "</r>"}
         db = Database()
-        db.load_document("r.xml", DOC_VERSIONS[3])
-        session = db.connect()
-        assert session.execute("count(/r/v)").serialize() == "3"
-        # 7 → 11 nodes: out of the class
-        db.load_document("r.xml", DOC_VERSIONS[5], replace=True)
-        result = session.execute("count(/r/v)")
-        assert result.serialize() == "5" and not result.from_cache
-        assert db.plan_cache.stats.invalidations == 1
-        # same node count, different content: in the class
-        db.load_document("r.xml", DOC_VERSIONS[5].replace("5", "6"), replace=True)
-        result = session.execute("sum(/r/v)")
-        assert not result.from_cache  # first time this text is seen
-        db.load_document("r.xml", DOC_VERSIONS[5], replace=True)
-        result = session.execute("sum(/r/v)")
-        assert result.serialize() == "15" and result.from_cache
-        assert db.plan_cache.stats.invalidations == 1
+        db.load_document("r.xml", versions[3])
+        assert db.connect().execute("count(/r/v)").serialize() == "3"
+        bad = []
+        stop = threading.Event()
+
+        def reader():
+            session = db.connect()
+            while not stop.is_set():
+                result = session.execute("count(/r/v)")
+                got = int(result.serialize())
+                if got not in versions or not result.from_cache:
+                    bad.append((got, result.from_cache))
+                    return
+
+        def replacer():
+            for i in range(21):  # ends on the big version
+                xml = versions[3 if i % 2 else 80]
+                db.load_document("r.xml", xml, replace=True)
+
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        for t in readers:
+            t.start()
+        writer = threading.Thread(target=replacer)
+        writer.start()
+        writer.join(timeout=60)
+        stop.set()
+        for t in readers:
+            t.join(timeout=60)
+        assert not writer.is_alive() and not any(t.is_alive() for t in readers)
+        assert bad == []
+        result = db.connect().execute("count(/r/v)")
+        assert result.serialize() == "80" and result.from_cache
+        assert db.plan_cache.stats.misses == 1
+        assert db.plan_cache.stats.invalidations == 0
 
     def test_single_flight_compilation(self, monkeypatch):
         """N sessions racing on one cold query text compile it once."""

@@ -2,8 +2,9 @@
 README/docs must resolve, the relational, api, encoding and server
 layers must be fully docstringed (mirrors the CI ruff pydocstyle
 job over the same directories), the operator table of
-docs/algebra.md must match the algebra and the optimizer's passes, and
-the option table of docs/serving.md the flags of ``repro serve``."""
+docs/algebra.md must match the algebra and the optimizer's passes, the
+option table of docs/serving.md the flags of ``repro serve``, and every
+documented ``Class.member`` of a public class a member in the code."""
 
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import check_docs  # noqa: E402
 from check_docs import (  # noqa: E402
     check_algebra_table,
+    check_api_names,
     check_docstrings,
     check_links,
     check_serve_options,
@@ -66,3 +68,24 @@ def test_serve_option_table_drift_is_reported(tmp_path, monkeypatch):
     assert any("option table lacks --page-budget" in e for e in errors)
     assert any("--old-knob is not a serve option" in e for e in errors)
     assert len(errors) == 2
+
+
+def test_documented_api_names_exist():
+    assert check_api_names() == []
+
+
+def test_api_name_drift_is_reported(tmp_path, monkeypatch):
+    """A member the class lacks is reported; methods, properties,
+    dataclass fields and ``self.`` attributes all resolve."""
+    doc = tmp_path / "api.md"
+    doc.write_text(
+        "Call `Database.no_such_member()` or `Database.compile_cached`;\n"
+        "read `Database.default_document`, `CachedPlan.documents` and\n"
+        "`Database.plan_cache`, not `PlanCache.get`.\n"
+    )
+    monkeypatch.setattr(check_docs, "DOC_FILES", (str(doc),))
+    errors = check_api_names()
+    assert errors == [
+        f"{doc}:1: Database.no_such_member is not a member of Database",
+        f"{doc}:3: PlanCache.get is not a member of PlanCache",
+    ]

@@ -169,9 +169,9 @@ class TestDocumentEndpoints:
         assert q2["result"] == "2"
 
     def test_query_after_update_is_a_cache_hit(self, server):
-        """An update keeps the cached plans of the document (it stays in
-        its size class): the next /query of a known text is a hit that
-        answers from the updated tree."""
+        """An update keeps the cached plans of the document (it stays
+        loaded): the next /query of a known text is a hit that answers
+        from the updated tree."""
         base, _ = server
         xml = "<u>" + "<i>1</i>" * 20 + "</u>"
         assert request(base, "/documents/upd.xml", "PUT", xml.encode())[0] == 200

@@ -16,6 +16,7 @@ import urllib.request
 import pytest
 
 import repro
+from repro.api.prepared import PreparedQuery
 from repro.errors import DynamicError, StaticError
 from repro.xquery import ast
 from repro.xquery.core import is_updating
@@ -300,27 +301,29 @@ class TestEpochsAndCaches:
         assert session.stats.plan_cache_misses == compiles + 1  # c/text()
         assert db.plan_cache.stats.invalidations == 0
 
-    def test_growing_past_the_class_recompiles_once(self):
-        # 100 nodes (document, site, b, 97 x): inserts stay in the class
-        # until the 118th node
+    def test_growing_document_never_recompiles(self):
+        # 20 nodes (document, site, b, 17 x) grown to 100 by inserts: a
+        # plan resolves the document at run time, however large it is
         session = repro.connect()
         db = session.database
-        db.load_document("g.xml", "<site><b>" + "<x/>" * 97 + "</b></site>")
-        query = "count(//w)"
-        session.prepare(query)
-        start = db.document_class("g.xml")
-        inserted, hits = 0, 0
-        while db.document_class("g.xml") == start:
-            session.execute_update("insert node <w/> into /site/b")
-            inserted += 1
-            result = session.execute(query)
-            assert result.serialize() == str(inserted)
-            hits += result.from_cache
-        assert (inserted, hits) == (18, 17)  # the 118th node left the class
-        assert not result.from_cache
-        assert db.plan_cache.stats.invalidations == 1
-        session.execute_update("insert node <w/> into /site/b")
-        assert session.execute(query).from_cache
+        db.load_document("g.xml", "<site><b>" + "<x/>" * 17 + "</b></site>")
+        queries = ("count(//w)", "/site/b/w[last()]/@n/string()")
+        for query in queries:
+            session.prepare(query)
+        for i in range(1, 21):
+            session.execute_update(
+                f"insert node (<w/>, <w/>, <w/>, <w n='{i}'/>) into /site/b"
+            )
+            for query in queries:
+                result = session.execute(query)
+                assert result.from_cache, (i, query)
+                fresh = PreparedQuery(
+                    session, db.compile_query(query, True), from_cache=False
+                )
+                assert result.serialize() == fresh.execute().serialize()
+        assert [session.execute(q).serialize() for q in queries] == ["80", "20"]
+        assert db.catalog_snapshot()[0]["nodes"] == 100
+        assert db.plan_cache.stats.invalidations == 0
 
     def test_other_documents_stay_hot(self, session):
         db = session.database

@@ -1,7 +1,8 @@
 """Documentation checks: markdown links, per-package docstring presence,
-the algebra reference and the serving option table against the code.
+the algebra reference, the serving option table and the API names the
+docs mention against the code.
 
-Four checks, all runnable standalone (CI docs job) and from the test
+Five checks, all runnable standalone (CI docs job) and from the test
 suite (``tests/test_docs.py``):
 
 * **link check** — every relative markdown link in ``README.md`` and
@@ -22,6 +23,10 @@ suite (``tests/test_docs.py``):
 * **serve option check** — the option table of ``docs/serving.md``
   names exactly the flags ``build_serve_parser()`` in
   ``server/cli.py`` adds, read with :mod:`ast` the same way.
+* **API name check** — every ``Class.member`` reference in
+  ``README.md`` and ``docs/*.md`` to one of the public classes in
+  :data:`API_CLASSES` must name a method, property, dataclass field or
+  ``self.`` attribute of that class under ``src/``, read with :mod:`ast`.
 
 Usage::
 
@@ -72,6 +77,21 @@ _OP_ROW = re.compile(r"^\|\s*`(\w+)`\s*\|(?:[^|]*\|){2}([^|]*)\|\s*$")
 _SNAKE = re.compile(r"\b[a-z]+(?:_[a-z]+)+\b")
 #: a command-line flag inside a table cell
 _FLAG = re.compile(r"--[a-z][a-z-]*")
+
+#: the public classes whose documented ``Class.member`` names are checked
+API_CLASSES = (
+    "Database",
+    "Session",
+    "PreparedQuery",
+    "QueryResult",
+    "PlanCache",
+    "CachedPlan",
+    "NodeArena",
+    "QueryService",
+    "ClusterService",
+    "DocumentStore",
+)
+_API_REF = re.compile(r"`(" + "|".join(API_CLASSES) + r")\.(\w+)")
 
 
 def check_links() -> list[str]:
@@ -215,6 +235,47 @@ def check_serve_options() -> list[str]:
     return errors
 
 
+def _class_members() -> dict[str, set[str]]:
+    """Per class of :data:`API_CLASSES`: its methods and properties, its
+    annotated class-level fields and every ``self.`` attribute its
+    methods assign."""
+    members: dict[str, set[str]] = {name: set() for name in API_CLASSES}
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and node.name in members):
+                continue
+            names = members[node.name]
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(child.name)
+                elif isinstance(child, ast.AnnAssign) and isinstance(
+                    child.target, ast.Name
+                ):
+                    names.add(child.target.id)
+            names.update(
+                target.attr
+                for target in ast.walk(node)
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.ctx, ast.Store)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            )
+    return members
+
+
+def check_api_names() -> list[str]:
+    """Return one error string per ``Class.member`` reference in the
+    docs that names no member of that class."""
+    members = _class_members()
+    errors = []
+    for rel in DOC_FILES:
+        for lineno, line in enumerate((REPO / rel).read_text().splitlines(), 1):
+            for cls, member in _API_REF.findall(line):
+                if member not in members[cls]:
+                    errors.append(f"{rel}:{lineno}: {cls}.{member} is not a member of {cls}")
+    return errors
+
+
 def check_docstrings() -> list[str]:
     """Return one error string per missing public docstring."""
     errors = []
@@ -232,6 +293,7 @@ def main() -> int:
         + check_docstrings()
         + check_algebra_table()
         + check_serve_options()
+        + check_api_names()
     )
     for err in errors:
         print(err, file=sys.stderr)
@@ -239,8 +301,8 @@ def main() -> int:
         print(f"{len(errors)} documentation problem(s)", file=sys.stderr)
         return 1
     print(
-        "docs OK: links resolve; algebra table and serve options match "
-        "the code; "
+        "docs OK: links resolve; algebra table, serve options and API "
+        "names match the code; "
         "fully docstringed: "
         + ", ".join(r.rsplit("/", 1)[-1] for r in DOCSTRING_ROOTS)
     )
