@@ -211,10 +211,12 @@ class TreeDelta:
     This is the arena-level half of the XQuery Update Facility: the
     pending-update-list compiler (:mod:`repro.compiler.updates`) resolves
     update primitives to *old* arena rows/attribute ids and fills these
-    maps; :meth:`NodeArena.rebuild_with_delta` then re-emits the document
-    as a brand-new fragment with the edits applied.  Content entries are
-    ``("copy", row)`` (deep copy of an existing subtree) or ``("text",
-    sid)`` (a new text node), exactly like the element constructor spec.
+    maps; :meth:`NodeArena.rebuild_with_delta` then splices the document
+    into a brand-new fragment with the edits applied.  Content entries
+    are ``("copy", row)`` (deep copy of an existing subtree; a document
+    node contributes its children) or ``("text", sid)`` (a new text
+    node), as in the element constructor spec.  A row both deleted and
+    replaced is deleted.
     """
 
     #: target row → content inserted immediately before/after it
@@ -1193,190 +1195,261 @@ class NodeArena:
         return parents
 
     # ------------------------------------------------------------ updates
-    def _child_rows_of(self, row: int) -> list[int]:
-        """Child rows of ``row`` in document order (helper for rebuilds)."""
-        order, lo, hi = self.children_ranges(np.asarray([row], dtype=np.int64))
-        return order[int(lo[0]) : int(hi[0])].tolist()
-
-    def _attr_ids_of(self, row: int) -> list[int]:
-        """Attribute ids owned by ``row`` (helper for rebuilds)."""
-        order, lo, hi = self.attr_ranges(np.asarray([row], dtype=np.int64))
-        return order[int(lo[0]) : int(hi[0])].tolist()
-
     def rebuild_with_delta(self, root: int, delta: TreeDelta) -> int:
-        """Re-emit the fragment rooted at ``root`` with ``delta`` applied.
+        """Rebuild the fragment rooted at ``root`` with ``delta`` applied.
 
         This is the structural-update primitive behind the XQuery Update
         Facility: rows never change in place, so instead of shifting
-        ``pre`` ranks the whole affected document is rebuilt as a **new
-        fragment** on top of the stack (one pre-order pass over the old
-        rows, exactly like shredding) and the caller swaps the catalog
+        ``pre`` ranks the affected document is spliced into a **new
+        fragment** on top of the stack and the caller swaps the catalog
         entry to the returned root — an epoch bump, not a re-shred of XML
         text.  The old rows stay valid for results that still hold them;
         :meth:`reclaim` pops them once nobody can.
-        """
-        # the whole old document is read during the re-emit; fault it in
-        # up front (updates materialise their targets by design — the
-        # rebuilt fragment is dirty and unevictable until checkpointed)
-        self.ensure_rows((root,))
-        kinds: list[int] = []
-        sizes: list[int] = []
-        levels: list[int] = []
-        parents: list[int] = []
-        names: list[int] = []
-        values: list[int] = []
-        attrs: list[tuple[int, int, int]] = []  # (owner offset, name, value)
 
-        # rows the delta touches, sorted: any subtree free of them (and
-        # every copied source subtree) is emitted as one vectorised slice
-        # instead of row by row — updates cost O(touched path + content),
-        # not O(document), on the hot rebuild loop
-        touched_set: set[int] = set(delta.delete)
-        for table in (
+        Only rows whose subtree holds a touched row are walked.  At each,
+        the children that hold none split into runs of consecutive
+        siblings, and since siblings are contiguous in pre order every
+        run is one *region* ``[first, last + size[last] + 1)``, as is
+        every copied subtree (a copied document node: the region of its
+        children).  The regions are then copied into the new columns with
+        one slice per column, their ``level`` shifted and ``parent``
+        rebased; walked rows and new text nodes are single rows.  Among
+        the children of a walked row adjacent text nodes merge and empty
+        ones are dropped (XDM) — only there can an edit make them meet.
+        """
+        pool = self.pool
+        content_tables = (
             delta.insert_before,
             delta.insert_after,
             delta.insert_first,
             delta.insert_last,
-            delta.insert_attrs,
             delta.replace,
-            delta.replace_value,
-            delta.replace_content,
-            delta.rename,
-        ):
-            touched_set.update(table)
-        for attr_table in (
-            delta.delete_attrs,
-            delta.replace_attr,
-            delta.replace_attr_value,
-            delta.rename_attr,
-        ):
-            touched_set.update(int(self.attr_owner[a]) for a in attr_table)
-        touched = np.asarray(sorted(touched_set), dtype=np.int64)
+        )
 
-        def append_row(kind, level, parent, name, value) -> int:
-            offset = len(kinds)
-            kinds.append(kind)
-            sizes.append(0)
-            levels.append(level)
-            parents.append(parent)
-            names.append(name)
-            values.append(value)
-            return offset
+        def text_tail(item) -> bool:
+            """Whether ``item``'s last top-level node is a text node."""
+            if item[0] != "r":
+                return item[0] == "t"
+            start, stop = item[1], item[2]
+            return kind[stop - 1] == NK_TEXT and parent[stop - 1] == parent[start]
 
-        def bulk_copy(row: int, level: int, parent: int) -> int:
-            """Copy the whole subtree of ``row`` verbatim as array slices
-            (region copy: the subtree is rows ``row .. row+size``)."""
-            count = int(self.size[row]) + 1
-            base_off = len(kinds)
-            src = slice(row, row + count)
-            kinds.extend(self.kind[src].tolist())
-            sizes.extend(self.size[src].tolist())
-            levels.extend((self.level[src] - int(self.level[row]) + level).tolist())
-            parents.extend((self.parent[src] - row + base_off).tolist())
-            parents[base_off] = parent
-            names.extend(self.name[src].tolist())
-            values.extend(self.value[src].tolist())
-            ids, _ = self.attrs_in_span(row, row + count)
-            attrs.extend(
-                zip(
-                    (self.attr_owner[ids] + (base_off - row)).tolist(),
-                    self.attr_name[ids].tolist(),
-                    self.attr_value[ids].tolist(),
-                )
-            )
-            return count
-
-        def copy_fresh(row: int, level: int, parent: int) -> int:
-            """Deep-copy ``row`` verbatim (inserted/replacement content is
-            outside the delta's domain); returns rows appended."""
-            if int(self.kind[row]) == NK_DOC:
-                # a document-node source contributes its children
-                return sum(
-                    bulk_copy(c, level, parent) for c in self._child_rows_of(row)
-                )
-            return bulk_copy(row, level, parent)
-
-        def emit_entry(entry, level: int, parent: int) -> int:
-            tag, payload = entry
-            if tag == "text":
-                append_row(NK_TEXT, level, parent, -1, payload)
-                return 1
-            return copy_fresh(payload, level, parent)
-
-        def emit_inserts(table: dict, row: int, level: int, parent: int) -> int:
-            return sum(emit_entry(e, level, parent) for e in table.get(row, ()))
-
-        def emit(row: int, level: int, parent: int) -> int:
-            """Emit ``row`` with the delta applied; returns rows appended."""
-            if row in delta.delete:
-                return 0
-            if row in delta.replace:
-                return sum(
-                    emit_entry(e, level, parent) for e in delta.replace[row]
-                )
-            # untouched subtree: one region copy instead of a row walk
-            nxt = int(np.searchsorted(touched, row))
-            if nxt == len(touched) or int(touched[nxt]) > row + int(self.size[row]):
-                return bulk_copy(row, level, parent)
-            kind = int(self.kind[row])
-            name = delta.rename.get(row, int(self.name[row]))
-            value = delta.replace_value.get(row, int(self.value[row]))
-            offset = append_row(kind, level, parent, name, value)
-            if kind == NK_ELEM:
-                for aid in self._attr_ids_of(row):
-                    if aid in delta.delete_attrs:
-                        continue
-                    if aid in delta.replace_attr:
-                        for aname, avalue in delta.replace_attr[aid]:
-                            attrs.append((offset, aname, avalue))
-                        continue
-                    aname = delta.rename_attr.get(aid, int(self.attr_name[aid]))
-                    avalue = delta.replace_attr_value.get(
-                        aid, int(self.attr_value[aid])
-                    )
-                    attrs.append((offset, aname, avalue))
-                for aname, avalue in delta.insert_attrs.get(row, ()):
-                    attrs.append((offset, aname, avalue))
-            total = 1
-            if kind in (NK_ELEM, NK_DOC):
-                if row in delta.replace_content:
-                    sid = delta.replace_content[row]
-                    if self.pool.value(sid) != "":
-                        total += emit_entry(("text", sid), level + 1, offset)
+        def push(items: list, item) -> None:
+            """Append a child item: a region ``("r", start, stop)``, text
+            ``("t", [sid, ..])`` or walked row ``("n", row)``.  Text next
+            to text merges into one item; a text node at the meeting end
+            of a region is split off the region to merge."""
+            rest = None
+            if item[0] == "r" and kind[item[1]] == NK_TEXT and items and text_tail(items[-1]):
+                start, stop = item[1], item[2]
+                if start + 1 < stop:
+                    rest = ("r", start + 1, stop)
+                item = ("t", [int(value[start])])
+            if item[0] == "t" and items and text_tail(items[-1]):
+                last = items.pop()
+                if last[0] == "t":
+                    item = ("t", last[1] + item[1])
                 else:
-                    total += emit_inserts(delta.insert_first, row, level + 1, offset)
-                    for child in self._child_rows_of(row):
-                        total += emit_inserts(
-                            delta.insert_before, child, level + 1, offset
-                        )
-                        total += emit(child, level + 1, offset)
-                        total += emit_inserts(
-                            delta.insert_after, child, level + 1, offset
-                        )
-                    total += emit_inserts(delta.insert_last, row, level + 1, offset)
-            sizes[offset] = total - 1
-            return total
+                    start, stop = last[1], last[2] - 1
+                    if stop > start:
+                        items.append(("r", start, stop))
+                    item = ("t", [int(value[stop]), *item[1]])
+            items.append(item)
+            if rest is not None:
+                items.append(rest)
+
+        def content(entries, items: list) -> None:
+            """Push inserted content: a copy is a region (a document
+            node's: the region of its children), a copied text node or
+            ``("text", sid)`` entry is text."""
+            for tag, payload in entries:
+                if tag == "text":
+                    push(items, ("t", [payload]))
+                elif kind[payload] == NK_TEXT:
+                    push(items, ("t", [int(value[payload])]))
+                else:
+                    stop = payload + int(size[payload]) + 1
+                    start = payload + int(kind[payload] == NK_DOC)
+                    if start < stop:
+                        push(items, ("r", start, stop))
+
+        def children(row: int) -> list:
+            """The child items of walked ``row``, in document order."""
+            items: list = []
+            if row in delta.replace_content:
+                push(items, ("t", [delta.replace_content[row]]))
+                return items
+            content(delta.insert_first.get(row, ()), items)
+            order, lo, hi = self.children_ranges(np.asarray((row,), dtype=np.int64))
+            kids = order[int(lo[0]) : int(hi[0])]
+            ends = kids + size[kids]
+            hot = touched.searchsorted(kids) < touched.searchsorted(ends, side="right")
+            first = 0
+            for i in np.flatnonzero(hot):
+                if i > first:
+                    push(items, ("r", int(kids[first]), int(ends[i - 1]) + 1))
+                first = i + 1
+                child = int(kids[i])
+                content(delta.insert_before.get(child, ()), items)
+                if child in delta.delete:
+                    pass
+                elif child in delta.replace:
+                    content(delta.replace[child], items)
+                elif kind[child] == NK_TEXT:
+                    sid = delta.replace_value.get(child, int(value[child]))
+                    push(items, ("t", [sid]))
+                else:
+                    push(items, ("n", child))
+                content(delta.insert_after.get(child, ()), items)
+            if first < len(kids):
+                push(items, ("r", int(kids[first]), int(ends[-1]) + 1))
+            content(delta.insert_last.get(row, ()), items)
+            return items
+
+        def attributes(row: int, at: int) -> None:
+            """The attributes of walked element ``row`` (new row ``at``):
+            its span of the old table, or the edited list spliced in."""
+            if row not in attr_edited:
+                spans.append((row, row + 1, at))
+                return
+            span = len(spans)
+            spans.append((row, row, at))
+            for aid in self.attrs_in_span(row, row + 1)[0]:
+                aid = int(aid)
+                if aid in delta.delete_attrs:
+                    continue
+                if aid in delta.replace_attr:
+                    pairs = delta.replace_attr[aid]
+                else:
+                    pairs = (
+                        (
+                            delta.rename_attr.get(aid, int(self.attr_name[aid])),
+                            delta.replace_attr_value.get(aid, int(self.attr_value[aid])),
+                        ),
+                    )
+                edits.extend((span, at, n, v) for n, v in pairs)
+            edits.extend((span, at, n, v) for n, v in delta.insert_attrs.get(row, ()))
+
+        def emit(row: int, depth: int, up: int) -> None:
+            """Lay out walked ``row`` at ``depth`` under new row ``up``,
+            then its children (``up`` and ``out`` are new row ids)."""
+            nonlocal out
+            at = out
+            k = int(kind[row])
+            name_id = delta.rename.get(row, int(name[row]))
+            entry = [at, k, 0, depth, up, name_id, delta.replace_value.get(row, int(value[row]))]
+            rows.append(entry)
+            out += 1
+            if k == NK_ELEM:
+                attributes(row, at)
+            if k == NK_ELEM or k == NK_DOC:
+                for item in children(row):
+                    if item[0] == "n":
+                        emit(item[1], depth + 1, at)
+                    elif item[0] == "t":
+                        sids = item[1]
+                        text = "".join(pool.values(sids))
+                        if text:  # empty text nodes are dropped
+                            sid = sids[0] if len(sids) == 1 else pool.intern(text)
+                            rows.append([out, NK_TEXT, 0, depth + 1, at, -1, sid])
+                            out += 1
+                    else:
+                        start, stop = item[1], item[2]
+                        regions.append((start, stop, out, depth + 1, at))
+                        spans.append((start, stop, out))
+                        out += stop - start
+            entry[2] = out - at - 1
 
         with self.mutation_lock:
-            emitted = emit(root, 0, -1)
-            # ``emit`` recurses through its own closure cell: unbinding it
-            # breaks that reference cycle, so the row lists above die with
-            # this call instead of waiting for the cyclic garbage collector
-            del emit
-            if emitted == 0:  # pragma: no cover - guarded upstream
+            if root in delta.delete:
                 raise DynamicError("an update may not delete the document root")
-            self.begin_fragment()
-            first_row = self.num_nodes
-            rebased = [p + first_row if p >= 0 else -1 for p in parents]
-            base = self.append_nodes(kinds, sizes, levels, rebased, names, values)
-            if attrs:
-                owners, attr_names, attr_values = zip(*attrs)
-                self.append_attrs(
-                    np.asarray(owners, dtype=np.int64) + base,
-                    attr_names,
-                    attr_values,
+            # the old document and every copy source are read below;
+            # fault them in up front (updates materialise their targets
+            # by design — the rebuilt fragment is dirty and unevictable
+            # until checkpointed)
+            sources = [
+                payload
+                for table in content_tables
+                for entries in table.values()
+                for tag, payload in entries
+                if tag == "copy"
+            ]
+            self.ensure_rows([root, *sources])
+            #: elements whose attribute list the delta edits
+            attr_edited = {
+                int(self.attr_owner[aid])
+                for table in (
+                    delta.delete_attrs,
+                    delta.replace_attr,
+                    delta.replace_attr_value,
+                    delta.rename_attr,
                 )
-            return base
+                for aid in table
+            }
+            attr_edited.update(delta.insert_attrs)
+            touched = np.asarray(
+                sorted(
+                    attr_edited.union(
+                        delta.delete,
+                        delta.replace_value,
+                        delta.replace_content,
+                        delta.rename,
+                        *content_tables,
+                    )
+                ),
+                dtype=np.int64,
+            )
+            kind, size, level, parent = self.kind, self.size, self.level, self.parent
+            name, value = self.name, self.value
+            base = out = self.num_nodes
+            #: walked rows and new text nodes: new row id, then the
+            #: kind, size, level, parent, name and value columns
+            rows: list[list[int]] = []
+            #: ``(start, stop, new row of start, new level, new parent)``
+            regions: list[tuple[int, int, int, int, int]] = []
+            #: attribute sources in output order, ``(start, stop, new row
+            #: of start)``, and edited attributes spliced in before span i
+            spans: list[tuple[int, int, int]] = []
+            edits: list[tuple[int, int, int, int]] = []
+            emit(root, 0, -1)
+            # ``emit`` recurses through its own closure cell: unbinding it
+            # breaks that reference cycle, so the piece lists above die
+            # with this call instead of waiting for the cyclic collector
+            del emit
+
+            columns = np.empty((6, out - base), dtype=np.int64)
+            kinds, sizes, levels, parents, names, values = columns
+            for start, stop, at, depth, up in regions:
+                src = slice(start, stop)
+                dst = slice(at - base, at - base + stop - start)
+                kinds[dst] = kind[src]
+                sizes[dst] = size[src]
+                levels[dst] = level[src] + (depth - int(level[start]))
+                old = parent[src]
+                parents[dst] = np.where(old >= start, old + (at - start), up)
+                names[dst] = name[src]
+                values[dst] = value[src]
+            single = np.asarray(rows, dtype=np.int64).T
+            columns[:, single[0] - base] = single[1:]
+
+            a_cols = (_EMPTY, _EMPTY, _EMPTY)
+            if spans:
+                starts, stops, ats = np.asarray(spans, dtype=np.int64).T
+                ids, owners, counts = self.attrs_in_spans(starts, stops)
+                a_cols = (
+                    owners + (ats - starts).repeat(counts),
+                    self.attr_name[ids],
+                    self.attr_value[ids],
+                )
+                if edits:
+                    span, *edited = np.asarray(edits, dtype=np.int64).T
+                    before = np.concatenate((_ZERO, counts.cumsum()))[span]
+                    a_cols = [np.insert(col, before, new) for col, new in zip(a_cols, edited)]
+
+            self.begin_fragment()
+            first = self.append_nodes(kinds, sizes, levels, parents, names, values)
+            if len(a_cols[0]):
+                self.append_attrs(*a_cols)
+            return first
 
     # ------------------------------------------------------------ node info
     def name_of(self, node: int) -> str:

@@ -866,8 +866,8 @@ def _entries_from_json(arena: NodeArena, payloads: list) -> list:
             continue
         doc = shred_text(arena, "<w>" + payload["v"] + "</w>")
         wrapper = doc + 1  # the <w> element under the document node
-        for child in arena._child_rows_of(wrapper):
-            entries.append(("copy", child))
+        order, lo, hi = arena.children_ranges(np.asarray((wrapper,), dtype=np.int64))
+        entries.extend(("copy", int(child)) for child in order[lo[0] : hi[0]])
     return entries
 
 

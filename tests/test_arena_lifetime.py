@@ -393,7 +393,7 @@ def test_twenty_updates_in_memory_stay_under_two_copies():
 
 def test_queries_and_updates_build_no_reference_cycles():
     """Compiling (loop-lifting scopes), executing and updating (the
-    arena's re-emit) free what they allocate when it is dropped, not when
+    arena's splice) free what they allocate when it is dropped, not when
     the cyclic garbage collector next happens to run — which is later the
     less the rest of the program allocates."""
     text = generate_document(0.0005, seed=5)
