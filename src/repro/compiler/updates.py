@@ -510,4 +510,44 @@ def collect_update_deltas(
             )
         _delta_for(deltas.setdefault(uri, TreeDelta()), p)
         applied[_PRIMITIVE_LABELS[p.kind]] += 1
+    for delta in deltas.values():
+        _check_attribute_names(arena, delta)
     return deltas, dict(sorted(applied.items()))
+
+
+def _check_attribute_names(arena: NodeArena, delta: TreeDelta) -> None:
+    """``err:XUDY0021`` if the delta leaves an element with two attributes
+    of one name (a document the loader would reject).
+
+    Checked on the final attribute names of every element whose
+    attributes the delta touches: its existing names minus deleted,
+    replaced and renamed ones, plus inserted names, rename targets and
+    replacement pairs.  Elements the delta removes (they or an ancestor
+    are deleted or replaced) are skipped.
+    """
+    owners = set(delta.insert_attrs)
+    for aid in (*delta.delete_attrs, *delta.replace_attr, *delta.rename_attr):
+        owners.add(int(arena.attr_owner[aid]))
+    removed = delta.delete | delta.replace.keys()
+    for owner in sorted(owners):
+        row = owner
+        while row >= 0 and row not in removed:
+            row = int(arena.parent[row])
+        if row >= 0:
+            continue
+        names = []
+        for aid in arena.attrs_in_span(owner, owner + 1)[0].tolist():
+            if aid in delta.delete_attrs:
+                continue
+            if aid in delta.replace_attr:
+                names.extend(name for name, _ in delta.replace_attr[aid])
+            else:
+                names.append(delta.rename_attr.get(aid, int(arena.attr_name[aid])))
+        names.extend(name for name, _ in delta.insert_attrs.get(owner, ()))
+        twice = [name for name, n in Counter(names).items() if n > 1]
+        if twice:
+            raise DynamicError(
+                f"the update leaves <{arena.name_of(owner)}> with two "
+                f"attributes named {arena.pool.value(twice[0])!r}",
+                code="err:XUDY0021",
+            )

@@ -735,25 +735,14 @@ class NodeArena:
             self._value.extend(values)
             return base
 
-    def append_attr(self, owner: int, name: int, value: int) -> int:
-        """Append one attribute, returning its attribute id."""
-        with self.mutation_lock:
-            self._attr_owner.append(owner)
-            self._attr_name.append(name)
-            self._attr_value.append(value)
-            return self.num_attrs - 1
-
     def append_attrs(
         self,
         owners: Sequence[int],
         names: Sequence[int],
         values: Sequence[int],
     ) -> int:
-        """Bulk append attributes; returns the first appended attribute id.
-
-        The vectorised twin of :meth:`append_attr` — one array extend
-        instead of a Python loop per attribute.
-        """
+        """Bulk append attributes; returns the first appended attribute id
+        (one array extend per column)."""
         with self.mutation_lock:
             base = self.num_attrs
             self._attr_owner.extend(owners)

@@ -17,6 +17,8 @@ trees (constructors, tests).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.encoding.arena import (
     NK_COMMENT,
     NK_DOC,
@@ -47,7 +49,7 @@ class _ShredHandler(XMLEventHandler):
 
     __slots__ = (
         "_intern", "kinds", "sizes", "levels", "parents", "names",
-        "values", "attrs", "_open",
+        "values", "attr_owners", "attr_names", "attr_values", "_open",
     )
 
     def __init__(self, pool):
@@ -58,7 +60,9 @@ class _ShredHandler(XMLEventHandler):
         self.parents: list[int] = [-1]
         self.names: list[int] = [-1]
         self.values: list[int] = [-1]
-        self.attrs: list[tuple[int, int, int]] = []  # (owner offset, name, value)
+        self.attr_owners: list[int] = []  # owner offsets
+        self.attr_names: list[int] = []
+        self.attr_values: list[int] = []
         self._open: list[int] = [0]  # document node at offset 0
 
     def start_element(self, name, attributes) -> None:
@@ -70,7 +74,9 @@ class _ShredHandler(XMLEventHandler):
         self.names.append(self._intern(name))
         self.values.append(-1)
         for aname, avalue in attributes:
-            self.attrs.append((offset, self._intern(aname), self._intern(avalue)))
+            self.attr_owners.append(offset)
+            self.attr_names.append(self._intern(aname))
+            self.attr_values.append(self._intern(avalue))
         self._open.append(offset)
 
     def end_element(self, name) -> None:
@@ -101,7 +107,8 @@ def shred_text(arena: NodeArena, xml_text: str) -> int:
     Returns the document-node row (what ``fn:doc`` yields).  No
     intermediate tree is built: parser events append column entries
     directly, and the columns land in the arena with one
-    :meth:`~repro.encoding.arena.NodeArena.append_nodes` call.  The
+    :meth:`~repro.encoding.arena.NodeArena.append_nodes` and one
+    :meth:`~repro.encoding.arena.NodeArena.append_attrs` call.  The
     arena is only touched (beyond string interning) after the parse
     succeeds, so malformed XML leaves no half-made fragment behind.
     """
@@ -144,9 +151,11 @@ def _emit(arena: NodeArena, handler: _ShredHandler) -> int:
     fragment; returns the document row."""
     with arena.mutation_lock:
         arena.begin_fragment()
-        # parents were fragment-relative offsets; rebase to global row ids
+        # parents and attribute owners were fragment-relative offsets;
+        # rebase them to global row ids
         first_row = arena.num_nodes
-        rebased = [p + first_row if p >= 0 else -1 for p in handler.parents]
+        rebased = np.asarray(handler.parents, dtype=np.int64)
+        rebased[1:] += first_row  # only the document node has no parent
         base = arena.append_nodes(
             handler.kinds,
             handler.sizes,
@@ -155,6 +164,9 @@ def _emit(arena: NodeArena, handler: _ShredHandler) -> int:
             handler.names,
             handler.values,
         )
-        for owner_offset, name_id, value_id in handler.attrs:
-            arena.append_attr(base + owner_offset, name_id, value_id)
+        arena.append_attrs(
+            np.asarray(handler.attr_owners, dtype=np.int64) + base,
+            handler.attr_names,
+            handler.attr_values,
+        )
         return base

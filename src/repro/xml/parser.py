@@ -9,16 +9,36 @@ returns the familiar :class:`XMLElement` tree, while the streaming
 shredder (:mod:`repro.encoding.shred`) appends straight into the arena's
 column buffers without ever materialising a DOM.
 
+Element content is scanned by **one compiled token pattern**
+(:data:`_TOKEN`) applied with ``pattern.match(text, pos)`` at the
+current offset: each match is one C-level scan over a whole construct —
+a text run, a start tag with its whole attribute span, an end tag, a
+comment, a CDATA section or a PI — so Python runs once per token, not
+once per character.  A second pattern (:data:`_ATTR`) splits a tag's
+attribute span into name/value pairs.  The text is streamed: no list of
+tokens is ever built.
+
+Errors are :class:`XMLSyntaxError` with a line and column, and only the
+failure path counts lines: when no token matches at an offset, a short
+diagnosis reads the construct there and names what is wrong (an
+unterminated comment, CDATA section or PI, a missing name, an unquoted
+attribute value, a mismatched end tag, an unterminated element, content
+after the root).  Beyond the grammar the scanner enforces unique
+attribute names within a tag, whitespace between attributes and no
+literal ``<`` in an attribute value; a PI target ends at the first
+whitespace character, and a leading byte-order mark is skipped.
+
 Supports everything XMark documents (and reasonable hand-written test
 documents) contain: the XML declaration, elements with attributes,
 character data, CDATA sections, comments, processing instructions,
-builtin entities and numeric character references.  Not supported
-(raises): DTD internal subsets beyond skipping the declaration, and
-general entities.
+builtin entities and numeric character references.  Names are ASCII.
+Not supported (raises): DTD internal subsets beyond skipping the
+declaration, and general entities.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -59,96 +79,34 @@ class XMLElement:
 
 XMLNode = Union[XMLElement, XMLText, XMLComment, XMLPi]
 
-_NAME_START = set("_:") | set(chr(c) for c in range(ord("a"), ord("z") + 1)) | set(
-    chr(c) for c in range(ord("A"), ord("Z") + 1)
+_S = "[ \t\r\n]"
+_NAME = "[A-Za-z_:][A-Za-z0-9_:.-]*"
+
+#: one token of element content, matched at the current offset; which
+#: alternative matched is ``match.lastindex``: a text run (only when a
+#: ``<`` follows it), a start tag with its whole attribute span, an end
+#: tag, a comment, a CDATA section or a processing instruction
+_TOKEN = re.compile(
+    "([^<]+)(?=<)"
+    f"|<({_NAME})((?:{_S}+{_NAME}{_S}*={_S}*(?:\"[^<\"]*\"|'[^<']*'))*){_S}*(/?)>"
+    f"|</({_NAME}){_S}*>"
+    "|<!--(.*?)-->"
+    r"|<!\[CDATA\[(.*?)]]>"
+    r"|<\?(.*?)\?>",
+    re.S,
 )
-_NAME_CHARS = _NAME_START | set("-.") | set("0123456789")
+#: ``lastindex`` of each alternative, also the group holding its body
+#: (for a start tag: ``"/"`` when self-closing, else ``""``)
+_TEXT, _START, _END, _COMMENT, _CDATA, _PI = 1, 4, 5, 6, 7, 8
+_TAG, _SPAN = 2, 3  # a start tag's name and attribute span
 
+#: one ``name="value"`` of a start tag's attribute span (quotes kept)
+_ATTR = re.compile(f"{_S}+({_NAME}){_S}*={_S}*(\"[^\"]*\"|'[^']*')")
 
-class _Cursor:
-    """Input cursor with line/column tracking for error messages."""
-
-    __slots__ = ("text", "pos", "_nl_scan")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self._nl_scan = 0
-
-    def line_col(self) -> tuple[int, int]:
-        """Line/column of the cursor."""
-        return self.line_col_at(self.pos)
-
-    def line_col_at(self, pos: int) -> tuple[int, int]:
-        """Line/column of an arbitrary offset.
-
-        O(offset) — error paths and references only; the parsing hot
-        loop must not call this per token (character data and attribute
-        values compute their position only when they contain a ``&``).
-        """
-        upto = self.text[:pos]
-        line = upto.count("\n") + 1
-        col = pos - (upto.rfind("\n") + 1) + 1
-        return line, col
-
-    def error(self, message: str) -> XMLSyntaxError:
-        """An :class:`XMLSyntaxError` at the cursor (for the caller to raise)."""
-        line, col = self.line_col()
-        return XMLSyntaxError(message, line, col)
-
-    def eof(self) -> bool:
-        """Whether the whole input was consumed."""
-        return self.pos >= len(self.text)
-
-    def peek(self, n: int = 1) -> str:
-        """The next ``n`` characters, without consuming them."""
-        return self.text[self.pos : self.pos + n]
-
-    def startswith(self, s: str) -> bool:
-        """Whether the input continues with ``s``."""
-        return self.text.startswith(s, self.pos)
-
-    def advance(self, n: int = 1) -> None:
-        """Consume ``n`` characters."""
-        self.pos += n
-
-    def skip_ws(self) -> None:
-        """Consume any XML whitespace."""
-        text, n = self.text, len(self.text)
-        p = self.pos
-        while p < n and text[p] in " \t\r\n":
-            p += 1
-        self.pos = p
-
-    def read_until(self, delim: str, what: str) -> str:
-        """Consume and return everything before ``delim``, then ``delim``
-        itself; ``what`` names the construct in the error if it is
-        missing."""
-        end = self.text.find(delim, self.pos)
-        if end < 0:
-            raise self.error(f"unterminated {what}")
-        out = self.text[self.pos : end]
-        self.pos = end + len(delim)
-        return out
-
-    def read_name(self) -> str:
-        """Consume and return an XML name."""
-        text = self.text
-        start = self.pos
-        if start >= len(text) or text[start] not in _NAME_START:
-            raise self.error("expected a name")
-        p = start + 1
-        n = len(text)
-        while p < n and text[p] in _NAME_CHARS:
-            p += 1
-        self.pos = p
-        return text[start:p]
-
-    def expect(self, s: str) -> None:
-        """Consume ``s`` or raise."""
-        if not self.startswith(s):
-            raise self.error(f"expected {s!r}")
-        self.advance(len(s))
+_WS = re.compile(f"{_S}*")
+_NAME_AT = re.compile(_NAME)
+_PI_TARGET = re.compile("[^ \t\r\n]*")
+_DOCTYPE_MARK = re.compile(r"[<>\[]")
 
 
 class XMLEventHandler:
@@ -180,28 +138,26 @@ def parse_events(text: str, handler: XMLEventHandler) -> None:
     """Parse a complete XML document, firing events on ``handler``.
 
     This is the streaming entry point of the XML layer: one pass, an
-    explicit element stack, and no tree allocation.  Leading/trailing
-    misc (XML declaration, comments, PIs, whitespace) is accepted and
-    discarded; exactly one root element is required.
+    explicit element stack, and no tree allocation.  A leading byte-order
+    mark and leading/trailing misc (XML declaration, DOCTYPE, comments,
+    PIs, whitespace) are accepted and discarded; exactly one root element
+    is required.
     """
-    cur = _Cursor(text)
-    _skip_prolog(cur)
-    if cur.eof() or cur.peek() != "<":
-        raise cur.error("expected the root element")
-    _parse_element_events(cur, handler)
+    pos = _skip_prolog(text, 1 if text.startswith("\ufeff") else 0)
+    if not text.startswith("<", pos):
+        raise _error(text, pos, "expected the root element")
+    pos = _scan_elements(text, pos, handler)
     # trailing misc
-    while not cur.eof():
-        cur.skip_ws()
-        if cur.eof():
-            break
-        if cur.startswith("<!--"):
-            cur.advance(4)
-            cur.read_until("-->", "comment")
-        elif cur.startswith("<?"):
-            cur.advance(2)
-            cur.read_until("?>", "processing instruction")
+    while True:
+        pos = _WS.match(text, pos).end()
+        if pos >= len(text):
+            return
+        if text.startswith("<!--", pos):
+            pos = _skip_past(text, pos + 4, "-->", "comment")
+        elif text.startswith("<?", pos):
+            pos = _skip_past(text, pos + 2, "?>", "processing instruction")
         else:
-            raise cur.error("content after the root element")
+            raise _error(text, pos, "content after the root element")
 
 
 def parse_document(text: str) -> XMLElement:
@@ -251,135 +207,230 @@ class _TreeBuilder(XMLEventHandler):
         self._stack[-1].children.append(XMLPi(target, data))
 
 
-def _skip_prolog(cur: _Cursor) -> None:
-    """Consume the XML declaration, comments, PIs, a DOCTYPE and
+def _skip_prolog(text: str, pos: int) -> int:
+    """The offset past the XML declaration, comments, PIs, a DOCTYPE and
     whitespace before the root element."""
     while True:
-        cur.skip_ws()
-        if cur.startswith("<?xml"):
-            cur.advance(5)
-            cur.read_until("?>", "XML declaration")
-        elif cur.startswith("<!--"):
-            cur.advance(4)
-            cur.read_until("-->", "comment")
-        elif cur.startswith("<!DOCTYPE"):
-            cur.advance(9)
-            depth = 1
-            while depth and not cur.eof():
-                ch = cur.peek()
-                if ch == "<":
-                    depth += 1
-                elif ch == ">":
-                    depth -= 1
-                elif ch == "[":
-                    cur.read_until("]", "DTD internal subset")
-                    continue
-                cur.advance()
-            if depth:
-                raise cur.error("unterminated DOCTYPE")
-        elif cur.startswith("<?"):
-            cur.advance(2)
-            cur.read_until("?>", "processing instruction")
+        pos = _WS.match(text, pos).end()
+        if text.startswith("<?xml", pos):
+            pos = _skip_past(text, pos + 5, "?>", "XML declaration")
+        elif text.startswith("<!--", pos):
+            pos = _skip_past(text, pos + 4, "-->", "comment")
+        elif text.startswith("<!DOCTYPE", pos):
+            pos = _skip_doctype(text, pos + 9)
+        elif text.startswith("<?", pos):
+            pos = _skip_past(text, pos + 2, "?>", "processing instruction")
         else:
-            return
+            return pos
 
 
-def _parse_start_tag(
-    cur: _Cursor, handler: XMLEventHandler
-) -> tuple[str, bool]:
-    """One start tag; returns ``(name, self_closing)`` after firing
-    ``start_element`` (and ``end_element`` for ``<e/>``)."""
-    cur.expect("<")
-    name = cur.read_name()
-    attributes: list[tuple[str, str]] = []
-    while True:
-        cur.skip_ws()
-        if cur.startswith("/>"):
-            cur.advance(2)
-            handler.start_element(name, attributes)
-            handler.end_element(name)
-            return name, True
-        if cur.startswith(">"):
-            cur.advance(1)
-            handler.start_element(name, attributes)
-            return name, False
-        attr_name = cur.read_name()
-        cur.skip_ws()
-        cur.expect("=")
-        cur.skip_ws()
-        quote = cur.peek()
-        if quote not in ("'", '"'):
-            raise cur.error("attribute value must be quoted")
-        cur.advance(1)
-        start = cur.pos
-        raw = cur.read_until(quote, "attribute value")
-        if "&" in raw:
-            raw = resolve_entities(raw, *cur.line_col_at(start))
-        attributes.append((attr_name, raw))
+def _skip_doctype(text: str, pos: int) -> int:
+    """The offset past a DOCTYPE whose ``<!DOCTYPE`` ends before ``pos``:
+    nested ``<``/``>`` pairs balance, and a ``[...]`` internal subset is
+    skipped whole."""
+    depth = 1
+    while depth:
+        mark = _DOCTYPE_MARK.search(text, pos)
+        if mark is None:
+            raise _error(text, len(text), "unterminated DOCTYPE")
+        pos = mark.start()
+        if text[pos] == "[":
+            pos = _skip_past(text, pos, "]", "DTD internal subset")
+        else:
+            depth += 1 if text[pos] == "<" else -1
+            pos += 1
+    return pos
 
 
-def _parse_element_events(cur: _Cursor, handler: XMLEventHandler) -> None:
-    """The element grammar as one loop over an explicit open-tag stack."""
+def _skip_past(text: str, pos: int, delim: str, what: str) -> int:
+    """The offset just past the first ``delim`` at or after ``pos``;
+    ``what`` names the construct in the error if there is none."""
+    end = text.find(delim, pos)
+    if end < 0:
+        raise _error(text, pos, f"unterminated {what}")
+    return end + len(delim)
+
+
+def _scan_elements(text: str, pos: int, handler: XMLEventHandler) -> int:
+    """Fire the events of the root element starting at ``pos``, one
+    :data:`_TOKEN` match per construct; returns the offset past it.
+
+    Text and CDATA runs collect in ``parts`` and are flushed as one merged
+    ``text`` event (none if empty) by the next other token.
+    """
+    match = _TOKEN.match
+    start_element = handler.start_element
+    end_element = handler.end_element
     stack: list[str] = []
-    text_parts: list[str] = []
-
-    def flush_text() -> None:
-        if text_parts:
-            merged = "".join(text_parts)
-            text_parts.clear()
-            if merged:
-                handler.text(merged)
-
+    parts: list[str] = []
+    token = match(text, pos)
+    if token is None or token.lastindex != _START:
+        raise _start_tag_error(text, pos)
     while True:
-        # cursor is at the '<' of an element start tag
-        name, self_closing = _parse_start_tag(cur, handler)
-        if not self_closing:
-            stack.append(name)
-        if not stack:  # a self-closing root: the document is done
-            return
-        # content of stack[-1], up to the next child start tag or the
-        # close of every open element
-        while True:
-            if cur.eof():
-                raise cur.error(f"unterminated element <{stack[-1]}>")
-            if cur.peek() == "<":
-                if cur.startswith("</"):
-                    flush_text()
-                    cur.advance(2)
-                    end_name = cur.read_name()
-                    open_name = stack.pop()
-                    if end_name != open_name:
-                        raise cur.error(
-                            f"mismatched end tag </{end_name}> for <{open_name}>"
-                        )
-                    cur.skip_ws()
-                    cur.expect(">")
-                    handler.end_element(end_name)
-                    if not stack:
-                        return
-                elif cur.startswith("<!--"):
-                    flush_text()
-                    cur.advance(4)
-                    handler.comment(cur.read_until("-->", "comment"))
-                elif cur.startswith("<![CDATA["):
-                    cur.advance(9)
-                    text_parts.append(cur.read_until("]]>", "CDATA section"))
-                elif cur.startswith("<?"):
-                    flush_text()
-                    cur.advance(2)
-                    body = cur.read_until("?>", "processing instruction")
-                    target, _, data = body.partition(" ")
-                    handler.pi(target, data.strip())
+        kind = token.lastindex
+        if kind == _TEXT:
+            raw = token.group(_TEXT)
+            if "&" in raw:
+                raw = _resolve(raw, text, token.start())
+            parts.append(raw)
+        elif kind == _CDATA:
+            parts.append(token.group(_CDATA))
+        else:
+            if parts:
+                merged = "".join(parts)
+                parts.clear()
+                if merged:
+                    handler.text(merged)
+            if kind == _START:
+                name = token.group(_TAG)
+                start_element(name, _attributes(token) if token.group(_SPAN) else [])
+                if token.group(_START):
+                    end_element(name)
+                    if not stack:  # a self-closing root
+                        return token.end()
                 else:
-                    flush_text()
-                    break  # a child element: parse its start tag
+                    stack.append(name)
+            elif kind == _END:
+                name = token.group(_END)
+                open_name = stack.pop()
+                if name != open_name:
+                    raise _error(
+                        text,
+                        token.end(_END),
+                        f"mismatched end tag </{name}> for <{open_name}>",
+                    )
+                end_element(name)
+                if not stack:
+                    return token.end()
+            elif kind == _COMMENT:
+                handler.comment(token.group(_COMMENT))
             else:
-                start = cur.pos
-                end = cur.text.find("<", start)
-                if end < 0:
-                    raise cur.error(f"unterminated element <{stack[-1]}>")
-                raw = cur.text[start:end]
-                cur.pos = end
-                if "&" in raw:
-                    raw = resolve_entities(raw, *cur.line_col_at(start))
-                text_parts.append(raw)
+                body = token.group(_PI)
+                target = _PI_TARGET.match(body).group()
+                handler.pi(target, body[len(target) :].strip())
+        pos = token.end()
+        token = match(text, pos)
+        if token is None:
+            raise _content_error(text, pos, stack[-1])
+
+
+def _attributes(tag: re.Match) -> list[tuple[str, str]]:
+    """The ``(name, value)`` pairs of a matched start tag's attribute
+    span, references resolved, names checked unique."""
+    attributes = []
+    for name, quoted in _ATTR.findall(tag.group(_SPAN)):
+        value = quoted[1:-1]
+        if "&" in value:
+            try:
+                value = resolve_entities(value)
+            except XMLSyntaxError:
+                # resolve again, now positioned: this raises the same error
+                at = _attribute_matches(tag)[len(attributes)].start(2) + 1
+                value = resolve_entities(value, *_line_col(tag.string, at))
+        attributes.append((name, value))
+    if len(attributes) > 1 and len(dict(attributes)) < len(attributes):
+        seen = set()
+        for attr in _attribute_matches(tag):
+            if attr.group(1) in seen:
+                raise _error(
+                    tag.string, attr.start(1), f"duplicate attribute {attr.group(1)}"
+                )
+            seen.add(attr.group(1))
+    return attributes
+
+
+def _attribute_matches(tag: re.Match) -> list[re.Match]:
+    """The attribute matches of a tag's span, with their offsets in the
+    document (failure path)."""
+    return list(_ATTR.finditer(tag.string, tag.start(_SPAN), tag.end(_SPAN)))
+
+
+def _resolve(raw: str, text: str, start: int) -> str:
+    """``raw`` (found at ``text[start]``) with its references resolved;
+    the position is only computed when a reference is malformed."""
+    try:
+        return resolve_entities(raw)
+    except XMLSyntaxError:
+        # resolve again, now positioned: this raises the same error
+        return resolve_entities(raw, *_line_col(text, start))
+
+
+# ------------------------------------------------------------ failure path
+#
+# When no token matches at an offset, these read only the construct
+# there and name what is wrong with it and where.  Lines and columns are
+# counted only on this path.
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """Line/column of offset ``pos`` (1-based)."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _error(text: str, pos: int, message: str) -> XMLSyntaxError:
+    """An :class:`XMLSyntaxError` at offset ``pos`` (for the caller to raise)."""
+    return XMLSyntaxError(message, *_line_col(text, pos))
+
+
+def _content_error(text: str, pos: int, open_name: str) -> XMLSyntaxError:
+    """Why no token matches at ``pos`` inside element ``open_name``."""
+    if text.startswith("</", pos):
+        return _end_tag_error(text, pos, open_name)
+    if text.startswith("<!--", pos):
+        return _error(text, pos + 4, "unterminated comment")
+    if text.startswith("<![CDATA[", pos):
+        return _error(text, pos + 9, "unterminated CDATA section")
+    if text.startswith("<?", pos):
+        return _error(text, pos + 2, "unterminated processing instruction")
+    if text.startswith("<", pos):
+        return _start_tag_error(text, pos)
+    # end of input, or a text run with no markup after it
+    return _error(text, pos, f"unterminated element <{open_name}>")
+
+
+def _end_tag_error(text: str, pos: int, open_name: str) -> XMLSyntaxError:
+    """Why the end tag at ``pos`` does not close ``open_name``."""
+    name = _NAME_AT.match(text, pos + 2)
+    if name is None:
+        return _error(text, pos + 2, "expected a name")
+    if name.group() != open_name:
+        return _error(
+            text,
+            name.end(),
+            f"mismatched end tag </{name.group()}> for <{open_name}>",
+        )
+    return _error(text, _WS.match(text, name.end()).end(), "expected '>'")
+
+
+def _start_tag_error(text: str, pos: int) -> XMLSyntaxError:
+    """Why the start tag at ``pos`` does not match, read attribute by
+    attribute.  Each attribute is first read as the grammar requires
+    (name, ``=``, quoted value, references); only then do the rules that
+    need whitespace before it and no ``<`` in its value apply, so they
+    never hide an error earlier in the same attribute."""
+    name = _NAME_AT.match(text, pos + 1)
+    if name is None:
+        return _error(text, pos + 1, "expected a name")
+    end = name.end()
+    while True:
+        at = _WS.match(text, end).end()
+        name = _NAME_AT.match(text, at)
+        if name is None:
+            return _error(text, at, "expected a name")
+        eq = _WS.match(text, name.end()).end()
+        if not text.startswith("=", eq):
+            return _error(text, eq, "expected '='")
+        opening = _WS.match(text, eq + 1).end()
+        quote = text[opening : opening + 1]
+        if quote not in ("'", '"'):
+            return _error(text, opening, "attribute value must be quoted")
+        closing = text.find(quote, opening + 1)
+        if closing < 0:
+            return _error(text, opening + 1, "unterminated attribute value")
+        _resolve(text[opening + 1 : closing], text, opening + 1)
+        if at == end:
+            return _error(text, at, "attributes must be separated by whitespace")
+        lt = text.find("<", opening + 1, closing)
+        if lt >= 0:
+            return _error(text, lt, "'<' in an attribute value")
+        end = closing + 1

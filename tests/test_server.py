@@ -203,6 +203,23 @@ class TestDocumentEndpoints:
         status, body = request(base, "/documents/empty.xml", "PUT", b"")
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "xml", [b'<a x="1" x="2"/>', b'<a x="1"y="2"/>', b'<a x="<"/>']
+    )
+    def test_malformed_attributes_are_400(self, server, xml):
+        base, _ = server
+        status, body = request(base, "/documents/bad.xml", "PUT", xml)
+        assert status == 400 and body["kind"] == "XMLSyntaxError"
+        assert request(base, "/documents/bad.xml", "DELETE")[0] == 404
+
+    def test_byte_order_mark_is_skipped(self, server):
+        base, _ = server
+        xml = "\ufeff<?xml version='1.0'?><bom>x</bom>".encode("utf-8")
+        status, body = request(base, "/documents/bom.xml", "PUT", xml)
+        assert status == 200
+        status, q = post_query(base, {"query": 'string(doc("bom.xml")/bom)'})
+        assert q["result"] == "x"
+
 
 class TestOperationalEndpoints:
     def test_healthz(self, server):

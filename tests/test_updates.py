@@ -270,6 +270,41 @@ class TestErrors:
             )
         assert exc.value.code == "err:XUTY0004"
 
+    @pytest.mark.parametrize(
+        "update",
+        [
+            'rename node /r/@b as "a"',
+            'insert node attribute id {"w"} into /r',
+            'replace node /r/@b with attribute a {"3"}',
+            'insert node (attribute z {"1"}, attribute z {"2"}) into /r',
+        ],
+    )
+    def test_duplicate_attribute_name_rejected(self, tmp_path, update):
+        s = repro.connect(store=str(tmp_path / "db.pfstore"))
+        s.database.load_document("r.xml", '<r a="1" b="2" id="v"/>')
+        with pytest.raises(DynamicError) as exc:
+            s.execute_update(update)
+        assert exc.value.code == "err:XUDY0021"
+        # raised before the WAL append: nothing logged, nothing applied
+        assert s.database.store.wal_records == 0
+        assert s.execute("/r").serialize() == '<r a="1" b="2" id="v"/>'
+
+    @pytest.mark.parametrize(
+        "update",
+        [
+            'rename node /r/@a as "b", rename node /r/@b as "a"',
+            'delete node /r/@a, rename node /r/@b as "a"',
+            'replace node /r/@a with attribute b {"3"}, delete node /r/@b',
+            'insert node attribute a {"3"} into /r/e, delete node /r/e',
+        ],
+    )
+    def test_attribute_names_unique_after_the_update_pass(self, update):
+        s = repro.connect()
+        s.database.load_document("r.xml", '<r a="1" b="2"><e a="1"/></r>')
+        s.execute_update(update)
+        names = s.execute("for $a in /r/@* return name($a)").serialize()
+        assert len(names.split()) == len(set(names.split()))
+
     def test_failed_update_leaves_tree_untouched(self, session):
         before = doc_text(session)
         epoch = session.database.doc_epochs["d.xml"]
