@@ -54,9 +54,15 @@ import itertools
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 from repro.api.concurrency import RWLock
-from repro.api.plan_cache import CachedPlan, PlanCache, plan_documents
+from repro.api.plan_cache import (
+    CachedPlan,
+    CompileStep,
+    PlanCache,
+    plan_documents,
+)
 from repro.compiler.loop_lifting import Compiler
 from repro.encoding.arena import NodeArena
 from repro.encoding.shred import shred_text
@@ -72,6 +78,7 @@ from repro.relational import algebra as alg
 from repro.relational.optimizer import (
     CardinalityEstimator,
     OptimizerStats,
+    normalize,
     optimize,
 )
 from repro.xquery.core import desugar_module
@@ -618,10 +625,14 @@ class Database:
         and the default document absolute paths were resolved against."""
         return (query, use_optimizer, self._default_document)
 
-    def compile_query(self, query: str, use_optimizer: bool) -> CachedPlan:
+    def compile_query(
+        self, query: str, use_optimizer: bool, *, one_shot: bool = False
+    ) -> CachedPlan:
         """One full front-end run (parse → desugar → loop-lift →
         optimize), bypassing the plan cache.  Cardinality estimates are
-        seeded from this database's arena statistics."""
+        seeded from this database's arena statistics.  ``one_shot`` stops
+        the optimizer after stage 1 (:func:`normalize`): a plan to run
+        once, which :meth:`upgrade_plan` finishes on its first reuse."""
         with self._rwlock.read_locked():
             t0 = time.perf_counter()
             module = parse_query(query)
@@ -634,10 +645,12 @@ class Database:
             # depends on it
             doc_deps = plan_documents(plan)
             stats = OptimizerStats()
-            if use_optimizer:
-                plan = optimize(plan, stats, estimator=self._get_estimator())
-            else:
+            if not use_optimizer:
                 stats.ops_before = stats.ops_after = alg.op_count(plan)
+            elif one_shot:
+                plan = normalize(plan, stats)
+            else:
+                plan = optimize(plan, stats, estimator=self._get_estimator())
             return CachedPlan(
                 query=query,
                 plan=plan,
@@ -648,7 +661,27 @@ class Database:
                 documents=doc_deps,
                 compile_seconds=time.perf_counter() - t0,
                 default_document=self._default_document,
+                final=not (use_optimizer and one_shot),
             )
+
+    def upgrade_plan(
+        self, entry: CachedPlan, stats: OptimizerStats | None = None
+    ) -> CachedPlan:
+        """Stage 2: ``entry`` (a stage-1 plan) with the global passes run
+        on it — the plan and statistics of a one-step compile, its
+        seconds the sum of both stages.  ``stats``, when given, receives
+        the statistics of stage 2 alone."""
+        t0 = time.perf_counter()
+        stage2 = OptimizerStats() if stats is None else stats
+        with self._rwlock.read_locked():
+            plan = optimize(entry.plan, stage2, estimator=self._get_estimator())
+        return replace(
+            entry,
+            plan=plan,
+            stats=entry.stats.followed_by(stage2),
+            compile_seconds=entry.compile_seconds + time.perf_counter() - t0,
+            final=True,
+        )
 
     def _get_estimator(self) -> CardinalityEstimator:
         """The cached arena statistics, rebuilt (once) after a catalog
@@ -665,27 +698,51 @@ class Database:
         return estimator
 
     def compile_cached(
-        self, query: str, use_optimizer: bool
-    ) -> tuple[CachedPlan, bool]:
+        self, query: str, use_optimizer: bool, *, one_shot: bool = False
+    ) -> tuple[CachedPlan, bool, CompileStep | None]:
         """Compile ``query`` through the plan cache.
 
-        Returns ``(entry, hit)`` where ``hit`` says whether the plan came
-        from the cache — or from a concurrent compilation of the same
+        Returns ``(entry, hit, step)`` where ``hit`` says whether the plan
+        came from the cache — or from a concurrent compilation of the same
         key: N racing sessions run the front-end once and the waiters
         adopt the leader's entry (reported as hits; they paid no
         compilation).  Compilation errors are not cached and propagate
-        to every waiter.
+        to every waiter.  ``step`` is the compile or upgrade this call
+        ran itself, None when it ran neither.
+
+        ``one_shot`` is a lookup that will not come back with the plan
+        (``Session.execute``): on a miss it compiles stage 1 only.  A
+        later lookup of the text is the reuse that upgrades the entry
+        (:meth:`upgrade_plan`); every other lookup returns the final plan.
         """
+        steps: list[CompileStep] = []
+
+        def compile_plan() -> CachedPlan:
+            entry = self.compile_query(query, use_optimizer, one_shot=one_shot)
+            steps.append(CompileStep(entry.stats, entry.compile_seconds))
+            return entry
+
+        def upgrade_plan(entry: CachedPlan) -> CachedPlan:
+            stage2 = OptimizerStats()
+            final = self.upgrade_plan(entry, stage2)
+            steps.append(
+                CompileStep(stage2, final.compile_seconds - entry.compile_seconds)
+            )
+            return final
+
         # every participant holds the catalog lock shared, so the catalog
         # cannot change between the leader's compile and a waiter's
         # adoption of the entry
         with self._rwlock.read_locked():
-            return self.plan_cache.get_or_compile(
+            entry, hit = self.plan_cache.get_or_compile(
                 self.cache_key(query, use_optimizer),
                 self.documents,
                 self._default_document,
-                lambda: self.compile_query(query, use_optimizer),
+                compile_plan,
+                upgrade_plan,
+                one_shot=one_shot,
             )
+        return entry, hit, (steps[0] if steps else None)
 
 
 def connect(

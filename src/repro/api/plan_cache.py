@@ -20,10 +20,25 @@ document one recompile on their next lookup.  Nothing is dropped
 eagerly: stale entries are revalidated lazily and age out through the
 LRU.
 
+The cache also decides how much optimizing a plan is worth.  Planning
+has two stages (:mod:`repro.relational.optimizer`): the local rules
+(:func:`~repro.relational.optimizer.normalize`) and the global passes
+(:func:`~repro.relational.optimizer.optimize` of the stage-1 plan).
+A *one-shot* lookup (``Session.execute``, the server's ``/query``) that
+misses compiles stage 1 only and caches it (:attr:`CachedPlan.final`
+false).  The next hit on that entry is its reuse: it runs stage 2 on
+the cached plan and replaces the entry (an *upgrade*, counted as a hit
+and in :attr:`PlanCacheStats.upgrades`).  Every other lookup —
+``prepare()``, ``explain()``, a ``PreparedQuery``'s revalidation —
+returns the final plan, compiling in one step on a miss.  Reuse is the
+only signal; there is no setting.
+
 The cache is thread-safe and owns the compilations of its own keys:
 :meth:`PlanCache.get_or_compile` runs under one internal mutex, and a
 miss raced by many threads compiles once — the first caller compiles,
-the others wait for its entry (or its exception).
+the others wait for its entry (or its exception).  Upgrades are
+single-flight the same way, except that a one-shot caller never waits
+for one: it runs the stage-1 plan.
 """
 
 from __future__ import annotations
@@ -32,6 +47,7 @@ import threading
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import PathfinderError
 from repro.relational import algebra as alg
@@ -63,6 +79,9 @@ class CachedPlan:
     #: the catalog default at compile time — absolute paths were resolved
     #: against it, so a held PreparedQuery must recompile when it changes
     default_document: str | None = None
+    #: False for a stage-1 plan (the local rules only, compiled for a
+    #: one-shot run): its first reuse runs the global passes on it
+    final: bool = True
 
     def is_current(self, catalog, default_document: str | None) -> bool:
         """The validity rule: ``default_document`` is the compile-time
@@ -71,6 +90,14 @@ class CachedPlan:
         return self.default_document == default_document and all(
             uri in catalog for uri in self.documents
         )
+
+
+class CompileStep(NamedTuple):
+    """The optimizer work one lookup ran itself: a compile (stage 1 or
+    one step) or an upgrade (stage 2 alone)."""
+
+    stats: OptimizerStats
+    seconds: float
 
 
 @dataclass
@@ -84,6 +111,8 @@ class PlanCacheStats:
     evictions: int = 0
     #: misses that waited for a concurrent compilation of the same key
     waits: int = 0
+    #: hits that ran the global passes on a stage-1 entry (its first reuse)
+    upgrades: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -93,7 +122,7 @@ class PlanCacheStats:
 
 
 class _Pending:
-    """One compilation in progress: waiters park on ``done``."""
+    """One compilation or upgrade in progress: waiters park on ``done``."""
 
     __slots__ = ("done", "entry", "error")
 
@@ -101,6 +130,13 @@ class _Pending:
         self.done = threading.Event()
         self.entry: CachedPlan | None = None
         self.error: BaseException | None = None
+
+    def wait(self) -> CachedPlan:
+        """The entry it produced, or its exception raised."""
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.entry
 
 
 class PlanCache:
@@ -114,6 +150,7 @@ class PlanCache:
         self.capacity = capacity
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
         self._pending: dict[tuple, _Pending] = {}
+        self._upgrading: dict[tuple, _Pending] = {}
         self._lock = threading.Lock()
         self.stats = PlanCacheStats()
 
@@ -122,7 +159,14 @@ class PlanCache:
             return len(self._entries)
 
     def get_or_compile(
-        self, key: tuple, catalog, default_document: str | None, compile_plan
+        self,
+        key: tuple,
+        catalog,
+        default_document: str | None,
+        compile_plan,
+        upgrade_plan=None,
+        *,
+        one_shot: bool = False,
     ) -> tuple[CachedPlan, bool]:
         """The entry for ``key``, compiled by ``compile_plan()`` on a miss.
 
@@ -133,43 +177,82 @@ class PlanCache:
         outside the mutex and caches the entry only on success; callers
         that miss while it runs wait and adopt its entry (``hit`` true:
         they paid no compilation) or raise its exception.
+
+        A hit on a stage-1 entry (:attr:`CachedPlan.final` false) —
+        adopting one counts — is its reuse: :meth:`_reuse` upgrades it
+        with ``upgrade_plan(entry)``.  ``one_shot`` callers never wait
+        for an upgrade another caller runs; the rest get the final plan.
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                if entry.is_current(catalog, default_document):
-                    self._entries.move_to_end(key)
-                    self.stats.hits += 1
-                    return entry, True
+            if entry is not None and not entry.is_current(
+                catalog, default_document
+            ):
                 del self._entries[key]
                 self.stats.invalidations += 1
-            self.stats.misses += 1
-            pending = self._pending.get(key)
+                entry = None
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+            else:
+                self.stats.misses += 1
+                pending = self._pending.get(key)
+                leader = pending is None
+                if leader:
+                    pending = self._pending[key] = _Pending()
+                else:
+                    self.stats.waits += 1
+        if entry is None and leader:
+            try:
+                pending.entry = compile_plan()
+            except BaseException as exc:
+                pending.error = exc
+                raise
+            finally:
+                with self._lock:
+                    del self._pending[key]
+                    if pending.error is None:
+                        self._entries[key] = pending.entry
+                        while len(self._entries) > self.capacity:
+                            self._entries.popitem(last=False)
+                            self.stats.evictions += 1
+                pending.done.set()
+            return pending.entry, False
+        if entry is None:
+            entry = pending.wait()
+        if entry.final:
+            return entry, True
+        return self._reuse(key, entry, upgrade_plan, one_shot), True
+
+    def _reuse(self, key: tuple, entry: CachedPlan, upgrade_plan, one_shot):
+        """``entry``, a stage-1 plan, upgraded — at most once per key at a
+        time.  While another caller upgrades it, a ``one_shot`` caller
+        runs ``entry`` as it is and the others wait for the upgrade.  The
+        upgraded entry replaces ``entry`` only if ``entry`` is still the
+        cached one: an upgrade that finishes after its entry was cleared,
+        evicted or invalidated is handed to its callers and dropped."""
+        with self._lock:
+            pending = self._upgrading.get(key)
             leader = pending is None
             if leader:
-                pending = self._pending[key] = _Pending()
-            else:
-                self.stats.waits += 1
+                pending = self._upgrading[key] = _Pending()
+                self.stats.upgrades += 1
+            elif one_shot:
+                return entry
         if not leader:
-            pending.done.wait()
-            if pending.error is not None:
-                raise pending.error
-            return pending.entry, True
+            return pending.wait()
         try:
-            pending.entry = compile_plan()
+            pending.entry = upgrade_plan(entry)
         except BaseException as exc:
             pending.error = exc
             raise
         finally:
             with self._lock:
-                del self._pending[key]
-                if pending.error is None:
+                del self._upgrading[key]
+                if pending.error is None and self._entries.get(key) is entry:
                     self._entries[key] = pending.entry
-                    while len(self._entries) > self.capacity:
-                        self._entries.popitem(last=False)
-                        self.stats.evictions += 1
             pending.done.set()
-        return pending.entry, False
+        return pending.entry
 
     def clear(self) -> None:
         """Drop every entry (counters and pending compiles are kept)."""

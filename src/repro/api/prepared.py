@@ -53,6 +53,7 @@ class QueryResult:
         from_cache: bool = False,
         trace: dict | None = None,
         lease=None,
+        parameters: tuple = (),
     ):
         self.table = table
         self.arena = arena
@@ -61,6 +62,8 @@ class QueryResult:
         self.execute_seconds = execute_seconds
         self.from_cache = from_cache
         self.trace = trace
+        #: the query's declared external variables (name + optional type)
+        self.parameters = parameters
         self._serialized: str | None = None
         #: whether :meth:`close` ran (explicitly or by a ``with`` exit)
         self.closed = False
@@ -239,4 +242,5 @@ class PreparedQuery:
                 from_cache=self.from_cache,
                 trace=trace_map,
                 lease=database.arena.page_scope(),
+                parameters=self._entry.external_vars,
             )

@@ -24,8 +24,9 @@ the same plan as a MIL program for MonetDB, the paper's relational host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.api.plan_cache import CompileStep
 from repro.api.prepared import PreparedQuery
 from repro.errors import PathfinderError
 from repro.relational import algebra as alg
@@ -87,8 +88,25 @@ class SessionStats:
     updates_executed: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
+    #: seconds of the compiles and upgrades this session ran
     compile_seconds: float = 0.0
     execute_seconds: float = 0.0
+    #: per optimizer pass: runs, rewrites, compile steps and seconds,
+    #: summed over the compiles and upgrades this session ran
+    pass_totals: dict = field(default_factory=dict)
+
+    def record(self, step: CompileStep) -> None:
+        """Count one compile or upgrade this session ran."""
+        self.compile_seconds += step.seconds
+        for ps in step.stats.pass_stats:
+            slot = self.pass_totals.setdefault(
+                ps.name,
+                {"runs": 0, "rewrites": 0, "compilations": 0, "seconds": 0.0},
+            )
+            slot["runs"] += ps.runs
+            slot["rewrites"] += ps.rewrites
+            slot["compilations"] += 1
+            slot["seconds"] += ps.seconds
 
 
 class Session:
@@ -125,28 +143,44 @@ class Session:
     def prepare(self, query: str) -> PreparedQuery:
         """Compile a query (through the shared plan cache) into a
         :class:`PreparedQuery` that can be executed many times with
-        different external-variable bindings."""
-        entry, hit = self.database.compile_cached(query, self.use_optimizer)
+        different external-variable bindings.  Preparing declares reuse,
+        so the plan is always the fully optimized one."""
+        return self._lookup(query, one_shot=False)
+
+    def _lookup(self, query: str, one_shot: bool) -> PreparedQuery:
+        entry, hit, step = self.database.compile_cached(
+            query, self.use_optimizer, one_shot=one_shot
+        )
         if hit:
             self.stats.plan_cache_hits += 1
         else:
             self.stats.plan_cache_misses += 1
-            self.stats.compile_seconds += entry.compile_seconds
+        if step is not None:
+            self.stats.record(step)
         return PreparedQuery(self, entry, from_cache=hit)
 
     def execute(
         self, query: str, bindings: dict | None = None, trace: bool = False,
         *, deadline: float | None = None,
     ):
-        """One-shot convenience: prepare (cache-backed) and execute;
-        ``deadline`` bounds the execution, as in ``PreparedQuery.execute``.
+        """One-shot convenience: look the query up in the plan cache and
+        execute it; ``deadline`` bounds the execution, as in
+        ``PreparedQuery.execute``.
+
+        A one-shot lookup that misses compiles stage 1 only (the local
+        rules, :func:`~repro.relational.optimizer.normalize`); the next
+        lookup of the same text runs the global passes on the cached plan
+        — see :mod:`repro.api.plan_cache`.  Call :meth:`prepare` for a
+        query that will run many times.
 
         The returned :class:`~repro.api.prepared.QueryResult` serialises
         lazily — call ``result.serialize()`` for the buffered text or
         ``result.iter_serialized()`` to stream it in bounded chunks (the
         HTTP server's chunked ``/query`` path).
         """
-        return self.prepare(query).execute(bindings, trace=trace, deadline=deadline)
+        return self._lookup(query, one_shot=True).execute(
+            bindings, trace=trace, deadline=deadline
+        )
 
     def execute_update(
         self,

@@ -47,7 +47,13 @@ local fixpoint.  Nodes are immutable, so a node it has settled never
 needs another look; only nodes a global pass created since are visited.
 Then rounds of ``pushdown``, ``prune``, ``join_order`` run, each followed
 by the normalizer when it changed the plan, until a round in which no
-global pass changes anything.  Every pass returns the very same object
+global pass changes anything.  The two halves are the two stages of
+planning: :func:`normalize` is stage 1, the normalizer alone (no global
+pass, no cardinality estimator), and stage 2 is :func:`optimize` of the
+stage-1 plan, which ends in the very plan ``optimize`` makes in one
+step (:meth:`OptimizerStats.followed_by` adds up the statistics).  The
+plan cache (:mod:`repro.api.plan_cache`) runs stage 2 only for plans
+that are reused.  Every pass returns the very same object
 for an unchanged subtree, so "changed" is an identity test, and a pass
 is skipped on a plan it already left unchanged.  The global passes share
 one children-first walk per distinct plan, which also yields the
@@ -265,6 +271,35 @@ class OptimizerStats:
             return 0.0
         return 100.0 * (self.ops_before - self.ops_after) / self.ops_before
 
+    def followed_by(self, later: "OptimizerStats") -> "OptimizerStats":
+        """The statistics of one :func:`optimize` run, from this run's
+        (:func:`normalize`, stage 1) and ``later``'s (:func:`optimize` of
+        its plan, stage 2): fired counts and seconds add up, the operator
+        counts run from this plan to ``later``'s.  ``later`` repeats the
+        normalizer traversal, so its ``runs`` are the one-step runs."""
+        first = {p.name: p for p in self.pass_stats}
+        merged = []
+        for p in later.pass_stats:
+            q = first.get(p.name, PassStats(p.name))
+            merged.append(
+                PassStats(
+                    p.name,
+                    runs=p.runs,
+                    rewrites=q.rewrites + p.rewrites,
+                    ops_before=q.ops_before if q.runs else p.ops_before,
+                    ops_after=p.ops_after,
+                    est_rows=p.est_rows,
+                    seconds=q.seconds + p.seconds,
+                )
+            )
+        return OptimizerStats(
+            ops_before=self.ops_before,
+            ops_after=later.ops_after,
+            passes=later.passes,
+            pass_stats=merged,
+            estimated_rows=later.estimated_rows,
+        )
+
     def pass_table(self) -> str:
         """The per-pass statistics as an aligned text table."""
         header = (
@@ -337,10 +372,35 @@ def optimize(
             f"unknown optimizer pass(es): {', '.join(sorted(unknown))} "
             f"(available: {', '.join(PASS_NAMES)})"
         )
-    local = [p for p in PASSES if p.local and p.name not in disabled]
-    passes = [p for p in PASSES if not p.local and p.name not in disabled]
+    return _drive(
+        root,
+        stats,
+        [p for p in PASSES if p.local and p.name not in disabled],
+        [p for p in PASSES if not p.local and p.name not in disabled],
+        estimator if estimator is not None else CardinalityEstimator(),
+        trace,
+    )
+
+
+def normalize(root: alg.Op, stats: OptimizerStats | None = None) -> alg.Op:
+    """Stage 1 of :func:`optimize`: one normalizer traversal of the local
+    rules, no global pass and no cardinality estimate (``est_rows`` stay
+    None).  ``optimize(normalize(p))`` is ``optimize(p)``'s plan, and
+    ``stats.followed_by`` of the two runs reports its statistics."""
+    return _drive(root, stats, [p for p in PASSES if p.local], [], None, None)
+
+
+def _drive(
+    root: alg.Op,
+    stats: OptimizerStats | None,
+    local: list[RewritePass],
+    passes: list[RewritePass],
+    est: CardinalityEstimator | None,
+    trace: list | None,
+) -> alg.Op:
+    """The driver: ``local`` rules as the normalizer, then rounds of the
+    global ``passes``; ``est`` None skips every estimate."""
     collect = stats is not None
-    est = estimator if estimator is not None else CardinalityEstimator()
     # one object-keyed estimate memo for the whole run: join_order and the
     # statistics share it, and nodes surviving a pass keep their estimates
     est_memo: dict = {}
@@ -349,7 +409,8 @@ def optimize(
         return est.estimate(op, est_memo)
 
     normalizer = _Normalizer(local, timed=collect)
-    per = {p.name: PassStats(p.name) for p in PASSES if p.name not in disabled}
+    running = {p.name for p in (*local, *passes)}
+    per = {p.name: PassStats(p.name) for p in PASSES if p.name in running}
     # A pass's ops_after and est_rows describe the next plan counted: the
     # walk a global pass needs anyway counts the plan, so the steps since
     # the last count wait for it.  ``after`` keeps the plan each pass's
@@ -429,7 +490,7 @@ def optimize(
     # passes are pure, so running it on that plan again is wasted work
     settled: dict[str, alg.Op] = {}
     rounds = 0
-    while rounds < _MAX_ROUNDS:
+    while passes and rounds < _MAX_ROUNDS:
         rounds += 1
         changed = False
         for p in passes:
@@ -448,9 +509,10 @@ def optimize(
         stats.passes = rounds
         stats.ops_after = ops
         stats.pass_stats = list(per.values())
-        for name, plan in after.items():
-            per[name].est_rows = estimate(plan)
-        stats.estimated_rows = estimate(root)
+        if est is not None:
+            for name, plan in after.items():
+                per[name].est_rows = estimate(plan)
+            stats.estimated_rows = estimate(root)
     return root
 
 

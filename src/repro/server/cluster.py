@@ -817,6 +817,7 @@ class ClusterService:
                 "single_flight_waits": sum(
                     s["plan_cache"]["single_flight_waits"] for s in live
                 ),
+                "upgrades": sum(s["plan_cache"]["upgrades"] for s in live),
             },
             "router": router,
             "shards": [

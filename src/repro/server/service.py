@@ -27,8 +27,14 @@ Execution model:
 * :meth:`QueryService.stats` aggregates the operational surface:
   request/timeout/shed/error counters, in-flight gauge, plan-cache hit
   rates, waits on a concurrent compilation of the same query
-  (``single_flight_waits``), and per-pass optimizer totals summed over
-  every compilation the service performed.
+  (``single_flight_waits``), upgrades of stage-1 plans on their first
+  reuse (``upgrades``), and per-pass optimizer totals summed over every
+  compile and upgrade the service's sessions ran — from ``/query`` and
+  ``/explain`` alike.
+* ``/query`` is a one-shot lookup (``Session.execute``): a new text is
+  compiled to stage 1 and run; its next request upgrades the cached plan
+  (:mod:`repro.api.plan_cache`).  ``/explain`` always reports the final
+  plan.
 """
 
 from __future__ import annotations
@@ -86,8 +92,6 @@ class QueryService:
         self._timeouts = 0
         self._shed = 0
         self._errors = 0
-        # per-pass optimizer totals over every compile this service did
-        self._pass_totals: dict[str, dict[str, int]] = {}
         self._closed = False
 
     # ------------------------------------------------------------ requests
@@ -135,19 +139,6 @@ class QueryService:
             with self._stats_lock:
                 self._in_flight -= 1
             self._idle_sessions.put(session)
-
-    def _record_pass_stats(self, optimizer_stats) -> None:
-        """Fold one compilation's per-pass counters into the totals."""
-        with self._stats_lock:
-            for ps in optimizer_stats.pass_stats:
-                slot = self._pass_totals.setdefault(
-                    ps.name,
-                    {"runs": 0, "rewrites": 0, "compilations": 0, "seconds": 0.0},
-                )
-                slot["runs"] += ps.runs
-                slot["rewrites"] += ps.rewrites
-                slot["compilations"] += 1
-                slot["seconds"] += ps.seconds
 
     # ------------------------------------------------------------- queries
     def execute(
@@ -201,18 +192,15 @@ class QueryService:
         """
 
         def run(session, expiry):
-            prepared = session.prepare(query)
-            if not prepared.from_cache:
-                self._record_pass_stats(prepared.optimizer_stats)
-            result = prepared.execute(
-                bindings or {}, deadline=expiry - time.monotonic()
+            result = session.execute(
+                query, bindings or {}, deadline=expiry - time.monotonic()
             )
             meta = {
                 "items": len(result),
-                "from_cache": prepared.from_cache,
+                "from_cache": result.from_cache,
                 "compile_seconds": result.compile_seconds,
                 "execute_seconds": result.execute_seconds,
-                "parameters": [v.name for v in prepared.parameters],
+                "parameters": [v.name for v in result.parameters],
             }
             if edge_meta:
                 from repro.compiler.serialize import ordered_items
@@ -355,17 +343,21 @@ class QueryService:
                 "timeouts": self._timeouts,
                 "shed": self._shed,
                 "errors": self._errors,
-                "optimizer_pass_totals": {
-                    name: dict(slot)
-                    for name, slot in sorted(self._pass_totals.items())
-                },
             }
         executed = sum(s.stats.queries_executed for s in self._all_sessions)
         updates = sum(s.stats.updates_executed for s in self._all_sessions)
+        pass_totals: dict[str, dict] = {}
+        for session in self._all_sessions:
+            # list(): one atomic copy while the session's thread may add
+            for name, slot in list(session.stats.pass_totals.items()):
+                total = pass_totals.setdefault(name, dict.fromkeys(slot, 0))
+                for counter, value in list(slot.items()):
+                    total[counter] += value
         payload.update(
             {
                 "queries_executed": executed,
                 "updates_executed": updates,
+                "optimizer_pass_totals": dict(sorted(pass_totals.items())),
                 "plan_cache": {
                     "size": len(cache),
                     "capacity": cache.capacity,
@@ -375,6 +367,7 @@ class QueryService:
                     "invalidations": cache.stats.invalidations,
                     "evictions": cache.stats.evictions,
                     "single_flight_waits": cache.stats.waits,
+                    "upgrades": cache.stats.upgrades,
                 },
                 "documents": len(self.database.documents),
             }

@@ -203,6 +203,120 @@ class TestPlanCache:
         assert session.stats.execute_seconds > 0
 
 
+class TestPlanStages:
+    """A one-shot lookup (``Session.execute``) that misses compiles stage 1
+    (the local rules); the first reuse of the text runs the global passes
+    on the cached plan, once; ``prepare`` and ``explain`` always get the
+    final plan."""
+
+    QUERY = "for $v in /r/v where $v > 1 return <w>{$v/text()}</w>"
+
+    @staticmethod
+    def _ascii(plan):
+        from repro.relational.dot import to_ascii
+
+        return to_ascii(plan)
+
+    def test_execute_runs_stage_one_then_upgrades_once(self, db, session):
+        stage1 = db.compile_query(self.QUERY, True, one_shot=True)
+        final = db.compile_query(self.QUERY, True)
+        assert not stage1.final and final.final
+        assert self._ascii(stage1.plan) != self._ascii(final.plan)
+        plans, answers = [], []
+        for _ in range(3):
+            result = session.execute(self.QUERY)
+            plans.append(self._ascii(result.plan))
+            answers.append(result.serialize())
+        assert plans == [self._ascii(stage1.plan)] + [self._ascii(final.plan)] * 2
+        assert answers == ["<w>2</w><w>3</w>"] * 3
+        stats = db.plan_cache.stats
+        assert (stats.misses, stats.hits, stats.upgrades) == (1, 2, 1)
+        assert session.stats.plan_cache_misses == 1
+
+    def test_prepare_after_execute_upgrades(self, db, session):
+        session.execute(self.QUERY)
+        prepared = session.prepare(self.QUERY)
+        assert prepared.from_cache
+        assert db.plan_cache.stats.upgrades == 1
+        fresh = db.compile_query(self.QUERY, True)
+        assert self._ascii(prepared.plan) == self._ascii(fresh.plan)
+        assert prepared.compile_seconds > 0
+        # the upgraded entry is the cached one: no second upgrade
+        assert session.prepare(self.QUERY).plan is prepared.plan
+        assert session.execute(self.QUERY).plan is prepared.plan
+        assert db.plan_cache.stats.upgrades == 1
+
+    def test_prepare_first_compiles_the_final_plan(self, db, session):
+        prepared = session.prepare(self.QUERY)
+        assert self._ascii(prepared.plan) == self._ascii(
+            db.compile_query(self.QUERY, True).plan
+        )
+        session.execute(self.QUERY)
+        assert db.plan_cache.stats.upgrades == 0
+
+    def test_explain_after_execute_matches_a_fresh_database(self, db, session):
+        session.execute(self.QUERY)
+        after = session.explain(self.QUERY)
+        fresh_db = Database()
+        fresh_db.load_document("r.xml", DOC)
+        fresh = fresh_db.connect().explain(self.QUERY)
+
+        def counts(report):
+            stats = report.stats
+            return (
+                stats.ops_before,
+                stats.ops_after,
+                stats.passes,
+                [
+                    (p.name, p.runs, p.rewrites, p.ops_before, p.ops_after)
+                    for p in stats.pass_stats
+                ],
+            )
+
+        assert after.plan_ascii == fresh.plan_ascii
+        assert counts(after) == counts(fresh)
+        assert db.plan_cache.stats.upgrades == 1
+
+    def test_unload_invalidates_a_stage_one_entry(self, db, session):
+        query = 'count(doc("o.xml")/o)'
+        db.load_document("o.xml", "<o/>")
+        assert session.execute(query).serialize() == "1"
+        db.unload_document("o.xml")
+        with pytest.raises(StaticError):
+            session.execute(query)
+        assert db.plan_cache.stats.invalidations == 1
+        assert db.plan_cache.stats.upgrades == 0
+        db.load_document("o.xml", "<o/>")
+        result = session.execute(query)
+        assert not result.from_cache and result.serialize() == "1"
+
+    def test_default_switch_does_not_reuse_a_stage_one_entry(self, db, session):
+        db.load_document("b.xml", "<r><v>B</v></r>")
+        assert session.execute("/r/v/text()").serialize() == "123"
+        db.set_default_document("b.xml")
+        result = session.execute("/r/v/text()")
+        assert not result.from_cache and result.serialize() == "B"
+        assert db.plan_cache.stats.upgrades == 0
+
+    def test_unoptimized_plans_never_upgrade(self, db):
+        session = db.connect(use_optimizer=False)
+        for _ in range(2):
+            assert session.execute(self.QUERY).serialize() == "<w>2</w><w>3</w>"
+        assert db.plan_cache.stats.upgrades == 0
+
+    def test_session_counts_both_steps(self, db, session):
+        session.execute(self.QUERY)
+        totals = session.stats.pass_totals
+        assert "prune" not in totals and totals["cse"]["compilations"] == 1
+        session.execute(self.QUERY)
+        assert totals["prune"]["compilations"] == 1
+        assert totals["cse"]["compilations"] == 2
+        fresh = db.compile_query(self.QUERY, True).stats
+        assert {name: slot["rewrites"] for name, slot in totals.items()} == {
+            p.name: p.rewrites for p in fresh.pass_stats
+        }
+
+
 class TestExternalVariables:
     def test_binding_via_dict_and_kwargs(self, session):
         prepared = session.prepare(PARAM_QUERY)

@@ -228,6 +228,136 @@ class TestSingleFlight:
         assert stats.misses - stats.waits == 4  # one leader per key
 
 
+class TestUpgrade:
+    """:meth:`PlanCache.get_or_compile` upgrades a stage-1 entry on its
+    first reuse, at most once per key at a time, and never resurrects an
+    entry that left the cache while its upgrade ran."""
+
+    QUERY = "for $v in (1, 2, 3) where $v > 1 return $v * 10"
+
+    def _blocked_upgrade(self, database):
+        """``(upgrade_plan, started, release)``: an upgrade that parks
+        until ``release`` is set."""
+        started, release = threading.Event(), threading.Event()
+
+        def upgrade_plan(entry):
+            started.set()
+            assert release.wait(timeout=5)
+            return database.upgrade_plan(entry)
+
+        return upgrade_plan, started, release
+
+    def _upgrade_in_thread(self, cache, upgrade_plan):
+        got = []
+        thread = threading.Thread(
+            target=lambda: got.append(
+                cache.get_or_compile("k", {}, None, None, upgrade_plan)
+            )
+        )
+        thread.start()
+        return thread, got
+
+    def test_hit_during_upgrade(self):
+        """While one caller upgrades, a one-shot hitter runs the stage-1
+        plan at once and a preparing hitter waits for the final plan."""
+        database = Database()
+        stage1 = database.compile_query(self.QUERY, True, one_shot=True)
+        cache = PlanCache()
+        assert cache.get_or_compile("k", {}, None, lambda: stage1) == (stage1, False)
+        upgrade_plan, started, release = self._blocked_upgrade(database)
+        thread, got = self._upgrade_in_thread(cache, upgrade_plan)
+        assert started.wait(timeout=5)
+        assert cache.get_or_compile(
+            "k", {}, None, None, upgrade_plan, one_shot=True
+        ) == (stage1, True)
+        waiter = []
+        waiting = threading.Thread(
+            target=lambda: waiter.append(
+                cache.get_or_compile("k", {}, None, None, upgrade_plan)
+            )
+        )
+        waiting.start()
+        threading.Event().wait(0.05)
+        assert waiter == []  # parked on the upgrade, not served stage 1
+        release.set()
+        thread.join(timeout=5)
+        waiting.join(timeout=5)
+        assert not thread.is_alive() and not waiting.is_alive()
+        (final, hit), = got
+        assert hit and final.final and waiter == [(final, True)]
+        assert cache.stats.upgrades == 1
+        assert cache.get_or_compile("k", {}, None, None, upgrade_plan) == (final, True)
+
+    @pytest.mark.parametrize("leave", ["clear", "evict"])
+    def test_upgrade_of_a_departed_entry_is_dropped(self, leave):
+        database = Database()
+        stage1 = database.compile_query(self.QUERY, True, one_shot=True)
+        cache = PlanCache(capacity=1)
+        cache.get_or_compile("k", {}, None, lambda: stage1)
+        upgrade_plan, started, release = self._blocked_upgrade(database)
+        thread, got = self._upgrade_in_thread(cache, upgrade_plan)
+        assert started.wait(timeout=5)
+        if leave == "clear":
+            cache.clear()
+        else:
+            other = database.compile_query("1", True)
+            cache.get_or_compile("other", {}, None, lambda: other)
+        release.set()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        (final, hit), = got
+        assert hit and final.final  # the caller still runs the final plan
+        if leave == "clear":
+            assert len(cache) == 0
+        else:
+            assert cache.get_or_compile("k", {}, None, lambda: stage1)[1] is False
+
+    def test_racing_executes_compile_once_and_upgrade_once(self, monkeypatch):
+        """8 threads executing one fresh text: 1 compile, 1 upgrade, and
+        the same answer everywhere."""
+        db = Database()
+        db.load_document("r.xml", DOC_VERSIONS[5])
+        compiles, upgrades = [], []
+        compile_query, upgrade_plan = Database.compile_query, Database.upgrade_plan
+
+        def counting_compile(self, *args, **kwargs):
+            compiles.append(kwargs.get("one_shot"))
+            threading.Event().wait(0.05)  # widen the race window
+            return compile_query(self, *args, **kwargs)
+
+        def counting_upgrade(self, *args, **kwargs):
+            upgrades.append(1)
+            threading.Event().wait(0.05)
+            return upgrade_plan(self, *args, **kwargs)
+
+        monkeypatch.setattr(Database, "compile_query", counting_compile)
+        monkeypatch.setattr(Database, "upgrade_plan", counting_upgrade)
+        query = "for $v in /r/v where $v > 2 return <w>{$v/text()}</w>"
+        barrier = threading.Barrier(8, timeout=5)
+        results = []
+
+        def racer():
+            session = db.connect()
+            barrier.wait()
+            for _ in range(3):
+                results.append(session.execute(query).serialize())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=racer) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == ["<w>3</w><w>4</w><w>5</w>"] * 24
+        assert compiles == [True] and len(upgrades) == 1
+        assert db.plan_cache.stats.upgrades == 1
+
+
 class TestConcurrentDatabase:
     def test_hot_replace_never_tears_reads(self):
         """Readers hammering count(/r/v) while a writer alternates the

@@ -509,8 +509,8 @@ class TestStats:
 
 
 #: compiles every XMark query and every ``tests/test_paths.py`` case and
-#: prints one digest of the optimized plans' structure (run in a
-#: subprocess per hash seed)
+#: prints one digest of the structure of their stage-1 and optimized plans
+#: (run in a subprocess per hash seed)
 _DIGEST_CHILD = """
 import hashlib
 from repro.api.database import Database
@@ -523,16 +523,17 @@ digest = hashlib.sha256()
 
 
 def add(db, query):
-    try:
-        plan = db.compile_query(query, use_optimizer=True).plan
-    except PathfinderError as exc:
-        digest.update(repr(exc.code).encode())
-        return
-    ids = {}
-    for node in alg.walk(plan):
-        ids[node] = len(ids)
-        key = node.struct_key(tuple(ids[c] for c in node.children))
-        digest.update(repr(key).encode())
+    for one_shot in (True, False):  # the stage-1 plan, then the final one
+        try:
+            plan = db.compile_query(query, True, one_shot=one_shot).plan
+        except PathfinderError as exc:
+            digest.update(repr(exc.code).encode())
+            return
+        ids = {}
+        for node in alg.walk(plan):
+            ids[node] = len(ids)
+            key = node.struct_key(tuple(ids[c] for c in node.children))
+            digest.update(repr(key).encode())
 
 
 db = Database()

@@ -1,8 +1,9 @@
 """Plan-equivalence corpus: every optimizer pass preserves semantics.
 
-Runs a corpus of XMark and regression queries in three optimizer
-configurations — fully on, each rewrite pass individually disabled, and
-fully off — and asserts identical serialized results.  This is the guard
+Runs a corpus of XMark and regression queries in four optimizer
+configurations — fully on, each rewrite pass individually disabled, the
+local rules alone (stage 1, what a one-shot query runs) and fully off —
+and asserts identical serialized results.  This is the guard
 rail for every new rewrite: a pass that changes any query's output at
 any configuration fails here, including order-sensitive differences
 (serialization fixes the sequence order).
@@ -50,10 +51,13 @@ REGRESSION_XML = (
 )
 
 #: every configuration under test: the full pipeline, each pass knocked
-#: out individually, and the optimizer fully off
-CONFIGS = [("all", frozenset())] + [
-    (f"no-{name}", frozenset({name})) for name in PASS_NAMES
-]
+#: out individually, the local rules alone (the stage-1 plan a one-shot
+#: ``Session.execute`` runs), and the optimizer fully off
+CONFIGS = (
+    [("all", frozenset())]
+    + [(f"no-{name}", frozenset({name})) for name in PASS_NAMES]
+    + [("local-only", frozenset({"pushdown", "prune", "join_order"}))]
+)
 
 #: the reference configurations besides the pass list, each with the
 #: full optimizer

@@ -16,7 +16,9 @@ identical to two references:
 
 in three setups: in memory, on a paged store whose budget is a quarter
 of the fragment bytes, and on a store reopened with a WAL tail to
-replay.  The updates add names the document never had before (element,
+replay.  The reads are first compiled one-shot (stage 1) and upgraded on
+their first reuse, in the first round; a separate test holds every XMark
+upgrade to the plan and statistics of a one-step compile.  The updates add names the document never had before (element,
 attribute and rename targets), so a cached plan whose name tests were
 resolved at compile time would be caught answering from stale ids.
 """
@@ -29,6 +31,8 @@ import pytest
 
 from repro.api.database import Database
 from repro.api.prepared import PreparedQuery
+from repro.relational import algebra as alg
+from repro.relational.dot import to_ascii
 from repro.xmark import XMARK_QUERIES, generate_document
 from repro.xmark.xmlgen import scaled_counts
 from repro.xml.serializer import serialize_node
@@ -177,6 +181,36 @@ def test_plans_do_not_depend_on_document_size():
     small, large = plans
     for name in XMARK_QUERIES:
         assert small[name] == large[name], name
+
+
+def test_upgrade_of_the_stage_one_plan_is_the_one_step_plan():
+    """A one-shot compile runs the local rules only; its upgrade on reuse
+    must be exactly the plan — and the statistics, bar seconds — of
+    compiling the text in one step, for every XMark query."""
+    database = Database()
+    database.load_document(URI, generate_document(0.0005, seed=SEED))
+
+    def counts(stats):
+        return (
+            stats.ops_before,
+            stats.ops_after,
+            stats.passes,
+            [
+                (p.name, p.runs, p.rewrites, p.ops_before, p.ops_after, p.est_rows)
+                for p in stats.pass_stats
+            ],
+        )
+
+    for name, query in XMARK_QUERIES.items():
+        stage1 = _compile_query(database, query, True, one_shot=True)
+        assert not stage1.final and stage1.stats.estimated_rows is None, name
+        upgraded = database.upgrade_plan(stage1)
+        one_step = _compile_query(database, query, True)
+        assert upgraded.final and one_step.final, name
+        assert to_ascii(upgraded.plan) == to_ascii(one_step.plan), name
+        assert alg.op_count(upgraded.plan) == alg.op_count(one_step.plan), name
+        assert counts(upgraded.stats) == counts(one_step.stats), name
+        assert upgraded.compile_seconds > stage1.compile_seconds, name
 
 
 SETUPS = {"in-memory": _in_memory, "paged": _paged, "replayed": _replayed}

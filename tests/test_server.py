@@ -307,6 +307,35 @@ class TestServiceDirect:
             status == 200 and body["result"] == "3" for status, body in results
         )
 
+    def test_pass_totals_count_explain_and_upgrades(self):
+        """/stats optimizer_pass_totals sums every compile and upgrade the
+        service ran: /explain's compile, a /query's stage-1 compile and
+        the upgrade its next request runs."""
+        database = Database()
+        database.load_document("r.xml", DOC)
+        service = QueryService(database, workers=1)
+        try:
+            service.explain("/r/v")
+            stats = service.stats()
+            assert stats["plan_cache"]["misses"] == 1
+            totals = stats["optimizer_pass_totals"]
+            assert totals["cse"]["compilations"] == 1
+            assert totals["prune"]["compilations"] == 1
+            query = "for $v in /r/v where $v > 1 return $v"
+            first = service.execute(query)
+            assert not first["from_cache"]
+            totals = service.stats()["optimizer_pass_totals"]
+            assert totals["cse"]["compilations"] == 2
+            assert totals["prune"]["compilations"] == 1  # stage 1 only
+            second = service.execute(query)
+            assert second["from_cache"] and second["result"] == first["result"]
+            stats = service.stats()
+            assert stats["plan_cache"]["upgrades"] == 1
+            assert stats["optimizer_pass_totals"]["prune"]["compilations"] == 2
+            assert stats["optimizer_pass_totals"]["cse"]["compilations"] == 3
+        finally:
+            service.shutdown(wait=True)
+
     def test_queued_requests_are_shed_after_deadline(self):
         database = Database()
         database.load_document("r.xml", DOC)
