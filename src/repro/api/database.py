@@ -95,14 +95,14 @@ class Database:
         store: "DocumentStore | str | None" = None,
         checkpoint_wal_bytes: int | None = 4 * 1024 * 1024,
         page_budget_bytes: int | None = None,
-        shard: "tuple[int, int] | None" = None,
+        shard: tuple[int, int] = (0, 1),
     ):
         if page_budget_bytes is not None and store is None:
             raise PathfinderError(
                 "page_budget_bytes needs a persistent store to page from "
                 "(pass store=PATH)"
             )
-        if shard is not None and store is None:
+        if tuple(shard) != (0, 1) and store is None:
             raise PathfinderError(
                 "a shard-scoped open needs a persistent store (pass "
                 "store=PATH)"
@@ -127,20 +127,17 @@ class Database:
         self._estimator: CardinalityEstimator | None = None
         #: the attached persistent store (None = pure in-memory catalog)
         self.store: DocumentStore | None = None
-        #: this database's shard-scoped view, ``(index, count)`` or None
-        self.shard = shard
         #: auto-checkpoint once the WAL outgrows this (None disables)
         self.checkpoint_wal_bytes = checkpoint_wal_bytes
         if store is not None:
             if not isinstance(store, DocumentStore):
                 store = DocumentStore(store, shard=shard)
-            elif shard is not None and store.shard != tuple(shard):
+            elif tuple(shard) not in ((0, 1), store.shard):
                 raise PathfinderError(
                     "the given DocumentStore was opened with a different "
                     "shard spec"
                 )
             self.store = store
-            self.shard = store.shard
             with self._rwlock.write_locked():
                 self._recover_locked()
 
@@ -151,7 +148,7 @@ class Database:
         plan_cache_size: int = 128,
         checkpoint_wal_bytes: int | None = 4 * 1024 * 1024,
         page_budget_bytes: int | None = None,
-        shard: "tuple[int, int] | None" = None,
+        shard: tuple[int, int] = (0, 1),
     ) -> "Database":
         """Open (or create) a persistent database at ``path``.
 
@@ -167,11 +164,11 @@ class Database:
         once resident bytes exceed the budget — the catalog may be
         several times larger than the budget (docs/storage.md).
 
-        ``shard=(index, count)`` opens a shard-scoped view for one
-        cluster worker: only documents :func:`~repro.encoding.store.shard_of`
-        assigns to ``index`` are adopted, foreign WAL records are skipped
-        on replay, and writes go to a private per-shard WAL with
-        merge-committed manifests (docs/serving.md).
+        ``shard=(index, count)`` opens one cluster worker's view: only
+        documents :func:`~repro.encoding.store.shard_of` assigns to
+        ``index`` are adopted, and writes go to the shard's own WAL with
+        merge-committed manifests (docs/serving.md).  The default
+        ``(0, 1)`` owns every document.
         """
         return cls(
             plan_cache_size=plan_cache_size,
@@ -184,17 +181,15 @@ class Database:
     def _recover_locked(self) -> None:
         """Load manifest fragments, replay the WAL tail, restore epochs.
 
-        A shard-scoped open adopts only the documents it owns; foreign
-        WAL records are skipped by the same base-epoch check that makes
+        The open adopts only the documents its shard owns; foreign WAL
+        records are skipped by the same base-epoch check that makes
         replay idempotent (a document never loaded has no epoch to
-        match).  An *unsharded* open that found per-shard WAL files (a
-        previous cluster session) checkpoints immediately after replay,
-        so later appends to the shared log can never be interleaved
-        out of order with the per-shard leftovers.
+        match).  An open that replayed a record of another layout's log
+        (a crash under another worker count) checkpoints before it
+        returns, so its later records never interleave with that log.
         """
         store = self.store
         store.gc_unreferenced()
-        had_shard_wals = bool(store.shard_wal_paths())
         for uri, meta in sorted(store.manifest["documents"].items()):
             if not store.owns(uri):
                 continue
@@ -202,7 +197,8 @@ class Database:
             self.doc_epochs[uri] = meta["epoch"]
             self._xml_bytes += meta.get("xml_bytes", 0)
         last_epoch = store.manifest.get("last_epoch", 0)
-        for record in store.read_wal():
+        fold = False
+        for record, other_layout in store.read_wal():
             for part in record.get("docs", ()):
                 uri = part["uri"]
                 if self.doc_epochs.get(uri) != part["base_epoch"]:
@@ -223,6 +219,7 @@ class Database:
                 self.doc_epochs[uri] = part["new_epoch"]
                 store.dirty.add(uri)
                 store.replayed += 1
+                fold = fold or other_layout
             last_epoch = max(
                 last_epoch,
                 max((p["new_epoch"] for p in record.get("docs", ())), default=0),
@@ -236,10 +233,8 @@ class Database:
             # same implicit rule as in-memory first-load (manifest order)
             self._default_document = next(iter(sorted(self.documents)))
             self._default_explicit = False
-        if store.shard is None and had_shard_wals:
-            # fold a cluster session's per-shard logs away now — see
-            # the docstring; also removes the wal-NN.log files
-            self._checkpoint_locked()
+        if fold:
+            self._checkpoint_locked()  # see the docstring
 
     @contextmanager
     def read_locked(self):
@@ -344,6 +339,9 @@ class Database:
         else:
             new_default, explicit = self._default_document, self._default_explicit
         if self.store is not None:
+            if default:
+                # this open chose the default: merge-commits keep it
+                self.store.default_override = True
             # a replace supersedes the old fragment's backing files:
             # materialize-and-untrack it before the store GCs them, or
             # the pager could later fault from a deleted directory

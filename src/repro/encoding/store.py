@@ -6,8 +6,8 @@ that durability.  A :class:`DocumentStore` owns one directory::
 
     store/
       MANIFEST.json            # atomically-replaced catalog (doc -> epoch)
-      wal.log                  # append-only log of serialized TreeDeltas
-      docs/<slug>-<epoch>/     # one immutable fragment per doc + epoch
+      wal-<i>-of-<n>.log       # append-only TreeDelta log of shard i of n
+      docs/<slug>-s<i>-<epoch>/  # one immutable fragment per doc + epoch
         kind.bin size.bin level.bin parent.bin name.bin value.bin
         attr_owner.bin attr_name.bin attr_value.bin
         pool.blob pool_offsets.bin
@@ -39,7 +39,7 @@ Durability protocol (see ``docs/storage.md``):
   manifest (because a checkpoint or replace already folded it in) is
   skipped.
 * a **checkpoint** rewrites the fragments of every WAL-dirty document,
-  swaps the manifest, then truncates the log.  Recovery = mmap the
+  swaps the manifest, then removes the log.  Recovery = mmap the
   manifest fragments + replay the WAL tail; a torn final record
   (partial write, bad checksum) is discarded.
 
@@ -47,27 +47,22 @@ Every file-system step calls the injectable ``fault_hook`` first, which
 is how the crash-recovery suite (``tests/test_store_recovery.py``) kills
 the process at each boundary and proves reopening is always consistent.
 
-Shard-scoped opens (the cluster serving tier, docs/serving.md): a store
-opened with ``shard=(i, n)`` is one worker process's view of a shared
-directory.  The shard map is pure hashing — :func:`shard_of` assigns
-every URI to exactly one of ``n`` shards — so re-opening the same
-directory with a different worker count is only a different open-time
-filter, never a data migration.  A sharded store:
+Every open is a shard view: ``shard=(i, n)`` owns the URIs
+:func:`shard_of` (pure hashing) maps to ``i``, and the default
+``(0, 1)`` owns them all, so a different worker count is only a
+different open-time filter over the same directory.  One set of rules
+covers every layout (docs/storage.md):
 
-* appends to a **private WAL** (``wal-<i>.log``) so concurrent workers
-  never interleave writes in one log; recovery reads the legacy shared
-  ``wal.log`` *read-only* (skipping other shards' records happens at
-  the Database layer via the idempotent base-epoch check) plus its own
-  log.  An unsharded open reads *all* WAL files, so switching a
-  directory between single-process and cluster serving is safe in both
-  directions.
-* **merge-commits the manifest** under an advisory file lock: the commit
-  re-reads the manifest from disk and overlays only the documents this
-  shard owns, so concurrent workers checkpointing different shards
-  cannot lose each other's entries.
-* skips :meth:`gc_unreferenced` (a concurrent worker's freshly written
-  fragment directory is unreachable *until* its manifest commit, and
-  must not be swept by a neighbour).
+* an open appends to its **own log** ``wal-<i>-of-<n>.log``; same-layout
+  logs of other indices are live siblings, never touched.  Every other
+  ``wal*.log`` is an **other-layout log** (a crash under another worker
+  count, or an older ``wal.log``/``wal-NN.log``): :meth:`read_wal` reads
+  it read-only, and :meth:`truncate_wal` deletes it once the manifest
+  covers every record in it.
+* every manifest commit **merges** with the manifest on disk under an
+  advisory file lock, overlaying only the documents this open owns.
+* only a one-shard open runs :meth:`gc_unreferenced` (a neighbour's
+  fresh fragment directory is unreachable until its manifest commit).
 """
 
 from __future__ import annotations
@@ -93,7 +88,6 @@ from repro.encoding.storage import persisted_fragment_bytes
 from repro.errors import PathfinderError
 
 MANIFEST_NAME = "MANIFEST.json"
-WAL_NAME = "wal.log"
 FORMAT_VERSION = 1
 
 #: node-table column files and their on-disk dtypes (paper Section 3.1:
@@ -151,6 +145,13 @@ def shard_of(uri: str, shards: int) -> int:
     return int.from_bytes(digest[:8], "big") % shards
 
 
+def _covered(documents: dict, part: dict) -> bool:
+    """Whether a manifest's ``documents`` hold a WAL record's part: the
+    document is gone, or catalogued at least at the part's new epoch."""
+    meta = documents.get(part["uri"])
+    return meta is None or meta["epoch"] >= part["new_epoch"]
+
+
 def _slug(uri: str) -> str:
     """A filesystem-safe (non-unique) name for a document URI."""
     return re.sub(r"[^A-Za-z0-9._-]+", "_", uri)[:64] or "doc"
@@ -200,22 +201,21 @@ class DocumentStore:
     is invoked before/after each file-system step with a label such as
     ``"wal:fsync"``; raising from the hook simulates a crash there.
 
-    ``shard=(index, count)`` opens the directory as one cluster
-    worker's shard-scoped view (see the module docs): a private WAL,
-    merge-committed manifest, and :meth:`owns` as the ownership filter
-    the Database layer applies during recovery and loads.
+    ``shard=(index, count)`` is the open's view (module docs): its own
+    WAL, merge-committed manifests, and :meth:`owns` as the filter the
+    Database applies in recovery and loads; ``(0, 1)`` owns everything.
     """
 
-    def __init__(self, path: str, fault_hook=None, shard=None):
+    def __init__(self, path: str, fault_hook=None, shard=(0, 1)):
         self.path = os.path.abspath(str(path))
         self._fault = fault_hook if fault_hook is not None else lambda point: None
-        if shard is not None:
-            index, count = int(shard[0]), int(shard[1])
-            if count < 1 or not (0 <= index < count):
-                raise ValueError(f"invalid shard spec {shard!r}")
-            shard = (index, count)
-        self.shard = shard
-        self._default_override = False
+        index, count = int(shard[0]), int(shard[1])
+        if count < 1 or not (0 <= index < count):
+            raise ValueError(f"invalid shard spec {shard!r}")
+        self.shard = (index, count)
+        #: this open chose its default document (``set_default`` or a
+        #: ``default=True`` load): merge-commits carry it over the disk's
+        self.default_override = False
         try:
             os.makedirs(os.path.join(self.path, "docs"), exist_ok=True)
         except OSError as exc:
@@ -253,21 +253,25 @@ class DocumentStore:
 
     # ------------------------------------------------------------ plumbing
     def owns(self, uri: str) -> bool:
-        """Whether this (possibly shard-scoped) open owns ``uri``."""
-        if self.shard is None:
-            return True
+        """Whether this open's shard owns ``uri``."""
         return shard_of(uri, self.shard[1]) == self.shard[0]
 
     @property
     def wal_path(self) -> str:
         """Absolute path of the write-ahead log this open appends to."""
-        if self.shard is not None:
-            return os.path.join(self.path, f"wal-{self.shard[0]:02d}.log")
-        return os.path.join(self.path, WAL_NAME)
+        index, count = self.shard
+        return os.path.join(self.path, f"wal-{index}-of-{count}.log")
 
-    def shard_wal_paths(self) -> list[str]:
-        """Per-shard WAL files present in the directory, sorted."""
-        return sorted(glob.glob(os.path.join(self.path, "wal-[0-9]*.log")))
+    def _other_layout_logs(self) -> list[str]:
+        """The directory's WAL files of every other shard layout, sorted
+        (see the module docs; same-layout siblings are not listed)."""
+        count = self.shard[1]
+        layout = {f"wal-{j}-of-{count}.log" for j in range(count)}
+        return sorted(
+            path
+            for path in glob.glob(os.path.join(self.path, "wal*.log"))
+            if os.path.basename(path) not in layout
+        )
 
     @property
     def wal_bytes(self) -> int:
@@ -337,12 +341,9 @@ class DocumentStore:
             "attr_name": remap(aname),
             "attr_value": remap(avalue),
         }
-        # per-shard name suffix: worker epoch counters are only unique
-        # per process, and two URIs on different shards can share a slug
-        if self.shard is not None:
-            frag_name = f"{_slug(uri)}-s{self.shard[0]:02d}-{epoch:08d}"
-        else:
-            frag_name = f"{_slug(uri)}-{epoch:08d}"
+        # shard suffix: worker epoch counters are only unique per
+        # process, and two URIs on different shards can share a slug
+        frag_name = f"{_slug(uri)}-s{self.shard[0]:02d}-{epoch:08d}"
         rel_dir = os.path.join("docs", frag_name)
         frag_dir = os.path.join(self.path, rel_dir)
         os.makedirs(frag_dir, exist_ok=True)
@@ -461,45 +462,48 @@ class DocumentStore:
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def _merge_manifest_from_disk(self) -> None:
-        """Overlay this shard's entries onto the manifest on disk.
-
-        Runs under :meth:`_manifest_lock`.  For documents this shard
-        owns, the in-memory state is the truth (including absence: an
-        owned document missing from memory was deleted); for foreign
-        documents the disk state wins, so concurrent workers committing
-        different shards never lose each other's entries.  The default
-        document follows the disk unless this worker explicitly set it
-        (``set_default``) or the disk's choice no longer exists.
-        """
-        final = os.path.join(self.path, MANIFEST_NAME)
-        disk: dict | None = None
+    def _disk_manifest(self) -> dict | None:
+        """The manifest on disk; None when it is absent or unreadable."""
         try:
-            with open(final, "r", encoding="utf-8") as handle:
+            with open(
+                os.path.join(self.path, MANIFEST_NAME), "r", encoding="utf-8"
+            ) as handle:
                 disk = json.load(handle)
         except (OSError, ValueError):
-            disk = None
+            return None
         if not isinstance(disk, dict) or disk.get("format") != FORMAT_VERSION:
+            return None
+        return disk
+
+    def _merge_manifest_from_disk(self) -> None:
+        """Overlay this open's entries onto the manifest on disk.
+
+        Runs under :meth:`_manifest_lock`.  For documents this open owns
+        (all of them for one shard of one), the in-memory state is the
+        truth, absence included; for foreign documents the disk wins, so
+        concurrent workers never lose each other's entries.  The default
+        follows the disk unless this open chose it
+        (:attr:`default_override`) or the disk's choice is gone.
+        """
+        disk = self._disk_manifest()
+        if disk is None:
             return  # nothing valid on disk; the in-memory state stands
-        index, count = self.shard
         merged = {
             uri: meta
             for uri, meta in disk.get("documents", {}).items()
-            if shard_of(uri, count) != index
+            if not self.owns(uri)
         }
         merged.update(
             {
                 uri: meta
                 for uri, meta in self.manifest["documents"].items()
-                if shard_of(uri, count) == index
+                if self.owns(uri)
             }
         )
         default = disk.get("default_document")
-        if self._default_override or (
-            default is not None and default not in merged
-        ):
+        if self.default_override or default not in merged:
             default = self.manifest.get("default_document")
-        if default is not None and default not in merged:
+        if default not in merged:
             default = None
         self.manifest = {
             "format": FORMAT_VERSION,
@@ -509,29 +513,22 @@ class DocumentStore:
             ),
             "default_document": default,
             "documents": merged,
-            "shards": count,
+            "shards": self.shard[1],
         }
 
     def commit_manifest(self) -> None:
-        """Atomically replace ``MANIFEST.json`` with the in-memory state.
-
-        A shard-scoped store first merges with the manifest on disk
-        under an advisory file lock (see :meth:`_merge_manifest_from_disk`)
-        so concurrent workers' commits compose instead of clobbering.
-        """
-        if self.shard is not None:
-            with self._manifest_lock():
-                self._merge_manifest_from_disk()
-                self._commit_manifest_file()
-        else:
+        """Atomically replace ``MANIFEST.json`` with the in-memory state,
+        merged with the manifest on disk under an advisory file lock
+        (see :meth:`_merge_manifest_from_disk`) so concurrent workers'
+        commits compose instead of clobbering."""
+        with self._manifest_lock():
+            self._merge_manifest_from_disk()
             self._commit_manifest_file()
 
     def _commit_manifest_file(self) -> None:
         """The atomic replace itself: temp + fsync + rename + dir fsync."""
         final = os.path.join(self.path, MANIFEST_NAME)
-        tmp = final + ".tmp"
-        if self.shard is not None:
-            tmp = f"{final}.s{self.shard[0]:02d}.tmp"
+        tmp = f"{final}.s{self.shard[0]:02d}.tmp"
         self._fault("manifest:write")
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(self.manifest, handle, indent=1, sort_keys=True)
@@ -585,11 +582,11 @@ class DocumentStore:
     def set_default(self, default_document: str | None) -> None:
         """Persist the catalog's default-document choice.
 
-        On a shard-scoped store this marks the default as explicitly
-        chosen, so merge-commits carry it over the disk's value.
+        This marks the default as chosen by this open, so merge-commits
+        carry it over the disk's value.
         """
         self.manifest["default_document"] = default_document
-        self._default_override = True
+        self.default_override = True
         self.commit_manifest()
 
     def _gc_dir(self, rel_dir: str) -> None:
@@ -601,11 +598,11 @@ class DocumentStore:
 
         Runs at open: crashes can strand half-written fragment
         directories (they only become reachable at manifest commit).
-        Returns how many directories were removed.  A shard-scoped open
-        never sweeps: a concurrent worker's freshly written fragment is
+        Returns how many directories were removed.  An open of one shard
+        among several never sweeps: a neighbour's fresh fragment is
         unreachable *until* its manifest commit and must survive.
         """
-        if self.shard is not None:
+        if self.shard[1] > 1:
             return 0
         live = {meta["dir"] for meta in self.manifest["documents"].values()}
         removed = 0
@@ -623,7 +620,8 @@ class DocumentStore:
 
         The record is one JSON line carrying a CRC-32 of its payload;
         recovery treats a line that is truncated or fails the checksum
-        as the torn tail of a crashed append and discards it.
+        as the torn tail of a crashed append and discards it.  The append
+        that creates the log fsyncs the directory for the new entry.
         """
         self.wal_seq += 1
         record = {"seq": self.wal_seq, **record}
@@ -632,6 +630,8 @@ class DocumentStore:
         line = json.dumps({"crc": crc, "rec": record}, separators=(",", ":"))
         self._fault("wal:append")
         with open(self.wal_path, "ab") as handle:
+            if handle.tell() == 0:
+                _fsync_dir(self.path)
             handle.write(line.encode("utf-8") + b"\n")
             handle.flush()
             self._fault("wal:fsync")
@@ -650,8 +650,7 @@ class DocumentStore:
         (an fsynced append can never be *followed* by an intact line,
         so nothing valid is thrown away).  With ``truncate`` the file is
         cut back to the surviving prefix so later appends start clean —
-        disabled for files this open doesn't own (the legacy shared log
-        read by a shard-scoped worker).
+        disabled for files this open doesn't own (other-layout logs).
         """
         records: list[dict] = []
         try:
@@ -683,65 +682,50 @@ class DocumentStore:
                 handle.truncate(pos)
         return records
 
-    def read_wal(self) -> list[dict]:
-        """Return every replayable WAL record across the WAL files.
-
-        An unsharded open reads the shared log plus any per-shard logs
-        a previous cluster session left behind; a shard-scoped open
-        reads the shared log (read-only — other shards still need it)
-        followed by its private log.  Cross-file ordering leans on the
-        replay loop's base-epoch check: a record whose base epoch no
-        longer matches is skipped, and the Database forces a checkpoint
-        after an unsharded recovery that consumed per-shard logs so
-        stale cross-file interleavings can never accumulate.
-        """
-        legacy = os.path.join(self.path, WAL_NAME)
-        if self.shard is not None:
-            files = [(legacy, False), (self.wal_path, False)]
-        else:
-            files = [(legacy, True)]
-            files += [(p, True) for p in self.shard_wal_paths()]
-        records: list[dict] = []
-        own: list[dict] = []
-        for path, truncate in files:
-            recs = self._read_wal_file(
-                path, truncate or path == self.wal_path
-            )
-            records.extend(recs)
-            if path == self.wal_path:
-                own = recs
-        tracked = own if self.shard is not None else records
-        if tracked:
-            self.wal_seq = max(r.get("seq", 0) for r in tracked)
-            self.wal_records = len(tracked)
-        return records
+    def read_wal(self) -> list[tuple[dict, bool]]:
+        """Every intact record this open may replay, paired with whether
+        it came from an other-layout log (read read-only, before the own
+        log, whose torn tail is cut).  Cross-file order does not matter:
+        an open that replays an other-layout record checkpoints at once,
+        so the records a document still needs always sit in one log."""
+        records = [
+            (record, True)
+            for path in self._other_layout_logs()
+            for record in self._read_wal_file(path, False)
+        ]
+        own = self._read_wal_file(self.wal_path, True)
+        if own:
+            self.wal_seq = max(r.get("seq", 0) for r in own)
+            self.wal_records = len(own)
+        return records + [(record, False) for record in own]
 
     def truncate_wal(self) -> None:
-        """Empty the WAL (checkpoint already folded its records in).
-
-        A shard-scoped open truncates only its private log (the shared
-        log's records for its documents are stale after the checkpoint
-        and will be skipped by the base-epoch check); an unsharded open
-        also removes any per-shard logs left by a cluster session.
-        """
+        """Remove the own log, then each other-layout log whose every
+        record the manifest on disk covers (:func:`_covered`, judged under
+        the manifest lock): a log still holding another shard's unreplayed
+        update stays for that shard's open to fold."""
         self._fault("wal:truncate")
-        if self.shard is not None:
-            # a shard's log is private: remove it outright, so a drained
-            # cluster leaves no wal-NN files behind (appends recreate it)
-            try:
-                os.remove(self.wal_path)
-            except OSError:
-                pass
-        else:
-            with open(self.wal_path, "wb") as handle:
-                handle.flush()
-                os.fsync(handle.fileno())
-            for path in self.shard_wal_paths():
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
+        try:
+            os.remove(self.wal_path)
+        except OSError:
+            pass
         self.wal_records = 0
+        with self._manifest_lock():
+            disk = self._disk_manifest()
+            if disk is None:
+                return
+            documents = disk.get("documents", {})
+            for path in self._other_layout_logs():
+                if all(
+                    _covered(documents, part)
+                    for record in self._read_wal_file(path, False)
+                    for part in record.get("docs", ())
+                ):
+                    self._fault("wal:sweep")
+                    try:
+                        os.remove(path)
+                    except OSError:
+                        pass
 
     # ----------------------------------------------------------- checkpoint
     def checkpoint(
@@ -752,7 +736,7 @@ class DocumentStore:
         default_document: str | None,
     ) -> dict:
         """Fold the WAL into fragments: rewrite dirty docs, swap the
-        manifest, truncate the log.
+        manifest, remove the log.
 
         Crash-safe at every boundary: new fragment dirs are unreachable
         until the manifest swap; a crash before the swap replays the WAL
@@ -793,7 +777,7 @@ class DocumentStore:
     def status(self) -> dict:
         """Operational summary (the ``/stats`` ``"store"`` section).
 
-        A shard-scoped store counts only the documents it owns, so the
+        A store counts only the documents its shard owns, so the
         cluster's per-shard sections sum to the catalog, not N copies
         of it.
         """
@@ -802,12 +786,9 @@ class DocumentStore:
             for uri, meta in self.manifest["documents"].items()
             if self.owns(uri)
         }
-        shard = None
-        if self.shard is not None:
-            shard = {"index": self.shard[0], "of": self.shard[1]}
         return {
             "path": self.path,
-            "shard": shard,
+            "shard": {"index": self.shard[0], "of": self.shard[1]},
             "documents": len(docs),
             "last_epoch": self.manifest.get("last_epoch", 0),
             "wal_bytes": self.wal_bytes,

@@ -86,7 +86,6 @@ class EvalContext:
     documents: dict[str, int] = field(default_factory=dict)
     trace: dict[int, Table] | None = None
     use_staircase: bool = True
-    step_counter: list[int] = field(default_factory=lambda: [0])
     params: dict[str, object] = field(default_factory=dict)
     deadline: float | None = None
 
@@ -493,7 +492,6 @@ def _eval_step(node: alg.StepJoin, inputs, ctx) -> Table:
             {node.iter_col: iters, node.item_col: ItemColumn.of_kind(kind, nodes)}
         )
     step = staircase_step if ctx.use_staircase else naive_step
-    ctx.step_counter[0] += 1
     out_iter, rows = step(ctx.arena, iters, nodes, node.axis, node.test)
     return Table(
         {node.iter_col: out_iter, node.item_col: ItemColumn.of_kind(kind, rows)}

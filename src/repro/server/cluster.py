@@ -75,6 +75,17 @@ class RoutingError(PathfinderError):
     """The router cannot place a request on a single shard (HTTP 400)."""
 
 
+def _numeric_sum(parts: list[dict]) -> dict:
+    """Key-wise sum of the numeric (not bool) fields of ``parts``: how
+    ``/stats`` merges the shards' counters into cluster totals."""
+    total: dict = {}
+    for part in parts:
+        for key, value in part.items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                total[key] = total.get(key, 0) + value
+    return total
+
+
 # --------------------------------------------------------------------------
 # static document-dependency analysis
 # --------------------------------------------------------------------------
@@ -767,21 +778,13 @@ class ClusterService:
             except PathfinderError:
                 shard_stats.append(None)
         live = [s for s in shard_stats if s is not None]
-
-        def total(key):
-            return sum(s.get(key, 0) for s in live)
-
-        cache_hits = sum(s["plan_cache"]["hits"] for s in live)
-        cache_misses = sum(s["plan_cache"]["misses"] for s in live)
-        lookups = cache_hits + cache_misses
-        pass_totals: dict[str, dict[str, int]] = {}
+        cache = _numeric_sum([s["plan_cache"] for s in live])
+        lookups = cache.get("hits", 0) + cache.get("misses", 0)
+        cache["hit_rate"] = cache["hits"] / lookups if lookups else 0.0
+        passes: dict[str, list[dict]] = {}
         for s in live:
             for name, slot in s.get("optimizer_pass_totals", {}).items():
-                agg = pass_totals.setdefault(
-                    name, {"runs": 0, "rewrites": 0, "compilations": 0}
-                )
-                for key in agg:
-                    agg[key] += slot.get(key, 0)
+                passes.setdefault(name, []).append(slot)
         with self._routing_lock:
             router = {
                 "scatter_queries": self._scatter_queries,
@@ -790,35 +793,19 @@ class ClusterService:
                 "routing_table_size": len(self._routing),
                 "default_document": self._default,
             }
+        # every numeric counter of the shard payloads sums; the fields
+        # below describe the cluster itself and replace the sums
         payload = {
+            **_numeric_sum(live),
             "uptime_seconds": time.monotonic() - self._started,
             "workers": self.workers,
             "threads_per_worker": self.threads,
             "deadline_seconds": self.deadline_seconds,
-            "requests_total": total("requests_total"),
-            "in_flight": total("in_flight"),
-            "timeouts": total("timeouts"),
-            "shed": total("shed"),
-            "errors": total("errors"),
-            "queries_executed": total("queries_executed"),
-            "updates_executed": total("updates_executed"),
-            "documents": total("documents"),
-            "optimizer_pass_totals": dict(sorted(pass_totals.items())),
-            "plan_cache": {
-                "size": sum(s["plan_cache"]["size"] for s in live),
-                "capacity": sum(s["plan_cache"]["capacity"] for s in live),
-                "hits": cache_hits,
-                "misses": cache_misses,
-                "hit_rate": (cache_hits / lookups) if lookups else 0.0,
-                "invalidations": sum(
-                    s["plan_cache"]["invalidations"] for s in live
-                ),
-                "evictions": sum(s["plan_cache"]["evictions"] for s in live),
-                "single_flight_waits": sum(
-                    s["plan_cache"]["single_flight_waits"] for s in live
-                ),
-                "upgrades": sum(s["plan_cache"]["upgrades"] for s in live),
+            "optimizer_pass_totals": {
+                name: _numeric_sum(slots)
+                for name, slots in sorted(passes.items())
             },
+            "plan_cache": cache,
             "router": router,
             "shards": [
                 {"shard": i, **(s if s is not None else {"down": True})}
@@ -828,14 +815,7 @@ class ClusterService:
         for section in ("store", "paging", "arena"):
             parts = [s[section] for s in live if s.get(section)]
             if parts:
-                agg: dict = {}
-                for part in parts:
-                    for key, value in part.items():
-                        if isinstance(value, (int, float)) and not isinstance(
-                            value, bool
-                        ):
-                            agg[key] = agg.get(key, 0) + value
-                payload[section] = agg
+                payload[section] = _numeric_sum(parts)
         return payload
 
     # ------------------------------------------------------------ shutdown

@@ -502,6 +502,25 @@ class TestStatsAggregation:
             s["queries_executed"] for s in merged["shards"]
         )
 
+    def test_plan_cache_and_pass_total_keys_match_the_single_process(
+        self, single, cluster
+    ):
+        single.execute("2 + 2")
+        cluster.execute("2 + 2")
+        reference, merged = single.stats(), cluster.stats()
+        assert set(merged["plan_cache"]) == set(reference["plan_cache"])
+        passes = merged["optimizer_pass_totals"]
+        common = set(passes) & set(reference["optimizer_pass_totals"])
+        assert common
+        for name in common:
+            slot = reference["optimizer_pass_totals"][name]
+            assert set(passes[name]) == set(slot), name
+        for name, slot in passes.items():
+            assert slot["runs"] == sum(
+                s["optimizer_pass_totals"].get(name, {}).get("runs", 0)
+                for s in merged["shards"]
+            ), name
+
     def test_documents_listing_is_merged_and_sorted(self, cluster):
         docs = cluster.list_documents()
         uris = [d["uri"] for d in docs]

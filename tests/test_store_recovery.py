@@ -8,7 +8,14 @@ consistent catalog state, then re-runs it once per fault point with an
 injected crash there, reopens the store cold, and asserts the recovered
 catalog — documents, epochs, default, full serialized content — equals
 one of the recorded consistent states.  An update is therefore always
-recovered to exactly its pre- or post-state, never a torn mix.
+recovered to exactly its pre- or post-state, never a torn mix.  The
+writer runs both as the one-shard open and as shard 1 of 2; the reopen
+is always one-shard, so the second layout also crosses the other-layout
+log fold.
+
+Reshard tests crash a store under one worker count and reopen it under
+another: every acknowledged update must be served by its new owner,
+and a crash anywhere inside the open-time fold must recover too.
 
 Torn-tail tests corrupt the WAL directly (garbage bytes, bad CRC,
 half-written record) and assert recovery stops at the last intact
@@ -17,11 +24,14 @@ record and truncates the damage away.
 
 import json
 import os
+import shutil
+import sys
+import threading
 
 import pytest
 
 from repro.api.database import Database
-from repro.encoding.store import DocumentStore, StoreCrash, StoreError
+from repro.encoding.store import DocumentStore, StoreCrash, StoreError, shard_of
 from repro.xml.serializer import serialize_node
 
 XML_A = (
@@ -46,10 +56,21 @@ class FaultInjector:
             raise StoreCrash(f"injected crash at fault #{self.count} ({point})")
 
 
-def _steps():
+def _uris_on(shard: tuple[int, int], k: int) -> list[str]:
+    """The first ``k`` URIs ``doc<i>.xml`` that ``shard`` owns."""
+    index, count = shard
+    uris = (f"doc{i}.xml" for i in range(1000))
+    return [u for u in uris if shard_of(u, count) == index][:k]
+
+
+def _wal_files(path: str) -> list[str]:
+    return sorted(f for f in os.listdir(path) if f.startswith("wal"))
+
+
+def _steps(a: str = "a.xml", b: str = "b.xml"):
     """The workload: every store code path, in a deterministic order."""
     return [
-        ("load a.xml", lambda db: db.load_document("a.xml", XML_A)),
+        ("load a", lambda db: db.load_document(a, XML_A)),
         (
             "single-op update",
             lambda db: db.connect().execute_update(
@@ -71,15 +92,15 @@ def _steps():
                 'replace value of node /site/aa with "v2"'
             ),
         ),
-        ("load b.xml", lambda db: db.load_document("b.xml", XML_B)),
+        ("load b", lambda db: db.load_document(b, XML_B)),
         (
             "multi-document update",
             lambda db: db.connect().execute_update(
-                'insert node <xa/> into doc("a.xml")/site, '
-                'insert node <xb/> into doc("b.xml")/r'
+                f'insert node <xa/> into doc("{a}")/site, '
+                f'insert node <xb/> into doc("{b}")/r'
             ),
         ),
-        ("unload b.xml", lambda db: db.unload_document("b.xml")),
+        ("unload b", lambda db: db.unload_document(b)),
     ]
 
 
@@ -94,17 +115,35 @@ def _state(db: Database) -> dict:
     }
 
 
-@pytest.mark.parametrize("page_budget", [None, 4096], ids=["eager", "paged"])
-def test_every_fault_point_recovers_to_a_consistent_state(tmp_path, page_budget):
+def _contents(db: Database) -> dict:
+    """uri → (epoch, serialized tree) of the documents ``db`` serves."""
+    return _state(db)["docs"]
+
+
+@pytest.mark.parametrize(
+    "page_budget,writer",
+    [
+        pytest.param(None, (0, 1), id="eager"),
+        pytest.param(4096, (0, 1), id="paged"),
+        pytest.param(None, (1, 2), id="eager-shard-1-of-2"),
+        pytest.param(4096, (1, 2), id="paged-shard-1-of-2"),
+    ],
+)
+def test_every_fault_point_recovers_to_a_consistent_state(
+    tmp_path, page_budget, writer
+):
+    steps = _steps(*_uris_on(writer, 2))
     # pass 1, no crash: enumerate the fault points and record every
     # consistent state the workload moves through
     probe = FaultInjector()
     clean = Database(
-        store=DocumentStore(str(tmp_path / "clean"), fault_hook=probe),
+        store=DocumentStore(
+            str(tmp_path / "clean"), fault_hook=probe, shard=writer
+        ),
         page_budget_bytes=page_budget,
     )
     states = [_state(clean)]
-    for _label, step in _steps():
+    for _label, step in steps:
         step(clean)
         states.append(_state(clean))
     total = probe.count
@@ -115,12 +154,12 @@ def test_every_fault_point_recovers_to_a_consistent_state(tmp_path, page_budget)
         path = str(tmp_path / f"crash-{n}")
         injector = FaultInjector(crash_at=n)
         db = Database(
-            store=DocumentStore(path, fault_hook=injector),
+            store=DocumentStore(path, fault_hook=injector, shard=writer),
             page_budget_bytes=page_budget,
         )
         crashed_at = None
         try:
-            for _label, step in _steps():
+            for _label, step in steps:
                 step(db)
         except StoreCrash:
             crashed_at = injector.points[-1]
@@ -137,11 +176,147 @@ def test_every_fault_point_recovers_to_a_consistent_state(tmp_path, page_budget)
         on_disk = {os.path.join("docs", entry) for entry in os.listdir(docs_dir)}
         assert on_disk == live, (n, crashed_at)
 
+        # and a checkpoint leaves no log of either layout behind
+        recovered.checkpoint()
+        assert _wal_files(path) == [], (n, crashed_at)
+
+
+#: documents spread over every shard of each layout the reshard tests use
+RESHARD_DOCS = [f"r{i}.xml" for i in range(12)]
+
+
+def _crash_under(path: str, count: int) -> dict:
+    """Load and update every reshard document under ``count`` shards,
+    then drop the databases unchecked; returns the acknowledged state."""
+    expected = {}
+    for index in range(count):
+        db = Database.open(path, shard=(index, count), checkpoint_wal_bytes=None)
+        session = db.connect()
+        for uri in RESHARD_DOCS:
+            if db.store.owns(uri):
+                db.load_document(uri, "<a><b>old</b></a>")
+                session.execute_update(
+                    f'replace value of node doc("{uri}")/a/b with "{uri}"'
+                )
+                session.execute_update(f'insert node <c/> into doc("{uri}")/a')
+        expected.update(_contents(db))
+        assert db.store.wal_records == 2 * len(db.documents) > 0
+        del db, session  # a crash: the updates live only in the WAL
+    assert set(expected) == set(RESHARD_DOCS)
+    return expected
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [(2, 4), (4, 2), (2, 3), (1, 2), (2, 1)],
+    ids=lambda count: str(count),
+)
+def test_reshard_after_crash_serves_every_update(tmp_path, old, new):
+    path = str(tmp_path / "db")
+    expected = _crash_under(path, old)
+
+    reopened = [
+        Database.open(path, shard=(index, new)) for index in range(new)
+    ]
+    for db in reopened:
+        assert db.documents, db.store.shard
+        served = _contents(db)
+        assert served == {uri: expected[uri] for uri in served}
+    assert sum(len(db.documents) for db in reopened) == len(RESHARD_DOCS)
+
+    for db in reopened:
+        db.checkpoint()
+    assert _contents(Database.open(path)) == expected
+    assert _wal_files(path) == []
+
+
+def test_concurrent_reshard_opens_fold_every_update(tmp_path):
+    # the new layout's shards open at once, each folding and sweeping
+    # the old logs under its own descriptor of the manifest lock
+    path = str(tmp_path / "db")
+    expected = _crash_under(path, 2)
+    opened, errors = {}, []
+
+    def open_shard(index):
+        try:
+            opened[index] = Database.open(path, shard=(index, 4))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=open_shard, args=(index,))
+            for index in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and sorted(opened) == [0, 1, 2, 3]
+    served = {}
+    for db in opened.values():
+        served.update(_contents(db))
+    assert served == expected
+    # the last shard to commit saw every record covered
+    assert _wal_files(path) == []
+    assert _contents(Database.open(path)) == expected
+
+
+@pytest.mark.parametrize("page_budget", [None, 4096], ids=["eager", "paged"])
+def test_crash_during_open_time_fold_recovers(tmp_path, page_budget):
+    # a shard-1-of-2 writer crashes with updates only in its log; the
+    # one-shard open folds them, and is crashed at each of its own points
+    template = str(tmp_path / "template")
+    writer = Database.open(template, shard=(1, 2), checkpoint_wal_bytes=None)
+    for _label, step in _steps(*_uris_on((1, 2), 2))[:3]:
+        step(writer)
+    writer.load_document(_uris_on((1, 2), 3)[2], XML_B)
+    writer.connect().execute_update("insert node <last/> into /site")
+    expected = _state(writer)
+    del writer
+    assert _wal_files(template) == ["wal-1-of-2.log"]
+
+    probe_path = str(tmp_path / "probe")
+    shutil.copytree(template, probe_path)
+    probe = FaultInjector()
+    folded = Database(
+        store=DocumentStore(probe_path, fault_hook=probe),
+        page_budget_bytes=page_budget,
+    )
+    assert _state(folded) == expected
+    assert "wal:sweep" in probe.points and _wal_files(probe_path) == []
+
+    for n in range(1, probe.count + 1):
+        path = str(tmp_path / f"crash-{n}")
+        shutil.copytree(template, path)
+        injector = FaultInjector(crash_at=n)
+        with pytest.raises(StoreCrash):
+            Database(
+                store=DocumentStore(path, fault_hook=injector),
+                page_budget_bytes=page_budget,
+            )
+        crashed_at = injector.points[-1]
+        recovered = Database.open(path, page_budget_bytes=page_budget)
+        assert _state(recovered) == expected, (n, crashed_at)
+        live = {m["dir"] for m in recovered.store.manifest["documents"].values()}
+        on_disk = {
+            os.path.join("docs", entry)
+            for entry in os.listdir(os.path.join(path, "docs"))
+        }
+        assert on_disk == live, (n, crashed_at)
+        recovered.checkpoint()
+        assert _wal_files(path) == [], (n, crashed_at)
+
 
 class TestTornWal:
-    def _populate(self, path: str) -> tuple[dict, dict]:
-        """A store with two un-checkpointed WAL records; returns the
-        consistent states after update 1 and update 2."""
+    def _populate(self, path: str) -> tuple[str, dict, dict]:
+        """A store with two un-checkpointed WAL records; returns the log's
+        path and the consistent states after update 1 and update 2."""
         db = Database(store=path)
         db.load_document("a.xml", XML_A)
         db.connect().execute_update("insert node <one/> into /site")
@@ -149,12 +324,11 @@ class TestTornWal:
         db.connect().execute_update("delete nodes //b")
         state2 = _state(db)
         assert db.store.wal_records == 2
-        return state1, state2
+        return db.store.wal_path, state1, state2
 
     def test_garbage_tail_is_discarded_and_truncated(self, tmp_path):
         path = str(tmp_path / "db")
-        _state1, state2 = self._populate(path)
-        wal = os.path.join(path, "wal.log")
+        wal, _state1, state2 = self._populate(path)
         intact = os.path.getsize(wal)
         with open(wal, "ab") as handle:
             handle.write(b'{"crc": 1, "rec"')  # a torn, newline-less append
@@ -164,8 +338,7 @@ class TestTornWal:
 
     def test_bad_crc_ends_the_log(self, tmp_path):
         path = str(tmp_path / "db")
-        _state1, state2 = self._populate(path)
-        wal = os.path.join(path, "wal.log")
+        wal, _state1, state2 = self._populate(path)
         bogus = {"crc": 12345, "rec": {"seq": 3, "docs": []}}
         with open(wal, "ab") as handle:
             handle.write((json.dumps(bogus) + "\n").encode("utf-8"))
@@ -174,8 +347,7 @@ class TestTornWal:
 
     def test_half_written_record_recovers_to_previous_update(self, tmp_path):
         path = str(tmp_path / "db")
-        state1, _state2 = self._populate(path)
-        wal = os.path.join(path, "wal.log")
+        wal, state1, _state2 = self._populate(path)
         with open(wal, "rb") as handle:
             raw = handle.read()
         first_line_end = raw.index(b"\n") + 1
@@ -187,8 +359,7 @@ class TestTornWal:
 
     def test_updates_continue_after_truncated_recovery(self, tmp_path):
         path = str(tmp_path / "db")
-        state1, _state2 = self._populate(path)
-        wal = os.path.join(path, "wal.log")
+        wal, state1, _state2 = self._populate(path)
         with open(wal, "rb") as handle:
             raw = handle.read()
         with open(wal, "wb") as handle:
