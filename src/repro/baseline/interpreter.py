@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 
+from repro.compiler.builtins import check_builtin
 from repro.encoding.arena import (
     NK_COMMENT,
     NK_DOC,
@@ -35,6 +36,7 @@ from repro.errors import DeadlineExceeded, DynamicError, NotSupportedError, Stat
 from repro.relational.items import (
     XSDecimal,
     format_double,
+    int_in_range,
     xpath_round,
     xpath_substring,
 )
@@ -96,10 +98,6 @@ class BAttr:
 
 
 _NUMERIC = (int, float)
-
-
-#: the arities the aggregate functions accept (``fn:sum`` takes a $zero)
-_AGGREGATE_ARITIES = {"count": (1,), "sum": (1, 2), "avg": (1,), "min": (1,), "max": (1,)}
 
 
 class Interpreter:
@@ -443,7 +441,10 @@ class Interpreter:
         elif op == "idiv":
             if y == 0:
                 raise DynamicError("integer division by zero", code="err:FOAR0001")
-            return [int(x / y)]
+            if both_int:  # exact, truncating toward zero
+                q = abs(x) // abs(y)
+                return [int_in_range(-q if (x < 0) != (y < 0) else q, "err:FOAR0002")]
+            return [_float_to_int(x / y, "err:FOAR0002")]
         elif op == "mod":
             if y == 0:
                 if exact:
@@ -455,7 +456,7 @@ class Interpreter:
         else:  # pragma: no cover
             raise NotSupportedError(f"arith op {op}")
         if both_int and op in ("add", "sub", "mul", "mod"):
-            return [int(r)]
+            return [int_in_range(int(r), "err:FOAR0002")]
         # exact-numeric closure (integer div integer is xs:decimal), so a
         # nested division by zero is still err:FOAR0001 — same as the
         # numpy kernels
@@ -467,7 +468,7 @@ class Interpreter:
             return []
         v = _to_number(a)
         if isinstance(a, int) and not isinstance(a, bool):
-            return [-int(v)]
+            return [int_in_range(-int(v), "err:FOAR0002")]
         if isinstance(a, XSDecimal):
             return [XSDecimal(-float(v))]
         return [-float(v)]
@@ -533,7 +534,12 @@ class Interpreter:
         if t in ("xs:double", "xs:float"):
             return [float(_to_number(a))]
         if t in ("xs:integer", "xs:int", "xs:long"):
-            return [int(_to_number(a))]
+            n = _to_number(a)
+            if n != n:  # NaN
+                raise DynamicError("cannot cast to xs:integer", code="err:FORG0001")
+            if isinstance(n, float):
+                return [_float_to_int(n, "err:FOCA0003")]
+            return [int_in_range(n, "err:FOCA0003")]
         if t in ("xs:string", "xs:untypedAtomic"):
             return [_string_of_atom(a)]
         if t == "xs:boolean":
@@ -758,6 +764,7 @@ class Interpreter:
 
     def _builtin(self, e: ast.FunctionCall, env):
         name, args = e.name, e.args
+        check_builtin(name, len(args))
         arena = self.arena
 
         if name == "doc":
@@ -786,8 +793,6 @@ class Interpreter:
             seq = self.eval(args[0], env) if args else self._e_ContextItem(None, env)
             v = self._first_atom(seq)
             return [float(_to_number(v)) if v is not None else float("nan")]
-        if name in _AGGREGATE_ARITIES and len(args) not in _AGGREGATE_ARITIES[name]:
-            raise StaticError(f"unknown function {name}/{len(args)}", code="err:XPST0017")
         if name == "count":
             return [len(self.eval(args[0], env))]
         if name in ("sum", "avg", "min", "max"):
@@ -936,12 +941,12 @@ class Interpreter:
             start = self._single_number(args[1], env)
             if start is None:
                 return []
-            b = xpath_round(float(start))
+            b = _round_position(start)
             if len(args) == 3:
                 length = self._single_number(args[2], env)
                 if length is None:
                     return []
-                e = b + xpath_round(float(length))
+                e = b + _round_position(length)
             else:
                 e = len(seq) + 1
             return [x for p, x in enumerate(seq, start=1) if b <= p < e]
@@ -959,15 +964,17 @@ class Interpreter:
             ins = self.eval(args[2], env)
             if at is None:
                 return seq
-            cut = max(xpath_round(float(at)) - 1, 0)
-            cut = min(cut, len(seq))
+            at = _round_position(at)
+            if at != at:  # NaN: $position is an xs:integer
+                raise DynamicError("cannot cast to xs:integer", code="err:FORG0001")
+            cut = min(max(at - 1, 0), len(seq))
             return seq[:cut] + ins + seq[cut:]
         if name == "remove":
             seq = self.eval(args[0], env)
             at = self._single_number(args[1], env)
             if at is None:
                 return seq
-            p = xpath_round(float(at))
+            p = _round_position(at)
             return [x for i, x in enumerate(seq, start=1) if i != p]
         if name == "deep-equal":
             s1 = self.eval(args[0], env)
@@ -1075,6 +1082,24 @@ def _is_exact(v) -> bool:
     return (isinstance(v, int) and not isinstance(v, bool)) or isinstance(
         v, XSDecimal
     )
+
+
+def _float_to_int(v: float, code: str) -> int:
+    """``v`` truncated to xs:integer; NaN, ±INF and values outside int64
+    raise ``code`` (the numpy kernels' ``doubles_to_ints``)."""
+    if v != v or v in (float("inf"), float("-inf")):
+        raise DynamicError(f"{v} is outside the xs:integer range", code=code)
+    return int_in_range(int(v), code)
+
+
+def _round_position(v: float | int) -> float | int:
+    """``fn:round`` of a positional argument (subsequence, remove,
+    insert-before); NaN and ±INF stay as they are — F&O compares
+    positions with them, and nothing equals NaN."""
+    if isinstance(v, int):  # already rounded, and exact
+        return v
+    v = float(v)
+    return v if v != v or v in (float("inf"), float("-inf")) else xpath_round(v)
 
 
 def _to_number(v) -> float | int:

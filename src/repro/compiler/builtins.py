@@ -17,12 +17,17 @@ from repro.compiler.loop_lifting import CTX_LAST, CTX_POSITION
 
 def compile_builtin(comp, e: ast.FunctionCall, loop, env) -> alg.Op:
     """Dispatch a built-in call; raises for unknown functions."""
-    handler = _BUILTINS.get((e.name, len(e.args))) or _BUILTINS.get((e.name, -1))
-    if handler is None:
-        raise StaticError(
-            f"unknown function {e.name}/{len(e.args)}", code="err:XPST0017"
-        )
+    check_builtin(e.name, len(e.args))
+    handler = _BUILTINS.get((e.name, len(e.args))) or _BUILTINS[(e.name, -1)]
     return handler(comp, e.args, loop, env)
+
+
+def check_builtin(name: str, arity: int) -> None:
+    """``err:XPST0017`` unless ``name``/``arity`` is in the built-in
+    library — the one signature table both evaluators check a call
+    against before they look at its arguments."""
+    if (name, arity) not in _BUILTINS and (name, -1) not in _BUILTINS:
+        raise StaticError(f"unknown function {name}/{arity}", code="err:XPST0017")
 
 
 # --------------------------------------------------------------------------

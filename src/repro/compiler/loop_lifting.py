@@ -767,7 +767,7 @@ class Compiler:
             return isinstance(last, ast.Step) and _last_step_untyped(last)
         if isinstance(e, ast.Sequence):
             return all(self._statically_untyped(i) for i in e.items)
-        if isinstance(e, ast.FunctionCall) and e.name in (
+        if isinstance(e, ast.FunctionCall) and len(e.args) == 1 and e.name in (
             "distinct-values", "data", "fs:ddo", "zero-or-one", "exactly-one",
             "one-or-more",
         ):

@@ -796,6 +796,12 @@ class DocumentStore:
             "dirty_documents": len(self.dirty),
             "checkpoints": self.checkpoints,
             "replayed_deltas": self.replayed,
+            # other-layout logs still holding records for some owner; a
+            # mapping, so the cluster's key-wise sum does not count one
+            # file once per shard
+            "pending_wal_logs": {
+                os.path.basename(path): _size(path) for path in self._other_layout_logs()
+            },
             "fragment_bytes": sum(
                 persisted_fragment_bytes(
                     meta["nodes"],
@@ -806,6 +812,15 @@ class DocumentStore:
                 for meta in docs.values()
             ),
         }
+
+
+def _size(path: str) -> int:
+    """Byte size of ``path``; 0 once it is gone (another shard's
+    checkpoint may delete a log between the listing and the stat)."""
+    try:
+        return os.path.getsize(path)
+    except OSError:
+        return 0
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The relational algebra of the paper's Table 1, as an operator DAG.
 
 Operators are immutable nodes with identity-based hashing (plans are DAGs;
-shared subplans are evaluated once by the memoising evaluator).  The
+the evaluator's schedule runs each shared subplan once).  The
 algebra is deliberately "assembly-style", mirroring the restrictions the
 paper exploits:
 
@@ -18,10 +18,11 @@ paper exploits:
   ``TextConstr``, ``AttrConstr``) and atomization (``Atomize``) are the
   "short-hands for efficient implementations" of Table 1.
 
-Every node also carries three static analyses — its output ``columns``,
-which of them are polymorphic ``item_columns``, and the column sets its
-rows are ``unique_sets`` on — each computed on first use and then stored
-on the node.  Nodes are immutable, so a cached analysis never goes stale.
+Every node also carries four analyses — its output ``columns``, which
+of them are polymorphic ``item_columns``, the column sets its rows are
+``unique_sets`` on, and the ``schedule`` that runs the plan it roots —
+each computed on first use and then stored on the node.  Nodes are
+immutable, so a cached analysis never goes stale.
 """
 
 from __future__ import annotations
@@ -103,6 +104,11 @@ class Op:
         # deterministic truncation: prefer the most general (smallest) facts
         ordered = sorted(facts, key=lambda s: (len(s), sorted(s)))
         return frozenset(ordered[:_MAX_UNIQUE_SETS])
+
+    @_analysis
+    def schedule(self) -> "Schedule":
+        """The straight-line program that evaluates the plan rooted here."""
+        return Schedule.of(self)
 
     def label(self) -> str:
         """Short human-readable label (dot / ASCII plan rendering)."""
@@ -768,6 +774,42 @@ def walk(root: Op) -> Iterator[Op]:
             for child in node.children:
                 if child not in seen:
                     stack.append((child, False))
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """A plan DAG as a straight-line program over numbered slots.
+
+    Step ``i`` runs the ``i``-th operator of :func:`walk` (so the root is
+    the last step) on the results in slots ``inputs[i]`` and fills slot
+    ``i``; after it, the slots in ``releases[i]`` have no consumer left.
+    Every slot but the root's is released exactly once.  ``body`` holds
+    every operator but the root: the schedule is cached on its root, and
+    naming it would make a reference cycle that only the cyclic garbage
+    collector frees — so :meth:`steps` takes the root back as an argument.
+    """
+
+    body: tuple[Op, ...]
+    inputs: tuple[tuple[int, ...], ...]
+    releases: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, root: Op) -> "Schedule":
+        """The schedule of the plan rooted at ``root`` (use ``root.schedule``,
+        which computes it once)."""
+        ops = tuple(walk(root))
+        slot = {op: i for i, op in enumerate(ops)}
+        inputs = tuple(tuple(slot[c] for c in op.children) for op in ops)
+        last_use = {s: step for step, ins in enumerate(inputs) for s in ins}
+        releases: list[list[int]] = [[] for _ in ops]
+        for s, step in sorted(last_use.items()):
+            releases[step].append(s)
+        return cls(ops[:-1], inputs, tuple(map(tuple, releases)))
+
+    def steps(self, root: Op) -> Iterator[tuple[Op, tuple[int, ...], tuple[int, ...]]]:
+        """``(operator, input slots, released slots)`` per step of the
+        plan rooted at ``root``, whose schedule this is."""
+        return zip((*self.body, root), self.inputs, self.releases)
 
 
 def op_count(root: Op) -> int:

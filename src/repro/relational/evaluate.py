@@ -1,9 +1,11 @@
-"""The memoising, bulk evaluator for algebra plan DAGs.
+"""The bulk evaluator for algebra plan DAGs.
 
 Evaluation is column-at-a-time (MonetDB style): each operator consumes
 whole input tables and produces a whole output table.  Plans are DAGs —
-loop-lifting shares subplans heavily — so results are memoised per
-operator node, and a shared subplan runs exactly once.
+loop-lifting shares subplans heavily — so a plan runs as its
+:class:`~repro.relational.algebra.Schedule`, computed once per plan root:
+a straight-line program in which a shared subplan is one step, and each
+step's result is dropped once its last consumer has run.
 
 The evaluator needs an :class:`EvalContext` carrying the node arena (for
 staircase joins, atomization and node construction) and the string pool.
@@ -96,28 +98,18 @@ class EvalContext:
 
 
 def evaluate(root: alg.Op, ctx: EvalContext) -> Table:
-    """Evaluate a plan DAG bottom-up with memoisation."""
-    memo: dict[int, Table] = {}
-    # iterative post-order to survive very deep plans
-    stack: list[tuple[alg.Op, bool]] = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in memo:
-            continue
-        if not ready:
-            stack.append((node, True))
-            for child in node.children:
-                if id(child) not in memo:
-                    stack.append((child, False))
-            continue
+    """Run the plan's schedule, dropping each result after its last use."""
+    slots: list[Table | None] = []
+    for node, inputs, releases in root.schedule.steps(root):
         if ctx.deadline is not None and time.monotonic() > ctx.deadline:
             raise DeadlineExceeded("query exceeded its deadline (DNF)")
-        inputs = [memo[id(c)] for c in node.children]
-        result = _dispatch(node, inputs, ctx)
-        memo[id(node)] = result
+        result = _dispatch(node, [slots[i] for i in inputs], ctx)
+        slots.append(result)
         if ctx.trace is not None:
             ctx.trace[id(node)] = result
-    return memo[id(root)]
+        for i in releases:
+            slots[i] = None
+    return slots[-1]
 
 
 # --------------------------------------------------------------------------
@@ -804,10 +796,16 @@ def _fn_atom_key(ctx, a):
 
 
 def _fn_cast_int(ctx, a):
-    vals = it.to_double(_as_item(a), ctx.pool)
+    a = _as_item(a)
+    ints = a.kinds == K_INT
+    if ints.all():  # exact: no trip through doubles
+        return ItemColumn.from_ints(a.data)
+    vals = np.where(ints, 0.0, it.to_double(a, ctx.pool))
     if np.any(np.isnan(vals)):
         raise DynamicError("cannot cast to xs:integer", code="err:FORG0001")
-    return ItemColumn.from_ints(np.trunc(vals).astype(np.int64))
+    out = it.doubles_to_ints(vals, "err:FOCA0003")
+    out[ints] = a.data[ints]
+    return ItemColumn.from_ints(out)
 
 
 def _fn_cast_str(ctx, a):

@@ -548,19 +548,57 @@ _ARITH = {"add", "sub", "mul", "div", "idiv", "mod"}
 _CMP = {"eq", "ne", "lt", "le", "gt", "ge"}
 
 
+#: xs:integer is int64 in this engine: a result beyond it is an error,
+#: never a wrapped value (``err:FOAR0002`` for arithmetic, ``err:FOCA0003``
+#: for casts)
+I64_MIN, I64_MAX = -(2**63), 2**63 - 1
+
+
+def int_in_range(v: int, code: str) -> int:
+    """``v``, or the error ``code`` when it lies outside xs:integer."""
+    if not I64_MIN <= v <= I64_MAX:
+        raise DynamicError(f"{v} is outside the xs:integer range", code=code)
+    return v
+
+
+def doubles_to_ints(v: np.ndarray, code: str) -> np.ndarray:
+    """Doubles truncated to xs:integer; NaN, ±INF and values outside
+    int64 raise ``code``."""
+    t = np.trunc(v)
+    if not np.all((t >= -(2.0**63)) & (t < 2.0**63)):  # NaN fails both
+        raise DynamicError("value outside the xs:integer range", code=code)
+    return t.astype(np.int64)
+
+
 def _int_arith(op: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Integer-payload arithmetic for ``add/sub/mul/idiv/mod`` (zero-free y)."""
+    """Integer-payload arithmetic for ``add/sub/mul/idiv/mod`` (zero-free
+    y); a result outside int64 is ``err:FOAR0002``."""
+    if op == "mod":
+        # C remainder (sign of x); x mod -1 is 0, and fmod(MIN, -1) traps
+        return np.fmod(x, np.where(y == -1, 1, y))
     if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "idiv":
-        # XQuery idiv truncates toward zero; numpy floor-divides.
-        q = np.abs(x) // np.abs(y)
-        return np.where((x < 0) != (y < 0), -q, q)
-    return np.fmod(x.astype(np.float64), y.astype(np.float64)).astype(np.int64)
+        r = x + y  # wraps; the sign test below catches it
+        over = ((x ^ r) & (y ^ r)) < 0
+    elif op == "sub":
+        r = x - y
+        over = ((x ^ y) & (x ^ r)) < 0
+    elif op == "mul":
+        r = x * y
+        # below 2**62 the double product cannot hide an overflow; check
+        # the rest with exact integers
+        near = np.abs(x.astype(np.float64) * y.astype(np.float64)) >= 2.0**62
+        over = np.zeros(len(r), dtype=bool)
+        over[near] = [
+            not I64_MIN <= int(a) * int(b) <= I64_MAX for a, b in zip(x[near], y[near])
+        ]
+    else:  # idiv truncates toward zero; numpy floor-divides
+        over = (x == I64_MIN) & (y == -1)
+        y = np.where(over, 1, y)
+        r = x // y
+        r += (x % y != 0) & ((x < 0) != (y < 0))
+    if over.any():
+        raise DynamicError("xs:integer overflow", code="err:FOAR0002")
+    return r
 
 
 def arithmetic(op: str, a: ItemColumn, b: ItemColumn, pool: StringPool) -> ItemColumn:
@@ -592,13 +630,14 @@ def arithmetic(op: str, a: ItemColumn, b: ItemColumn, pool: StringPool) -> ItemC
         # idiv returns xs:integer whatever the operand types (F&O 6.2.5)
         if np.any(y == 0):
             raise DynamicError("integer division by zero", code="err:FOAR0001")
-        with np.errstate(invalid="ignore"):
-            return ItemColumn.from_ints(np.trunc(x / y).astype(np.int64))
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = x / y
+        return ItemColumn.from_ints(doubles_to_ints(q, "err:FOAR0002"))
     if op in ("div", "mod") and np.any(exact_rows & (y == 0)):
         raise DynamicError(
             "integer/decimal division by zero", code="err:FOAR0001"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if op == "add":
             r = x + y
         elif op == "sub":
@@ -624,6 +663,8 @@ def arithmetic(op: str, a: ItemColumn, b: ItemColumn, pool: StringPool) -> ItemC
 def negate(a: ItemColumn, pool: StringPool) -> ItemColumn:
     """Unary minus with the same per-row promotion as :func:`arithmetic`."""
     int_rows = a.kinds == K_INT
+    if np.any(a.data[int_rows] == I64_MIN):
+        raise DynamicError("xs:integer overflow", code="err:FOAR0002")
     if int_rows.all():
         return ItemColumn.from_ints(-a.data)
     kinds = np.where(np.isin(a.kinds, _EXACT_ARR), K_DEC, K_DBL).astype(np.uint8)

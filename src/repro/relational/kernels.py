@@ -110,12 +110,6 @@ def group_starts(sorted_ids: np.ndarray) -> np.ndarray:
     return mask
 
 
-def dense_group_ids(sorted_ids: np.ndarray) -> np.ndarray:
-    """Renumber pre-sorted group ids densely as 0,1,2,..."""
-    starts = group_starts(sorted_ids)
-    return np.cumsum(starts) - 1
-
-
 def row_number_per_group(sorted_ids: np.ndarray) -> np.ndarray:
     """1-based row number within each group (ids pre-sorted)."""
     n = len(sorted_ids)

@@ -76,9 +76,6 @@ class TestGroupKernels:
             True, False, True, True, False,
         ]
 
-    def test_dense_group_ids(self):
-        assert k.dense_group_ids(np.asarray([4, 4, 7, 9, 9])).tolist() == [0, 0, 1, 2, 2]
-
     def test_row_number_per_group(self):
         assert k.row_number_per_group(np.asarray([1, 1, 1, 5, 5])).tolist() == [1, 2, 3, 1, 2]
 

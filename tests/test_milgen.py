@@ -51,6 +51,27 @@ class TestMilGeneration:
         n_ops = alg.op_count(report.optimized)
         assert mil.count("# t") >= n_ops
 
+    def test_listing_is_the_schedule(self, session):
+        # one block per schedule step, named by slot, and each slot but
+        # the root's freed once, after the step of its last consumer
+        plan = session.database.compile_query(
+            "for $x in /r/a return ($x, $x/text())", use_optimizer=True
+        ).plan
+        sched = plan.schedule
+        lines = to_mil(plan).splitlines()
+        blocks = [line for line in lines if line.startswith("# t")]
+        assert [b.split(":")[0] for b in blocks] == [
+            f"# t{i:03d}" for i in range(len(sched.inputs))
+        ]
+        freed = [
+            line.removeprefix("# free ").split(", ")
+            for line in lines
+            if line.startswith("# free ")
+        ]
+        assert sorted(s for f in freed for s in f) == [
+            f"t{i:03d}" for i in range(len(sched.inputs) - 1)
+        ]
+
     def test_aggregates_render(self, session):
         mil = session.explain("sum(/r/a)").mil
         assert "{sum}(" in mil or "sum(" in mil

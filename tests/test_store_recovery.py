@@ -230,6 +230,22 @@ def test_reshard_after_crash_serves_every_update(tmp_path, old, new):
     assert _wal_files(path) == []
 
 
+def test_status_lists_other_layout_logs_until_folded(tmp_path):
+    # a crash under 2 shards leaves both logs; shard 0 of 4 alone folds
+    # only the records it owns, so both logs stay pending until every
+    # new shard has opened and checkpointed
+    path = str(tmp_path / "db")
+    _crash_under(path, 2)
+    first = Database.open(path, shard=(0, 4))
+    pending = first.store_status()["pending_wal_logs"]
+    assert sorted(pending) == ["wal-0-of-2.log", "wal-1-of-2.log"]
+    assert all(size > 0 for size in pending.values())
+    reopened = [first] + [Database.open(path, shard=(i, 4)) for i in range(1, 4)]
+    for db in reopened:
+        db.checkpoint()
+    assert [db.store_status()["pending_wal_logs"] for db in reopened] == [{}] * 4
+
+
 def test_concurrent_reshard_opens_fold_every_update(tmp_path):
     # the new layout's shards open at once, each folding and sweeping
     # the old logs under its own descriptor of the manifest lock
