@@ -64,7 +64,8 @@ from repro.api.plan_cache import (
     plan_documents,
 )
 from repro.compiler.loop_lifting import Compiler
-from repro.encoding.arena import NodeArena
+from repro.encoding.arena import NodeArena, TreeDelta
+from repro.encoding.paging import PageScope
 from repro.encoding.shred import shred_text
 from repro.encoding.storage import StorageReport, measure_storage
 from repro.encoding.store import (
@@ -199,26 +200,22 @@ class Database:
         last_epoch = store.manifest.get("last_epoch", 0)
         fold = False
         for record, other_layout in store.read_wal():
-            for part in record.get("docs", ()):
-                uri = part["uri"]
-                if self.doc_epochs.get(uri) != part["base_epoch"]:
-                    continue  # already folded in by a checkpoint/replace
-                delta = materialize_delta(
-                    self.arena, self.documents[uri], part["delta"]
+            # a part already folded in by a checkpoint/replace is skipped
+            parts = {
+                p["uri"]: p
+                for p in record.get("docs", ())
+                if self.doc_epochs.get(p["uri"]) == p["base_epoch"]
+            }
+            if parts:
+                self._apply_deltas_locked(
+                    {
+                        uri: materialize_delta(self.arena, self.documents[uri], p["delta"])
+                        for uri, p in parts.items()
+                    },
+                    {uri: p["new_epoch"] for uri, p in parts.items()},
                 )
-                old_root = self.documents[uri]
-                fresh = self.arena.mark()
-                self.documents[uri] = self.arena.rebuild_with_delta(
-                    old_root, delta
-                )
-                # the superseded fragment is unreachable from the
-                # catalog; untrack it so the pager never re-faults a
-                # backing the next checkpoint garbage-collects
-                self.arena.retire_fragment(old_root)
-                self._reclaim_locked(fresh, (uri,))
-                self.doc_epochs[uri] = part["new_epoch"]
-                store.dirty.add(uri)
-                store.replayed += 1
+                store.dirty.update(parts)
+                store.replayed += len(parts)
                 fold = fold or other_layout
             last_epoch = max(
                 last_epoch,
@@ -386,6 +383,37 @@ class Database:
         for uri in fresh_uris:
             self.documents[uri] -= shift
 
+    def _apply_deltas_locked(
+        self,
+        deltas: dict[str, TreeDelta],
+        new_epochs: dict[str, int],
+        lease: PageScope | None = None,
+    ) -> None:
+        """Apply one update's per-document deltas to the catalog: a live
+        update (after its WAL append) and a replayed WAL record alike.
+
+        Every document is rebuilt as a new fragment, each superseded
+        root is retired (so the pager never re-faults a backing the next
+        checkpoint garbage-collects), the roots and epochs are swapped,
+        and the arena is reclaimed once.  ``lease`` is the caller's page
+        scope, if it holds one: the rebuild may copy nodes constructed
+        under it, and the reclaim pops nothing until it is closed, so it
+        is closed in between.  Caller holds the catalog lock exclusive.
+        """
+        fresh = self.arena.mark()
+        new_roots = {
+            uri: self.arena.rebuild_with_delta(self.documents[uri], delta)
+            for uri, delta in deltas.items()
+        }
+        for uri, new_root in new_roots.items():
+            self.arena.retire_fragment(self.documents[uri])
+            self.documents[uri] = new_root
+            self.doc_epochs[uri] = new_epochs[uri]
+        if lease is not None:
+            lease.close()
+        self._estimator = None
+        self._reclaim_locked(fresh, tuple(deltas))
+
     def apply_update(
         self,
         core_module,
@@ -423,7 +451,7 @@ class Database:
         ``"applied"`` and the new per-document node counts/epochs under
         ``"documents"``.
         """
-        from repro.compiler.updates import collect_update_deltas
+        from repro.compiler.updates import PendingUpdateCompiler
 
         # the wait for the write lock spends the budget too
         expiry = None if deadline is None else time.monotonic() + deadline
@@ -431,19 +459,17 @@ class Database:
             t0 = time.perf_counter()
             # the scope is the update's own lease: target and source
             # evaluation may construct nodes, which the deltas copy from
-            with self.arena.page_scope():
+            with self.arena.page_scope() as lease:
                 # delta collection and serialization read arena rows
                 # through many paths; pin everything resident for the
                 # duration (the scope exit trims back to budget)
                 self.arena.ensure_all()
-                deltas, applied = collect_update_deltas(
-                    core_module,
+                deltas, applied = PendingUpdateCompiler(
                     self.arena,
                     self.documents,
                     self._default_document,
-                    bindings=bindings,
                     deadline=None if expiry is None else expiry - time.monotonic(),
-                )
+                ).collect(core_module, bindings)
                 new_epochs = {uri: next(self._epoch_counter) for uri in deltas}
                 if self.store is not None and deltas:
                     # one record per update: multi-document updates
@@ -463,20 +489,8 @@ class Database:
                             ]
                         }
                     )
-                fresh = self.arena.mark()
-                new_roots = {
-                    uri: self.arena.rebuild_with_delta(self.documents[uri], delta)
-                    for uri, delta in deltas.items()
-                }
-                for uri, new_root in new_roots.items():
-                    # the superseded fragment is unreachable; untrack it
-                    # so the next checkpoint's GC cannot strand a cold span
-                    self.arena.retire_fragment(self.documents[uri])
-                    self.documents[uri] = new_root
-                    self.doc_epochs[uri] = new_epochs[uri]
-            if deltas:
-                self._estimator = None
-                self._reclaim_locked(fresh, tuple(deltas))
+                if deltas:
+                    self._apply_deltas_locked(deltas, new_epochs, lease)
             if (
                 self.store is not None
                 and self.checkpoint_wal_bytes is not None

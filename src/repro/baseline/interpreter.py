@@ -826,7 +826,7 @@ class Interpreter:
             else:
                 s = max(atoms)
             if all(isinstance(a, int) for a in atoms) and name in ("sum", "min", "max"):
-                return [int(s)]
+                return [int_in_range(int(s), "err:FOAR0002")]
             return [float(s)]
         if name == "empty":
             return [not self.eval(args[0], env)]
@@ -893,7 +893,7 @@ class Interpreter:
                 return []
             n = _to_number(v)
             if isinstance(v, int) and not isinstance(v, bool):
-                return [abs(n) if name == "abs" else n]
+                return [int_in_range(abs(n), "err:FOAR0002") if name == "abs" else n]
             import math
 
             wrap = XSDecimal if isinstance(v, XSDecimal) else float

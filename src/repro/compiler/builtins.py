@@ -330,13 +330,14 @@ def _fn_reverse(comp, args, loop, env):
     return alg.Project(renum, (("iter", "iter"), ("pos", "pos1"), ("item", "item")))
 
 
-def _positional_arg(comp, expr, loop, env, name):
-    """A per-iteration rounded integer (for subsequence/remove positions)."""
+def _positional_arg(comp, expr, loop, env, name, kernel="round"):
+    """A per-iteration position for subsequence/remove/insert-before,
+    rounded as by ``fn:round`` and compared as a number: a double, NaN
+    or ±INF position is never cast to ``xs:integer``."""
     f = comp._first(comp._atomize(comp.compile(expr, loop, env)))
-    rounded = alg.Map(f, "round", "r", (col("item"),))
-    as_int = alg.Map(rounded, "cast_int", name, (col("r"),))
+    rounded = alg.Map(f, kernel, name, (col("item"),))
     i2 = comp.fresh("i")
-    return alg.Project(as_int, ((i2, "iter"), (name, name))), i2
+    return alg.Project(rounded, ((i2, "iter"), (name, name))), i2
 
 
 def _fn_subsequence(comp, args, loop, env):
@@ -348,9 +349,11 @@ def _fn_subsequence(comp, args, loop, env):
     if len(args) == 3:
         length, li = _positional_arg(comp, args[2], loop, env, "sq_len")
         j2 = alg.Join(kept, length, (("iter", li),))
-        # pos < start + length
-        limit = alg.Map(j2, "add", "sq_lim", (col("sq_start"), col("sq_len")))
-        lt = alg.Map(limit, "lt", "keep2", (col("pos"), col("sq_lim")))
+        # pos < start + length, as length > 0 and pos - length < start:
+        # pos >= 1, so an integer pos - length cannot leave int64
+        positive = alg.Select(j2, "gt", col("sq_len"), const(0))
+        rest = alg.Map(positive, "sub", "sq_rest", (col("pos"), col("sq_len")))
+        lt = alg.Map(rest, "lt", "keep2", (col("sq_rest"), col("sq_start")))
         kept = alg.Select(lt, "eq", col("keep2"), const(True))
     renum = alg.RowNum(kept, "pos1", (("pos", False),), "iter")
     return alg.Project(renum, (("iter", "iter"), ("pos", "pos1"), ("item", "item")))
@@ -373,7 +376,9 @@ def _fn_index_of(comp, args, loop, env):
 
 def _fn_insert_before(comp, args, loop, env):
     q = comp.compile(args[0], loop, env)
-    pos_arg, pi = _positional_arg(comp, args[1], loop, env, "ins_at")
+    pos_arg, pi = _positional_arg(
+        comp, args[1], loop, env, "ins_at", kernel="integer_position"
+    )
     ins = comp.compile(args[2], loop, env)
     j = alg.Join(q, pos_arg, (("iter", pi),))
     # original items sort before the insertion iff pos < max(ins_at, 1)

@@ -6,20 +6,26 @@ desugar), then take this separate back end instead of loop-lifting:
 1. **Collect** — :class:`PendingUpdateCompiler` walks the updating
    expression, evaluating every embedded *non*-updating expression
    (targets, sources, FLWOR bindings, conditionals) with the nested-loop
-   interpreter over the current arena, and emits a flat **pending update
-   list** of primitives (XQUF 3.2).  Nothing is modified during
-   collection, so a failed update leaves the database untouched.
-2. **Check** — the merge rules of ``upd:mergeUpdates``: two renames, two
-   ``replace node`` or two ``replace value of`` primitives on the same
-   target are errors (``err:XUDY0015``/``0016``/``0017``).
-3. **Apply** — primitives are grouped per target document into a
-   :class:`~repro.encoding.arena.TreeDelta` and each affected document is
-   rebuilt as a fresh arena fragment
-   (:meth:`~repro.encoding.arena.NodeArena.rebuild_with_delta`).  The
-   caller (``Database.apply_update``) swaps the catalog roots and bumps
-   the document epochs under its exclusive lock, so concurrent readers
-   see the old tree or the new one, never a torn state — and then pops
-   the superseded copy off the arena
+   interpreter over the current arena.  Each update primitive is
+   written straight into the :class:`~repro.encoding.arena.TreeDelta`
+   of its target's document: the per-document deltas *are* the pending
+   update list (XQUF 3.2).  Nothing is modified during collection, so a
+   failed update leaves the database untouched.
+2. **Check** — after the walk, in this order: the merge rules of
+   ``upd:mergeUpdates`` (two renames, two ``replace node`` or two
+   ``replace value of`` primitives on one target are
+   ``err:XUDY0015``/``0016``/``0017``, constructed targets included),
+   then ``err:XUDY0014`` for a target outside every loaded document,
+   then ``err:XUDY0021`` for an element left with two attributes of one
+   name.  The writer notes the first two as it goes; raising them only
+   after the walk lets every error of the walk itself come first.
+3. **Apply** — the caller (``Database.apply_update``, and the WAL
+   replay with the same routine) rebuilds each affected document as a
+   fresh arena fragment
+   (:meth:`~repro.encoding.arena.NodeArena.rebuild_with_delta`), swaps
+   the catalog roots and bumps the document epochs under its exclusive
+   lock, so concurrent readers see the old tree or the new one, never a
+   torn state — and then pops the superseded copy off the arena
    (:meth:`~repro.encoding.arena.NodeArena.reclaim`) unless a result
    still holds it.
 
@@ -32,7 +38,8 @@ trade-off the paper's updatability argument (Section 5) makes as well.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+
+import numpy as np
 
 from repro.baseline.interpreter import BAttr, BNode, Interpreter, _lexical
 from repro.encoding.arena import (
@@ -48,35 +55,17 @@ from repro.errors import DynamicError, StaticError
 from repro.xquery import ast
 from repro.xquery.core import is_updating
 
-#: primitive kinds that target an attribute id instead of a node row
-_ATTR_KINDS = frozenset(
-    {"deleteAttr", "replaceAttr", "replaceAttrValue", "renameAttr"}
-)
-
-
-@dataclass(frozen=True)
-class UpdatePrimitive:
-    """One entry of the pending update list.
-
-    ``kind`` names the primitive (``insertInto``, ``insertFirst``,
-    ``insertLast``, ``insertBefore``, ``insertAfter``, ``insertAttrs``,
-    ``delete``, ``deleteAttr``, ``replaceNode``, ``replaceAttr``,
-    ``replaceValue``, ``replaceContent``, ``replaceAttrValue``,
-    ``rename``, ``renameAttr``); ``target`` is an arena node row — or an
-    attribute id for the ``*Attr*`` kinds; ``content`` holds constructor
-    entries (``("copy", row)`` / ``("text", sid)``) or ``(name, value)``
-    sid pairs for attribute payloads; ``value`` is the new value/name sid
-    where one applies.
-    """
-
-    kind: str
-    target: int
-    content: tuple = ()
-    value: int = -1
+#: ``upd:mergeUpdates``: the ``applied`` labels of which a target (node
+#: or attribute) takes at most one primitive, in the order they are checked
+_EXCLUSIVE = {
+    "rename": ("err:XUDY0015", "rename"),
+    "replace": ("err:XUDY0016", "replace node"),
+    "replace_value": ("err:XUDY0017", "replace value of node"),
+}
 
 
 class PendingUpdateCompiler:
-    """Collects an updating module into a pending update list."""
+    """Collects one updating module into per-document deltas."""
 
     def __init__(
         self,
@@ -89,12 +78,27 @@ class PendingUpdateCompiler:
         self.interp = Interpreter(arena, documents, default_document)
         if deadline is not None:
             self.interp.set_deadline(deadline)
+        self._uri_of_root = {root: uri for uri, root in documents.items()}
+        #: the pending update list: one delta per target document
+        self._deltas: dict[str, TreeDelta] = {}
+        self._applied: Counter = Counter()
+        #: ``(label, is attribute, target)`` of every exclusive primitive
+        self._exclusive: set[tuple[str, bool, int]] = set()
+        #: exclusive label → the first target it was written to twice
+        self._conflicts: dict[str, int] = {}
+        #: the first primitive whose target is in no loaded document
+        self._transient: DynamicError | None = None
 
-    # ------------------------------------------------------------- compile
-    def compile_module(
+    def collect(
         self, module: ast.Module, bindings: dict | None = None
-    ) -> list[UpdatePrimitive]:
-        """Walk the module body, returning its merged pending update list."""
+    ) -> tuple[dict[str, TreeDelta], dict]:
+        """Walk and check the module body; do **not** apply it.
+
+        Returns ``(deltas, applied_counts)`` with the catalog untouched.
+        The split exists for write-ahead logging: the Database
+        serialises these deltas to the WAL (and fsyncs) *before* any
+        arena mutation, then applies them.
+        """
         if not is_updating(module.body):
             raise StaticError(
                 "not an updating expression (expected insert/delete/"
@@ -108,22 +112,67 @@ class PendingUpdateCompiler:
         for name, value in (bindings or {}).items():
             seq = list(value) if isinstance(value, (list, tuple)) else [value]
             env[name.lstrip("$")] = seq
-        pul: list[UpdatePrimitive] = []
-        self._collect(module.body, env, pul)
-        _check_merge(pul)
-        return pul
+        self._collect(module.body, env)
+        for label, (code, what) in _EXCLUSIVE.items():
+            if label in self._conflicts:
+                raise DynamicError(
+                    f"two '{what}' primitives target the same node "
+                    f"(row {self._conflicts[label]})",
+                    code=code,
+                )
+        if self._transient is not None:
+            raise self._transient
+        for delta in self._deltas.values():
+            _check_attribute_names(self.arena, delta)
+        return self._deltas, dict(sorted(self._applied.items()))
+
+    def _write(self, label: str, field: str, target: int, payload=None) -> None:
+        """Write one primitive into its target's document delta.
+
+        ``field`` names the :class:`TreeDelta` map; ``target`` is a node
+        row, or an attribute id for the attribute-keyed fields.  Content
+        lists extend, ``delete``/``delete_attrs`` add, the one-string
+        fields are set.  ``label`` is the ``applied`` summary key.
+        """
+        attr = field in TreeDelta.ATTR_FIELDS
+        if label in _EXCLUSIVE:
+            key = (label, attr, target)
+            if key in self._exclusive:
+                self._conflicts.setdefault(label, target)
+            self._exclusive.add(key)
+        self._applied[label] += 1
+        row = int(self.arena.attr_owner[target]) if attr else target
+        uri = None
+        if row >= 0:
+            root = int(self.arena.root_of(np.asarray([row], dtype=np.int64))[0])
+            uri = self._uri_of_root.get(root)
+        if uri is None:
+            if self._transient is None:
+                self._transient = DynamicError(
+                    "update targets must live in a loaded document "
+                    "(constructed nodes and attributes are transient)",
+                    code="err:XUDY0014",
+                )
+            return
+        table = getattr(self._deltas.setdefault(uri, TreeDelta()), field)
+        if isinstance(table, set):
+            table.add(target)
+        elif isinstance(payload, list):
+            table.setdefault(target, []).extend(payload)
+        else:
+            table[target] = payload
 
     # ------------------------------------------------------------- walking
-    def _collect(self, e: ast.Expr, env: dict, out: list) -> None:
+    def _collect(self, e: ast.Expr, env: dict) -> None:
         if isinstance(e, ast.EmptySeq):
             return
         if isinstance(e, ast.Sequence):
             for item in e.items:
-                self._collect(item, env, out)
+                self._collect(item, env)
             return
         if isinstance(e, ast.IfExpr):
             branch = e.then if self.interp._ebv(self.interp.eval(e.cond, env)) else e.els
-            self._collect(branch, env, out)
+            self._collect(branch, env)
             return
         if isinstance(e, ast.Typeswitch):
             operand = self.interp.eval(e.operand, env)
@@ -132,37 +181,37 @@ class PendingUpdateCompiler:
                     inner = dict(env)
                     if case.var is not None:
                         inner[case.var] = operand
-                    self._collect(case.expr, inner, out)
+                    self._collect(case.expr, inner)
                     return
             inner = dict(env)
             if e.default_var is not None:
                 inner[e.default_var] = operand
-            self._collect(e.default, inner, out)
+            self._collect(e.default, inner)
             return
         if isinstance(e, ast.FLWOR):
-            self._flwor(e, env, out)
+            self._flwor(e, env)
             return
         if isinstance(e, ast.InsertExpr):
-            self._insert(e, env, out)
+            self._insert(e, env)
             return
         if isinstance(e, ast.DeleteExpr):
-            self._delete(e, env, out)
+            self._delete(e, env)
             return
         if isinstance(e, ast.ReplaceExpr):
-            self._replace(e, env, out)
+            self._replace(e, env)
             return
         if isinstance(e, ast.ReplaceValueExpr):
-            self._replace_value(e, env, out)
+            self._replace_value(e, env)
             return
         if isinstance(e, ast.RenameExpr):
-            self._rename(e, env, out)
+            self._rename(e, env)
             return
         raise StaticError(
             f"{type(e).__name__} is not an updating expression here",
             code="err:XUST0001",
         )
 
-    def _flwor(self, e: ast.FLWOR, env: dict, out: list) -> None:
+    def _flwor(self, e: ast.FLWOR, env: dict) -> None:
         """Iterate a FLWOR whose return clause is updating.  The pending
         update list is unordered (XQUF 2.4), so ``order by`` is ignored."""
 
@@ -172,7 +221,7 @@ class PendingUpdateCompiler:
                     self.interp.eval(e.where, cur_env)
                 ):
                     return
-                self._collect(e.ret, cur_env, out)
+                self._collect(e.ret, cur_env)
                 return
             clause = e.clauses[idx]
             if isinstance(clause, ast.LetClause):
@@ -246,7 +295,7 @@ class PendingUpdateCompiler:
             )
         return item
 
-    def _insert(self, e: ast.InsertExpr, env: dict, out: list) -> None:
+    def _insert(self, e: ast.InsertExpr, env: dict) -> None:
         spec, attrs = self._content(self.interp.eval(e.source, env))
         target = self._single_node(e.target, env, "insert target")
         arena = self.arena
@@ -269,11 +318,10 @@ class PendingUpdateCompiler:
                         "attributes can only be inserted into elements",
                         code="err:XUTY0022",
                     )
-                out.append(UpdatePrimitive("insertAttrs", row, tuple(attrs)))
+                self._write("insert", "insert_attrs", row, attrs)
             if spec:
-                prim = {"into": "insertInto", "first": "insertFirst",
-                        "last": "insertLast"}[e.position]
-                out.append(UpdatePrimitive(prim, row, tuple(spec)))
+                field = "insert_first" if e.position == "first" else "insert_last"
+                self._write("insert", field, row, spec)
             return
         # before / after
         if attrs:
@@ -290,14 +338,13 @@ class PendingUpdateCompiler:
                 code="err:XUDY0029",
             )
         if spec:
-            prim = "insertBefore" if e.position == "before" else "insertAfter"
-            out.append(UpdatePrimitive(prim, row, tuple(spec)))
+            self._write("insert", f"insert_{e.position}", row, spec)
 
-    def _delete(self, e: ast.DeleteExpr, env: dict, out: list) -> None:
+    def _delete(self, e: ast.DeleteExpr, env: dict) -> None:
         arena = self.arena
         for item in self.interp.eval(e.target, env):
             if isinstance(item, BAttr):
-                out.append(UpdatePrimitive("deleteAttr", item.aid))
+                self._write("delete", "delete_attrs", item.aid)
                 continue
             if not isinstance(item, BNode):
                 raise DynamicError(
@@ -314,9 +361,9 @@ class PendingUpdateCompiler:
                 raise DynamicError(
                     "cannot delete a document root", code="err:XUDY0020"
                 )
-            out.append(UpdatePrimitive("delete", row))
+            self._write("delete", "delete", row)
 
-    def _replace(self, e: ast.ReplaceExpr, env: dict, out: list) -> None:
+    def _replace(self, e: ast.ReplaceExpr, env: dict) -> None:
         target = self._single_node(e.target, env, "replace target")
         spec, attrs = self._content(self.interp.eval(e.source, env))
         arena = self.arena
@@ -326,9 +373,7 @@ class PendingUpdateCompiler:
                     "an attribute can only be replaced by attributes",
                     code="err:XUTY0011",
                 )
-            out.append(
-                UpdatePrimitive("replaceAttr", target.aid, tuple(attrs))
-            )
+            self._write("replace", "replace_attr", target.aid, attrs)
             return
         row = target.row
         if int(arena.kind[row]) == NK_DOC or int(arena.parent[row]) < 0:
@@ -340,23 +385,21 @@ class PendingUpdateCompiler:
                 "a non-attribute node cannot be replaced by attributes",
                 code="err:XUTY0010",
             )
-        out.append(UpdatePrimitive("replaceNode", row, tuple(spec)))
+        self._write("replace", "replace", row, spec)
 
-    def _replace_value(
-        self, e: ast.ReplaceValueExpr, env: dict, out: list
-    ) -> None:
+    def _replace_value(self, e: ast.ReplaceValueExpr, env: dict) -> None:
         target = self._single_node(e.target, env, "replace-value target")
         text = self.interp._joined_string(self.interp.eval(e.value, env))
         sid = self.arena.pool.intern(text)
         if isinstance(target, BAttr):
-            out.append(UpdatePrimitive("replaceAttrValue", target.aid, value=sid))
+            self._write("replace_value", "replace_attr_value", target.aid, sid)
             return
         row = target.row
         kind = int(self.arena.kind[row])
         if kind == NK_ELEM:
-            out.append(UpdatePrimitive("replaceContent", row, value=sid))
+            self._write("replace_value", "replace_content", row, sid)
         elif kind in (NK_TEXT, NK_COMMENT, NK_PI):
-            out.append(UpdatePrimitive("replaceValue", row, value=sid))
+            self._write("replace_value", "replace_value", row, sid)
         else:
             raise DynamicError(
                 "replace value of node requires an element, attribute, "
@@ -364,7 +407,7 @@ class PendingUpdateCompiler:
                 code="err:XUTY0008",
             )
 
-    def _rename(self, e: ast.RenameExpr, env: dict, out: list) -> None:
+    def _rename(self, e: ast.RenameExpr, env: dict) -> None:
         target = self._single_node(e.target, env, "rename target")
         atom = self.interp._first_atom(self.interp.eval(e.name, env))
         if atom is None:
@@ -374,7 +417,7 @@ class PendingUpdateCompiler:
         name = _lexical(atom)
         sid = self.arena.pool.intern(name)
         if isinstance(target, BAttr):
-            out.append(UpdatePrimitive("renameAttr", target.aid, value=sid))
+            self._write("rename", "rename_attr", target.aid, sid)
             return
         row = target.row
         if int(self.arena.kind[row]) not in (NK_ELEM, NK_PI):
@@ -383,136 +426,7 @@ class PendingUpdateCompiler:
                 "can be renamed",
                 code="err:XUTY0012",
             )
-        out.append(UpdatePrimitive("rename", row, value=sid))
-
-
-# --------------------------------------------------------------------------
-# merge checks + application
-# --------------------------------------------------------------------------
-def _check_merge(pul: list[UpdatePrimitive]) -> None:
-    """``upd:mergeUpdates`` compatibility: at most one rename, one replace
-    node and one replace value per target (XUDY0015/0016/0017)."""
-    rules = (
-        (("rename", "renameAttr"), "err:XUDY0015", "rename"),
-        (("replaceNode", "replaceAttr"), "err:XUDY0016", "replace node"),
-        (
-            ("replaceValue", "replaceContent", "replaceAttrValue"),
-            "err:XUDY0017",
-            "replace value of node",
-        ),
-    )
-    for kinds, code, label in rules:
-        counts = Counter(
-            (p.kind in _ATTR_KINDS, p.target) for p in pul if p.kind in kinds
-        )
-        for (_, target), n in counts.items():
-            if n > 1:
-                raise DynamicError(
-                    f"two '{label}' primitives target the same node "
-                    f"(row {target})",
-                    code=code,
-                )
-
-
-_PRIMITIVE_LABELS = {
-    "insertInto": "insert",
-    "insertFirst": "insert",
-    "insertLast": "insert",
-    "insertBefore": "insert",
-    "insertAfter": "insert",
-    "insertAttrs": "insert",
-    "delete": "delete",
-    "deleteAttr": "delete",
-    "replaceNode": "replace",
-    "replaceAttr": "replace",
-    "replaceValue": "replace_value",
-    "replaceContent": "replace_value",
-    "replaceAttrValue": "replace_value",
-    "rename": "rename",
-    "renameAttr": "rename",
-}
-
-
-def _delta_for(delta: TreeDelta, p: UpdatePrimitive) -> None:
-    """Fold one primitive into the per-document delta."""
-    if p.kind == "insertInto" or p.kind == "insertLast":
-        delta.insert_last.setdefault(p.target, []).extend(p.content)
-    elif p.kind == "insertFirst":
-        delta.insert_first.setdefault(p.target, []).extend(p.content)
-    elif p.kind == "insertBefore":
-        delta.insert_before.setdefault(p.target, []).extend(p.content)
-    elif p.kind == "insertAfter":
-        delta.insert_after.setdefault(p.target, []).extend(p.content)
-    elif p.kind == "insertAttrs":
-        delta.insert_attrs.setdefault(p.target, []).extend(p.content)
-    elif p.kind == "delete":
-        delta.delete.add(p.target)
-    elif p.kind == "deleteAttr":
-        delta.delete_attrs.add(p.target)
-    elif p.kind == "replaceNode":
-        delta.replace[p.target] = list(p.content)
-    elif p.kind == "replaceAttr":
-        delta.replace_attr[p.target] = list(p.content)
-    elif p.kind == "replaceValue":
-        delta.replace_value[p.target] = p.value
-    elif p.kind == "replaceContent":
-        delta.replace_content[p.target] = p.value
-    elif p.kind == "replaceAttrValue":
-        delta.replace_attr_value[p.target] = p.value
-    elif p.kind == "renameAttr":
-        delta.rename_attr[p.target] = p.value
-    else:  # rename
-        delta.rename[p.target] = p.value
-
-
-def collect_update_deltas(
-    module: ast.Module,
-    arena: NodeArena,
-    documents: dict[str, int],
-    default_document: str | None,
-    bindings: dict | None = None,
-    deadline: float | None = None,
-) -> tuple[dict[str, TreeDelta], dict]:
-    """Collect and check one updating module; do **not** apply it.
-
-    Runs the pending-update-list pipeline up to (and including) the
-    per-document :class:`~repro.encoding.arena.TreeDelta` grouping and
-    returns ``(deltas, applied_counts)`` with the arena untouched.  The
-    split exists for write-ahead logging: the Database serialises these
-    deltas to the WAL (and fsyncs) *before* any arena mutation, then
-    applies them with :meth:`~repro.encoding.arena.NodeArena.rebuild_with_delta`.
-    """
-    compiler = PendingUpdateCompiler(arena, documents, default_document, deadline)
-    pul = compiler.compile_module(module, bindings)
-
-    root_to_uri = {root: uri for uri, root in documents.items()}
-    deltas: dict[str, TreeDelta] = {}
-    applied: Counter = Counter()
-    import numpy as np
-
-    for p in pul:
-        if p.kind in _ATTR_KINDS:
-            owner = int(arena.attr_owner[p.target])
-            if owner < 0:
-                raise DynamicError(
-                    "the target attribute is not attached to a document",
-                    code="err:XUDY0014",
-                )
-            root = int(arena.root_of(np.asarray([owner], dtype=np.int64))[0])
-        else:
-            root = int(arena.root_of(np.asarray([p.target], dtype=np.int64))[0])
-        uri = root_to_uri.get(root)
-        if uri is None:
-            raise DynamicError(
-                "update targets must live in a loaded document "
-                "(constructed fragments are transient)",
-                code="err:XUDY0014",
-            )
-        _delta_for(deltas.setdefault(uri, TreeDelta()), p)
-        applied[_PRIMITIVE_LABELS[p.kind]] += 1
-    for delta in deltas.values():
-        _check_attribute_names(arena, delta)
-    return deltas, dict(sorted(applied.items()))
+        self._write("rename", "rename", row, sid)
 
 
 def _check_attribute_names(arena: NodeArena, delta: TreeDelta) -> None:

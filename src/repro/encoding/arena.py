@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -208,16 +208,45 @@ class _KeyIndex:
 class TreeDelta:
     """Structural edits applied while rebuilding one document fragment.
 
-    This is the arena-level half of the XQuery Update Facility: the
-    pending-update-list compiler (:mod:`repro.compiler.updates`) resolves
-    update primitives to *old* arena rows/attribute ids and fills these
+    This is the pending update list of one document (XQUF 3.2) and the
+    arena-level half of the XQuery Update Facility: the collector
+    (:mod:`repro.compiler.updates`) resolves each update primitive to
+    *old* arena rows/attribute ids and writes it straight into these
     maps; :meth:`NodeArena.rebuild_with_delta` then splices the document
-    into a brand-new fragment with the edits applied.  Content entries
-    are ``("copy", row)`` (deep copy of an existing subtree; a document
-    node contributes its children) or ``("text", sid)`` (a new text
-    node), as in the element constructor spec.  A row both deleted and
-    replaced is deleted.
+    into a brand-new fragment with the edits applied, and the WAL stores
+    the same maps (:func:`repro.encoding.store.serialize_delta`).
+    Content entries are ``("copy", row)`` (deep copy of an existing
+    subtree; a document node contributes its children) or ``("text",
+    sid)`` (a new text node), as in the element constructor spec.  A row
+    both deleted and replaced is deleted.
     """
+
+    #: fields keyed by node row, carrying content-entry lists
+    ROW_CONTENT_FIELDS: ClassVar[tuple[str, ...]] = (
+        "insert_before",
+        "insert_after",
+        "insert_first",
+        "insert_last",
+        "replace",
+    )
+    #: fields keyed by node row, carrying one pooled string
+    ROW_STRING_FIELDS: ClassVar[tuple[str, ...]] = (
+        "replace_value",
+        "replace_content",
+        "rename",
+    )
+    #: fields keyed by attribute id, carrying one pooled string
+    ATTR_STRING_FIELDS: ClassVar[tuple[str, ...]] = (
+        "replace_attr_value",
+        "rename_attr",
+    )
+    #: every field keyed by attribute id (the edits of an attribute list,
+    #: with ``insert_attrs``, which is keyed by the owning element)
+    ATTR_FIELDS: ClassVar[tuple[str, ...]] = (
+        "delete_attrs",
+        "replace_attr",
+        *ATTR_STRING_FIELDS,
+    )
 
     #: target row → content inserted immediately before/after it
     insert_before: dict[int, list] = field(default_factory=dict)
@@ -1207,13 +1236,7 @@ class NodeArena:
         ones are dropped (XDM) — only there can an edit make them meet.
         """
         pool = self.pool
-        content_tables = (
-            delta.insert_before,
-            delta.insert_after,
-            delta.insert_first,
-            delta.insert_last,
-            delta.replace,
-        )
+        content_tables = [getattr(delta, f) for f in TreeDelta.ROW_CONTENT_FIELDS]
 
         def text_tail(item) -> bool:
             """Whether ``item``'s last top-level node is a text node."""
@@ -1366,13 +1389,8 @@ class NodeArena:
             #: elements whose attribute list the delta edits
             attr_edited = {
                 int(self.attr_owner[aid])
-                for table in (
-                    delta.delete_attrs,
-                    delta.replace_attr,
-                    delta.replace_attr_value,
-                    delta.rename_attr,
-                )
-                for aid in table
+                for f in TreeDelta.ATTR_FIELDS
+                for aid in getattr(delta, f)
             }
             attr_edited.update(delta.insert_attrs)
             touched = np.asarray(

@@ -107,19 +107,6 @@ ATTR_COLUMNS = (
     ("attr_value", "<i8"),
 )
 
-#: TreeDelta fields keyed by node row and carrying content-entry lists
-_ROW_CONTENT_FIELDS = (
-    "insert_before",
-    "insert_after",
-    "insert_first",
-    "insert_last",
-    "replace",
-)
-#: TreeDelta fields keyed by node row and carrying one pooled string
-_ROW_STRING_FIELDS = ("replace_value", "replace_content", "rename")
-#: TreeDelta fields keyed by attribute index and carrying one string
-_ATTR_STRING_FIELDS = ("replace_attr_value", "rename_attr")
-
 
 class StoreError(PathfinderError):
     """A persistent-store invariant was violated (corrupt manifest...)."""
@@ -892,7 +879,7 @@ def serialize_delta(arena: NodeArena, root: int, delta: TreeDelta) -> dict:
     attr_index = {int(aid): i for i, aid in enumerate(attr_ids)}
     rel = lambda row: int(row) - int(root)  # noqa: E731
     out: dict = {}
-    for field in _ROW_CONTENT_FIELDS:
+    for field in TreeDelta.ROW_CONTENT_FIELDS:
         table = getattr(delta, field)
         if table:
             out[field] = {
@@ -917,14 +904,14 @@ def serialize_delta(arena: NodeArena, root: int, delta: TreeDelta) -> dict:
             ]
             for aid, pairs in delta.replace_attr.items()
         }
-    for field in _ROW_STRING_FIELDS:
+    for field in TreeDelta.ROW_STRING_FIELDS:
         table = getattr(delta, field)
         if table:
             out[field] = {
                 str(rel(row)): arena.pool.value(int(sid))
                 for row, sid in table.items()
             }
-    for field in _ATTR_STRING_FIELDS:
+    for field in TreeDelta.ATTR_STRING_FIELDS:
         table = getattr(delta, field)
         if table:
             out[field] = {
@@ -946,7 +933,7 @@ def materialize_delta(arena: NodeArena, root: int, payload: dict) -> TreeDelta:
     delta = TreeDelta()
     base = int(root)
     intern = arena.pool.intern
-    for field in _ROW_CONTENT_FIELDS:
+    for field in TreeDelta.ROW_CONTENT_FIELDS:
         for key, entries in payload.get(field, {}).items():
             getattr(delta, field)[base + int(key)] = _entries_from_json(
                 arena, entries
@@ -963,10 +950,10 @@ def materialize_delta(arena: NodeArena, root: int, payload: dict) -> TreeDelta:
         delta.replace_attr[int(attr_ids[int(key)])] = [
             (intern(n), intern(v)) for n, v in pairs
         ]
-    for field in _ROW_STRING_FIELDS:
+    for field in TreeDelta.ROW_STRING_FIELDS:
         for key, text in payload.get(field, {}).items():
             getattr(delta, field)[base + int(key)] = intern(text)
-    for field in _ATTR_STRING_FIELDS:
+    for field in TreeDelta.ATTR_STRING_FIELDS:
         for key, text in payload.get(field, {}).items():
             getattr(delta, field)[int(attr_ids[int(key)])] = intern(text)
     return delta

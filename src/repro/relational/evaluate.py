@@ -416,12 +416,16 @@ def _numeric_aggregate(kind, col, starts, counts, ctx) -> ItemColumn:
     """``fn:sum/avg/min/max`` per group of a string-free item column
     (``starts``: first row of each group).  A group whose items are all
     integers reduces in int64 and stays an integer, whatever the other
-    groups hold: each group is its own sequence."""
+    groups hold: each group is its own sequence; an integer sum outside
+    int64 is ``err:FOAR0002``."""
     reduce = _REDUCE[kind].reduceat
     if len(col) == 0:
         return ItemColumn.empty()
     if kind != "avg" and col.is_homogeneous(K_INT):
-        return ItemColumn.from_ints(reduce(col.data, starts))
+        exact = reduce(col.data, starts)
+        if kind == "sum":
+            _check_int_sums(exact, reduce(col.data.astype(np.float64), starts))
+        return ItemColumn.from_ints(exact)
     reduced = reduce(it.to_double(col, ctx.pool), starts)
     if kind == "avg":
         return ItemColumn.from_doubles(reduced / counts)
@@ -430,9 +434,19 @@ def _numeric_aggregate(kind, col, starts, counts, ctx) -> ItemColumn:
     ints = np.logical_and.reduceat(int_rows, starts)
     if ints.any():
         exact = reduce(np.where(int_rows, col.data, 0), starts)
+        if kind == "sum":
+            _check_int_sums(exact[ints], reduced[ints])
         out.kinds[ints] = K_INT
         out.data[ints] = exact[ints]
     return out
+
+
+def _check_int_sums(exact: np.ndarray, approx: np.ndarray) -> None:
+    """``err:FOAR0002`` unless every int64 group sum ``exact`` (which
+    wraps modulo 2**64) is the true sum: then it is within rounding of
+    the double sum ``approx``, where a wrapped one is 2**64 off."""
+    if np.any(np.abs(approx - exact.astype(np.float64)) >= 2.0**63):
+        raise DynamicError("xs:integer overflow in fn:sum", code="err:FOAR0002")
 
 
 def _string_aggregate(node, col, stringish, starts, ctx) -> ItemColumn:
@@ -915,6 +929,8 @@ def _fn_substring(ctx, a, start, length=None):
 def _round_fn(kind):
     def fn(ctx, a):
         item = _as_item(a)
+        if kind == "abs" and np.any(item.data[item.kinds == K_INT] == it.I64_MIN):
+            raise DynamicError("xs:integer overflow in fn:abs", code="err:FOAR0002")
         if item.is_homogeneous(it.K_INT):
             data = np.abs(item.data) if kind == "abs" else item.data
             return ItemColumn.from_ints(data)
@@ -932,6 +948,18 @@ def _round_fn(kind):
         return ItemColumn.from_doubles(r)
 
     return fn
+
+
+_ROUND = _round_fn("round")
+
+
+def _fn_integer_position(ctx, a):
+    """``fn:round`` of an ``xs:integer`` position (``fn:insert-before``):
+    NaN is no integer (``err:FORG0001``); ±INF still compares."""
+    r = _ROUND(ctx, a)
+    if np.any(np.isnan(it.to_double(r, ctx.pool))):
+        raise DynamicError("cannot cast NaN to xs:integer", code="err:FORG0001")
+    return r
 
 
 def _fn_elem_name_is(ctx, a, b):
@@ -1075,7 +1103,8 @@ _MAP_FNS: dict[str, Callable] = {
     "normalize_space": _str_map_fn(lambda s: " ".join(s.split())),
     "floor": _round_fn("floor"),
     "ceiling": _round_fn("ceiling"),
-    "round": _round_fn("round"),
+    "round": _ROUND,
+    "integer_position": _fn_integer_position,
     "abs": _round_fn("abs"),
     "elem_name_is": _fn_elem_name_is,
     "node_name": _fn_node_name,

@@ -692,13 +692,17 @@ def compare(op: str, a: ItemColumn, b: ItemColumn, pool: StringPool) -> np.ndarr
         return np.empty(0, dtype=bool)
     numeric_a = np.isin(a.kinds, np.array(_NUMERIC + (K_BOOL,), dtype=np.uint8))
     numeric_b = np.isin(b.kinds, np.array(_NUMERIC + (K_BOOL,), dtype=np.uint8))
-    use_numeric = numeric_a | numeric_b
+    strings = ~(numeric_a | numeric_b)
     out = np.zeros(n, dtype=bool)
+    # integer pairs compare exactly: doubles merge neighbours beyond 2**53
+    ints = (a.kinds == K_INT) & (b.kinds == K_INT)
+    if ints.any():
+        out[ints] = _cmp_arrays(op, a.data[ints], b.data[ints])
+    use_numeric = ~(strings | ints)
     if use_numeric.any():
         xa = to_double(a.take(use_numeric), pool)
         xb = to_double(b.take(use_numeric), pool)
         out[use_numeric] = _cmp_arrays(op, xa, xb)
-    strings = ~use_numeric
     if strings.any():
         sa = to_string_ids(a.take(strings), pool)
         sb = to_string_ids(b.take(strings), pool)

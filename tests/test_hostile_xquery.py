@@ -3,14 +3,19 @@
 A hypothesis grammar draws queries over FLWOR, quantifiers, direct
 constructors, axis steps on a small document, built-in calls with zero
 to three arguments (right or wrong arity), casts and arithmetic on
-literals at the edges of int64.  Whatever it draws,
+literals at the edges of int64, ``subsequence``/``remove``/``insert-before``
+at double, NaN, ±INF and beyond-int64 positions, and ``sum``/``abs``
+over int64-edge literals.  Whatever it draws,
 ``Session.execute(...).serialize()`` must return or raise a subclass of
 :class:`~repro.errors.PathfinderError` — never an ``IndexError``, an
 ``OverflowError`` or a numpy ``RuntimeWarning`` (an error under the
 repository's pytest settings).  The explicit cases pin the crashes and
 silent wraps the grammar found, on the loop-lifting compiler and the
 baseline interpreter alike: ``xs:integer`` is int64 here, so a result
-beyond it is ``err:FOAR0002`` (arithmetic) or ``err:FOCA0003`` (casts).
+beyond it is ``err:FOAR0002`` (arithmetic, ``fn:sum``, ``fn:abs``) or
+``err:FOCA0003`` (casts).  Positions are compared as numbers, never cast
+to ``xs:integer``; a second grammar of position calls and int64-edge
+aggregates holds the two engines to the same answer or error code.
 """
 
 from __future__ import annotations
@@ -43,6 +48,34 @@ ARITH = ("+", "-", "*", "div", "idiv", "mod")
 COMPARE = ("=", "!=", "<", ">=", "eq", "lt", "ge")
 CASTS = ("xs:integer", "xs:double", "xs:decimal", "xs:string", "xs:boolean")
 VARS = ("$u", "$v", "$w")
+#: positions that are no small integer: doubles, NaN, ±INF, beyond int64
+POSITIONS = (
+    "2.5", "1.5e0", "-0.5", "1e300", "-1e300", 'number("x")', "1e0 div 0", "-1e0 div 0",
+    str(I64_MAX), f"(-{I64_MAX} - 1)", "0", "1", "2", "-2",
+)
+EDGE_INTS = INT_LITERALS + (f"(-{I64_MAX} - 1)", f"-{I64_MAX - 1}")
+
+
+def _position_call(draw, seq: str, first: str | None = None) -> str:
+    """``subsequence``/``remove``/``insert-before`` of ``seq`` at drawn
+    positions (the first one is ``first`` when given)."""
+    at = first or draw(st.sampled_from(POSITIONS))
+    name = draw(st.sampled_from(("subsequence2", "subsequence", "remove", "insert-before")))
+    if name == "subsequence2":
+        return f"subsequence({seq}, {at})"
+    if name == "subsequence":
+        return f"subsequence({seq}, {at}, {draw(st.sampled_from(POSITIONS))})"
+    if name == "remove":
+        return f"remove({seq}, {at})"
+    return f"insert-before({seq}, {at}, 9)"
+
+
+def _edge_aggregate(draw) -> str:
+    """``sum`` or ``abs`` over int64-edge literals."""
+    if draw(st.booleans()):
+        return f"abs({draw(st.sampled_from(EDGE_INTS))})"
+    items = draw(st.lists(st.sampled_from(EDGE_INTS + ("1.5e0",)), min_size=1, max_size=3))
+    return f"sum(({', '.join(items)}))"
 
 
 def _expr(draw, depth: int, scope: tuple[str, ...]) -> str:
@@ -52,6 +85,7 @@ def _expr(draw, depth: int, scope: tuple[str, ...]) -> str:
     kinds = leaves if depth == 0 else leaves + [
         "arith", "neg", "compare", "cast", "call", "for", "let", "where",
         "quantified", "if", "sequence", "element", "attribute", "step", "predicate",
+        "positions", "edge_aggregate",
     ]
     kind = draw(st.sampled_from(kinds))
 
@@ -74,6 +108,10 @@ def _expr(draw, depth: int, scope: tuple[str, ...]) -> str:
         return f"({sub()} {draw(st.sampled_from(COMPARE))} {sub()})"
     if kind == "cast":
         return f"({sub()} cast as {draw(st.sampled_from(CASTS))})"
+    if kind == "positions":
+        return _position_call(draw, sub())
+    if kind == "edge_aggregate":
+        return _edge_aggregate(draw)
     if kind == "call":
         name = draw(st.sampled_from(FUNCTIONS))
         args = [sub() for _ in range(draw(st.integers(0, 3)))]
@@ -161,6 +199,12 @@ OUT_OF_RANGE = (
     ("-1e300 cast as xs:integer", "err:FOCA0003"),
     ('"1e300" cast as xs:integer', "err:FOCA0003"),
     ("(1e308 * 10) cast as xs:integer", "err:FOCA0003"),
+    (f"sum(({I64_MAX}, 1))", "err:FOAR0002"),
+    (f"sum((-{I64_MAX}, -2))", "err:FOAR0002"),
+    (f"abs(-{I64_MAX} - 1)", "err:FOAR0002"),
+    (f"for $i in (1, 2) return sum(($i, {I64_MAX}))", "err:FOAR0002"),
+    (f"for $i in (1, 2.5e0) return sum(($i, {I64_MAX}))", "err:FOAR0002"),
+    (f"for $x in (1.5e0, -{I64_MAX} - 1) return abs($x)", "err:FOAR0002"),
 )
 
 
@@ -188,6 +232,12 @@ AT_THE_EDGE = (
     ("-2.9 cast as xs:integer", "-2"),
     ("1e308 * 10", "INF"),
     ("-1e308 - 1e308", "-INF"),
+    (f"sum(({I64_MAX}, 1, -1))", str(I64_MAX)),
+    (f"sum((-{I64_MAX}, -1))", str(-I64_MAX - 1)),
+    (f"abs(-{I64_MAX})", str(I64_MAX)),
+    (f"1 - {I64_MAX} < 2 - {I64_MAX}", "true"),
+    (f"subsequence((1,2,3), 2 - {I64_MAX}, {I64_MAX})", "1"),
+    (f"for $i in (-1, 0) return sum(($i, {I64_MAX}))", f"{I64_MAX - 1} {I64_MAX}"),
 )
 
 
@@ -197,24 +247,63 @@ def test_int64_edge_is_exact(session, query, expected):
     assert run_baseline(session, query) == expected
 
 
-#: NaN/±INF positions: the baseline crashed on ``int(NaN)``; it now
-#: compares positions with them as F&O does
-NAN_AND_INF_POSITIONS = (
+#: NaN/±INF/double/beyond-int64 positions are compared with, as F&O does:
+#: the baseline crashed on ``int(NaN)``, the compiled plan cast them to
+#: xs:integer (err:FOCA0003/FOAR0002/FORG0001)
+POSITION_ROWS = (
     ('subsequence((1, 2, 3), number("x"))', ""),
     ("subsequence((1, 2, 3), 2, 1e309)", "2 3"),
     ("subsequence((1, 2, 3), -1e309, 1e309)", ""),
     ("remove((1, 2, 3), -1e309)", "1 2 3"),
     ("insert-before((1, 2, 3), 1e309, 9)", "1 2 3 9"),
+    ("subsequence((1,2,3), 2, 1e300)", "2 3"),
+    (f"subsequence((1,2,3), 2, {I64_MAX})", "2 3"),
+    ("subsequence((1,2,3), 1, 1e0 div 0)", "1 2 3"),
+    ('subsequence((1,2,3), number("x"))', ""),
+    ("subsequence((1,2,3), -1e0 div 0, 1e0 div 0)", ""),
+    ('remove((1,2,3), number("x"))', "1 2 3"),
+    ("insert-before((1,2,3), 1e300, 9)", "1 2 3 9"),
+    (f"subsequence((1,2,3), 3, {I64_MAX - 1})", "3"),
+    ("for $p in (1, 2.5e0, 1e300) return remove((1,2,3), $p)", "2 3 1 2 1 2 3"),
 )
 
 
-@pytest.mark.parametrize("query,expected", NAN_AND_INF_POSITIONS)
+@pytest.mark.parametrize("query,expected", POSITION_ROWS)
 def test_positions_at_nan_and_inf(session, query, expected):
+    assert run_pf(session, query) == expected
     assert run_baseline(session, query) == expected
+
+
+def test_nan_insert_position_is_forg0001(session):
+    for run in (run_pf, run_baseline):
+        with pytest.raises(PathfinderError) as info:
+            run(session, 'insert-before((1,2,3), number("x"), 9)')
+        assert info.value.code == "err:FORG0001"
+
+
+def _outcome(session, run, query: str) -> str:
     try:
-        run_pf(session, query)
-    except PathfinderError:
-        pass
+        return run(session, query)
+    except PathfinderError as error:
+        return error.code
+
+
+@st.composite
+def position_and_aggregate_queries(draw) -> str:
+    seq = draw(st.sampled_from(("(1, 2, 3)", "()", "(1 to 5)", '("a", "b")')))
+    if draw(st.booleans()):
+        return _edge_aggregate(draw)
+    if draw(st.booleans()):
+        return _position_call(draw, seq)
+    # one position per iteration: ints and doubles share a column
+    values = ", ".join(draw(st.lists(st.sampled_from(POSITIONS), min_size=1, max_size=3)))
+    return f"for $p in ({values}) return {_position_call(draw, seq, '$p')}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(query=position_and_aggregate_queries())
+def test_positions_and_edge_aggregates_agree(session, query):
+    assert _outcome(session, run_pf, query) == _outcome(session, run_baseline, query)
 
 
 _EDGE_INTS = st.one_of(
