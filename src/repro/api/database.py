@@ -663,6 +663,9 @@ class Database:
                 plan = normalize(plan, stats)
             else:
                 plan = optimize(plan, stats, estimator=self._get_estimator())
+            final = not (use_optimizer and one_shot)
+            if final:
+                _ = plan.schedule  # a reused plan is scheduled with its compile
             return CachedPlan(
                 query=query,
                 plan=plan,
@@ -673,7 +676,7 @@ class Database:
                 documents=doc_deps,
                 compile_seconds=time.perf_counter() - t0,
                 default_document=self._default_document,
-                final=not (use_optimizer and one_shot),
+                final=final,
             )
 
     def upgrade_plan(
@@ -687,6 +690,7 @@ class Database:
         stage2 = OptimizerStats() if stats is None else stats
         with self._rwlock.read_locked():
             plan = optimize(entry.plan, stage2, estimator=self._get_estimator())
+            _ = plan.schedule  # the upgraded plan is the one that is reused
         return replace(
             entry,
             plan=plan,

@@ -32,7 +32,13 @@ from repro.encoding.arena import (
     NodeArena,
 )
 from repro.encoding.axes import REVERSE_AXES, Axis
-from repro.errors import DeadlineExceeded, DynamicError, NotSupportedError, StaticError
+from repro.errors import (
+    DeadlineExceeded,
+    DynamicError,
+    NotSupportedError,
+    StaticError,
+    TypeError_,
+)
 from repro.relational.items import (
     XSDecimal,
     format_double,
@@ -246,7 +252,7 @@ class Interpreter:
                 value = self.eval(e.ret, cur_env)
                 if e.order:
                     key = tuple(
-                        _order_key(self._first_atom(self.eval(spec.expr, cur_env)),
+                        _order_key(self._key_atom(spec.expr, cur_env),
                                    spec.descending, spec.empty_greatest)
                         for spec in e.order
                     )
@@ -405,6 +411,13 @@ class Interpreter:
         return isinstance(first, atomic)
 
     # ----------------------------------------------------------- operators
+    def _key_atom(self, e: ast.Expr, env):
+        """An order by key: at most one atomic value."""
+        atoms = self._atomize_seq(self.eval(e, env))
+        if len(atoms) > 1:
+            raise TypeError_("an order by key of more than one item", code="err:XPTY0004")
+        return atoms[0] if atoms else None
+
     def _first_atom(self, seq: list):
         atoms = self._atomize_seq(seq)
         return atoms[0] if atoms else None
@@ -412,6 +425,14 @@ class Interpreter:
     def _single_number(self, e: ast.Expr, env):
         v = self._first_atom(self.eval(e, env))
         return None if v is None else _to_number(v)
+
+    def _required_number(self, e: ast.Expr, env):
+        v = self._single_number(e, env)
+        if v is None:
+            raise TypeError_(
+                "an empty sequence where a value is required", code="err:XPTY0004"
+            )
+        return v
 
     def _e_Arith(self, e: ast.Arith, env):
         a = self._first_atom(self.eval(e.lhs, env))
@@ -701,7 +722,13 @@ class Interpreter:
                 new_env["fs:position"] = [position]
                 new_env["fs:last"] = [last]
                 value = self.eval(pred, new_env)
-                if len(value) == 1 and isinstance(value[0], _NUMERIC) and not isinstance(value[0], bool):
+                if value and isinstance(value[0], _NUMERIC) and not isinstance(value[0], bool):
+                    if len(value) > 1:
+                        raise DynamicError(
+                            "a predicate of several items starting with a number "
+                            "has no effective boolean value",
+                            code="err:FORG0006",
+                        )
                     if float(value[0]) == float(position):
                         kept.append(item)
                 elif self._ebv(value):
@@ -960,10 +987,8 @@ class Interpreter:
             ]
         if name == "insert-before":
             seq = self.eval(args[0], env)
-            at = self._single_number(args[1], env)
+            at = self._required_number(args[1], env)
             ins = self.eval(args[2], env)
-            if at is None:
-                return seq
             at = _round_position(at)
             if at != at:  # NaN: $position is an xs:integer
                 raise DynamicError("cannot cast to xs:integer", code="err:FORG0001")
@@ -971,10 +996,7 @@ class Interpreter:
             return seq[:cut] + ins + seq[cut:]
         if name == "remove":
             seq = self.eval(args[0], env)
-            at = self._single_number(args[1], env)
-            if at is None:
-                return seq
-            p = _round_position(at)
+            p = _round_position(self._required_number(args[1], env))
             return [x for i, x in enumerate(seq, start=1) if i != p]
         if name == "deep-equal":
             s1 = self.eval(args[0], env)

@@ -330,11 +330,15 @@ def _fn_reverse(comp, args, loop, env):
     return alg.Project(renum, (("iter", "iter"), ("pos", "pos1"), ("item", "item")))
 
 
-def _positional_arg(comp, expr, loop, env, name, kernel="round"):
+def _positional_arg(comp, expr, loop, env, name, kernel="round", required=False):
     """A per-iteration position for subsequence/remove/insert-before,
     rounded as by ``fn:round`` and compared as a number: a double, NaN
-    or ±INF position is never cast to ``xs:integer``."""
+    or ±INF position is never cast to ``xs:integer``.  A ``required``
+    position (the ``xs:integer`` of remove/insert-before) must not be
+    the empty sequence."""
     f = comp._first(comp._atomize(comp.compile(expr, loop, env)))
+    if required:
+        f = comp._required(f, loop)
     rounded = alg.Map(f, kernel, name, (col("item"),))
     i2 = comp.fresh("i")
     return alg.Project(rounded, ((i2, "iter"), (name, name))), i2
@@ -377,7 +381,7 @@ def _fn_index_of(comp, args, loop, env):
 def _fn_insert_before(comp, args, loop, env):
     q = comp.compile(args[0], loop, env)
     pos_arg, pi = _positional_arg(
-        comp, args[1], loop, env, "ins_at", kernel="integer_position"
+        comp, args[1], loop, env, "ins_at", kernel="integer_position", required=True
     )
     ins = comp.compile(args[2], loop, env)
     j = alg.Join(q, pos_arg, (("iter", pi),))
@@ -404,7 +408,7 @@ def _fn_insert_before(comp, args, loop, env):
 
 def _fn_remove(comp, args, loop, env):
     q = comp.compile(args[0], loop, env)
-    pos_arg, pi = _positional_arg(comp, args[1], loop, env, "rm_at")
+    pos_arg, pi = _positional_arg(comp, args[1], loop, env, "rm_at", required=True)
     j = alg.Join(q, pos_arg, (("iter", pi),))
     ne = alg.Map(j, "ne", "keep", (col("pos"), col("rm_at")))
     kept = alg.Select(ne, "eq", col("keep"), const(True))

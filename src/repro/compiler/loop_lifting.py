@@ -89,6 +89,15 @@ _BOOLEAN_FUNCTIONS = frozenset({
 })
 
 
+#: built-in functions whose result is at most one item
+_SINGLE_VALUED_FUNCTIONS = _BOOLEAN_FUNCTIONS | {
+    "count", "sum", "avg", "min", "max", "string", "number", "name",
+    "string-length", "position", "last", "round", "floor", "ceiling", "abs",
+    "concat", "substring", "upper-case", "lower-case", "normalize-space",
+    "string-join",
+}
+
+
 class Scope:
     """An iteration scope: a ``loop`` relation (column ``iter``) and the
     scopes it is nested in.
@@ -283,6 +292,47 @@ class Compiler:
     def _missing(self, q: alg.Op, loop: alg.Op) -> alg.Op:
         """Loop iterations with no row in ``q`` — column ``iter``."""
         return alg.Difference(loop, self._iters_of(q), ("iter",))
+
+    def _at_most_one(self, e: ast.Expr) -> bool:
+        """Is ``e`` statically a sequence of at most one item?  (Then a
+        runtime check of its cardinality is dead weight.)"""
+        if isinstance(e, (ast.Literal, ast.Arith, ast.Neg, ast.ValueComp, ast.GeneralComp,
+                          ast.NodeComp, ast.BoolOp, ast.InstanceOf, ast.CastExpr)):
+            return True
+        return (
+            isinstance(e, ast.FunctionCall)
+            and e.name in _SINGLE_VALUED_FUNCTIONS
+            and (e.name, len(e.args)) not in self._functions
+        )
+
+    def _checked(self, q: alg.Op, ok: str, kernel: str) -> alg.Op:
+        """``q`` with its items passed through ``kernel``, which raises its
+        error when the flag column ``ok`` is false on some row."""
+        item = self.fresh("checked")
+        checked = alg.Map(q, kernel, item, (col("item"), col(ok)))
+        return alg.Project(checked, (("iter", "iter"), ("pos", "pos"), ("item", item)))
+
+    def _required(self, q: alg.Op, loop: alg.Op) -> alg.Op:
+        """``q`` (at most one row per iteration) checked to have a row in
+        every iteration of ``loop``: an empty sequence where a value is
+        required is ``err:XPTY0004``."""
+        columns = (("iter", "iter"), ("pos", "pos"), ("item", "item"), ("ok", "ok"))
+        present = alg.Cross(q, alg.Lit(("ok",), ((True,),), frozenset({"ok"})))
+        missing = alg.Cross(
+            self._missing(q, loop),
+            alg.Lit(("pos", "item", "ok"), ((1, 0, False),), frozenset({"item", "ok"})),
+        )
+        flagged = alg.Union((alg.Project(present, columns), alg.Project(missing, columns)))
+        return self._checked(flagged, "ok", "required")
+
+    def _only_item(self, first: alg.Op, q: alg.Op, kernel: str) -> alg.Op:
+        """Rows of ``first`` (first items of ``q``) checked by ``kernel``
+        to be the only item of their iteration in ``q``."""
+        ci = self.fresh("ci")
+        counts = alg.Project(alg.Aggr(q, "count", "n", None, "iter"), ((ci, "iter"), ("n", "n")))
+        joined = alg.Join(first, counts, (("iter", ci),))
+        single = alg.Map(joined, "le", "one", (col("n"), const(1)))
+        return self._checked(single, "one", kernel)
 
     def _atomize(self, q: alg.Op) -> alg.Op:
         a = alg.Atomize(q, "item@", "item")
@@ -557,7 +607,10 @@ class Compiler:
         key_cols: list[tuple[str, bool]] = []
         key_plans: list[alg.Op] = []
         for spec in e.order:
-            kq = self._first(self._atomize(self.compile(spec.expr, cur_loop, env)))
+            aq = self._atomize(self.compile(spec.expr, cur_loop, env))
+            kq = self._first(aq)
+            if not self._at_most_one(spec.expr):
+                kq = self._only_item(kq, aq, "single_key")
             kname = self.fresh("k")
             present = alg.Project(kq, (("iter", "iter"), (kname, "item")))
             missing = self._missing(kq, cur_loop)
@@ -1121,6 +1174,8 @@ class Compiler:
         pf = self._first(p)
         isnum = alg.Map(pf, "is_numeric", "isn", (col("item"),))
         num_rows = alg.Select(isnum, "eq", col("isn"), const(True))
+        if not self._at_most_one(pred):
+            num_rows = self._only_item(num_rows, p, "single_number")
         # numeric predicate: keep rows whose position equals the value
         ri = self.fresh("ri")
         num_vals = alg.Project(num_rows, ((ri, "iter"), ("pv", "item")))

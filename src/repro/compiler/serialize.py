@@ -9,7 +9,7 @@ rule).
 The text form is produced **streaming**: :func:`iter_serialized_chunks`
 yields bounded-size chunks (node markup comes from the scan serializer's
 part list, one batched scan per block of consecutive result nodes;
-pooled atomics are batch-decoded with ``StringPool.values``),
+pooled atomics come escaped from the pool's per-surrogate memo),
 so a multi-megabyte result never has to exist as one Python string —
 :func:`serialize_result` is simply the join of the chunks, and the HTTP
 layer forwards them as chunked transfer encoding.
@@ -24,7 +24,7 @@ from repro.errors import ResultClosedError
 from repro.relational import items as it
 from repro.relational.items import ItemColumn, K_ATTR, K_NODE
 from repro.relational.table import Table
-from repro.xml.escape import escape_text
+from repro.xml.escape import escape_text, escape_texts
 from repro.xml.serializer import scan_parts, serialize_attribute, serialize_node
 
 #: target characters per chunk yielded by :func:`iter_serialized_chunks`
@@ -120,9 +120,9 @@ def iter_result_values(table: Table, arena: NodeArena, lease=None):
 
 #: rows scanned per :func:`~repro.xml.serializer.scan_parts` call by
 #: :func:`iter_serialized_chunks` — one call per block of consecutive
-#: node items, so its per-row lists stay small next to the result (a
+#: node items, so its per-row arrays stay small next to the result (a
 #: single larger subtree is its own block); the per-call overhead is
-#: ≈ 20 numpy calls, noise beside scanning this many rows in Python
+#: ≈ 40 numpy calls, about what a few hundred rows cost
 _SCAN_ROWS = 1 << 10
 
 
@@ -142,30 +142,37 @@ def _node_blocks(arena: NodeArena, nodes: np.ndarray):
 def _item_parts(items: ItemColumn, arena: NodeArena):
     """The serialized items as lists of string parts: one list per
     block of consecutive node items (one batched scan each), one per
-    attribute or atomic item."""
+    run of attribute and atomic items."""
     if not len(items):
         return
     pool = arena.pool
-    pooled, strings = it.pooled_strings(items.kinds, items.data, pool)
     is_node = items.kinds == K_NODE
     edges = (np.flatnonzero(is_node[1:] != is_node[:-1]) + 1).tolist()
-    kinds = items.kinds.tolist()
-    data = items.data.tolist()
-    prev_atomic = False
-    for lo, hi in zip([0, *edges], [*edges, len(kinds)]):
-        if kinds[lo] == K_NODE:
+    for lo, hi in zip([0, *edges], [*edges, len(items)]):
+        if is_node[lo]:
             for block in _node_blocks(arena, items.data[lo:hi]):
                 yield scan_parts(arena, block)
-            prev_atomic = False
             continue
-        for kind, payload, is_pooled in zip(kinds[lo:hi], data[lo:hi], pooled[lo:hi]):
+        kinds = items.kinds[lo:hi]
+        data = items.data[lo:hi]
+        pooled = it.is_pooled(kinds)
+        # pooled atomics come escaped from the pool's per-surrogate memo
+        strings = iter(pool.memoised(escape_texts, data[pooled]).tolist())
+        parts: list[str] = []
+        # a run starts after a node (or at the start): no separator
+        prev_atomic = False
+        for kind, payload, is_pooled in zip(kinds.tolist(), data.tolist(), pooled.tolist()):
             if kind == K_ATTR:
-                yield [serialize_attribute(arena, payload)]
+                parts.append(serialize_attribute(arena, payload))
                 prev_atomic = False
-            else:
-                text = next(strings) if is_pooled else it.lexical(kind, payload, pool)
-                yield [" ", escape_text(text)] if prev_atomic else [escape_text(text)]
-                prev_atomic = True
+                continue
+            if prev_atomic:
+                parts.append(" ")
+            parts.append(
+                next(strings) if is_pooled else escape_text(it.lexical(kind, payload, pool))
+            )
+            prev_atomic = True
+        yield parts
 
 
 def iter_serialized_chunks(
@@ -179,7 +186,9 @@ def iter_serialized_chunks(
     get usefully-sized writes without the full text ever being
     assembled.  Each run of consecutive node items is scanned in
     row-bounded blocks, one :func:`~repro.xml.serializer.scan_parts`
-    call per block; pooled atomics are batch-decoded once.
+    call per block.  A chunk ends with the first part that brings it to
+    ``chunk_chars``; the cut points of a part list are found on the
+    running sum of its part lengths, and each chunk is one ``"".join``.
     """
     items = ordered_items(table)
     buf: list[str] = []
@@ -189,13 +198,24 @@ def iter_serialized_chunks(
     # abandoned
     with arena.page_scope():
         for parts in _item_parts(items, arena):
-            for part in parts:
-                buf.append(part)
-                buf_len += len(part)
-                if buf_len >= chunk_chars:
-                    yield "".join(buf)
-                    buf.clear()
-                    buf_len = 0
+            size = sum(map(len, parts))
+            if buf_len + size < chunk_chars or not parts:
+                buf.extend(parts)  # no cut in this list
+                buf_len += size
+                continue
+            ends = np.cumsum(np.fromiter(map(len, parts), np.int64, len(parts)))
+            lo = done = 0  # parts and characters of this list already cut
+            while True:
+                cut = max(lo, int(np.searchsorted(ends, done + chunk_chars - buf_len)))
+                if cut == len(parts):
+                    break
+                buf.extend(parts[lo : cut + 1])
+                yield "".join(buf)
+                buf.clear()
+                buf_len = 0
+                lo, done = cut + 1, int(ends[cut])
+            buf.extend(parts[lo:])
+            buf_len += int(ends[-1]) - done
         if buf:
             yield "".join(buf)
 

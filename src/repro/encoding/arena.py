@@ -900,7 +900,8 @@ class NodeArena:
         Text, comment and PI rows carry theirs in ``value``; an element
         or document with exactly one text descendant shares that text's
         surrogate, found by two binary searches on the text-row index.
-        Only nodes spanning several texts pay a per-node join.
+        Nodes spanning several texts are joined in one batch
+        (:meth:`_joined_text_ids`).
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         self.ensure_rows(nodes)
@@ -915,23 +916,33 @@ class NodeArena:
             sids = np.full(len(rows), self.pool.intern(""), dtype=np.int64)
             single = hi - lo == 1
             sids[single] = self.value[texts[lo[single]]]
-            for i in np.nonzero(hi - lo > 1)[0]:
-                sids[i] = self._joined_text_id(int(rows[i]), texts[lo[i] : hi[i]])
+            several = np.nonzero(hi - lo > 1)[0]
+            if len(several):
+                sids[several] = self._joined_text_ids(
+                    rows[several], texts, lo[several], hi[several]
+                )
             out[inner] = sids
         return out
 
-    def _joined_text_id(self, node: int, text_rows: np.ndarray) -> int:
-        """Surrogate of the concatenated ``text_rows`` values.  Cached
-        for persistent rows only, and :meth:`truncate_to` drops the
-        entries of popped rows — a cached entry never outlives its row."""
-        sid = self._strvalue_cache.get(node)
-        if sid is None:
-            sid = self.pool.intern(
-                "".join(self.pool.values(self.value[text_rows]))
-            )
-            if node < self.persistent_rows:
-                self._strvalue_cache[node] = sid
-        return sid
+    def _joined_text_ids(self, nodes, texts, lo, hi) -> np.ndarray:
+        """Surrogates of the concatenated values of ``texts[lo:hi]``, per
+        node: the strings of every uncached node are decoded with one
+        fancy index and interned in one batch.  Cached for persistent
+        rows only, and :meth:`truncate_to` drops the entries of popped
+        rows — a cached entry never outlives its row."""
+        cache = self._strvalue_cache
+        nodes = nodes.tolist()
+        out = np.fromiter((cache.get(n, -1) for n in nodes), np.int64, len(nodes))
+        miss = np.nonzero(out < 0)[0]
+        if len(miss):
+            pieces = self.pool.values(self.value[texts[multi_arange(lo[miss], hi[miss])]])
+            ends = np.cumsum(hi[miss] - lo[miss]).tolist()
+            joined = ["".join(pieces[a:b]) for a, b in zip([0, *ends], ends)]
+            out[miss] = self.pool.intern_many(joined)
+            for i in miss.tolist():
+                if nodes[i] < self.persistent_rows:
+                    cache[nodes[i]] = int(out[i])
+        return out
 
     # --------------------------------------------------------- construction
     def new_text_nodes(self, value_ids) -> np.ndarray:

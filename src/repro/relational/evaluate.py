@@ -745,6 +745,20 @@ def _fn_kind_code(ctx, a):
     return _as_item(a).kinds.astype(np.int64)
 
 
+def _checked_fn(error, code: str, message: str):
+    """A pass-through of item column ``a`` that raises when any row's flag
+    ``ok`` is false: a cardinality check the plan cannot express as a
+    filter (an empty required argument, a sequence where one value must
+    stand)."""
+
+    def fn(ctx, a, ok):
+        if not _as_item(ok).data.all():
+            raise error(message, code=code)
+        return a
+
+    return fn
+
+
 def _fn_is_numeric(ctx, a):
     kinds = _as_item(a).kinds
     return ItemColumn.from_bools(
@@ -927,13 +941,18 @@ def _fn_substring(ctx, a, start, length=None):
 
 
 def _round_fn(kind):
+    """fn:floor/ceiling/round/abs, typed per row: ``xs:integer`` rows stay
+    exact integers, ``xs:decimal`` rows decimals, every other row is cast
+    to ``xs:double``."""
+
     def fn(ctx, a):
         item = _as_item(a)
-        if kind == "abs" and np.any(item.data[item.kinds == K_INT] == it.I64_MIN):
+        ints = item.kinds == K_INT
+        if kind == "abs" and np.any(item.data[ints] == it.I64_MIN):
             raise DynamicError("xs:integer overflow in fn:abs", code="err:FOAR0002")
-        if item.is_homogeneous(it.K_INT):
-            data = np.abs(item.data) if kind == "abs" else item.data
-            return ItemColumn.from_ints(data)
+        exact = np.abs(item.data[ints]) if kind == "abs" else item.data[ints]
+        if ints.all():
+            return ItemColumn.from_ints(exact)
         v = it.to_double(item, ctx.pool)
         if kind == "floor":
             r = np.floor(v)
@@ -943,9 +962,11 @@ def _round_fn(kind):
             r = np.floor(v + 0.5)  # XPath rounds .5 up
         else:  # abs
             r = np.abs(v)
-        if item.is_homogeneous(K_DEC):
-            return ItemColumn.from_decimals(r)
-        return ItemColumn.from_doubles(r)
+        out = ItemColumn.from_doubles(r)
+        out.kinds[item.kinds == K_DEC] = K_DEC
+        out.kinds[ints] = K_INT
+        out.data[ints] = exact
+        return out
 
     return fn
 
@@ -1078,6 +1099,17 @@ _MAP_FNS: dict[str, Callable] = {
     "is_node": _fn_is_node,
     "kind_code": _fn_kind_code,
     "is_numeric": _fn_is_numeric,
+    "required": _checked_fn(
+        TypeError_, "err:XPTY0004", "an empty sequence where a value is required"
+    ),
+    "single_key": _checked_fn(
+        TypeError_, "err:XPTY0004", "an order by key of more than one item"
+    ),
+    "single_number": _checked_fn(
+        DynamicError, "err:FORG0006",
+        "a predicate of several items starting with a number has no "
+        "effective boolean value",
+    ),
     "node_kind": _fn_node_kind,
     "root_of": _fn_root_of,
     "cast_dbl": _fn_cast_dbl,

@@ -97,8 +97,17 @@ _EXACT = (K_INT, K_DEC)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_U8 = np.empty(0, dtype=np.uint8)
 
-_POOLED_ARR = np.array(_POOLED, dtype=np.uint8)
 _EXACT_ARR = np.array(_EXACT, dtype=np.uint8)
+
+
+#: ``kind -> carries a pool surrogate``, indexed by the uint8 kind
+_IS_POOLED = np.zeros(256, dtype=bool)
+_IS_POOLED[list(_POOLED)] = True
+
+
+def is_pooled(kinds: np.ndarray) -> np.ndarray:
+    """Which items of a kind column carry a pool surrogate."""
+    return _IS_POOLED[kinds]
 
 
 def pooled_strings(
@@ -111,36 +120,59 @@ def pooled_strings(
     strings of exactly those items in order — one
     :meth:`StringPool.values` call instead of a ``pool.value`` round
     trip per item.  The shared decode core of ``ItemColumn.to_values``
-    and the result serializer.
+    and the result value iterator.
     """
-    pooled = np.isin(kinds, _POOLED_ARR)
-    decoded = pool.values(data[pooled].tolist()) if pooled.any() else []
+    pooled = is_pooled(kinds)
+    decoded = pool.values(data[pooled]) if pooled.any() else []
     return pooled.tolist(), iter(decoded)
 
 
 class StringPool:
-    """Interning pool for strings with memoised numeric casts.
+    """Interning pool for strings, with per-surrogate memos of derived
+    values.
 
     Surrogate ids are dense, starting at 0, and stable for the lifetime of
-    the pool.  ``doubles_for`` memoises the ``xs:untypedAtomic -> xs:double``
-    cast per surrogate, which makes repeated casts of shared text content
-    (very common in XMark documents) O(1) after the first occurrence.
+    the pool.  The strings live in one numpy object array, grown by
+    doubling, so :meth:`values` decodes a whole column with one fancy
+    index.
 
     Interning is thread-safe: concurrent queries share one pool, and a
     check-then-append race would mint two surrogates for equal strings —
     breaking the surrogate-equality property every string comparison
     relies on.  The common already-interned case stays lock-free (a dict
-    read); only genuine misses take the mutex.
+    read); only genuine misses take the mutex.  A string is stored before
+    its surrogate is published, and a grow copies every stored string
+    before the new array replaces the old, so a reader holding a
+    surrogate finds its string in whichever array it reads.
+
+    Values derived from pooled strings — the ``xs:double`` cast
+    (:meth:`doubles_for`), the serializer's escaped forms
+    (:meth:`memoised`) — are memoised per surrogate and computed only
+    for the distinct ids a caller asks for that are not known yet: a
+    cast touches the strings of its column, never the whole pool.
     """
 
     def __init__(self):
-        self._strings: list[str] = []
+        self._strings = np.empty(64, dtype=object)
+        self._count = 0
         self._ids: dict[str, int] = {}
-        self._doubles = np.empty(0, dtype=np.float64)
+        self._memos: dict = {}
         self._intern_lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._strings)
+        return self._count
+
+    def _store_locked(self, strings: list[str]) -> None:
+        """Store ``strings`` under the next surrogates; the caller holds
+        the intern lock and publishes their ids in ``_ids`` afterwards."""
+        n = self._count
+        end = n + len(strings)
+        if end > len(self._strings):
+            grown = np.empty(max(end, 2 * len(self._strings)), dtype=object)
+            grown[:n] = self._strings[:n]
+            self._strings = grown
+        self._strings[n:end] = strings
+        self._count = end
 
     def intern(self, s: str) -> int:
         """Return the surrogate for ``s``, creating one if necessary."""
@@ -150,9 +182,12 @@ class StringPool:
         with self._intern_lock:
             sid = self._ids.get(s)
             if sid is None:
-                sid = len(self._strings)
-                # append before publishing so value(sid) can never miss
-                self._strings.append(s)
+                sid = self._count
+                if sid < len(self._strings):
+                    self._strings[sid] = s
+                    self._count = sid + 1
+                else:
+                    self._store_locked([s])
                 self._ids[s] = sid
             return sid
 
@@ -166,65 +201,84 @@ class StringPool:
 
     def value(self, sid: int) -> str:
         """Return the string for a surrogate id."""
+        if not 0 <= sid < self._count:
+            raise IndexError(f"no pooled string {sid}")
         return self._strings[sid]
 
-    def values(self, sids: Iterable[int]) -> list[str]:
-        """Decode many surrogates at once."""
-        strings = self._strings
-        return [strings[int(i)] for i in sids]
+    def values(self, sids) -> list[str]:
+        """Decode many surrogates at once (one fancy index)."""
+        return self._strings[: self._count][np.asarray(sids, dtype=np.intp)].tolist()
 
     def intern_many(self, values: Sequence[str]) -> np.ndarray:
         """Intern a batch of strings, returning their surrogates.
 
         Hits resolve lock-free; the misses (if any) take the intern
-        mutex once for the whole batch rather than once per string —
-        the store's fragment adoption interns thousands of distinct
-        strings in one call, where per-string locking dominates.
+        mutex once for the whole batch rather than once per string, and
+        are stored with one slice assignment — the store's fragment
+        adoption interns thousands of distinct strings in one call,
+        where per-string work dominates.
         """
-        out = np.empty(len(values), dtype=np.int64)
         ids = self._ids
-        misses = []
-        for i, v in enumerate(values):
-            sid = ids.get(v)
-            if sid is None:
-                misses.append(i)
-            else:
-                out[i] = sid
-        if misses:
+        found = [ids.get(v) for v in values]
+        if None in found:
             with self._intern_lock:
-                strings = self._strings
-                for i in misses:
-                    v = values[i]
-                    sid = ids.get(v)
+                new: dict[str, int] = {}
+                n = self._count
+                for i, sid in enumerate(found):
                     if sid is None:
-                        sid = len(strings)
-                        strings.append(v)
-                        ids[v] = sid
-                    out[i] = sid
-        return out
+                        v = values[i]
+                        sid = ids.get(v)
+                        found[i] = new.setdefault(v, n + len(new)) if sid is None else sid
+                if new:
+                    self._store_locked(list(new))
+                    ids.update(new)
+        return np.array(found, dtype=np.int64)
+
+    def memoised(self, derive, sids, dtype=object) -> np.ndarray:
+        """``derive`` applied to the strings of ``sids``, memoised per
+        surrogate.
+
+        ``derive`` maps a list of strings to as many results; it runs
+        only on the distinct ids of ``sids`` whose result is not known
+        yet, under the intern lock (so it must not intern).  Each memo is a ``(results, known)`` pair of arrays, grown
+        with the pool and filled under the intern lock; readers index a
+        local snapshot of the pair, and a grow copies both arrays before
+        replacing them, so a concurrent fill can never shrink or un-mark
+        what another thread reads.
+        """
+        sids = np.asarray(sids, dtype=np.intp)
+        if len(sids) == 0:
+            return np.empty(0, dtype=dtype)
+        memo = self._memos.get(derive)
+        if memo is not None:
+            results, known = memo
+            if sids.max() < len(known) and known[sids].all():
+                return results[sids]
+        with self._intern_lock:
+            results, known = self._memos.get(derive) or (
+                np.empty(0, dtype=dtype), np.zeros(0, dtype=bool)
+            )
+            if len(known) < self._count:
+                size = self._count + self._count // 2
+                grown = np.empty(size, dtype=dtype), np.zeros(size, dtype=bool)
+                grown[0][: len(known)] = results
+                grown[1][: len(known)] = known
+                results, known = grown
+                self._memos[derive] = grown
+            missing = np.unique(sids[~known[sids]])
+            if len(missing):
+                results[missing] = derive(self.values(missing))
+                known[missing] = True
+        return results[sids]
 
     def doubles_for(self, sids: np.ndarray) -> np.ndarray:
         """Cast pooled strings to doubles, elementwise (NaN when invalid).
 
-        The cast is memoised per surrogate: thanks to surrogate sharing a
-        column with many duplicate strings is parsed once per distinct
-        value, not once per row.  The memo array grows under the intern
-        lock and is indexed through a local snapshot, so a concurrent
-        grow can never shrink it out from under this thread's read.
+        The cast is memoised per surrogate (:meth:`memoised`): a column
+        with many duplicate strings is parsed once per distinct value,
+        and only the strings it holds are parsed.
         """
-        doubles = self._doubles
-        if len(doubles) < len(self._strings):
-            with self._intern_lock:
-                doubles = self._doubles
-                cached = len(doubles)
-                n = len(self._strings)
-                if cached < n:
-                    grown = np.empty(n, dtype=np.float64)
-                    grown[:cached] = doubles
-                    for i in range(cached, n):
-                        grown[i] = _parse_double(self._strings[i])
-                    self._doubles = doubles = grown
-        return doubles[sids]
+        return self.memoised(_parse_doubles, sids, np.float64)
 
     def sort_ranks(self, sids: np.ndarray) -> np.ndarray:
         """Return ranks such that rank order == lexicographic string order.
@@ -233,7 +287,7 @@ class StringPool:
         values); they are only meant to be used as sort keys.
         """
         uniq, inverse = np.unique(np.asarray(sids, dtype=np.int64), return_inverse=True)
-        decoded = [self._strings[int(i)] for i in uniq]
+        decoded = self.values(uniq)
         order = sorted(range(len(decoded)), key=decoded.__getitem__)
         ranks_of_uniq = np.empty(len(uniq), dtype=np.int64)
         ranks_of_uniq[order] = np.arange(len(uniq), dtype=np.int64)
@@ -241,7 +295,11 @@ class StringPool:
 
     def bytes_used(self) -> int:
         """Approximate heap footprint of the pooled strings (for E3)."""
-        return sum(len(s.encode("utf-8")) for s in self._strings)
+        return sum(len(s.encode("utf-8")) for s in self._strings[: self._count])
+
+
+def _parse_doubles(strings: list[str]) -> list[float]:
+    return [_parse_double(s) for s in strings]
 
 
 def _parse_double(s: str) -> float:
@@ -476,7 +534,7 @@ def to_string_ids(col: ItemColumn, pool: StringPool) -> np.ndarray:
     if col.is_homogeneous(K_STR) or col.is_homogeneous(K_UNTYPED):
         return data.copy()
     out = np.empty(len(col), dtype=np.int64)
-    pooled = np.isin(kinds, np.array(_POOLED, dtype=np.uint8))
+    pooled = is_pooled(kinds)
     out[pooled] = data[pooled]
     rest = ~pooled
     if rest.any():
@@ -744,10 +802,10 @@ def ebv(col: ItemColumn, pool: StringPool) -> np.ndarray:
     if m.any():
         v = _unbits(data[m])
         out[m] = (v != 0) & ~np.isnan(v)
-    m = np.isin(kinds, np.array(_POOLED, dtype=np.uint8))
+    m = is_pooled(kinds)
     if m.any():
         lengths = np.fromiter(
-            (len(pool.value(int(s))) for s in data[m]), dtype=np.int64, count=int(m.sum())
+            map(len, pool.values(data[m])), dtype=np.int64, count=int(m.sum())
         )
         out[m] = lengths > 0
     m = (kinds == K_NODE) | (kinds == K_ATTR)
@@ -774,7 +832,7 @@ def order_columns(col: ItemColumn, pool: StringPool) -> list[np.ndarray]:
         v = to_double(col.take(numeric), pool)
         v = np.where(np.isnan(v), -np.inf, v)
         val[numeric] = v
-    pooled = np.isin(kinds, np.array(_POOLED, dtype=np.uint8))
+    pooled = is_pooled(kinds)
     if pooled.any():
         cls[pooled] = 2
         val[pooled] = pool.sort_ranks(data[pooled]).astype(np.float64)

@@ -1064,12 +1064,18 @@ def _sink(filt, x: alg.Op, counts, shared: bool = False) -> alg.Op | None:
     return x.with_children((_sink_or_attach(filt, x.child, counts, shared),))
 
 
+#: map kernels that check the rows they see and raise (the compiler's
+#: cardinality checks): sunk onto one side of a ×, one would raise on a
+#: row the other, empty side discards
+_CHECK_FNS = frozenset({"required", "single_key", "single_number"})
+
+
 def _sink_map(m, counts) -> alg.Op | None:
     """Push a ⊛/atomize below ∪ (per branch) or × (onto the side that
     holds its operands), where it runs over fewer rows and may reach a
     literal table that ``fold`` can evaluate at compile time."""
     x = m.child
-    if counts.get(x, 1) > 1:
+    if counts.get(x, 1) > 1 or getattr(m, "fn", None) in _CHECK_FNS:
         return None
     if m.target in x.columns:
         return None  # overwrite semantics: leave in place

@@ -22,7 +22,6 @@ from repro.xml.parser import (
 from repro.xml.serializer import (
     scan_parts,
     serialize_node,
-    serialize_node_recursive,
     serialize_tree,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "XMLPi",
     "scan_parts",
     "serialize_node",
-    "serialize_node_recursive",
     "serialize_tree",
 ]

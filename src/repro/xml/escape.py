@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
+
 from repro.errors import XMLSyntaxError
 
 _BUILTIN_ENTITIES = {
@@ -112,3 +116,31 @@ def escape_attr(text: str) -> str:
     if "&" in text or "<" in text or '"' in text:
         return text.translate(_ATTR_ESCAPES)
     return text
+
+
+_TEXT_SPECIAL = re.compile(r"[&<>]")
+_ATTR_SPECIAL = re.compile(r'[&<"]')
+
+
+def _escape_many(strings: list[str], special: re.Pattern, table: dict) -> list[str]:
+    """Escape a batch of strings, translating only those that hold a
+    special character: one regex scan over the joined batch finds them,
+    and each hit is mapped back to its string by the running lengths."""
+    hits = [m.start() for m in special.finditer("\0".join(strings))]
+    if not hits:
+        return strings
+    ends = np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings)) + 1)
+    out = list(strings)
+    for i in np.unique(np.searchsorted(ends, hits, side="right")).tolist():
+        out[i] = out[i].translate(table)
+    return out
+
+
+def escape_texts(strings: list[str]) -> list[str]:
+    """:func:`escape_text` over a batch of strings."""
+    return _escape_many(strings, _TEXT_SPECIAL, _TEXT_ESCAPES)
+
+
+def escape_attrs(strings: list[str]) -> list[str]:
+    """:func:`escape_attr` over a batch of strings."""
+    return _escape_many(strings, _ATTR_SPECIAL, _ATTR_ESCAPES)

@@ -5,24 +5,30 @@ post-processor then serializes the relational result to form a response in
 terms of the XQuery data model") — the node-to-markup half; the sequence
 half lives in :mod:`repro.compiler.serialize`.
 
-The arena serializer is a **scan**, not a tree walk: the pre/size
-property says the subtree of row ``p`` is exactly rows ``p .. p+size[p]``,
-so it gathers ``kind/size/name/value`` over those rows once — for a whole
-batch of result nodes at a time — batch-decodes every pool surrogate they
-need, fetches all their attributes with one
-:meth:`~repro.encoding.arena.NodeArena.attrs_in_spans` call, and emits
-markup in row order — open tags as rows arrive, close tags when the scan
-passes a subtree's end row (``p + size[p]``, the region encoding of the
-level-delta).  No recursion, no per-node ``children_ranges`` calls.
+The arena serializer is a **column-at-a-time scan**, not a tree walk:
+the pre/size property says the subtree of row ``p`` is exactly rows
+``p .. p+size[p]``, so it gathers ``kind/size/level/name/value`` over
+those rows once — for a whole batch of result nodes at a time — and
+fetches all their attributes with one
+:meth:`~repro.encoding.arena.NodeArena.attrs_in_spans` call.  Every row
+then contributes one *open* part (a tag, an escaped text, a comment or
+PI) and every element with children one *close* part, all taken by
+fancy index from per-surrogate memos in the string pool
+(:meth:`~repro.relational.items.StringPool.memoised`: ``<name>``,
+``</name>``, escaped text, ...).  The parts are put in document order by
+position arithmetic alone: in pre/size/level terms the open part of row
+``i`` goes to slot ``2i - depth`` and its close part to slot
+``2(i+size) + 1 - depth`` (its post-order rank plus the rows opened
+before it closes).  No recursion, no per-row Python.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.encoding.arena import NK_COMMENT, NK_DOC, NK_ELEM, NK_PI, NK_TEXT, NodeArena
+from repro.encoding.arena import NK_COMMENT, NK_ELEM, NK_TEXT, NodeArena
 from repro.relational.kernels import multi_arange
-from repro.xml.escape import escape_attr, escape_text
+from repro.xml.escape import escape_attr, escape_attrs, escape_text, escape_texts
 from repro.xml.parser import XMLComment, XMLElement, XMLPi, XMLText
 
 
@@ -39,6 +45,31 @@ def serialize_attribute(arena: NodeArena, attr_id: int) -> str:
     return f'{name}="{escape_attr(value)}"'
 
 
+# the per-name and per-value templates the scan memoises in the pool
+def _open_tags(names: list[str]) -> list[str]:
+    return [f"<{n}>" for n in names]
+
+
+def _close_tags(names: list[str]) -> list[str]:
+    return [f"</{n}>" for n in names]
+
+
+def _tag_starts(names: list[str]) -> list[str]:
+    return [f"<{n}" for n in names]
+
+
+def _attr_starts(names: list[str]) -> list[str]:
+    return [f' {n}="' for n in names]
+
+
+def _attr_ends(values: list[str]) -> list[str]:
+    return [f'{v}"' for v in escape_attrs(values)]
+
+
+def _where(mask: np.ndarray) -> np.ndarray:
+    return mask.nonzero()[0]
+
+
 def scan_parts(arena: NodeArena, nodes) -> list[str]:
     """The markup of the subtrees of rows ``nodes``, one after the
     other, as one list of string parts.
@@ -49,19 +80,22 @@ def scan_parts(arena: NodeArena, nodes) -> list[str]:
     bounded chunks without ever assembling the full text.  The rows of
     all subtrees are gathered with one ``multi_arange`` (a single
     subtree is sliced) and scanned as one; a subtree ends exactly where
-    the next begins, so the close-tag stack is empty at every node
-    boundary.
+    the next begins, so the slot arithmetic of the module docstring
+    holds across them with ``depth`` taken relative to each subtree's
+    root.  One part per open and per close event, in document order.
     """
     starts = np.asarray(nodes, dtype=np.int64)
     arena.ensure_rows(starts)
     widths = arena.size[starts] + 1
     stops = starts + widths
+    level = arena.level
     if len(starts) == 1:
         # one subtree is one row range: sliced (views), not gathered, and
         # its attributes are one slice of the attribute index
         start, stop = int(starts[0]), int(stops[0])
         rows = slice(start, stop)
         attr_ids, attr_counts = arena.attrs_in_span(start, stop)
+        depth = level[rows] - level[start]
     else:
         rows = multi_arange(starts, stops)
         attr_ids, owners, per_node = arena.attrs_in_spans(starts, stops)
@@ -71,125 +105,56 @@ def scan_parts(arena: NodeArena, nodes) -> list[str]:
         attr_counts = np.bincount(
             owners + np.repeat(offsets, per_node), minlength=len(rows)
         )
-    attr_counts = attr_counts.tolist()
-    kinds = arena.kind[rows].tolist()
-    sizes = arena.size[rows].tolist()
-    pool = arena.pool
-    # one batched decode for every surrogate the rows can reference;
-    # nameless/valueless rows carry -1, clipped to 0 and never read
-    decode = pool.values
-    if len(pool):
-        names = decode(np.maximum(arena.name[rows], 0).tolist())
-        values = decode(np.maximum(arena.value[rows], 0).tolist())
-    else:  # an arena with no interned strings holds no named/valued rows
-        names = values = [""] * len(kinds)
-    # all attributes rendered to ready-to-concatenate ` name="value"`
-    # parts in one pass
-    attr_strs = [
-        f' {n}="{escape_attr(v)}"'
-        for n, v in zip(
-            decode(arena.attr_name[attr_ids].tolist()),
-            decode(arena.attr_value[attr_ids].tolist()),
+        depth = level[rows] - np.repeat(level[starts], widths)
+    kinds = arena.kind[rows]
+    sizes = arena.size[rows]
+    names = arena.name[rows]
+    at = np.arange(len(kinds))
+    open_slot = 2 * at - depth
+    close_slot = 2 * (at + sizes) + 1 - depth
+    parts = np.empty(2 * len(kinds), dtype=object)
+    used = np.zeros(2 * len(kinds), dtype=bool)
+
+    def put(slots, values):
+        parts[slots] = values
+        used[slots] = True
+
+    memo = arena.pool.memoised
+    elems = kinds == NK_ELEM
+    inner = _where(elems & (sizes > 0))
+    put(close_slot[inner], memo(_close_tags, names[inner]))
+    owners = _where(attr_counts)
+    if len(owners):
+        # one string per attribute row, concatenated per owner and framed
+        # by the owner's tag start and end
+        attrs = memo(_attr_starts, arena.attr_name[attr_ids]) + memo(
+            _attr_ends, arena.attr_value[attr_ids]
         )
-    ]
-
-    out: list[str] = []
-    append = out.append
-    # stack of (end offset, close tag): popped when the scan passes the
-    # subtree's last row — the pre/size form of closing on level deltas
-    open_tags: list[tuple[int, str]] = []
-    ap = 0  # cursor into the flattened attribute arrays
-    for i, kind in enumerate(kinds):
-        while open_tags and open_tags[-1][0] <= i:
-            append(open_tags.pop()[1])
-        if kind == NK_ELEM:
-            name = names[i]
-            count = attr_counts[i]
-            if count:
-                attrs = "".join(attr_strs[ap : ap + count])
-                ap += count
-            else:
-                attrs = ""
-            size = sizes[i]
-            if size == 0:
-                append(f"<{name}{attrs}/>")
-            else:
-                append(f"<{name}{attrs}>")
-                open_tags.append((i + size + 1, f"</{name}>"))
-        elif kind == NK_TEXT:
-            append(escape_text(values[i]))
-        elif kind == NK_COMMENT:
-            append(f"<!--{values[i]}-->")
-        elif kind == NK_PI:
-            data = values[i]
-            append(f"<?{names[i]} {data}?>" if data else f"<?{names[i]}?>")
-        # NK_DOC contributes no markup of its own
-    while open_tags:
-        append(open_tags.pop()[1])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the pre-scan recursive serializer, kept as the differential-test oracle
-# ---------------------------------------------------------------------------
-def serialize_node_recursive(arena: NodeArena, node: int) -> str:
-    """Serialise row ``node``'s subtree by recursive tree walk.
-
-    The original node-at-a-time post-processor (one ``children_ranges`` /
-    ``attr_ranges`` call per node).  Kept as the oracle the scan
-    serializer is differentially tested against
-    (``tests/test_serialize_roundtrip.py``).
-    """
-    out: list[str] = []
-    _serialize_into(arena, node, out)
-    return "".join(out)
-
-
-def _serialize_into(arena: NodeArena, node: int, out: list[str]) -> None:
+        counts = attr_counts[owners]
+        joined = np.add.reduceat(attrs, np.cumsum(counts) - counts)
+        ends = np.where(sizes[owners] > 0, ">", "/>").astype(object)
+        put(open_slot[owners], memo(_tag_starts, names[owners]) + joined + ends)
+        elems[owners] = False
+    plain = _where(elems)
+    tags = memo(_open_tags, names[plain])
+    leaves = sizes[plain] == 0
+    if leaves.any():
+        tags[leaves] = memo(_tag_starts, names[plain[leaves]]) + "/>"
+    put(open_slot[plain], tags)
+    texts = _where(kinds == NK_TEXT)
+    put(open_slot[texts], memo(escape_texts, arena.value[rows][texts]))
+    # comments and PIs (kinds past NK_TEXT) are rare: one Python step each
     pool = arena.pool
-    arena.ensure_rows((node,))
-    kind = int(arena.kind[node])
-    if kind == NK_TEXT:
-        out.append(escape_text(pool.value(int(arena.value[node]))))
-        return
-    if kind == NK_COMMENT:
-        out.append(f"<!--{pool.value(int(arena.value[node]))}-->")
-        return
-    if kind == NK_PI:
-        target = pool.value(int(arena.name[node]))
-        data = pool.value(int(arena.value[node]))
-        out.append(f"<?{target} {data}?>" if data else f"<?{target}?>")
-        return
-    if kind == NK_DOC:
-        for child in _child_rows(arena, node):
-            _serialize_into(arena, child, out)
-        return
-    # element
-    name = pool.value(int(arena.name[node]))
-    out.append(f"<{name}")
-    order, lo, hi = arena.attr_ranges(_single(node))
-    for j in order[int(lo[0]) : int(hi[0])]:
-        aname = pool.value(int(arena.attr_name[j]))
-        avalue = pool.value(int(arena.attr_value[j]))
-        out.append(f' {aname}="{escape_attr(avalue)}"')
-    children = _child_rows(arena, node)
-    if not children:
-        out.append("/>")
-        return
-    out.append(">")
-    for child in children:
-        _serialize_into(arena, child, out)
-    out.append(f"</{name}>")
-
-
-def _single(node: int) -> np.ndarray:
-    return np.asarray([node], dtype=np.int64)
-
-
-def _child_rows(arena: NodeArena, node: int) -> list[int]:
-    order, lo, hi = arena.children_ranges(_single(node))
-    rows = sorted(int(r) for r in order[int(lo[0]) : int(hi[0])])
-    return rows
+    for i in _where(kinds > NK_TEXT).tolist():
+        data = pool.value(int(arena.value[rows][i]))
+        if kinds[i] == NK_COMMENT:
+            part = f"<!--{data}-->"
+        else:
+            target = pool.value(int(names[i]))
+            part = f"<?{target} {data}?>" if data else f"<?{target}?>"
+        put(open_slot[i], part)
+    # a document node contributes no markup of its own
+    return parts[used].tolist()
 
 
 def serialize_tree(node) -> str:

@@ -281,6 +281,50 @@ def test_nan_insert_position_is_forg0001(session):
         assert info.value.code == "err:FORG0001"
 
 
+#: a required argument that is empty, or several items where one value
+#: must stand: the same typed error from both evaluators
+CARDINALITY_ERRORS = (
+    ("remove((1,2,3), ())", "err:XPTY0004"),
+    ("insert-before((1,2,3), (), 9)", "err:XPTY0004"),
+    ("for $x in (1, 2) return remove((1,2,3), if ($x = 1) then 3 else ())", "err:XPTY0004"),
+    ("(1,2,3,4,5)[(4, 5)]", "err:FORG0006"),
+    ("let $s := (2, 3) return (1,2,3)[$s]", "err:FORG0006"),
+    ("for $x in (1, 2) order by ($x, 1) return $x", "err:XPTY0004"),
+    ("for $x in (1, 2) order by $x, (1 to $x) return $x", "err:XPTY0004"),
+)
+
+
+@pytest.mark.parametrize("query,code", CARDINALITY_ERRORS)
+def test_cardinality_errors(session, query, code):
+    for run in (run_pf, run_baseline):
+        with pytest.raises(PathfinderError) as info:
+            run(session, query)
+        assert info.value.code == code
+
+
+#: the same shapes with one item where one is asked for, and the numeric
+#: rounding functions typed per row of a mixed column
+ONE_ITEM_AND_PER_ROW = (
+    ("for $x in (1, 2) return remove((1,2,3), if ($x = 1) then 3 else 1)", "1 2 2 3"),
+    ("for $x in () return remove((1,2,3), ())", ""),
+    ("let $s := (2) return (1,2,3)[$s]", "2"),
+    ('(1,2,3)[("a", "b")]', "1 2 3"),
+    ("for $x in (3, 1, 2) order by ($x, ())[1] return $x", "1 2 3"),
+    ("for $x in (1, 2.5e0) return round($x) instance of xs:integer", "true false"),
+    ("for $x in (9007199254740993, 2.5e0) return abs($x)", "9007199254740993 2.5"),
+    ("for $x in (1, 2.5, -3.5e0) return floor($x)", "1 2 -4"),
+    ("for $x in (-1, 2.5, -3.5e0) return ceiling($x) instance of xs:decimal",
+     "false true false"),
+    (f"for $x in (1.5e0, -{I64_MAX}) return abs($x)", f"1.5 {I64_MAX}"),
+)
+
+
+@pytest.mark.parametrize("query,expected", ONE_ITEM_AND_PER_ROW)
+def test_one_item_and_per_row_typing(session, query, expected):
+    assert run_pf(session, query) == expected
+    assert run_baseline(session, query) == expected
+
+
 def _outcome(session, run, query: str) -> str:
     try:
         return run(session, query)

@@ -1,6 +1,9 @@
 """Unit tests for the polymorphic item columns and the string pool."""
 
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -53,6 +56,84 @@ class TestStringPool:
         ids = pool.intern_many(["INF", "-INF"])
         out = pool.doubles_for(np.asarray(ids))
         assert out[0] == math.inf and out[1] == -math.inf
+
+    def test_doubles_for_parses_only_the_ids_asked(self, pool, monkeypatch):
+        """A cast of k distinct ids over a large pool parses at most k
+        strings, and a repeat parses none: never the whole pool."""
+        ids = pool.intern_many([str(i) for i in range(5000)])
+        calls = []
+        real = it._parse_double
+        monkeypatch.setattr(it, "_parse_double", lambda s: calls.append(s) or real(s))
+        asked = np.asarray([ids[7], ids[4000], ids[7], ids[123], ids[4000]])
+        assert pool.doubles_for(asked).tolist() == [7.0, 4000.0, 7.0, 123.0, 4000.0]
+        assert sorted(calls) == ["123", "4000", "7"]
+        calls.clear()
+        assert pool.doubles_for(asked[::-1]).tolist() == [4000.0, 123.0, 7.0, 4000.0, 7.0]
+        assert pool.doubles_for(asked[:0]).tolist() == []
+        assert calls == []
+        # a later cast parses only its own misses, also past a pool grow
+        late = pool.intern_many([f"{i}.5" for i in range(5000, 9000)])
+        assert pool.doubles_for(np.asarray([ids[7], late[-1]])).tolist() == [7.0, 8999.5]
+        assert calls == ["8999.5"]
+
+    def test_doubles_for_under_concurrent_interning(self, pool):
+        """Threads casting small, overlapping sets of freshly interned ids
+        while another thread grows the pool all see what a single-threaded
+        parse gives: a memo entry is never read before it is filled, and
+        a grow never loses one."""
+        published = pool.intern_many([" 1e1 ", "x", "INF", "-INF", "", " -0 "]).tolist()
+        stop = threading.Event()
+        failures = []
+
+        def grow():
+            for n in range(5000):
+                if stop.is_set():
+                    return
+                published.extend(pool.intern_many([f"{n}.{j}5" for j in range(8)]).tolist())
+
+        def cast(seed):
+            rng = random.Random(seed)
+            for _ in range(2000):
+                picked = rng.sample(published[-6:], 2)
+                got = pool.doubles_for(np.asarray(picked)).tolist()
+                expect = [it._parse_double(pool.value(i)) for i in picked]
+                if not all(g == e or (math.isnan(g) and math.isnan(e))
+                           for g, e in zip(got, expect)):
+                    failures.append((picked, got, expect))
+
+        grower = threading.Thread(target=grow)
+        casters = [threading.Thread(target=cast, args=(seed,)) for seed in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            grower.start()
+            for t in casters:
+                t.start()
+            for t in casters:
+                t.join(timeout=60)
+        finally:
+            stop.set()
+            grower.join(timeout=60)
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in [grower, *casters])
+        assert not failures
+
+    def test_values_decode_by_index(self, pool):
+        ids = pool.intern_many(["a", "b", "c"])
+        assert pool.values(ids[[2, 0, 2]]) == ["c", "a", "c"]
+        assert pool.values([1]) == ["b"]
+        assert pool.values(np.empty(0, dtype=np.int64)) == []
+        with pytest.raises(IndexError):
+            pool.value(3)
+        with pytest.raises(IndexError):
+            pool.values([3])
+
+    def test_pool_grows_past_its_first_array(self, pool):
+        words = [f"w{i}" for i in range(1000)]
+        ids = [pool.intern(w) for w in words]
+        assert ids == list(range(1000)) and len(pool) == 1000
+        assert pool.values(np.asarray(ids)) == words
+        assert pool.intern_many(words + ["new"]).tolist() == ids + [1000]
 
     def test_sort_ranks_match_lexicographic_order(self, pool):
         words = ["pear", "apple", "fig", "apple", "banana"]

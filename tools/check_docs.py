@@ -90,6 +90,7 @@ API_CLASSES = (
     "QueryService",
     "ClusterService",
     "DocumentStore",
+    "StringPool",
 )
 _API_REF = re.compile(r"`(" + "|".join(API_CLASSES) + r")\.(\w+)")
 
