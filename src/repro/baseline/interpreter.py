@@ -965,15 +965,9 @@ class Interpreter:
             return list(reversed(self.eval(args[0], env)))
         if name == "subsequence":
             seq = self.eval(args[0], env)
-            start = self._single_number(args[1], env)
-            if start is None:
-                return []
-            b = _round_position(start)
+            b = _round_position(self._required_number(args[1], env))
             if len(args) == 3:
-                length = self._single_number(args[2], env)
-                if length is None:
-                    return []
-                e = b + _round_position(length)
+                e = b + _round_position(self._required_number(args[2], env))
             else:
                 e = len(seq) + 1
             return [x for p, x in enumerate(seq, start=1) if b <= p < e]

@@ -330,16 +330,15 @@ def _fn_reverse(comp, args, loop, env):
     return alg.Project(renum, (("iter", "iter"), ("pos", "pos1"), ("item", "item")))
 
 
-def _positional_arg(comp, expr, loop, env, name, kernel="round", required=False):
+def _positional_arg(comp, expr, loop, env, name, kernel="round"):
     """A per-iteration position for subsequence/remove/insert-before,
     rounded as by ``fn:round`` and compared as a number: a double, NaN
-    or ±INF position is never cast to ``xs:integer``.  A ``required``
-    position (the ``xs:integer`` of remove/insert-before) must not be
-    the empty sequence."""
+    or ±INF position is never cast to ``xs:integer``.  Every position
+    is required (the ``xs:double`` start and length of subsequence, the
+    ``xs:integer`` of remove/insert-before): the empty sequence is
+    ``err:XPTY0004``."""
     f = comp._first(comp._atomize(comp.compile(expr, loop, env)))
-    if required:
-        f = comp._required(f, loop)
-    rounded = alg.Map(f, kernel, name, (col("item"),))
+    rounded = alg.Map(comp._required(f, loop), kernel, name, (col("item"),))
     i2 = comp.fresh("i")
     return alg.Project(rounded, ((i2, "iter"), (name, name))), i2
 
@@ -381,7 +380,7 @@ def _fn_index_of(comp, args, loop, env):
 def _fn_insert_before(comp, args, loop, env):
     q = comp.compile(args[0], loop, env)
     pos_arg, pi = _positional_arg(
-        comp, args[1], loop, env, "ins_at", kernel="integer_position", required=True
+        comp, args[1], loop, env, "ins_at", kernel="integer_position"
     )
     ins = comp.compile(args[2], loop, env)
     j = alg.Join(q, pos_arg, (("iter", pi),))
@@ -408,7 +407,7 @@ def _fn_insert_before(comp, args, loop, env):
 
 def _fn_remove(comp, args, loop, env):
     q = comp.compile(args[0], loop, env)
-    pos_arg, pi = _positional_arg(comp, args[1], loop, env, "rm_at", required=True)
+    pos_arg, pi = _positional_arg(comp, args[1], loop, env, "rm_at")
     j = alg.Join(q, pos_arg, (("iter", pi),))
     ne = alg.Map(j, "ne", "keep", (col("pos"), col("rm_at")))
     kept = alg.Select(ne, "eq", col("keep"), const(True))

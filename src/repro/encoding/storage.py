@@ -10,6 +10,12 @@ win.  We model the MonetDB/XQuery storage layout:
 * attribute table: ``owner`` 4 B, ``name`` 4 B, ``value`` 4 B per attribute;
 * property pools: each distinct string stored once (UTF-8 bytes) plus an
   8 B dictionary entry.
+
+The persistent store (``encoding/store.py``) has no fixed widths: each
+fragment stores ``kind`` as one byte and every other column, and its
+pool offsets, at the narrowest signed width (1, 2, 4 or 8 bytes) that
+holds that fragment's values.  :func:`persisted_fragment_bytes` counts
+a fragment's real footprint from those per-fragment widths.
 """
 
 from __future__ import annotations
@@ -22,28 +28,32 @@ NODE_ROW_BYTES = 4 + 1 + 1 + 4  # size, level, kind, prop surrogate
 ATTR_ROW_BYTES = 4 + 4 + 4
 POOL_ENTRY_OVERHEAD = 8
 
-# --- the persistent store's *actual* on-disk widths (encoding/store.py:
-# one file per column; kind u1, level i4, every other column i8) ---
-STORE_NODE_ROW_BYTES = 1 + 8 + 4 + 8 + 8 + 8  # kind,size,level,parent,name,value
-STORE_ATTR_ROW_BYTES = 8 + 8 + 8  # owner, name, value
-STORE_OFFSET_BYTES = 8  # one pool-offset entry
-
 
 def persisted_fragment_bytes(
-    nodes: int, attrs: int, strings: int, blob_bytes: int
+    nodes: int,
+    attrs: int,
+    strings: int,
+    blob_bytes: int,
+    *,
+    node_row_bytes: int,
+    attr_row_bytes: int,
+    offset_bytes: int,
 ) -> int:
-    """Exact on-disk size of one fragment directory's column files.
+    """Exact on-disk size of one fragment directory's files.
 
     This is the real footprint of the mmap layout, as opposed to the
-    *modelled* MonetDB widths above — the store is wider per row (i8
-    columns for mmap alignment and a materialised ``parent``) but pays
-    the string pool only for the fragment's distinct strings.
+    *modelled* MonetDB widths above: ``node_row_bytes`` and
+    ``attr_row_bytes`` are the summed widths of the fragment's node and
+    attribute column files, ``offset_bytes`` the width of one of its
+    ``strings + 1`` pool offsets.  The store materialises ``parent``,
+    which the model derives, but pays the string pool only for the
+    fragment's distinct strings.
     """
     return (
-        nodes * STORE_NODE_ROW_BYTES
-        + attrs * STORE_ATTR_ROW_BYTES
+        nodes * node_row_bytes
+        + attrs * attr_row_bytes
         + blob_bytes
-        + (strings + 1) * STORE_OFFSET_BYTES
+        + (strings + 1) * offset_bytes
     )
 
 

@@ -21,7 +21,10 @@ fragment references, with ``name``/``value`` columns remapped to local
 surrogates.  Reopening a store therefore never re-parses XML:
 :meth:`load_fragment` memory-maps the column files and adopts them into
 the arena with vectorised appends, re-interning only the distinct pool
-strings.
+strings.  Every integer file but ``kind`` is written at the narrowest
+signed width its values need, recorded in the fragment's manifest entry
+(``"dtypes"``, manifest format 2; an entry without them has format 1's
+fixed table :data:`FORMAT1_DTYPES`).
 
 Durability protocol (see ``docs/storage.md``):
 
@@ -88,24 +91,39 @@ from repro.encoding.storage import persisted_fragment_bytes
 from repro.errors import PathfinderError
 
 MANIFEST_NAME = "MANIFEST.json"
-FORMAT_VERSION = 1
+#: the manifest format this code writes: every fragment entry records the
+#: dtype of each of its column files (``"dtypes"``)
+FORMAT_VERSION = 2
+#: the manifest formats an open reads; format 1 wrote every fragment at
+#: the fixed widths of :data:`FORMAT1_DTYPES`, and a checkpoint rewrites
+#: only dirty documents, so one format-2 store may hold both kinds
+READABLE_FORMATS = (1, 2)
 
-#: node-table column files and their on-disk dtypes (paper Section 3.1:
-#: narrow physical columns; ``kind`` fits a byte, ``level`` a short)
-NODE_COLUMNS = (
-    ("kind", "u1"),
-    ("size", "<i8"),
-    ("level", "<i4"),
-    ("parent", "<i8"),
-    ("name", "<i8"),
-    ("value", "<i8"),
-)
-#: attribute-table column files (owner rebased to the fragment root)
-ATTR_COLUMNS = (
-    ("attr_owner", "<i8"),
-    ("attr_name", "<i8"),
-    ("attr_value", "<i8"),
-)
+#: node-table column files.  ``kind`` is always one unsigned byte; every
+#: other column is stored at the narrowest signed width that holds its
+#: values (paper Section 3.1: narrow physical columns)
+NODE_COLUMNS = ("kind", "size", "level", "parent", "name", "value")
+#: attribute-table column files (owner rebased to the fragment root),
+#: narrowed like the node columns
+ATTR_COLUMNS = ("attr_owner", "attr_name", "attr_value")
+#: the files whose width a fragment's manifest entry records: every
+#: integer column but ``kind``, and the string pool's offsets
+NARROW_COLUMNS = NODE_COLUMNS[1:] + ATTR_COLUMNS + ("pool_offsets",)
+#: the widths a narrowed file may have, narrowest first
+WIDTHS = ("<i1", "<i2", "<i4", "<i8")
+#: the fixed column dtypes of format 1 (and of any entry without ``dtypes``)
+FORMAT1_DTYPES = {
+    "kind": "u1",
+    "size": "<i8",
+    "level": "<i4",
+    "parent": "<i8",
+    "name": "<i8",
+    "value": "<i8",
+    "attr_owner": "<i8",
+    "attr_name": "<i8",
+    "attr_value": "<i8",
+    "pool_offsets": "<i8",
+}
 
 
 class StoreError(PathfinderError):
@@ -151,6 +169,55 @@ def _fsync_dir(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def narrowest_dtype(values: np.ndarray) -> str:
+    """The narrowest of :data:`WIDTHS` that holds every value (the ``-1``
+    sentinels included); an empty column takes the narrowest."""
+    if not len(values):
+        return WIDTHS[0]
+    lo, hi = int(values.min()), int(values.max())
+    return next(
+        dtype
+        for dtype in WIDTHS
+        if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max
+    )
+
+
+def fragment_dtypes(meta: dict) -> dict[str, str]:
+    """Column file → dtype of one manifest entry: ``kind`` plus its
+    ``dtypes`` (format 2), or :data:`FORMAT1_DTYPES` for an entry
+    without them.  An entry whose ``dtypes`` miss a narrowed file, name
+    another, or give a width outside :data:`WIDTHS` raises
+    :class:`StoreError` instead of being misread."""
+    widths = meta.get("dtypes")
+    if widths is None:
+        return FORMAT1_DTYPES
+    if (
+        not isinstance(widths, dict)
+        or sorted(widths) != sorted(NARROW_COLUMNS)
+        or not all(width in WIDTHS for width in widths.values())
+    ):
+        raise StoreError(
+            f"fragment {meta.get('dir')!r} lists unsupported column dtypes"
+            f" {widths!r}"
+        )
+    return {"kind": "u1", **widths}
+
+
+def fragment_bytes(meta: dict) -> int:
+    """Exact byte size of the files of one manifest entry's fragment."""
+    dtypes = fragment_dtypes(meta)
+    width = lambda cname: np.dtype(dtypes[cname]).itemsize  # noqa: E731
+    return persisted_fragment_bytes(
+        meta["nodes"],
+        meta["attrs"],
+        meta["strings"],
+        meta["blob_bytes"],
+        node_row_bytes=sum(width(cname) for cname in NODE_COLUMNS),
+        attr_row_bytes=sum(width(cname) for cname in ATTR_COLUMNS),
+        offset_bytes=width("pool_offsets"),
+    )
 
 
 class PagedFragment:
@@ -226,7 +293,7 @@ class DocumentStore:
                 ) from None
             if (
                 not isinstance(self.manifest, dict)
-                or self.manifest.get("format") != FORMAT_VERSION
+                or self.manifest.get("format") not in READABLE_FORMATS
             ):
                 raise StoreError(
                     f"unsupported store format in {manifest_path!r}"
@@ -280,9 +347,10 @@ class DocumentStore:
         The subtree ``root .. root+size`` is snapshotted with rows and
         attribute owners rebased to the root, surrogates remapped into a
         fragment-local pool, and each column written + fsynced into a
-        fresh ``docs/<slug>-<epoch>`` directory.  Returns the manifest
-        entry; the fragment is unreachable until a manifest commit
-        references it.
+        fresh ``docs/<slug>-<epoch>`` directory at the narrowest width
+        its values need (:func:`narrowest_dtype`).  Returns the manifest
+        entry, widths included; the fragment is unreachable until a
+        manifest commit references it.
         """
         lo = int(root)
         arena.ensure_rows((lo,))  # snapshotting a cold fragment faults it
@@ -327,6 +395,7 @@ class DocumentStore:
             "attr_owner": aowner,
             "attr_name": remap(aname),
             "attr_value": remap(avalue),
+            "pool_offsets": offsets,
         }
         # shard suffix: worker epoch counters are only unique per
         # process, and two URIs on different shards can share a slug
@@ -335,14 +404,16 @@ class DocumentStore:
         frag_dir = os.path.join(self.path, rel_dir)
         os.makedirs(frag_dir, exist_ok=True)
         self._fault("frag:write")
-        dtypes = dict(NODE_COLUMNS + ATTR_COLUMNS)
+        dtypes = {
+            cname: narrowest_dtype(arr)
+            for cname, arr in columns.items()
+            if cname != "kind"
+        }
+        files = {"kind": "u1", **dtypes}
         for cname, arr in columns.items():
-            data = np.ascontiguousarray(arr.astype(dtypes[cname]))
+            data = np.ascontiguousarray(arr.astype(files[cname]))
             self._write_file(os.path.join(frag_dir, cname + ".bin"), data.tobytes())
         self._write_file(os.path.join(frag_dir, "pool.blob"), blob)
-        self._write_file(
-            os.path.join(frag_dir, "pool_offsets.bin"), offsets.tobytes()
-        )
         self._fault("frag:fsync-dir")
         _fsync_dir(frag_dir)
         return {
@@ -353,6 +424,7 @@ class DocumentStore:
             "strings": int(len(uniq)),
             "blob_bytes": len(blob),
             "xml_bytes": int(xml_bytes),
+            "dtypes": dtypes,
         }
 
     def _write_file(self, path: str, data: bytes) -> None:
@@ -383,18 +455,16 @@ class DocumentStore:
         if meta is None:
             raise StoreError(f"document {uri!r} is not in the store manifest")
         frag = self._doc_dir(meta)
+        dtypes = fragment_dtypes(meta)
         n, m, k = meta["nodes"], meta["attrs"], meta["strings"]
-        cols = {
-            cname: self._mapped(os.path.join(frag, cname + ".bin"), dt, n)
-            for cname, dt in NODE_COLUMNS
-        }
-        acols = {
-            cname: self._mapped(os.path.join(frag, cname + ".bin"), dt, m)
-            for cname, dt in ATTR_COLUMNS
-        }
-        offsets = self._mapped(
-            os.path.join(frag, "pool_offsets.bin"), "<i8", k + 1
-        )
+
+        def mapped(cname: str, count: int) -> np.ndarray:
+            path = os.path.join(frag, cname + ".bin")
+            return self._mapped(path, dtypes[cname], count)
+
+        cols = {cname: mapped(cname, n) for cname in NODE_COLUMNS}
+        acols = {cname: mapped(cname, m) for cname in ATTR_COLUMNS}
+        offsets = mapped("pool_offsets", k + 1)
         if k:
             with open(os.path.join(frag, "pool.blob"), "rb") as handle:
                 blob = handle.read()
@@ -414,10 +484,7 @@ class DocumentStore:
             cols=cols,
             acols=acols,
             gsids=gsids,
-            disk_bytes=persisted_fragment_bytes(
-                meta["nodes"], meta["attrs"], meta["strings"],
-                meta["blob_bytes"],
-            ),
+            disk_bytes=fragment_bytes(meta),
         )
 
     def load_fragment(self, arena: NodeArena, uri: str) -> int:
@@ -458,7 +525,7 @@ class DocumentStore:
                 disk = json.load(handle)
         except (OSError, ValueError):
             return None
-        if not isinstance(disk, dict) or disk.get("format") != FORMAT_VERSION:
+        if not isinstance(disk, dict) or disk.get("format") not in READABLE_FORMATS:
             return None
         return disk
 
@@ -789,15 +856,7 @@ class DocumentStore:
             "pending_wal_logs": {
                 os.path.basename(path): _size(path) for path in self._other_layout_logs()
             },
-            "fragment_bytes": sum(
-                persisted_fragment_bytes(
-                    meta["nodes"],
-                    meta["attrs"],
-                    meta["strings"],
-                    meta["blob_bytes"],
-                )
-                for meta in docs.values()
-            ),
+            "fragment_bytes": sum(fragment_bytes(meta) for meta in docs.values()),
         }
 
 

@@ -601,6 +601,20 @@ def _is_empty_lit(op: alg.Op) -> bool:
     return isinstance(op, alg.Lit) and not op.rows
 
 
+#: map kernels that check the rows they see and raise (the compiler's
+#: cardinality checks).  Sunk onto one side of a ×, one would raise on a
+#: row the other, empty side discards; folded away with the input of a
+#: join whose other input is empty, one would not raise at all
+_CHECK_FNS = frozenset({"required", "single_key", "single_number"})
+
+
+def _holds_check(op: alg.Op) -> bool:
+    """Whether a check kernel (:data:`_CHECK_FNS`) runs in ``op``'s plan."""
+    return any(
+        isinstance(x, alg.Map) and x.fn in _CHECK_FNS for x in alg.walk(op)
+    )
+
+
 def _empty_like(op: alg.Op) -> alg.Lit:
     return alg.Lit(op.columns, (), op.item_columns)
 
@@ -648,9 +662,11 @@ def _fold_empty_input(node: alg.Op) -> alg.Op | None:
 
 
 def _fold_empty_side(node: alg.Op) -> alg.Op | None:
-    """⋈, ⋈θ, × and ⋉ with an empty input are empty."""
-    if _is_empty_lit(node.left) or _is_empty_lit(node.right):
-        return _empty_like(node)
+    """⋈, ⋈θ, × and ⋉ with an empty input are empty, unless the other
+    input holds a check kernel, which must still see its rows."""
+    for empty, other in ((node.left, node.right), (node.right, node.left)):
+        if _is_empty_lit(empty):
+            return None if _holds_check(other) else _empty_like(node)
     return None
 
 
@@ -678,7 +694,9 @@ def _fold_atomize(node: alg.Atomize) -> alg.Op | None:
 
 
 def _fold_difference(node: alg.Difference) -> alg.Op | None:
-    if _is_empty_lit(node.left) or _is_empty_lit(node.right):
+    if _is_empty_lit(node.right):
+        return node.left
+    if _is_empty_lit(node.left) and not _holds_check(node.right):
         return node.left
     return None
 
@@ -1062,12 +1080,6 @@ def _sink(filt, x: alg.Op, counts, shared: bool = False) -> alg.Op | None:
     else:
         return None
     return x.with_children((_sink_or_attach(filt, x.child, counts, shared),))
-
-
-#: map kernels that check the rows they see and raise (the compiler's
-#: cardinality checks): sunk onto one side of a ×, one would raise on a
-#: row the other, empty side discards
-_CHECK_FNS = frozenset({"required", "single_key", "single_number"})
 
 
 def _sink_map(m, counts) -> alg.Op | None:

@@ -286,6 +286,12 @@ def test_nan_insert_position_is_forg0001(session):
 CARDINALITY_ERRORS = (
     ("remove((1,2,3), ())", "err:XPTY0004"),
     ("insert-before((1,2,3), (), 9)", "err:XPTY0004"),
+    ("subsequence((1,2,3), ())", "err:XPTY0004"),
+    ("subsequence((1,2,3), 1, ())", "err:XPTY0004"),
+    # an empty input sequence does not fold the position check away
+    ("remove((), ())", "err:XPTY0004"),
+    ("insert-before((), (), 9)", "err:XPTY0004"),
+    ("subsequence((), ())", "err:XPTY0004"),
     ("for $x in (1, 2) return remove((1,2,3), if ($x = 1) then 3 else ())", "err:XPTY0004"),
     ("(1,2,3,4,5)[(4, 5)]", "err:FORG0006"),
     ("let $s := (2, 3) return (1,2,3)[$s]", "err:FORG0006"),

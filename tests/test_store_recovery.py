@@ -34,6 +34,8 @@ from repro.api.database import Database
 from repro.encoding.store import DocumentStore, StoreCrash, StoreError, shard_of
 from repro.xml.serializer import serialize_node
 
+from tests.test_store import _assert_counters_measure_disk, format1_store
+
 XML_A = (
     '<site x="1"><a id="a1">hello<b>world</b></a>'
     "<a id='a2'>two</a><!--note-->tail</site>"
@@ -327,6 +329,58 @@ def test_crash_during_open_time_fold_recovers(tmp_path, page_budget):
         assert on_disk == live, (n, crashed_at)
         recovered.checkpoint()
         assert _wal_files(path) == [], (n, crashed_at)
+
+
+@pytest.mark.parametrize("page_budget", [None, 4096], ids=["eager", "paged"])
+def test_crash_while_narrowing_a_format1_store(tmp_path, page_budget):
+    # a format-1 store is updated and checkpointed one document at a
+    # time, so it passes through mixed widths; a crash at every fault
+    # point recovers to a consistent state whose byte counters still
+    # measure the disk
+    template = str(tmp_path / "template")
+    seed = Database(store=template)
+    seed.load_document("a.xml", XML_A)
+    seed.load_document("c.xml", XML_B)
+    del seed
+    format1_store(template)
+    steps = [
+        lambda db: db.connect().execute_update('insert node <n i="1">n</n> into /site'),
+        lambda db: db.checkpoint(),
+        lambda db: db.connect().execute_update('insert node <z/> into doc("c.xml")/r'),
+        lambda db: db.checkpoint(),
+    ]
+    probe_path = str(tmp_path / "probe")
+    shutil.copytree(template, probe_path)
+    probe = FaultInjector()
+    clean = Database(
+        store=DocumentStore(probe_path, fault_hook=probe),
+        page_budget_bytes=page_budget,
+    )
+    states, narrow = [_state(clean)], []
+    for step in steps:
+        step(clean)
+        states.append(_state(clean))
+        documents = clean.store.manifest["documents"]
+        narrow.append(sorted(uri for uri, meta in documents.items() if "dtypes" in meta))
+    assert narrow == [[], ["a.xml"], ["a.xml"], ["a.xml", "c.xml"]]
+
+    for n in range(1, probe.count + 1):
+        path = str(tmp_path / f"crash-{n}")
+        shutil.copytree(template, path)
+        injector = FaultInjector(crash_at=n)
+        with pytest.raises(StoreCrash):
+            db = Database(
+                store=DocumentStore(path, fault_hook=injector),
+                page_budget_bytes=page_budget,
+            )
+            for step in steps:
+                step(db)
+        crashed_at = injector.points[-1]
+        recovered = Database.open(path, page_budget_bytes=page_budget)
+        assert _state(recovered) in states, (n, crashed_at)
+        recovered.checkpoint()
+        assert _wal_files(path) == [], (n, crashed_at)
+        _assert_counters_measure_disk(path)
 
 
 class TestTornWal:
