@@ -891,26 +891,36 @@ def _entry_to_json(arena: NodeArena, entry) -> dict:
     return {"t": "xml", "v": serialize_node(arena, row)}
 
 
-def _entries_from_json(arena: NodeArena, payloads: list) -> list:
-    """Materialise serialized content entries against the current arena.
+def _entries_from_json(arena: NodeArena, tables: list) -> list:
+    """Materialise lists of serialized content entries against the
+    current arena; returns one entry list per payload list.
 
-    XML payloads are shredded (inside a wrapper element, so comments,
-    PIs and multi-node document content replay too) into a transient
-    fragment whose children become ``("copy", row)`` entries — exactly
-    the by-value copy the original update performed.
+    The XML payloads of all lists are shredded with one call, each
+    inside its own wrapper element (so comments, PIs and multi-node
+    document content replay too), into a transient fragment whose
+    wrappers' children become ``("copy", row)`` entries — exactly the
+    by-value copy the original update performed.
     """
     from repro.encoding.shred import shred_text
 
-    entries: list = []
-    for payload in payloads:
-        if payload["t"] == "text":
-            entries.append(("text", arena.pool.intern(payload["v"])))
-            continue
-        doc = shred_text(arena, "<w>" + payload["v"] + "</w>")
-        wrapper = doc + 1  # the <w> element under the document node
-        order, lo, hi = arena.children_ranges(np.asarray((wrapper,), dtype=np.int64))
-        entries.extend(("copy", int(child)) for child in order[lo[0] : hi[0]])
-    return entries
+    xml = [p["v"] for payloads in tables for p in payloads if p["t"] != "text"]
+    copies = iter(())
+    if xml:
+        doc = shred_text(arena, "<ws><w>" + "</w><w>".join(xml) + "</w></ws>")
+        order, lo, hi = arena.children_ranges(np.asarray((doc + 1,), dtype=np.int64))
+        order, lo, hi = arena.children_ranges(np.asarray(order[lo[0] : hi[0]], dtype=np.int64))
+        copies = iter([[("copy", int(child)) for child in order[a:b]]
+                       for a, b in zip(lo.tolist(), hi.tolist())])
+    out = []
+    for payloads in tables:
+        entries: list = []
+        for payload in payloads:
+            if payload["t"] == "text":
+                entries.append(("text", arena.pool.intern(payload["v"])))
+            else:
+                entries.extend(next(copies))
+        out.append(entries)
+    return out
 
 
 def _attr_pair_to_json(arena: NodeArena, pair) -> list:
@@ -992,11 +1002,14 @@ def materialize_delta(arena: NodeArena, root: int, payload: dict) -> TreeDelta:
     delta = TreeDelta()
     base = int(root)
     intern = arena.pool.intern
-    for field in TreeDelta.ROW_CONTENT_FIELDS:
-        for key, entries in payload.get(field, {}).items():
-            getattr(delta, field)[base + int(key)] = _entries_from_json(
-                arena, entries
-            )
+    targets = [
+        (getattr(delta, field), base + int(key), entries)
+        for field in TreeDelta.ROW_CONTENT_FIELDS
+        for key, entries in payload.get(field, {}).items()
+    ]
+    tables = _entries_from_json(arena, [entries for _, _, entries in targets])
+    for (table, row, _), entries in zip(targets, tables):
+        table[row] = entries
     for key, pairs in payload.get("insert_attrs", {}).items():
         delta.insert_attrs[base + int(key)] = [
             (intern(n), intern(v)) for n, v in pairs

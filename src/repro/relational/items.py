@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import filterfalse
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -212,27 +213,23 @@ class StringPool:
     def intern_many(self, values: Sequence[str]) -> np.ndarray:
         """Intern a batch of strings, returning their surrogates.
 
-        Hits resolve lock-free; the misses (if any) take the intern
-        mutex once for the whole batch rather than once per string, and
-        are stored with one slice assignment — the store's fragment
-        adoption interns thousands of distinct strings in one call,
-        where per-string work dominates.
+        Surrogates come out as sequential :meth:`intern` calls would
+        assign them: the batch's new strings are stored in the order of
+        their first occurrence.  Every step runs at C level: a batch of
+        hits takes no lock; otherwise the misses, deduplicated with
+        ``dict.fromkeys``, take the intern mutex once and are stored with
+        one slice assignment, and the batch is mapped through the id
+        dict with one ``np.fromiter``.
         """
         ids = self._ids
-        found = [ids.get(v) for v in values]
-        if None in found:
+        if not all(map(ids.__contains__, values)):
             with self._intern_lock:
-                new: dict[str, int] = {}
-                n = self._count
-                for i, sid in enumerate(found):
-                    if sid is None:
-                        v = values[i]
-                        sid = ids.get(v)
-                        found[i] = new.setdefault(v, n + len(new)) if sid is None else sid
+                new = list(dict.fromkeys(filterfalse(ids.__contains__, values)))
                 if new:
-                    self._store_locked(list(new))
-                    ids.update(new)
-        return np.array(found, dtype=np.int64)
+                    n = self._count
+                    self._store_locked(new)
+                    ids.update(zip(new, range(n, n + len(new))))
+        return np.fromiter(map(ids.__getitem__, values), dtype=np.int64, count=len(values))
 
     def memoised(self, derive, sids, dtype=object) -> np.ndarray:
         """``derive`` applied to the strings of ``sids``, memoised per

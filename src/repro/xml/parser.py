@@ -1,13 +1,16 @@
-"""A from-scratch, non-validating XML parser.
+"""A from-scratch, non-validating XML parser: the grammar, and the
+scanner that names faults.
 
-The parser core is **event-emitting**: :func:`parse_events` walks the
-document once with an explicit element stack (no recursion, so document
-depth is not bounded by Python's recursion limit) and fires
-start/text/end/comment/pi callbacks on an :class:`XMLEventHandler`.  Two
-consumers exist: :func:`parse_document` plugs in a tree builder and
-returns the familiar :class:`XMLElement` tree, while the streaming
-shredder (:mod:`repro.encoding.shred`) appends straight into the arena's
-column buffers without ever materialising a DOM.
+Documents are loaded by the columnar shredder
+(:func:`repro.encoding.shred.shred_text`), which reads whole chunks of
+text with numpy and this module's patterns; it calls :func:`parse_events`
+only when a document fails one of its checks, to raise the
+:class:`XMLSyntaxError` with its line and column.  :func:`parse_events`
+walks the document once with an explicit element stack (no recursion,
+so document depth is not bounded by Python's recursion limit) and fires
+start/text/end/comment/pi callbacks on an :class:`XMLEventHandler`;
+:func:`skip_prolog` and :func:`skip_trailing` read what may surround
+the root element, for both readers.
 
 Element content is scanned by **one compiled token pattern**
 (:data:`_TOKEN`) applied with ``pattern.match(text, pos)`` at the
@@ -39,45 +42,10 @@ declaration, and general entities.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Union
 
 from repro.errors import XMLSyntaxError
 from repro.xml.escape import resolve_entities
 
-
-@dataclass
-class XMLText:
-    """A run of character data."""
-
-    text: str
-
-
-@dataclass
-class XMLComment:
-    """An XML comment (without the delimiters)."""
-
-    text: str
-
-
-@dataclass
-class XMLPi:
-    """A processing instruction: ``<?target data?>``."""
-
-    target: str
-    data: str
-
-
-@dataclass
-class XMLElement:
-    """An element: name, attribute list (document order) and children."""
-
-    name: str
-    attributes: list[tuple[str, str]] = field(default_factory=list)
-    children: list["XMLNode"] = field(default_factory=list)
-
-
-XMLNode = Union[XMLElement, XMLText, XMLComment, XMLPi]
 
 _S = "[ \t\r\n]"
 _NAME = "[A-Za-z_:][A-Za-z0-9_:.-]*"
@@ -114,8 +82,7 @@ class XMLEventHandler:
 
     Subclass and override what you need; adjacent character data and
     CDATA runs are merged into one :meth:`text` call, and empty merged
-    runs are suppressed — exactly the coalescing the tree parser applies
-    to :class:`XMLText` children.
+    runs are suppressed — the text nodes a shredded document holds.
     """
 
     def start_element(self, name: str, attributes: list[tuple[str, str]]) -> None:
@@ -137,17 +104,20 @@ class XMLEventHandler:
 def parse_events(text: str, handler: XMLEventHandler) -> None:
     """Parse a complete XML document, firing events on ``handler``.
 
-    This is the streaming entry point of the XML layer: one pass, an
-    explicit element stack, and no tree allocation.  A leading byte-order
-    mark and leading/trailing misc (XML declaration, DOCTYPE, comments,
-    PIs, whitespace) are accepted and discarded; exactly one root element
-    is required.
+    One pass, an explicit element stack, and no tree allocation.  A
+    leading byte-order mark and leading/trailing misc (XML declaration,
+    DOCTYPE, comments, PIs, whitespace) are accepted and discarded;
+    exactly one root element is required.
     """
-    pos = _skip_prolog(text, 1 if text.startswith("\ufeff") else 0)
+    pos = skip_prolog(text, 1 if text.startswith("\ufeff") else 0)
     if not text.startswith("<", pos):
         raise _error(text, pos, "expected the root element")
-    pos = _scan_elements(text, pos, handler)
-    # trailing misc
+    skip_trailing(text, _scan_elements(text, pos, handler))
+
+
+def skip_trailing(text: str, pos: int) -> None:
+    """Check that only misc (whitespace, comments, PIs) follows the root
+    element, which ends at ``pos``."""
     while True:
         pos = _WS.match(text, pos).end()
         if pos >= len(text):
@@ -160,54 +130,7 @@ def parse_events(text: str, handler: XMLEventHandler) -> None:
             raise _error(text, pos, "content after the root element")
 
 
-def parse_document(text: str) -> XMLElement:
-    """Parse a complete XML document, returning the root element.
-
-    A thin consumer of :func:`parse_events` that assembles the
-    :class:`XMLElement` tree (the shredder's streaming path skips this
-    entirely and shreds from the events).
-    """
-    builder = _TreeBuilder()
-    parse_events(text, builder)
-    return builder.root
-
-
-class _TreeBuilder(XMLEventHandler):
-    """Event handler that assembles the XMLElement tree."""
-
-    __slots__ = ("root", "_stack")
-
-    def __init__(self):
-        self.root: XMLElement | None = None
-        self._stack: list[XMLElement] = []
-
-    def start_element(self, name: str, attributes: list[tuple[str, str]]) -> None:
-        """Open an element under the current one (or as the root)."""
-        elem = XMLElement(name, attributes)
-        if self._stack:
-            self._stack[-1].children.append(elem)
-        else:
-            self.root = elem
-        self._stack.append(elem)
-
-    def end_element(self, name: str) -> None:
-        """Close the current element."""
-        self._stack.pop()
-
-    def text(self, data: str) -> None:
-        """Append a text child."""
-        self._stack[-1].children.append(XMLText(data))
-
-    def comment(self, data: str) -> None:
-        """Append a comment child."""
-        self._stack[-1].children.append(XMLComment(data))
-
-    def pi(self, target: str, data: str) -> None:
-        """Append a processing-instruction child."""
-        self._stack[-1].children.append(XMLPi(target, data))
-
-
-def _skip_prolog(text: str, pos: int) -> int:
+def skip_prolog(text: str, pos: int) -> int:
     """The offset past the XML declaration, comments, PIs, a DOCTYPE and
     whitespace before the root element."""
     while True:

@@ -1,4 +1,4 @@
-"""Serialization: arena nodes (or parsed trees) back to XML text.
+"""Serialization: arena nodes back to XML text.
 
 This is the post-processor of the paper's Section 2 ("a simple
 post-processor then serializes the relational result to form a response in
@@ -28,8 +28,7 @@ import numpy as np
 
 from repro.encoding.arena import NK_COMMENT, NK_ELEM, NK_TEXT, NodeArena
 from repro.relational.kernels import multi_arange
-from repro.xml.escape import escape_attr, escape_attrs, escape_text, escape_texts
-from repro.xml.parser import XMLComment, XMLElement, XMLPi, XMLText
+from repro.xml.escape import escape_attr, escape_attrs, escape_texts
 
 
 def serialize_node(arena: NodeArena, node: int) -> str:
@@ -155,30 +154,3 @@ def scan_parts(arena: NodeArena, nodes) -> list[str]:
         put(open_slot[i], part)
     # a document node contributes no markup of its own
     return parts[used].tolist()
-
-
-def serialize_tree(node) -> str:
-    """Serialise a parsed (:mod:`repro.xml.parser`) tree back to XML text."""
-    out: list[str] = []
-    _serialize_parsed(node, out)
-    return "".join(out)
-
-
-def _serialize_parsed(node, out: list[str]) -> None:
-    if isinstance(node, XMLText):
-        out.append(escape_text(node.text))
-    elif isinstance(node, XMLComment):
-        out.append(f"<!--{node.text}-->")
-    elif isinstance(node, XMLPi):
-        out.append(f"<?{node.target} {node.data}?>" if node.data else f"<?{node.target}?>")
-    elif isinstance(node, XMLElement):
-        out.append(f"<{node.name}")
-        for name, value in node.attributes:
-            out.append(f' {name}="{escape_attr(value)}"')
-        if not node.children:
-            out.append("/>")
-            return
-        out.append(">")
-        for child in node.children:
-            _serialize_parsed(child, out)
-        out.append(f"</{node.name}>")

@@ -135,6 +135,23 @@ class TestStringPool:
         assert pool.values(np.asarray(ids)) == words
         assert pool.intern_many(words + ["new"]).tolist() == ids + [1000]
 
+    @given(
+        earlier=st.lists(st.text("ab", max_size=2), max_size=6),
+        batches=st.lists(st.lists(st.text("abc", max_size=2), max_size=12), max_size=4),
+    )
+    def test_intern_many_assigns_what_sequential_interns_do(self, earlier, batches):
+        """Batches with duplicates and strings interned before: the same
+        surrogates, and the same pool order, as one intern per string."""
+        bulk, single = it.StringPool(), it.StringPool()
+        for word in earlier:
+            assert bulk.intern(word) == single.intern(word)
+        for batch in batches:
+            got = bulk.intern_many(batch)
+            assert got.dtype == np.int64
+            assert got.tolist() == [single.intern(word) for word in batch]
+        assert len(bulk) == len(single)
+        assert bulk.values(range(len(bulk))) == single.values(range(len(single)))
+
     def test_sort_ranks_match_lexicographic_order(self, pool):
         words = ["pear", "apple", "fig", "apple", "banana"]
         ids = pool.intern_many(words)

@@ -28,8 +28,7 @@ from repro.api.database import Database
 from repro.encoding.paging import NODE_RESIDENT_BYTES
 from repro.errors import PathfinderError
 from repro.xmark import XMARK_QUERIES, generate_document
-from repro.xml.serializer import serialize_tree
-
+from tests.reference_xml import serialize_tree
 from tests.test_store import (
     _RANDOM_OPS,
     XML_A,

@@ -13,8 +13,9 @@ tree-walking oracles kept below:
   generated documents (every node kind, escaping in text and attribute
   values, nested empty elements) and of XMark documents, and matches the
   recursive serializer on every row of the hand-written ones;
-* the streaming shredder builds the same arena as the DOM path and never
-  constructs an :class:`~repro.xml.parser.XMLElement`;
+* the columnar shredder builds the same arena as the DOM path
+  (:mod:`tests.reference_xml`) and, on well-formed text, neither builds
+  a tree nor runs the event scanner;
 * the batched result scan (``iter_serialized_chunks``: one scan per
   block of consecutive node items) equals the recursive oracle item by
   item, joined by the atomic-separator rule, and cuts its chunks where a
@@ -31,23 +32,28 @@ from hypothesis import strategies as st
 from repro.compiler import serialize as result_serializer
 from repro.compiler.serialize import _item_parts, iter_serialized_chunks, ordered_items
 from repro.encoding.arena import NK_COMMENT, NK_DOC, NK_ELEM, NK_PI, NK_TEXT, NodeArena
-from repro.encoding.shred import shred_text, shred_tree
+from repro.encoding import shred
+from repro.encoding.shred import shred_text
 from repro.errors import XMLSyntaxError
 from repro.relational import items as it
 from repro.relational.items import K_ATTR, K_INT, K_NODE, K_STR, ItemColumn
 from repro.relational.kernels import multi_arange
 from repro.relational.table import Table
 from repro.xml.escape import escape_attr, escape_text, escape_texts, resolve_entities
-from repro.xml.parser import XMLComment, XMLElement, XMLPi, XMLText, parse_document
-from repro.xml.serializer import (
-    scan_parts,
-    serialize_attribute,
-    serialize_node,
-    serialize_tree,
-)
+from repro.xml.parser import XMLEventHandler
+from repro.xml.serializer import scan_parts, serialize_attribute, serialize_node
 from repro.xmark import generate_document
 
 from tests.conftest import open_session
+from tests.reference_xml import (
+    XMLComment,
+    XMLElement,
+    XMLPi,
+    XMLText,
+    parse_document,
+    serialize_tree,
+    shred_tree,
+)
 from tests.test_xml import _tree
 
 # --------------------------------------------------------------------------
@@ -372,19 +378,24 @@ class TestColumnScanMatchesRowScan:
 
 class TestStreamingShredder:
     def test_no_dom_on_the_streaming_path(self, monkeypatch):
-        """shred_text never constructs an XMLElement (the whole point of
-        the event-driven pass)."""
+        """shred_text builds no tree and fires no per-token events: the
+        event scanner runs only to diagnose malformed text."""
 
-        def boom(self, *args, **kwargs):
-            raise AssertionError("XMLElement constructed on the streaming path")
+        def boom(*args, **kwargs):
+            raise AssertionError("per-token path taken by the columnar shredder")
 
         monkeypatch.setattr(XMLElement, "__init__", boom)
+        monkeypatch.setattr(XMLEventHandler, "start_element", boom)
+        monkeypatch.setattr(shred, "parse_events", boom)
         arena = NodeArena()
-        doc = shred_text(arena, "<r><a x='1'>t</a><!--c--><?p d?></r>")
-        assert int(arena.size[doc]) == 5  # r + a + text + comment + pi
-        # sanity: the tree-building path does construct elements
+        doc = shred_text(arena, "<r><a x='1'>t</a><!--c--><?p d?><![CDATA[x]]></r>")
+        assert int(arena.size[doc]) == 6  # r + a + text + comment + pi + text
+        # sanity: the tree-building path does construct elements, and a
+        # malformed text is handed to the scanner
         with pytest.raises(AssertionError):
             parse_document("<r/>")
+        with pytest.raises(AssertionError):
+            shred_text(arena, "<r>")
 
     @pytest.mark.parametrize("name", sorted(HAND_DOCS))
     def test_stream_and_dom_paths_build_identical_arenas(self, name):

@@ -1,13 +1,22 @@
-"""Tests for the XPath Accelerator encoding (shredding invariants)."""
+"""Tests for the XPath Accelerator encoding (shredding invariants), and
+the columnar shredder against the event shredder it replaced
+(:func:`tests.reference_xml.shred_events`) on XMark documents."""
+
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from repro.encoding.arena import NK_DOC, NK_ELEM, NK_TEXT, NodeArena
-from repro.encoding.shred import shred_text, shred_tree
+from repro.encoding import shred
+from repro.encoding.shred import shred_text
 from repro.encoding.storage import measure_storage
-from repro.xml.serializer import serialize_node, serialize_tree
+from repro.xml.serializer import serialize_node
 
+from repro.xmark import generate_document
+
+from tests.reference_xml import serialize_tree, shred_events, shred_tree
 from tests.test_xml import _tree
 
 
@@ -140,3 +149,59 @@ class TestStorage:
         r1 = measure_storage(a1, len(dup.encode()))
         r2 = measure_storage(a2, len(uniq.encode()))
         assert r1.overhead_pct < r2.overhead_pct
+
+
+def _state(arena: NodeArena) -> tuple:
+    """Every arena column, byte for byte, and the string pool."""
+    columns = ("kind", "size", "level", "frag", "parent", "name", "value",
+               "attr_owner", "attr_name", "attr_value")
+    return (
+        [getattr(arena, c).tobytes() for c in columns],
+        arena.pool.values(range(len(arena.pool))),
+    )
+
+
+def _shredded(shred_fn, text: str) -> tuple:
+    arena = NodeArena()
+    shred_fn(arena, "<w a='1'>x</w>")
+    shred_fn(arena, text)
+    return _state(arena)
+
+
+class TestColumnarShredder:
+    @pytest.mark.parametrize("seed", [42, 43])
+    @pytest.mark.parametrize("scale", [0.005, 0.02])
+    def test_xmark_columns_and_pool_are_byte_identical(self, scale, seed):
+        text = generate_document(scale, seed=seed)
+        assert _shredded(shred_text, text) == _shredded(shred_events, text)
+
+    @pytest.mark.parametrize("chars", [1, 333, 4096])
+    def test_small_chunks_change_nothing(self, chars, monkeypatch):
+        """Chunks cut anywhere: the same columns and pool."""
+        text = generate_document(0.005 if chars > 1 else 0.0005, seed=42)
+        expected = _shredded(shred_events, text)
+        monkeypatch.setattr(shred, "CHUNK_CHARS", chars)
+        assert _shredded(shred_text, text) == expected
+
+    def test_lone_surrogates_shred_like_the_event_shredder(self):
+        """A non-ASCII chunk is read one slot per code point, a lone
+        surrogate included."""
+        text = "<r a='\ud800'>x\ud800y<!--\udfff--><b c='\udc00\u00e9'/>\ud800</r>"
+        assert _shredded(shred_text, text) == _shredded(shred_events, text)
+
+    def test_peak_memory_at_most_the_event_shredders(self):
+        """tracemalloc's peak while one XMark 0.02 document shreds."""
+        text = generate_document(0.02, seed=42)
+
+        def peak(shred_fn) -> int:
+            arena = NodeArena()
+            shred_fn(arena, "<w/>")
+            tracemalloc.start()
+            try:
+                shred_fn(arena, text)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(shred_text) <= peak(shred_events)
+

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.encoding.arena import NodeArena
 from repro.encoding.axes import Axis, NodeTest, axis_region_holds, element, text
-from repro.encoding.shred import shred_text, shred_tree
+from repro.encoding.shred import shred_text
 from repro.relational.staircase import naive_step, staircase_step, twig_match
 
+from tests.reference_xml import shred_tree
 from tests.test_xml import _tree
 
 NODE = NodeTest("node")

@@ -31,8 +31,9 @@ from repro.encoding.store import (
 )
 from repro.errors import PathfinderError
 from repro.xmark import XMARK_QUERIES, generate_document
-from repro.xml.serializer import serialize_node, serialize_tree
+from repro.xml.serializer import serialize_node
 
+from tests.reference_xml import serialize_tree
 from tests.test_xml import _tree
 
 XML_A = (
@@ -166,6 +167,9 @@ UPDATE_SCRIPTS = (
     'rename node /site/@x as "y"',
     "for $a in //a return insert node <tag/> into $a",
     'insert node /site/a[1] into /site',  # copy an existing subtree
+    # several XML payloads (a comment, a PI, copies) and a text in one record
+    "insert node (/site/comment(), /site/processing-instruction(), 'txt', /site/*)"
+    " as first into /site",
 )
 
 

@@ -7,9 +7,9 @@ small instance so the whole file stays fast.
 import pytest
 
 from repro.xmark import XMARK_QUERIES, document_stats, generate_document, xmark_query
-from repro.xml.parser import parse_document
 
 from tests.conftest import open_session, run_baseline
+from tests.reference_xml import parse_document
 
 
 @pytest.fixture(scope="module")

